@@ -497,6 +497,44 @@ pub enum EventKind {
 }
 
 impl EventKind {
+    /// Every kind, in declaration order.
+    pub const ALL: &'static [EventKind] = &[
+        EventKind::JobDispatched,
+        EventKind::JobReturned,
+        EventKind::JobTimedOut,
+        EventKind::JobRetried,
+        EventKind::WaveOpened,
+        EventKind::WaveClosed,
+        EventKind::VoteTallied,
+        EventKind::NodeQuarantined,
+        EventKind::NodeReleased,
+        EventKind::NodeJoined,
+        EventKind::NodeDeparted,
+        EventKind::OutageStarted,
+        EventKind::FaultInjected,
+        EventKind::VerdictReached,
+        EventKind::TaskCapped,
+        EventKind::WorkerCrashed,
+        EventKind::WorkerRestarted,
+        EventKind::TaskPoisoned,
+        EventKind::StaleReplyDropped,
+        EventKind::EpochAdvanced,
+        EventKind::HedgeLaunched,
+        EventKind::HedgeWon,
+        EventKind::HedgeWasted,
+        EventKind::AuditScheduled,
+        EventKind::AuditPassed,
+        EventKind::AuditFailed,
+        EventKind::VerdictVoided,
+        EventKind::TaskRetallied,
+        EventKind::TransferStarted,
+        EventKind::TransferCompleted,
+        EventKind::StageDecided,
+        EventKind::PoisonPropagated,
+        EventKind::CheckpointTaken,
+        EventKind::RunEnded,
+    ];
+
     /// The kind's stable snake_case name, used in JSONL and digests.
     pub fn name(self) -> &'static str {
         match self {
