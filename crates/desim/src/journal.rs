@@ -22,7 +22,7 @@
 //! * [`Journal::to_jsonl`] / [`Journal::from_jsonl`] round-trip the stream
 //!   losslessly for capture, replay, and offline analysis.
 //!
-//! See the [`assert`] submodule for the trace-assertion DSL built on top.
+//! See the [`mod@assert`] submodule for the trace-assertion DSL built on top.
 //!
 //! # Examples
 //!
@@ -42,94 +42,333 @@
 //! assert_eq!(restored.digest(), journal.digest());
 //! ```
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 use crate::time::SimTime;
 
-/// Why a node left the scheduler's reach.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DepartureReason {
-    /// The volunteer left of its own accord (churn).
-    Churn,
-    /// A fault-plan crash removed the node.
-    Crash,
-    /// The server's discipline permanently blacklisted the node.
-    Blacklist,
-}
+/// 64-bit FNV-1a state. [`Journal::digest`] folds decoded fields through
+/// it; the WAL checksum ([`fnv1a_64`]) folds serialized line bytes.
+struct Fnv(u64);
 
-impl DepartureReason {
-    fn name(self) -> &'static str {
-        match self {
-            DepartureReason::Churn => "churn",
-            DepartureReason::Crash => "crash",
-            DepartureReason::Blacklist => "blacklist",
+impl Fnv {
+    fn new() -> Self {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+
+    #[inline]
+    fn eat(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
         }
     }
+}
 
-    fn from_name(name: &str) -> Option<Self> {
-        Some(match name {
-            "churn" => DepartureReason::Churn,
-            "crash" => DepartureReason::Crash,
-            "blacklist" => DepartureReason::Blacklist,
-            _ => return None,
-        })
+/// 64-bit FNV-1a over raw bytes — the per-record WAL checksum.
+pub fn fnv1a_64(bytes: &[u8]) -> u64 {
+    let mut hash = Fnv::new();
+    hash.eat(bytes);
+    hash.0
+}
+
+/// How one field type crosses the journal's three formats — JSON text,
+/// digest bytes, parsed [`JsonValue`]. Every [`RunEvent`] field goes
+/// through exactly one of these impls, so this is the only code that knows
+/// how an integer, a float or a reason name is spelled.
+trait Wire: Copy {
+    /// Appends the value's JSON spelling.
+    fn encode(self, out: &mut String);
+    /// Feeds the value's digest bytes.
+    fn digest(self, hash: &mut Fnv);
+    /// Reads the value back; the error completes "field 'key' …".
+    fn decode(value: JsonValue<'_>) -> Result<Self, String>;
+}
+
+impl Wire for u64 {
+    fn encode(self, out: &mut String) {
+        let _ = write!(out, "{self}");
     }
-}
-
-/// Which class of scheduled fault-plan event was injected.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FaultKind {
-    /// A node crash.
-    Crash,
-    /// A hang window on one node.
-    Hang,
-    /// A straggler (slowdown) window on one node.
-    Straggler,
-    /// A collusion burst across a pool fraction.
-    Collusion,
-    /// A network blackout silencing every node.
-    Blackout,
-    /// An adaptive cartel formed: colluding nodes coordinate per-task lies
-    /// at a throttled rate and go dormant when a member is caught.
-    Cartel,
-}
-
-impl FaultKind {
-    fn name(self) -> &'static str {
-        match self {
-            FaultKind::Crash => "crash",
-            FaultKind::Hang => "hang",
-            FaultKind::Straggler => "straggler",
-            FaultKind::Collusion => "collusion",
-            FaultKind::Blackout => "blackout",
-            FaultKind::Cartel => "cartel",
+    fn digest(self, hash: &mut Fnv) {
+        hash.eat(&self.to_le_bytes());
+    }
+    fn decode(value: JsonValue<'_>) -> Result<Self, String> {
+        match value {
+            JsonValue::Int(n) => Ok(n),
+            other => Err(format!("is not an integer: {other:?}")),
         }
     }
+}
 
-    fn from_name(name: &str) -> Option<Self> {
-        Some(match name {
-            "crash" => FaultKind::Crash,
-            "hang" => FaultKind::Hang,
-            "straggler" => FaultKind::Straggler,
-            "collusion" => FaultKind::Collusion,
-            "blackout" => FaultKind::Blackout,
-            "cartel" => FaultKind::Cartel,
-            _ => return None,
-        })
+impl Wire for u32 {
+    fn encode(self, out: &mut String) {
+        u64::from(self).encode(out);
+    }
+    fn digest(self, hash: &mut Fnv) {
+        hash.eat(&self.to_le_bytes());
+    }
+    fn decode(value: JsonValue<'_>) -> Result<Self, String> {
+        u32::try_from(u64::decode(value)?).map_err(|_| "exceeds u32".to_string())
     }
 }
 
-/// One structured event in a run's trajectory.
-///
-/// Identifiers are the simulators' stable dense indices: `task` is the task
-/// (or workunit) index, `node` the node (or host) index, `job` the
-/// dispatch-order job index.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum RunEvent {
+impl Wire for bool {
+    fn encode(self, out: &mut String) {
+        out.push_str(if self { "true" } else { "false" });
+    }
+    fn digest(self, hash: &mut Fnv) {
+        hash.eat(&[self as u8]);
+    }
+    fn decode(value: JsonValue<'_>) -> Result<Self, String> {
+        match value {
+            JsonValue::Bool(b) => Ok(b),
+            other => Err(format!("is not a bool: {other:?}")),
+        }
+    }
+}
+
+/// Floats are written in Rust's shortest round-trip form and digested by
+/// their exact bit pattern.
+impl Wire for f64 {
+    fn encode(self, out: &mut String) {
+        let _ = write!(out, "{self:?}");
+    }
+    fn digest(self, hash: &mut Fnv) {
+        self.to_bits().digest(hash);
+    }
+    fn decode(value: JsonValue<'_>) -> Result<Self, String> {
+        match value {
+            JsonValue::Float(x) => Ok(x),
+            JsonValue::Int(n) => Ok(n as f64),
+            other => Err(format!("is not a number: {other:?}")),
+        }
+    }
+}
+
+/// Times cross the wire as integer microseconds.
+impl Wire for SimTime {
+    fn encode(self, out: &mut String) {
+        self.as_micros().encode(out);
+    }
+    fn digest(self, hash: &mut Fnv) {
+        self.as_micros().digest(hash);
+    }
+    fn decode(value: JsonValue<'_>) -> Result<Self, String> {
+        u64::decode(value).map(SimTime::from_micros)
+    }
+}
+
+/// Declares a fieldless enum whose variants cross the wire as fixed
+/// snake_case names: a JSON string in the text, the name's bytes in the
+/// digest. Each name is written once, next to its variant.
+macro_rules! wire_names {
+    (
+        $(#[$meta:meta])*
+        $Enum:ident {
+            $($(#[$vmeta:meta])* $Variant:ident = $name:literal,)*
+        }
+    ) => {
+        $(#[$meta])*
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub enum $Enum {
+            $($(#[$vmeta])* $Variant,)*
+        }
+
+        impl $Enum {
+            fn name(self) -> &'static str {
+                match self {
+                    $($Enum::$Variant => $name,)*
+                }
+            }
+        }
+
+        impl Wire for $Enum {
+            fn encode(self, out: &mut String) {
+                out.push('"');
+                out.push_str(self.name());
+                out.push('"');
+            }
+            fn digest(self, hash: &mut Fnv) {
+                hash.eat(self.name().as_bytes());
+            }
+            fn decode(value: JsonValue<'_>) -> Result<Self, String> {
+                match value {
+                    $(JsonValue::Str($name) => Ok($Enum::$Variant),)*
+                    other => Err(format!(concat!("is not a ", stringify!($Enum), ": {:?}"), other)),
+                }
+            }
+        }
+    };
+}
+
+wire_names! {
+    /// Why a node left the scheduler's reach.
+    DepartureReason {
+        /// The volunteer left of its own accord (churn).
+        Churn = "churn",
+        /// A fault-plan crash removed the node.
+        Crash = "crash",
+        /// The server's discipline permanently blacklisted the node.
+        Blacklist = "blacklist",
+    }
+}
+
+wire_names! {
+    /// Which class of scheduled fault-plan event was injected.
+    FaultKind {
+        /// A node crash.
+        Crash = "crash",
+        /// A hang window on one node.
+        Hang = "hang",
+        /// A straggler (slowdown) window on one node.
+        Straggler = "straggler",
+        /// A collusion burst across a pool fraction.
+        Collusion = "collusion",
+        /// A network blackout silencing every node.
+        Blackout = "blackout",
+        /// An adaptive cartel formed: colluding nodes coordinate per-task lies
+        /// at a throttled rate and go dormant when a member is caught.
+        Cartel = "cartel",
+    }
+}
+
+/// A field's JSON key: its Rust name unless the table row overrides it
+/// (`field = "key": type`).
+macro_rules! json_key {
+    ($field:ident) => {
+        stringify!($field)
+    };
+    ($field:ident $key:literal) => {
+        $key
+    };
+}
+
+/// `Some(field)` for the first of a variant's fields named `task` (resp.
+/// `node`), else `None`. The field list is passed twice and walked in
+/// lockstep: the first copy is matched against the literal name, the
+/// second yields the caller's own binding of it.
+macro_rules! named_field {
+    ($name:tt; [] []) => {
+        None
+    };
+    (task; [task $($n:tt)*] [$hit:ident $($b:tt)*]) => {
+        Some($hit)
+    };
+    (node; [node $($n:tt)*] [$hit:ident $($b:tt)*]) => {
+        Some($hit)
+    };
+    ($name:tt; [$skip_n:tt $($n:tt)*] [$skip_b:tt $($b:tt)*]) => {
+        named_field!($name; [$($n)*] [$($b)*])
+    };
+}
+
+/// The journal schema. Each row declares one [`RunEvent`] variant — Rust
+/// name, wire name, and its fields in wire order as `name: type` (or
+/// `name = "json_key": type` where the key differs) — and everything that
+/// depends on the field list is generated from it: the enum, [`EventKind`]
+/// with its names and [`EventKind::ALL`], `kind()`/`task()`/`node()`, and
+/// the per-variant halves of the JSONL encoder, the parser and the digest.
+/// Field types must implement [`Wire`]. Doc comments pass through to the
+/// generated items.
+macro_rules! run_events {
+    ($(
+        $(#[$vmeta:meta])*
+        $Variant:ident = $wire:literal $({
+            $($(#[$fmeta:meta])* $field:ident $(= $key:literal)? : $ty:ty,)*
+        })?
+    )*) => {
+        /// One structured event in a run's trajectory.
+        ///
+        /// Identifiers are the simulators' stable dense indices: `task` is the task
+        /// (or workunit) index, `node` the node (or host) index, `job` the
+        /// dispatch-order job index.
+        #[derive(Debug, Clone, Copy, PartialEq)]
+        pub enum RunEvent {
+            $($(#[$vmeta])* $Variant $({ $($(#[$fmeta])* $field: $ty,)* })?,)*
+        }
+
+        /// Fieldless discriminant of [`RunEvent`], for filtering and counting.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+        pub enum EventKind {
+            $(#[doc = concat!("See [`RunEvent::", stringify!($Variant), "`].")] $Variant,)*
+        }
+
+        impl EventKind {
+            /// Every kind, in declaration order.
+            pub const ALL: &'static [EventKind] = &[$(EventKind::$Variant,)*];
+
+            /// The kind's stable snake_case name, used in JSONL and digests.
+            pub fn name(self) -> &'static str {
+                match self {
+                    $(EventKind::$Variant => $wire,)*
+                }
+            }
+        }
+
+        impl RunEvent {
+            /// The event's discriminant.
+            pub fn kind(&self) -> EventKind {
+                match self {
+                    $(RunEvent::$Variant { .. } => EventKind::$Variant,)*
+                }
+            }
+
+            /// The task the event concerns, if any.
+            #[allow(unused_variables)]
+            pub fn task(&self) -> Option<u32> {
+                match *self {
+                    $(RunEvent::$Variant $({ $($field,)* })? => {
+                        named_field!(task; [$($($field)*)?] [$($($field)*)?])
+                    })*
+                }
+            }
+
+            /// The node the event concerns, if any.
+            #[allow(unused_variables)]
+            pub fn node(&self) -> Option<u32> {
+                match *self {
+                    $(RunEvent::$Variant $({ $($field,)* })? => {
+                        named_field!(node; [$($($field)*)?] [$($($field)*)?])
+                    })*
+                }
+            }
+
+            /// Appends `,"key":value` for each field, in wire order.
+            fn encode_fields(&self, out: &mut String) {
+                match *self {
+                    $(RunEvent::$Variant $({ $($field,)* })? => {$($(
+                        out.push_str(concat!(",\"", json_key!($field $($key)?), "\":"));
+                        $field.encode(out);
+                    )*)?})*
+                }
+            }
+
+            /// Feeds each field's digest bytes, in wire order.
+            fn digest_fields(&self, hash: &mut Fnv) {
+                match *self {
+                    $(RunEvent::$Variant $({ $($field,)* })? => {$($(
+                        $field.digest(hash);
+                    )*)?})*
+                }
+            }
+
+            /// Rebuilds the event of wire name `kind` from a parsed line.
+            fn decode(kind: &str, fields: &Fields<'_>) -> Result<Self, String> {
+                Ok(match kind {
+                    $($wire => RunEvent::$Variant $({
+                        $($field: fields.get(json_key!($field $($key)?))?,)*
+                    })?,)*
+                    other => return Err(format!("unknown event kind '{other}'")),
+                })
+            }
+        }
+    };
+}
+
+run_events! {
     /// A job was handed to a node. `eta` is the time at which the server
     /// will hear back: the job's completion time, or the timeout/deadline
     /// if the node hangs — so `eta - now` is the node-busy reservation.
-    JobDispatched {
+    JobDispatched = "job_dispatched" {
         /// Dispatch-order job index.
         job: u32,
         /// Task the job belongs to.
@@ -138,9 +377,9 @@ pub enum RunEvent {
         node: u32,
         /// Scheduled resolution time.
         eta: SimTime,
-    },
+    }
     /// A job returned a result before the timeout.
-    JobReturned {
+    JobReturned = "job_returned" {
         /// Dispatch-order job index.
         job: u32,
         /// Task the job belongs to.
@@ -149,89 +388,89 @@ pub enum RunEvent {
         node: u32,
         /// The returned vote (in the DCA model `true` = correct value).
         value: bool,
-    },
+    }
     /// A job missed the server timeout/deadline (hang, blackout, outage,
     /// straggler overrun, or mid-job node departure).
-    JobTimedOut {
+    JobTimedOut = "job_timed_out" {
         /// Dispatch-order job index.
         job: u32,
         /// Task the job belongs to.
         task: u32,
         /// Node that held the job.
         node: u32,
-    },
+    }
     /// A timed-out job was hidden from the vote and scheduled for a
     /// backoff-delayed re-deployment (`attempt` is 1-based).
-    JobRetried {
+    JobRetried = "job_retried" {
         /// Task being retried.
         task: u32,
         /// Retry attempt number, starting at 1.
         attempt: u32,
-    },
+    }
     /// A task's strategy opened deployment wave `wave` of `jobs` jobs.
-    WaveOpened {
+    WaveOpened = "wave_opened" {
         /// Task index.
         task: u32,
         /// Wave number, starting at 1.
         wave: u32,
         /// Jobs deployed in this wave.
         jobs: u32,
-    },
+    }
     /// Every job of the task's current wave has resolved (result, timeout,
     /// or abandonment); the strategy decides next.
-    WaveClosed {
+    WaveClosed = "wave_closed" {
         /// Task index.
         task: u32,
         /// Wave number that just drained.
         wave: u32,
-    },
+    }
     /// A vote landed in the task's tally.
-    VoteTallied {
+    VoteTallied = "vote_tallied" {
         /// Task index.
         task: u32,
         /// The vote just recorded.
         value: bool,
         /// Votes for the current leader after this vote.
-        leader_count: u32,
+        leader_count = "leader": u32,
         /// Votes for the runner-up after this vote.
         runner_up: u32,
-    },
+    }
     /// The discipline layer pulled a node from the scheduler for a while.
-    NodeQuarantined {
+    NodeQuarantined = "node_quarantined" {
         /// Node index.
         node: u32,
-    },
+    }
     /// A quarantined node rejoined the scheduler.
-    NodeReleased {
+    NodeReleased = "node_released" {
         /// Node index.
         node: u32,
-    },
+    }
     /// A node joined the pool mid-run (churn arrival).
-    NodeJoined {
+    NodeJoined = "node_joined" {
         /// Node index.
         node: u32,
-    },
+    }
     /// A node left the pool (or the scheduler, permanently).
-    NodeDeparted {
+    NodeDeparted = "node_departed" {
         /// Node index.
         node: u32,
         /// Why it left.
         reason: DepartureReason,
-    },
+    }
     /// A regional outage started.
-    OutageStarted {
+    OutageStarted = "outage_started" {
         /// Region index.
         region: u32,
-    },
+    }
     /// A scheduled fault-plan event was injected.
-    FaultInjected {
+    FaultInjected = "fault_injected" {
         /// Which fault class fired.
-        kind: FaultKind,
-    },
+        kind = "fault": FaultKind,
+    }
     /// A task reached a verdict. Firm verdicts carry confidence `1.0`;
     /// degraded verdicts (vote leader accepted at the job cap or at pool
     /// starvation) carry their Bayesian confidence `q(r, a, b)`.
-    VerdictReached {
+    VerdictReached = "verdict_reached" {
         /// Task index.
         task: u32,
         /// The accepted value.
@@ -240,63 +479,63 @@ pub enum RunEvent {
         degraded: bool,
         /// Confidence in the verdict.
         confidence: f64,
-    },
+    }
     /// A task hit its job cap with no verdict (and no degraded acceptance).
-    TaskCapped {
+    TaskCapped = "task_capped" {
         /// Task index.
         task: u32,
-    },
+    }
     /// A worker thread died (panicked) while executing a job — live-runtime
     /// supervision vocabulary.
-    WorkerCrashed {
+    WorkerCrashed = "worker_crashed" {
         /// Worker (node) index whose thread crashed.
         node: u32,
         /// The job it was executing.
         job: u32,
         /// Task the job belongs to.
         task: u32,
-    },
+    }
     /// Supervision brought a crashed or hung worker back into service with
     /// a fresh executor.
-    WorkerRestarted {
+    WorkerRestarted = "worker_restarted" {
         /// Worker (node) index restarted.
         node: u32,
         /// Restart count for this worker slot, starting at 1.
         incarnation: u32,
-    },
+    }
     /// A task was quarantined as *poison* after repeatedly killing the
     /// workers executing it (distinct from node-level strikes).
-    TaskPoisoned {
+    TaskPoisoned = "task_poisoned" {
         /// Task index.
         task: u32,
         /// Worker crashes the task caused before quarantine.
         crashes: u32,
-    },
+    }
     /// A reply from a superseded replica epoch arrived and was discarded
     /// instead of being tallied (late answer after reissue or worker
     /// replacement).
-    StaleReplyDropped {
+    StaleReplyDropped = "stale_reply_dropped" {
         /// The job whose stale reply was dropped.
         job: u32,
         /// Task the job belongs to.
         task: u32,
         /// The task's current epoch that outranked the reply.
         epoch: u32,
-    },
+    }
     /// A task's replica epoch advanced: outstanding replicas issued before
     /// this point are invalidated and any late replies from them will be
     /// rejected.
-    EpochAdvanced {
+    EpochAdvanced = "epoch_advanced" {
         /// Task index.
         task: u32,
         /// The new epoch.
         epoch: u32,
-    },
+    }
     /// A straggling job outlived the online latency-quantile threshold and
     /// a hedge twin was launched: a duplicate of the same logical replica
     /// on another worker. The first copy to report supplies the replica's
     /// vote; hedge twins never touch the wave accounting or the job cap.
-    HedgeLaunched {
+    HedgeLaunched = "hedge_launched" {
         /// The hedge twin's own job index.
         job: u32,
         /// Task the hedged replica belongs to.
@@ -306,60 +545,60 @@ pub enum RunEvent {
         /// The task's replica epoch at launch; a check armed before an
         /// epoch bump must not fire after it.
         epoch: u32,
-    },
+    }
     /// A hedge twin beat its straggling origin: the twin's result supplied
     /// the replica's vote (journalled as the origin job's return) and the
     /// origin was discarded.
-    HedgeWon {
+    HedgeWon = "hedge_won" {
         /// The winning hedge twin's job index.
         job: u32,
         /// Task the hedged replica belongs to.
         task: u32,
-    },
+    }
     /// A hedge twin's work was discarded: its origin reported first (or
     /// the twin timed out), so the duplicate bought nothing this time.
-    HedgeWasted {
+    HedgeWasted = "hedge_wasted" {
         /// The wasted hedge twin's job index.
         job: u32,
         /// Task the hedged replica belongs to.
         task: u32,
-    },
+    }
     /// The coordinator scheduled a local recomputation (audit) of a task's
     /// payload, to cross-check every result recorded for it so far.
-    AuditScheduled {
+    AuditScheduled = "audit_scheduled" {
         /// Task index being audited.
         task: u32,
-    },
+    }
     /// An audit recomputed the task and every checked result matched.
-    AuditPassed {
+    AuditPassed = "audit_passed" {
         /// Task index that was audited.
         task: u32,
-    },
+    }
     /// An audit caught one node's result contradicting the local
     /// recomputation; the node is charged high-weight strikes.
-    AuditFailed {
+    AuditFailed = "audit_failed" {
         /// Task index that was audited.
         task: u32,
         /// Node whose result the recomputation contradicted.
         node: u32,
-    },
+    }
     /// An audit voided a tainted verdict before acceptance: the task's
     /// tally is discarded and the task re-executes from wave 1.
-    VerdictVoided {
+    VerdictVoided = "verdict_voided" {
         /// Task index whose would-be verdict was voided.
         task: u32,
-    },
+    }
     /// An open task touched by a caught liar had its tally discarded and
     /// restarted from wave 1 (in-flight replies become stale).
-    TaskRetallied {
+    TaskRetallied = "task_retallied" {
         /// Task index whose tally was reset.
         task: u32,
-    },
+    }
     /// A job's input payload started moving across the network to its
     /// node. The replica may not begin service until the transfer
     /// completes; `eta` is the deterministic completion time charged by
     /// the network model (latency + bytes / bandwidth).
-    TransferStarted {
+    TransferStarted = "transfer_started" {
         /// Transfer index, dense in start order.
         xfer: u32,
         /// The job whose input is being moved.
@@ -372,9 +611,9 @@ pub enum RunEvent {
         bytes: u64,
         /// Scheduled transfer-completion time.
         eta: SimTime,
-    },
+    }
     /// A payload transfer finished; the job's service may begin.
-    TransferCompleted {
+    TransferCompleted = "transfer_completed" {
         /// Transfer index (matches its [`RunEvent::TransferStarted`]).
         xfer: u32,
         /// The job whose input arrived.
@@ -383,289 +622,44 @@ pub enum RunEvent {
         task: u32,
         /// Destination node.
         node: u32,
-    },
+    }
     /// Every task of DAG stage `stage` reached its decision; the verdict
     /// gates dispatch of dependent stages. `correct`/`wrong` count the
     /// stage's *effective* outputs: a task's output is wrong when its own
     /// accepted value is wrong or any upstream input was poisoned.
-    StageDecided {
+    StageDecided = "stage_decided" {
         /// Stage index in the DAG spec.
         stage: u32,
         /// Tasks whose effective output is correct.
         correct: u32,
         /// Tasks whose effective output is wrong.
         wrong: u32,
-    },
+    }
     /// A wrong accepted intermediate poisoned a downstream task: the
     /// descendant computes on bad data, so its output is wrong no matter
     /// how its own replicas vote.
-    PoisonPropagated {
+    PoisonPropagated = "poison_propagated" {
         /// The downstream (poisoned) task.
         task: u32,
         /// Stage of the downstream task.
         stage: u32,
         /// The upstream task whose wrong accepted output caused it.
         from: u32,
-    },
+    }
     /// A durable coordinator snapshot was taken at a quiescent point: the
     /// first `events` records of the run are now summarized by an
     /// on-disk checkpoint and the WAL was truncated, so this record seals
     /// the start of a fresh segment. Its own `seq` equals `events` —
     /// recovery uses that to pair segment and snapshot.
-    CheckpointTaken {
+    CheckpointTaken = "checkpoint_taken" {
         /// Events covered by the snapshot (= this record's seq).
         events: u64,
         /// FNV-1a digest of the serialized snapshot, cross-checked
         /// against the snapshot file at recovery.
         digest: u64,
-    },
+    }
     /// The run is over; the event's timestamp is the run's makespan.
-    RunEnded,
-}
-
-/// Fieldless discriminant of [`RunEvent`], for filtering and counting.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum EventKind {
-    /// See [`RunEvent::JobDispatched`].
-    JobDispatched,
-    /// See [`RunEvent::JobReturned`].
-    JobReturned,
-    /// See [`RunEvent::JobTimedOut`].
-    JobTimedOut,
-    /// See [`RunEvent::JobRetried`].
-    JobRetried,
-    /// See [`RunEvent::WaveOpened`].
-    WaveOpened,
-    /// See [`RunEvent::WaveClosed`].
-    WaveClosed,
-    /// See [`RunEvent::VoteTallied`].
-    VoteTallied,
-    /// See [`RunEvent::NodeQuarantined`].
-    NodeQuarantined,
-    /// See [`RunEvent::NodeReleased`].
-    NodeReleased,
-    /// See [`RunEvent::NodeJoined`].
-    NodeJoined,
-    /// See [`RunEvent::NodeDeparted`].
-    NodeDeparted,
-    /// See [`RunEvent::OutageStarted`].
-    OutageStarted,
-    /// See [`RunEvent::FaultInjected`].
-    FaultInjected,
-    /// See [`RunEvent::VerdictReached`].
-    VerdictReached,
-    /// See [`RunEvent::TaskCapped`].
-    TaskCapped,
-    /// See [`RunEvent::WorkerCrashed`].
-    WorkerCrashed,
-    /// See [`RunEvent::WorkerRestarted`].
-    WorkerRestarted,
-    /// See [`RunEvent::TaskPoisoned`].
-    TaskPoisoned,
-    /// See [`RunEvent::StaleReplyDropped`].
-    StaleReplyDropped,
-    /// See [`RunEvent::EpochAdvanced`].
-    EpochAdvanced,
-    /// See [`RunEvent::HedgeLaunched`].
-    HedgeLaunched,
-    /// See [`RunEvent::HedgeWon`].
-    HedgeWon,
-    /// See [`RunEvent::HedgeWasted`].
-    HedgeWasted,
-    /// See [`RunEvent::AuditScheduled`].
-    AuditScheduled,
-    /// See [`RunEvent::AuditPassed`].
-    AuditPassed,
-    /// See [`RunEvent::AuditFailed`].
-    AuditFailed,
-    /// See [`RunEvent::VerdictVoided`].
-    VerdictVoided,
-    /// See [`RunEvent::TaskRetallied`].
-    TaskRetallied,
-    /// See [`RunEvent::TransferStarted`].
-    TransferStarted,
-    /// See [`RunEvent::TransferCompleted`].
-    TransferCompleted,
-    /// See [`RunEvent::StageDecided`].
-    StageDecided,
-    /// See [`RunEvent::PoisonPropagated`].
-    PoisonPropagated,
-    /// See [`RunEvent::CheckpointTaken`].
-    CheckpointTaken,
-    /// See [`RunEvent::RunEnded`].
-    RunEnded,
-}
-
-impl EventKind {
-    /// Every kind, in declaration order.
-    pub const ALL: &'static [EventKind] = &[
-        EventKind::JobDispatched,
-        EventKind::JobReturned,
-        EventKind::JobTimedOut,
-        EventKind::JobRetried,
-        EventKind::WaveOpened,
-        EventKind::WaveClosed,
-        EventKind::VoteTallied,
-        EventKind::NodeQuarantined,
-        EventKind::NodeReleased,
-        EventKind::NodeJoined,
-        EventKind::NodeDeparted,
-        EventKind::OutageStarted,
-        EventKind::FaultInjected,
-        EventKind::VerdictReached,
-        EventKind::TaskCapped,
-        EventKind::WorkerCrashed,
-        EventKind::WorkerRestarted,
-        EventKind::TaskPoisoned,
-        EventKind::StaleReplyDropped,
-        EventKind::EpochAdvanced,
-        EventKind::HedgeLaunched,
-        EventKind::HedgeWon,
-        EventKind::HedgeWasted,
-        EventKind::AuditScheduled,
-        EventKind::AuditPassed,
-        EventKind::AuditFailed,
-        EventKind::VerdictVoided,
-        EventKind::TaskRetallied,
-        EventKind::TransferStarted,
-        EventKind::TransferCompleted,
-        EventKind::StageDecided,
-        EventKind::PoisonPropagated,
-        EventKind::CheckpointTaken,
-        EventKind::RunEnded,
-    ];
-
-    /// The kind's stable snake_case name, used in JSONL and digests.
-    pub fn name(self) -> &'static str {
-        match self {
-            EventKind::JobDispatched => "job_dispatched",
-            EventKind::JobReturned => "job_returned",
-            EventKind::JobTimedOut => "job_timed_out",
-            EventKind::JobRetried => "job_retried",
-            EventKind::WaveOpened => "wave_opened",
-            EventKind::WaveClosed => "wave_closed",
-            EventKind::VoteTallied => "vote_tallied",
-            EventKind::NodeQuarantined => "node_quarantined",
-            EventKind::NodeReleased => "node_released",
-            EventKind::NodeJoined => "node_joined",
-            EventKind::NodeDeparted => "node_departed",
-            EventKind::OutageStarted => "outage_started",
-            EventKind::FaultInjected => "fault_injected",
-            EventKind::VerdictReached => "verdict_reached",
-            EventKind::TaskCapped => "task_capped",
-            EventKind::WorkerCrashed => "worker_crashed",
-            EventKind::WorkerRestarted => "worker_restarted",
-            EventKind::TaskPoisoned => "task_poisoned",
-            EventKind::StaleReplyDropped => "stale_reply_dropped",
-            EventKind::EpochAdvanced => "epoch_advanced",
-            EventKind::HedgeLaunched => "hedge_launched",
-            EventKind::HedgeWon => "hedge_won",
-            EventKind::HedgeWasted => "hedge_wasted",
-            EventKind::AuditScheduled => "audit_scheduled",
-            EventKind::AuditPassed => "audit_passed",
-            EventKind::AuditFailed => "audit_failed",
-            EventKind::VerdictVoided => "verdict_voided",
-            EventKind::TaskRetallied => "task_retallied",
-            EventKind::TransferStarted => "transfer_started",
-            EventKind::TransferCompleted => "transfer_completed",
-            EventKind::StageDecided => "stage_decided",
-            EventKind::PoisonPropagated => "poison_propagated",
-            EventKind::CheckpointTaken => "checkpoint_taken",
-            EventKind::RunEnded => "run_ended",
-        }
-    }
-}
-
-impl RunEvent {
-    /// The event's discriminant.
-    pub fn kind(&self) -> EventKind {
-        match self {
-            RunEvent::JobDispatched { .. } => EventKind::JobDispatched,
-            RunEvent::JobReturned { .. } => EventKind::JobReturned,
-            RunEvent::JobTimedOut { .. } => EventKind::JobTimedOut,
-            RunEvent::JobRetried { .. } => EventKind::JobRetried,
-            RunEvent::WaveOpened { .. } => EventKind::WaveOpened,
-            RunEvent::WaveClosed { .. } => EventKind::WaveClosed,
-            RunEvent::VoteTallied { .. } => EventKind::VoteTallied,
-            RunEvent::NodeQuarantined { .. } => EventKind::NodeQuarantined,
-            RunEvent::NodeReleased { .. } => EventKind::NodeReleased,
-            RunEvent::NodeJoined { .. } => EventKind::NodeJoined,
-            RunEvent::NodeDeparted { .. } => EventKind::NodeDeparted,
-            RunEvent::OutageStarted { .. } => EventKind::OutageStarted,
-            RunEvent::FaultInjected { .. } => EventKind::FaultInjected,
-            RunEvent::VerdictReached { .. } => EventKind::VerdictReached,
-            RunEvent::TaskCapped { .. } => EventKind::TaskCapped,
-            RunEvent::WorkerCrashed { .. } => EventKind::WorkerCrashed,
-            RunEvent::WorkerRestarted { .. } => EventKind::WorkerRestarted,
-            RunEvent::TaskPoisoned { .. } => EventKind::TaskPoisoned,
-            RunEvent::StaleReplyDropped { .. } => EventKind::StaleReplyDropped,
-            RunEvent::EpochAdvanced { .. } => EventKind::EpochAdvanced,
-            RunEvent::HedgeLaunched { .. } => EventKind::HedgeLaunched,
-            RunEvent::HedgeWon { .. } => EventKind::HedgeWon,
-            RunEvent::HedgeWasted { .. } => EventKind::HedgeWasted,
-            RunEvent::AuditScheduled { .. } => EventKind::AuditScheduled,
-            RunEvent::AuditPassed { .. } => EventKind::AuditPassed,
-            RunEvent::AuditFailed { .. } => EventKind::AuditFailed,
-            RunEvent::VerdictVoided { .. } => EventKind::VerdictVoided,
-            RunEvent::TaskRetallied { .. } => EventKind::TaskRetallied,
-            RunEvent::TransferStarted { .. } => EventKind::TransferStarted,
-            RunEvent::TransferCompleted { .. } => EventKind::TransferCompleted,
-            RunEvent::StageDecided { .. } => EventKind::StageDecided,
-            RunEvent::PoisonPropagated { .. } => EventKind::PoisonPropagated,
-            RunEvent::CheckpointTaken { .. } => EventKind::CheckpointTaken,
-            RunEvent::RunEnded => EventKind::RunEnded,
-        }
-    }
-
-    /// The task the event concerns, if any.
-    pub fn task(&self) -> Option<u32> {
-        match *self {
-            RunEvent::JobDispatched { task, .. }
-            | RunEvent::JobReturned { task, .. }
-            | RunEvent::JobTimedOut { task, .. }
-            | RunEvent::JobRetried { task, .. }
-            | RunEvent::WaveOpened { task, .. }
-            | RunEvent::WaveClosed { task, .. }
-            | RunEvent::VoteTallied { task, .. }
-            | RunEvent::VerdictReached { task, .. }
-            | RunEvent::TaskCapped { task }
-            | RunEvent::WorkerCrashed { task, .. }
-            | RunEvent::TaskPoisoned { task, .. }
-            | RunEvent::StaleReplyDropped { task, .. }
-            | RunEvent::EpochAdvanced { task, .. }
-            | RunEvent::HedgeLaunched { task, .. }
-            | RunEvent::HedgeWon { task, .. }
-            | RunEvent::HedgeWasted { task, .. }
-            | RunEvent::AuditScheduled { task }
-            | RunEvent::AuditPassed { task }
-            | RunEvent::AuditFailed { task, .. }
-            | RunEvent::VerdictVoided { task }
-            | RunEvent::TaskRetallied { task }
-            | RunEvent::TransferStarted { task, .. }
-            | RunEvent::TransferCompleted { task, .. }
-            | RunEvent::PoisonPropagated { task, .. } => Some(task),
-            _ => None,
-        }
-    }
-
-    /// The node the event concerns, if any.
-    pub fn node(&self) -> Option<u32> {
-        match *self {
-            RunEvent::JobDispatched { node, .. }
-            | RunEvent::JobReturned { node, .. }
-            | RunEvent::JobTimedOut { node, .. }
-            | RunEvent::NodeQuarantined { node }
-            | RunEvent::NodeReleased { node }
-            | RunEvent::NodeJoined { node }
-            | RunEvent::NodeDeparted { node, .. }
-            | RunEvent::WorkerCrashed { node, .. }
-            | RunEvent::WorkerRestarted { node, .. }
-            | RunEvent::AuditFailed { node, .. }
-            | RunEvent::TransferStarted { node, .. }
-            | RunEvent::TransferCompleted { node, .. } => Some(node),
-            _ => None,
-        }
-    }
+    RunEnded = "run_ended"
 }
 
 /// One journal entry: an event stamped with its simulated time and a
@@ -686,139 +680,23 @@ impl Stamped {
     /// [`Journal::from_jsonl`] parses. [`WalWriter`] appends these lines
     /// one durable write at a time.
     pub fn to_jsonl_line(&self) -> String {
-        let mut line = format!(
-            "{{\"at\":{},\"seq\":{},\"kind\":\"{}\"",
-            self.at.as_micros(),
-            self.seq,
-            self.event.kind().name()
-        );
-        match self.event {
-            RunEvent::JobDispatched {
-                job,
-                task,
-                node,
-                eta,
-            } => line.push_str(&format!(
-                ",\"job\":{job},\"task\":{task},\"node\":{node},\"eta\":{}",
-                eta.as_micros()
-            )),
-            RunEvent::JobReturned {
-                job,
-                task,
-                node,
-                value,
-            } => line.push_str(&format!(
-                ",\"job\":{job},\"task\":{task},\"node\":{node},\"value\":{value}"
-            )),
-            RunEvent::JobTimedOut { job, task, node } => {
-                line.push_str(&format!(",\"job\":{job},\"task\":{task},\"node\":{node}"))
-            }
-            RunEvent::JobRetried { task, attempt } => {
-                line.push_str(&format!(",\"task\":{task},\"attempt\":{attempt}"))
-            }
-            RunEvent::WaveOpened { task, wave, jobs } => {
-                line.push_str(&format!(",\"task\":{task},\"wave\":{wave},\"jobs\":{jobs}"))
-            }
-            RunEvent::WaveClosed { task, wave } => {
-                line.push_str(&format!(",\"task\":{task},\"wave\":{wave}"))
-            }
-            RunEvent::VoteTallied {
-                task,
-                value,
-                leader_count,
-                runner_up,
-            } => line.push_str(&format!(
-                ",\"task\":{task},\"value\":{value},\"leader\":{leader_count},\"runner_up\":{runner_up}"
-            )),
-            RunEvent::NodeQuarantined { node }
-            | RunEvent::NodeReleased { node }
-            | RunEvent::NodeJoined { node } => line.push_str(&format!(",\"node\":{node}")),
-            RunEvent::NodeDeparted { node, reason } => line.push_str(&format!(
-                ",\"node\":{node},\"reason\":\"{}\"",
-                reason.name()
-            )),
-            RunEvent::OutageStarted { region } => line.push_str(&format!(",\"region\":{region}")),
-            RunEvent::FaultInjected { kind } => {
-                line.push_str(&format!(",\"fault\":\"{}\"", kind.name()))
-            }
-            RunEvent::VerdictReached {
-                task,
-                value,
-                degraded,
-                confidence,
-            } => line.push_str(&format!(
-                ",\"task\":{task},\"value\":{value},\"degraded\":{degraded},\"confidence\":{confidence:?}"
-            )),
-            RunEvent::TaskCapped { task } => line.push_str(&format!(",\"task\":{task}")),
-            RunEvent::WorkerCrashed { node, job, task } => {
-                line.push_str(&format!(",\"node\":{node},\"job\":{job},\"task\":{task}"))
-            }
-            RunEvent::WorkerRestarted { node, incarnation } => {
-                line.push_str(&format!(",\"node\":{node},\"incarnation\":{incarnation}"))
-            }
-            RunEvent::TaskPoisoned { task, crashes } => {
-                line.push_str(&format!(",\"task\":{task},\"crashes\":{crashes}"))
-            }
-            RunEvent::StaleReplyDropped { job, task, epoch } => {
-                line.push_str(&format!(",\"job\":{job},\"task\":{task},\"epoch\":{epoch}"))
-            }
-            RunEvent::EpochAdvanced { task, epoch } => {
-                line.push_str(&format!(",\"task\":{task},\"epoch\":{epoch}"))
-            }
-            RunEvent::HedgeLaunched {
-                job,
-                task,
-                origin,
-                epoch,
-            } => line.push_str(&format!(
-                ",\"job\":{job},\"task\":{task},\"origin\":{origin},\"epoch\":{epoch}"
-            )),
-            RunEvent::HedgeWon { job, task } | RunEvent::HedgeWasted { job, task } => {
-                line.push_str(&format!(",\"job\":{job},\"task\":{task}"))
-            }
-            RunEvent::AuditScheduled { task }
-            | RunEvent::AuditPassed { task }
-            | RunEvent::VerdictVoided { task }
-            | RunEvent::TaskRetallied { task } => line.push_str(&format!(",\"task\":{task}")),
-            RunEvent::AuditFailed { task, node } => {
-                line.push_str(&format!(",\"task\":{task},\"node\":{node}"))
-            }
-            RunEvent::TransferStarted {
-                xfer,
-                job,
-                task,
-                node,
-                bytes,
-                eta,
-            } => line.push_str(&format!(
-                ",\"xfer\":{xfer},\"job\":{job},\"task\":{task},\"node\":{node},\"bytes\":{bytes},\"eta\":{}",
-                eta.as_micros()
-            )),
-            RunEvent::TransferCompleted {
-                xfer,
-                job,
-                task,
-                node,
-            } => line.push_str(&format!(
-                ",\"xfer\":{xfer},\"job\":{job},\"task\":{task},\"node\":{node}"
-            )),
-            RunEvent::StageDecided {
-                stage,
-                correct,
-                wrong,
-            } => line.push_str(&format!(
-                ",\"stage\":{stage},\"correct\":{correct},\"wrong\":{wrong}"
-            )),
-            RunEvent::PoisonPropagated { task, stage, from } => {
-                line.push_str(&format!(",\"task\":{task},\"stage\":{stage},\"from\":{from}"))
-            }
-            RunEvent::CheckpointTaken { events, digest } => {
-                line.push_str(&format!(",\"events\":{events},\"digest\":{digest}"))
-            }
-            RunEvent::RunEnded => {}
-        }
-        line.push('}');
+        // Room for the longest line plus a checksum trailer and newline.
+        let mut line = String::with_capacity(192);
+        self.encode(&mut line);
         line
+    }
+
+    /// Appends this entry's canonical line (no newline) to `out`.
+    fn encode(&self, out: &mut String) {
+        out.push_str("{\"at\":");
+        self.at.encode(out);
+        out.push_str(",\"seq\":");
+        self.seq.encode(out);
+        out.push_str(",\"kind\":\"");
+        out.push_str(self.event.kind().name());
+        out.push('"');
+        self.event.encode_fields(out);
+        out.push('}');
     }
 
     /// Serializes this entry with a trailing per-record checksum field:
@@ -826,13 +704,13 @@ impl Stamped {
     /// `,"crc":"<16 hex>"` spliced in before the closing brace, where the
     /// checksum is the FNV-1a hash of the canonical line's bytes. The
     /// result is still one flat JSON object, so checksummed and legacy
-    /// records interleave freely in one WAL; [`from_jsonl_line`]
-    /// (Self::from_jsonl_line) verifies and strips the field.
+    /// records interleave freely in one WAL;
+    /// [`from_jsonl_line`](Self::from_jsonl_line) verifies and strips the field.
     pub fn to_jsonl_line_checksummed(&self) -> String {
         let mut line = self.to_jsonl_line();
         let crc = fnv1a_64(line.as_bytes());
         line.pop(); // the closing '}'
-        line.push_str(&format!(",\"crc\":\"{crc:016x}\"}}"));
+        let _ = write!(line, ",\"crc\":\"{crc:016x}\"}}");
         line
     }
 
@@ -859,211 +737,16 @@ impl Stamped {
 
     fn parse_canonical(line: &str) -> Result<Self, String> {
         let fields = parse_object(line)?;
-        let get = |key: &str| -> Result<&JsonValue, String> {
-            fields
-                .iter()
-                .find(|(k, _)| k == key)
-                .map(|(_, v)| v)
-                .ok_or_else(|| format!("missing field '{key}'"))
+        let kind = match fields.value("kind")? {
+            JsonValue::Str(kind) => kind,
+            other => return Err(format!("field 'kind' is not a string: {other:?}")),
         };
-        let int = |key: &str| -> Result<u64, String> {
-            match get(key)? {
-                JsonValue::Int(n) => Ok(*n),
-                other => Err(format!("field '{key}' is not an integer: {other:?}")),
-            }
-        };
-        let narrow = |key: &str| -> Result<u32, String> {
-            u32::try_from(int(key)?).map_err(|_| format!("field '{key}' exceeds u32"))
-        };
-        let boolean = |key: &str| -> Result<bool, String> {
-            match get(key)? {
-                JsonValue::Bool(b) => Ok(*b),
-                other => Err(format!("field '{key}' is not a bool: {other:?}")),
-            }
-        };
-        let string = |key: &str| -> Result<&str, String> {
-            match get(key)? {
-                JsonValue::Str(s) => Ok(s.as_str()),
-                other => Err(format!("field '{key}' is not a string: {other:?}")),
-            }
-        };
-        let float = |key: &str| -> Result<f64, String> {
-            match get(key)? {
-                JsonValue::Float(x) => Ok(*x),
-                JsonValue::Int(n) => Ok(*n as f64),
-                other => Err(format!("field '{key}' is not a number: {other:?}")),
-            }
-        };
-
-        let at = SimTime::from_micros(int("at")?);
-        let seq = int("seq")?;
-        let kind = string("kind")?.to_string();
-        let event = match kind.as_str() {
-            "job_dispatched" => RunEvent::JobDispatched {
-                job: narrow("job")?,
-                task: narrow("task")?,
-                node: narrow("node")?,
-                eta: SimTime::from_micros(int("eta")?),
-            },
-            "job_returned" => RunEvent::JobReturned {
-                job: narrow("job")?,
-                task: narrow("task")?,
-                node: narrow("node")?,
-                value: boolean("value")?,
-            },
-            "job_timed_out" => RunEvent::JobTimedOut {
-                job: narrow("job")?,
-                task: narrow("task")?,
-                node: narrow("node")?,
-            },
-            "job_retried" => RunEvent::JobRetried {
-                task: narrow("task")?,
-                attempt: narrow("attempt")?,
-            },
-            "wave_opened" => RunEvent::WaveOpened {
-                task: narrow("task")?,
-                wave: narrow("wave")?,
-                jobs: narrow("jobs")?,
-            },
-            "wave_closed" => RunEvent::WaveClosed {
-                task: narrow("task")?,
-                wave: narrow("wave")?,
-            },
-            "vote_tallied" => RunEvent::VoteTallied {
-                task: narrow("task")?,
-                value: boolean("value")?,
-                leader_count: narrow("leader")?,
-                runner_up: narrow("runner_up")?,
-            },
-            "node_quarantined" => RunEvent::NodeQuarantined {
-                node: narrow("node")?,
-            },
-            "node_released" => RunEvent::NodeReleased {
-                node: narrow("node")?,
-            },
-            "node_joined" => RunEvent::NodeJoined {
-                node: narrow("node")?,
-            },
-            "node_departed" => RunEvent::NodeDeparted {
-                node: narrow("node")?,
-                reason: DepartureReason::from_name(string("reason")?)
-                    .ok_or_else(|| "unknown departure reason".to_string())?,
-            },
-            "outage_started" => RunEvent::OutageStarted {
-                region: narrow("region")?,
-            },
-            "fault_injected" => RunEvent::FaultInjected {
-                kind: FaultKind::from_name(string("fault")?)
-                    .ok_or_else(|| "unknown fault kind".to_string())?,
-            },
-            "verdict_reached" => RunEvent::VerdictReached {
-                task: narrow("task")?,
-                value: boolean("value")?,
-                degraded: boolean("degraded")?,
-                confidence: float("confidence")?,
-            },
-            "task_capped" => RunEvent::TaskCapped {
-                task: narrow("task")?,
-            },
-            "worker_crashed" => RunEvent::WorkerCrashed {
-                node: narrow("node")?,
-                job: narrow("job")?,
-                task: narrow("task")?,
-            },
-            "worker_restarted" => RunEvent::WorkerRestarted {
-                node: narrow("node")?,
-                incarnation: narrow("incarnation")?,
-            },
-            "task_poisoned" => RunEvent::TaskPoisoned {
-                task: narrow("task")?,
-                crashes: narrow("crashes")?,
-            },
-            "stale_reply_dropped" => RunEvent::StaleReplyDropped {
-                job: narrow("job")?,
-                task: narrow("task")?,
-                epoch: narrow("epoch")?,
-            },
-            "epoch_advanced" => RunEvent::EpochAdvanced {
-                task: narrow("task")?,
-                epoch: narrow("epoch")?,
-            },
-            "hedge_launched" => RunEvent::HedgeLaunched {
-                job: narrow("job")?,
-                task: narrow("task")?,
-                origin: narrow("origin")?,
-                epoch: narrow("epoch")?,
-            },
-            "hedge_won" => RunEvent::HedgeWon {
-                job: narrow("job")?,
-                task: narrow("task")?,
-            },
-            "hedge_wasted" => RunEvent::HedgeWasted {
-                job: narrow("job")?,
-                task: narrow("task")?,
-            },
-            "audit_scheduled" => RunEvent::AuditScheduled {
-                task: narrow("task")?,
-            },
-            "audit_passed" => RunEvent::AuditPassed {
-                task: narrow("task")?,
-            },
-            "audit_failed" => RunEvent::AuditFailed {
-                task: narrow("task")?,
-                node: narrow("node")?,
-            },
-            "verdict_voided" => RunEvent::VerdictVoided {
-                task: narrow("task")?,
-            },
-            "task_retallied" => RunEvent::TaskRetallied {
-                task: narrow("task")?,
-            },
-            "transfer_started" => RunEvent::TransferStarted {
-                xfer: narrow("xfer")?,
-                job: narrow("job")?,
-                task: narrow("task")?,
-                node: narrow("node")?,
-                bytes: int("bytes")?,
-                eta: SimTime::from_micros(int("eta")?),
-            },
-            "transfer_completed" => RunEvent::TransferCompleted {
-                xfer: narrow("xfer")?,
-                job: narrow("job")?,
-                task: narrow("task")?,
-                node: narrow("node")?,
-            },
-            "stage_decided" => RunEvent::StageDecided {
-                stage: narrow("stage")?,
-                correct: narrow("correct")?,
-                wrong: narrow("wrong")?,
-            },
-            "poison_propagated" => RunEvent::PoisonPropagated {
-                task: narrow("task")?,
-                stage: narrow("stage")?,
-                from: narrow("from")?,
-            },
-            "checkpoint_taken" => RunEvent::CheckpointTaken {
-                events: int("events")?,
-                digest: int("digest")?,
-            },
-            "run_ended" => RunEvent::RunEnded,
-            other => return Err(format!("unknown event kind '{other}'")),
-        };
-        Ok(Stamped { at, seq, event })
+        Ok(Stamped {
+            at: fields.get("at")?,
+            seq: fields.get("seq")?,
+            event: RunEvent::decode(kind, &fields)?,
+        })
     }
-}
-
-/// 64-bit FNV-1a over raw bytes — the per-record WAL checksum. (The same
-/// constants as [`Journal::digest`], but over serialized line bytes rather
-/// than decoded fields.)
-pub fn fnv1a_64(bytes: &[u8]) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut hash = OFFSET;
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(PRIME);
-    }
-    hash
 }
 
 /// Detects and verifies the `,"crc":"<16 hex>"` trailer of a checksummed
@@ -1265,184 +948,14 @@ impl Journal {
     /// the trajectory — reordering, a shifted timestamp, a different vote —
     /// changes the digest. Golden tests pin a run to one `u64`.
     pub fn digest(&self) -> u64 {
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut hash = OFFSET;
-        let mut eat = |bytes: &[u8]| {
-            for &b in bytes {
-                hash ^= b as u64;
-                hash = hash.wrapping_mul(PRIME);
-            }
-        };
+        let mut hash = Fnv::new();
         for e in &self.events {
-            eat(&e.at.as_micros().to_le_bytes());
-            eat(&e.seq.to_le_bytes());
-            eat(e.event.kind().name().as_bytes());
-            match e.event {
-                RunEvent::JobDispatched {
-                    job,
-                    task,
-                    node,
-                    eta,
-                } => {
-                    eat(&job.to_le_bytes());
-                    eat(&task.to_le_bytes());
-                    eat(&node.to_le_bytes());
-                    eat(&eta.as_micros().to_le_bytes());
-                }
-                RunEvent::JobReturned {
-                    job,
-                    task,
-                    node,
-                    value,
-                } => {
-                    eat(&job.to_le_bytes());
-                    eat(&task.to_le_bytes());
-                    eat(&node.to_le_bytes());
-                    eat(&[value as u8]);
-                }
-                RunEvent::JobTimedOut { job, task, node } => {
-                    eat(&job.to_le_bytes());
-                    eat(&task.to_le_bytes());
-                    eat(&node.to_le_bytes());
-                }
-                RunEvent::JobRetried { task, attempt } => {
-                    eat(&task.to_le_bytes());
-                    eat(&attempt.to_le_bytes());
-                }
-                RunEvent::WaveOpened { task, wave, jobs } => {
-                    eat(&task.to_le_bytes());
-                    eat(&wave.to_le_bytes());
-                    eat(&jobs.to_le_bytes());
-                }
-                RunEvent::WaveClosed { task, wave } => {
-                    eat(&task.to_le_bytes());
-                    eat(&wave.to_le_bytes());
-                }
-                RunEvent::VoteTallied {
-                    task,
-                    value,
-                    leader_count,
-                    runner_up,
-                } => {
-                    eat(&task.to_le_bytes());
-                    eat(&[value as u8]);
-                    eat(&leader_count.to_le_bytes());
-                    eat(&runner_up.to_le_bytes());
-                }
-                RunEvent::NodeQuarantined { node }
-                | RunEvent::NodeReleased { node }
-                | RunEvent::NodeJoined { node } => eat(&node.to_le_bytes()),
-                RunEvent::NodeDeparted { node, reason } => {
-                    eat(&node.to_le_bytes());
-                    eat(reason.name().as_bytes());
-                }
-                RunEvent::OutageStarted { region } => eat(&region.to_le_bytes()),
-                RunEvent::FaultInjected { kind } => eat(kind.name().as_bytes()),
-                RunEvent::VerdictReached {
-                    task,
-                    value,
-                    degraded,
-                    confidence,
-                } => {
-                    eat(&task.to_le_bytes());
-                    eat(&[value as u8, degraded as u8]);
-                    eat(&confidence.to_bits().to_le_bytes());
-                }
-                RunEvent::TaskCapped { task } => eat(&task.to_le_bytes()),
-                RunEvent::WorkerCrashed { node, job, task } => {
-                    eat(&node.to_le_bytes());
-                    eat(&job.to_le_bytes());
-                    eat(&task.to_le_bytes());
-                }
-                RunEvent::WorkerRestarted { node, incarnation } => {
-                    eat(&node.to_le_bytes());
-                    eat(&incarnation.to_le_bytes());
-                }
-                RunEvent::TaskPoisoned { task, crashes } => {
-                    eat(&task.to_le_bytes());
-                    eat(&crashes.to_le_bytes());
-                }
-                RunEvent::StaleReplyDropped { job, task, epoch } => {
-                    eat(&job.to_le_bytes());
-                    eat(&task.to_le_bytes());
-                    eat(&epoch.to_le_bytes());
-                }
-                RunEvent::EpochAdvanced { task, epoch } => {
-                    eat(&task.to_le_bytes());
-                    eat(&epoch.to_le_bytes());
-                }
-                RunEvent::HedgeLaunched {
-                    job,
-                    task,
-                    origin,
-                    epoch,
-                } => {
-                    eat(&job.to_le_bytes());
-                    eat(&task.to_le_bytes());
-                    eat(&origin.to_le_bytes());
-                    eat(&epoch.to_le_bytes());
-                }
-                RunEvent::HedgeWon { job, task } | RunEvent::HedgeWasted { job, task } => {
-                    eat(&job.to_le_bytes());
-                    eat(&task.to_le_bytes());
-                }
-                RunEvent::AuditScheduled { task }
-                | RunEvent::AuditPassed { task }
-                | RunEvent::VerdictVoided { task }
-                | RunEvent::TaskRetallied { task } => eat(&task.to_le_bytes()),
-                RunEvent::AuditFailed { task, node } => {
-                    eat(&task.to_le_bytes());
-                    eat(&node.to_le_bytes());
-                }
-                RunEvent::TransferStarted {
-                    xfer,
-                    job,
-                    task,
-                    node,
-                    bytes,
-                    eta,
-                } => {
-                    eat(&xfer.to_le_bytes());
-                    eat(&job.to_le_bytes());
-                    eat(&task.to_le_bytes());
-                    eat(&node.to_le_bytes());
-                    eat(&bytes.to_le_bytes());
-                    eat(&eta.as_micros().to_le_bytes());
-                }
-                RunEvent::TransferCompleted {
-                    xfer,
-                    job,
-                    task,
-                    node,
-                } => {
-                    eat(&xfer.to_le_bytes());
-                    eat(&job.to_le_bytes());
-                    eat(&task.to_le_bytes());
-                    eat(&node.to_le_bytes());
-                }
-                RunEvent::StageDecided {
-                    stage,
-                    correct,
-                    wrong,
-                } => {
-                    eat(&stage.to_le_bytes());
-                    eat(&correct.to_le_bytes());
-                    eat(&wrong.to_le_bytes());
-                }
-                RunEvent::PoisonPropagated { task, stage, from } => {
-                    eat(&task.to_le_bytes());
-                    eat(&stage.to_le_bytes());
-                    eat(&from.to_le_bytes());
-                }
-                RunEvent::CheckpointTaken { events, digest } => {
-                    eat(&events.to_le_bytes());
-                    eat(&digest.to_le_bytes());
-                }
-                RunEvent::RunEnded => {}
-            }
+            e.at.digest(&mut hash);
+            e.seq.digest(&mut hash);
+            hash.eat(e.event.kind().name().as_bytes());
+            e.event.digest_fields(&mut hash);
         }
-        hash
+        hash.0
     }
 
     /// The digest as a fixed-width hex string, convenient for golden tests.
@@ -1457,7 +970,7 @@ impl Journal {
     pub fn to_jsonl(&self) -> String {
         let mut out = String::with_capacity(self.events.len() * 64);
         for e in &self.events {
-            out.push_str(&e.to_jsonl_line());
+            e.encode(&mut out);
             out.push('\n');
         }
         out
@@ -1467,40 +980,11 @@ impl Journal {
     ///
     /// # Errors
     ///
-    /// Returns [`JournalParseError`] naming the first malformed line.
+    /// Returns [`JournalParseError`] naming the first malformed line, or
+    /// the first record that breaks time order or the dense-`seq` contract
+    /// (see [`Journal::from_jsonl_prefix`]).
     pub fn from_jsonl(text: &str) -> Result<Self, JournalParseError> {
-        let mut journal = Journal::new();
-        let mut offset = 0usize;
-        for (i, line) in text.lines().enumerate() {
-            let line_no = i + 1;
-            let line_start = offset;
-            offset += line.len() + 1;
-            if line.trim().is_empty() {
-                continue;
-            }
-            let stamped = Stamped::from_jsonl_line(line).map_err(|message| JournalParseError {
-                line: line_no,
-                offset: line_start,
-                seq: sniff_seq(line),
-                message,
-            })?;
-            if let Some(last) = journal.events.last() {
-                if stamped.at < last.at {
-                    return Err(JournalParseError {
-                        line: line_no,
-                        offset: line_start,
-                        seq: Some(stamped.seq),
-                        message: format!(
-                            "events out of time order: {} after {}",
-                            stamped.at, last.at
-                        ),
-                    });
-                }
-            }
-            journal.next_seq = stamped.seq + 1;
-            journal.events.push(stamped);
-        }
-        Ok(journal)
+        Self::read_lines(text, false).map(|prefix| prefix.journal)
     }
 
     /// Reads a journal from possibly crash-truncated WAL bytes.
@@ -1519,7 +1003,21 @@ impl Journal {
     /// partial append can never include the newline). That fails with
     /// [`JournalParseError`], carrying the line's byte offset and, when it
     /// can still be sniffed from the damaged bytes, the record's seq.
+    ///
+    /// So does a record that parses but does not continue the stream: one
+    /// stamped earlier than its predecessor, or whose `seq` is not the
+    /// predecessor's plus one. Sequence numbers are dense within a segment
+    /// (the first record is free — [`Journal::resume_at`] starts a segment
+    /// anywhere), so a whole line duplicated or lost in the file is refused
+    /// rather than double-counted or skipped by recovery.
     pub fn from_jsonl_prefix(text: &str) -> Result<WalPrefix, JournalParseError> {
+        Self::read_lines(text, true)
+    }
+
+    /// The line walk behind both readers. They differ only in what an
+    /// unterminated final line means: a torn append to drop
+    /// (`drop_torn_tail`), or an ordinary last line.
+    fn read_lines(text: &str, drop_torn_tail: bool) -> Result<WalPrefix, JournalParseError> {
         let mut journal = Journal::new();
         let mut torn = false;
         let mut valid_bytes = 0usize;
@@ -1528,64 +1026,52 @@ impl Journal {
         while offset < text.len() {
             line_no += 1;
             let rest = &text[offset..];
-            let (line, consumed, terminated) = match rest.find('\n') {
-                Some(nl) => (&rest[..nl], nl + 1, true),
-                None => (rest, rest.len(), false),
+            let (line, end, terminated) = match rest.find('\n') {
+                Some(nl) => (&rest[..nl], offset + nl + 1, true),
+                None => (rest, text.len(), false),
             };
-            let end = offset + consumed;
-            let last = end == text.len();
-            if line.trim().is_empty() {
-                if terminated {
-                    valid_bytes = end;
+            if !line.trim().is_empty() {
+                if drop_torn_tail && !terminated {
+                    // The newline never hit the disk, so the record was
+                    // never acknowledged — and may be incomplete even if
+                    // it parses (a truncated integer still does). Only
+                    // whole lines count.
+                    torn = true;
+                    break;
                 }
-                offset = end;
-                continue;
+                let refuse = |seq: Option<u64>, message: String| JournalParseError {
+                    line: line_no,
+                    offset,
+                    seq,
+                    message,
+                };
+                // A terminated line was fully written in one append, so a
+                // parse or checksum failure is in-place corruption of an
+                // acknowledged record — refuse, never resume past it.
+                let stamped = Stamped::from_jsonl_line(line)
+                    .map_err(|message| refuse(sniff_seq(line), message))?;
+                if let Some(prev) = journal.events.last() {
+                    if stamped.at < prev.at {
+                        return Err(refuse(
+                            Some(stamped.seq),
+                            format!("events out of time order: {} after {}", stamped.at, prev.at),
+                        ));
+                    }
+                    if prev.seq.checked_add(1) != Some(stamped.seq) {
+                        return Err(refuse(
+                            Some(stamped.seq),
+                            format!(
+                                "sequence break: seq {} follows seq {} (a record was duplicated or lost)",
+                                stamped.seq, prev.seq
+                            ),
+                        ));
+                    }
+                }
+                journal.next_seq = stamped.seq.saturating_add(1);
+                journal.events.push(stamped);
             }
-            match Stamped::from_jsonl_line(line) {
-                Ok(stamped) => {
-                    if !terminated {
-                        // Parsed, but the newline never hit the disk — the
-                        // record itself may be incomplete (e.g. a truncated
-                        // integer still parses). Only whole lines count.
-                        torn = true;
-                        break;
-                    }
-                    if let Some(prev) = journal.events.last() {
-                        if stamped.at < prev.at {
-                            return Err(JournalParseError {
-                                line: line_no,
-                                offset,
-                                seq: Some(stamped.seq),
-                                message: format!(
-                                    "events out of time order: {} after {}",
-                                    stamped.at, prev.at
-                                ),
-                            });
-                        }
-                    }
-                    journal.next_seq = stamped.seq + 1;
-                    journal.events.push(stamped);
-                    valid_bytes = end;
-                }
-                Err(message) => {
-                    if last && !terminated {
-                        // A torn append: the writer died before the
-                        // newline hit the disk, so the record was never
-                        // acknowledged — drop it and resume.
-                        torn = true;
-                        break;
-                    }
-                    // A terminated line was fully written in one append
-                    // (the newline is its last byte), so a parse or
-                    // checksum failure here is in-place corruption of an
-                    // acknowledged record — refuse, never resume past it.
-                    return Err(JournalParseError {
-                        line: line_no,
-                        offset,
-                        seq: sniff_seq(line),
-                        message,
-                    });
-                }
+            if terminated {
+                valid_bytes = end;
             }
             offset = end;
         }
@@ -1843,18 +1329,35 @@ impl WalWriter {
 }
 
 /// Minimal JSON scalar for the journal's flat single-line objects.
-#[derive(Debug, Clone, PartialEq)]
-enum JsonValue {
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum JsonValue<'a> {
     Int(u64),
     Float(f64),
     Bool(bool),
-    Str(String),
+    Str(&'a str),
+}
+
+/// The key/value pairs of one parsed line, in file order.
+struct Fields<'a>(Vec<(&'a str, JsonValue<'a>)>);
+
+impl<'a> Fields<'a> {
+    fn value(&self, key: &str) -> Result<JsonValue<'a>, String> {
+        self.0
+            .iter()
+            .find(|(k, _)| *k == key)
+            .map(|&(_, value)| value)
+            .ok_or_else(|| format!("missing field '{key}'"))
+    }
+
+    fn get<T: Wire>(&self, key: &str) -> Result<T, String> {
+        T::decode(self.value(key)?).map_err(|why| format!("field '{key}' {why}"))
+    }
 }
 
 /// Parses one flat JSON object (`{"k":v,...}`) with scalar values only —
 /// exactly the shape [`Journal::to_jsonl`] emits. Strings must not contain
 /// escapes (event vocabulary is fixed snake_case names).
-fn parse_object(line: &str) -> Result<Vec<(String, JsonValue)>, String> {
+fn parse_object(line: &str) -> Result<Fields<'_>, String> {
     let s = line.trim();
     let inner = s
         .strip_prefix('{')
@@ -1881,7 +1384,7 @@ fn parse_object(line: &str) -> Result<Vec<(String, JsonValue)>, String> {
             let end = v
                 .find('"')
                 .ok_or_else(|| "unterminated string value".to_string())?;
-            (JsonValue::Str(v[..end].to_string()), &v[end + 1..])
+            (JsonValue::Str(&v[..end]), &v[end + 1..])
         } else {
             let end = after_key.find(',').unwrap_or(after_key.len());
             let raw = &after_key[..end];
@@ -1904,10 +1407,10 @@ fn parse_object(line: &str) -> Result<Vec<(String, JsonValue)>, String> {
             };
             (value, &after_key[end..])
         };
-        fields.push((key.to_string(), value));
+        fields.push((key, value));
         rest = remainder;
     }
-    Ok(fields)
+    Ok(Fields(fields))
 }
 
 pub mod assert {
@@ -2614,6 +2117,56 @@ mod tests {
         let prefix = Journal::from_jsonl_prefix(torn_text).unwrap();
         assert!(prefix.torn);
         assert_eq!(prefix.journal.len(), j.len() - 1);
+    }
+
+    /// The sample journal as checksummed WAL lines, and the byte offset of
+    /// the fourth.
+    fn sample_wal_lines() -> (Vec<String>, usize) {
+        let lines: Vec<String> = sample_journal()
+            .events()
+            .iter()
+            .map(|e| e.to_jsonl_line_checksummed() + "\n")
+            .collect();
+        let offset = lines[..3].iter().map(String::len).sum();
+        (lines, offset)
+    }
+
+    #[test]
+    fn duplicated_wal_line_is_refused_with_its_position() {
+        // Line 3 (seq 2) written twice: each copy is intact and checksums,
+        // so only the dense-seq contract can tell.
+        let (mut lines, offset_of_line_4) = sample_wal_lines();
+        lines.insert(3, lines[2].clone());
+        let text = lines.concat();
+        for err in [
+            Journal::from_jsonl(&text).unwrap_err(),
+            Journal::from_jsonl_prefix(&text).unwrap_err(),
+        ] {
+            assert_eq!(
+                (err.line, err.offset, err.seq),
+                (4, offset_of_line_4, Some(2))
+            );
+            assert!(err.message.contains("sequence break"), "{err}");
+        }
+    }
+
+    #[test]
+    fn dropped_wal_line_is_refused_but_a_segment_may_start_anywhere() {
+        // Line 4 (seq 3) lost whole: the next record skips a number.
+        let (mut lines, offset_of_line_4) = sample_wal_lines();
+        lines.remove(3);
+        let err = Journal::from_jsonl_prefix(&lines.concat()).unwrap_err();
+        assert_eq!(
+            (err.line, err.offset, err.seq),
+            (4, offset_of_line_4, Some(4))
+        );
+        assert!(err.message.contains("seq 4 follows seq 2"), "{err}");
+
+        // Losing a whole head is not a gap: checkpoint compaction starts
+        // segments at any seq.
+        let tail = Journal::from_jsonl_prefix(&lines[3..].concat()).unwrap();
+        assert_eq!(tail.journal.events(), &sample_journal().events()[4..]);
+        assert_eq!(tail.journal.next_seq(), sample_journal().next_seq());
     }
 
     #[test]

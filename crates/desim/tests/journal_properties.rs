@@ -5,15 +5,20 @@
 //! filter.
 
 use proptest::prelude::*;
-use smartred_desim::journal::{assert as jassert, EventKind, FaultKind, Journal, RunEvent};
+use smartred_desim::journal::{
+    assert as jassert, DepartureReason, EventKind, FaultKind, Journal, RunEvent,
+};
 use smartred_desim::time::SimTime;
+
+/// Selector range of `event_from`: one arm per `RunEvent` variant.
+const ARMS: u8 = EventKind::ALL.len() as u8;
 
 /// Builds a deterministic event from generated scalars. `sel` picks the
 /// variant, `a`/`b` fill the integer fields, `v` the booleans; the
 /// confidence float is derived from `a` so it is always finite and in
 /// `[0, 1]`.
 fn event_from(sel: u8, a: u32, b: u32, v: bool) -> RunEvent {
-    match sel % 31 {
+    match sel % ARMS {
         0 => RunEvent::JobDispatched {
             job: a,
             task: b,
@@ -126,6 +131,16 @@ fn event_from(sel: u8, a: u32, b: u32, v: bool) -> RunEvent {
             events: u64::from(a),
             digest: u64::from(a).wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ u64::from(b),
         },
+        30 => RunEvent::NodeJoined { node: a % 97 },
+        31 => RunEvent::NodeDeparted {
+            node: a % 97,
+            reason: match a % 3 {
+                0 => DepartureReason::Churn,
+                1 => DepartureReason::Crash,
+                _ => DepartureReason::Blacklist,
+            },
+        },
+        32 => RunEvent::RunEnded,
         _ => RunEvent::FaultInjected {
             kind: match a % 6 {
                 0 => FaultKind::Crash,
@@ -137,6 +152,18 @@ fn event_from(sel: u8, a: u32, b: u32, v: bool) -> RunEvent {
             },
         },
     }
+}
+
+/// The "every variant" properties below are only as wide as `event_from`:
+/// each selector must produce a different kind, so a new table row fails
+/// here until it gets a generator arm.
+#[test]
+fn generator_covers_every_kind() {
+    let mut generated: Vec<EventKind> = (0..ARMS)
+        .map(|sel| event_from(sel, 1, 1, true).kind())
+        .collect();
+    generated.sort_by_key(|&kind| EventKind::ALL.iter().position(|&k| k == kind));
+    assert_eq!(generated, EventKind::ALL);
 }
 
 /// Records the generated events with non-decreasing timestamps.
@@ -156,7 +183,7 @@ proptest! {
     #[test]
     fn journals_are_time_ordered(
         entries in proptest::collection::vec(
-            (0u64..500, 0u8..31, 0u32..10_000, 0u32..64, proptest::bool::ANY),
+            (0u64..500, 0..ARMS, 0u32..10_000, 0u32..64, proptest::bool::ANY),
             1..80,
         ),
     ) {
@@ -170,7 +197,7 @@ proptest! {
     #[test]
     fn jsonl_round_trips_losslessly(
         entries in proptest::collection::vec(
-            (0u64..500, 0u8..31, 0u32..10_000, 0u32..64, proptest::bool::ANY),
+            (0u64..500, 0..ARMS, 0u32..10_000, 0u32..64, proptest::bool::ANY),
             0..80,
         ),
     ) {
@@ -189,7 +216,7 @@ proptest! {
     #[test]
     fn digest_is_thread_setting_invariant(
         entries in proptest::collection::vec(
-            (0u64..500, 0u8..31, 0u32..10_000, 0u32..64, proptest::bool::ANY),
+            (0u64..500, 0..ARMS, 0u32..10_000, 0u32..64, proptest::bool::ANY),
             0..60,
         ),
     ) {
@@ -208,7 +235,7 @@ proptest! {
     #[test]
     fn windowing_agrees_with_naive_filter(
         entries in proptest::collection::vec(
-            (0u64..300, 0u8..31, 0u32..10_000, 0u32..64, proptest::bool::ANY),
+            (0u64..300, 0..ARMS, 0u32..10_000, 0u32..64, proptest::bool::ANY),
             1..60,
         ),
         bounds in (0u64..20_000, 0u64..20_000),
@@ -230,47 +257,12 @@ proptest! {
     #[test]
     fn filters_are_consistent_with_counts(
         entries in proptest::collection::vec(
-            (0u64..300, 0u8..31, 0u32..10_000, 0u32..8, proptest::bool::ANY),
+            (0u64..300, 0..ARMS, 0u32..10_000, 0u32..8, proptest::bool::ANY),
             1..60,
         ),
     ) {
         let journal = build_journal(&entries);
-        let by_kind: usize = [
-            EventKind::JobDispatched,
-            EventKind::JobReturned,
-            EventKind::JobTimedOut,
-            EventKind::JobRetried,
-            EventKind::WaveOpened,
-            EventKind::WaveClosed,
-            EventKind::VoteTallied,
-            EventKind::NodeQuarantined,
-            EventKind::NodeReleased,
-            EventKind::VerdictReached,
-            EventKind::TaskCapped,
-            EventKind::OutageStarted,
-            EventKind::WorkerCrashed,
-            EventKind::WorkerRestarted,
-            EventKind::TaskPoisoned,
-            EventKind::StaleReplyDropped,
-            EventKind::EpochAdvanced,
-            EventKind::AuditScheduled,
-            EventKind::AuditPassed,
-            EventKind::AuditFailed,
-            EventKind::VerdictVoided,
-            EventKind::TaskRetallied,
-            EventKind::HedgeLaunched,
-            EventKind::HedgeWon,
-            EventKind::HedgeWasted,
-            EventKind::TransferStarted,
-            EventKind::TransferCompleted,
-            EventKind::StageDecided,
-            EventKind::PoisonPropagated,
-            EventKind::CheckpointTaken,
-            EventKind::FaultInjected,
-        ]
-        .iter()
-        .map(|&k| journal.count(k))
-        .sum();
+        let by_kind: usize = EventKind::ALL.iter().map(|&k| journal.count(k)).sum();
         prop_assert_eq!(by_kind, journal.len());
         for task in 0..8u32 {
             let timeline = journal.task_timeline(task);
@@ -291,7 +283,7 @@ proptest! {
     #[test]
     fn wal_prefix_survives_any_truncation_of_the_final_record(
         entries in proptest::collection::vec(
-            (0u64..500, 0u8..31, 0u32..10_000, 0u32..64, proptest::bool::ANY),
+            (0u64..500, 0..ARMS, 0u32..10_000, 0u32..64, proptest::bool::ANY),
             1..40,
         ),
         cut_seed in 0usize..10_000,
@@ -325,7 +317,7 @@ proptest! {
     #[test]
     fn checksummed_records_round_trip_for_every_variant(
         entries in proptest::collection::vec(
-            (0u64..500, 0u8..31, 0u32..10_000, 0u32..64, proptest::bool::ANY),
+            (0u64..500, 0..ARMS, 0u32..10_000, 0u32..64, proptest::bool::ANY),
             1..60,
         ),
     ) {
@@ -358,7 +350,7 @@ proptest! {
     #[test]
     fn any_bit_flip_in_a_nonfinal_record_is_detected(
         entries in proptest::collection::vec(
-            (0u64..500, 0u8..31, 0u32..10_000, 0u32..64, proptest::bool::ANY),
+            (0u64..500, 0..ARMS, 0u32..10_000, 0u32..64, proptest::bool::ANY),
             2..30,
         ),
         flip_seed in 0u64..u64::MAX,
