@@ -33,7 +33,7 @@
 //! FNV-1a checksum, so a damaged snapshot is detected at load, never
 //! deserialized into wrong state.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::fs;
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -43,6 +43,7 @@ use smartred_desim::journal::fnv1a_64;
 use smartred_desim::time::SimTime;
 use smartred_stats::Summary;
 
+use crate::ledger::NodeState;
 use crate::report::RuntimeReport;
 
 /// The snapshot path paired with a WAL segment: same stem, `.ckpt`
@@ -69,15 +70,10 @@ pub(crate) struct CheckpointState {
     pub next_job: u32,
     /// Decided task ids, sorted (never re-run or re-delivered).
     pub decided: Vec<u32>,
-    /// Permanently blacklisted nodes, sorted.
-    pub blacklisted: Vec<u32>,
-    /// Per-node restart incarnations as `(node, count)`, sorted.
-    pub incarnations: Vec<(u32, u32)>,
-    /// Active quarantines as `(node, release stamp micros)`, sorted.
-    pub quarantines: Vec<(u32, u64)>,
-    /// Per-node strike state as `(node, parts)` via
-    /// [`NodeDiscipline::to_parts`], sorted.
-    pub discipline: Vec<(u32, (u32, u32, u64, u32))>,
+    /// Supervision state of every node that has any, as `(node, state)`,
+    /// sorted: blacklist bit, restart incarnation, quarantine release
+    /// stamp, strike counters.
+    pub nodes: Vec<(u32, NodeState)>,
     /// The live report at the checkpoint, bit-exact: counters plus the
     /// Welford summaries, so `snapshot + suffix fold == full fold`.
     pub report: RuntimeReport,
@@ -134,15 +130,26 @@ impl CheckpointState {
         out.push_str(&format!("next_job {}\n", self.next_job));
         let join = |ids: &[u32]| ids.iter().map(u32::to_string).collect::<Vec<_>>().join(" ");
         out.push_str(&format!("decided {}\n", join(&self.decided)));
-        out.push_str(&format!("blacklisted {}\n", join(&self.blacklisted)));
-        for &(node, inc) in &self.incarnations {
-            out.push_str(&format!("incarnation {node} {inc}\n"));
+        let blacklisted: Vec<u32> = self
+            .nodes
+            .iter()
+            .filter(|(_, n)| n.blacklisted)
+            .map(|&(node, _)| node)
+            .collect();
+        out.push_str(&format!("blacklisted {}\n", join(&blacklisted)));
+        for (node, n) in self.nodes.iter().filter(|(_, n)| n.incarnation > 0) {
+            out.push_str(&format!("incarnation {node} {}\n", n.incarnation));
         }
-        for &(node, until) in &self.quarantines {
-            out.push_str(&format!("quarantine {node} {until}\n"));
+        for (node, n) in &self.nodes {
+            if let Some(until) = n.quarantined_until {
+                out.push_str(&format!("quarantine {node} {}\n", until.as_micros()));
+            }
         }
-        for &(node, (s, q, last, p)) in &self.discipline {
-            out.push_str(&format!("discipline {node} {s} {q} {last} {p}\n"));
+        for (node, n) in &self.nodes {
+            if n.discipline != NodeDiscipline::default() {
+                let (s, q, last, p) = n.discipline.to_parts();
+                out.push_str(&format!("discipline {node} {s} {q} {last} {p}\n"));
+            }
         }
         let r = &self.report;
         out.push_str(&format!(
@@ -228,10 +235,7 @@ impl CheckpointState {
         let mut last_at = None;
         let mut next_job = None;
         let mut decided = Vec::new();
-        let mut blacklisted = Vec::new();
-        let mut incarnations = Vec::new();
-        let mut quarantines = Vec::new();
-        let mut discipline = Vec::new();
+        let mut nodes: BTreeMap<u32, NodeState> = BTreeMap::new();
         let mut report = RuntimeReport::new();
         let mut saw_report = false;
         for line in lines {
@@ -241,27 +245,33 @@ impl CheckpointState {
                 "last_at" => last_at = rest.parse::<u64>().ok().map(SimTime::from_micros),
                 "next_job" => next_job = rest.parse::<u32>().ok(),
                 "decided" => decided = parse_ints(rest)?,
-                "blacklisted" => blacklisted = parse_ints(rest)?,
+                "blacklisted" => {
+                    for node in parse_ints::<u32>(rest)? {
+                        nodes.entry(node).or_default().blacklisted = true;
+                    }
+                }
                 "incarnation" => {
                     let v: Vec<u32> = parse_ints(rest)?;
                     let [node, inc] = v[..] else {
                         return Err(format!("bad incarnation line {line:?}"));
                     };
-                    incarnations.push((node, inc));
+                    nodes.entry(node).or_default().incarnation = inc;
                 }
                 "quarantine" => {
                     let v: Vec<u64> = parse_ints(rest)?;
                     let [node, until] = v[..] else {
                         return Err(format!("bad quarantine line {line:?}"));
                     };
-                    quarantines.push((node as u32, until));
+                    nodes.entry(node as u32).or_default().quarantined_until =
+                        Some(SimTime::from_micros(until));
                 }
                 "discipline" => {
                     let v: Vec<u64> = parse_ints(rest)?;
                     let [node, s, q, last, p] = v[..] else {
                         return Err(format!("bad discipline line {line:?}"));
                     };
-                    discipline.push((node as u32, (s as u32, q as u32, last, p as u32)));
+                    nodes.entry(node as u32).or_default().discipline =
+                        NodeDiscipline::from_parts(s as u32, q as u32, last, p as u32);
                 }
                 "report" => {
                     let v: Vec<u64> = parse_ints(rest)?;
@@ -318,20 +328,9 @@ impl CheckpointState {
             last_at,
             next_job,
             decided,
-            blacklisted,
-            incarnations,
-            quarantines,
-            discipline,
+            nodes: nodes.into_iter().collect(),
             report,
         })
-    }
-
-    /// The per-node discipline map the suffix replay starts from.
-    pub fn discipline_map(&self) -> HashMap<u32, NodeDiscipline> {
-        self.discipline
-            .iter()
-            .map(|&(node, (s, q, last, p))| (node, NodeDiscipline::from_parts(s, q, last, p)))
-            .collect()
     }
 }
 
@@ -353,10 +352,32 @@ mod tests {
             last_at: SimTime::from_micros(98_765),
             next_job: 44,
             decided: vec![0, 1, 2, 5, 9],
-            blacklisted: vec![3],
-            incarnations: vec![(2, 1), (3, 4)],
-            quarantines: vec![(6, 1_234_567)],
-            discipline: vec![(3, (2, 1, 55, 0)), (6, (1, 0, 77, 2))],
+            nodes: vec![
+                (
+                    2,
+                    NodeState {
+                        incarnation: 1,
+                        ..NodeState::default()
+                    },
+                ),
+                (
+                    3,
+                    NodeState {
+                        discipline: NodeDiscipline::from_parts(2, 1, 55, 0),
+                        incarnation: 4,
+                        quarantined_until: None,
+                        blacklisted: true,
+                    },
+                ),
+                (
+                    6,
+                    NodeState {
+                        discipline: NodeDiscipline::from_parts(1, 0, 77, 2),
+                        quarantined_until: Some(SimTime::from_micros(1_234_567)),
+                        ..NodeState::default()
+                    },
+                ),
+            ],
             report,
         }
     }
@@ -370,7 +391,9 @@ mod tests {
         state.store(&path).unwrap();
         let loaded = CheckpointState::load(&path).unwrap();
         assert_eq!(loaded, state);
-        assert_eq!(loaded.digest(), state.digest());
+        // The digest this sample had when nodes were four parallel lists:
+        // the file format is unchanged.
+        assert_eq!(loaded.digest(), 0xf9b6_a030_a4ac_a4c9);
         // An empty report's ±∞ min/max sentinels survive too.
         let empty = CheckpointState {
             report: RuntimeReport::new(),

@@ -52,19 +52,18 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use smartred_core::audit::AuditPolicy;
-use smartred_core::execution::{Assignment, TaskExecution, WaveStep};
+use smartred_core::execution::{Assignment, WaveStep};
 use smartred_core::hedge::{HedgePolicy, HedgeTrigger};
 use smartred_core::parallel::Threads;
-use smartred_core::resilience::{
-    DisciplineAction, NodeDiscipline, PoisonPolicy, QuarantinePolicy, TaskDiscipline,
-};
+use smartred_core::resilience::{DisciplineAction, PoisonPolicy, QuarantinePolicy};
 use smartred_core::strategy::RedundancyStrategy;
 use smartred_desim::disk::{DiskFaultPlan, FaultyDisk};
-use smartred_desim::journal::{DepartureReason, Journal, RunEvent, WalWriter};
+use smartred_desim::journal::{DepartureReason, Journal, RunEvent, Stamped, WalWriter};
 use smartred_desim::time::{SimDuration, SimTime};
 
 use crate::checkpoint::{checkpoint_path, CheckpointState};
-use crate::recovery::{self, RecoveryError, RecoveryReport};
+use crate::ledger::{Delivery, Ledger, Owed};
+use crate::recovery::{RecoveryError, RecoveryReport};
 use crate::report::{fold_into, report_from_journal, RuntimeReport};
 use crate::worker::{JobAssignment, JobResult, PoolEvent, Worker, WorkerPool};
 use crate::workload::Payload;
@@ -109,7 +108,7 @@ pub struct RuntimeConfig {
     /// `None` disables.
     pub discipline: Option<QuarantinePolicy>,
     /// Sliding window for strike expiry (see
-    /// [`NodeDiscipline::strike_at`]).
+    /// [`smartred_core::resilience::NodeDiscipline::strike_at`]).
     pub strike_window: Duration,
     /// Audit policy: spot-check verdicts against a local recomputation,
     /// charge weighted strikes for caught lies, void tainted verdicts, and
@@ -201,6 +200,13 @@ impl Default for RuntimeConfig {
             checkpoint_every: None,
             disk_faults: None,
         }
+    }
+}
+
+impl RuntimeConfig {
+    /// The resolved worker-thread count.
+    pub(crate) fn worker_count(&self) -> usize {
+        self.workers.unwrap_or_else(|| Threads::Auto.get()).max(1)
     }
 }
 
@@ -446,68 +452,10 @@ impl Runtime {
             .wal
             .as_ref()
             .map(|p| build_wal(p, &cfg).expect("create WAL file"));
-        let RuntimeParts {
-            worker_count,
-            pool,
-            submit_tx,
-            submit_rx,
-            result_rx,
-            active,
-            crashed,
-            max_active,
-        } = RuntimeParts::build(&cfg, Arc::new(make_worker));
-        // Per-node vectors are indexed by *global* node id, so they span
-        // `0..node_base + worker_count`; slots below the base belong to
-        // other shards and stay untouched defaults.
-        let node_span = cfg.node_base as usize + worker_count;
-        let coordinator = Coordinator {
-            journal,
-            wal,
-            strategy: Arc::new(strategy),
-            time_base: 0,
-            report: RuntimeReport::new(),
-            tasks: HashMap::new(),
-            jobs: HashMap::new(),
-            deadlines: BinaryHeap::new(),
-            pending: VecDeque::new(),
-            rearm: VecDeque::new(),
-            seeded: VecDeque::new(),
-            resume: Vec::new(),
-            next_job: 0,
-            draining: false,
-            events_logged: 0,
-            crashed: false,
-            decided: HashSet::new(),
-            last_ckpt_events: 0,
-            incarnations: vec![0; node_span],
-            discipline: vec![NodeDiscipline::default(); node_span],
-            quarantined_until: vec![None; node_span],
-            blacklisted: vec![false; node_span],
-            escalated: false,
-            hedge: cfg
-                .hedge
-                .map(|p| HedgeTrigger::new(p).expect("invalid hedge policy")),
-            hedge_checks: BinaryHeap::new(),
-            hedge_pair: HashMap::new(),
-            twin_origin: HashMap::new(),
-            worker_loads: vec![0; node_span],
-            assign_cursor: cfg.node_base,
-            cfg,
-            pool,
-            submit_rx,
-            result_rx,
-            start: Instant::now(),
-            active: active.clone(),
-            crashed_flag: crashed.clone(),
-        };
-        spawn_runtime(
-            coordinator,
-            submit_tx,
-            active,
-            crashed,
-            max_active,
-            Arc::new(AtomicU32::new(0)),
-        )
+        let ledger = Ledger::new(&cfg, Arc::new(strategy));
+        let (coordinator, submit_tx) =
+            Coordinator::new(cfg, ledger, journal, wal, Arc::new(make_worker));
+        spawn_runtime(coordinator, submit_tx, 0)
     }
 
     /// Restarts a crashed run from its write-ahead log.
@@ -646,8 +594,57 @@ impl Runtime {
             None => None,
         };
 
-        let strategy = Arc::new(strategy);
-        let rebuilt = recovery::rebuild(&prefix.journal, &cfg, &strategy, base.as_ref())?;
+        // Snapshot, then the segment through the coordinator's own state
+        // transitions. Checkpoints are only taken at quiescence, so the
+        // snapshot never contributes open tasks or in-flight jobs.
+        let mut ledger = Ledger::new(&cfg, Arc::new(strategy));
+        if let Some(snap) = &base {
+            ledger.restore(snap);
+        }
+        for e in prefix.journal.events() {
+            ledger.replay(e)?;
+        }
+
+        // Open tasks resume (the roster supplies what the WAL does not
+        // carry): unresolved jobs re-arm in job order without new journal
+        // records, and replicas parked before the crash dispatch in task
+        // order — the same order a drain would have processed them.
+        let mut resume: Vec<u32> = ledger.open().keys().copied().collect();
+        resume.sort_unstable();
+        let mut rearm = Vec::new();
+        let mut pending = VecDeque::new();
+        for &task in &resume {
+            let (_, payload) = roster.iter().find(|(id, _)| *id == task).ok_or_else(|| {
+                RecoveryError::Corrupt(format!("open task {task} missing from roster"))
+            })?;
+            let delivery = Delivery::new(Arc::new(payload.clone()), verdict_tx.clone());
+            let state = ledger.attach(task, delivery);
+            let epoch = state.epoch;
+            rearm.extend(
+                state
+                    .in_flight
+                    .iter()
+                    .map(|&(job, replica)| (job, task, replica, epoch)),
+            );
+            let parked = (state.replicas - state.dispatched) as usize;
+            pending.extend(std::iter::repeat_n(task, parked));
+        }
+        rearm.sort_unstable();
+
+        // Roster entries the WAL never saw are admitted fresh, under
+        // their original ids, ahead of any new submissions.
+        let seeded: VecDeque<Submission> = roster
+            .iter()
+            .filter(|(task, _)| {
+                !ledger.decided().contains(task) && !ledger.open().contains_key(task)
+            })
+            .map(|(task, payload)| Submission {
+                task: *task,
+                payload: Arc::new(payload.clone()),
+                verdict_tx: verdict_tx.clone(),
+            })
+            .collect();
+
         let mut wal = WalWriter::resume(&path, prefix.valid_bytes as u64, cfg.wal_sync)?
             .with_batch(cfg.wal_batch)
             .with_checksums(cfg.wal_checksum);
@@ -668,116 +665,6 @@ impl Runtime {
             wal.commit()?;
         }
 
-        let RuntimeParts {
-            worker_count,
-            mut pool,
-            submit_tx,
-            submit_rx,
-            result_rx,
-            active,
-            crashed,
-            max_active,
-        } = RuntimeParts::build(&cfg, Arc::new(make_worker));
-        let node_span = cfg.node_base as usize + worker_count;
-
-        let mut tasks = HashMap::new();
-        let mut rearm: VecDeque<(u32, u32, u32, u32)> = VecDeque::new();
-        let mut pending = VecDeque::new();
-        let tasks_decided = rebuilt.decided.len();
-        for (task, rt) in rebuilt.open {
-            let payload = roster
-                .iter()
-                .find(|(id, _)| *id == task)
-                .map(|(_, p)| Arc::new(p.clone()))
-                .ok_or_else(|| {
-                    RecoveryError::Corrupt(format!("open task {task} missing from roster"))
-                })?;
-            for &(job, replica) in &rt.in_flight {
-                rearm.push_back((job, task, replica, rt.epoch));
-            }
-            for replica in rt.dispatched..rt.replicas {
-                pending.push_back((task, replica));
-            }
-            tasks.insert(
-                task,
-                TaskState {
-                    exec: rt.exec,
-                    payload,
-                    verdict_tx: verdict_tx.clone(),
-                    replicas: rt.replicas,
-                    timeouts: rt.timeouts,
-                    first_dispatch: rt.first_dispatch,
-                    answers: [None, None],
-                    live_jobs: rt.in_flight.iter().map(|&(j, _)| j).collect(),
-                    epoch: rt.epoch,
-                    poison: rt.poison,
-                    returns: rt.returns,
-                    must_audit: rt.must_audit,
-                },
-            );
-        }
-        recovery::sort_rearm(&mut rearm);
-        let jobs_rearmed = rearm.len();
-        let tasks_resumed = tasks.len();
-        let mut resume: Vec<u32> = tasks.keys().copied().collect();
-        resume.sort_unstable();
-
-        // Replicas parked before the crash dispatch in task order — the
-        // same order a drain would have processed them.
-        let mut pending: Vec<(u32, u32)> = pending.into_iter().collect();
-        pending.sort_unstable();
-        let pending: VecDeque<(u32, u32)> = pending.into_iter().collect();
-
-        // Roster entries the WAL never saw are admitted fresh, under
-        // their original ids, ahead of any new submissions.
-        let mut seeded = VecDeque::new();
-        for (task, payload) in roster {
-            if rebuilt.decided.contains(task) || tasks.contains_key(task) {
-                continue;
-            }
-            seeded.push_back(Submission {
-                task: *task,
-                payload: Arc::new(payload.clone()),
-                verdict_tx: verdict_tx.clone(),
-            });
-        }
-        let tasks_seeded = seeded.len();
-
-        let mut discipline = vec![NodeDiscipline::default(); node_span];
-        let mut incarnations = vec![0u32; node_span];
-        let mut quarantined_until = vec![None; node_span];
-        let mut blacklisted = vec![false; node_span];
-        for (node, d) in rebuilt.discipline {
-            if let Some(slot) = discipline.get_mut(node as usize) {
-                *slot = d;
-            }
-        }
-        for (node, inc) in rebuilt.incarnations {
-            if let Some(slot) = incarnations.get_mut(node as usize) {
-                *slot = inc;
-            }
-        }
-        for (node, until) in rebuilt.quarantined_until {
-            if pool.node_ids().contains(&node) {
-                quarantined_until[node as usize] = Some(until);
-                pool.set_enabled(node, false);
-            }
-        }
-        for node in rebuilt.blacklisted {
-            if pool.node_ids().contains(&node) {
-                blacklisted[node as usize] = true;
-                pool.set_enabled(node, false);
-            }
-        }
-
-        let max_roster = roster.iter().map(|&(id, _)| id).max();
-        let next_task = rebuilt
-            .max_task
-            .into_iter()
-            .chain(max_roster)
-            .max()
-            .map_or(0, |m| m + 1);
-
         let report = match &base {
             Some(snap) => {
                 // Snapshot + suffix fold: checkpoints happen only at
@@ -790,70 +677,37 @@ impl Runtime {
             }
             None => report_from_journal(&journal),
         };
-        let escalated = report.audit_failures > 0;
-        let time_base = rebuilt.last_at.as_micros();
-        let last_ckpt_events = journal.next_seq();
-        active.store(tasks.len(), Ordering::Relaxed);
-
-        let coordinator = Coordinator {
-            journal,
-            wal: Some(wal),
-            strategy,
-            time_base,
-            report,
-            tasks,
-            jobs: HashMap::new(),
-            deadlines: BinaryHeap::new(),
-            pending,
-            rearm,
-            seeded,
-            resume,
-            next_job: rebuilt.next_job,
-            draining: false,
-            events_logged: 0,
-            crashed: false,
-            decided: rebuilt.decided,
-            last_ckpt_events,
-            incarnations,
-            discipline,
-            quarantined_until,
-            blacklisted,
-            escalated,
-            hedge: cfg
-                .hedge
-                .map(|p| HedgeTrigger::new(p).expect("invalid hedge policy")),
-            hedge_checks: BinaryHeap::new(),
-            hedge_pair: HashMap::new(),
-            twin_origin: HashMap::new(),
-            worker_loads: vec![0; node_span],
-            assign_cursor: cfg.node_base,
-            cfg,
-            pool,
-            submit_rx,
-            result_rx,
-            start: Instant::now(),
-            active: active.clone(),
-            crashed_flag: crashed.clone(),
-        };
-        let report = RecoveryReport {
+        let recovery = RecoveryReport {
             torn_tail: prefix.torn,
             events_replayed,
             checkpoint_events: base.as_ref().map_or(0, |s| s.events),
-            tasks_resumed,
-            tasks_decided,
-            tasks_seeded,
-            jobs_rearmed,
-            report: coordinator.report.clone(),
+            tasks_resumed: resume.len(),
+            tasks_decided: ledger.decided().len(),
+            tasks_seeded: seeded.len(),
+            jobs_rearmed: rearm.len(),
+            report: report.clone(),
         };
-        let runtime = spawn_runtime(
-            coordinator,
-            submit_tx,
-            active,
-            crashed,
-            max_active,
-            Arc::new(AtomicU32::new(next_task)),
-        );
-        Ok((runtime, report))
+        let max_roster = roster.iter().map(|&(id, _)| id).max();
+        let next_task = ledger.max_task().max(max_roster).map_or(0, |m| m + 1);
+
+        let (mut coordinator, submit_tx) =
+            Coordinator::new(cfg, ledger, journal, Some(wal), Arc::new(make_worker));
+        for node in coordinator.pool.node_ids() {
+            let state = coordinator.ledger.node(node);
+            if state.blacklisted || state.quarantined_until.is_some() {
+                coordinator.pool.set_enabled(node, false);
+            }
+        }
+        coordinator.time_base = coordinator.ledger.last_at().as_micros();
+        coordinator.last_ckpt_events = coordinator.journal.next_seq();
+        coordinator.escalated = report.audit_failures > 0;
+        coordinator.report = report;
+        coordinator.active.store(resume.len(), Ordering::Relaxed);
+        coordinator.rearm = rearm.into();
+        coordinator.pending = pending;
+        coordinator.seeded = seeded;
+        coordinator.resume = resume;
+        Ok((spawn_runtime(coordinator, submit_tx, next_task), recovery))
     }
 
     /// Creates a submission handle.
@@ -895,47 +749,6 @@ impl Runtime {
     }
 }
 
-/// The shared channel/pool scaffolding of [`Runtime::start`] and
-/// [`Runtime::recover`].
-struct RuntimeParts {
-    worker_count: usize,
-    pool: WorkerPool,
-    submit_tx: SyncSender<ClientOp>,
-    submit_rx: Receiver<ClientOp>,
-    result_rx: Receiver<PoolEvent>,
-    active: Arc<AtomicUsize>,
-    crashed: Arc<AtomicBool>,
-    max_active: usize,
-}
-
-impl RuntimeParts {
-    fn build(
-        cfg: &RuntimeConfig,
-        make_worker: Arc<dyn Fn(u32) -> Box<dyn Worker> + Send + Sync>,
-    ) -> Self {
-        let worker_count = cfg.workers.unwrap_or_else(|| Threads::Auto.get()).max(1);
-        let (submit_tx, submit_rx) = mpsc::sync_channel(cfg.queue_cap.max(1));
-        let (result_tx, result_rx) = mpsc::channel();
-        let pool = WorkerPool::spawn(
-            worker_count,
-            cfg.node_base,
-            cfg.inbox_cap,
-            result_tx,
-            make_worker,
-        );
-        Self {
-            worker_count,
-            pool,
-            submit_tx,
-            submit_rx,
-            result_rx,
-            active: Arc::new(AtomicUsize::new(0)),
-            crashed: Arc::new(AtomicBool::new(false)),
-            max_active: cfg.max_active.max(1),
-        }
-    }
-}
-
 /// Builds the WAL writer of a fresh run: the real file, or a
 /// fault-injecting [`FaultyDisk`] under it when
 /// [`RuntimeConfig::disk_faults`] is set, with the configured group-commit
@@ -958,11 +771,11 @@ fn build_wal(path: &std::path::Path, cfg: &RuntimeConfig) -> std::io::Result<Wal
 fn spawn_runtime<S: RedundancyStrategy<bool> + Send + Sync + 'static>(
     coordinator: Coordinator<S>,
     submit_tx: SyncSender<ClientOp>,
-    active: Arc<AtomicUsize>,
-    crashed: Arc<AtomicBool>,
-    max_active: usize,
-    next_task: Arc<AtomicU32>,
+    next_task: u32,
 ) -> Runtime {
+    let active = coordinator.active.clone();
+    let crashed = coordinator.crashed_flag.clone();
+    let max_active = coordinator.cfg.max_active.max(1);
     let handle = std::thread::Builder::new()
         .name("smartred-coordinator".into())
         .spawn(move || coordinator.run())
@@ -970,40 +783,12 @@ fn spawn_runtime<S: RedundancyStrategy<bool> + Send + Sync + 'static>(
     Runtime {
         submit_tx: Some(submit_tx),
         handle,
-        next_task,
+        next_task: Arc::new(AtomicU32::new(next_task)),
         active,
         counters: Arc::new(AdmissionCounters::default()),
         max_active,
         crashed,
     }
-}
-
-/// Per-task redundancy state.
-struct TaskState<S> {
-    exec: TaskExecution<bool, Arc<S>>,
-    payload: Arc<Payload>,
-    verdict_tx: Sender<TaskVerdict>,
-    /// Replica indices issued so far (reissues advance it).
-    replicas: u32,
-    /// Timeouts charged so far (1-based retry attempts).
-    timeouts: u32,
-    first_dispatch: Option<SimTime>,
-    /// Last answer reported by a `false`-vote (index 0) / `true`-vote
-    /// (index 1) replica, for verdict delivery.
-    answers: [Option<bool>; 2],
-    /// Dispatched, unresolved job ids.
-    live_jobs: Vec<u32>,
-    /// Replica epoch: bumped when in-flight jobs are re-dispatched, so
-    /// replies from the superseded dispatch are rejected as stale.
-    epoch: u32,
-    /// Worker-crash charges toward the poison limit.
-    poison: TaskDiscipline,
-    /// Every tallied return as `(job, node, vote)`, the audit layer's
-    /// evidence: which node claimed what. Cleared on void/re-tally.
-    returns: Vec<(u32, u32, bool)>,
-    /// Set when a probationary node (fresh out of quarantine) contributed
-    /// a result: the verdict must be audited regardless of the spot draw.
-    must_audit: bool,
 }
 
 /// A dispatched, unresolved job.
@@ -1027,7 +812,9 @@ enum Outcome {
 
 struct Coordinator<S> {
     cfg: RuntimeConfig,
-    strategy: Arc<S>,
+    /// Everything the WAL determines — open tasks, the decided set, node
+    /// supervision state, the job-id cursor — which only `log` changes.
+    ledger: Ledger<S>,
     pool: WorkerPool,
     submit_rx: Receiver<ClientOp>,
     result_rx: Receiver<PoolEvent>,
@@ -1039,13 +826,14 @@ struct Coordinator<S> {
     journal: Journal,
     wal: Option<WalWriter>,
     report: RuntimeReport,
-    tasks: HashMap<u32, TaskState<S>>,
     jobs: HashMap<u32, JobInfo>,
     /// `(deadline, job, epoch)` — an entry whose epoch no longer matches
     /// the job's record is stale (the job was re-dispatched) and skipped.
     deadlines: BinaryHeap<Reverse<(Instant, u32, u32)>>,
-    /// Replicas decided but not yet handed to a worker (all inboxes full).
-    pending: VecDeque<(u32, u32)>,
+    /// One entry per replica opened but not yet handed to a worker (all
+    /// inboxes full): its task. The replica index is the task's dispatch
+    /// cursor in the ledger, as it is on replay.
+    pending: VecDeque<u32>,
     /// In-flight jobs to re-dispatch without new journal records, as
     /// `(job, task, replica, epoch)` — from hung-worker respawns and WAL
     /// recovery.
@@ -1059,29 +847,17 @@ struct Coordinator<S> {
     /// replicas and nothing queued. `advance` is a no-op for tasks whose
     /// votes are still outstanding, so nudging every resumed task is safe.
     resume: Vec<u32>,
-    next_job: u32,
     active: Arc<AtomicUsize>,
     draining: bool,
     /// Journal appends so far, for the chaos crash threshold.
     events_logged: u64,
     crashed: bool,
     crashed_flag: Arc<AtomicBool>,
-    /// Every task ever decided (verdict, cap, or poison durable) — the
-    /// exactly-once set a checkpoint snapshot carries forward.
-    decided: HashSet<u32>,
     /// `Journal::next_seq` at the last checkpoint (or recovery), for the
     /// [`RuntimeConfig::checkpoint_every`] accumulation threshold.
     last_ckpt_events: u64,
-    /// Per-worker restart counters (crash rebuilds + hang respawns).
-    incarnations: Vec<u32>,
-    /// Per-worker strike state under `cfg.discipline`.
-    discipline: Vec<NodeDiscipline>,
-    /// Release stamps of currently quarantined workers.
-    quarantined_until: Vec<Option<SimTime>>,
-    /// Permanently blacklisted workers.
-    blacklisted: Vec<bool>,
     /// Whether any audit has ever caught a liar — switches spot-checking
-    /// to [`AuditPolicy::escalated_rate`]. Rebuilt from the journal on
+    /// to [`AuditPolicy::escalated_rate`]. Re-derived from the journal on
     /// recovery (`report.audit_failures > 0`).
     escalated: bool,
     /// The straggler-hedging trigger (shared decision surface with the
@@ -1096,11 +872,11 @@ struct Coordinator<S> {
     hedge_checks: BinaryHeap<Reverse<(Instant, u32, u32)>>,
     /// Live hedge pairs, both directions (origin ↔ twin).
     hedge_pair: HashMap<u32, u32>,
-    /// Twin → origin, held until the twin settles; terminal journal
-    /// events of a pair always carry the *origin* job id (see
+    /// Twin → `(origin, task)`, held until the twin settles; terminal
+    /// journal events of a pair always carry the *origin* job id (see
     /// [`Self::fire_hedges`]), so recovery replays the pair as one
     /// logical replica.
-    twin_origin: HashMap<u32, u32>,
+    twin_origin: HashMap<u32, (u32, u32)>,
     /// Per-worker dispatch counts, indexed by global node id — the load
     /// signal of [`Assignment::LeastLoaded`].
     worker_loads: Vec<u64>,
@@ -1113,7 +889,71 @@ struct Coordinator<S> {
 const TICK: Duration = Duration::from_millis(1);
 
 impl<S: RedundancyStrategy<bool>> Coordinator<S> {
+    /// A coordinator over `ledger` with its worker pool and channels,
+    /// nothing queued; returns the submission sender with it.
+    fn new(
+        cfg: RuntimeConfig,
+        ledger: Ledger<S>,
+        journal: Journal,
+        wal: Option<WalWriter>,
+        make_worker: Arc<dyn Fn(u32) -> Box<dyn Worker> + Send + Sync>,
+    ) -> (Self, SyncSender<ClientOp>) {
+        let workers = cfg.worker_count();
+        let (submit_tx, submit_rx) = mpsc::sync_channel(cfg.queue_cap.max(1));
+        let (result_tx, result_rx) = mpsc::channel();
+        let pool = WorkerPool::spawn(
+            workers,
+            cfg.node_base,
+            cfg.inbox_cap,
+            result_tx,
+            make_worker,
+        );
+        let coordinator = Coordinator {
+            ledger,
+            pool,
+            submit_rx,
+            result_rx,
+            start: Instant::now(),
+            time_base: 0,
+            journal,
+            wal,
+            report: RuntimeReport::new(),
+            jobs: HashMap::new(),
+            deadlines: BinaryHeap::new(),
+            pending: VecDeque::new(),
+            rearm: VecDeque::new(),
+            seeded: VecDeque::new(),
+            resume: Vec::new(),
+            active: Arc::new(AtomicUsize::new(0)),
+            draining: false,
+            events_logged: 0,
+            crashed: false,
+            crashed_flag: Arc::new(AtomicBool::new(false)),
+            last_ckpt_events: 0,
+            escalated: false,
+            hedge: cfg
+                .hedge
+                .map(|p| HedgeTrigger::new(p).expect("invalid hedge policy")),
+            hedge_checks: BinaryHeap::new(),
+            hedge_pair: HashMap::new(),
+            twin_origin: HashMap::new(),
+            // Indexed by *global* node id, like the ledger's node table.
+            worker_loads: vec![0; cfg.node_base as usize + workers],
+            assign_cursor: cfg.node_base,
+            cfg,
+        };
+        (coordinator, submit_tx)
+    }
+
     fn run(mut self) -> (RuntimeReport, Journal, bool) {
+        // What the recovered WAL prefix still owes — a quarantine or
+        // poisoning whose record the crash cut off — comes first.
+        let owed = self.ledger.owed();
+        let at = self.stamp();
+        self.enact(owed.discipline, at);
+        if let Some(task) = owed.poison {
+            self.finalize(task, Outcome::Poisoned, at);
+        }
         let resume = std::mem::take(&mut self.resume);
         for task in resume {
             if self.crashed {
@@ -1135,10 +975,11 @@ impl<S: RedundancyStrategy<bool>> Coordinator<S> {
             if self.crashed {
                 break;
             }
-            if self.draining && self.tasks.is_empty() && self.seeded.is_empty() {
+            let idle = self.ledger.open().is_empty() && self.seeded.is_empty();
+            if self.draining && idle {
                 break;
             }
-            if self.tasks.is_empty() && self.seeded.is_empty() {
+            if idle {
                 self.maybe_checkpoint();
                 if self.crashed {
                     break;
@@ -1204,17 +1045,25 @@ impl<S: RedundancyStrategy<bool>> Coordinator<S> {
     /// event is durable but the caller must not perform its side effects —
     /// exactly the state a real crash between "append" and "act" leaves.
     fn log(&mut self, at: SimTime, event: RunEvent) -> bool {
+        self.log_owed(at, event).is_some()
+    }
+
+    /// [`Self::log`], returning what the ledger says the event earned
+    /// (`None` when the coordinator is dead). The ledger applies the
+    /// event right after the WAL append: state changes only once the
+    /// record that explains the change is durable.
+    fn log_owed(&mut self, at: SimTime, event: RunEvent) -> Option<Owed> {
         if self.crashed {
-            return false;
+            return None;
         }
+        let entry = Stamped {
+            at,
+            seq: self.journal.next_seq(),
+            event,
+        };
         self.journal.record(at, event);
         if let Some(wal) = self.wal.as_mut() {
-            let entry = self
-                .journal
-                .events()
-                .last()
-                .expect("journal is enabled whenever a WAL is configured");
-            if wal.append(entry).is_err() {
+            if wal.append(&entry).is_err() {
                 // The record may not be durable, so the coordinator must
                 // not act on it. A disk fault is a coordinator crash: the
                 // writer is poisoned (a failed fsync can silently drop
@@ -1222,18 +1071,22 @@ impl<S: RedundancyStrategy<bool>> Coordinator<S> {
                 // WAL's durable prefix exactly as after a power loss.
                 self.crashed = true;
                 self.crashed_flag.store(true, Ordering::Release);
-                return false;
+                return None;
             }
         }
+        let owed = self
+            .ledger
+            .apply(&entry)
+            .expect("the coordinator logs only events its own state produced");
         self.events_logged += 1;
         if let Some(limit) = self.cfg.crash_after_events {
             if self.events_logged >= limit {
                 self.crashed = true;
                 self.crashed_flag.store(true, Ordering::Release);
-                return false;
+                return None;
             }
         }
-        true
+        Some(owed)
     }
 
     /// Forces the WAL's pending group-commit batch to disk. The barrier
@@ -1265,7 +1118,7 @@ impl<S: RedundancyStrategy<bool>> Coordinator<S> {
         if self.crashed || self.wal.is_none() {
             return;
         }
-        let quiescent = self.tasks.is_empty()
+        let quiescent = self.ledger.open().is_empty()
             && self.seeded.is_empty()
             && self.pending.is_empty()
             && self.rearm.is_empty()
@@ -1301,42 +1154,7 @@ impl<S: RedundancyStrategy<bool>> Coordinator<S> {
         };
         let at = self.stamp();
         let events = self.journal.next_seq();
-        let mut decided: Vec<u32> = self.decided.iter().copied().collect();
-        decided.sort_unstable();
-        let blacklisted: Vec<u32> = (0..self.blacklisted.len() as u32)
-            .filter(|&n| self.blacklisted[n as usize])
-            .collect();
-        let incarnations: Vec<(u32, u32)> = self
-            .incarnations
-            .iter()
-            .enumerate()
-            .filter(|&(_, &inc)| inc > 0)
-            .map(|(n, &inc)| (n as u32, inc))
-            .collect();
-        let quarantines: Vec<(u32, u64)> = self
-            .quarantined_until
-            .iter()
-            .enumerate()
-            .filter_map(|(n, until)| until.map(|t| (n as u32, t.as_micros())))
-            .collect();
-        let discipline: Vec<(u32, (u32, u32, u64, u32))> = self
-            .discipline
-            .iter()
-            .enumerate()
-            .map(|(n, d)| (n as u32, d.to_parts()))
-            .filter(|&(_, parts)| parts != NodeDiscipline::default().to_parts())
-            .collect();
-        let state = CheckpointState {
-            events,
-            last_at: at,
-            next_job: self.next_job,
-            decided,
-            blacklisted,
-            incarnations,
-            quarantines,
-            discipline,
-            report: self.report.clone(),
-        };
+        let state = self.ledger.checkpoint(events, at, &self.report);
         let digest = state.digest();
         if state.store(&checkpoint_path(&path)).is_err() {
             // The old WAL is fully intact — skip this checkpoint and try
@@ -1358,7 +1176,7 @@ impl<S: RedundancyStrategy<bool>> Coordinator<S> {
     }
 
     fn admit(&mut self) {
-        while self.tasks.len() < self.cfg.max_active.max(1) && !self.crashed {
+        while self.ledger.open().len() < self.cfg.max_active.max(1) && !self.crashed {
             if let Some(sub) = self.seeded.pop_front() {
                 self.admit_one(sub);
                 continue;
@@ -1372,7 +1190,8 @@ impl<S: RedundancyStrategy<bool>> Coordinator<S> {
                 }
             }
         }
-        self.active.store(self.tasks.len(), Ordering::Relaxed);
+        self.active
+            .store(self.ledger.open().len(), Ordering::Relaxed);
     }
 
     fn admit_op(&mut self, op: ClientOp) {
@@ -1390,28 +1209,10 @@ impl<S: RedundancyStrategy<bool>> Coordinator<S> {
     }
 
     fn admit_one(&mut self, sub: Submission) {
-        let mut exec = TaskExecution::new(self.strategy.clone());
-        if let Some(cap) = self.cfg.job_cap {
-            exec = exec.with_job_cap(cap);
-        }
-        self.tasks.insert(
-            sub.task,
-            TaskState {
-                exec,
-                payload: sub.payload,
-                verdict_tx: sub.verdict_tx,
-                replicas: 0,
-                timeouts: 0,
-                first_dispatch: None,
-                answers: [None, None],
-                live_jobs: Vec::new(),
-                epoch: 0,
-                poison: TaskDiscipline::default(),
-                returns: Vec::new(),
-                must_audit: false,
-            },
-        );
-        self.active.store(self.tasks.len(), Ordering::Relaxed);
+        self.ledger
+            .attach(sub.task, Delivery::new(sub.payload, sub.verdict_tx));
+        self.active
+            .store(self.ledger.open().len(), Ordering::Relaxed);
         let at = self.stamp();
         self.advance(sub.task, at);
     }
@@ -1419,13 +1220,7 @@ impl<S: RedundancyStrategy<bool>> Coordinator<S> {
     /// Steps the task's strategy until it parks (pending/verdict/cap),
     /// queueing any opened wave's replicas for dispatch.
     fn advance(&mut self, task: u32, at: SimTime) {
-        loop {
-            let step = {
-                let Some(state) = self.tasks.get_mut(&task) else {
-                    return;
-                };
-                state.exec.step_wave()
-            };
+        while let Some(step) = self.ledger.step(task) {
             match step {
                 WaveStep::Wave { wave, jobs } => {
                     // Wave durable before its replicas become dispatchable.
@@ -1440,22 +1235,11 @@ impl<S: RedundancyStrategy<bool>> Coordinator<S> {
                     if !alive {
                         return;
                     }
-                    let state = self.tasks.get_mut(&task).expect("task is live");
-                    let first_replica = state.replicas;
-                    state.replicas += jobs as u32;
-                    for replica in first_replica..first_replica + jobs as u32 {
-                        self.pending.push_back((task, replica));
-                    }
+                    self.pending.extend(std::iter::repeat_n(task, jobs));
                 }
                 WaveStep::Pending => return,
-                WaveStep::Verdict(v) => {
-                    self.finalize(task, Outcome::Verdict(v), at);
-                    return;
-                }
-                WaveStep::Capped { .. } => {
-                    self.finalize(task, Outcome::Capped, at);
-                    return;
-                }
+                WaveStep::Verdict(v) => return self.finalize(task, Outcome::Verdict(v), at),
+                WaveStep::Capped { .. } => return self.finalize(task, Outcome::Capped, at),
             }
         }
     }
@@ -1542,7 +1326,7 @@ impl<S: RedundancyStrategy<bool>> Coordinator<S> {
     /// the same logical jobs the log already counted.
     fn drain_pending(&mut self) {
         while let Some((job, task, replica, epoch)) = self.rearm.pop_front() {
-            let Some(state) = self.tasks.get(&task) else {
+            let Some(state) = self.ledger.open().get(&task) else {
                 continue; // task decided (e.g. poisoned) while parked
             };
             let assignment = JobAssignment {
@@ -1550,7 +1334,7 @@ impl<S: RedundancyStrategy<bool>> Coordinator<S> {
                 task,
                 replica,
                 epoch,
-                payload: state.payload.clone(),
+                payload: state.delivery().payload.clone(),
             };
             match self.dispatch_to_pool(assignment, None) {
                 Ok(worker) => {
@@ -1576,22 +1360,21 @@ impl<S: RedundancyStrategy<bool>> Coordinator<S> {
                 }
             }
         }
-        while let Some((task, replica)) = self.pending.pop_front() {
-            let Some(state) = self.tasks.get(&task) else {
+        while let Some(task) = self.pending.pop_front() {
+            let Some(state) = self.ledger.open().get(&task) else {
                 continue;
             };
-            let job = self.next_job;
-            let epoch = state.epoch;
+            let job = self.ledger.next_job();
+            let (replica, epoch) = (state.dispatched, state.epoch);
             let assignment = JobAssignment {
                 job,
                 task,
                 replica,
                 epoch,
-                payload: state.payload.clone(),
+                payload: state.delivery().payload.clone(),
             };
             match self.dispatch_to_pool(assignment, None) {
                 Ok(worker) => {
-                    self.next_job += 1;
                     let now = Instant::now();
                     let at = self.stamp();
                     let eta = at + SimDuration::from_micros(self.cfg.deadline.as_micros() as u64);
@@ -1608,11 +1391,6 @@ impl<S: RedundancyStrategy<bool>> Coordinator<S> {
                         return;
                     }
                     self.report.total_jobs += 1;
-                    let state = self.tasks.get_mut(&task).expect("checked above");
-                    if state.first_dispatch.is_none() {
-                        state.first_dispatch = Some(at);
-                    }
-                    state.live_jobs.push(job);
                     self.jobs.insert(
                         job,
                         JobInfo {
@@ -1627,9 +1405,8 @@ impl<S: RedundancyStrategy<bool>> Coordinator<S> {
                         .push(Reverse((now + self.cfg.deadline, job, epoch)));
                     self.arm_hedge(job, epoch, now);
                 }
-                Err(assignment) => {
-                    self.pending
-                        .push_front((assignment.task, assignment.replica));
+                Err(_) => {
+                    self.pending.push_front(task);
                     return;
                 }
             }
@@ -1664,24 +1441,23 @@ impl<S: RedundancyStrategy<bool>> Coordinator<S> {
                 continue;
             }
             let (task, origin_worker, replica) = (info.task, info.worker, info.replica);
-            let Some(state) = self.tasks.get(&task) else {
+            let Some(state) = self.ledger.open().get(&task) else {
                 continue;
             };
             if state.epoch != epoch || state.exec.hedges_launched() >= policy.max_per_task as usize
             {
                 continue;
             }
-            let twin = self.next_job;
+            let twin = self.ledger.next_job();
             let assignment = JobAssignment {
                 job: twin,
                 task,
                 replica,
                 epoch,
-                payload: state.payload.clone(),
+                payload: state.delivery().payload.clone(),
             };
             // Best-effort: on Err (every inbox full) the hedge is skipped.
             if let Ok(worker) = self.dispatch_to_pool(assignment, Some(origin_worker)) {
-                self.next_job += 1;
                 let at = self.stamp();
                 let alive = self.log(
                     at,
@@ -1696,9 +1472,6 @@ impl<S: RedundancyStrategy<bool>> Coordinator<S> {
                     return;
                 }
                 self.report.hedges_launched += 1;
-                let state = self.tasks.get_mut(&task).expect("checked above");
-                state.exec.note_hedge();
-                state.live_jobs.push(twin);
                 self.jobs.insert(
                     twin,
                     JobInfo {
@@ -1711,7 +1484,7 @@ impl<S: RedundancyStrategy<bool>> Coordinator<S> {
                 );
                 self.hedge_pair.insert(origin, twin);
                 self.hedge_pair.insert(twin, origin);
-                self.twin_origin.insert(twin, origin);
+                self.twin_origin.insert(twin, (origin, task));
                 self.deadlines
                     .push(Reverse((Instant::now() + self.cfg.deadline, twin, epoch)));
             }
@@ -1787,11 +1560,7 @@ impl<S: RedundancyStrategy<bool>> Coordinator<S> {
             self.hedge_pair.remove(&p);
         }
         let is_twin = self.twin_origin.contains_key(&result.job);
-        let origin_id = self
-            .twin_origin
-            .get(&result.job)
-            .copied()
-            .unwrap_or(result.job);
+        let origin_id = self.origin_of(result.job);
         // A genuine resolution feeds the straggler estimator.
         if let Some(trigger) = self.hedge.as_mut() {
             trigger.observe(at.since(info.dispatched_at).as_units());
@@ -1800,9 +1569,6 @@ impl<S: RedundancyStrategy<bool>> Coordinator<S> {
         // job leaves the map, so its eventual reply drops as stale.
         if let Some(p) = partner.filter(|p| self.jobs.contains_key(p)) {
             self.jobs.remove(&p);
-            if let Some(state) = self.tasks.get_mut(&task) {
-                state.live_jobs.retain(|&j| j != p);
-            }
             if !is_twin && !self.settle_twin(p, task, false, at) {
                 return;
             }
@@ -1822,23 +1588,7 @@ impl<S: RedundancyStrategy<bool>> Coordinator<S> {
         if is_twin && !self.settle_twin(result.job, task, true, at) {
             return;
         }
-        let Some(state) = self.tasks.get_mut(&task) else {
-            return;
-        };
-        state.live_jobs.retain(|&j| j != result.job);
-        state.answers[usize::from(result.vote)] = Some(result.answer);
-        state.exec.record(result.vote);
-        state.returns.push((origin_id, result.worker, result.vote));
-        // A result from a probationary node (fresh out of quarantine)
-        // burns one probation slot and forces an audit of this task's
-        // verdict, whatever the spot draw says.
-        if self.cfg.audit.is_enabled() {
-            if let Some(d) = self.discipline.get_mut(result.worker as usize) {
-                if d.consume_probation() {
-                    state.must_audit = true;
-                }
-            }
-        }
+        let state = self.ledger.note_answer(task, result.vote, result.answer);
         let (leader_count, runner_up) = state.exec.leader_counts();
         let boundary = state.exec.wave_boundary();
         let wave = state.exec.waves() as u32;
@@ -1884,31 +1634,16 @@ impl<S: RedundancyStrategy<bool>> Coordinator<S> {
             self.hedge_pair.remove(&p);
         }
         let is_twin = self.twin_origin.contains_key(&job);
-        let origin_id = self.twin_origin.get(&job).copied().unwrap_or(job);
+        let origin_id = self.origin_of(job);
         if partner.is_some_and(|p| self.jobs.contains_key(&p)) {
             // Suppressed crash: the hedge partner is still flying and will
             // supply the pair's single terminal event, so no
-            // `WorkerCrashed` is journaled — recovery strikes, poisons,
-            // and abandons only on that event, and a lapse the live run
-            // absorbed must not do any of those on replay. The in-place
-            // restart is real, though: log it.
+            // `WorkerCrashed` is journaled — the ledger strikes, charges
+            // poison, and abandons only on that event, and a lapse the
+            // live run absorbed must not do any of those on replay. The
+            // in-place restart is real, though: log it.
             self.jobs.remove(&job);
-            if let Some(state) = self.tasks.get_mut(&task) {
-                state.live_jobs.retain(|&j| j != job);
-            }
-            self.incarnations[worker as usize] += 1;
-            let incarnation = self.incarnations[worker as usize];
-            if !self.log(
-                at,
-                RunEvent::WorkerRestarted {
-                    node: worker,
-                    incarnation,
-                },
-            ) {
-                return;
-            }
-            self.report.worker_restarts += 1;
-            if is_twin {
+            if self.log_restart(worker, at) && is_twin {
                 let _ = self.settle_twin(job, task, false, at);
             }
             return;
@@ -1916,62 +1651,67 @@ impl<S: RedundancyStrategy<bool>> Coordinator<S> {
         if is_twin && !self.settle_twin(job, task, false, at) {
             return;
         }
-        if !self.log(
+        let Some(owed) = self.log_owed(
             at,
             RunEvent::WorkerCrashed {
                 node: worker,
                 job: origin_id,
                 task,
             },
-        ) {
+        ) else {
             return;
-        }
+        };
         self.report.worker_crashes += 1;
-        self.incarnations[worker as usize] += 1;
-        let incarnation = self.incarnations[worker as usize];
-        if !self.log(
-            at,
-            RunEvent::WorkerRestarted {
-                node: worker,
-                incarnation,
-            },
-        ) {
+        if !self.log_restart(worker, at) {
             return;
         }
-        self.report.worker_restarts += 1;
-        self.strike(worker, at);
+        self.enact(owed.discipline, at);
         if self.crashed {
             return;
         }
         self.jobs.remove(&job);
-        let Some(state) = self.tasks.get_mut(&task) else {
-            return;
-        };
-        state.live_jobs.retain(|&j| j != job);
-        let poisoned = match self.cfg.poison {
-            Some(policy) => state.poison.record_crash(&policy),
-            None => {
-                let never = PoisonPolicy {
-                    crash_limit: u32::MAX,
-                };
-                state.poison.record_crash(&never)
-            }
-        };
-        if poisoned {
+        if owed.poison.is_some() {
             self.finalize(task, Outcome::Poisoned, at);
             return;
         }
-        // The replica died without a vote: abandon it and let the
-        // strategy reopen a wave for a fresh replica (a fresh fault draw —
-        // re-running the same replica would crash identically forever).
-        let state = self.tasks.get_mut(&task).expect("task is live");
-        state.exec.abandon(1);
+        // The replica died without a vote: the ledger abandoned it, and
+        // the strategy reopens a wave for a fresh replica (a fresh fault
+        // draw — re-running the same replica would crash identically
+        // forever).
+        let Some(state) = self.ledger.open().get(&task) else {
+            return;
+        };
         let boundary = state.exec.wave_boundary();
         let wave = state.exec.waves() as u32;
         if boundary && !self.log(at, RunEvent::WaveClosed { task, wave }) {
             return;
         }
         self.advance(task, at);
+    }
+
+    /// The job id a pair's terminal events carry: `job`'s origin when it
+    /// is a hedge twin, else `job` itself.
+    fn origin_of(&self, job: u32) -> u32 {
+        self.twin_origin
+            .get(&job)
+            .map_or(job, |&(origin, _)| origin)
+    }
+
+    /// Journals `worker`'s next incarnation (a crash rebuild or a hang
+    /// respawn).
+    fn log_restart(&mut self, worker: u32, at: SimTime) -> bool {
+        let incarnation = self.ledger.node(worker).incarnation + 1;
+        let alive = self.log(
+            at,
+            RunEvent::WorkerRestarted {
+                node: worker,
+                incarnation,
+            },
+        );
+        if alive {
+            self.report.worker_restarts += 1;
+        }
+        alive
     }
 
     /// Respawns workers stuck inside one `execute` call past
@@ -1993,18 +1733,9 @@ impl<S: RedundancyStrategy<bool>> Coordinator<S> {
 
     fn respawn_worker(&mut self, worker: u32) {
         let at = self.stamp();
-        self.incarnations[worker as usize] += 1;
-        let incarnation = self.incarnations[worker as usize];
-        if !self.log(
-            at,
-            RunEvent::WorkerRestarted {
-                node: worker,
-                incarnation,
-            },
-        ) {
+        if !self.log_restart(worker, at) {
             return;
         }
-        self.report.worker_restarts += 1;
         self.pool.respawn(worker);
         // Everything in flight on that worker — the wedged job plus its
         // queued inbox — died with it. Bump each affected task's epoch
@@ -2020,15 +1751,13 @@ impl<S: RedundancyStrategy<bool>> Coordinator<S> {
         let mut bumped: HashSet<u32> = HashSet::new();
         for &(_, task, _) in &lost {
             if bumped.insert(task) {
-                let Some(state) = self.tasks.get_mut(&task) else {
+                let Some(state) = self.ledger.open().get(&task) else {
                     continue;
                 };
                 let epoch = state.epoch + 1;
                 if !self.log(at, RunEvent::EpochAdvanced { task, epoch }) {
                     return;
                 }
-                let state = self.tasks.get_mut(&task).expect("task is live");
-                state.epoch = epoch;
             }
         }
         let mut lost = lost;
@@ -2043,9 +1772,6 @@ impl<S: RedundancyStrategy<bool>> Coordinator<S> {
                     // A hedge twin died with its worker: settle it and let
                     // the origin keep flying — recovery never re-arms
                     // twins, so the live run must not either.
-                    if let Some(state) = self.tasks.get_mut(&task) {
-                        state.live_jobs.retain(|&j| j != job);
-                    }
                     if !self.settle_twin(job, task, false, at) {
                         return;
                     }
@@ -2054,97 +1780,37 @@ impl<S: RedundancyStrategy<bool>> Coordinator<S> {
                 // A hedged origin is re-armed below; its twin is canceled
                 // (its late reply drops as stale) so the re-armed origin
                 // stays the pair's sole voter.
-                if self.jobs.remove(&p).is_some() {
-                    if let Some(state) = self.tasks.get_mut(&task) {
-                        state.live_jobs.retain(|&j| j != p);
-                    }
-                    if !self.settle_twin(p, task, false, at) {
-                        return;
-                    }
+                if self.jobs.remove(&p).is_some() && !self.settle_twin(p, task, false, at) {
+                    return;
                 }
             }
-            let Some(state) = self.tasks.get(&task) else {
+            let Some(state) = self.ledger.open().get(&task) else {
                 continue;
             };
             self.rearm.push_back((job, task, replica, state.epoch));
         }
     }
 
-    /// Charges one node-discipline strike, quarantining or blacklisting
-    /// per policy — but never sidelining the last enabled worker, which
-    /// would livelock the pool.
-    fn strike(&mut self, worker: u32, at: SimTime) {
-        let Some(policy) = self.cfg.discipline else {
+    /// Carries out a discipline action the ledger says a strike earned —
+    /// but never sidelines the last enabled worker, which would livelock
+    /// the pool.
+    fn enact(&mut self, owed: Option<(u32, DisciplineAction)>, at: SimTime) {
+        let Some((worker, action)) = owed else {
             return;
         };
-        let slot = worker as usize;
-        if slot >= self.discipline.len() || self.blacklisted[slot] {
-            return;
-        }
-        let window = self.cfg.strike_window.as_micros() as u64;
-        let action = self.discipline[slot].strike_at(at.as_micros(), window, &policy);
-        self.enact(worker, action, at, policy);
-    }
-
-    /// Charges [`AuditPolicy::strike_weight`] strikes in one blow — an
-    /// audit catching a lie is direct evidence, not a noisy signal like a
-    /// timeout, so it can quarantine immediately.
-    fn strike_weighted(&mut self, worker: u32, at: SimTime) {
-        let Some(policy) = self.cfg.discipline else {
-            return;
-        };
-        let slot = worker as usize;
-        if slot >= self.discipline.len() || self.blacklisted[slot] {
-            return;
-        }
-        let window = self.cfg.strike_window.as_micros() as u64;
-        let weight = self.cfg.audit.strike_weight.max(1);
-        let action =
-            self.discipline[slot].strike_weighted_at(weight, at.as_micros(), window, &policy);
-        self.enact(worker, action, at, policy);
-    }
-
-    /// Enacts a discipline action, never sidelining the last enabled
-    /// worker (which would livelock the pool).
-    fn enact(
-        &mut self,
-        worker: u32,
-        action: DisciplineAction,
-        at: SimTime,
-        policy: QuarantinePolicy,
-    ) {
-        let slot = worker as usize;
-        if action == DisciplineAction::None {
-            return;
-        }
         if self.pool.enabled_count() <= 1 || !self.pool.is_enabled(worker) {
             return; // livelock guard / already sidelined
         }
-        match action {
-            DisciplineAction::None => unreachable!(),
-            DisciplineAction::Quarantine => {
-                if !self.log(at, RunEvent::NodeQuarantined { node: worker }) {
-                    return;
-                }
-                self.pool.set_enabled(worker, false);
-                self.quarantined_until[slot] =
-                    Some(at + SimDuration::from_units(policy.quarantine_units));
-            }
-            DisciplineAction::Blacklist => {
-                let alive = self.log(
-                    at,
-                    RunEvent::NodeDeparted {
-                        node: worker,
-                        reason: DepartureReason::Blacklist,
-                    },
-                );
-                if !alive {
-                    return;
-                }
-                self.pool.set_enabled(worker, false);
-                self.blacklisted[slot] = true;
-                self.quarantined_until[slot] = None;
-            }
+        let event = match action {
+            DisciplineAction::None => return,
+            DisciplineAction::Quarantine => RunEvent::NodeQuarantined { node: worker },
+            DisciplineAction::Blacklist => RunEvent::NodeDeparted {
+                node: worker,
+                reason: DepartureReason::Blacklist,
+            },
+        };
+        if self.log(at, event) {
+            self.pool.set_enabled(worker, false);
         }
     }
 
@@ -2155,20 +1821,15 @@ impl<S: RedundancyStrategy<bool>> Coordinator<S> {
         }
         let now = self.stamp();
         for worker in self.pool.node_ids() {
-            let slot = worker as usize;
-            if let Some(until) = self.quarantined_until[slot] {
-                if now >= until {
-                    if !self.log(now, RunEvent::NodeReleased { node: worker }) {
-                        return;
-                    }
-                    self.quarantined_until[slot] = None;
-                    self.pool.set_enabled(worker, true);
-                    // Probationary re-admission: the node's next results
-                    // force audits until it has proven itself again.
-                    if self.cfg.audit.is_enabled() {
-                        self.discipline[slot].begin_probation(self.cfg.audit.probation_audits);
-                    }
+            let due = self.ledger.node(worker).quarantined_until;
+            if due.is_some_and(|until| now >= until) {
+                // Probationary re-admission (the ledger starts it): the
+                // node's next results force audits until it has proven
+                // itself again.
+                if !self.log(now, RunEvent::NodeReleased { node: worker }) {
+                    return;
                 }
+                self.pool.set_enabled(worker, true);
             }
         }
     }
@@ -2197,11 +1858,8 @@ impl<S: RedundancyStrategy<bool>> Coordinator<S> {
                 self.hedge_pair.remove(&p);
             }
             let is_twin = self.twin_origin.contains_key(&job);
-            let origin_id = self.twin_origin.get(&job).copied().unwrap_or(job);
+            let origin_id = self.origin_of(job);
             if partner.is_some_and(|p| self.jobs.contains_key(&p)) {
-                if let Some(state) = self.tasks.get_mut(&task) {
-                    state.live_jobs.retain(|&j| j != job);
-                }
                 if is_twin && !self.settle_twin(job, task, false, at) {
                     return;
                 }
@@ -2215,28 +1873,25 @@ impl<S: RedundancyStrategy<bool>> Coordinator<S> {
             if is_twin && !self.settle_twin(job, task, false, at) {
                 return;
             }
-            if !self.log(
+            // The ledger charges the timeout, abandons the replica and
+            // strikes the node on this record.
+            let Some(owed) = self.log_owed(
                 at,
                 RunEvent::JobTimedOut {
                     job: origin_id,
                     task,
                     node: info.worker,
                 },
-            ) {
+            ) else {
                 return;
-            }
+            };
             self.report.timeouts += 1;
-            self.strike(info.worker, at);
+            self.enact(owed.discipline, at);
             if self.crashed {
                 return;
             }
-            let Some(state) = self.tasks.get_mut(&task) else {
-                continue;
-            };
-            state.live_jobs.retain(|&j| j != job);
-            state.timeouts += 1;
+            let state = &self.ledger.open()[&task];
             let attempt = state.timeouts;
-            state.exec.abandon(1);
             let boundary = state.exec.wave_boundary();
             let wave = state.exec.waves() as u32;
             // Reissue semantics: the abandoned replica is replaced by a
@@ -2269,8 +1924,8 @@ impl<S: RedundancyStrategy<bool>> Coordinator<S> {
         // comparison against the recomputation is exactly its vote bit —
         // which keeps audit outcomes a pure function of the journaled
         // stream, replayable after a crash.
-        let state = self.tasks.get(&task).expect("auditing a live task");
-        let _honest = state.payload.execute();
+        let state = &self.ledger.open()[&task];
+        let _honest = state.delivery().payload.execute();
         let liars: Vec<(u32, u32)> = state
             .returns
             .iter()
@@ -2278,20 +1933,15 @@ impl<S: RedundancyStrategy<bool>> Coordinator<S> {
             .map(|&(job, node, _)| (job, node))
             .collect();
         if liars.is_empty() {
-            if !self.log(at, RunEvent::AuditPassed { task }) {
-                return false;
-            }
-            let state = self.tasks.get_mut(&task).expect("task is live");
-            state.must_audit = false;
-            return true;
+            return self.log(at, RunEvent::AuditPassed { task });
         }
         for &(_, node) in &liars {
-            if !self.log(at, RunEvent::AuditFailed { task, node }) {
+            let Some(owed) = self.log_owed(at, RunEvent::AuditFailed { task, node }) else {
                 return false;
-            }
+            };
             self.report.audit_failures += 1;
             self.escalated = true;
-            self.strike_weighted(node, at);
+            self.enact(owed.discipline, at);
             if self.crashed {
                 return false;
             }
@@ -2300,18 +1950,18 @@ impl<S: RedundancyStrategy<bool>> Coordinator<S> {
         // trusted — re-tally every open task they touched from scratch.
         let caught: HashSet<u32> = liars.iter().map(|&(_, node)| node).collect();
         let mut touched: Vec<u32> = self
-            .tasks
+            .ledger
+            .open()
             .iter()
             .filter(|(&t, s)| t != task && s.returns.iter().any(|&(_, n, _)| caught.contains(&n)))
             .map(|(&t, _)| t)
             .collect();
         touched.sort_unstable();
         for t in touched {
-            if !self.log(at, RunEvent::TaskRetallied { task: t }) {
+            if !self.void_attempt(t, RunEvent::TaskRetallied { task: t }, at) {
                 return false;
             }
             self.report.tasks_retallied += 1;
-            self.purge_and_reset(t, at);
             self.advance(t, at);
             if self.crashed {
                 return false;
@@ -2319,48 +1969,61 @@ impl<S: RedundancyStrategy<bool>> Coordinator<S> {
         }
         if value {
             // Liars voted, but the tally's winner matches the
-            // recomputation: the verdict stands. (The task leaves `tasks`
-            // at finalize, so its `must_audit` flag dies with it.)
+            // recomputation: the verdict stands. (The task leaves the
+            // ledger at finalize, so its `must_audit` flag dies with it.)
             return true;
         }
         // The coalition won the tally: the would-be verdict contradicts
         // the recomputation. Void it before acceptance and re-run the
         // task — no `VerdictReached` is ever logged for this attempt.
-        if !self.log(at, RunEvent::VerdictVoided { task }) {
-            return false;
+        if self.void_attempt(task, RunEvent::VerdictVoided { task }, at) {
+            self.report.verdicts_voided += 1;
+            self.advance(task, at);
         }
-        self.report.verdicts_voided += 1;
-        self.purge_and_reset(task, at);
-        self.advance(task, at);
         false
     }
 
-    /// Voids a task's accumulated evidence: drops its in-flight jobs
-    /// (their late replies become stale via the job-map freshness check),
-    /// resets the strategy state to wave 1 with a fresh job budget, and
-    /// forgets recorded returns. Replica ordinals and epochs stay monotone
-    /// so fault draws never repeat across attempts.
-    fn purge_and_reset(&mut self, task: u32, at: SimTime) {
-        let live: Vec<u32> = match self.tasks.get_mut(&task) {
-            Some(state) => state.live_jobs.drain(..).collect(),
-            None => return,
-        };
-        for job in live {
-            self.jobs.remove(&job);
-            if let Some(p) = self.hedge_pair.remove(&job) {
+    /// Voids a task's current attempt under `event` (`VerdictVoided` or
+    /// `TaskRetallied`): the ledger burns the attempt's evidence and
+    /// resets the strategy to wave 1 with a fresh job budget; here its
+    /// jobs are dropped and its parked dispatches forgotten. Replica
+    /// ordinals and epochs stay monotone so fault draws never repeat
+    /// across attempts. Returns `log`'s aliveness.
+    fn void_attempt(&mut self, task: u32, event: RunEvent, at: SimTime) -> bool {
+        let origins = self.ledger.open()[&task].in_flight.clone();
+        if !self.log(at, event) {
+            return false;
+        }
+        self.pending.retain(|&t| t != task);
+        self.rearm.retain(|&(_, t, _, _)| t != task);
+        self.cancel_jobs(task, &origins, at)
+    }
+
+    /// Drops every job of `task` still flying — `origins`, its unresolved
+    /// replicas, and any hedge twin — so their late replies fail the
+    /// job-map freshness check, and settles the twins as wasted, in job
+    /// order. Returns `log`'s aliveness.
+    fn cancel_jobs(&mut self, task: u32, origins: &[(u32, u32)], at: SimTime) -> bool {
+        for (job, _) in origins {
+            self.jobs.remove(job);
+            if let Some(p) = self.hedge_pair.remove(job) {
                 self.hedge_pair.remove(&p);
             }
-            if self.twin_origin.contains_key(&job) && !self.settle_twin(job, task, false, at) {
-                return;
+        }
+        let mut twins: Vec<u32> = self
+            .twin_origin
+            .iter()
+            .filter(|&(_, &(_, t))| t == task)
+            .map(|(&twin, _)| twin)
+            .collect();
+        twins.sort_unstable();
+        for twin in twins {
+            self.jobs.remove(&twin);
+            if !self.settle_twin(twin, task, false, at) {
+                return false;
             }
         }
-        let state = self.tasks.get_mut(&task).expect("checked above");
-        state.exec.reset();
-        state.returns.clear();
-        state.answers = [None, None];
-        state.must_audit = false;
-        self.pending.retain(|&(t, _)| t != task);
-        self.rearm.retain(|&(_, t, _, _)| t != task);
+        true
     }
 
     fn finalize(&mut self, task: u32, outcome: Outcome, at: SimTime) {
@@ -2369,7 +2032,7 @@ impl<S: RedundancyStrategy<bool>> Coordinator<S> {
         // locally, and a tainted verdict is voided instead of delivered.
         if let Outcome::Verdict(value) = outcome {
             if self.cfg.audit.is_enabled() {
-                let flagged = self.tasks.get(&task).is_some_and(|s| s.must_audit);
+                let flagged = self.ledger.open()[&task].must_audit;
                 let selected = flagged
                     || self
                         .cfg
@@ -2394,33 +2057,25 @@ impl<S: RedundancyStrategy<bool>> Coordinator<S> {
             Outcome::Capped => RunEvent::TaskCapped { task },
             Outcome::Poisoned => RunEvent::TaskPoisoned {
                 task,
-                crashes: self.tasks[&task].poison.crashes(),
+                crashes: self.ledger.open()[&task].poison.crashes(),
             },
         };
-        let mut alive = self.log(at, event);
-        if alive {
-            // The decision must be fsync-durable before any side effect,
-            // whatever the group-commit batch says. A failed commit kills
-            // the coordinator, and the decision must then not be
-            // delivered — recovery re-runs the task from the prefix.
-            self.commit_wal();
-            alive = !self.crashed;
-        }
-        let state = self.tasks.remove(&task).expect("finalizing a live task");
-        for &job in &state.live_jobs {
-            self.jobs.remove(&job);
-            if let Some(p) = self.hedge_pair.remove(&job) {
-                self.hedge_pair.remove(&p);
-            }
-            if alive && self.twin_origin.contains_key(&job) {
-                let _ = self.settle_twin(job, task, false, at);
-            }
-        }
-        self.active.store(self.tasks.len(), Ordering::Relaxed);
-        if !alive {
+        if !self.log(at, event) {
             return;
         }
-        self.decided.insert(task);
+        // The decision must be fsync-durable before any side effect,
+        // whatever the group-commit batch says. A failed commit kills
+        // the coordinator, and the decision must then not be
+        // delivered — recovery re-runs the task from the prefix.
+        self.commit_wal();
+        if self.crashed {
+            return;
+        }
+        let state = self.ledger.take_closed().expect("finalizing a live task");
+        let _ = self.cancel_jobs(task, &state.in_flight, at);
+        self.active
+            .store(self.ledger.open().len(), Ordering::Relaxed);
+        let delivery = state.delivery();
         let jobs = state.exec.jobs_deployed();
         let latency = match state.first_dispatch {
             Some(started) => at.since(started).as_units(),
@@ -2435,10 +2090,10 @@ impl<S: RedundancyStrategy<bool>> Coordinator<S> {
                 self.report.jobs_per_task.record(jobs as f64);
                 self.report.waves_per_task.record(state.exec.waves() as f64);
                 self.report.response_time.record(latency);
-                let _ = state.verdict_tx.send(TaskVerdict {
+                let _ = delivery.verdict_tx.send(TaskVerdict {
                     task,
                     vote: Some(value),
-                    answer: state.answers[usize::from(value)],
+                    answer: delivery.answers[usize::from(value)],
                     poisoned: false,
                     latency_units: latency,
                     jobs: jobs as u32,
@@ -2446,7 +2101,7 @@ impl<S: RedundancyStrategy<bool>> Coordinator<S> {
             }
             Outcome::Capped => {
                 self.report.tasks_capped += 1;
-                let _ = state.verdict_tx.send(TaskVerdict {
+                let _ = delivery.verdict_tx.send(TaskVerdict {
                     task,
                     vote: None,
                     answer: None,
@@ -2457,7 +2112,7 @@ impl<S: RedundancyStrategy<bool>> Coordinator<S> {
             }
             Outcome::Poisoned => {
                 self.report.tasks_poisoned += 1;
-                let _ = state.verdict_tx.send(TaskVerdict {
+                let _ = delivery.verdict_tx.send(TaskVerdict {
                     task,
                     vote: None,
                     answer: None,

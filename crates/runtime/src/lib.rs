@@ -21,8 +21,13 @@
 //! * [`workload`] — the job payloads replicas execute;
 //! * [`report`] — live metrics plus [`report_from_journal`], the exact
 //!   replay cross-check;
-//! * [`recovery`] — WAL replay: rebuilds full coordinator state from a
-//!   journal prefix so [`Runtime::recover`] can resume a crashed run;
+//! * `ledger` — the state the WAL determines (open tasks, the decided
+//!   set, node supervision, the job-id cursor) and the one `apply` that
+//!   mutates it: the live coordinator applies each event as it logs it,
+//!   and [`Runtime::recover`] replays the WAL prefix through the same
+//!   code;
+//! * [`recovery`] — what recovery reports: [`RecoveryError`] and
+//!   [`RecoveryReport`];
 //! * [`checkpoint`] — checksummed coordinator snapshots taken at
 //!   quiescence so recovery replays snapshot + WAL suffix instead of the
 //!   whole history, and old WAL segments can be truncated;
@@ -99,6 +104,7 @@
 
 pub mod checkpoint;
 pub mod coordinator;
+mod ledger;
 pub mod recovery;
 pub mod report;
 pub mod shard;

@@ -276,11 +276,149 @@ fn double_crash_still_converges() {
 
     let (run, _, rec) = recover_chaos(chaos_cfg(Some(wal.clone())), &tasks);
     assert!(!run.crashed);
-    assert!(rec.events_replayed as u64 >= events / 2);
+    assert!(rec.events_replayed as u64 >= 2 * (events / 4));
     assert_eq!(shape(&run.journal), golden_shape);
     for (task, count) in decisions_per_task(&run.journal) {
         assert_eq!(count, 1, "task {task} must be decided exactly once");
     }
+    assert_eq!(report_from_journal(&run.journal), run.report);
+    let _ = std::fs::remove_file(&wal);
+}
+
+/// Cuts a WAL file down to its first `events` records — a coordinator
+/// kill at exactly that point, independent of thread scheduling.
+fn truncate_wal(wal: &std::path::Path, events: usize) {
+    let text = std::fs::read_to_string(wal).unwrap();
+    let keep: usize = text.split_inclusive('\n').take(events).map(str::len).sum();
+    std::fs::write(wal, &text[..keep]).unwrap();
+}
+
+/// The poison window: a coordinator killed after the crash that reaches
+/// `crash_limit` (and the restart logged with it) but before its
+/// `TaskPoisoned` still owes that poisoning. Recovery must carry it out —
+/// not reopen a wave for a replica the live run would never have sent.
+#[test]
+fn poisoning_cut_off_by_a_crash_is_carried_out_on_recovery() {
+    quiet_injected_panics();
+    let tasks = roster(10);
+    let wal = wal_path("poison-window");
+    let (full, _) = run_roster(chaos_cfg(Some(wal.clone())), &tasks);
+    assert!(!full.crashed);
+    let events = full.journal.events();
+    let poisoned = events
+        .iter()
+        .find_map(|e| match e.event {
+            RunEvent::TaskPoisoned { task, .. } => Some(task),
+            _ => None,
+        })
+        .expect("a 15% crash rate poisons some task at crash_limit 2");
+    let limit = chaos_cfg(None).poison.unwrap().crash_limit;
+    let last_crash = events
+        .iter()
+        .enumerate()
+        .filter(
+            |(_, e)| matches!(e.event, RunEvent::WorkerCrashed { task, .. } if task == poisoned),
+        )
+        .nth(limit as usize - 1)
+        .map(|(i, _)| i)
+        .expect("poisoning follows crash_limit crashes");
+    assert!(matches!(
+        events[last_crash + 1].event,
+        RunEvent::WorkerRestarted { .. }
+    ));
+    let cut = last_crash + 2;
+    truncate_wal(&wal, cut);
+
+    let (run, _, rec) = recover_chaos(chaos_cfg(Some(wal.clone())), &tasks);
+    assert_eq!(rec.events_replayed, cut);
+    let after = &run.journal.events()[cut..];
+    assert!(
+        after.iter().any(|e| matches!(
+            e.event,
+            RunEvent::TaskPoisoned { task, crashes } if task == poisoned && crashes == limit
+        )),
+        "task {poisoned} must be poisoned after the cut"
+    );
+    for e in after {
+        assert!(
+            !matches!(
+                e.event,
+                RunEvent::WaveOpened { task, .. } | RunEvent::JobDispatched { task, .. }
+                    if task == poisoned
+            ),
+            "task {poisoned} got new work after its last crash: {:?}",
+            e.event
+        );
+    }
+    assert_eq!(shape(&run.journal), shape(&full.journal));
+    assert_eq!(report_from_journal(&run.journal), run.report);
+    let _ = std::fs::remove_file(&wal);
+}
+
+/// The discipline window, same mechanism: a coordinator killed right
+/// after the timeout whose strike crosses the quarantine threshold still
+/// owes the quarantine, and pays it before the node gets new work.
+#[test]
+fn quarantine_cut_off_by_a_crash_is_carried_out_on_recovery() {
+    use smartred_core::resilience::QuarantinePolicy;
+    let tasks = roster(12);
+    let cfg = |wal: PathBuf| RuntimeConfig {
+        workers: Some(4),
+        deadline: Duration::from_millis(40),
+        // Two timeouts quarantine, for longer than the test runs.
+        discipline: Some(QuarantinePolicy {
+            strike_limit: 2,
+            quarantine_units: 60.0,
+            blacklist_after: u32::MAX,
+        }),
+        strike_window: Duration::from_secs(60),
+        ..chaos_cfg(Some(wal))
+    };
+    let make_worker = |_| {
+        let hangs = FaultProfile {
+            hang_rate: 0.3,
+            ..FaultProfile::default()
+        };
+        Box::new(FaultyWorker::new(SEED, hangs)) as Box<dyn Worker>
+    };
+    let strategy = || Traditional::new(KVotes::new(3).unwrap());
+
+    let wal = wal_path("discipline-window");
+    let runtime = Runtime::start(cfg(wal.clone()), strategy(), make_worker);
+    let client = runtime.client();
+    submit_all(&client, &tasks);
+    drain_verdicts(&client);
+    drop(client);
+    let full = runtime.finish();
+    // With all four workers enabled the livelock guard cannot waive the
+    // first quarantine, so its record directly follows the crossing strike.
+    let events = full.journal.events();
+    let quarantine = events
+        .iter()
+        .position(|e| matches!(e.event, RunEvent::NodeQuarantined { .. }))
+        .expect("a 30% hang rate earns some worker two timeouts");
+    let RunEvent::NodeQuarantined { node } = events[quarantine].event else {
+        unreachable!()
+    };
+    assert!(matches!(
+        events[quarantine - 1].event,
+        RunEvent::JobTimedOut { node: n, .. } if n == node
+    ));
+    truncate_wal(&wal, quarantine);
+
+    let (runtime, client, rec) =
+        Runtime::recover(cfg(wal.clone()), strategy(), make_worker, &tasks).expect("WAL recovery");
+    assert_eq!(rec.events_replayed, quarantine);
+    drain_verdicts(&client);
+    drop(client);
+    let run = runtime.finish();
+    // Paid before anything else — so before any new work reaches the node.
+    assert_eq!(
+        run.journal.events()[quarantine].event,
+        RunEvent::NodeQuarantined { node },
+        "the owed quarantine must be the first record after the cut"
+    );
+    assert_eq!(run.report.tasks_completed, tasks.len());
     assert_eq!(report_from_journal(&run.journal), run.report);
     let _ = std::fs::remove_file(&wal);
 }
