@@ -335,6 +335,8 @@ struct World {
     discipline: Vec<NodeDiscipline>,
     /// Hosts currently out of the scheduler (quarantined or blacklisted).
     quarantined: Vec<bool>,
+    /// Blacklisted hosts: quarantined for good, never struck or released.
+    banned: Vec<bool>,
     /// Online latency-quantile trigger for straggler hedging (`cfg.hedge`).
     hedge: Option<HedgeTrigger>,
     /// Dispatch time of every job, indexed by job id — feeds the hedge
@@ -482,6 +484,7 @@ fn run_inner(
         response_units: vec![0.0; config.tasks],
         discipline: vec![NodeDiscipline::default(); config.hosts],
         quarantined: vec![false; config.hosts],
+        banned: vec![false; config.hosts],
         hedge: config
             .hedge
             .map(|p| HedgeTrigger::new(p).expect("hedge policy validated above")),
@@ -1010,6 +1013,9 @@ fn strike_host(world: &mut World, sim: &mut Sim, host: usize) {
     let Some(policy) = world.cfg.quarantine else {
         return;
     };
+    if world.banned[host] {
+        return;
+    }
     match world.discipline[host].strike(&policy) {
         DisciplineAction::None => {}
         DisciplineAction::Quarantine => {
@@ -1019,14 +1025,22 @@ fn strike_host(world: &mut World, sim: &mut Sim, host: usize) {
             sim.schedule_in(
                 SimDuration::from_units(policy.quarantine_units),
                 move |world, sim| {
+                    // A host blacklisted while this term ran stays out.
+                    if world.banned[host] {
+                        return;
+                    }
                     sim.emit(RunEvent::NodeReleased { node: host as u32 });
-                    world.quarantined[host] = false;
+                    // Idempotent: an earlier timer may already have
+                    // released the host (a strike landing on a quarantined
+                    // host journals a second quarantine and arms a second
+                    // timer, but does not extend the term).
+                    let was_out = std::mem::take(&mut world.quarantined[host]);
                     // Re-admission is probationary: the host's next results
                     // each flag their workunit for a mandatory audit.
                     if world.cfg.audit.is_enabled() {
                         world.discipline[host].begin_probation(world.cfg.audit.probation_audits);
                     }
-                    if !world.hosts[host].busy {
+                    if was_out && !world.hosts[host].busy {
                         world.idle.push(host);
                     }
                     pump(world, sim);
@@ -1041,6 +1055,7 @@ fn strike_host(world: &mut World, sim: &mut Sim, host: usize) {
                 node: host as u32,
                 reason: DepartureReason::Blacklist,
             });
+            world.banned[host] = true;
             quarantine_host(world, host);
         }
     }
@@ -1359,13 +1374,17 @@ mod tests {
     fn audit_layer_beats_replication_against_a_cartel() {
         use smartred_core::audit::{AuditPolicy, Cartel};
 
-        // A 40% coalition lying on a quarter of the workunits. Plain
-        // replication accepts whatever the coalition swings; the audit
-        // layer recomputes a sample, convicts the liars, and voids the
-        // verdicts they carried.
+        // Honest hosts are perfect; the only wrong votes come from a 40%
+        // coalition lying on a quarter of the workunits. Plain replication
+        // accepts whatever the coalition swings; the audit layer
+        // recomputes a sample, convicts the liars, and voids the verdicts
+        // they carried. (With faulty honest hosts every wrong vote is a
+        // convictable lie and discipline blacklists the whole pool.)
         let base = |audit: AuditPolicy| {
             let mut cfg = small_config(40);
             cfg.tasks = 800;
+            cfg.profile.seeded_fault_rate = 0.0;
+            cfg.profile.platform_fault_rate = 0.0;
             cfg.cartel = Some(Cartel::new(24, 0.25));
             cfg.quarantine = Some(QuarantinePolicy::default());
             cfg.audit = audit;
@@ -1377,6 +1396,7 @@ mod tests {
         assert_eq!(plain.verdicts_voided, 0);
 
         let audited = run(s(), &base(AuditPolicy::spot(0.15))).unwrap();
+        assert!(audited.verdicts.iter().all(|v| v.accepted.is_some()));
         assert!(audited.audits > 0);
         assert!(audited.audit_failures > 0);
         assert!(audited.verdicts_voided > 0);
@@ -1413,6 +1433,8 @@ mod tests {
         use smartred_core::audit::{AuditPolicy, Cartel};
 
         let mut cfg = small_config(41);
+        cfg.profile.seeded_fault_rate = 0.0;
+        cfg.profile.platform_fault_rate = 0.0;
         cfg.cartel = Some(Cartel::new(20, 0.3));
         cfg.quarantine = Some(QuarantinePolicy::default());
         cfg.audit = AuditPolicy::spot(0.2);
@@ -1421,6 +1443,7 @@ mod tests {
         let b = run(s(), &cfg).unwrap();
         assert_eq!(a, b);
         assert!(a.audits > 0);
+        assert!(a.verdicts.iter().all(|v| v.accepted.is_some()));
     }
 
     #[test]

@@ -5,6 +5,7 @@
 
 use std::rc::Rc;
 
+use smartred_core::audit::{AuditPolicy, Cartel};
 use smartred_core::params::{KVotes, VoteMargin};
 use smartred_core::resilience::{QuarantinePolicy, RetryPolicy};
 use smartred_core::strategy::{Iterative, Traditional};
@@ -260,4 +261,57 @@ fn reissue_timeouts_are_followed_by_redeployment() {
         )
         .count(EventKind::JobRetried)
         .exactly(0);
+}
+
+#[test]
+fn a_blacklisted_host_stays_out() {
+    // Audit strikes land on hosts that are already quarantined, so a host
+    // can be blacklisted while a release timer is pending and while liars'
+    // old votes are still being audited: neither may bring it back.
+    for seed in 40..44 {
+        let mut cfg = small_config(seed);
+        cfg.tasks = 300;
+        cfg.cartel = Some(Cartel::new(24, 0.25));
+        cfg.quarantine = Some(QuarantinePolicy::default());
+        cfg.audit = AuditPolicy::spot(0.15);
+        let strategy: SharedStrategy = Rc::new(Traditional::new(KVotes::new(3).unwrap()));
+        let (report, journal) = run_journaled(strategy, &cfg).unwrap();
+        assert!(report.blacklisted > 0, "seed {seed}: nobody blacklisted");
+        assert!(report.blacklisted <= cfg.hosts as u64, "seed {seed}");
+        // Per host the seq of its blacklisting; per job the seq of its launch.
+        let mut gone = std::collections::HashMap::new();
+        let mut launched = std::collections::HashMap::new();
+        for e in journal.events() {
+            let out = |node: u32| gone.get(&node).copied();
+            match e.event {
+                RunEvent::NodeDeparted { node, .. } => {
+                    assert!(out(node).is_none(), "seed {seed}: {node} departed twice");
+                    gone.insert(node, e.seq);
+                }
+                RunEvent::NodeReleased { node } | RunEvent::NodeQuarantined { node } => {
+                    assert!(
+                        out(node).is_none(),
+                        "seed {seed}: {:?} after blacklist",
+                        e.event
+                    );
+                }
+                RunEvent::JobDispatched { job, node, .. } => {
+                    assert!(out(node).is_none(), "seed {seed}: job {job} sent to {node}");
+                    launched.insert(job, e.seq);
+                }
+                RunEvent::HedgeLaunched { job, .. } => {
+                    launched.insert(job, e.seq);
+                }
+                // A job in flight at the blacklisting may still report.
+                RunEvent::JobReturned { job, node, .. }
+                | RunEvent::JobTimedOut { job, node, .. } => {
+                    assert!(
+                        out(node).is_none_or(|at| launched[&job] < at),
+                        "seed {seed}: job {job} launched on blacklisted host {node}"
+                    );
+                }
+                _ => {}
+            }
+        }
+    }
 }

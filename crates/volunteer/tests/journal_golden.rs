@@ -41,7 +41,7 @@ const PINS: [(&str, &str, &str); 10] = [
     ("ir-d4", "4ea77f8a16ff95ab", "b04fe90ebe8e8bdd"),
     ("reissue", "fc5d042e02107a0a", "029f83c75383738f"),
     ("retry-quarantine", "f30cb8dd617d470b", "42e8cee90889d8d2"),
-    ("audit-quarantine", "4447e265bacacf4d", "a05d4377068b852b"),
+    ("audit-quarantine", "dd7095e561f4a26e", "c22387355b52e18b"),
     ("hedged-random", "fc2d5672b78bf089", "39a2966f2a185f31"),
     ("hedged-round-robin", "5718c0e7f8c1f9e1", "ae52470fd2949fdf"),
     ("hedged-leastload", "40f2416b6f25580d", "337c53785147f91f"),
