@@ -26,6 +26,8 @@ pub struct Node {
     /// Whether the node is serving a quarantine (alive but excluded from
     /// assignment).
     pub quarantined: bool,
+    /// Whether that quarantine is for good (see [`NodePool::ban`]).
+    pub banned: bool,
     /// Strike/quarantine counters for the discipline policy.
     pub discipline: NodeDiscipline,
     /// The job currently executing on this node, if any.
@@ -115,6 +117,7 @@ impl NodePool {
             speed,
             alive: true,
             quarantined: false,
+            banned: false,
             discipline: NodeDiscipline::default(),
             current_job: None,
             assigned: 0,
@@ -180,45 +183,66 @@ impl NodePool {
         self.idle_pos[index] = None;
     }
 
-    /// Selects a random idle node not in `exclude`, marks it busy, and
-    /// returns it.
+    /// The idle nodes, in the pool's internal (swap-remove) order.
+    pub fn idle_nodes(&self) -> &[NodeIndex] {
+        &self.idle
+    }
+
+    /// Marks an idle node busy: it leaves the idle set and its assignment
+    /// count advances.
+    pub fn claim(&mut self, index: NodeIndex) {
+        self.remove_idle(index);
+        self.nodes[index].current_job = None;
+        self.nodes[index].assigned += 1;
+    }
+
+    /// Whether the "no two jobs of a task on one node" exclusion is waived:
+    /// the task has already touched as many nodes as are alive (a task
+    /// larger than the pool), and insisting would deadlock.
+    pub fn waives_exclusion(&self, exclude: &[NodeIndex]) -> bool {
+        exclude.len() >= self.alive_count
+    }
+
+    /// Picks a random idle node not in `exclude` without claiming it.
     ///
     /// The exclusion implements "independent, randomly chosen nodes": a node
-    /// never runs two jobs of the same task. If every idle node is excluded
-    /// but the exclusion already spans the whole pool (a task larger than
-    /// the pool), the constraint is waived — the alternative would deadlock.
-    pub fn claim_random_idle<R: Rng + ?Sized>(
-        &mut self,
+    /// never runs two jobs of the same task, unless
+    /// [`waives_exclusion`](Self::waives_exclusion) applies.
+    pub fn pick_random_idle<R: Rng + ?Sized>(
+        &self,
         exclude: &[NodeIndex],
         rng: &mut R,
     ) -> Option<NodeIndex> {
         if self.idle.is_empty() {
             return None;
         }
-        let waive_exclusion = exclude.len() >= self.alive_count;
+        let waive = self.waives_exclusion(exclude);
+        let eligible = |candidate: &NodeIndex| waive || !exclude.contains(candidate);
         // A few random probes first (fast path for large pools)…
         for _ in 0..8 {
             let candidate = self.idle[rng.gen_range(0..self.idle.len())];
-            if waive_exclusion || !exclude.contains(&candidate) {
-                self.remove_idle(candidate);
-                self.nodes[candidate].current_job = None;
-                self.nodes[candidate].assigned += 1;
+            if eligible(&candidate) {
                 return Some(candidate);
             }
         }
         // …then an exhaustive scan starting at a random offset so small
         // pools stay unbiased.
         let start = rng.gen_range(0..self.idle.len());
-        for i in 0..self.idle.len() {
-            let candidate = self.idle[(start + i) % self.idle.len()];
-            if waive_exclusion || !exclude.contains(&candidate) {
-                self.remove_idle(candidate);
-                self.nodes[candidate].current_job = None;
-                self.nodes[candidate].assigned += 1;
-                return Some(candidate);
-            }
-        }
-        None
+        (0..self.idle.len())
+            .map(|i| self.idle[(start + i) % self.idle.len()])
+            .find(eligible)
+    }
+
+    /// Selects a random idle node not in `exclude`, marks it busy, and
+    /// returns it.
+    pub fn claim_random_idle<R: Rng + ?Sized>(
+        &mut self,
+        exclude: &[NodeIndex],
+        rng: &mut R,
+    ) -> Option<NodeIndex> {
+        let candidate = self.pick_random_idle(exclude, rng)?;
+        self.claim(candidate);
+        Some(candidate)
     }
 
     /// Selects an idle node under the given assignment `policy`, marks it
@@ -242,7 +266,7 @@ impl NodePool {
         if self.idle.is_empty() {
             return None;
         }
-        let waive_exclusion = exclude.len() >= self.alive_count;
+        let waive_exclusion = self.waives_exclusion(exclude);
         let mut eligible: Vec<u32> = self
             .idle
             .iter()
@@ -263,9 +287,7 @@ impl NodePool {
         let pos = policy.pick(&eligible, &loads, self.rr_cursor, 0);
         let candidate = eligible[pos] as usize;
         self.rr_cursor = eligible[pos].wrapping_add(1);
-        self.remove_idle(candidate);
-        self.nodes[candidate].current_job = None;
-        self.nodes[candidate].assigned += 1;
+        self.claim(candidate);
         Some(candidate)
     }
 
@@ -294,10 +316,18 @@ impl NodePool {
         }
     }
 
+    /// Quarantines a node for good — the volunteer server's blacklist: the
+    /// host stays in the table (and finishes any running job) but
+    /// [`unquarantine`](Self::unquarantine) never readmits it.
+    pub fn ban(&mut self, index: NodeIndex) {
+        self.quarantine(index);
+        self.nodes[index].banned = true;
+    }
+
     /// Ends a node's quarantine, returning it to the idle set if it is
-    /// alive and not mid-job. Idempotent.
+    /// alive and not mid-job. Idempotent; a no-op for banned nodes.
     pub fn unquarantine(&mut self, index: NodeIndex) {
-        if !self.nodes[index].quarantined {
+        if !self.nodes[index].quarantined || self.nodes[index].banned {
             return;
         }
         self.nodes[index].quarantined = false;
@@ -560,6 +590,7 @@ mod tests {
             speed: 1.0,
             alive: true,
             quarantined: false,
+            banned: false,
             discipline: NodeDiscipline::default(),
             current_job: None,
             assigned: 0,
@@ -597,6 +628,19 @@ mod tests {
         assert_eq!(p.idle_count(), 0);
         p.unquarantine(n);
         assert_eq!(p.idle_count(), 1);
+        p.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn a_banned_node_is_never_readmitted() {
+        let (mut p, mut rng) = pool(2);
+        let n = p.claim_random_idle(&[], &mut rng).unwrap();
+        p.ban(n);
+        // Neither finishing its job nor a pending release brings it back.
+        p.release(n);
+        p.unquarantine(n);
+        assert_eq!(p.idle_count(), 1);
+        assert_eq!(p.alive_count(), 2);
         p.check_invariants().unwrap();
     }
 

@@ -1,9 +1,17 @@
-//! The event-driven DCA model of Figure 1.
+//! The event-driven DCA model of Figure 1, and the one task lifecycle it
+//! shares with the volunteer server.
 //!
 //! A task server subdivides the computation into tasks, creates jobs, and
-//! assigns each job to a random idle node; nodes return results after a
+//! assigns each job to an idle node; nodes return results after a
 //! stochastic duration (or hang until the server's timeout); the strategy
 //! decides wave by wave whether to deploy more jobs or accept a verdict.
+//! That lifecycle — queue and pump, wave polling, dispatch and timeout,
+//! retry backoff, epoch fencing of stale replies, hedge pairs, strike →
+//! quarantine → release → blacklist, audit spot-check / void / re-tally,
+//! finalize — exists once, generic over a [`NodeModel`]: what a platform's
+//! nodes are and what a job on one does. This module's own model is the
+//! XDEVS-style pool of §4.1 (per-node rates, churn, injected faults);
+//! `smartred-volunteer` supplies PlanetLab hosts over 3-SAT workunits.
 //!
 //! Two modeling choices worth calling out:
 //!
@@ -23,7 +31,7 @@ use rand::Rng;
 use smartred_core::analysis::confidence::confidence;
 use smartred_core::audit::Cartel;
 use smartred_core::error::ParamError;
-use smartred_core::execution::{TaskExecution, WaveStep};
+use smartred_core::execution::{Assignment, TaskExecution, WaveStep};
 use smartred_core::hedge::HedgeTrigger;
 use smartred_core::params::Reliability;
 use smartred_core::resilience::DisciplineAction;
@@ -49,12 +57,74 @@ pub type SharedStrategy = Rc<dyn RedundancyStrategy<bool>>;
 /// thin it) is eventually accepted as-is rather than looping forever.
 const MAX_TASK_VOIDS: u32 = 4;
 
-struct TaskState {
+/// What differs between the platforms the lifecycle runs on: which idle
+/// node takes a job, what a job on it does, and what leaving means. The
+/// node table itself is a [`NodePool`] on both, owned by the [`World`].
+/// Monomorphised: the event loop pays no dispatch for the split.
+pub trait NodeModel: Sized + 'static {
+    /// Whether every task exists before the first dispatch (a volunteer
+    /// project decomposes its instance up front) or tasks are created
+    /// lazily as nodes free up (DCA).
+    const EAGER_ADMISSION: bool;
+    /// Whether nodes whose vote lost an accepted election earn a strike
+    /// (DCA's stand-in for a result-validation blacklist). The volunteer
+    /// server strikes only deadline misses and audited lies.
+    const STRIKE_VOTE_LOSERS: bool;
+
+    /// A task was created; DCA draws its common-shock flag here.
+    fn task_created(&mut self, _rng: &mut SimRng) {}
+
+    /// Claims an idle node for a job of a task that already ran on `used`.
+    /// The volunteer scheduler may prefer the fastest idle host.
+    fn claim(
+        &mut self,
+        pool: &mut NodePool,
+        assignment: Assignment,
+        used: &[NodeIndex],
+        rng: &mut SimRng,
+    ) -> Option<NodeIndex> {
+        pool.claim_idle(assignment, used, rng)
+    }
+
+    /// Draws what a job of `task` dispatched to `node` at `now` will do:
+    /// per-node rates, shocks, outages and a dormancy-aware cartel in DCA;
+    /// one deployment-wide profile plus a standing cartel for volunteers.
+    fn draw_outcome(
+        &mut self,
+        pool: &NodePool,
+        rng: &mut SimRng,
+        now: SimTime,
+        task: usize,
+        node: NodeIndex,
+    ) -> JobOutcome;
+
+    /// Duration multiplier on top of the node's own speed (DCA's injected
+    /// straggler windows).
+    fn slowdown(&self, _node: NodeIndex, _now: SimTime) -> f64 {
+        1.0
+    }
+
+    /// The value a correct job of `task` reports (a wrong one reports its
+    /// negation): always `true` in DCA, the workunit's ground truth for
+    /// volunteers.
+    fn truth(&self, task: usize) -> bool;
+
+    /// Takes a blacklisted node out for good and returns the job this
+    /// orphans: DCA departs the node (its job times out on the spot); a
+    /// volunteer host is quarantined permanently and finishes its job.
+    fn blacklist(&mut self, pool: &mut NodePool, node: NodeIndex) -> Option<JobId>;
+
+    /// An audit convicted `liars`; DCA's cartel goes dormant if one of
+    /// them is a member.
+    fn caught_lying(&mut self, _liars: &[NodeIndex], _now: SimTime) {}
+}
+
+/// The server-side state of one task.
+pub struct TaskState {
     exec: TaskExecution<bool, SharedStrategy>,
     started_at: Option<SimTime>,
+    finished_at: Option<SimTime>,
     used_nodes: Vec<NodeIndex>,
-    shocked: bool,
-    finished: bool,
     /// Timed-out jobs retried with backoff so far (`retry` policy).
     retries: u32,
     /// Recorded `(node, voted_correct)` pairs, kept under a quarantine
@@ -69,6 +139,168 @@ struct TaskState {
     must_audit: bool,
     /// Audit voids suffered so far (see [`MAX_TASK_VOIDS`]).
     voids: u32,
+}
+
+impl std::fmt::Debug for TaskState {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        // The execution holds a `dyn` strategy; show the lifecycle stamps.
+        f.debug_struct("TaskState")
+            .field("attempt", &self.attempt)
+            .field("started_at", &self.started_at)
+            .field("finished_at", &self.finished_at)
+            .finish_non_exhaustive()
+    }
+}
+
+impl TaskState {
+    /// The task's vote tally, waves and verdict.
+    pub fn exec(&self) -> &TaskExecution<bool, SharedStrategy> {
+        &self.exec
+    }
+
+    /// First dispatch to final state (across every audit attempt), in time
+    /// units; zero for a task that has not finished.
+    pub fn response_units(&self) -> f64 {
+        match (self.started_at, self.finished_at) {
+            (Some(started), Some(finished)) => finished.since(started).as_units(),
+            _ => 0.0,
+        }
+    }
+}
+
+/// The mutable world threaded through every event.
+pub struct World<M> {
+    cfg: DcaConfig,
+    strategy: SharedStrategy,
+    pool: NodePool,
+    nodes: M,
+    tasks: Vec<TaskState>,
+    /// Pending job requests (task indices); top-up waves are pushed to the
+    /// front (retry priority), first waves to the back.
+    queue: VecDeque<usize>,
+    jobs: JobRegistry,
+    rng: SimRng,
+    report: DcaReport,
+    next_unstarted: usize,
+    unfinished: usize,
+    /// Scheduler load trace (`queue_depth`, `idle_nodes`), sampled at every
+    /// dispatch and resolution. Recorded only for journaled runs.
+    trace: Trace,
+    /// Online latency-quantile trigger for straggler hedging (`cfg.hedge`).
+    hedge: Option<HedgeTrigger>,
+    /// Dispatch time of every job ever registered, indexed by job id —
+    /// feeds the hedge trigger's latency estimator at resolution.
+    dispatched_at: Vec<SimTime>,
+    /// Active hedge pairs, both directions: each member maps to its racing
+    /// partner until the pair dissolves (first resolution).
+    hedge_pair: HashMap<JobId, JobId>,
+    /// Which jobs are hedge twins (mapped to their origin), kept until the
+    /// twin settles as won or wasted.
+    twin_origin: HashMap<JobId, JobId>,
+    /// Transfer-charging network model (`cfg.network`); `None` keeps
+    /// communication free and the event stream bit-identical to runs
+    /// predating the model.
+    network: Option<NetworkModel>,
+}
+
+impl<M> std::fmt::Debug for World<M> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("World")
+            .field("report", &self.report)
+            .finish_non_exhaustive()
+    }
+}
+
+type Sim<M> = Simulator<World<M>>;
+
+impl<M: NodeModel> World<M> {
+    /// A world about to run `cfg`'s lifecycle knobs (tasks, durations,
+    /// timeout, retry, quarantine, audit, hedge, assignment, network,
+    /// degraded acceptance) over `pool` under the node model `nodes`. `rng`
+    /// continues the stream the caller seeded and drew its setup from.
+    pub fn new(
+        cfg: DcaConfig,
+        strategy: SharedStrategy,
+        pool: NodePool,
+        rng: SimRng,
+        nodes: M,
+    ) -> Self {
+        Self {
+            strategy,
+            pool,
+            nodes,
+            tasks: Vec::with_capacity(cfg.tasks.min(1 << 20)),
+            queue: VecDeque::new(),
+            jobs: JobRegistry::new(),
+            rng,
+            report: DcaReport::new(),
+            next_unstarted: 0,
+            unfinished: cfg.tasks,
+            trace: Trace::new(),
+            hedge: cfg
+                .hedge
+                .map(|p| HedgeTrigger::new(p).expect("hedge policy validated by the caller")),
+            dispatched_at: Vec::new(),
+            hedge_pair: HashMap::new(),
+            twin_origin: HashMap::new(),
+            network: cfg.network.map(|n| NetworkModel::uniform(n.link)),
+            cfg,
+        }
+    }
+
+    /// Every task created so far, in task order.
+    pub fn tasks(&self) -> &[TaskState] {
+        &self.tasks
+    }
+
+    /// The run's aggregate counters.
+    pub fn report(&self) -> &DcaReport {
+        &self.report
+    }
+
+    /// Runs the lifecycle until no event is left, journals `RunEnded` and
+    /// closes the report. Platform events (faults, churn) must already be
+    /// scheduled on `sim`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the run lost track of a task or corrupted the pool's idle
+    /// set — internal invariants, not user errors.
+    pub fn run(&mut self, sim: &mut Simulator<Self>) {
+        if M::EAGER_ADMISSION {
+            while start_next_task(self, sim) {}
+        }
+        pump(self, sim);
+        sim.run(self);
+        // Graceful degradation for a starved pool: tasks that never reached
+        // a verdict (every node departed/blacklisted with work still
+        // queued) are settled on their best-available vote leader.
+        if self.cfg.degraded_accept {
+            for t in 0..self.tasks.len() {
+                if self.tasks[t].finished_at.is_none() {
+                    accept_degraded(self, sim, t);
+                }
+            }
+        }
+        sim.emit(RunEvent::RunEnded);
+        self.report.tasks_stranded =
+            self.cfg.tasks - self.report.tasks_completed - self.report.tasks_capped;
+        self.report.makespan_units = sim.now().as_units();
+        self.report.capacity_node_units = self.cfg.pool.size as f64 * self.report.makespan_units;
+        if let Err(violation) = self.pool.check_invariants() {
+            panic!("node pool invariant violated: {violation}");
+        }
+        let open = self
+            .tasks
+            .iter()
+            .filter(|t| t.finished_at.is_none())
+            .count();
+        assert_eq!(
+            self.unfinished,
+            open + self.cfg.tasks - self.next_unstarted,
+            "task accounting lost track of tasks"
+        );
+    }
 }
 
 /// Active fault-plan effects, updated by injected events and consulted at
@@ -117,52 +349,108 @@ impl ChaosState {
     }
 }
 
-/// The mutable world threaded through every event.
-struct World {
-    cfg: DcaConfig,
-    strategy: SharedStrategy,
-    pool: NodePool,
-    tasks: Vec<TaskState>,
-    /// Pending job requests (task indices); top-up waves are pushed to the
-    /// front (retry priority), first waves to the back.
-    queue: VecDeque<usize>,
-    jobs: JobRegistry,
-    rng: SimRng,
-    report: DcaReport,
-    next_unstarted: usize,
-    unfinished: usize,
+/// The DCA node model: per-node fault rates from the pool, plus everything
+/// that can bend them — common shocks, regional outages, the fault plan's
+/// windows, and an adaptive cartel.
+struct DcaNodes {
+    seed: u64,
+    failure: FailureConfig,
+    /// Per-task common-shock flag, drawn at task creation.
+    shocked: Vec<bool>,
     /// Per-region outage end times (empty unless `RegionalOutages` is
     /// configured). Node `i` belongs to region `i % regions.len()`.
     region_down_until: Vec<SimTime>,
     /// Active fault-plan effects.
     chaos: ChaosState,
-    /// The adaptive cartel, prebuilt from `cfg.cartel` (lie schedule is a
-    /// pure function of `(seed, task)`).
+    /// The adaptive cartel (lie schedule is a pure function of
+    /// `(seed, task)`) and how long it lies low after a conviction.
     cartel: Option<Cartel>,
+    cartel_dormancy_units: f64,
     /// Cartel dormancy: members answer honestly until this time after an
     /// audit catches one of them.
     cartel_dormant_until: SimTime,
-    /// Scheduler load trace (`queue_depth`, `idle_nodes`), sampled at every
-    /// dispatch and resolution. Recorded only for journaled runs.
-    trace: Trace,
-    /// Online latency-quantile trigger for straggler hedging (`cfg.hedge`).
-    hedge: Option<HedgeTrigger>,
-    /// Dispatch time of every job ever registered, indexed by job id —
-    /// feeds the hedge trigger's latency estimator at resolution.
-    dispatched_at: Vec<SimTime>,
-    /// Active hedge pairs, both directions: each member maps to its racing
-    /// partner until the pair dissolves (first resolution).
-    hedge_pair: HashMap<JobId, JobId>,
-    /// Which jobs are hedge twins (mapped to their origin), kept until the
-    /// twin settles as won or wasted.
-    twin_origin: HashMap<JobId, JobId>,
-    /// Transfer-charging network model (`cfg.network`); `None` keeps
-    /// communication free and the event stream bit-identical to runs
-    /// predating the model.
-    network: Option<NetworkModel>,
 }
 
-type Sim = Simulator<World>;
+impl NodeModel for DcaNodes {
+    const EAGER_ADMISSION: bool = false;
+    const STRIKE_VOTE_LOSERS: bool = true;
+
+    fn task_created(&mut self, rng: &mut SimRng) {
+        self.shocked.push(match self.failure {
+            FailureConfig::Independent | FailureConfig::RegionalOutages { .. } => false,
+            FailureConfig::CommonShock { shock_probability } => rng.gen_bool(shock_probability),
+        });
+    }
+
+    /// Draws a job's outcome from the node's fault parameters, the task's
+    /// shock state, and any active regional outage.
+    fn draw_outcome(
+        &mut self,
+        pool: &NodePool,
+        rng: &mut SimRng,
+        now: SimTime,
+        task: usize,
+        node: NodeIndex,
+    ) -> JobOutcome {
+        if self.chaos.blackout_until > now || self.chaos.hang_active(node, now) {
+            return JobOutcome::NoResponse;
+        }
+        if !self.region_down_until.is_empty() {
+            let region = node % self.region_down_until.len();
+            if self.region_down_until[region] > now {
+                return JobOutcome::NoResponse;
+            }
+        }
+        if self.chaos.is_colluding(node, now) {
+            return JobOutcome::Wrong;
+        }
+        if let Some(cartel) = self.cartel {
+            if cartel.is_member(node as u32)
+                && now >= self.cartel_dormant_until
+                && cartel.lies_on(self.seed, task as u64)
+            {
+                return JobOutcome::Wrong;
+            }
+        }
+        let n = pool.node(node);
+        if self.shocked[task] && n.wrong_rate > 0.0 {
+            return JobOutcome::Wrong;
+        }
+        let u: f64 = rng.gen();
+        if u < n.unresponsive_rate {
+            JobOutcome::NoResponse
+        } else if u < n.unresponsive_rate + n.wrong_rate {
+            JobOutcome::Wrong
+        } else {
+            JobOutcome::Correct
+        }
+    }
+
+    fn slowdown(&self, node: NodeIndex, now: SimTime) -> f64 {
+        self.chaos.slow_factor(node, now)
+    }
+
+    fn truth(&self, _task: usize) -> bool {
+        true
+    }
+
+    fn blacklist(&mut self, pool: &mut NodePool, node: NodeIndex) -> Option<JobId> {
+        pool.depart(node)
+    }
+
+    /// The cartel notices a member was caught and lies low for a while.
+    fn caught_lying(&mut self, liars: &[NodeIndex], now: SimTime) {
+        let Some(cartel) = self.cartel else {
+            return;
+        };
+        if self.cartel_dormancy_units > 0.0 && liars.iter().any(|&n| cartel.is_member(n as u32)) {
+            let until = now + SimDuration::from_units(self.cartel_dormancy_units);
+            if until > self.cartel_dormant_until {
+                self.cartel_dormant_until = until;
+            }
+        }
+    }
+}
 
 /// Runs one DCA simulation and returns its metrics.
 ///
@@ -231,17 +519,10 @@ fn run_inner(
     config.validate()?;
     let mut rng = seeded_rng(config.seed);
     let pool = NodePool::from_config(&config.pool, &mut rng);
-    let mut world = World {
-        cfg: config.clone(),
-        strategy,
-        pool,
-        tasks: Vec::with_capacity(config.tasks.min(1 << 20)),
-        queue: VecDeque::new(),
-        jobs: JobRegistry::new(),
-        rng,
-        report: DcaReport::new(),
-        next_unstarted: 0,
-        unfinished: config.tasks,
+    let nodes = DcaNodes {
+        seed: config.seed,
+        failure: config.failure,
+        shocked: Vec::new(),
         region_down_until: match config.failure {
             FailureConfig::RegionalOutages { regions, .. } => vec![SimTime::ZERO; regions],
             _ => Vec::new(),
@@ -250,21 +531,15 @@ fn run_inner(
         cartel: config
             .cartel
             .map(|c| Cartel::new(c.members as u32, c.lie_rate)),
+        cartel_dormancy_units: config.cartel.map_or(0.0, |c| c.dormancy_units),
         cartel_dormant_until: SimTime::ZERO,
-        trace: Trace::new(),
-        hedge: config
-            .hedge
-            .map(|p| HedgeTrigger::new(p).expect("hedge policy validated above")),
-        dispatched_at: Vec::new(),
-        hedge_pair: HashMap::new(),
-        twin_origin: HashMap::new(),
-        network: config.network.map(|n| NetworkModel::uniform(n.link)),
     };
+    let mut world = World::new(config.clone(), strategy, pool, rng, nodes);
     let mut sim = Sim::new();
     if journaled {
         sim.enable_journal();
     }
-    if world.cartel.is_some() {
+    if config.cartel.is_some() {
         // Make the standing adversary visible in the journal (and in
         // `faults_injected`), like any scheduled fault.
         world.report.faults_injected += 1;
@@ -295,24 +570,7 @@ fn run_inner(
             });
         }
     }
-    pump(&mut world, &mut sim);
-    sim.run(&mut world);
-    // Graceful degradation for a starved pool: tasks that never reached a
-    // verdict (every node departed/blacklisted with work still queued) are
-    // settled on their best-available vote leader.
-    if config.degraded_accept {
-        for t in 0..world.tasks.len() {
-            if !world.tasks[t].finished {
-                accept_degraded(&mut world, &mut sim, t);
-            }
-        }
-    }
-    sim.emit(RunEvent::RunEnded);
-    world.report.tasks_stranded =
-        config.tasks - world.report.tasks_completed - world.report.tasks_capped;
-    world.report.makespan_units = sim.now().as_units();
-    world.report.capacity_node_units = config.pool.size as f64 * world.report.makespan_units;
-    audit(&world);
+    world.run(&mut sim);
     Ok(JournaledRun {
         report: world.report,
         journal: sim.take_journal(),
@@ -320,27 +578,8 @@ fn run_inner(
     })
 }
 
-/// End-of-run consistency audit: no task lost, the pool's idle set intact.
-///
-/// # Panics
-///
-/// Panics on violation — these are internal invariants, not user errors.
-fn audit(world: &World) {
-    if let Err(violation) = world.pool.check_invariants() {
-        panic!("node pool invariant violated: {violation}");
-    }
-    let started_unfinished = world.tasks.iter().filter(|t| !t.finished).count();
-    let never_started = world.cfg.tasks - world.next_unstarted;
-    assert_eq!(
-        world.unfinished,
-        started_unfinished + never_started,
-        "task accounting lost track of {} tasks",
-        world.unfinished as i64 - (started_unfinished + never_started) as i64
-    );
-}
-
 /// Applies one fault-plan event to the running world.
-fn inject_fault(world: &mut World, sim: &mut Sim, event: FaultEvent) {
+fn inject_fault(world: &mut World<DcaNodes>, sim: &mut Sim<DcaNodes>, event: FaultEvent) {
     world.report.faults_injected += 1;
     sim.emit(RunEvent::FaultInjected {
         kind: match event {
@@ -352,6 +591,7 @@ fn inject_fault(world: &mut World, sim: &mut Sim, event: FaultEvent) {
         },
     });
     let now = sim.now();
+    let chaos = &mut world.nodes.chaos;
     match event {
         FaultEvent::NodeCrash { node, .. } => {
             if world.pool.node(node).alive {
@@ -368,9 +608,7 @@ fn inject_fault(world: &mut World, sim: &mut Sim, event: FaultEvent) {
             }
         }
         FaultEvent::HangWindow { duration, node, .. } => {
-            world
-                .chaos
-                .set_hang(node, now + SimDuration::from_units(duration));
+            chaos.set_hang(node, now + SimDuration::from_units(duration));
         }
         FaultEvent::Straggler {
             duration,
@@ -378,34 +616,32 @@ fn inject_fault(world: &mut World, sim: &mut Sim, event: FaultEvent) {
             factor,
             ..
         } => {
-            world
-                .chaos
-                .set_slow(node, now + SimDuration::from_units(duration), factor);
+            chaos.set_slow(node, now + SimDuration::from_units(duration), factor);
         }
         FaultEvent::CollusionBurst {
             duration, fraction, ..
         } => {
             let until = now + SimDuration::from_units(duration);
-            if until > world.chaos.collusion_until {
-                world.chaos.collusion_until = until;
+            if until > chaos.collusion_until {
+                chaos.collusion_until = until;
             }
             // Draw the colluders from the seeded stream at burst start so
             // the cartel is reproducible but varies with the seed.
-            world.chaos.colluding = (0..world.pool.capacity())
+            chaos.colluding = (0..world.pool.capacity())
                 .map(|_| world.rng.gen_bool(fraction))
                 .collect();
         }
         FaultEvent::Blackout { duration, .. } => {
             let until = now + SimDuration::from_units(duration);
-            if until > world.chaos.blackout_until {
-                world.chaos.blackout_until = until;
+            if until > chaos.blackout_until {
+                chaos.blackout_until = until;
             }
         }
     }
 }
 
 /// Greedily assigns queued jobs to idle nodes and lazily starts new tasks.
-fn pump(world: &mut World, sim: &mut Sim) {
+fn pump<M: NodeModel>(world: &mut World<M>, sim: &mut Sim<M>) {
     loop {
         if world.pool.idle_count() == 0 {
             return;
@@ -422,15 +658,10 @@ fn pump(world: &mut World, sim: &mut Sim) {
                 break;
             };
             debug_assert!(
-                !world.tasks[task].finished,
+                world.tasks[task].finished_at.is_none(),
                 "finished task left jobs queued"
             );
-            let node = world.pool.claim_idle(
-                world.cfg.assignment,
-                &world.tasks[task].used_nodes,
-                &mut world.rng,
-            );
-            match node {
+            match claim_node(world, task) {
                 Some(node) => {
                     dispatch_job(world, sim, task, node);
                     placed_any = true;
@@ -444,8 +675,18 @@ fn pump(world: &mut World, sim: &mut Sim) {
     }
 }
 
+/// Claims an idle node for one more job of `task`, if the model finds one.
+fn claim_node<M: NodeModel>(world: &mut World<M>, task: usize) -> Option<NodeIndex> {
+    world.nodes.claim(
+        &mut world.pool,
+        world.cfg.assignment,
+        &world.tasks[task].used_nodes,
+        &mut world.rng,
+    )
+}
+
 /// Creates the next task, if any remain, and queues its first wave.
-fn start_next_task(world: &mut World, sim: &mut Sim) -> bool {
+fn start_next_task<M: NodeModel>(world: &mut World<M>, sim: &mut Sim<M>) -> bool {
     if world.next_unstarted >= world.cfg.tasks {
         return false;
     }
@@ -454,16 +695,12 @@ fn start_next_task(world: &mut World, sim: &mut Sim) -> bool {
     if let Some(cap) = world.cfg.job_cap {
         exec = exec.with_job_cap(cap);
     }
-    let shocked = match world.cfg.failure {
-        FailureConfig::Independent | FailureConfig::RegionalOutages { .. } => false,
-        FailureConfig::CommonShock { shock_probability } => world.rng.gen_bool(shock_probability),
-    };
+    world.nodes.task_created(&mut world.rng);
     world.tasks.push(TaskState {
         exec,
         started_at: None,
+        finished_at: None,
         used_nodes: Vec::new(),
-        shocked,
-        finished: false,
         retries: 0,
         votes: Vec::new(),
         attempt: 0,
@@ -476,8 +713,8 @@ fn start_next_task(world: &mut World, sim: &mut Sim) -> bool {
 }
 
 /// Asks a task's strategy what to do next and queues any new wave.
-fn poll_task(world: &mut World, sim: &mut Sim, t: usize, priority: bool) {
-    if world.tasks[t].finished {
+fn poll_task<M: NodeModel>(world: &mut World<M>, sim: &mut Sim<M>, t: usize, priority: bool) {
+    if world.tasks[t].finished_at.is_some() {
         return;
     }
     match world.tasks[t].exec.step_wave() {
@@ -510,7 +747,7 @@ fn poll_task(world: &mut World, sim: &mut Sim, t: usize, priority: bool) {
 /// report. Invoked at the job cap and at pool starvation under
 /// [`DcaConfig::degraded_accept`]. Returns `false` (task untouched) when
 /// there is no leader to accept.
-fn accept_degraded(world: &mut World, sim: &mut Sim, t: usize) -> bool {
+fn accept_degraded<M: NodeModel>(world: &mut World<M>, sim: &mut Sim<M>, t: usize) -> bool {
     let tally = world.tasks[t].exec.tally();
     let Some((&v, a)) = tally.leader() else {
         return false;
@@ -535,9 +772,9 @@ fn accept_degraded(world: &mut World, sim: &mut Sim, t: usize) -> bool {
 /// Records a task's terminal state in the run metrics. `degraded` carries
 /// the Bayesian confidence of a degraded acceptance; `None` means the
 /// verdict (if any) is firm.
-fn finalize(
-    world: &mut World,
-    sim: &mut Sim,
+fn finalize<M: NodeModel>(
+    world: &mut World<M>,
+    sim: &mut Sim<M>,
     t: usize,
     verdict: Option<bool>,
     degraded: Option<f64>,
@@ -566,42 +803,36 @@ fn finalize(
         None => sim.emit(RunEvent::TaskCapped { task: t as u32 }),
     }
     let state = &mut world.tasks[t];
-    debug_assert!(!state.finished);
-    state.finished = true;
+    debug_assert!(state.finished_at.is_none());
+    state.finished_at = Some(sim.now());
     world.unfinished -= 1;
-    match verdict {
-        Some(v) => {
-            world.report.tasks_completed += 1;
-            if v {
-                world.report.tasks_correct += 1;
-            }
-            world
-                .report
-                .jobs_per_task
-                .record(state.exec.jobs_deployed() as f64);
-            world
-                .report
-                .waves_per_task
-                .record(state.exec.waves() as f64);
-            let started = state.started_at.unwrap_or_else(|| sim.now());
-            world
-                .report
-                .response_time
-                .record(sim.now().since(started).as_units());
-        }
-        None => world.report.tasks_capped += 1,
+    let Some(v) = verdict else {
+        world.report.tasks_capped += 1;
+        return;
+    };
+    let correct = v == world.nodes.truth(t);
+    world.report.tasks_completed += 1;
+    if correct {
+        world.report.tasks_correct += 1;
     }
+    world
+        .report
+        .jobs_per_task
+        .record(state.exec.jobs_deployed() as f64);
+    world
+        .report
+        .waves_per_task
+        .record(state.exec.waves() as f64);
+    world.report.response_time.record(state.response_units());
     // Under a quarantine policy, nodes whose vote lost the election earn a
     // strike: repeated vote-losers are the simulation's stand-in for the
     // server's result-validation blacklist. An audited task already
     // charged its liars weighted strikes, so it is exempt.
-    if world.cfg.quarantine.is_some() && !audited {
-        if let Some(v) = verdict {
-            let votes = std::mem::take(&mut world.tasks[t].votes);
-            for (node, voted) in votes {
-                if voted != v {
-                    strike_node(world, sim, node);
-                }
+    if M::STRIKE_VOTE_LOSERS && world.cfg.quarantine.is_some() && !audited {
+        let votes = std::mem::take(&mut world.tasks[t].votes);
+        for (node, voted_correct) in votes {
+            if voted_correct != correct {
+                strike_node(world, sim, node);
             }
         }
     }
@@ -622,7 +853,12 @@ enum SpotCheck {
 /// earn [`AuditPolicy::strike_weight`](smartred_core::audit::AuditPolicy)
 /// strikes, a caught cartel goes dormant, open tasks the liars touched are
 /// re-tallied, and a verdict the liars actually swung is voided and re-run.
-fn spot_check(world: &mut World, sim: &mut Sim, t: usize, v: bool) -> SpotCheck {
+fn spot_check<M: NodeModel>(
+    world: &mut World<M>,
+    sim: &mut Sim<M>,
+    t: usize,
+    v: bool,
+) -> SpotCheck {
     let policy = world.cfg.audit;
     let state = &world.tasks[t];
     // Escalation is a pure function of the report, so replay agrees.
@@ -640,15 +876,16 @@ fn spot_check(world: &mut World, sim: &mut Sim, t: usize, v: bool) -> SpotCheck 
     let liars: Vec<NodeIndex> = world.tasks[t]
         .votes
         .iter()
-        .filter(|&&(_, voted)| !voted)
+        .filter(|&&(_, voted_correct)| !voted_correct)
         .map(|&(node, _)| node)
         .collect();
-    if liars.is_empty() && v {
+    let correct = v == world.nodes.truth(t);
+    if liars.is_empty() && correct {
         sim.emit(RunEvent::AuditPassed { task: t as u32 });
         world.tasks[t].must_audit = false;
         return SpotCheck::Accepted;
     }
-    // Note: `liars` can be empty with `v == false` when every wrong vote
+    // Note: `liars` can be empty with a wrong verdict when every wrong vote
     // came from a timeout (CountAsWrong). Nobody can be struck, but the
     // recomputation still contradicts the verdict, so it is voided below.
     for &node in &liars {
@@ -657,27 +894,21 @@ fn spot_check(world: &mut World, sim: &mut Sim, t: usize, v: bool) -> SpotCheck 
             node: node as u32,
         });
         world.report.audit_failures += 1;
-        strike_node_weighted(world, sim, node, policy.strike_weight);
-    }
-    // The cartel notices a member was caught and lies low for a while.
-    if let Some(cartel_cfg) = world.cfg.cartel {
-        if cartel_cfg.dormancy_units > 0.0 && liars.iter().any(|&n| n < cartel_cfg.members) {
-            let until = sim.now() + SimDuration::from_units(cartel_cfg.dormancy_units);
-            if until > world.cartel_dormant_until {
-                world.cartel_dormant_until = until;
-            }
+        for _ in 0..policy.strike_weight.max(1) {
+            strike_node(world, sim, node);
         }
     }
+    world.nodes.caught_lying(&liars, sim.now());
     // Retaliation: every open task a caught liar touched loses its tally
     // (the liar's other answers are no more trustworthy than this one).
     let caught: Vec<NodeIndex> = {
-        let mut c = liars.clone();
+        let mut c = liars;
         c.sort_unstable();
         c.dedup();
         c
     };
     for u in 0..world.tasks.len() {
-        if u == t || world.tasks[u].finished {
+        if u == t || world.tasks[u].finished_at.is_some() {
             continue;
         }
         if !world.tasks[u]
@@ -691,7 +922,7 @@ fn spot_check(world: &mut World, sim: &mut Sim, t: usize, v: bool) -> SpotCheck 
         world.report.tasks_retallied += 1;
         restart_task(world, sim, u);
     }
-    if v {
+    if correct {
         // Liars caught but outvoted: the verdict stands.
         return SpotCheck::Accepted;
     }
@@ -706,9 +937,9 @@ fn spot_check(world: &mut World, sim: &mut Sim, t: usize, v: bool) -> SpotCheck 
 /// attempt: queued jobs are purged, in-flight jobs become stale, and the
 /// strategy re-deploys with a fresh budget. The task's `started_at` is
 /// kept — response time spans every attempt.
-fn restart_task(world: &mut World, sim: &mut Sim, t: usize) {
+fn restart_task<M: NodeModel>(world: &mut World<M>, sim: &mut Sim<M>, t: usize) {
     let state = &mut world.tasks[t];
-    debug_assert!(!state.finished);
+    debug_assert!(state.finished_at.is_none());
     state.attempt += 1;
     state.exec.reset();
     state.votes.clear();
@@ -721,23 +952,20 @@ fn restart_task(world: &mut World, sim: &mut Sim, t: usize) {
     poll_task(world, sim, t, /* priority = */ true);
 }
 
-/// Charges `weight` strikes at once (an audit-caught lie), applying each
-/// action the policy demands as it lands. No-op without a quarantine
-/// policy, like [`strike_node`].
-fn strike_node_weighted(world: &mut World, sim: &mut Sim, node: NodeIndex, weight: u32) {
-    for _ in 0..weight.max(1) {
-        strike_node(world, sim, node);
-    }
-}
-
 /// Registers a strike against a node and applies the discipline the
-/// quarantine policy demands. No-op without a policy or for departed
-/// nodes.
-fn strike_node(world: &mut World, sim: &mut Sim, node: NodeIndex) {
+/// quarantine policy demands. No-op without a policy or for nodes that are
+/// gone (departed, or banned by a volunteer blacklist).
+///
+/// A strike may land on a node that is *already quarantined* (an audit
+/// convicts an old vote, or a weighted strike crosses the limit twice):
+/// that journals a second `NodeQuarantined` and arms a second release
+/// timer, but the term is not extended — the earlier timer releases the
+/// node and the later one finds nothing to do.
+fn strike_node<M: NodeModel>(world: &mut World<M>, sim: &mut Sim<M>, node: NodeIndex) {
     let Some(policy) = world.cfg.quarantine else {
         return;
     };
-    if !world.pool.node(node).alive {
+    if !world.pool.node(node).alive || world.pool.node(node).banned {
         return;
     }
     match world.pool.node_mut(node).discipline.strike(&policy) {
@@ -749,6 +977,11 @@ fn strike_node(world: &mut World, sim: &mut Sim, node: NodeIndex) {
             sim.schedule_in(
                 SimDuration::from_units(policy.quarantine_units),
                 move |world, sim| {
+                    // Banned while the term ran: the node stays out. (A
+                    // *departed* node's pending release is still journaled.)
+                    if world.pool.node(node).banned {
+                        return;
+                    }
                     sim.emit(RunEvent::NodeReleased { node: node as u32 });
                     world.pool.unquarantine(node);
                     // Re-admission is probationary: the node's next results
@@ -770,8 +1003,7 @@ fn strike_node(world: &mut World, sim: &mut Sim, node: NodeIndex) {
                 node: node as u32,
                 reason: DepartureReason::Blacklist,
             });
-            let orphaned = world.pool.depart(node);
-            if let Some(job) = orphaned {
+            if let Some(job) = world.nodes.blacklist(&mut world.pool, node) {
                 // The blacklisted node's in-flight job (for some other
                 // task) is discarded; the server sees a timeout.
                 resolve_job(world, sim, job, true);
@@ -780,39 +1012,81 @@ fn strike_node(world: &mut World, sim: &mut Sim, node: NodeIndex) {
     }
 }
 
-/// Dispatches one job of `task` on `node` (already claimed from the idle
-/// set): draws its outcome and duration, registers it, and schedules its
-/// resolution event.
-fn dispatch_job(world: &mut World, sim: &mut Sim, task: usize, node: NodeIndex) {
-    let outcome = draw_outcome(world, sim.now(), task, node);
+/// A job's drawn fate, turned into the event that will resolve it.
+struct Flight {
+    outcome: JobOutcome,
+    times_out: bool,
+    delay: SimDuration,
+}
+
+/// Draws the outcome and duration of a job of `task` on `node`.
+fn draw_flight<M: NodeModel>(
+    world: &mut World<M>,
+    now: SimTime,
+    task: usize,
+    node: NodeIndex,
+) -> Flight {
+    let outcome = world
+        .nodes
+        .draw_outcome(&world.pool, &mut world.rng, now, task, node);
     let (lo, hi) = world.cfg.duration_window;
     let base = if lo == hi {
         lo
     } else {
         world.rng.gen_range(lo..=hi)
     };
-    let duration_units =
-        base * world.pool.node(node).speed * world.chaos.slow_factor(node, sim.now());
+    let duration_units = base * world.pool.node(node).speed * world.nodes.slowdown(node, now);
+    let times_out = outcome == JobOutcome::NoResponse || duration_units > world.cfg.timeout_units;
+    let delay = SimDuration::from_units(if times_out {
+        world.cfg.timeout_units
+    } else {
+        duration_units
+    });
+    Flight {
+        outcome,
+        times_out,
+        delay,
+    }
+}
 
+/// Registers a job (or hedge twin) of `task` on its claimed `node`.
+fn register_job<M: NodeModel>(
+    world: &mut World<M>,
+    now: SimTime,
+    task: usize,
+    node: NodeIndex,
+    outcome: JobOutcome,
+) -> JobId {
     let job = world
         .jobs
         .dispatch(task, node, outcome, world.tasks[task].attempt);
     debug_assert_eq!(world.dispatched_at.len(), job.get());
-    world.dispatched_at.push(sim.now());
+    world.dispatched_at.push(now);
     world.pool.node_mut(node).current_job = Some(job);
+    world.tasks[task].used_nodes.push(node);
+    job
+}
+
+/// Dispatches one job of `task` on `node` (already claimed from the idle
+/// set): draws its outcome and duration, registers it, and schedules its
+/// resolution event.
+fn dispatch_job<M: NodeModel>(
+    world: &mut World<M>,
+    sim: &mut Sim<M>,
+    task: usize,
+    node: NodeIndex,
+) {
+    let Flight {
+        outcome,
+        times_out,
+        delay,
+    } = draw_flight(world, sim.now(), task, node);
+    let job = register_job(world, sim.now(), task, node, outcome);
     world.report.total_jobs += 1;
     let state = &mut world.tasks[task];
-    state.used_nodes.push(node);
     if state.started_at.is_none() {
         state.started_at = Some(sim.now());
     }
-
-    let times_out = outcome == JobOutcome::NoResponse || duration_units > world.cfg.timeout_units;
-    let delay = if times_out {
-        SimDuration::from_units(world.cfg.timeout_units)
-    } else {
-        SimDuration::from_units(duration_units)
-    };
     // Input transfer precedes service: the job's timeout and hedge clocks
     // start only once the payload has landed, and the node is busy (and
     // charged) for the transfer as well as the service window.
@@ -824,14 +1098,7 @@ fn dispatch_job(world: &mut World, sim: &mut Sim, task: usize, node: NodeIndex) 
         node: node as u32,
         eta: sim.now() + lead + delay,
     });
-    if sim.journal().is_enabled() {
-        world
-            .trace
-            .record(sim.now(), "queue_depth", world.queue.len() as f64);
-        world
-            .trace
-            .record(sim.now(), "idle_nodes", world.pool.idle_count() as f64);
-    }
+    trace_load(world, sim);
     sim.schedule_in(lead + delay, move |world, sim| {
         resolve_job(world, sim, job, times_out);
     });
@@ -855,13 +1122,25 @@ fn dispatch_job(world: &mut World, sim: &mut Sim, task: usize, node: NodeIndex) 
     }
 }
 
+/// Samples the scheduler load (journaled runs only).
+fn trace_load<M: NodeModel>(world: &mut World<M>, sim: &Sim<M>) {
+    if sim.journal().is_enabled() {
+        world
+            .trace
+            .record(sim.now(), "queue_depth", world.queue.len() as f64);
+        world
+            .trace
+            .record(sim.now(), "idle_nodes", world.pool.idle_count() as f64);
+    }
+}
+
 /// Charges `job`'s input transfer to `node` when a network model is
 /// configured, journaling the `TransferStarted`/`TransferCompleted` pair,
 /// and returns the transfer duration (zero without a network — the legacy
 /// free-communication event stream, bit for bit).
-fn charge_transfer(
-    world: &mut World,
-    sim: &mut Sim,
+fn charge_transfer<M: NodeModel>(
+    world: &mut World<M>,
+    sim: &mut Sim<M>,
     job: JobId,
     task: usize,
     node: NodeIndex,
@@ -893,40 +1172,33 @@ fn charge_transfer(
 /// node. The twin bypasses the wave/job accounting entirely — the first
 /// pair member to genuinely resolve supplies the replica's vote and the
 /// loser is discarded.
-fn hedge_check(world: &mut World, sim: &mut Sim, origin: JobId, t: usize, epoch: u32) {
-    if world.jobs.get(origin).resolved || world.tasks[t].finished || world.tasks[t].attempt != epoch
-    {
+fn hedge_check<M: NodeModel>(
+    world: &mut World<M>,
+    sim: &mut Sim<M>,
+    origin: JobId,
+    t: usize,
+    epoch: u32,
+) {
+    let state = &world.tasks[t];
+    if world.jobs.get(origin).resolved || state.finished_at.is_some() || state.attempt != epoch {
         return;
     }
     let Some(trigger) = &world.hedge else {
         return;
     };
-    let policy = trigger.policy();
-    if world.tasks[t].exec.hedges_launched() >= policy.max_per_task as usize {
+    if state.exec.hedges_launched() >= trigger.policy().max_per_task as usize {
         return;
     }
-    let Some(node) = world.pool.claim_idle(
-        world.cfg.assignment,
-        &world.tasks[t].used_nodes,
-        &mut world.rng,
-    ) else {
+    let Some(node) = claim_node(world, t) else {
         // No idle node to duplicate onto: hedging is best-effort.
         return;
     };
-    let outcome = draw_outcome(world, sim.now(), t, node);
-    let (lo, hi) = world.cfg.duration_window;
-    let base = if lo == hi {
-        lo
-    } else {
-        world.rng.gen_range(lo..=hi)
-    };
-    let duration_units =
-        base * world.pool.node(node).speed * world.chaos.slow_factor(node, sim.now());
-    let twin = world.jobs.dispatch(t, node, outcome, epoch);
-    debug_assert_eq!(world.dispatched_at.len(), twin.get());
-    world.dispatched_at.push(sim.now());
-    world.pool.node_mut(node).current_job = Some(twin);
-    world.tasks[t].used_nodes.push(node);
+    let Flight {
+        outcome,
+        times_out,
+        delay,
+    } = draw_flight(world, sim.now(), t, node);
+    let twin = register_job(world, sim.now(), t, node, outcome);
     world.tasks[t].exec.note_hedge();
     world.report.hedges_launched += 1;
     world.hedge_pair.insert(origin, twin);
@@ -941,12 +1213,6 @@ fn hedge_check(world: &mut World, sim: &mut Sim, origin: JobId, t: usize, epoch:
         origin: origin.get() as u32,
         epoch,
     });
-    let times_out = outcome == JobOutcome::NoResponse || duration_units > world.cfg.timeout_units;
-    let delay = if times_out {
-        SimDuration::from_units(world.cfg.timeout_units)
-    } else {
-        SimDuration::from_units(duration_units)
-    };
     // The twin runs on a different node, so it pays its own input
     // transfer — hedging under a network model races transfer + service
     // against the straggler's remaining service.
@@ -958,7 +1224,13 @@ fn hedge_check(world: &mut World, sim: &mut Sim, origin: JobId, t: usize, epoch:
 
 /// Settles a hedge twin exactly once: `won` means its result supplied the
 /// replica's vote; otherwise its work was discarded.
-fn settle_twin(world: &mut World, sim: &mut Sim, twin: JobId, t: usize, won: bool) {
+fn settle_twin<M: NodeModel>(
+    world: &mut World<M>,
+    sim: &mut Sim<M>,
+    twin: JobId,
+    t: usize,
+    won: bool,
+) {
     let removed = world.twin_origin.remove(&twin);
     debug_assert!(removed.is_some(), "twin settled twice");
     if won {
@@ -977,53 +1249,16 @@ fn settle_twin(world: &mut World, sim: &mut Sim, twin: JobId, t: usize, won: boo
 }
 
 /// Feeds a genuinely resolved job's latency to the hedge estimator.
-fn observe_latency(world: &mut World, now: SimTime, job: JobId) {
+fn observe_latency<M: NodeModel>(world: &mut World<M>, now: SimTime, job: JobId) {
     if let Some(trigger) = world.hedge.as_mut() {
         trigger.observe(now.since(world.dispatched_at[job.get()]).as_units());
-    }
-}
-
-/// Draws a job's outcome from the node's fault parameters, the task's
-/// shock state, and any active regional outage.
-fn draw_outcome(world: &mut World, now: SimTime, task: usize, node: NodeIndex) -> JobOutcome {
-    if world.chaos.blackout_until > now || world.chaos.hang_active(node, now) {
-        return JobOutcome::NoResponse;
-    }
-    if !world.region_down_until.is_empty() {
-        let region = node % world.region_down_until.len();
-        if world.region_down_until[region] > now {
-            return JobOutcome::NoResponse;
-        }
-    }
-    if world.chaos.is_colluding(node, now) {
-        return JobOutcome::Wrong;
-    }
-    if let Some(cartel) = world.cartel {
-        if cartel.is_member(node as u32)
-            && now >= world.cartel_dormant_until
-            && cartel.lies_on(world.cfg.seed, task as u64)
-        {
-            return JobOutcome::Wrong;
-        }
-    }
-    let n = world.pool.node(node);
-    if world.tasks[task].shocked && n.wrong_rate > 0.0 {
-        return JobOutcome::Wrong;
-    }
-    let u: f64 = world.rng.gen();
-    if u < n.unresponsive_rate {
-        JobOutcome::NoResponse
-    } else if u < n.unresponsive_rate + n.wrong_rate {
-        JobOutcome::Wrong
-    } else {
-        JobOutcome::Correct
     }
 }
 
 /// Resolves a job: feeds its result (or its timeout) to the task and pumps
 /// the scheduler. Idempotent — late events for already-resolved jobs (e.g.
 /// after a node departure) are ignored.
-fn resolve_job(world: &mut World, sim: &mut Sim, job: JobId, timed_out: bool) {
+fn resolve_job<M: NodeModel>(world: &mut World<M>, sim: &mut Sim<M>, job: JobId, timed_out: bool) {
     let Some(slot) = world.jobs.resolve(job) else {
         return;
     };
@@ -1038,7 +1273,9 @@ fn resolve_job(world: &mut World, sim: &mut Sim, job: JobId, timed_out: bool) {
         world.hedge_pair.remove(&p);
     }
     let partner_pending = partner.is_some_and(|p| !world.jobs.get(p).resolved);
-    if world.tasks[t].finished {
+    // The value a wrong (or, under CountAsWrong, silent) job stands for.
+    let truth = world.nodes.truth(t);
+    if world.tasks[t].finished_at.is_some() {
         // Other replicas settled the task while this pair raced; any twin
         // still owes its terminal hedge event.
         if is_twin {
@@ -1080,8 +1317,8 @@ fn resolve_job(world: &mut World, sim: &mut Sim, job: JobId, timed_out: bool) {
             if !retry_job(world, sim, t) {
                 match world.cfg.timeout_policy {
                     TimeoutPolicy::CountAsWrong => {
-                        world.tasks[t].exec.record(false);
-                        emit_tally(world, sim, t, false);
+                        world.tasks[t].exec.record(!truth);
+                        emit_tally(world, sim, t, !truth);
                     }
                     TimeoutPolicy::Reissue => world.tasks[t].exec.abandon(1),
                 }
@@ -1102,17 +1339,18 @@ fn resolve_job(world: &mut World, sim: &mut Sim, job: JobId, timed_out: bool) {
             }
         }
         let correct = slot.outcome == JobOutcome::Correct;
+        let value = truth == correct;
         sim.emit(RunEvent::JobReturned {
             job: job.get() as u32,
             task: t as u32,
             node: slot.node as u32,
-            value: correct,
+            value,
         });
         if is_twin {
             settle_twin(world, sim, job, t, true);
         }
-        world.tasks[t].exec.record(correct);
-        emit_tally(world, sim, t, correct);
+        world.tasks[t].exec.record(value);
+        emit_tally(world, sim, t, value);
         if world.cfg.quarantine.is_some() || world.cfg.audit.is_enabled() {
             world.tasks[t].votes.push((slot.node, correct));
         }
@@ -1128,19 +1366,12 @@ fn resolve_job(world: &mut World, sim: &mut Sim, job: JobId, timed_out: bool) {
         emit_wave_closed(world, sim, t);
         poll_task(world, sim, t, /* priority = */ true);
     }
-    if sim.journal().is_enabled() {
-        world
-            .trace
-            .record(sim.now(), "queue_depth", world.queue.len() as f64);
-        world
-            .trace
-            .record(sim.now(), "idle_nodes", world.pool.idle_count() as f64);
-    }
+    trace_load(world, sim);
     pump(world, sim);
 }
 
 /// Emits the vote-tally snapshot after a vote landed in task `t`'s tally.
-fn emit_tally(world: &World, sim: &mut Sim, t: usize, value: bool) {
+fn emit_tally<M: NodeModel>(world: &World<M>, sim: &mut Sim<M>, t: usize, value: bool) {
     if !sim.journal().is_enabled() {
         return;
     }
@@ -1154,7 +1385,7 @@ fn emit_tally(world: &World, sim: &mut Sim, t: usize, value: bool) {
 }
 
 /// Emits a wave-closed event when task `t`'s current wave has just drained.
-fn emit_wave_closed(world: &World, sim: &mut Sim, t: usize) {
+fn emit_wave_closed<M: NodeModel>(world: &World<M>, sim: &mut Sim<M>, t: usize) {
     if sim.journal().is_enabled() && world.tasks[t].exec.wave_boundary() {
         sim.emit(RunEvent::WaveClosed {
             task: t as u32,
@@ -1166,7 +1397,7 @@ fn emit_wave_closed(world: &World, sim: &mut Sim, t: usize) {
 /// Schedules a backoff-delayed retry of a timed-out job under the retry
 /// policy, if the task has attempts left. Returns whether a retry was
 /// scheduled (in which case the timeout is hidden from the vote).
-fn retry_job(world: &mut World, sim: &mut Sim, t: usize) -> bool {
+fn retry_job<M: NodeModel>(world: &mut World<M>, sim: &mut Sim<M>, t: usize) -> bool {
     let Some(policy) = world.cfg.retry else {
         return false;
     };
@@ -1201,7 +1432,7 @@ fn retry_job(world: &mut World, sim: &mut Sim, t: usize) -> bool {
 
 /// Schedules the next regional outage (Poisson process): a random region
 /// goes silent for the configured duration.
-fn schedule_outage(world: &mut World, sim: &mut Sim) {
+fn schedule_outage(world: &mut World<DcaNodes>, sim: &mut Sim<DcaNodes>) {
     let FailureConfig::RegionalOutages {
         outage_rate,
         outage_duration,
@@ -1215,14 +1446,15 @@ fn schedule_outage(world: &mut World, sim: &mut Sim) {
         if world.unfinished == 0 {
             return;
         }
-        let region = world.rng.gen_range(0..world.region_down_until.len());
+        let down_until = &mut world.nodes.region_down_until;
+        let region = world.rng.gen_range(0..down_until.len());
         let until = sim.now() + SimDuration::from_units(outage_duration);
         world.report.outages += 1;
         sim.emit(RunEvent::OutageStarted {
             region: region as u32,
         });
-        if until > world.region_down_until[region] {
-            world.region_down_until[region] = until;
+        if until > down_until[region] {
+            down_until[region] = until;
         }
         schedule_outage(world, sim);
     });
@@ -1234,7 +1466,7 @@ fn exponential_delay(rng: &mut SimRng, rate: f64) -> SimDuration {
 }
 
 /// Schedules the next volunteer departure (Poisson process).
-fn schedule_departure(world: &mut World, sim: &mut Sim) {
+fn schedule_departure(world: &mut World<DcaNodes>, sim: &mut Sim<DcaNodes>) {
     let rate = world.cfg.churn.expect("churn configured").leave_rate;
     let delay = exponential_delay(&mut world.rng, rate);
     sim.schedule_in(delay, |world, sim| {
@@ -1258,7 +1490,7 @@ fn schedule_departure(world: &mut World, sim: &mut Sim) {
 }
 
 /// Schedules the next volunteer arrival (Poisson process).
-fn schedule_arrival(world: &mut World, sim: &mut Sim) {
+fn schedule_arrival(world: &mut World<DcaNodes>, sim: &mut Sim<DcaNodes>) {
     let rate = world.cfg.churn.expect("churn configured").join_rate;
     let delay = exponential_delay(&mut world.rng, rate);
     sim.schedule_in(delay, |world, sim| {

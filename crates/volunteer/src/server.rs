@@ -3,25 +3,31 @@
 //! Mirrors the paper's §4.1 setup: a custom task server decomposes a
 //! 3-SAT instance into workunits, a scheduler hands jobs to volunteer
 //! hosts, and a validator — parameterized by one of the redundancy
-//! strategies — decides when each workunit's result is trustworthy. The
-//! whole deployment runs on the deterministic discrete-event engine, with
-//! host speeds, seeded faults, platform faults, and hangs drawn from a
-//! [`crate::host::PlanetLabProfile`].
+//! strategies — decides when each workunit's result is trustworthy.
+//!
+//! The task lifecycle itself (queue, waves, deadlines, retry, hedging,
+//! discipline, audit) is [`smartred_dca::sim`]'s, the same code the DCA
+//! model runs on; this module supplies what a PlanetLab deployment is —
+//! the generated instance and its ground truth, the host table with speeds
+//! drawn from a [`crate::host::PlanetLabProfile`], the per-job behavior
+//! draw, the idle-host scheduler — and assembles the deployment report.
 
-use std::collections::{HashMap, VecDeque};
 use std::rc::Rc;
 
-use rand::Rng;
 use smartred_core::audit::{AuditPolicy, Cartel};
 use smartred_core::error::ParamError;
-use smartred_core::execution::{Assignment, TaskExecution, WaveStep};
-use smartred_core::hedge::{HedgePolicy, HedgeTrigger};
-use smartred_core::resilience::{DisciplineAction, NodeDiscipline, QuarantinePolicy, RetryPolicy};
+use smartred_core::execution::Assignment;
+use smartred_core::hedge::HedgePolicy;
+use smartred_core::resilience::{QuarantinePolicy, RetryPolicy};
 use smartred_core::strategy::RedundancyStrategy;
+use smartred_dca::config::DcaConfig;
+use smartred_dca::job::{JobId, JobOutcome};
+use smartred_dca::pool::{NodeIndex, NodePool};
+use smartred_dca::sim::{NodeModel, World};
 use smartred_desim::engine::Simulator;
-use smartred_desim::journal::{DepartureReason, Journal, RunEvent};
-use smartred_desim::rng::{backoff_duration, seeded_rng, SimRng};
-use smartred_desim::time::{SimDuration, SimTime};
+use smartred_desim::journal::Journal;
+use smartred_desim::rng::{seeded_rng, SimRng};
+use smartred_desim::time::SimTime;
 use smartred_sat::assignment::decompose;
 use smartred_sat::gen::{random_3sat, ThreeSatConfig};
 use smartred_sat::solve::dpll;
@@ -30,17 +36,12 @@ use smartred_stats::Summary;
 use crate::host::{draw_behavior, Host, HostBehavior, PlanetLabProfile};
 use crate::workunit::{Workunit, WorkunitId, WorkunitVerdict};
 
-/// What the server does when a job misses its deadline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DeadlinePolicy {
-    /// Count the silence as the colluding wrong value — the paper's threat
-    /// model ("a node that does not report a result in a timely fashion
-    /// \[has\] failed", §2.2).
-    #[default]
-    CountAsWrong,
-    /// Abandon and re-deploy, BOINC's production behavior.
-    Reissue,
-}
+/// What the server does when a job misses its deadline: count the silence
+/// as the colluding wrong value (`CountAsWrong`, the default and the
+/// paper's threat model — "a node that does not report a result in a
+/// timely fashion \[has\] failed", §2.2) or abandon and re-deploy
+/// (`Reissue`, BOINC's production behavior).
+pub use smartred_dca::config::TimeoutPolicy as DeadlinePolicy;
 
 /// How the scheduler picks among idle hosts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -131,6 +132,23 @@ impl VolunteerConfig {
             hedge: None,
             assignment: Assignment::Random,
             seed,
+        }
+    }
+
+    /// The lifecycle knobs in the shared engine's terms. The pool it
+    /// describes draws nothing (host speeds are drawn from the profile).
+    fn lifecycle(&self) -> DcaConfig {
+        DcaConfig {
+            duration_window: self.duration_window,
+            timeout_units: self.deadline_units,
+            timeout_policy: self.deadline_policy,
+            job_cap: self.job_cap,
+            retry: self.retry,
+            quarantine: self.quarantine,
+            audit: self.audit,
+            hedge: self.hedge,
+            assignment: self.assignment,
+            ..DcaConfig::paper_baseline(self.tasks, self.hosts, 0.0, self.seed)
         }
     }
 
@@ -276,87 +294,80 @@ impl DeploymentReport {
 /// A shared, immutable strategy validating every workunit.
 pub type SharedStrategy = Rc<dyn RedundancyStrategy<bool>>;
 
-/// A workunit suffers at most this many audit voids before its verdict is
-/// accepted as-is (guards against a standing majority cartel looping a
-/// task forever when no discipline thins it).
-const MAX_WU_VOIDS: u32 = 4;
-
-struct WuState {
-    wu: Workunit,
-    exec: TaskExecution<bool, SharedStrategy>,
-    used_hosts: Vec<usize>,
-    started_at: Option<SimTime>,
-    finished: bool,
-    /// Deadline misses retried with backoff so far (`retry` policy).
-    retries: u32,
-    /// Recorded `(host, value_was_truth)` pairs, kept under an audit
-    /// policy to identify liars at spot-check time.
-    votes: Vec<(usize, bool)>,
-    /// Replica attempt, bumped when an audit voids or re-tallies the
-    /// workunit; in-flight jobs from older attempts resolve as stale.
-    attempt: u32,
-    /// Set when a probation-host result landed: the verdict must be
-    /// audited before acceptance regardless of the spot-check draw.
-    must_audit: bool,
-    /// Audit voids suffered so far (see [`MAX_WU_VOIDS`]).
-    voids: u32,
+/// The PlanetLab node model: every job draws its behavior from one
+/// deployment-wide profile, a standing cartel overrides its members'
+/// answers, and the scheduler may prefer fast hosts.
+struct PlanetLabHosts {
+    profile: PlanetLabProfile,
+    scheduler: SchedulerPolicy,
+    cartel: Option<Cartel>,
+    seed: u64,
+    /// Each workunit's ground truth — what an honest host reports.
+    truths: Vec<bool>,
 }
 
-struct JobSlot {
-    wu: usize,
-    host: usize,
-    behavior: HostBehavior,
-    /// The workunit's replica attempt at dispatch (stale detection).
-    attempt: u32,
-    resolved: bool,
-}
+impl NodeModel for PlanetLabHosts {
+    const EAGER_ADMISSION: bool = true;
+    const STRIKE_VOTE_LOSERS: bool = false;
 
-struct World {
-    cfg: VolunteerConfig,
-    hosts: Vec<Host>,
-    idle: Vec<usize>,
-    wus: Vec<WuState>,
-    queue: VecDeque<usize>,
-    jobs: Vec<JobSlot>,
-    rng: SimRng,
-    total_jobs: u64,
-    timeouts: u64,
-    retries: u64,
-    quarantines: u64,
-    blacklisted: u64,
-    audits: u64,
-    audit_failures: u64,
-    verdicts_voided: u64,
-    wus_retallied: u64,
-    unfinished: usize,
-    /// Per-workunit response time in units, filled at finalization.
-    response_units: Vec<f64>,
-    /// Per-host strike/quarantine counters (`quarantine` policy).
-    discipline: Vec<NodeDiscipline>,
-    /// Hosts currently out of the scheduler (quarantined or blacklisted).
-    quarantined: Vec<bool>,
-    /// Blacklisted hosts: quarantined for good, never struck or released.
-    banned: Vec<bool>,
-    /// Online latency-quantile trigger for straggler hedging (`cfg.hedge`).
-    hedge: Option<HedgeTrigger>,
-    /// Dispatch time of every job, indexed by job id — feeds the hedge
-    /// trigger's latency estimator at resolution.
-    dispatched_at: Vec<SimTime>,
-    /// Active hedge pairs, both directions, until the first resolution.
-    hedge_pair: HashMap<usize, usize>,
-    /// Which jobs are hedge twins (mapped to their origin), kept until the
-    /// twin settles as won or wasted.
-    twin_origin: HashMap<usize, usize>,
-    hedges_launched: u64,
-    hedges_won: u64,
-    hedges_wasted: u64,
-    /// Round-robin dispatch cursor (host index of the next preferred pick).
-    rr_cursor: u32,
-    /// Jobs ever assigned per host — the least-loaded policy's signal.
-    host_loads: Vec<u64>,
-}
+    fn claim(
+        &mut self,
+        pool: &mut NodePool,
+        assignment: Assignment,
+        used: &[NodeIndex],
+        rng: &mut SimRng,
+    ) -> Option<NodeIndex> {
+        if assignment != Assignment::Random || self.scheduler == SchedulerPolicy::RandomIdle {
+            return pool.claim_idle(assignment, used, rng);
+        }
+        // Among eligible idle hosts, take the fastest (smallest speed
+        // multiplier); the random pick only serves as a fallback.
+        let mut best = pool.pick_random_idle(used, rng)?;
+        let waive = pool.waives_exclusion(used);
+        for &host in pool.idle_nodes() {
+            if (waive || !used.contains(&host)) && pool.node(host).speed < pool.node(best).speed {
+                best = host;
+            }
+        }
+        pool.claim(best);
+        Some(best)
+    }
 
-type Sim = Simulator<World>;
+    fn draw_outcome(
+        &mut self,
+        _pool: &NodePool,
+        rng: &mut SimRng,
+        _now: SimTime,
+        task: usize,
+        node: NodeIndex,
+    ) -> JobOutcome {
+        let behavior = draw_behavior(&self.profile, rng);
+        // A colluding host overrides its drawn behavior on the coalition's
+        // per-workunit lie schedule. The schedule is a pure function of
+        // (seed, workunit), so deciding at dispatch what the host will
+        // return is the same as deciding at return.
+        let lies = self.cartel.is_some_and(|cartel| {
+            cartel.is_member(node as u32) && cartel.lies_on(self.seed, task as u64)
+        });
+        match behavior {
+            HostBehavior::Hung => JobOutcome::NoResponse,
+            HostBehavior::Faulty => JobOutcome::Wrong,
+            HostBehavior::Honest if lies => JobOutcome::Wrong,
+            HostBehavior::Honest => JobOutcome::Correct,
+        }
+    }
+
+    fn truth(&self, task: usize) -> bool {
+        self.truths[task]
+    }
+
+    /// Blacklisting is a quarantine that is never lifted: the host stays in
+    /// the table and finishes (and is credited for) the job it holds.
+    fn blacklist(&mut self, pool: &mut NodePool, node: NodeIndex) -> Option<JobId> {
+        pool.ban(node);
+        None
+    }
+}
 
 /// Runs one volunteer-computing deployment and returns its report.
 ///
@@ -424,793 +435,86 @@ fn run_inner(
         &mut rng,
     );
     let instance_satisfiable = dpll(&formula).is_some();
-    let blocks = decompose(config.num_vars, config.tasks);
-    let strategy_ref = &strategy;
-    let wus: Vec<WuState> = blocks
-        .iter()
+    let wus: Vec<Workunit> = decompose(config.num_vars, config.tasks)
+        .into_iter()
         .enumerate()
-        .map(|(i, &block)| {
-            let mut exec = TaskExecution::new(strategy_ref.clone());
-            if let Some(cap) = config.job_cap {
-                exec = exec.with_job_cap(cap);
-            }
-            WuState {
-                wu: Workunit {
-                    id: WorkunitId(i),
-                    block,
-                    truth: block.contains_satisfying(&formula),
-                },
-                exec,
-                used_hosts: Vec::new(),
-                started_at: None,
-                finished: false,
-                retries: 0,
-                votes: Vec::new(),
-                attempt: 0,
-                must_audit: false,
-                voids: 0,
-            }
+        .map(|(i, block)| Workunit {
+            id: WorkunitId(i),
+            block,
+            truth: block.contains_satisfying(&formula),
         })
         .collect();
     debug_assert_eq!(
-        wus.iter().any(|w| w.wu.truth),
+        wus.iter().any(|wu| wu.truth),
         instance_satisfiable,
         "block truths must agree with the solver"
     );
 
-    let hosts: Vec<Host> = (0..config.hosts)
-        .map(|i| Host::sample(i as u64, &config.profile, &mut rng))
-        .collect();
-    let idle = (0..config.hosts).collect();
-
-    let mut world = World {
-        cfg: config.clone(),
-        hosts,
-        idle,
-        wus,
-        queue: VecDeque::new(),
-        jobs: Vec::new(),
-        rng,
-        total_jobs: 0,
-        timeouts: 0,
-        retries: 0,
-        quarantines: 0,
-        blacklisted: 0,
-        audits: 0,
-        audit_failures: 0,
-        verdicts_voided: 0,
-        wus_retallied: 0,
-        unfinished: config.tasks,
-        response_units: vec![0.0; config.tasks],
-        discipline: vec![NodeDiscipline::default(); config.hosts],
-        quarantined: vec![false; config.hosts],
-        banned: vec![false; config.hosts],
-        hedge: config
-            .hedge
-            .map(|p| HedgeTrigger::new(p).expect("hedge policy validated above")),
-        dispatched_at: Vec::new(),
-        hedge_pair: HashMap::new(),
-        twin_origin: HashMap::new(),
-        hedges_launched: 0,
-        hedges_won: 0,
-        hedges_wasted: 0,
-        rr_cursor: 0,
-        host_loads: vec![0; config.hosts],
+    let lifecycle = config.lifecycle();
+    let mut pool = NodePool::from_config(&lifecycle.pool, &mut rng);
+    for host in 0..config.hosts {
+        pool.node_mut(host).speed = Host::sample(host as u64, &config.profile, &mut rng).speed;
+    }
+    let hosts = PlanetLabHosts {
+        profile: config.profile,
+        scheduler: config.scheduler,
+        cartel: config.cartel,
+        seed: config.seed,
+        truths: wus.iter().map(|wu| wu.truth).collect(),
     };
-    let mut sim = Sim::new();
+    let mut world = World::new(lifecycle, strategy, pool, rng, hosts);
+    let mut sim = Simulator::new();
     if journaled {
         sim.enable_journal();
     }
+    world.run(&mut sim);
 
-    // Queue every workunit's first wave, then let the scheduler run.
-    for i in 0..world.wus.len() {
-        poll_workunit(&mut world, &mut sim, i, false);
-    }
-    pump(&mut world, &mut sim);
-    sim.run(&mut world);
-    sim.emit(RunEvent::RunEnded);
-
-    // Assemble the report.
+    // Assemble the report, per-workunit summaries in workunit order.
     let mut jobs_per_task = Summary::new();
     let mut response_time = Summary::new();
-    let mut verdicts = Vec::with_capacity(world.wus.len());
-    let mut all_completed = true;
-    let mut any_true = false;
-    for state in &world.wus {
-        let accepted = state.exec.report().verdict;
-        match accepted {
-            Some(v) => {
-                jobs_per_task.record(state.exec.jobs_deployed() as f64);
-                if v {
-                    any_true = true;
-                }
-            }
-            None => all_completed = false,
+    let mut verdicts = Vec::with_capacity(wus.len());
+    for (wu, state) in wus.iter().zip(world.tasks()) {
+        let accepted = state.exec().report().verdict;
+        if accepted.is_some() {
+            jobs_per_task.record(state.exec().jobs_deployed() as f64);
+            response_time.record(state.response_units());
         }
         verdicts.push(WorkunitVerdict {
-            id: state.wu.id,
+            id: wu.id,
             accepted,
-            correct: accepted == Some(state.wu.truth),
-            jobs: state.exec.jobs_deployed(),
-            waves: state.exec.waves(),
-            response_units: 0.0,
+            correct: accepted == Some(wu.truth),
+            jobs: state.exec().jobs_deployed(),
+            waves: state.exec().waves(),
+            response_units: state.response_units(),
         });
     }
-    // Response times were accumulated during finalization.
-    for (v, units) in verdicts.iter_mut().zip(world.response_units.iter()) {
-        v.response_units = *units;
-        if v.accepted.is_some() {
-            response_time.record(*units);
-        }
-    }
+    let all_completed = verdicts.iter().all(|v| v.accepted.is_some());
+    let any_true = verdicts.iter().any(|v| v.accepted == Some(true));
+    let counters = world.report();
 
     Ok((
         DeploymentReport {
-            verdicts,
             completion_units: sim.now().as_units(),
-            total_jobs: world.total_jobs,
+            total_jobs: counters.total_jobs,
             jobs_per_task,
             response_time,
-            timeouts: world.timeouts,
-            retries: world.retries,
-            quarantines: world.quarantines,
-            blacklisted: world.blacklisted,
-            audits: world.audits,
-            audit_failures: world.audit_failures,
-            verdicts_voided: world.verdicts_voided,
-            wus_retallied: world.wus_retallied,
-            hedges_launched: world.hedges_launched,
-            hedges_won: world.hedges_won,
-            hedges_wasted: world.hedges_wasted,
+            timeouts: counters.timeouts,
+            retries: counters.retries,
+            quarantines: counters.quarantines,
+            blacklisted: counters.blacklisted,
+            audits: counters.audits,
+            audit_failures: counters.audit_failures,
+            verdicts_voided: counters.verdicts_voided,
+            wus_retallied: counters.tasks_retallied,
+            hedges_launched: counters.hedges_launched,
+            hedges_won: counters.hedges_won,
+            hedges_wasted: counters.hedges_wasted,
             instance_satisfiable,
-            reported_satisfiable: if all_completed { Some(any_true) } else { None },
+            reported_satisfiable: all_completed.then_some(any_true),
+            verdicts,
         },
         sim.take_journal(),
     ))
-}
-
-fn pump(world: &mut World, sim: &mut Sim) {
-    loop {
-        if world.idle.is_empty() || world.queue.is_empty() {
-            return;
-        }
-        let mut placed_any = false;
-        for _ in 0..world.queue.len() {
-            if world.idle.is_empty() {
-                return;
-            }
-            let Some(wu) = world.queue.pop_front() else {
-                break;
-            };
-            match claim_host(world, wu) {
-                Some(host) => {
-                    dispatch(world, sim, wu, host);
-                    placed_any = true;
-                }
-                None => world.queue.push_back(wu),
-            }
-        }
-        if !placed_any {
-            return;
-        }
-    }
-}
-
-/// Claims a random idle host not yet used by `wu` (waived once the
-/// workunit has touched every host — BOINC's `one_result_per_user_per_wu`
-/// analog).
-fn claim_host(world: &mut World, wu: usize) -> Option<usize> {
-    if world.idle.is_empty() {
-        return None;
-    }
-    let used = &world.wus[wu].used_hosts;
-    let waive = used.len() >= world.hosts.len();
-    // The deterministic assignment policies bypass the random pick
-    // entirely (no RNG draws), so layers that share the stream — behavior
-    // draws, durations — are undisturbed relative to a Random run of the
-    // same shape. `Random` falls through to the historical scheduler.
-    if world.cfg.assignment != Assignment::Random {
-        let mut eligible: Vec<u32> = world
-            .idle
-            .iter()
-            .copied()
-            .filter(|h| waive || !used.contains(h))
-            .map(|h| h as u32)
-            .collect();
-        if eligible.is_empty() {
-            return None;
-        }
-        eligible.sort_unstable();
-        let loads: Vec<u64> = eligible
-            .iter()
-            .map(|&h| world.host_loads[h as usize])
-            .collect();
-        let at = world
-            .cfg
-            .assignment
-            .pick(&eligible, &loads, world.rr_cursor, 0);
-        let host = eligible[at] as usize;
-        world.rr_cursor = eligible[at].wrapping_add(1);
-        let pos = world
-            .idle
-            .iter()
-            .position(|&h| h == host)
-            .expect("picked host is idle");
-        world.idle.swap_remove(pos);
-        world.hosts[host].busy = true;
-        world.host_loads[host] += 1;
-        return Some(host);
-    }
-    let mut pick = None;
-    for _ in 0..8 {
-        let pos = world.rng.gen_range(0..world.idle.len());
-        if waive || !used.contains(&world.idle[pos]) {
-            pick = Some(pos);
-            break;
-        }
-    }
-    if pick.is_none() {
-        let start = world.rng.gen_range(0..world.idle.len());
-        for i in 0..world.idle.len() {
-            let pos = (start + i) % world.idle.len();
-            if waive || !used.contains(&world.idle[pos]) {
-                pick = Some(pos);
-                break;
-            }
-        }
-    }
-    let mut pos = pick?;
-    if world.cfg.scheduler == SchedulerPolicy::FastestIdle {
-        // Among eligible idle hosts, take the fastest (smallest speed
-        // multiplier); the random pick above only serves as a fallback.
-        let mut best_speed = world.hosts[world.idle[pos]].speed;
-        for (i, &candidate) in world.idle.iter().enumerate() {
-            if (waive || !used.contains(&candidate)) && world.hosts[candidate].speed < best_speed {
-                best_speed = world.hosts[candidate].speed;
-                pos = i;
-            }
-        }
-    }
-    let host = world.idle.swap_remove(pos);
-    world.hosts[host].busy = true;
-    world.host_loads[host] += 1;
-    Some(host)
-}
-
-fn dispatch(world: &mut World, sim: &mut Sim, wu: usize, host: usize) {
-    let behavior = draw_behavior(&world.cfg.profile, &mut world.rng);
-    let (lo, hi) = world.cfg.duration_window;
-    let base = if lo == hi {
-        lo
-    } else {
-        world.rng.gen_range(lo..=hi)
-    };
-    let duration_units = base * world.hosts[host].speed;
-    let job = world.jobs.len();
-    world.jobs.push(JobSlot {
-        wu,
-        host,
-        behavior,
-        attempt: world.wus[wu].attempt,
-        resolved: false,
-    });
-    debug_assert_eq!(world.dispatched_at.len(), job);
-    world.dispatched_at.push(sim.now());
-    world.total_jobs += 1;
-    let state = &mut world.wus[wu];
-    state.used_hosts.push(host);
-    if state.started_at.is_none() {
-        state.started_at = Some(sim.now());
-    }
-    let times_out = behavior == HostBehavior::Hung || duration_units > world.cfg.deadline_units;
-    let delay = if times_out {
-        SimDuration::from_units(world.cfg.deadline_units)
-    } else {
-        SimDuration::from_units(duration_units)
-    };
-    sim.emit(RunEvent::JobDispatched {
-        job: job as u32,
-        task: wu as u32,
-        node: host as u32,
-        eta: sim.now() + delay,
-    });
-    sim.schedule_in(delay, move |world, sim| resolve(world, sim, job, times_out));
-    // Straggler hedging: once the latency estimator is warm, arm a check
-    // at the quantile threshold. The armed check carries the dispatch
-    // epoch so an audit void/re-tally between arming and firing disarms it
-    // — hedges never double-fire for a superseded task epoch.
-    if let Some(trigger) = &world.hedge {
-        if let Some(threshold) = trigger.threshold() {
-            if threshold < world.cfg.deadline_units {
-                let epoch = world.wus[wu].attempt;
-                sim.schedule_in(SimDuration::from_units(threshold), move |world, sim| {
-                    hedge_check(world, sim, job, wu, epoch);
-                });
-            }
-        }
-    }
-}
-
-/// Fires when a dispatched job reaches the hedge threshold still
-/// unresolved: launches a twin of the same logical replica on another
-/// host. The twin bypasses the wave/job accounting — the first pair member
-/// to genuinely resolve supplies the replica's vote; the loser is
-/// discarded.
-fn hedge_check(world: &mut World, sim: &mut Sim, origin: usize, wu: usize, epoch: u32) {
-    if world.jobs[origin].resolved || world.wus[wu].finished || world.wus[wu].attempt != epoch {
-        return;
-    }
-    let Some(trigger) = &world.hedge else {
-        return;
-    };
-    let policy = trigger.policy();
-    if world.wus[wu].exec.hedges_launched() >= policy.max_per_task as usize {
-        return;
-    }
-    let Some(host) = claim_host(world, wu) else {
-        // No idle host to duplicate onto: hedging is best-effort.
-        return;
-    };
-    let behavior = draw_behavior(&world.cfg.profile, &mut world.rng);
-    let (lo, hi) = world.cfg.duration_window;
-    let base = if lo == hi {
-        lo
-    } else {
-        world.rng.gen_range(lo..=hi)
-    };
-    let duration_units = base * world.hosts[host].speed;
-    let twin = world.jobs.len();
-    world.jobs.push(JobSlot {
-        wu,
-        host,
-        behavior,
-        attempt: epoch,
-        resolved: false,
-    });
-    debug_assert_eq!(world.dispatched_at.len(), twin);
-    world.dispatched_at.push(sim.now());
-    world.wus[wu].used_hosts.push(host);
-    world.wus[wu].exec.note_hedge();
-    world.hedges_launched += 1;
-    world.hedge_pair.insert(origin, twin);
-    world.hedge_pair.insert(twin, origin);
-    world.twin_origin.insert(twin, origin);
-    // The twin's launch event replaces JobDispatched: it never enters the
-    // wave accounting, so the journal's dispatch count still equals the
-    // strategy's deploys on replay.
-    sim.emit(RunEvent::HedgeLaunched {
-        job: twin as u32,
-        task: wu as u32,
-        origin: origin as u32,
-        epoch,
-    });
-    let times_out = behavior == HostBehavior::Hung || duration_units > world.cfg.deadline_units;
-    let delay = if times_out {
-        SimDuration::from_units(world.cfg.deadline_units)
-    } else {
-        SimDuration::from_units(duration_units)
-    };
-    sim.schedule_in(delay, move |world, sim| {
-        resolve(world, sim, twin, times_out)
-    });
-}
-
-/// Settles a hedge twin exactly once: `won` means its result supplied the
-/// replica's vote; otherwise its work was discarded.
-fn settle_twin(world: &mut World, sim: &mut Sim, twin: usize, wu: usize, won: bool) {
-    let removed = world.twin_origin.remove(&twin);
-    debug_assert!(removed.is_some(), "twin settled twice");
-    if won {
-        world.hedges_won += 1;
-        sim.emit(RunEvent::HedgeWon {
-            job: twin as u32,
-            task: wu as u32,
-        });
-    } else {
-        world.hedges_wasted += 1;
-        sim.emit(RunEvent::HedgeWasted {
-            job: twin as u32,
-            task: wu as u32,
-        });
-    }
-}
-
-/// Feeds a genuinely resolved job's latency to the hedge estimator.
-fn observe_latency(world: &mut World, now: SimTime, job: usize) {
-    if let Some(trigger) = world.hedge.as_mut() {
-        trigger.observe(now.since(world.dispatched_at[job]).as_units());
-    }
-}
-
-/// Emits the vote-tally snapshot after a vote landed in workunit `wu`.
-fn emit_tally(world: &World, sim: &mut Sim, wu: usize, value: bool) {
-    if !sim.journal().is_enabled() {
-        return;
-    }
-    let (leader_count, runner_up) = world.wus[wu].exec.leader_counts();
-    sim.emit(RunEvent::VoteTallied {
-        task: wu as u32,
-        value,
-        leader_count: leader_count as u32,
-        runner_up: runner_up as u32,
-    });
-}
-
-/// Emits a wave-closed event when workunit `wu`'s wave has just drained.
-fn emit_wave_closed(world: &World, sim: &mut Sim, wu: usize) {
-    if sim.journal().is_enabled() && world.wus[wu].exec.wave_boundary() {
-        sim.emit(RunEvent::WaveClosed {
-            task: wu as u32,
-            wave: world.wus[wu].exec.waves() as u32,
-        });
-    }
-}
-
-fn resolve(world: &mut World, sim: &mut Sim, job: usize, timed_out: bool) {
-    if world.jobs[job].resolved {
-        return;
-    }
-    world.jobs[job].resolved = true;
-    let (wu, host, behavior) = {
-        let slot = &world.jobs[job];
-        (slot.wu, slot.host, slot.behavior)
-    };
-    world.hosts[host].busy = false;
-    if !world.quarantined[host] {
-        world.idle.push(host);
-    }
-    // Hedge-pair bookkeeping: dissolve this job's pairing (if any) up
-    // front so exactly one pair member ever records a vote, a strike, or a
-    // deadline miss for the shared logical replica.
-    let is_twin = world.twin_origin.contains_key(&job);
-    let partner = world.hedge_pair.remove(&job);
-    if let Some(p) = partner {
-        world.hedge_pair.remove(&p);
-    }
-    let partner_pending = partner.is_some_and(|p| !world.jobs[p].resolved);
-    if world.wus[wu].finished {
-        // Other replicas settled the workunit while this pair raced; any
-        // twin still owes its terminal hedge event.
-        if is_twin {
-            settle_twin(world, sim, job, wu, false);
-        }
-    } else {
-        let truth = world.wus[wu].wu.truth;
-        if world.jobs[job].attempt != world.wus[wu].attempt {
-            // The job predates an audit void/re-tally of its workunit: its
-            // reply (or miss) belongs to a discarded tally and is dropped.
-            if is_twin {
-                settle_twin(world, sim, job, wu, false);
-            } else {
-                sim.emit(RunEvent::StaleReplyDropped {
-                    job: job as u32,
-                    task: wu as u32,
-                    epoch: world.wus[wu].attempt,
-                });
-            }
-        } else if timed_out {
-            if partner_pending {
-                // Suppressed: the partner is still racing for this
-                // replica's vote, so the lapse charges no miss, strike,
-                // or vote — the surviving member carries the replica.
-                if is_twin {
-                    settle_twin(world, sim, job, wu, false);
-                }
-            } else {
-                observe_latency(world, sim.now(), job);
-                if is_twin {
-                    settle_twin(world, sim, job, wu, false);
-                }
-                world.timeouts += 1;
-                sim.emit(RunEvent::JobTimedOut {
-                    job: job as u32,
-                    task: wu as u32,
-                    node: host as u32,
-                });
-                strike_host(world, sim, host);
-                if !retry_workunit(world, sim, wu) {
-                    match world.cfg.deadline_policy {
-                        // The colluding wrong value is the negated truth.
-                        DeadlinePolicy::CountAsWrong => {
-                            world.wus[wu].exec.record(!truth);
-                            emit_tally(world, sim, wu, !truth);
-                        }
-                        DeadlinePolicy::Reissue => world.wus[wu].exec.abandon(1),
-                    }
-                    emit_wave_closed(world, sim, wu);
-                    poll_workunit(world, sim, wu, true);
-                }
-            }
-        } else {
-            observe_latency(world, sim.now(), job);
-            if partner_pending {
-                // This copy won the race: cancel the loser and free its
-                // host (its scheduled resolution will find it resolved).
-                let p = partner.expect("partner_pending implies a partner");
-                world.jobs[p].resolved = true;
-                let ph = world.jobs[p].host;
-                world.hosts[ph].busy = false;
-                if !world.quarantined[ph] {
-                    world.idle.push(ph);
-                }
-                if !is_twin {
-                    settle_twin(world, sim, p, wu, false);
-                }
-            }
-            let mut value = match behavior {
-                HostBehavior::Honest => truth,
-                HostBehavior::Faulty => !truth,
-                HostBehavior::Hung => unreachable!("hangs resolve via timeout"),
-            };
-            // A colluding host overrides its drawn behavior on the
-            // coalition's per-workunit lie schedule.
-            if let Some(cartel) = world.cfg.cartel {
-                if cartel.is_member(host as u32) && cartel.lies_on(world.cfg.seed, wu as u64) {
-                    value = !truth;
-                }
-            }
-            sim.emit(RunEvent::JobReturned {
-                job: job as u32,
-                task: wu as u32,
-                node: host as u32,
-                value,
-            });
-            if is_twin {
-                settle_twin(world, sim, job, wu, true);
-            }
-            world.wus[wu].exec.record(value);
-            emit_tally(world, sim, wu, value);
-            if world.cfg.audit.is_enabled() {
-                world.wus[wu].votes.push((host, value == truth));
-                if world.discipline[host].consume_probation() {
-                    world.wus[wu].must_audit = true;
-                }
-            }
-            emit_wave_closed(world, sim, wu);
-            poll_workunit(world, sim, wu, true);
-        }
-    }
-    pump(world, sim);
-}
-
-/// Schedules a backoff-delayed retry of a missed deadline under the retry
-/// policy, if the workunit has attempts left. Returns whether a retry was
-/// scheduled (in which case the miss is hidden from the vote).
-fn retry_workunit(world: &mut World, sim: &mut Sim, wu: usize) -> bool {
-    let Some(policy) = world.cfg.retry else {
-        return false;
-    };
-    let attempt = world.wus[wu].retries;
-    if attempt >= policy.max_retries {
-        return false;
-    }
-    world.wus[wu].retries = attempt + 1;
-    world.retries += 1;
-    sim.emit(RunEvent::JobRetried {
-        task: wu as u32,
-        attempt: attempt + 1,
-    });
-    world.wus[wu].exec.abandon(1);
-    emit_wave_closed(world, sim, wu);
-    let delay = backoff_duration(
-        &mut world.rng,
-        policy.base_units,
-        policy.multiplier,
-        attempt,
-        policy.jitter,
-    );
-    sim.schedule_in(delay, move |world, sim| {
-        poll_workunit(world, sim, wu, /* priority = */ true);
-        pump(world, sim);
-    });
-    true
-}
-
-/// Registers a deadline-miss strike against a host and applies the
-/// quarantine policy's discipline. Blacklisting is a quarantine that is
-/// never lifted.
-fn strike_host(world: &mut World, sim: &mut Sim, host: usize) {
-    let Some(policy) = world.cfg.quarantine else {
-        return;
-    };
-    if world.banned[host] {
-        return;
-    }
-    match world.discipline[host].strike(&policy) {
-        DisciplineAction::None => {}
-        DisciplineAction::Quarantine => {
-            world.quarantines += 1;
-            sim.emit(RunEvent::NodeQuarantined { node: host as u32 });
-            quarantine_host(world, host);
-            sim.schedule_in(
-                SimDuration::from_units(policy.quarantine_units),
-                move |world, sim| {
-                    // A host blacklisted while this term ran stays out.
-                    if world.banned[host] {
-                        return;
-                    }
-                    sim.emit(RunEvent::NodeReleased { node: host as u32 });
-                    // Idempotent: an earlier timer may already have
-                    // released the host (a strike landing on a quarantined
-                    // host journals a second quarantine and arms a second
-                    // timer, but does not extend the term).
-                    let was_out = std::mem::take(&mut world.quarantined[host]);
-                    // Re-admission is probationary: the host's next results
-                    // each flag their workunit for a mandatory audit.
-                    if world.cfg.audit.is_enabled() {
-                        world.discipline[host].begin_probation(world.cfg.audit.probation_audits);
-                    }
-                    if was_out && !world.hosts[host].busy {
-                        world.idle.push(host);
-                    }
-                    pump(world, sim);
-                },
-            );
-        }
-        DisciplineAction::Blacklist => {
-            world.blacklisted += 1;
-            // The host stays in the host table but leaves the scheduler for
-            // good — from the journal's point of view it has departed.
-            sim.emit(RunEvent::NodeDeparted {
-                node: host as u32,
-                reason: DepartureReason::Blacklist,
-            });
-            world.banned[host] = true;
-            quarantine_host(world, host);
-        }
-    }
-}
-
-fn quarantine_host(world: &mut World, host: usize) {
-    if world.quarantined[host] {
-        return;
-    }
-    world.quarantined[host] = true;
-    if let Some(pos) = world.idle.iter().position(|&h| h == host) {
-        world.idle.swap_remove(pos);
-    }
-}
-
-fn poll_workunit(world: &mut World, sim: &mut Sim, wu: usize, priority: bool) {
-    if world.wus[wu].finished {
-        return;
-    }
-    match world.wus[wu].exec.step_wave() {
-        WaveStep::Wave { wave, jobs } => {
-            sim.emit(RunEvent::WaveOpened {
-                task: wu as u32,
-                wave: wave as u32,
-                jobs: jobs as u32,
-            });
-            for _ in 0..jobs {
-                if priority {
-                    world.queue.push_front(wu);
-                } else {
-                    world.queue.push_back(wu);
-                }
-            }
-        }
-        WaveStep::Verdict(v) => finalize(world, sim, wu, Some(v)),
-        WaveStep::Capped { .. } => finalize(world, sim, wu, None),
-        WaveStep::Pending => {}
-    }
-}
-
-fn finalize(world: &mut World, sim: &mut Sim, wu: usize, verdict: Option<bool>) {
-    // Audit gate: an accepted verdict is spot-checked against the cached
-    // ground truth before acceptance; a voided verdict restarts the
-    // workunit instead of finishing it.
-    if world.cfg.audit.is_enabled() {
-        if let Some(v) = verdict {
-            if !spot_check(world, sim, wu, v) {
-                return;
-            }
-        }
-    }
-    match verdict {
-        Some(v) => sim.emit(RunEvent::VerdictReached {
-            task: wu as u32,
-            value: v,
-            degraded: false,
-            confidence: 1.0,
-        }),
-        None => sim.emit(RunEvent::TaskCapped { task: wu as u32 }),
-    }
-    let state = &mut world.wus[wu];
-    debug_assert!(!state.finished);
-    state.finished = true;
-    world.unfinished -= 1;
-    let units = state
-        .started_at
-        .map(|s| sim.now().since(s).as_units())
-        .unwrap_or(0.0);
-    world.response_units[wu] = units;
-}
-
-/// Locally recomputes an audited workunit (the truth is cached, so the
-/// check is a comparison per recorded result) and acts on what it finds:
-/// liars earn weighted strikes, open workunits they touched are
-/// re-tallied, and a verdict they actually swung is voided and re-run.
-/// Returns whether the verdict may be accepted.
-fn spot_check(world: &mut World, sim: &mut Sim, wu: usize, v: bool) -> bool {
-    let policy = world.cfg.audit;
-    let state = &world.wus[wu];
-    // Escalation is a pure function of the counters, deterministic by seed.
-    let escalated = world.audit_failures > 0;
-    let selected = state.must_audit || policy.selects(world.cfg.seed, wu as u64, escalated);
-    if !selected || state.voids >= MAX_WU_VOIDS {
-        return true;
-    }
-    sim.emit(RunEvent::AuditScheduled { task: wu as u32 });
-    world.audits += 1;
-    let truth = world.wus[wu].wu.truth;
-    let liars: Vec<usize> = world.wus[wu]
-        .votes
-        .iter()
-        .filter(|&&(_, was_truth)| !was_truth)
-        .map(|&(host, _)| host)
-        .collect();
-    if liars.is_empty() && v == truth {
-        sim.emit(RunEvent::AuditPassed { task: wu as u32 });
-        world.wus[wu].must_audit = false;
-        return true;
-    }
-    for &host in &liars {
-        sim.emit(RunEvent::AuditFailed {
-            task: wu as u32,
-            node: host as u32,
-        });
-        world.audit_failures += 1;
-        for _ in 0..policy.strike_weight.max(1) {
-            strike_host(world, sim, host);
-        }
-    }
-    // Retaliation: every open workunit a caught liar touched loses its
-    // tally.
-    let caught: Vec<usize> = {
-        let mut c = liars;
-        c.sort_unstable();
-        c.dedup();
-        c
-    };
-    for u in 0..world.wus.len() {
-        if u == wu || world.wus[u].finished {
-            continue;
-        }
-        if !world.wus[u].votes.iter().any(|&(h, _)| caught.contains(&h)) {
-            continue;
-        }
-        sim.emit(RunEvent::TaskRetallied { task: u as u32 });
-        world.wus_retallied += 1;
-        restart_workunit(world, sim, u);
-    }
-    if v == truth {
-        // Liars caught but outvoted: the verdict stands.
-        return true;
-    }
-    sim.emit(RunEvent::VerdictVoided { task: wu as u32 });
-    world.verdicts_voided += 1;
-    world.wus[wu].voids += 1;
-    restart_workunit(world, sim, wu);
-    false
-}
-
-/// Discards a workunit's tally and restarts it from wave 1 under a new
-/// attempt: queued jobs are purged, in-flight jobs become stale, and the
-/// strategy re-deploys with a fresh budget.
-fn restart_workunit(world: &mut World, sim: &mut Sim, wu: usize) {
-    let state = &mut world.wus[wu];
-    debug_assert!(!state.finished);
-    state.attempt += 1;
-    state.exec.reset();
-    state.votes.clear();
-    state.must_audit = false;
-    sim.emit(RunEvent::EpochAdvanced {
-        task: wu as u32,
-        epoch: state.attempt,
-    });
-    world.queue.retain(|&x| x != wu);
-    poll_workunit(world, sim, wu, /* priority = */ true);
 }
 
 #[cfg(test)]
