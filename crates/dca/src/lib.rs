@@ -6,6 +6,9 @@
 //! (colluding on a single wrong value, §2.2), may hang until a server
 //! timeout, and may join or leave mid-computation.
 //!
+//! [`sim`] also holds the one simulated task lifecycle, generic over a
+//! [`sim::NodeModel`]; `smartred-volunteer` runs its PlanetLab hosts on it.
+//!
 //! Built on the deterministic discrete-event engine of `smartred-desim`,
 //! this crate is the stand-in for the paper's XDEVS simulations (§4.1): the
 //! runs behind Figures 5(a) and 6 are [`sim::run`] invocations with the

@@ -61,7 +61,7 @@ const MAX_TASK_VOIDS: u32 = 4;
 /// node takes a job, what a job on it does, and what leaving means. The
 /// node table itself is a [`NodePool`] on both, owned by the [`World`].
 /// Monomorphised: the event loop pays no dispatch for the split.
-pub trait NodeModel: Sized + 'static {
+pub trait NodeModel: 'static {
     /// Whether every task exists before the first dispatch (a volunteer
     /// project decomposes its instance up front) or tasks are created
     /// lazily as nodes free up (DCA).
@@ -965,7 +965,8 @@ fn strike_node<M: NodeModel>(world: &mut World<M>, sim: &mut Sim<M>, node: NodeI
     let Some(policy) = world.cfg.quarantine else {
         return;
     };
-    if !world.pool.node(node).alive || world.pool.node(node).banned {
+    let n = world.pool.node(node);
+    if !n.alive || n.banned {
         return;
     }
     match world.pool.node_mut(node).discipline.strike(&policy) {

@@ -10,10 +10,11 @@
 //!   faults, platform faults, hangs, heterogeneous speeds) calibrated to
 //!   the paper's back-derived effective reliability band 0.64 < r < 0.67;
 //! * [`workunit`] — BOINC-style workunits over 3-SAT assignment blocks;
-//! * [`server`] — the project server: scheduler, deadlines, and a
-//!   validator parameterized by any redundancy strategy, run on the
-//!   deterministic discrete-event engine ([`server::run`] produces the
-//!   Figure 5(b) data);
+//! * [`server`] — the project server: instance generation, the host model
+//!   and idle-host scheduler, and the deployment report, run as a node
+//!   model on `smartred-dca`'s task lifecycle (deadlines, retry, hedging,
+//!   discipline, audit, strategy-driven validation; [`server::run`]
+//!   produces the Figure 5(b) data);
 //! * [`campaign`] — adversarial campaigns (trust-earning, identity churn)
 //!   against reliability-estimating validators, the §5.1 comparison.
 //!

@@ -126,8 +126,8 @@ fn cases() -> Vec<Case> {
         (hedged(Assignment::LeastLoaded), ir(3), 3),
         (fastest, tr3(), 2),
     ];
-    let named = PINS.iter().zip(configs);
-    named
+    PINS.iter()
+        .zip(configs)
         .map(|(&(name, ..), (cfg, strategy, quorum))| Case {
             name,
             cfg,

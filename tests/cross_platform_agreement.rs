@@ -1,7 +1,12 @@
-//! The reproduction's strongest internal check: four independent
-//! implementations of the same model — closed-form analysis, Monte-Carlo
-//! sampling, the discrete-event DCA, and the volunteer-computing server —
-//! must agree on every technique's cost and reliability.
+//! The reproduction's strongest internal check: closed-form analysis
+//! (Eqs. 1–6 in `core::analysis`), Monte-Carlo sampling
+//! (`core::monte_carlo`) and the discrete-event lifecycle under both of its
+//! node models — the DCA pool and the volunteer-computing hosts — must
+//! agree on every technique's cost and reliability. The first two are
+//! independent implementations of the model; the two platforms share
+//! `dca::sim`'s event loop and differ in their node model, so their
+//! agreement checks the models' parameter mapping, and their agreement
+//! with the analysis checks the lifecycle itself.
 
 use std::rc::Rc;
 

@@ -1,9 +1,18 @@
-//! Differential testing of the two simulators: the abstract DCA model and
-//! the BOINC-style volunteer server are independent implementations of the
-//! same redundancy semantics, so matched parameters (same job reliability,
+//! Differential testing of the two node models: the abstract DCA pool and
+//! the BOINC-style volunteer hosts run the *same* task lifecycle
+//! (`dca::sim`'s event loop), so these tests do not compare two
+//! implementations of the redundancy semantics — they check the parameter
+//! mapping between the models. Matched parameters (same job reliability,
 //! same duration window, same deadline, no hangs or churn) must produce
-//! statistically indistinguishable behavior — and their run journals must
-//! tell structurally equivalent stories.
+//! statistically indistinguishable behavior — the two runs draw different
+//! random streams over different value domains (`true` vs each workunit's
+//! truth) — and their run journals must tell structurally equivalent
+//! stories.
+//!
+//! The references that remain independent of the DES lifecycle are
+//! Eqs. 1–6 in `core::analysis`, `core::monte_carlo`
+//! (`tests/cross_platform_agreement.rs` holds both platforms to them), and
+//! the live threaded runtime (`crates/runtime/tests/hedge_equivalence.rs`).
 
 use std::rc::Rc;
 
