@@ -1897,18 +1897,23 @@ fn disk_chaos_mode(args: &Args) -> i32 {
     let mut failed = false;
 
     // Detectable faults: each must crash the coordinator (fail-stop, never
-    // limp on over a disk it cannot trust), then recover cleanly.
-    type ArmFault = fn(&mut DiskFaultPlan);
+    // limp on over a disk it cannot trust), then recover cleanly. A fault
+    // index counts commits, not records, and the one count every run is
+    // sure to reach is a write and a sync per decision — the roster size
+    // — so each index is a fraction of it; a leg whose fault never fires
+    // fails as "did not crash".
+    let floor = tasks as u64;
+    type ArmFault = fn(&mut DiskFaultPlan, u64);
     let legs: [(&str, ArmFault); 3] = [
-        ("failed-fsync", |p| p.fail_fsync_at = Some(20)),
-        ("short-write", |p| p.short_write_at = Some(30)),
-        ("power-loss", |p| p.crash_after_writes = Some(40)),
+        ("failed-fsync", |p, n| p.fail_fsync_at = Some(n / 3)),
+        ("short-write", |p, n| p.short_write_at = Some(n / 2)),
+        ("power-loss", |p, n| p.crash_after_writes = Some(n * 3 / 4)),
     ];
     for (name, arm) in legs {
         let wal = dir.join(format!("{name}.wal.jsonl"));
         let mut cfg = chaos_cfg(args, tasks, Some(wal.clone()));
         let mut plan = DiskFaultPlan::none(seed ^ 0xd15c);
-        arm(&mut plan);
+        arm(&mut plan, floor);
         cfg.disk_faults = Some(plan);
         let crashed = run_roster(cfg, margin, seed, None, false, &roster);
         if !crashed.crashed {
@@ -1947,14 +1952,15 @@ fn disk_chaos_mode(args: &Args) -> i32 {
         }
     }
 
-    // Silent bit rot: the disk flips one bit in place after the 25th
-    // write, the run completes none the wiser, and checksummed recovery
-    // must refuse the segment instead of replaying a corrupt record.
+    // Silent bit rot: the disk flips one bit in place after a write the
+    // run is sure to make and to follow with more, the run completes none
+    // the wiser, and checksummed recovery must refuse the segment instead
+    // of replaying a corrupt record.
     let wal = dir.join("bit-rot.wal.jsonl");
     let mut cfg = chaos_cfg(args, tasks, Some(wal.clone()));
     cfg.wal_checksum = true;
     let mut plan = DiskFaultPlan::none(seed ^ 0xb17);
-    plan.flip_bit_after = Some(25);
+    plan.flip_bit_after = Some(floor / 2);
     cfg.disk_faults = Some(plan);
     let run = run_roster(cfg, margin, seed, None, false, &roster);
     assert!(!run.crashed, "bit rot is silent: the run must complete");

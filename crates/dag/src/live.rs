@@ -403,6 +403,109 @@ mod tests {
         assert_eq!(by_stage, vec![(0, 3, 1), (1, 3, 1), (2, 0, 1)]);
     }
 
+    /// A [`Client`] that checks the write-ahead barrier from the DAG
+    /// driver's seat: submissions queue behind earlier annotations, so by
+    /// the time a verdict is held, every annotation sent before that
+    /// task was submitted must be in the WAL file.
+    struct WalWatcher {
+        inner: Client,
+        wal: std::path::PathBuf,
+        annotated: std::cell::RefCell<Vec<RunEvent>>,
+        /// Runtime task id → annotations sent before its submission.
+        owed: std::cell::RefCell<std::collections::HashMap<u32, usize>>,
+    }
+
+    impl WalWatcher {
+        fn annotations_on_disk(&self) -> Vec<RunEvent> {
+            let text = std::fs::read_to_string(&self.wal).unwrap();
+            let prefix = Journal::from_jsonl_prefix(&text).unwrap();
+            let annotation = |e: &RunEvent| {
+                matches!(
+                    e,
+                    RunEvent::StageDecided { .. } | RunEvent::PoisonPropagated { .. }
+                )
+            };
+            let events = prefix.journal.events().iter().map(|e| e.event);
+            events.filter(annotation).collect()
+        }
+    }
+
+    impl DagClient for WalWatcher {
+        fn submit(&self, payload: Payload) -> SubmitOutcome {
+            let outcome = self.inner.submit(payload);
+            if let SubmitOutcome::Accepted { task } | SubmitOutcome::Queued { task } = outcome {
+                self.owed
+                    .borrow_mut()
+                    .insert(task, self.annotated.borrow().len());
+            }
+            outcome
+        }
+        fn recv_timeout(&self, timeout: Duration) -> Option<TaskVerdict> {
+            let verdict = self.inner.recv_timeout(timeout)?;
+            let owed = self.owed.borrow()[&verdict.task];
+            let on_disk = self.annotations_on_disk();
+            assert!(on_disk.len() >= owed, "task {}: {on_disk:?}", verdict.task);
+            assert_eq!(on_disk[..owed], self.annotated.borrow()[..owed]);
+            Some(verdict)
+        }
+        fn annotate(&self, event: RunEvent) -> bool {
+            self.annotated.borrow_mut().push(event);
+            self.inner.annotate(event)
+        }
+    }
+
+    #[test]
+    fn annotations_are_in_the_wal_file_before_the_next_stage_is_answered() {
+        // Colluding on task 1 poisons the chain under it, so the stream
+        // holds both annotation kinds.
+        let spec = DagSpec::new(vec![
+            StageSpec::new("a", 3, 0, 1.0, StageStrategy::ir(2).unwrap()),
+            StageSpec::new("b", 3, 0, 1.0, StageStrategy::ir(2).unwrap()).after_pairwise(0),
+            StageSpec::new("c", 1, 0, 1.0, StageStrategy::ir(2).unwrap()).after(1),
+        ])
+        .unwrap();
+        for (name, wal_sync, wal_batch) in [("flush", false, 1), ("sync64", true, 64)] {
+            let wal = std::env::temp_dir().join(format!(
+                "smartred-dag-live-{}-{name}.wal.jsonl",
+                std::process::id()
+            ));
+            let cfg = RuntimeConfig {
+                workers: Some(4),
+                wal: Some(wal.clone()),
+                wal_sync,
+                wal_batch,
+                ..RuntimeConfig::default()
+            };
+            let rt = Runtime::start(cfg, StageStrategy::ir(2).unwrap(), |_node| {
+                Box::new(TargetedColluder { target: 1 }) as Box<dyn Worker>
+            });
+            let watcher = WalWatcher {
+                inner: rt.client(),
+                wal: wal.clone(),
+                annotated: Default::default(),
+                owed: Default::default(),
+            };
+            let report = run_dag(&watcher, &spec, &payloads(&spec));
+            assert!(!report.crashed);
+            assert_eq!(report.poisoned_tasks, 2);
+            // The last annotation has no later verdict to ride behind;
+            // the coordinator commits it on admission all the same.
+            let sent = watcher.annotated.borrow().clone();
+            assert_eq!(sent.len(), 2 + spec.len());
+            let deadline = std::time::Instant::now() + Duration::from_secs(20);
+            while watcher.annotations_on_disk() != sent {
+                assert!(
+                    std::time::Instant::now() < deadline,
+                    "{name}: the final stage verdict never reached the file"
+                );
+                std::thread::yield_now();
+            }
+            drop(watcher);
+            assert!(!rt.finish().crashed);
+            let _ = std::fs::remove_file(&wal);
+        }
+    }
+
     #[test]
     fn crashed_runtime_reports_instead_of_hanging() {
         let spec = spec();

@@ -25,7 +25,8 @@ use std::path::Path;
 /// The file operations the WAL writer needs, virtualized so a fault
 /// injector can sit between the writer and the OS.
 pub trait Disk: Debug + Send {
-    /// Writes the whole buffer (one serialized record + newline).
+    /// Writes the whole buffer: one committed batch of the WAL writer —
+    /// one or more whole `record + '\n'` lines, never a partial record.
     fn write_all(&mut self, buf: &[u8]) -> io::Result<()>;
     /// Flushes userspace buffers to the OS.
     fn flush(&mut self) -> io::Result<()>;
@@ -72,9 +73,14 @@ impl Disk for RealDisk {
 
 /// A deterministic schedule of storage failures, applied by
 /// [`FaultyDisk`]. Operation indices are 1-based counts of calls on the
-/// wrapped handle; `None` disables that fault. All randomness (short-write
-/// lengths, flipped-bit positions) derives from `seed` via splitmix64, so
-/// a plan replays identically across runs, thread counts, and platforms.
+/// wrapped handle; `None` disables that fault. A *write* is one
+/// `write_all` call, i.e. one batch the WAL writer committed — as many
+/// records as were appended since its previous write, not one record. How
+/// many writes a run makes therefore depends on its barriers; the only
+/// floor is one per commit that had something to write. All randomness
+/// (short-write lengths, flipped-bit positions) derives from `seed` via
+/// splitmix64, so a plan replays identically across runs, thread counts,
+/// and platforms.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DiskFaultPlan {
     /// Seeds the short-write length and bit-flip position draws.
@@ -83,17 +89,18 @@ pub struct DiskFaultPlan {
     /// may not be on stable storage — exactly the ambiguity that makes a
     /// failed fsync unrecoverable without rereading the file (fsyncgate).
     pub fail_fsync_at: Option<u64>,
-    /// The k-th write persists only a seeded prefix of its buffer and
-    /// returns `WriteZero`. The disk itself stays alive; it is the
-    /// writer's job to refuse further appends.
+    /// The k-th write persists only a seeded strict prefix of its batch —
+    /// some whole records and at most one partial one — and returns
+    /// `WriteZero`. The disk itself stays alive; it is the writer's job
+    /// to refuse further appends.
     pub short_write_at: Option<u64>,
     /// After `k` completed writes, the next write persists a seeded
-    /// partial prefix and the disk goes permanently dead — every later
-    /// operation errors. Models power loss mid-append.
+    /// strict prefix of its batch and the disk goes permanently dead —
+    /// every later operation errors. Models power loss mid-commit.
     pub crash_after_writes: Option<u64>,
     /// After the k-th write completes, one seeded bit somewhere in the
-    /// file is flipped in place — silent corruption discovered only at
-    /// read-back.
+    /// file so far — in that batch or any earlier one — is flipped in
+    /// place: silent corruption discovered only at read-back.
     pub flip_bit_after: Option<u64>,
 }
 
@@ -199,11 +206,11 @@ impl Disk for FaultyDisk {
             .crash_after_writes
             .is_some_and(|k| self.writes > k)
         {
-            // Power loss mid-append: a torn partial record lands on disk
+            // Power loss mid-commit: a torn partial batch lands on disk
             // and the device never comes back for this process.
             self.persist_prefix(buf)?;
             self.dead = true;
-            return Err(injected("write crash (power loss mid-append)"));
+            return Err(injected("write crash (power loss mid-commit)"));
         }
         if self.plan.short_write_at == Some(self.writes) {
             self.persist_prefix(buf)?;

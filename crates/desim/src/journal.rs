@@ -677,8 +677,8 @@ pub struct Stamped {
 impl Stamped {
     /// Serializes this entry as one JSONL object (no trailing newline) —
     /// the exact line format [`Journal::to_jsonl`] emits and
-    /// [`Journal::from_jsonl`] parses. [`WalWriter`] appends these lines
-    /// one durable write at a time.
+    /// [`Journal::from_jsonl`] parses, and the line [`WalWriter`] encodes
+    /// into its commit buffer.
     pub fn to_jsonl_line(&self) -> String {
         // Room for the longest line plus a checksum trailer and newline.
         let mut line = String::with_capacity(192);
@@ -707,11 +707,19 @@ impl Stamped {
     /// records interleave freely in one WAL;
     /// [`from_jsonl_line`](Self::from_jsonl_line) verifies and strips the field.
     pub fn to_jsonl_line_checksummed(&self) -> String {
-        let mut line = self.to_jsonl_line();
-        let crc = fnv1a_64(line.as_bytes());
-        line.pop(); // the closing '}'
-        let _ = write!(line, ",\"crc\":\"{crc:016x}\"}}");
+        let mut line = String::with_capacity(192);
+        self.encode_checksummed(&mut line);
         line
+    }
+
+    /// Appends this entry's checksummed line (no newline) to `out`; the
+    /// checksum covers exactly the canonical bytes this call appended.
+    fn encode_checksummed(&self, out: &mut String) {
+        let start = out.len();
+        self.encode(out);
+        let crc = fnv1a_64(&out.as_bytes()[start..]);
+        out.pop(); // the closing '}'
+        let _ = write!(out, ",\"crc\":\"{crc:016x}\"}}");
     }
 
     /// Parses one entry back from its [`to_jsonl_line`](Self::to_jsonl_line)
@@ -752,8 +760,9 @@ impl Stamped {
 /// Detects and verifies the `,"crc":"<16 hex>"` trailer of a checksummed
 /// record, returning the canonical (trailer-free) line. A line without the
 /// trailer is returned as-is — legacy WALs keep parsing. A present-but-
-/// wrong trailer (bad shape, non-hex digits, or a hash that does not match
-/// the canonical bytes) is corruption.
+/// wrong trailer (bad shape, anything but the sixteen lowercase hex digits
+/// the writer emits, or a hash that does not match the canonical bytes) is
+/// corruption.
 fn strip_verified_checksum(line: &str) -> Result<std::borrow::Cow<'_, str>, String> {
     const TAG: &str = ",\"crc\":\"";
     let Some(idx) = line.rfind(TAG) else {
@@ -762,7 +771,8 @@ fn strip_verified_checksum(line: &str) -> Result<std::borrow::Cow<'_, str>, Stri
     let trailer = &line[idx + TAG.len()..];
     let hex = trailer
         .strip_suffix("\"}")
-        .filter(|h| h.len() == 16 && h.bytes().all(|b| b.is_ascii_hexdigit()))
+        // Lowercase only, as written: an upper-case digit is a flipped bit.
+        .filter(|h| h.len() == 16 && h.bytes().all(|b| matches!(b, b'0'..=b'9' | b'a'..=b'f')))
         .ok_or_else(|| "malformed checksum trailer".to_string())?;
     let stated = u64::from_str_radix(hex, 16).expect("16 hex digits fit u64");
     let mut canonical = line[..idx].to_string();
@@ -1137,50 +1147,73 @@ pub struct WalPrefix {
     pub valid_bytes: usize,
 }
 
-/// Durable appender for the JSONL write-ahead log.
+/// Durable appender for the JSONL write-ahead log: a commit buffer over a
+/// [`Disk`](crate::disk::Disk).
 ///
-/// Each [`append`](WalWriter::append) writes one complete
-/// `record + '\n'` in a single `write` call and flushes — with
-/// `sync = true` it also `fdatasync`s, so an acknowledged append survives
-/// process death and at most the *final* record of the file can ever be
-/// torn. The file contents stay byte-identical to
-/// [`Journal::to_jsonl`] of the events appended so far (or its
+/// [`append`](WalWriter::append) encodes one complete `record + '\n'`
+/// into a buffer the writer owns and reuses; bytes reach the disk in a
+/// single `write_all` only when
+///
+/// 1. a sync falls due — syncing is on and [`with_batch`](WalWriter::with_batch)
+///    records have accumulated since the last `fdatasync` (write, then
+///    sync);
+/// 2. the caller calls [`commit`](WalWriter::commit) (write, then sync if
+///    syncing is on and anything is unsynced); or
+/// 3. the buffer reaches 64 KiB (write only), which bounds the writer's
+///    memory however far apart the barriers are.
+///
+/// The buffer only ever holds whole records, so every write starts and
+/// ends on a record boundary and the file stays byte-identical to
+/// [`Journal::to_jsonl`] of the records written so far (or its
 /// checksummed equivalent under [`with_checksums`](WalWriter::with_checksums)).
+/// Dropping the writer discards whatever is still buffered, exactly as a
+/// process kill would.
 ///
-/// ## Group commit
+/// ## Durability
 ///
-/// [`with_batch`](WalWriter::with_batch) amortizes the fsync tax: with a
-/// batch of `n`, only every `n`-th append pays the `fdatasync`, while each
-/// append still writes and flushes its complete record (so an in-process
-/// crash loses nothing — only power loss can drop the unsynced tail).
-/// Callers with an ordering barrier — "this event must be durable before
-/// its side effect" — force the sync early with
-/// [`commit`](WalWriter::commit). The default batch of 1 is the original
-/// sync-every-append behavior.
+/// The write-ahead contract belongs to the caller's barriers, not to
+/// `append`: a record is in the file once a `commit` after it has
+/// returned, and on stable storage if syncing is on. With `sync = true`
+/// and the default batch of 1 every append is its own barrier (one write
+/// plus one `fdatasync` per record); with a batch of `n` the write and
+/// the sync are paid once per `n` records, and callers with an ordering
+/// constraint ("this event must be durable before its side effect") call
+/// `commit` first. What a crash can take is bounded by the
+/// last barrier: a process kill loses the buffered records, power loss
+/// additionally loses written-but-unsynced ones and may tear the last
+/// write anywhere inside its batch — which [`Journal::from_jsonl_prefix`]
+/// reads back as a whole-record prefix plus one torn record.
 ///
 /// ## Poisoning
 ///
 /// Any I/O error — a failed write, flush, or `fdatasync` — permanently
 /// poisons the writer: every later [`append`](WalWriter::append),
 /// [`commit`](WalWriter::commit), or [`truncate`](WalWriter::truncate)
-/// fails fast with the original error's message. A failed fsync in
-/// particular leaves the kernel free to have *dropped* the dirty pages
-/// (the fsyncgate failure class), so retrying the sync and continuing
-/// would silently lose acknowledged records; the only safe recovery is to
-/// reread the file through [`Journal::from_jsonl_prefix`].
+/// fails fast with the original error's message, and nothing still in the
+/// buffer is ever written. A failed fsync in particular leaves the kernel
+/// free to have *dropped* the dirty pages (the fsyncgate failure class),
+/// so retrying the sync and continuing would silently lose acknowledged
+/// records; the only safe recovery is to reread the file through
+/// [`Journal::from_jsonl_prefix`].
 #[derive(Debug)]
 pub struct WalWriter {
     disk: Box<dyn crate::disk::Disk>,
     sync: bool,
-    /// Appends per fdatasync under group commit; 1 = sync every append.
+    /// Records per fdatasync under group commit; 1 = sync every append.
     batch: u64,
-    /// Appends since the last sync.
+    /// Records appended since the last sync.
     pending: u64,
     /// Write per-record checksums (see [`Stamped::to_jsonl_line_checksummed`]).
     checksum: bool,
+    /// Whole encoded records not yet handed to the disk.
+    buf: String,
     /// The first I/O error message, once anything failed.
     poisoned: Option<String>,
 }
+
+/// Buffered bytes at which [`WalWriter::append`] writes the buffer out
+/// without waiting for a barrier.
+const WAL_BUFFER_CAP: usize = 64 * 1024;
 
 impl WalWriter {
     fn over(disk: Box<dyn crate::disk::Disk>, sync: bool) -> Self {
@@ -1190,6 +1223,7 @@ impl WalWriter {
             batch: 1,
             pending: 0,
             checksum: false,
+            buf: String::new(),
             poisoned: None,
         }
     }
@@ -1223,9 +1257,9 @@ impl WalWriter {
         Ok(writer)
     }
 
-    /// Enables group commit: `fdatasync` only every `every`-th append
-    /// (clamped to at least 1). See the type docs for the durability
-    /// trade-off.
+    /// Sets the group-commit batch: with syncing on, write and `fdatasync`
+    /// once every `every` appends (clamped to at least 1) instead of on
+    /// every one. See the type docs for the durability trade-off.
     pub fn with_batch(mut self, every: u64) -> Self {
         self.batch = every.max(1);
         self
@@ -1255,12 +1289,10 @@ impl WalWriter {
         result
     }
 
-    /// Appends one record: a single complete-line write plus flush, and —
-    /// when syncing is enabled — an `fdatasync` once the group-commit
-    /// batch fills. Callers act on the event *after* this returns, which
-    /// is what makes the log write-ahead; under a batch > 1 the durability
-    /// boundary against power loss is the batch, not the append, and
-    /// decision points call [`commit`](WalWriter::commit) to tighten it.
+    /// Appends one record to the commit buffer, and writes the buffer out
+    /// when a sync falls due or the buffer is full (see the type docs).
+    /// Returning `Ok` does not mean the record is in the file — that is
+    /// what [`commit`](WalWriter::commit) is for.
     ///
     /// # Errors
     ///
@@ -1268,32 +1300,38 @@ impl WalWriter {
     /// permanently poisoned — see the type docs.
     pub fn append(&mut self, entry: &Stamped) -> std::io::Result<()> {
         self.guard()?;
-        let mut line = if self.checksum {
-            entry.to_jsonl_line_checksummed()
+        if self.checksum {
+            entry.encode_checksummed(&mut self.buf);
         } else {
-            entry.to_jsonl_line()
-        };
-        line.push('\n');
-        let result = self.append_bytes(line.as_bytes());
+            entry.encode(&mut self.buf);
+        }
+        self.buf.push('\n');
+        self.pending += 1;
+        if self.sync && self.pending >= self.batch {
+            self.commit()
+        } else if self.buf.len() >= WAL_BUFFER_CAP {
+            self.write_out()
+        } else {
+            Ok(())
+        }
+    }
+
+    /// Hands the buffered records to the disk in one write.
+    fn write_out(&mut self) -> std::io::Result<()> {
+        if self.buf.is_empty() {
+            return Ok(());
+        }
+        let result = self
+            .disk
+            .write_all(self.buf.as_bytes())
+            .and_then(|()| self.disk.flush());
+        self.buf.clear();
         self.poisoning(result)
     }
 
-    fn append_bytes(&mut self, bytes: &[u8]) -> std::io::Result<()> {
-        self.disk.write_all(bytes)?;
-        self.disk.flush()?;
-        if self.sync {
-            self.pending += 1;
-            if self.pending >= self.batch {
-                self.disk.sync_data()?;
-                self.pending = 0;
-            }
-        }
-        Ok(())
-    }
-
-    /// Forces the group-commit batch to disk now. A no-op when nothing is
-    /// pending (in particular under the default batch of 1, where every
-    /// append already synced).
+    /// The barrier: writes the buffer out and, with syncing on, forces
+    /// every record appended since the last sync to stable storage. A
+    /// no-op when nothing was appended since the last commit.
     ///
     /// # Errors
     ///
@@ -1301,29 +1339,31 @@ impl WalWriter {
     /// permanently poisoned — see the type docs.
     pub fn commit(&mut self) -> std::io::Result<()> {
         self.guard()?;
+        self.write_out()?;
         if self.sync && self.pending > 0 {
             let result = self.disk.sync_data();
             self.poisoning(result)?;
-            self.pending = 0;
         }
+        self.pending = 0;
         Ok(())
     }
 
     /// Truncates the log to zero length — the compaction step after a
-    /// checkpoint snapshot has been durably written elsewhere. The next
-    /// append starts a fresh segment.
+    /// checkpoint snapshot has been durably written elsewhere. Commits
+    /// first, so records appended before the call land in the old segment
+    /// rather than at the head of the fresh one. The next append starts a
+    /// fresh segment.
     ///
     /// # Errors
     ///
     /// Fails on the underlying I/O error, after which the writer is
     /// permanently poisoned — see the type docs.
     pub fn truncate(&mut self) -> std::io::Result<()> {
-        self.guard()?;
+        self.commit()?;
         let result = match self.disk.set_len(0) {
             Ok(()) => self.disk.seek_end().map(|_| ()),
             Err(err) => Err(err),
         };
-        self.pending = 0;
         self.poisoning(result)
     }
 }
@@ -1885,7 +1925,7 @@ mod tests {
     }
 
     #[test]
-    fn batched_wal_writes_every_record_and_commit_flushes_the_tail() {
+    fn batched_wal_writes_whole_batches_and_commit_flushes_the_tail() {
         let path = std::env::temp_dir().join(format!(
             "smartred-journal-batch-{}.wal.jsonl",
             std::process::id()
@@ -1895,15 +1935,282 @@ mod tests {
         for e in j.events() {
             wal.append(e).unwrap();
         }
-        // Every record is written and flushed regardless of the batch:
-        // the file equals the journal byte for byte even before commit.
-        let on_disk = std::fs::read_to_string(&path).unwrap();
-        assert_eq!(on_disk, j.to_jsonl());
+        // Ten appends at batch 4: two whole batches are in the file, the
+        // two-record tail is still in the buffer.
+        let text = j.to_jsonl();
+        let two_batches: usize = text.lines().take(8).map(|l| l.len() + 1).sum();
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), text[..two_batches]);
         wal.commit().unwrap();
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), text);
         wal.commit().unwrap(); // idempotent with nothing pending
         let restored = Journal::from_jsonl(&std::fs::read_to_string(&path).unwrap()).unwrap();
         assert_eq!(restored.events(), j.events());
         let _ = std::fs::remove_file(&path);
+    }
+
+    /// What a [`DiskLog`] saw, in call order.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    enum DiskOp {
+        Write(usize),
+        Sync,
+        SetLen(u64),
+    }
+
+    /// A [`Disk`](crate::disk::Disk) that is a `Vec` and remembers every
+    /// call; clones share the state, so the test keeps one while the
+    /// writer owns the other.
+    #[derive(Debug, Default, Clone)]
+    struct DiskLog(std::sync::Arc<std::sync::Mutex<(Vec<u8>, Vec<DiskOp>)>>);
+
+    impl DiskLog {
+        fn bytes(&self) -> Vec<u8> {
+            self.0.lock().unwrap().0.clone()
+        }
+        fn ops(&self) -> Vec<DiskOp> {
+            self.0.lock().unwrap().1.clone()
+        }
+        fn writer(&self, sync: bool) -> WalWriter {
+            WalWriter::with_disk(Box::new(self.clone()), sync)
+        }
+    }
+
+    impl crate::disk::Disk for DiskLog {
+        fn write_all(&mut self, buf: &[u8]) -> std::io::Result<()> {
+            let mut state = self.0.lock().unwrap();
+            state.0.extend_from_slice(buf);
+            state.1.push(DiskOp::Write(buf.len()));
+            Ok(())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+        fn sync_data(&mut self) -> std::io::Result<()> {
+            self.0.lock().unwrap().1.push(DiskOp::Sync);
+            Ok(())
+        }
+        fn set_len(&mut self, len: u64) -> std::io::Result<()> {
+            let mut state = self.0.lock().unwrap();
+            state.0.truncate(len as usize);
+            state.1.push(DiskOp::SetLen(len));
+            Ok(())
+        }
+        fn seek_end(&mut self) -> std::io::Result<u64> {
+            Ok(self.0.lock().unwrap().0.len() as u64)
+        }
+    }
+
+    #[test]
+    fn wal_commit_is_one_write_however_many_appends() {
+        let j = sample_journal();
+        let text = j.to_jsonl();
+
+        // Flush-only: nothing reaches the disk until the barrier, then
+        // everything does in one call.
+        let disk = DiskLog::default();
+        let mut w = disk.writer(false);
+        for e in j.events() {
+            w.append(e).unwrap();
+        }
+        assert_eq!(disk.ops(), []);
+        w.commit().unwrap();
+        w.commit().unwrap();
+        assert_eq!(disk.ops(), [DiskOp::Write(text.len())]);
+        assert_eq!(disk.bytes(), text.as_bytes());
+
+        // Syncing at batch 5: ten appends are two writes and two syncs.
+        let disk = DiskLog::default();
+        let mut w = disk.writer(true).with_batch(5);
+        for e in j.events() {
+            w.append(e).unwrap();
+        }
+        let half: usize = text.lines().take(5).map(|l| l.len() + 1).sum();
+        assert_eq!(
+            disk.ops(),
+            [
+                DiskOp::Write(half),
+                DiskOp::Sync,
+                DiskOp::Write(text.len() - half),
+                DiskOp::Sync
+            ]
+        );
+        w.commit().unwrap();
+        assert_eq!(disk.ops().len(), 4, "nothing pending, nothing synced");
+        assert_eq!(disk.bytes(), text.as_bytes());
+    }
+
+    #[test]
+    fn wal_sync_at_batch_one_writes_and_syncs_every_record() {
+        let j = sample_journal();
+        let disk = DiskLog::default();
+        let mut w = disk.writer(true);
+        let mut expected = Vec::new();
+        for e in j.events() {
+            w.append(e).unwrap();
+            expected.push(DiskOp::Write(e.to_jsonl_line().len() + 1));
+            expected.push(DiskOp::Sync);
+            assert_eq!(disk.ops(), expected);
+        }
+        w.commit().unwrap();
+        assert_eq!(disk.ops(), expected);
+        assert_eq!(disk.bytes(), j.to_jsonl().as_bytes());
+    }
+
+    #[test]
+    fn wal_buffer_cap_writes_whole_records_only() {
+        let mut j = Journal::new();
+        for i in 0..2_000u64 {
+            j.record(
+                SimTime::from_micros(i),
+                RunEvent::JobDispatched {
+                    job: i as u32,
+                    task: (i / 9) as u32,
+                    node: (i % 7) as u32,
+                    eta: SimTime::from_micros(i + 10),
+                },
+            );
+        }
+        let text: String = j
+            .events()
+            .iter()
+            .map(|e| e.to_jsonl_line_checksummed() + "\n")
+            .collect();
+        assert!(text.len() > 2 * WAL_BUFFER_CAP, "the cap must fire twice");
+        let longest = text.lines().map(|l| l.len() + 1).max().unwrap();
+
+        // No barrier in sight: syncing is on but the batch never fills.
+        let disk = DiskLog::default();
+        let mut w = disk.writer(true).with_batch(u64::MAX).with_checksums(true);
+        for e in j.events() {
+            w.append(e).unwrap();
+        }
+        let ops = disk.ops();
+        assert_eq!(ops.len(), text.len() / WAL_BUFFER_CAP);
+        for op in &ops {
+            let DiskOp::Write(len) = *op else {
+                panic!("the cap writes, it never syncs: {op:?}");
+            };
+            assert!((WAL_BUFFER_CAP..WAL_BUFFER_CAP + longest).contains(&len));
+        }
+        let written = disk.bytes();
+        assert_eq!(written, text.as_bytes()[..written.len()]);
+        assert!(written.ends_with(b"\n"), "a cap write ends on a record");
+
+        // The barrier writes the rest and syncs all of it, once.
+        w.commit().unwrap();
+        assert_eq!(disk.bytes(), text.as_bytes());
+        assert_eq!(
+            disk.ops()[ops.len()..],
+            [DiskOp::Write(text.len() - written.len()), DiskOp::Sync]
+        );
+    }
+
+    #[test]
+    fn wal_truncate_commits_buffered_records_into_the_old_segment() {
+        let j = sample_journal();
+        let disk = DiskLog::default();
+        let mut w = disk.writer(false);
+        for e in &j.events()[..4] {
+            w.append(e).unwrap();
+        }
+        // Four records are still buffered: they belong to the segment
+        // being dropped, not ahead of whatever seals the fresh one.
+        w.truncate().unwrap();
+        assert_eq!(disk.bytes(), b"");
+        w.append(&j.events()[4]).unwrap();
+        w.commit().unwrap();
+        let old: usize = j.events()[..4]
+            .iter()
+            .map(|e| e.to_jsonl_line().len() + 1)
+            .sum();
+        let fresh = j.events()[4].to_jsonl_line() + "\n";
+        assert_eq!(
+            disk.ops(),
+            [
+                DiskOp::Write(old),
+                DiskOp::SetLen(0),
+                DiskOp::Write(fresh.len())
+            ]
+        );
+        assert_eq!(disk.bytes(), fresh.as_bytes());
+    }
+
+    /// Twelve records through a [`FaultyDisk`](crate::disk::FaultyDisk)
+    /// under `plan`: four committed cleanly, then an eight-record batch
+    /// whose single write the plan fails. Returns what the file holds.
+    fn tear_second_commit(name: &str, plan: crate::disk::DiskFaultPlan) -> (Journal, String) {
+        let path = std::env::temp_dir().join(format!(
+            "smartred-wal-tear-{name}-{}-{}.jsonl",
+            plan.seed,
+            std::process::id()
+        ));
+        let mut j = Journal::new();
+        for i in 0..12u64 {
+            j.record(
+                SimTime::from_micros(i),
+                RunEvent::WaveOpened {
+                    task: i as u32,
+                    wave: 1,
+                    jobs: 3,
+                },
+            );
+        }
+        let disk = Box::new(crate::disk::FaultyDisk::create(&path, plan).unwrap());
+        let mut w = WalWriter::with_disk(disk, false).with_checksums(true);
+        for e in &j.events()[..4] {
+            w.append(e).unwrap();
+        }
+        w.commit().unwrap();
+        for e in &j.events()[4..] {
+            w.append(e).unwrap();
+        }
+        let err = w.commit().unwrap_err();
+        assert!(err.to_string().contains("injected disk fault"), "{err}");
+
+        // Poisoned: no later call touches the file again.
+        let on_disk = std::fs::read_to_string(&path).unwrap();
+        for result in [w.append(&j.events()[0]), w.commit(), w.truncate()] {
+            assert!(result.unwrap_err().to_string().contains("poisoned"));
+        }
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), on_disk);
+        std::fs::remove_file(&path).ok();
+        (j, on_disk)
+    }
+
+    #[test]
+    fn wal_tear_inside_a_batch_is_a_whole_record_prefix_and_a_torn_tail() {
+        use crate::disk::DiskFaultPlan;
+        let mut deepest = 0;
+        for seed in 0..32u64 {
+            let short = DiskFaultPlan {
+                seed,
+                short_write_at: Some(2),
+                ..DiskFaultPlan::default()
+            };
+            let power = DiskFaultPlan {
+                seed,
+                crash_after_writes: Some(1),
+                ..DiskFaultPlan::default()
+            };
+            for (name, plan) in [("short", short), ("power", power)] {
+                let (j, on_disk) = tear_second_commit(name, plan);
+                let prefix = Journal::from_jsonl_prefix(&on_disk).unwrap();
+                // The first commit is intact; the torn one kept some whole
+                // records and at most one partial.
+                let whole = prefix.journal.len();
+                assert!((4..12).contains(&whole), "{name}/{seed}: {whole}");
+                assert_eq!(prefix.journal.events(), &j.events()[..whole]);
+                let boundary: usize = j.events()[..whole]
+                    .iter()
+                    .map(|e| e.to_jsonl_line_checksummed().len() + 1)
+                    .sum();
+                assert_eq!(prefix.valid_bytes, boundary, "{name}/{seed}");
+                assert_eq!(prefix.torn, on_disk.len() > boundary, "{name}/{seed}");
+                if prefix.torn {
+                    deepest = deepest.max(whole);
+                }
+            }
+        }
+        assert!(deepest > 5, "no seed tore the batch past its first record");
     }
 
     fn supervision_journal() -> Journal {
@@ -2005,11 +2312,13 @@ mod tests {
         let path = dir.join("run.wal");
         let j = sample_journal();
 
-        // Append all but the last event durably, then fake a torn tail.
+        // Append all but the last event, commit, then fake a torn tail.
         let mut w = WalWriter::create(&path, false).unwrap();
         for e in &j.events()[..j.len() - 1] {
             w.append(e).unwrap();
         }
+        assert_eq!(std::fs::read(&path).unwrap(), b"", "flush-only buffers");
+        w.commit().unwrap();
         drop(w);
         let mut bytes = std::fs::read(&path).unwrap();
         bytes.extend_from_slice(b"{\"at\":9999,\"seq");
@@ -2022,6 +2331,7 @@ mod tests {
         assert_eq!(prefix.journal.len(), j.len() - 1);
         let mut w = WalWriter::resume(&path, prefix.valid_bytes as u64, false).unwrap();
         w.append(&j.events()[j.len() - 1]).unwrap();
+        w.commit().unwrap();
         drop(w);
 
         // The healed file is byte-identical to a clean serialization.
@@ -2065,6 +2375,13 @@ mod tests {
         let clipped = line.replace("\"crc\":\"", "\"crx\":\"");
         let err = Stamped::from_jsonl_line(&clipped).unwrap_err();
         assert!(err.contains("canonical"), "{err}");
+        // So is one whose value survived but whose bytes did not: the case
+        // bit of a hex letter is a bit like any other.
+        let at = line.rfind(|c: char| c.is_ascii_lowercase()).unwrap();
+        let mut upper = line.clone().into_bytes();
+        upper[at] ^= 0x20;
+        let err = Stamped::from_jsonl_line(std::str::from_utf8(&upper).unwrap()).unwrap_err();
+        assert!(err.contains("malformed checksum trailer"), "{err}");
     }
 
     #[test]
@@ -2199,20 +2516,16 @@ mod tests {
     }
 
     #[test]
-    fn batch_boundary_crash_never_surfaces_a_mid_batch_prefix_as_clean() {
-        // Group commit with batch 16: records 1..=16 were fsynced, 17..24
-        // were written + flushed but NOT synced when the process dies.
-        // Power loss may then keep any byte prefix of the unsynced tail.
-        // The torn-tail contract must hold at every such cut: recovery
-        // returns exactly the whole records before the cut, reports torn
-        // for any mid-record cut, and never resumes past a partial
-        // record — a mid-batch prefix is only "clean" at a record
-        // boundary.
-        let path = std::env::temp_dir().join(format!(
-            "smartred-wal-batch-tear-{}.jsonl",
-            std::process::id()
-        ));
-        let mut w = WalWriter::create(&path, true).unwrap().with_batch(16);
+    fn batch_boundary_crash_never_surfaces_a_mid_batch_wal_prefix_as_clean() {
+        // Group commit with batch 16: records 1..=16 were written and
+        // fsynced as one batch, 17..24 are still in the buffer. A process
+        // kill there leaves the file at the batch boundary. Once the tail
+        // batch is written, power loss may keep any byte prefix of that
+        // one unsynced write. The torn-tail contract must hold at every
+        // such cut: recovery returns exactly the whole records before the
+        // cut, reports torn for any mid-record cut, and never resumes
+        // past a partial record — a mid-batch prefix is only "clean" at a
+        // record boundary.
         let mut j = Journal::new();
         for i in 0..24u64 {
             j.record(
@@ -2224,13 +2537,27 @@ mod tests {
                 },
             );
         }
+        let text = j.to_jsonl();
+        let synced_boundary: usize = text.lines().take(16).map(|l| l.len() + 1).sum();
+
+        let disk = DiskLog::default();
+        let mut w = disk.writer(true).with_batch(16);
         for e in j.events() {
             w.append(e).unwrap();
         }
-        drop(w); // crash between flush and the batch's fsync
-        let text = std::fs::read_to_string(&path).unwrap();
-        assert_eq!(text, j.to_jsonl(), "every record was written + flushed");
-        let synced_boundary: usize = text.lines().take(16).map(|l| l.len() + 1).sum();
+        assert_eq!(
+            disk.bytes(),
+            text.as_bytes()[..synced_boundary],
+            "a kill mid-batch leaves whole batches only"
+        );
+        w.commit().unwrap();
+        assert_eq!(disk.bytes(), text.as_bytes());
+        assert_eq!(
+            disk.ops()[2..],
+            [DiskOp::Write(text.len() - synced_boundary), DiskOp::Sync],
+            "the tail batch is one write"
+        );
+
         let mut boundaries = vec![0usize];
         let mut acc = 0usize;
         for l in text.lines() {
@@ -2249,7 +2576,6 @@ mod tests {
                 "cut at {cut}"
             );
         }
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]

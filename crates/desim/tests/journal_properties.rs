@@ -6,7 +6,7 @@
 
 use proptest::prelude::*;
 use smartred_desim::journal::{
-    assert as jassert, DepartureReason, EventKind, FaultKind, Journal, RunEvent,
+    assert as jassert, DepartureReason, EventKind, FaultKind, Journal, RunEvent, WalWriter,
 };
 use smartred_desim::time::SimTime;
 
@@ -164,6 +164,50 @@ fn generator_covers_every_kind() {
         .collect();
     generated.sort_by_key(|&kind| EventKind::ALL.iter().position(|&k| k == kind));
     assert_eq!(generated, EventKind::ALL);
+}
+
+/// The commit buffer encodes in place rather than through
+/// `to_jsonl_line`/`to_jsonl_line_checksummed`; for every event variant,
+/// under both framings and whether records are committed one at a time or
+/// all at once, the bytes it writes are the bytes those functions give.
+#[test]
+fn wal_bytes_after_commit_equal_the_line_encoders_for_every_kind() {
+    let mut journal = Journal::new();
+    for sel in 0..ARMS {
+        for (a, b, v) in [(0, 0, false), (7_919, 63, true), (u32::MAX, u32::MAX, true)] {
+            let at = SimTime::from_micros(journal.next_seq() * 3);
+            journal.record(at, event_from(sel, a, b, v));
+        }
+    }
+    let mut checksummed = String::new();
+    for e in journal.events() {
+        checksummed.push_str(&e.to_jsonl_line_checksummed());
+        checksummed.push('\n');
+    }
+    for (checksums, expected) in [(false, journal.to_jsonl()), (true, checksummed)] {
+        for commit_each in [false, true] {
+            let path = std::env::temp_dir().join(format!(
+                "smartred-wal-kinds-{}-{checksums}-{commit_each}.jsonl",
+                std::process::id()
+            ));
+            let mut wal = WalWriter::create(&path, false)
+                .unwrap()
+                .with_checksums(checksums);
+            for e in journal.events() {
+                wal.append(e).unwrap();
+                if commit_each {
+                    wal.commit().unwrap();
+                }
+            }
+            wal.commit().unwrap();
+            assert_eq!(
+                std::fs::read_to_string(&path).unwrap(),
+                expected,
+                "checksums {checksums}, commit per record {commit_each}"
+            );
+            std::fs::remove_file(&path).ok();
+        }
+    }
 }
 
 /// Records the generated events with non-decreasing timestamps.

@@ -12,10 +12,15 @@
 //!
 //! ## Write-ahead logging
 //!
-//! When [`RuntimeConfig::wal`] is set, every journal record is durably
-//! appended (flushed, and fsync'd under [`RuntimeConfig::wal_sync`])
-//! *before* the coordinator acts on it — in particular before a verdict
-//! is sent or a wave's replicas are queued. [`Runtime::recover`] replays
+//! When [`RuntimeConfig::wal`] is set, every journal record goes to a
+//! write-ahead log, and the log is *committed* — written to the file in
+//! one `write`, and fsync'd under [`RuntimeConfig::wal_sync`] — before
+//! every effect visible outside the process (a verdict send, an
+//! annotation, a checkpoint, shutdown) and at the bottom of every
+//! coordinator turn, just before it blocks on a channel. A decision is
+//! in the file before anyone can observe it; a process kill loses at most
+//! the current turn's non-decision tail, which recovery already treats as
+//! "crashed one turn earlier". [`Runtime::recover`] replays
 //! the surviving WAL prefix (tolerating a torn final record) into a fresh
 //! coordinator that resumes exactly where the dead one stopped: decided
 //! tasks are never re-run or re-delivered, in-flight jobs are re-armed
@@ -88,13 +93,14 @@ pub struct RuntimeConfig {
     pub job_cap: Option<usize>,
     /// Whether to record the run journal (forced on when `wal` is set).
     pub journal: bool,
-    /// Durable write-ahead log path. When set, every event is appended to
-    /// this file before the coordinator acts on it, and
+    /// Durable write-ahead log path. When set, every event is logged to
+    /// this file — committed before any effect an outsider can observe and
+    /// before the coordinator sleeps (see the module docs) — and
     /// [`Runtime::recover`] can restart the run from it.
     pub wal: Option<PathBuf>,
-    /// Whether WAL appends `fdatasync` before returning (durable against
-    /// power loss, not just process death). Flush-only (`false`) is
-    /// faster and still survives any in-process crash.
+    /// Whether a WAL commit `fdatasync`s after its write (durable against
+    /// power loss, not just process death). Write-only (`false`) is
+    /// faster and still survives a process kill at any barrier.
     pub wal_sync: bool,
     /// Poison-task policy: tasks whose payload repeatedly crashes workers
     /// are failed rather than re-issued forever. `None` disables.
@@ -119,7 +125,8 @@ pub struct RuntimeConfig {
     pub audit_seed: u64,
     /// Chaos hook: the coordinator "dies" abruptly after this many journal
     /// appends — no further events, verdicts, or dispatch bookkeeping —
-    /// leaving the WAL exactly as a real crash would. Test-only.
+    /// leaving the WAL holding exactly that many records, as a kill right
+    /// after a commit would. Test-only.
     pub crash_after_events: Option<u64>,
     /// First global node id of this coordinator's worker pool. A sharded
     /// runtime gives each shard's sub-pool a disjoint id span (see
@@ -127,13 +134,17 @@ pub struct RuntimeConfig {
     /// and discipline records from different shards never collide; a
     /// standalone runtime leaves it 0.
     pub node_base: u32,
-    /// Group-commit batch: `fdatasync` the WAL every this-many appends
-    /// instead of after every one. Decision events (verdicts, caps,
-    /// poisonings) and shutdown always force a commit before their side
-    /// effects, so exactly-once delivery is unaffected; only
-    /// not-yet-committed *non*-decision tail events can be lost to power
-    /// failure, which recovery handles identically to crashing earlier.
-    /// `1` — the default — is the classic sync-every-append WAL.
+    /// Group-commit batch under [`wal_sync`](Self::wal_sync): how many
+    /// records may accumulate before an append writes and `fdatasync`s on
+    /// its own, without waiting for the coordinator's next barrier. `1` —
+    /// the default — is the classic WAL, one write and one sync per
+    /// record; a larger batch leaves the committing to the barriers (one
+    /// write and one sync per decision and per turn, whatever the turn
+    /// logged). Decision events (verdicts, caps, poisonings), annotations
+    /// and shutdown always commit before their side effects, so
+    /// exactly-once delivery is unaffected; only not-yet-committed
+    /// *non*-decision tail events can be lost, which recovery handles
+    /// identically to crashing earlier.
     pub wal_batch: u64,
     /// Straggler hedging: a job that outlives the online latency-quantile
     /// estimate gets a duplicate twin on another worker; the first copy to
@@ -981,9 +992,14 @@ impl<S: RedundancyStrategy<bool>> Coordinator<S> {
             }
             if idle {
                 self.maybe_checkpoint();
-                if self.crashed {
-                    break;
-                }
+            }
+            // Turn boundary: everything this turn logged reaches the file
+            // in one write before the coordinator sleeps.
+            self.commit_wal();
+            if self.crashed {
+                break;
+            }
+            if idle {
                 // Nothing in flight: block on the submission queue.
                 match self.submit_rx.recv_timeout(Duration::from_millis(5)) {
                     Ok(op) => self.admit_op(op),
@@ -1031,27 +1047,28 @@ impl<S: RedundancyStrategy<bool>> Coordinator<S> {
         SimTime::from_micros(self.time_base + self.start.elapsed().as_micros() as u64)
     }
 
-    /// Records one event: in-memory journal first, then the durable WAL
-    /// append — `log` returns only after the record would survive a
-    /// process crash, and callers act on the event *after* it returns
-    /// (write-ahead). Under group commit (`RuntimeConfig::wal_batch`
-    /// above 1) the append is flushed but possibly not yet fsync'd;
-    /// decision events call [`Self::commit_wal`] before their side
-    /// effects to close the power-failure window.
+    /// Records one event: in-memory journal, then the WAL's commit buffer,
+    /// then the ledger. The record reaches the file at the next
+    /// [`Self::commit_wal`] — the barrier every externally visible effect
+    /// sits behind, and the last thing each `run` turn does before it
+    /// sleeps — or earlier when a sync falls due
+    /// ([`RuntimeConfig::wal_batch`]). Effects that die with the process
+    /// (a dispatch to an in-process worker) need no barrier: losing their
+    /// records with them is the same as having crashed a turn earlier.
     ///
     /// Returns `false` when the coordinator is dead: either it already
     /// crashed, or this very append hit the chaos threshold
     /// ([`RuntimeConfig::crash_after_events`]). A `false` return means the
-    /// event is durable but the caller must not perform its side effects —
-    /// exactly the state a real crash between "append" and "act" leaves.
+    /// caller must not perform the event's side effects — exactly the
+    /// state a real crash between "append" and "act" leaves.
     fn log(&mut self, at: SimTime, event: RunEvent) -> bool {
         self.log_owed(at, event).is_some()
     }
 
     /// [`Self::log`], returning what the ledger says the event earned
     /// (`None` when the coordinator is dead). The ledger applies the
-    /// event right after the WAL append: state changes only once the
-    /// record that explains the change is durable.
+    /// event right after the WAL append, so it never holds a change whose
+    /// record the writer refused.
     fn log_owed(&mut self, at: SimTime, event: RunEvent) -> Option<Owed> {
         if self.crashed {
             return None;
@@ -1064,8 +1081,9 @@ impl<S: RedundancyStrategy<bool>> Coordinator<S> {
         self.journal.record(at, event);
         if let Some(wal) = self.wal.as_mut() {
             if wal.append(&entry).is_err() {
-                // The record may not be durable, so the coordinator must
-                // not act on it. A disk fault is a coordinator crash: the
+                // The append wrote a batch out and the disk failed it: the
+                // record may not be durable, so the coordinator must not
+                // act on it. A disk fault is a coordinator crash: the
                 // writer is poisoned (a failed fsync can silently drop
                 // acknowledged pages), and recovery resumes from the
                 // WAL's durable prefix exactly as after a power loss.
@@ -1081,6 +1099,9 @@ impl<S: RedundancyStrategy<bool>> Coordinator<S> {
         self.events_logged += 1;
         if let Some(limit) = self.cfg.crash_after_events {
             if self.events_logged >= limit {
+                // The hook models death *at* a barrier: the WAL holds
+                // exactly `limit` records, none of them acted on.
+                self.commit_wal();
                 self.crashed = true;
                 self.crashed_flag.store(true, Ordering::Release);
                 return None;
@@ -1089,9 +1110,11 @@ impl<S: RedundancyStrategy<bool>> Coordinator<S> {
         Some(owed)
     }
 
-    /// Forces the WAL's pending group-commit batch to disk. The barrier
-    /// between logging a decision event and performing its side effects:
-    /// a verdict is never delivered before it is fsync-durable.
+    /// The write-ahead barrier: writes every buffered record to the WAL
+    /// file (and fsyncs under [`RuntimeConfig::wal_sync`]). Called between
+    /// logging a decision and performing its side effects — a verdict is
+    /// never delivered before it is in the file — and at the bottom of
+    /// every `run` turn. Returns immediately without a WAL.
     fn commit_wal(&mut self) {
         if self.crashed {
             return;

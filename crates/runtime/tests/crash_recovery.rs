@@ -689,6 +689,155 @@ fn hung_worker_is_respawned_and_its_late_reply_is_rejected_by_epoch() {
     assert_eq!(report_from_journal(&run.journal), run.report);
 }
 
+/// The durability settings the barrier tests run under, as
+/// `(label, wal_sync, wal_batch)`.
+const DURABILITY: [(&str, bool, u64); 3] = [
+    ("flush", false, 1),
+    ("sync1", true, 1),
+    ("sync64", true, 64),
+];
+
+/// The whole-record prefix of the WAL file as it stands. The coordinator
+/// may be mid-write, so a torn tail is expected and dropped.
+fn wal_prefix_now(wal: &std::path::Path) -> Journal {
+    let text = std::fs::read_to_string(wal).unwrap();
+    Journal::from_jsonl_prefix(&text).unwrap().journal
+}
+
+/// The write-ahead barrier, seen from outside: whenever a client holds a
+/// verdict, that task's decision record is already in the WAL file — under
+/// every durability setting, although records now reach the file a
+/// coordinator turn at a time rather than one by one.
+#[test]
+fn a_verdict_is_in_the_wal_file_before_the_client_holds_it() {
+    quiet_injected_panics();
+    let tasks = roster(48);
+    for (name, sync, batch) in DURABILITY {
+        let wal = wal_path(&format!("barrier-{name}"));
+        let mut cfg = chaos_cfg(Some(wal.clone()));
+        cfg.wal_sync = sync;
+        cfg.wal_batch = batch;
+        cfg.wal_checksum = true;
+        let runtime = start_chaos(cfg);
+        let client = runtime.client();
+        // Closed loop, eight tasks in flight: each verdict is checked
+        // against the file while the coordinator keeps logging the rest.
+        let window = 8;
+        submit_all(&client, &tasks[..window]);
+        for next in window..tasks.len() + window {
+            let verdict = client.recv().expect("every task is decided");
+            let on_disk = wal_prefix_now(&wal);
+            let decided = on_disk.events().iter().any(|e| match e.event {
+                RunEvent::VerdictReached { task, .. }
+                | RunEvent::TaskCapped { task }
+                | RunEvent::TaskPoisoned { task, .. } => task == verdict.task,
+                _ => false,
+            });
+            assert!(
+                decided,
+                "{name}: task {} delivered ahead of its WAL record ({} records on disk)",
+                verdict.task,
+                on_disk.len()
+            );
+            if let Some(more) = tasks.get(next..next + 1) {
+                submit_all(&client, more);
+            }
+        }
+        drop(client);
+        let run = runtime.finish();
+        assert!(!run.crashed);
+        assert_eq!(wal_prefix_now(&wal).events(), run.journal.events());
+        let _ = std::fs::remove_file(&wal);
+    }
+}
+
+/// Nothing stays in the commit buffer while the coordinator sleeps: with
+/// every worker held inside `execute`, no decision — hence no decision
+/// barrier — can happen, yet the wave and dispatch records reach the file,
+/// because the coordinator commits before it blocks on the result channel.
+/// And once the verdict is out and the coordinator idles, the file is the
+/// whole journal: `finish` adds nothing but `RunEnded`.
+#[test]
+fn the_wal_file_is_complete_whenever_the_coordinator_sleeps() {
+    use std::sync::{Condvar, Mutex};
+    #[derive(Default)]
+    struct Gate {
+        state: Mutex<(usize, bool)>, // (executions started, released)
+        changed: Condvar,
+    }
+    struct Gated(Arc<Gate>);
+    impl Worker for Gated {
+        fn execute(&mut self, job: &JobAssignment) -> Option<(bool, bool)> {
+            let mut state = self.0.state.lock().unwrap();
+            state.0 += 1;
+            self.0.changed.notify_all();
+            while !state.1 {
+                state = self.0.changed.wait(state).unwrap();
+            }
+            Some((true, job.payload.execute()))
+        }
+    }
+
+    for (name, sync, batch) in [("flush", false, 1), ("sync64", true, 64)] {
+        let wal = wal_path(&format!("idle-{name}"));
+        let gate = Arc::new(Gate::default());
+        let mut cfg = chaos_cfg(Some(wal.clone()));
+        cfg.workers = Some(MARGIN);
+        cfg.wal_sync = sync;
+        cfg.wal_batch = batch;
+        let worker_gate = gate.clone();
+        let runtime = Runtime::start(
+            cfg,
+            Iterative::new(VoteMargin::new(MARGIN).unwrap()),
+            move |_| Box::new(Gated(worker_gate.clone())),
+        );
+        let client = runtime.client();
+        submit_all(&client, &roster(1));
+
+        // All of the first wave is inside `execute`; the coordinator has
+        // nothing left to do but wait for a reply.
+        let mut state = gate.state.lock().unwrap();
+        while state.0 < MARGIN {
+            state = gate.changed.wait(state).unwrap();
+        }
+        drop(state);
+        let deadline = std::time::Instant::now() + Duration::from_secs(20);
+        let dispatched = |j: &Journal| {
+            j.events()
+                .iter()
+                .filter(|e| matches!(e.event, RunEvent::JobDispatched { .. }))
+                .count()
+        };
+        while dispatched(&wal_prefix_now(&wal)) < MARGIN {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "{name}: dispatch records never reached the file while the coordinator slept"
+            );
+            std::thread::yield_now();
+        }
+
+        let mut state = gate.state.lock().unwrap();
+        state.1 = true;
+        gate.changed.notify_all();
+        drop(state);
+        let verdict = client.recv().expect("the task is decided");
+        assert_eq!(verdict.vote, Some(true));
+        // Unanimous honest votes decide at the wave's last reply, so the
+        // verdict is the journal's last record before shutdown.
+        let idle = std::fs::read_to_string(&wal).unwrap();
+        drop(client);
+        let run = runtime.finish();
+        let ended = run.journal.events().last().unwrap();
+        assert_eq!(ended.event, RunEvent::RunEnded);
+        assert_eq!(
+            format!("{idle}{}\n", ended.to_jsonl_line()),
+            run.journal.to_jsonl(),
+            "{name}: the idle file was missing records"
+        );
+        let _ = std::fs::remove_file(&wal);
+    }
+}
+
 mod audit_prefix_property {
     //! Satellite property: a crash at any WAL prefix with audits in
     //! flight recovers to the same audit verdicts and voided-verdict set

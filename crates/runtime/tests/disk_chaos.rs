@@ -1,5 +1,5 @@
 //! Storage-fault chaos for the durable runtime: injected disk failures
-//! (failed fsync, short writes, power loss mid-append, silent bit rot)
+//! (failed fsync, short writes, power loss mid-commit, silent bit rot)
 //! under the seeded [`DiskFaultPlan`], plus the checkpoint/compaction
 //! matrix — snapshot + WAL-suffix recovery must produce reports
 //! bit-identical to a full-history replay at 1 and 4 shards.
@@ -218,10 +218,26 @@ fn cleanup(wal: &PathBuf) {
     let _ = std::fs::remove_file(PathBuf::from(quarantined));
 }
 
+/// The durability settings the fault legs run under, as
+/// `(label, wal_sync, wal_batch)`: a write (and sync) per record, one per
+/// coordinator turn, and flush-only.
+const DURABILITY: [(&str, bool, u64); 3] = [
+    ("sync1", true, 1),
+    ("sync64", true, 64),
+    ("flush", false, 1),
+];
+
 /// The disk-fault half of the matrix: each injected storage failure must
 /// crash the coordinator (never limp on over a disk it cannot trust),
 /// and recovery on a healthy disk must converge to the golden verdicts
 /// with every delivery exactly-once across the crash.
+///
+/// Fault indices count `write_all`/`sync_data` calls, and a call carries
+/// however many records the coordinator logged since its last barrier —
+/// so the only count every durability setting guarantees is one write
+/// (and, when syncing, one sync) per decision, i.e. the roster size. Every
+/// index is at most that, and each leg asserts the crash: an index the
+/// run never reaches fails the test instead of passing it.
 #[test]
 fn injected_disk_faults_crash_the_coordinator_and_recovery_converges() {
     quiet_injected_panics();
@@ -232,12 +248,13 @@ fn injected_disk_faults_crash_the_coordinator_and_recovery_converges() {
     assert_eq!(golden_votes.len(), tasks.len());
     let golden_shape = shape(&golden.journal);
 
+    let floor = tasks.len() as u64;
     let plans: Vec<(&str, DiskFaultPlan)> = vec![
         (
             "fsync-early",
             DiskFaultPlan {
                 seed: SEED,
-                fail_fsync_at: Some(3),
+                fail_fsync_at: Some(floor / 3),
                 ..DiskFaultPlan::default()
             },
         ),
@@ -245,7 +262,7 @@ fn injected_disk_faults_crash_the_coordinator_and_recovery_converges() {
             "fsync-late",
             DiskFaultPlan {
                 seed: SEED ^ 1,
-                fail_fsync_at: Some(25),
+                fail_fsync_at: Some(floor),
                 ..DiskFaultPlan::default()
             },
         ),
@@ -253,7 +270,7 @@ fn injected_disk_faults_crash_the_coordinator_and_recovery_converges() {
             "short-write",
             DiskFaultPlan {
                 seed: SEED ^ 2,
-                short_write_at: Some(12),
+                short_write_at: Some(floor / 2),
                 ..DiskFaultPlan::default()
             },
         ),
@@ -261,36 +278,47 @@ fn injected_disk_faults_crash_the_coordinator_and_recovery_converges() {
             "power-loss",
             DiskFaultPlan {
                 seed: SEED ^ 3,
-                crash_after_writes: Some(18),
+                crash_after_writes: Some(floor - 2),
                 ..DiskFaultPlan::default()
             },
         ),
     ];
-    for (name, plan) in plans {
-        let wal = wal_path(name);
-        let mut cfg = chaos_cfg(Some(wal.clone()));
-        cfg.disk_faults = Some(plan);
-        let (crashed, pre_verdicts) = run_roster(cfg, &tasks);
-        assert!(crashed.crashed, "{name}: the injected fault must crash");
+    for (durability, sync, batch) in DURABILITY {
+        for &(fault, plan) in &plans {
+            if plan.fail_fsync_at.is_some() && !sync {
+                continue; // a flush-only WAL never calls fsync
+            }
+            let name = format!("{fault}-{durability}");
+            let durable_cfg = |wal: &PathBuf| RuntimeConfig {
+                wal_sync: sync,
+                wal_batch: batch,
+                ..chaos_cfg(Some(wal.clone()))
+            };
+            let wal = wal_path(&name);
+            let mut cfg = durable_cfg(&wal);
+            cfg.disk_faults = Some(plan);
+            let (crashed, pre_verdicts) = run_roster(cfg, &tasks);
+            assert!(crashed.crashed, "{name}: the injected fault must crash");
 
-        // Recovery reopens the real (now healthy) file; torn iff the
-        // fault persisted a partial final record without its newline.
-        let bytes = std::fs::read(&wal).unwrap();
-        let expect_torn = !bytes.is_empty() && !bytes.ends_with(b"\n");
-        let (run, post_verdicts, rec) = recover_chaos(chaos_cfg(Some(wal.clone())), &tasks);
-        assert!(!run.crashed, "{name}: recovery must complete");
-        assert_eq!(rec.torn_tail, expect_torn, "{name}: torn-tail detection");
-        assert_eq!(report_from_journal(&run.journal), run.report);
+            // Recovery reopens the real (now healthy) file; torn iff the
+            // fault persisted a partial final record without its newline.
+            let bytes = std::fs::read(&wal).unwrap();
+            let expect_torn = !bytes.is_empty() && !bytes.ends_with(b"\n");
+            let (run, post_verdicts, rec) = recover_chaos(durable_cfg(&wal), &tasks);
+            assert!(!run.crashed, "{name}: recovery must complete");
+            assert_eq!(rec.torn_tail, expect_torn, "{name}: torn-tail detection");
+            assert_eq!(report_from_journal(&run.journal), run.report);
 
-        // The recovered journal carries the full history, so the strong
-        // convergence check applies: every task decided, golden outcome.
-        assert_eq!(
-            shape(&run.journal),
-            golden_shape,
-            "{name}: recovered run diverged from golden"
-        );
-        assert_delivery(name, &pre_verdicts, &post_verdicts, &golden_votes, 1);
-        cleanup(&wal);
+            // The recovered journal carries the full history, so the strong
+            // convergence check applies: every task decided, golden outcome.
+            assert_eq!(
+                shape(&run.journal),
+                golden_shape,
+                "{name}: recovered run diverged from golden"
+            );
+            assert_delivery(&name, &pre_verdicts, &post_verdicts, &golden_votes, 1);
+            cleanup(&wal);
+        }
     }
 }
 
@@ -302,44 +330,51 @@ fn injected_disk_faults_crash_the_coordinator_and_recovery_converges() {
 fn bit_rot_in_a_checksummed_wal_is_refused_and_quarantined() {
     quiet_injected_panics();
     let tasks = roster(8);
-    let wal = wal_path("bit-rot");
-    let mut cfg = chaos_cfg(Some(wal.clone()));
-    cfg.wal_checksum = true;
-    // Flip one seeded bit after the 10th write: the rot lands strictly
-    // before later appends, so the damaged record is newline-terminated —
-    // in-place corruption, not a torn tail.
-    cfg.disk_faults = Some(DiskFaultPlan {
-        seed: SEED ^ 4,
-        flip_bit_after: Some(10),
-        ..DiskFaultPlan::default()
-    });
-    let (run, verdicts) = run_roster(cfg, &tasks);
-    assert!(!run.crashed, "bit rot is silent — the run completes");
-    assert_eq!(verdicts.len(), tasks.len());
+    for (durability, sync, batch) in DURABILITY {
+        let wal = wal_path(&format!("bit-rot-{durability}"));
+        let mut cfg = chaos_cfg(Some(wal.clone()));
+        cfg.wal_sync = sync;
+        cfg.wal_batch = batch;
+        cfg.wal_checksum = true;
+        // Flip one seeded bit after a write every setting is guaranteed
+        // to reach (one per decision) and to follow with more: the rot
+        // lands strictly before later commits, so the damaged record is
+        // newline-terminated — in-place corruption, not a torn tail. Had
+        // the flip not fired, recovery below would succeed and fail the
+        // test.
+        cfg.disk_faults = Some(DiskFaultPlan {
+            seed: SEED ^ 4,
+            flip_bit_after: Some(tasks.len() as u64 / 2),
+            ..DiskFaultPlan::default()
+        });
+        let (run, verdicts) = run_roster(cfg, &tasks);
+        assert!(!run.crashed, "bit rot is silent — the run completes");
+        assert_eq!(verdicts.len(), tasks.len());
 
-    let err = match Runtime::recover(
-        chaos_cfg(Some(wal.clone())),
-        Iterative::new(VoteMargin::new(MARGIN).unwrap()),
-        |_| Box::new(FaultyWorker::new(SEED, chaos_profile())) as Box<dyn Worker>,
-        &tasks,
-    ) {
-        Ok(_) => panic!("corrupt WAL must not recover"),
-        Err(err) => err,
-    };
-    let RecoveryError::Parse(parse) = &err else {
-        panic!("expected a parse refusal, got {err:?}");
-    };
-    let shown = parse.to_string();
-    assert!(shown.contains("byte"), "no byte offset in: {shown}");
+        let err = match Runtime::recover(
+            chaos_cfg(Some(wal.clone())),
+            Iterative::new(VoteMargin::new(MARGIN).unwrap()),
+            |_| Box::new(FaultyWorker::new(SEED, chaos_profile())) as Box<dyn Worker>,
+            &tasks,
+        ) {
+            Ok(_) => panic!("{durability}: corrupt WAL must not recover"),
+            Err(err) => err,
+        };
+        let RecoveryError::Parse(parse) = &err else {
+            panic!("{durability}: expected a parse refusal, got {err:?}");
+        };
+        let shown = parse.to_string();
+        assert!(shown.contains("byte"), "no byte offset in: {shown}");
 
-    // The segment was quarantined for forensics; the original path is
-    // gone, so a retry fails on the missing file instead of re-tripping.
-    let mut quarantined = wal.clone().into_os_string();
-    quarantined.push(".quarantined");
-    let quarantined = PathBuf::from(quarantined);
-    assert!(quarantined.exists(), "damaged segment must be quarantined");
-    assert!(!wal.exists());
-    cleanup(&wal);
+        // The segment was quarantined for forensics; the original path is
+        // gone, so a retry fails on the missing file instead of re-tripping.
+        let mut quarantined = wal.clone().into_os_string();
+        quarantined.push(".quarantined");
+        let quarantined = PathBuf::from(quarantined);
+        assert!(quarantined.exists(), "damaged segment must be quarantined");
+        assert!(!wal.exists());
+        cleanup(&wal);
+    }
 }
 
 /// Without checksums the WAL format is unchanged — no `crc` field — and
