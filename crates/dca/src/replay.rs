@@ -2,7 +2,7 @@
 //!
 //! The simulator builds its report incrementally as events fire; this
 //! module derives the same report purely from the recorded
-//! [`Journal`](smartred_desim::journal::Journal). Because every metric is a
+//! [`Journal`]. Because every metric is a
 //! fold over journal events in stream order — including the order-sensitive
 //! Welford summaries — the two must agree **exactly**, so any drift between
 //! the aggregate bookkeeping and the actual trajectory is a test failure,

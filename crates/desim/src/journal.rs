@@ -71,31 +71,52 @@ pub fn fnv1a_64(bytes: &[u8]) -> u64 {
     hash.0
 }
 
-/// How one field type crosses the journal's three formats — JSON text,
-/// digest bytes, parsed [`JsonValue`]. Every [`RunEvent`] field goes
-/// through exactly one of these impls, so this is the only code that knows
-/// how an integer, a float or a reason name is spelled.
+/// How one field type crosses the journal's three formats — JSON text
+/// out, JSON text in, digest bytes. Every [`RunEvent`] field goes through
+/// exactly one of these impls, so this is the only code that knows how an
+/// integer, a float or a reason name is spelled.
 trait Wire: Copy {
     /// Appends the value's JSON spelling.
     fn encode(self, out: &mut String);
     /// Feeds the value's digest bytes.
     fn digest(self, hash: &mut Fnv);
-    /// Reads the value back; the error completes "field 'key' …".
-    fn decode(value: JsonValue<'_>) -> Result<Self, String>;
+    /// Consumes exactly what [`encode`](Wire::encode) writes for some
+    /// value and returns it; the error completes "field 'key' …".
+    fn read(cur: &mut Cursor<'_>) -> Result<Self, &'static str>;
 }
 
 impl Wire for u64 {
     fn encode(self, out: &mut String) {
-        let _ = write!(out, "{self}");
+        let mut digits = [b'0'; 20];
+        let mut at = digits.len();
+        let mut n = self;
+        loop {
+            at -= 1;
+            digits[at] += (n % 10) as u8;
+            n /= 10;
+            if n == 0 {
+                break;
+            }
+        }
+        out.push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
     }
     fn digest(self, hash: &mut Fnv) {
         hash.eat(&self.to_le_bytes());
     }
-    fn decode(value: JsonValue<'_>) -> Result<Self, String> {
-        match value {
-            JsonValue::Int(n) => Ok(n),
-            other => Err(format!("is not an integer: {other:?}")),
+    fn read(cur: &mut Cursor<'_>) -> Result<Self, &'static str> {
+        let rest = cur.rest();
+        let len = rest.iter().take_while(|b| b.is_ascii_digit()).count();
+        match rest[..len] {
+            [] => return Err("is not an integer"),
+            [b'0', _, ..] => return Err("has a leading zero"),
+            _ => cur.pos += len,
         }
+        rest[..len]
+            .iter()
+            .try_fold(0u64, |n, b| {
+                n.checked_mul(10)?.checked_add(u64::from(b - b'0'))
+            })
+            .ok_or("exceeds u64")
     }
 }
 
@@ -106,8 +127,8 @@ impl Wire for u32 {
     fn digest(self, hash: &mut Fnv) {
         hash.eat(&self.to_le_bytes());
     }
-    fn decode(value: JsonValue<'_>) -> Result<Self, String> {
-        u32::try_from(u64::decode(value)?).map_err(|_| "exceeds u32".to_string())
+    fn read(cur: &mut Cursor<'_>) -> Result<Self, &'static str> {
+        u32::try_from(u64::read(cur)?).map_err(|_| "exceeds u32")
     }
 }
 
@@ -118,11 +139,9 @@ impl Wire for bool {
     fn digest(self, hash: &mut Fnv) {
         hash.eat(&[self as u8]);
     }
-    fn decode(value: JsonValue<'_>) -> Result<Self, String> {
-        match value {
-            JsonValue::Bool(b) => Ok(b),
-            other => Err(format!("is not a bool: {other:?}")),
-        }
+    fn read(cur: &mut Cursor<'_>) -> Result<Self, &'static str> {
+        cur.one_of(&[("true", true), ("false", false)])
+            .ok_or("is not a bool")
     }
 }
 
@@ -135,12 +154,18 @@ impl Wire for f64 {
     fn digest(self, hash: &mut Fnv) {
         self.to_bits().digest(hash);
     }
-    fn decode(value: JsonValue<'_>) -> Result<Self, String> {
-        match value {
-            JsonValue::Float(x) => Ok(x),
-            JsonValue::Int(n) => Ok(n as f64),
-            other => Err(format!("is not a number: {other:?}")),
+    /// `str::parse` admits many spellings of one value (`1`, `1.00`,
+    /// `1e0`). Only the encoder's is accepted: the parsed value is written
+    /// back through the cursor, which consumes what it is told to write.
+    fn read(cur: &mut Cursor<'_>) -> Result<Self, &'static str> {
+        let text = &cur.text[cur.pos..];
+        let token = text.split([',', '}']).next().unwrap_or(text);
+        let x: f64 = token.parse().map_err(|_| "is not a number")?;
+        let end = cur.pos + token.len();
+        if write!(cur, "{x:?}").is_err() || cur.pos != end {
+            return Err("is not in shortest round-trip form");
         }
+        Ok(x)
     }
 }
 
@@ -152,8 +177,59 @@ impl Wire for SimTime {
     fn digest(self, hash: &mut Fnv) {
         self.as_micros().digest(hash);
     }
-    fn decode(value: JsonValue<'_>) -> Result<Self, String> {
-        u64::decode(value).map(SimTime::from_micros)
+    fn read(cur: &mut Cursor<'_>) -> Result<Self, &'static str> {
+        u64::read(cur).map(SimTime::from_micros)
+    }
+}
+
+/// A read position in one record: the strict positional reader. Each step
+/// consumes exactly the bytes the encoder writes at that position or
+/// refuses the record — nothing is skipped, reordered or normalised — so a
+/// record that reads is, byte for byte, the record its value encodes to.
+struct Cursor<'a> {
+    text: &'a str,
+    pos: usize,
+}
+
+impl<'a> Cursor<'a> {
+    fn rest(&self) -> &'a [u8] {
+        &self.text.as_bytes()[self.pos..]
+    }
+
+    /// Consumes `token` if the record continues with it.
+    fn eat(&mut self, token: &str) -> bool {
+        let hit = self.rest().starts_with(token.as_bytes());
+        self.pos += if hit { token.len() } else { 0 };
+        hit
+    }
+
+    /// Consumes the first of `names` the record continues with.
+    fn one_of<T: Copy>(&mut self, names: &[(&str, T)]) -> Option<T> {
+        let &(_, value) = names.iter().find(|(name, _)| self.eat(name))?;
+        Some(value)
+    }
+
+    fn not_canonical(&self, expected: &str) -> String {
+        let at = self.pos;
+        format!("not in canonical form: expected {expected} at byte {at}")
+    }
+
+    /// One field at its wire position: `token` (`,"key":`), then the value.
+    fn field<T: Wire>(&mut self, token: &'static str) -> Result<T, String> {
+        if !self.eat(token) {
+            return Err(self.not_canonical(token));
+        }
+        T::read(self).map_err(|why| {
+            let key = token.trim_matches(|c: char| !c.is_ascii_alphanumeric() && c != '_');
+            format!("field '{key}' {why} (at byte {})", self.pos)
+        })
+    }
+}
+
+/// Writing to a cursor consumes the bytes written, or fails.
+impl fmt::Write for Cursor<'_> {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.eat(s).then_some(()).ok_or(fmt::Error)
     }
 }
 
@@ -190,11 +266,9 @@ macro_rules! wire_names {
             fn digest(self, hash: &mut Fnv) {
                 hash.eat(self.name().as_bytes());
             }
-            fn decode(value: JsonValue<'_>) -> Result<Self, String> {
-                match value {
-                    $(JsonValue::Str($name) => Ok($Enum::$Variant),)*
-                    other => Err(format!(concat!("is not a ", stringify!($Enum), ": {:?}"), other)),
-                }
+            fn read(cur: &mut Cursor<'_>) -> Result<Self, &'static str> {
+                cur.one_of(&[$((concat!("\"", $name, "\""), $Enum::$Variant),)*])
+                    .ok_or(concat!("is not a ", stringify!($Enum)))
             }
         }
     };
@@ -266,7 +340,8 @@ macro_rules! named_field {
 /// `name = "json_key": type` where the key differs) — and everything that
 /// depends on the field list is generated from it: the enum, [`EventKind`]
 /// with its names and [`EventKind::ALL`], `kind()`/`task()`/`node()`, and
-/// the per-variant halves of the JSONL encoder, the parser and the digest.
+/// the per-variant halves of the JSONL encoder, the positional reader and
+/// the digest.
 /// Field types must implement [`Wire`]. Doc comments pass through to the
 /// generated items.
 macro_rules! run_events {
@@ -332,13 +407,17 @@ macro_rules! run_events {
                 }
             }
 
-            /// Appends `,"key":value` for each field, in wire order.
-            fn encode_fields(&self, out: &mut String) {
+            /// Appends `,"kind":"name"`, then `,"key":value` for each
+            /// field in wire order.
+            fn encode(&self, out: &mut String) {
                 match *self {
-                    $(RunEvent::$Variant $({ $($field,)* })? => {$($(
-                        out.push_str(concat!(",\"", json_key!($field $($key)?), "\":"));
-                        $field.encode(out);
-                    )*)?})*
+                    $(RunEvent::$Variant $({ $($field,)* })? => {
+                        out.push_str(concat!(",\"kind\":\"", $wire, "\""));
+                        $($(
+                            out.push_str(concat!(",\"", json_key!($field $($key)?), "\":"));
+                            $field.encode(out);
+                        )*)?
+                    })*
                 }
             }
 
@@ -351,14 +430,15 @@ macro_rules! run_events {
                 }
             }
 
-            /// Rebuilds the event of wire name `kind` from a parsed line.
-            fn decode(kind: &str, fields: &Fields<'_>) -> Result<Self, String> {
-                Ok(match kind {
-                    $($wire => RunEvent::$Variant $({
-                        $($field: fields.get(json_key!($field $($key)?))?,)*
-                    })?,)*
-                    other => return Err(format!("unknown event kind '{other}'")),
-                })
+            /// Reads `,"kind":"name"`, then each of that variant's fields
+            /// at its wire position.
+            fn read(cur: &mut Cursor<'_>) -> Result<Self, String> {
+                $(if cur.eat(concat!(",\"kind\":\"", $wire, "\"")) {
+                    return Ok(RunEvent::$Variant $({
+                        $($field: cur.field(concat!(",\"", json_key!($field $($key)?), "\":"))?,)*
+                    })?);
+                })*
+                Err(cur.not_canonical("the kind of a known event"))
             }
         }
     };
@@ -692,10 +772,7 @@ impl Stamped {
         self.at.encode(out);
         out.push_str(",\"seq\":");
         self.seq.encode(out);
-        out.push_str(",\"kind\":\"");
-        out.push_str(self.event.kind().name());
-        out.push('"');
-        self.event.encode_fields(out);
+        self.event.encode(out);
         out.push('}');
     }
 
@@ -719,83 +796,83 @@ impl Stamped {
         self.encode(out);
         let crc = fnv1a_64(&out.as_bytes()[start..]);
         out.pop(); // the closing '}'
-        let _ = write!(out, ",\"crc\":\"{crc:016x}\"}}");
+        out.push_str(std::str::from_utf8(&crc_trailer(crc)).expect("ASCII"));
     }
 
-    /// Parses one entry back from its [`to_jsonl_line`](Self::to_jsonl_line)
+    /// Reads one entry back from its [`to_jsonl_line`](Self::to_jsonl_line)
     /// or [`to_jsonl_line_checksummed`](Self::to_jsonl_line_checksummed)
     /// form. The error is a bare message; callers attach line numbers.
     ///
-    /// Two corruption guards run on every line. A checksummed record's
-    /// trailer is verified against the FNV-1a hash of its canonical bytes,
-    /// so any in-place mutation of the content is reported as a checksum
-    /// mismatch. And — checksummed or not — the parsed record must
-    /// re-serialize to exactly the canonical bytes it was parsed from, so
-    /// a mutation that still parses (a damaged key name the flat parser
-    /// would otherwise skip as unknown, a re-ordered field) can never be
-    /// silently accepted as a different valid event.
+    /// The reader is *strict*: it accepts exactly the bytes one of those
+    /// two functions writes for some entry — fields in wire order, bare
+    /// digits, no whitespace, nothing after the closing brace — so a record
+    /// that reads re-encodes to the line it came from, and a mutation that
+    /// leaves valid JSON behind (a damaged key, a re-ordered field) is
+    /// never accepted as a different valid event. A checksummed record's
+    /// trailer is verified first, so damage to its content is reported as
+    /// a checksum mismatch. Nothing allocates unless the line is refused.
     pub fn from_jsonl_line(line: &str) -> Result<Self, String> {
-        let canonical = strip_verified_checksum(line.trim())?;
-        let stamped = Self::parse_canonical(&canonical)?;
-        if stamped.to_jsonl_line() != canonical.as_ref() {
-            return Err("record is not in canonical form (corruption suspected)".to_string());
-        }
-        Ok(stamped)
-    }
-
-    fn parse_canonical(line: &str) -> Result<Self, String> {
-        let fields = parse_object(line)?;
-        let kind = match fields.value("kind")? {
-            JsonValue::Str(kind) => kind,
-            other => return Err(format!("field 'kind' is not a string: {other:?}")),
+        let bytes = line.as_bytes();
+        // The trailer has one length: a line without the tag at that
+        // distance from its end is read as a plain record.
+        let (text, close) = match bytes.len().checked_sub(CRC_TRAILER.len()) {
+            Some(at) if bytes[at..].starts_with(CRC_TAG) => {
+                let mut hash = Fnv::new();
+                hash.eat(&bytes[..at]);
+                hash.eat(b"}");
+                if bytes[at..] != crc_trailer(hash.0) {
+                    return Err(refuse_trailer(&bytes[at..], hash.0));
+                }
+                (&line[..at], "")
+            }
+            _ => (line, "}"),
         };
-        Ok(Stamped {
-            at: fields.get("at")?,
-            seq: fields.get("seq")?,
-            event: RunEvent::decode(kind, &fields)?,
-        })
+        let mut cur = Cursor { text, pos: 0 };
+        let at = cur.field("{\"at\":")?;
+        let seq = cur.field(",\"seq\":")?;
+        let event = RunEvent::read(&mut cur)?;
+        match cur.rest() {
+            rest if rest == close.as_bytes() => Ok(Stamped { at, seq, event }),
+            // A trailer whose length put it out of place.
+            rest if rest.starts_with(CRC_TAG) => Err(MALFORMED_TRAILER.into()),
+            _ => Err(cur.not_canonical("the record to close")),
+        }
     }
 }
 
-/// Detects and verifies the `,"crc":"<16 hex>"` trailer of a checksummed
-/// record, returning the canonical (trailer-free) line. A line without the
-/// trailer is returned as-is — legacy WALs keep parsing. A present-but-
-/// wrong trailer (bad shape, anything but the sixteen lowercase hex digits
-/// the writer emits, or a hash that does not match the canonical bytes) is
-/// corruption.
-fn strip_verified_checksum(line: &str) -> Result<std::borrow::Cow<'_, str>, String> {
-    const TAG: &str = ",\"crc\":\"";
-    let Some(idx) = line.rfind(TAG) else {
-        return Ok(std::borrow::Cow::Borrowed(line));
-    };
-    let trailer = &line[idx + TAG.len()..];
-    let hex = trailer
-        .strip_suffix("\"}")
-        // Lowercase only, as written: an upper-case digit is a flipped bit.
-        .filter(|h| h.len() == 16 && h.bytes().all(|b| matches!(b, b'0'..=b'9' | b'a'..=b'f')))
-        .ok_or_else(|| "malformed checksum trailer".to_string())?;
-    let stated = u64::from_str_radix(hex, 16).expect("16 hex digits fit u64");
-    let mut canonical = line[..idx].to_string();
-    canonical.push('}');
-    let actual = fnv1a_64(canonical.as_bytes());
-    if stated != actual {
-        return Err(format!(
-            "checksum mismatch: record states {stated:016x} but content hashes to {actual:016x}"
-        ));
+/// What closes a checksummed record, with its hash's sixteen digits blank.
+const CRC_TRAILER: &[u8; 26] = b",\"crc\":\"0000000000000000\"}";
+const CRC_HEX: std::ops::Range<usize> = 8..24;
+const CRC_TAG: &[u8] = CRC_TRAILER.split_at(CRC_HEX.start).0;
+const MALFORMED_TRAILER: &str = "malformed checksum trailer";
+
+/// The trailer that states `crc`, in lowercase hex.
+fn crc_trailer(crc: u64) -> [u8; 26] {
+    let mut trailer = *CRC_TRAILER;
+    for (i, digit) in trailer[CRC_HEX].iter_mut().enumerate() {
+        *digit = b"0123456789abcdef"[(crc >> (60 - 4 * i)) as usize & 0xf];
     }
-    Ok(std::borrow::Cow::Owned(canonical))
+    trailer
+}
+
+/// Why `found` is not `crc_trailer(actual)`: its shape (an upper-case
+/// digit is a flipped bit like any other), else the value it states.
+fn refuse_trailer(found: &[u8], actual: u64) -> String {
+    let stated = &found[CRC_HEX];
+    let lowercase_hex = |b: &u8| matches!(b, b'0'..=b'9' | b'a'..=b'f');
+    if found[CRC_HEX.end..] != CRC_TRAILER[CRC_HEX.end..] || !stated.iter().all(lowercase_hex) {
+        return MALFORMED_TRAILER.into();
+    }
+    let stated = String::from_utf8_lossy(stated);
+    format!("checksum mismatch: record states {stated} but content hashes to {actual:016x}")
 }
 
 /// Best-effort extraction of the `"seq"` field from a raw (possibly
 /// corrupt) WAL line, so parse errors can name the damaged record even
 /// when it no longer parses as a whole.
 fn sniff_seq(line: &str) -> Option<u64> {
-    let idx = line.find("\"seq\":")?;
-    let rest = &line[idx + 6..];
-    let end = rest
-        .find(|c: char| !c.is_ascii_digit())
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
+    let text = &line[line.find("\"seq\":")? + 6..];
+    u64::read(&mut Cursor { text, pos: 0 }).ok()
 }
 
 /// Error returned by [`Journal::from_jsonl`].
@@ -1029,6 +1106,9 @@ impl Journal {
     /// (`drop_torn_tail`), or an ordinary last line.
     fn read_lines(text: &str, drop_torn_tail: bool) -> Result<WalPrefix, JournalParseError> {
         let mut journal = Journal::new();
+        // Few records are shorter than 64 bytes: sized once from the
+        // input, the event vector rarely has to grow and copy mid-read.
+        journal.events.reserve_exact(text.len() / 64);
         let mut torn = false;
         let mut valid_bytes = 0usize;
         let mut offset = 0usize;
@@ -1366,91 +1446,6 @@ impl WalWriter {
         };
         self.poisoning(result)
     }
-}
-
-/// Minimal JSON scalar for the journal's flat single-line objects.
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum JsonValue<'a> {
-    Int(u64),
-    Float(f64),
-    Bool(bool),
-    Str(&'a str),
-}
-
-/// The key/value pairs of one parsed line, in file order.
-struct Fields<'a>(Vec<(&'a str, JsonValue<'a>)>);
-
-impl<'a> Fields<'a> {
-    fn value(&self, key: &str) -> Result<JsonValue<'a>, String> {
-        self.0
-            .iter()
-            .find(|(k, _)| *k == key)
-            .map(|&(_, value)| value)
-            .ok_or_else(|| format!("missing field '{key}'"))
-    }
-
-    fn get<T: Wire>(&self, key: &str) -> Result<T, String> {
-        T::decode(self.value(key)?).map_err(|why| format!("field '{key}' {why}"))
-    }
-}
-
-/// Parses one flat JSON object (`{"k":v,...}`) with scalar values only —
-/// exactly the shape [`Journal::to_jsonl`] emits. Strings must not contain
-/// escapes (event vocabulary is fixed snake_case names).
-fn parse_object(line: &str) -> Result<Fields<'_>, String> {
-    let s = line.trim();
-    let inner = s
-        .strip_prefix('{')
-        .and_then(|s| s.strip_suffix('}'))
-        .ok_or_else(|| "not a JSON object".to_string())?;
-    let mut fields = Vec::new();
-    let mut rest = inner;
-    while !rest.is_empty() {
-        rest = rest.trim_start_matches(',');
-        if rest.is_empty() {
-            break;
-        }
-        let rest2 = rest
-            .strip_prefix('"')
-            .ok_or_else(|| format!("expected key at: {rest}"))?;
-        let key_end = rest2
-            .find('"')
-            .ok_or_else(|| "unterminated key".to_string())?;
-        let key = &rest2[..key_end];
-        let after_key = rest2[key_end + 1..]
-            .strip_prefix(':')
-            .ok_or_else(|| format!("expected ':' after key '{key}'"))?;
-        let (value, remainder) = if let Some(v) = after_key.strip_prefix('"') {
-            let end = v
-                .find('"')
-                .ok_or_else(|| "unterminated string value".to_string())?;
-            (JsonValue::Str(&v[..end]), &v[end + 1..])
-        } else {
-            let end = after_key.find(',').unwrap_or(after_key.len());
-            let raw = &after_key[..end];
-            let value = match raw {
-                "true" => JsonValue::Bool(true),
-                "false" => JsonValue::Bool(false),
-                _ => {
-                    if raw.chars().all(|c| c.is_ascii_digit()) {
-                        JsonValue::Int(
-                            raw.parse::<u64>()
-                                .map_err(|e| format!("bad integer '{raw}': {e}"))?,
-                        )
-                    } else {
-                        JsonValue::Float(
-                            raw.parse::<f64>()
-                                .map_err(|e| format!("bad number '{raw}': {e}"))?,
-                        )
-                    }
-                }
-            };
-            (value, &after_key[end..])
-        };
-        fields.push((key, value));
-        rest = remainder;
-    }
-    Ok(Fields(fields))
 }
 
 pub mod assert {

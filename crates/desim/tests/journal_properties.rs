@@ -6,7 +6,7 @@
 
 use proptest::prelude::*;
 use smartred_desim::journal::{
-    assert as jassert, DepartureReason, EventKind, FaultKind, Journal, RunEvent, WalWriter,
+    assert as jassert, DepartureReason, EventKind, FaultKind, Journal, RunEvent, Stamped, WalWriter,
 };
 use smartred_desim::time::SimTime;
 
@@ -164,6 +164,272 @@ fn generator_covers_every_kind() {
         .collect();
     generated.sort_by_key(|&kind| EventKind::ALL.iter().position(|&k| k == kind));
     assert_eq!(generated, EventKind::ALL);
+}
+
+/// Every kind, at small, ordinary and extreme field values, reads back
+/// to the entry that was written, in both framings.
+#[test]
+fn every_kind_reads_back_in_both_framings() {
+    for sel in 0..ARMS {
+        for (a, b, v) in [(0, 0, false), (7_919, 63, true), (u32::MAX, u32::MAX, true)] {
+            let entry = Stamped {
+                at: SimTime::from_micros(u64::from(a) * 3),
+                seq: u64::from(b) << 20,
+                event: event_from(sel, a, b, v),
+            };
+            for line in [entry.to_jsonl_line(), entry.to_jsonl_line_checksummed()] {
+                assert_eq!(Stamped::from_jsonl_line(&line), Ok(entry), "{line}");
+            }
+        }
+    }
+}
+
+/// The reader is strict: each of these is valid JSON for (or a near miss
+/// of) a record the lenient reader it replaced would have had to catch by
+/// re-encoding, and each is refused with a message that names the field
+/// or the token expected in its place.
+#[test]
+fn non_canonical_spellings_are_refused_by_name() {
+    let wave = Stamped {
+        at: SimTime::from_micros(5),
+        seq: 1,
+        event: RunEvent::WaveOpened {
+            task: 7,
+            wave: 1,
+            jobs: 3,
+        },
+    };
+    let plain = wave.to_jsonl_line();
+    assert_eq!(
+        plain,
+        r#"{"at":5,"seq":1,"kind":"wave_opened","task":7,"wave":1,"jobs":3}"#
+    );
+    let crc = wave.to_jsonl_line_checksummed();
+    let hex = crc.len() - 18..crc.len() - 2;
+    let with_hex = |digits: &str| format!("{}{digits}{}", &crc[..hex.start], &crc[hex.end..]);
+    let first_letter = crc[hex.clone()]
+        .find(|c: char| c.is_ascii_lowercase())
+        .expect("sixteen hex digits with no letter: pick another record");
+    let mut upper = crc.clone().into_bytes();
+    upper[hex.start + first_letter] ^= 0x20;
+    let flipped = if crc.ends_with("0\"}") { "1" } else { "0" };
+
+    let table: Vec<(&str, String, &str)> = vec![
+        (
+            "leading zero",
+            plain.replace(r#""task":7"#, r#""task":07"#),
+            "field 'task' has a leading zero",
+        ),
+        (
+            "explicit sign",
+            plain.replace(r#""wave":1"#, r#""wave":+1"#),
+            "field 'wave' is not an integer",
+        ),
+        (
+            "float for an integer",
+            plain.replace(r#""wave":1"#, r#""wave":1.0"#),
+            r#"expected ,"jobs":"#,
+        ),
+        (
+            "exponent for an integer",
+            plain.replace(r#""task":7"#, r#""task":7e0"#),
+            r#"expected ,"wave":"#,
+        ),
+        (
+            "u32 overflow",
+            plain.replace(r#""task":7"#, r#""task":4294967296"#),
+            "field 'task' exceeds u32",
+        ),
+        (
+            "u64 overflow",
+            plain.replace(r#""at":5"#, r#""at":18446744073709551616"#),
+            "field 'at' exceeds u64",
+        ),
+        (
+            "reordered keys",
+            plain.replace(r#""task":7,"wave":1"#, r#""wave":1,"task":7"#),
+            r#"expected ,"task":"#,
+        ),
+        (
+            "reordered head",
+            plain.replace(r#""at":5,"seq":1"#, r#""seq":1,"at":5"#),
+            r#"expected {"at":"#,
+        ),
+        (
+            "duplicate key",
+            plain.replace(r#""task":7"#, r#""task":7,"task":7"#),
+            r#"expected ,"wave":"#,
+        ),
+        (
+            "unknown key",
+            plain.replace(r#""jobs":3"#, r#""jobs":3,"extra":1"#),
+            "expected the record to close",
+        ),
+        (
+            "missing field",
+            plain.replace(r#","jobs":3"#, ""),
+            r#"expected ,"jobs":"#,
+        ),
+        (
+            "missing seq",
+            plain.replace(r#","seq":1"#, ""),
+            r#"expected ,"seq":"#,
+        ),
+        (
+            "field of another variant",
+            plain.replace(r#""jobs":3"#, r#""attempt":3"#),
+            r#"expected ,"jobs":"#,
+        ),
+        (
+            "unknown kind",
+            plain.replace("wave_opened", "wave_opens"),
+            "expected the kind of a known event",
+        ),
+        (
+            "unquoted kind",
+            plain.replace(r#""wave_opened""#, "wave_opened"),
+            "expected the kind of a known event",
+        ),
+        (
+            "space after a colon",
+            plain.replace(r#""at":5"#, r#""at": 5"#),
+            "field 'at' is not an integer",
+        ),
+        (
+            "space after a comma",
+            plain.replace(r#","seq""#, r#", "seq""#),
+            r#"expected ,"seq":"#,
+        ),
+        ("leading space", format!(" {plain}"), r#"expected {"at":"#),
+        (
+            "trailing space",
+            format!("{plain} "),
+            "expected the record to close",
+        ),
+        (
+            "trailing brace",
+            format!("{plain}}}"),
+            "expected the record to close",
+        ),
+        (
+            "two records on a line",
+            format!("{plain}{plain}"),
+            "expected the record to close",
+        ),
+        ("empty", String::new(), r#"expected {"at":"#),
+        (
+            "wrong crc",
+            with_hex(&format!("{}{flipped}", &crc[hex.start..hex.end - 1])),
+            "checksum mismatch: record states",
+        ),
+        (
+            "upper-case crc digit",
+            String::from_utf8(upper).unwrap(),
+            "malformed checksum trailer",
+        ),
+        (
+            "non-hex crc digit",
+            with_hex("000000000000000g"),
+            "malformed checksum trailer",
+        ),
+        (
+            "15-digit crc",
+            with_hex(&crc[hex.start + 1..hex.end]),
+            "malformed checksum trailer",
+        ),
+        (
+            "17-digit crc",
+            with_hex(&format!("0{}", &crc[hex.clone()])),
+            "malformed checksum trailer",
+        ),
+        (
+            "space after the crc",
+            format!("{crc} "),
+            "malformed checksum trailer",
+        ),
+    ];
+    for (what, line, expected) in &table {
+        assert_ne!(line, &plain, "{what}: the edit did not apply");
+        assert_ne!(line, &crc, "{what}: the edit did not apply");
+        match Stamped::from_jsonl_line(line) {
+            Ok(entry) => panic!("{what}: {line} was read as {entry:?}"),
+            Err(msg) => assert!(msg.contains(expected), "{what}: {line}: {msg}"),
+        }
+    }
+
+    // Per-type spellings on the variants that carry them.
+    let verdict = Stamped {
+        at: SimTime::from_micros(9),
+        seq: 2,
+        event: RunEvent::VerdictReached {
+            task: 7,
+            value: true,
+            degraded: false,
+            confidence: 1.0,
+        },
+    }
+    .to_jsonl_line();
+    let departed = Stamped {
+        at: SimTime::from_micros(9),
+        seq: 3,
+        event: RunEvent::NodeDeparted {
+            node: 4,
+            reason: DepartureReason::Churn,
+        },
+    }
+    .to_jsonl_line();
+    for (what, line, expected) in [
+        (
+            "integer for the float",
+            verdict.replace("1.0}", "1}"),
+            "field 'confidence' is not in shortest round-trip form",
+        ),
+        (
+            "padded float",
+            verdict.replace("1.0}", "1.00}"),
+            "field 'confidence' is not in shortest round-trip form",
+        ),
+        (
+            "exponent float",
+            verdict.replace("1.0}", "1e0}"),
+            "field 'confidence' is not in shortest round-trip form",
+        ),
+        (
+            "signed float",
+            verdict.replace("1.0}", "+1.0}"),
+            "field 'confidence' is not in shortest round-trip form",
+        ),
+        (
+            "not a float",
+            verdict.replace("1.0}", "one}"),
+            "field 'confidence' is not a number",
+        ),
+        (
+            "integer for a bool",
+            verdict.replace(r#""value":true"#, r#""value":1"#),
+            "field 'value' is not a bool",
+        ),
+        (
+            "capitalised bool",
+            verdict.replace(r#""degraded":false"#, r#""degraded":False"#),
+            "field 'degraded' is not a bool",
+        ),
+        (
+            "unknown reason",
+            departed.replace("churn", "bored"),
+            "field 'reason' is not a DepartureReason",
+        ),
+        (
+            "unquoted reason",
+            departed.replace(r#""churn""#, "churn"),
+            "field 'reason' is not a DepartureReason",
+        ),
+    ] {
+        match Stamped::from_jsonl_line(&line) {
+            Ok(entry) => panic!("{what}: {line} was read as {entry:?}"),
+            Err(msg) => assert!(msg.contains(expected), "{what}: {line}: {msg}"),
+        }
+    }
 }
 
 /// The commit buffer encodes in place rather than through
@@ -354,6 +620,36 @@ proptest! {
         prop_assert_eq!(whole.journal.events(), journal.events());
     }
 
+    /// Accepted means canonical. A plain-framed line (no checksum to
+    /// catch the damage) with one byte substituted, inserted or deleted is
+    /// either refused or — when the edit happens to spell another record
+    /// exactly as the writer would — read as that record, which then
+    /// re-encodes to the edited line byte for byte. The reader never
+    /// repairs, skips or reinterprets.
+    #[test]
+    fn an_accepted_line_reencodes_to_itself(
+        entry in (0u64..1_000_000, 0u64..100_000, 0..ARMS, 0u32..10_000, 0u32..64, proptest::bool::ANY),
+        edits in proptest::collection::vec((0u8..3, 0usize..10_000, 0x20u8..0x7f), 1..64),
+    ) {
+        let (at, seq, sel, a, b, v) = entry;
+        let original = Stamped { at: SimTime::from_micros(at), seq, event: event_from(sel, a, b, v) };
+        let line = original.to_jsonl_line();
+        prop_assert_eq!(Stamped::from_jsonl_line(&line), Ok(original));
+        for (op, at, byte) in edits {
+            let mut edited = line.clone().into_bytes();
+            let at = at % edited.len();
+            match op {
+                0 => edited[at] = byte,
+                1 => edited.insert(at, byte),
+                _ => { edited.remove(at); }
+            }
+            let edited = String::from_utf8(edited).expect("ASCII in, ASCII out");
+            if let Ok(accepted) = Stamped::from_jsonl_line(&edited) {
+                prop_assert_eq!(accepted.to_jsonl_line(), edited);
+            }
+        }
+    }
+
     /// Checksummed framing round-trips every event variant losslessly:
     /// each stamped record re-parses identically whether serialized with
     /// or without its `crc` trailer, and a whole checksummed WAL restores
@@ -371,7 +667,7 @@ proptest! {
             let line = e.to_jsonl_line_checksummed();
             // Per-record: the checksummed line parses back to the same
             // stamped event the plain line does.
-            let via_crc = smartred_desim::journal::Stamped::from_jsonl_line(&line).unwrap();
+            let via_crc = Stamped::from_jsonl_line(&line).unwrap();
             prop_assert_eq!(&via_crc, e);
             text.push_str(&line);
             text.push('\n');

@@ -32,6 +32,8 @@
 //! The snapshot format is deterministic line-based text with a trailing
 //! FNV-1a checksum, so a damaged snapshot is detected at load, never
 //! deserialized into wrong state.
+//!
+//! [`RunEvent::CheckpointTaken`]: smartred_desim::journal::RunEvent::CheckpointTaken
 
 use std::collections::BTreeMap;
 use std::fs;

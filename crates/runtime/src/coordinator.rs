@@ -616,6 +616,24 @@ impl Runtime {
             ledger.replay(e)?;
         }
 
+        // One walk of the roster: payloads of open tasks are indexed for
+        // the resume loop (first entry wins, as a scan would find it), and
+        // entries the WAL never saw are admitted fresh, under their
+        // original ids, ahead of any new submissions.
+        let mut payloads: HashMap<u32, &Payload> = HashMap::with_capacity(ledger.open().len());
+        let mut seeded = VecDeque::new();
+        for (task, payload) in roster {
+            if ledger.open().contains_key(task) {
+                payloads.entry(*task).or_insert(payload);
+            } else if !ledger.decided().contains(task) {
+                seeded.push_back(Submission {
+                    task: *task,
+                    payload: Arc::new(payload.clone()),
+                    verdict_tx: verdict_tx.clone(),
+                });
+            }
+        }
+
         // Open tasks resume (the roster supplies what the WAL does not
         // carry): unresolved jobs re-arm in job order without new journal
         // records, and replicas parked before the crash dispatch in task
@@ -625,7 +643,7 @@ impl Runtime {
         let mut rearm = Vec::new();
         let mut pending = VecDeque::new();
         for &task in &resume {
-            let (_, payload) = roster.iter().find(|(id, _)| *id == task).ok_or_else(|| {
+            let payload = *payloads.get(&task).ok_or_else(|| {
                 RecoveryError::Corrupt(format!("open task {task} missing from roster"))
             })?;
             let delivery = Delivery::new(Arc::new(payload.clone()), verdict_tx.clone());
@@ -641,20 +659,6 @@ impl Runtime {
             pending.extend(std::iter::repeat_n(task, parked));
         }
         rearm.sort_unstable();
-
-        // Roster entries the WAL never saw are admitted fresh, under
-        // their original ids, ahead of any new submissions.
-        let seeded: VecDeque<Submission> = roster
-            .iter()
-            .filter(|(task, _)| {
-                !ledger.decided().contains(task) && !ledger.open().contains_key(task)
-            })
-            .map(|(task, payload)| Submission {
-                task: *task,
-                payload: Arc::new(payload.clone()),
-                verdict_tx: verdict_tx.clone(),
-            })
-            .collect();
 
         let mut wal = WalWriter::resume(&path, prefix.valid_bytes as u64, cfg.wal_sync)?
             .with_batch(cfg.wal_batch)

@@ -12,10 +12,10 @@
 //!
 //! The pool is *supervised*: a panic inside [`Worker::execute`] is caught
 //! on the worker thread, reported to the coordinator as
-//! [`PoolEvent::Crash`], and the worker value is rebuilt in place from the
+//! `PoolEvent::Crash`, and the worker value is rebuilt in place from the
 //! factory, so one poisoned payload never takes a pool slot down. Threads
 //! stuck inside `execute` are detected via per-slot heartbeats and
-//! replaced wholesale with [`WorkerPool::respawn`]; the old thread is
+//! replaced wholesale with `WorkerPool::respawn`; the old thread is
 //! detached and its eventual late reply is rejected by epoch.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
