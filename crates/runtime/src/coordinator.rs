@@ -67,9 +67,9 @@ use smartred_desim::journal::{DepartureReason, Journal, RunEvent, Stamped, WalWr
 use smartred_desim::time::{SimDuration, SimTime};
 
 use crate::checkpoint::{checkpoint_path, CheckpointState};
-use crate::ledger::{Delivery, Ledger, Owed};
+use crate::ledger::{Delivery, Ledger};
 use crate::recovery::{RecoveryError, RecoveryReport};
-use crate::report::{fold_into, report_from_journal, RuntimeReport};
+use crate::report::RuntimeReport;
 use crate::worker::{JobAssignment, JobResult, PoolEvent, Worker, WorkerPool};
 use crate::workload::Payload;
 
@@ -342,6 +342,27 @@ pub struct Client {
 }
 
 impl Client {
+    /// A handle on the admission queue behind `submit_tx` that receives
+    /// its verdicts on `verdicts`.
+    fn new(
+        submit_tx: SyncSender<ClientOp>,
+        (verdict_tx, verdict_rx): (Sender<TaskVerdict>, Receiver<TaskVerdict>),
+        next_task: Arc<AtomicU32>,
+        active: Arc<AtomicUsize>,
+        max_active: usize,
+        counters: Arc<AdmissionCounters>,
+    ) -> Self {
+        Self {
+            submit_tx,
+            verdict_tx,
+            verdict_rx,
+            next_task,
+            active,
+            max_active,
+            counters,
+        }
+    }
+
     /// Submits one task. Never blocks: a full queue sheds the submission
     /// and returns [`SubmitOutcome::Shed`] (task ids are opaque — an id
     /// burned by a shed submission is never reused for another task).
@@ -395,16 +416,14 @@ impl Client {
 
 impl Clone for Client {
     fn clone(&self) -> Self {
-        let (verdict_tx, verdict_rx) = mpsc::channel();
-        Self {
-            submit_tx: self.submit_tx.clone(),
-            verdict_tx,
-            verdict_rx,
-            next_task: self.next_task.clone(),
-            active: self.active.clone(),
-            max_active: self.max_active,
-            counters: self.counters.clone(),
-        }
+        Self::new(
+            self.submit_tx.clone(),
+            mpsc::channel(),
+            self.next_task.clone(),
+            self.active.clone(),
+            self.max_active,
+            self.counters.clone(),
+        )
     }
 }
 
@@ -500,18 +519,10 @@ impl Runtime {
         S: RedundancyStrategy<bool> + Send + Sync + 'static,
         F: Fn(u32) -> Box<dyn Worker> + Send + Sync + 'static,
     {
-        let (verdict_tx, verdict_rx) = mpsc::channel();
+        let verdicts = mpsc::channel();
         let (runtime, report) =
-            Self::recover_with(cfg, strategy, make_worker, roster, &verdict_tx)?;
-        let client = Client {
-            submit_tx: runtime.submit_tx.clone().expect("runtime just started"),
-            verdict_tx,
-            verdict_rx,
-            next_task: runtime.next_task.clone(),
-            active: runtime.active.clone(),
-            max_active: runtime.max_active,
-            counters: runtime.counters.clone(),
-        };
+            Self::recover_with(cfg, strategy, make_worker, roster, &verdicts.0)?;
+        let client = runtime.client_on(verdicts);
         Ok((runtime, client, report))
     }
 
@@ -556,7 +567,6 @@ impl Runtime {
         // an *empty* segment next to a valid snapshot is a crash between
         // truncation and the seal record, healed from the snapshot alone.
         let ckpt = checkpoint_path(&path);
-        let mut heal_seal = false;
         let base: Option<CheckpointState> = match prefix.journal.events().first() {
             Some(first) => match first.event {
                 RunEvent::CheckpointTaken { events, digest } => {
@@ -593,15 +603,11 @@ impl Runtime {
                     )));
                 }
             },
-            None if ckpt.exists() => {
-                let snap = CheckpointState::load(&ckpt).map_err(|msg| {
-                    RecoveryError::Corrupt(format!(
-                        "empty WAL segment with an unusable snapshot: {msg}"
-                    ))
-                })?;
-                heal_seal = true;
-                Some(snap)
-            }
+            None if ckpt.exists() => Some(CheckpointState::load(&ckpt).map_err(|msg| {
+                RecoveryError::Corrupt(format!(
+                    "empty WAL segment with an unusable snapshot: {msg}"
+                ))
+            })?),
             None => None,
         };
 
@@ -616,57 +622,40 @@ impl Runtime {
             ledger.replay(e)?;
         }
 
-        // One walk of the roster: payloads of open tasks are indexed for
-        // the resume loop (first entry wins, as a scan would find it), and
+        // One walk of the roster, which supplies what the WAL does not
+        // carry: open tasks get their payload back (first entry wins), and
         // entries the WAL never saw are admitted fresh, under their
         // original ids, ahead of any new submissions.
-        let mut payloads: HashMap<u32, &Payload> = HashMap::with_capacity(ledger.open().len());
         let mut seeded = VecDeque::new();
-        for (task, payload) in roster {
-            if ledger.open().contains_key(task) {
-                payloads.entry(*task).or_insert(payload);
-            } else if !ledger.decided().contains(task) {
+        for &(task, ref payload) in roster {
+            if let Some(state) = ledger.open().get(&task) {
+                if state.delivery.is_none() {
+                    let payload = Arc::new(payload.clone());
+                    ledger.attach(task, Delivery::new(payload, verdict_tx.clone()));
+                }
+            } else if !ledger.decided().contains(&task) {
+                let (payload, verdict_tx) = (Arc::new(payload.clone()), verdict_tx.clone());
                 seeded.push_back(Submission {
-                    task: *task,
-                    payload: Arc::new(payload.clone()),
-                    verdict_tx: verdict_tx.clone(),
+                    task,
+                    payload,
+                    verdict_tx,
                 });
             }
         }
-
-        // Open tasks resume (the roster supplies what the WAL does not
-        // carry): unresolved jobs re-arm in job order without new journal
-        // records, and replicas parked before the crash dispatch in task
-        // order — the same order a drain would have processed them.
-        let mut resume: Vec<u32> = ledger.open().keys().copied().collect();
-        resume.sort_unstable();
-        let mut rearm = Vec::new();
-        let mut pending = VecDeque::new();
-        for &task in &resume {
-            let payload = *payloads.get(&task).ok_or_else(|| {
-                RecoveryError::Corrupt(format!("open task {task} missing from roster"))
-            })?;
-            let delivery = Delivery::new(Arc::new(payload.clone()), verdict_tx.clone());
-            let state = ledger.attach(task, delivery);
-            let epoch = state.epoch;
-            rearm.extend(
-                state
-                    .in_flight
-                    .iter()
-                    .map(|&(job, replica)| (job, task, replica, epoch)),
-            );
-            let parked = (state.replicas - state.dispatched) as usize;
-            pending.extend(std::iter::repeat_n(task, parked));
+        let unattached = ledger.open().iter().filter(|(_, s)| s.delivery.is_none());
+        if let Some(task) = unattached.map(|(&task, _)| task).min() {
+            return Err(RecoveryError::Corrupt(format!(
+                "open task {task} missing from roster"
+            )));
         }
-        rearm.sort_unstable();
 
         let mut wal = WalWriter::resume(&path, prefix.valid_bytes as u64, cfg.wal_sync)?
             .with_batch(cfg.wal_batch)
             .with_checksums(cfg.wal_checksum);
         let events_replayed = prefix.journal.len();
         let mut journal = prefix.journal;
-        if heal_seal {
-            let snap = base.as_ref().expect("healing implies a snapshot");
+        if let (Some(snap), 0) = (&base, events_replayed) {
+            // A crash between truncation and the seal record: re-seal.
             journal = Journal::resume_at(snap.events);
             journal.record(
                 snap.last_at,
@@ -680,63 +669,42 @@ impl Runtime {
             wal.commit()?;
         }
 
-        let report = match &base {
-            Some(snap) => {
-                // Snapshot + suffix fold: checkpoints happen only at
-                // quiescence, so no per-task accumulator straddles the
-                // boundary and the continued fold is bit-identical to a
-                // full-history fold.
-                let mut report = snap.report.clone();
-                fold_into(&mut report, journal.events());
-                report
-            }
-            None => report_from_journal(&journal),
-        };
         let recovery = RecoveryReport {
             torn_tail: prefix.torn,
             events_replayed,
             checkpoint_events: base.as_ref().map_or(0, |s| s.events),
-            tasks_resumed: resume.len(),
+            tasks_resumed: ledger.open().len(),
             tasks_decided: ledger.decided().len(),
             tasks_seeded: seeded.len(),
-            jobs_rearmed: rearm.len(),
-            report: report.clone(),
+            jobs_rearmed: ledger.open().values().map(|s| s.in_flight.len()).sum(),
+            // Checkpoints happen only at quiescence, so no open task
+            // straddles one and the ledger's snapshot + suffix fold is
+            // bit-identical to folding the full history.
+            report: ledger.report().clone(),
         };
         let max_roster = roster.iter().map(|&(id, _)| id).max();
         let next_task = ledger.max_task().max(max_roster).map_or(0, |m| m + 1);
 
         let (mut coordinator, submit_tx) =
             Coordinator::new(cfg, ledger, journal, Some(wal), Arc::new(make_worker));
-        for node in coordinator.pool.node_ids() {
-            let state = coordinator.ledger.node(node);
-            if state.blacklisted || state.quarantined_until.is_some() {
-                coordinator.pool.set_enabled(node, false);
-            }
-        }
-        coordinator.time_base = coordinator.ledger.last_at().as_micros();
-        coordinator.last_ckpt_events = coordinator.journal.next_seq();
-        coordinator.escalated = report.audit_failures > 0;
-        coordinator.report = report;
-        coordinator.active.store(resume.len(), Ordering::Relaxed);
-        coordinator.rearm = rearm.into();
-        coordinator.pending = pending;
         coordinator.seeded = seeded;
-        coordinator.resume = resume;
         Ok((spawn_runtime(coordinator, submit_tx, next_task), recovery))
     }
 
     /// Creates a submission handle.
     pub fn client(&self) -> Client {
-        let (verdict_tx, verdict_rx) = mpsc::channel();
-        Client {
-            submit_tx: self.submit_tx.clone().expect("runtime already finished"),
-            verdict_tx,
-            verdict_rx,
-            next_task: self.next_task.clone(),
-            active: self.active.clone(),
-            max_active: self.max_active,
-            counters: self.counters.clone(),
-        }
+        self.client_on(mpsc::channel())
+    }
+
+    fn client_on(&self, verdicts: (Sender<TaskVerdict>, Receiver<TaskVerdict>)) -> Client {
+        Client::new(
+            self.submit_tx.clone().expect("runtime already finished"),
+            verdicts,
+            self.next_task.clone(),
+            self.active.clone(),
+            self.max_active,
+            self.counters.clone(),
+        )
     }
 
     /// Whether the coordinator has hit its chaos crash point. Once true,
@@ -825,10 +793,41 @@ enum Outcome {
     Poisoned,
 }
 
+/// How a job ends ([`Coordinator::resolve`]): a worker replied, panicked
+/// inside the job (and was rebuilt in place), or let the deadline pass.
+#[derive(Clone, Copy)]
+enum End {
+    Returned(JobResult),
+    Crashed { worker: u32, task: u32 },
+    Lapsed,
+}
+
+/// What falls due; at equal instants a hedge check precedes a deadline.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Timer {
+    Hedge,
+    Deadline,
+}
+
+/// What [`Coordinator::launch`] launches and journals: a re-armed job
+/// (hung respawn, recovery) under the ids it had and with no record — the
+/// log already counted it; a fresh replica at the ledger's cursors, with
+/// its `JobDispatched`; or a twin of `origin`, with its `HedgeLaunched`.
+#[derive(Clone, Copy)]
+enum Record {
+    Rearm(Ids),
+    Dispatch,
+    Hedge(Ids, u32),
+}
+
+/// A job's `(job, replica, epoch)`.
+type Ids = (u32, u32, u32);
+
 struct Coordinator<S> {
     cfg: RuntimeConfig,
     /// Everything the WAL determines — open tasks, the decided set, node
-    /// supervision state, the job-id cursor — which only `log` changes.
+    /// supervision state, the job-id cursor, live hedge twins, the report
+    /// — which only `log` changes.
     ledger: Ledger<S>,
     pool: WorkerPool,
     submit_rx: Receiver<ClientOp>,
@@ -840,11 +839,13 @@ struct Coordinator<S> {
     time_base: u64,
     journal: Journal,
     wal: Option<WalWriter>,
-    report: RuntimeReport,
     jobs: HashMap<u32, JobInfo>,
-    /// `(deadline, job, epoch)` — an entry whose epoch no longer matches
-    /// the job's record is stale (the job was re-dispatched) and skipped.
-    deadlines: BinaryHeap<Reverse<(Instant, u32, u32)>>,
+    /// Armed timers as `(due, what, job, dispatch epoch)`, due in journal
+    /// time ([`Self::stamp`]): a deadline per dispatch — its `eta` — and a
+    /// hedge check per hedgeable one. An entry whose job has resolved or
+    /// was re-dispatched under a newer epoch is stale and skipped when it
+    /// falls due.
+    timers: BinaryHeap<Reverse<(SimTime, Timer, u32, u32)>>,
     /// One entry per replica opened but not yet handed to a worker (all
     /// inboxes full): its task. The replica index is the task's dispatch
     /// cursor in the ledger, as it is on replay.
@@ -856,42 +857,21 @@ struct Coordinator<S> {
     /// Recovered roster tasks awaiting first admission, drained ahead of
     /// the external submission queue.
     seeded: VecDeque<Submission>,
-    /// Resumed open tasks to nudge once at startup: a crash can land
-    /// exactly between a recorded vote (or abandon) and the strategy step
-    /// it should have triggered, leaving a task with zero outstanding
-    /// replicas and nothing queued. `advance` is a no-op for tasks whose
-    /// votes are still outstanding, so nudging every resumed task is safe.
-    resume: Vec<u32>,
     active: Arc<AtomicUsize>,
     draining: bool,
     /// Journal appends so far, for the chaos crash threshold.
     events_logged: u64,
     crashed: bool,
+    /// `crashed`, published for [`Runtime::is_crashed`] when `run` ends.
     crashed_flag: Arc<AtomicBool>,
     /// `Journal::next_seq` at the last checkpoint (or recovery), for the
     /// [`RuntimeConfig::checkpoint_every`] accumulation threshold.
     last_ckpt_events: u64,
-    /// Whether any audit has ever caught a liar — switches spot-checking
-    /// to [`AuditPolicy::escalated_rate`]. Re-derived from the journal on
-    /// recovery (`report.audit_failures > 0`).
-    escalated: bool,
     /// The straggler-hedging trigger (shared decision surface with the
     /// simulators). Estimator state is not journaled: a recovered
     /// coordinator re-warms from scratch, which only delays hedging and
     /// never changes a vote.
     hedge: Option<HedgeTrigger>,
-    /// Armed hedge checks as `(fire_at, origin job, dispatch epoch)`. An
-    /// entry whose origin has resolved, been superseded (epoch mismatch),
-    /// or whose task moved to a new epoch is skipped — the double-fire
-    /// guard against audit voids and deadline reissues.
-    hedge_checks: BinaryHeap<Reverse<(Instant, u32, u32)>>,
-    /// Live hedge pairs, both directions (origin ↔ twin).
-    hedge_pair: HashMap<u32, u32>,
-    /// Twin → `(origin, task)`, held until the twin settles; terminal
-    /// journal events of a pair always carry the *origin* job id (see
-    /// [`Self::fire_hedges`]), so recovery replays the pair as one
-    /// logical replica.
-    twin_origin: HashMap<u32, (u32, u32)>,
     /// Per-worker dispatch counts, indexed by global node id — the load
     /// signal of [`Assignment::LeastLoaded`].
     worker_loads: Vec<u64>,
@@ -904,8 +884,12 @@ struct Coordinator<S> {
 const TICK: Duration = Duration::from_millis(1);
 
 impl<S: RedundancyStrategy<bool>> Coordinator<S> {
-    /// A coordinator over `ledger` with its worker pool and channels,
-    /// nothing queued; returns the submission sender with it.
+    /// A coordinator over `ledger` with its worker pool and channels;
+    /// returns the submission sender with it. What a recovered ledger
+    /// holds resumes: the clock continues from the last stamp, sidelined
+    /// nodes stay disabled, unresolved jobs re-arm in job order without
+    /// new journal records, and replicas parked before the crash dispatch
+    /// in task order — the order a drain would have processed them.
     fn new(
         cfg: RuntimeConfig,
         ledger: Ledger<S>,
@@ -916,42 +900,54 @@ impl<S: RedundancyStrategy<bool>> Coordinator<S> {
         let workers = cfg.worker_count();
         let (submit_tx, submit_rx) = mpsc::sync_channel(cfg.queue_cap.max(1));
         let (result_tx, result_rx) = mpsc::channel();
-        let pool = WorkerPool::spawn(
+        let mut pool = WorkerPool::spawn(
             workers,
             cfg.node_base,
             cfg.inbox_cap,
             result_tx,
             make_worker,
         );
+        for node in pool.node_ids() {
+            let state = ledger.node(node);
+            if state.blacklisted || state.quarantined_until.is_some() {
+                pool.set_enabled(node, false);
+            }
+        }
+        let mut resume: Vec<u32> = ledger.open().keys().copied().collect();
+        resume.sort_unstable();
+        let mut rearm = Vec::new();
+        let mut pending = VecDeque::new();
+        for &task in &resume {
+            let state = &ledger.open()[&task];
+            let flying = state.in_flight.iter();
+            rearm.extend(flying.map(|&(job, replica)| (job, task, replica, state.epoch)));
+            let parked = (state.replicas - state.dispatched) as usize;
+            pending.extend(std::iter::repeat_n(task, parked));
+        }
+        rearm.sort_unstable();
         let coordinator = Coordinator {
+            time_base: ledger.last_at().as_micros(),
+            last_ckpt_events: journal.next_seq(),
+            active: Arc::new(AtomicUsize::new(resume.len())),
             ledger,
             pool,
             submit_rx,
             result_rx,
             start: Instant::now(),
-            time_base: 0,
             journal,
             wal,
-            report: RuntimeReport::new(),
             jobs: HashMap::new(),
-            deadlines: BinaryHeap::new(),
-            pending: VecDeque::new(),
-            rearm: VecDeque::new(),
+            timers: BinaryHeap::new(),
+            pending,
+            rearm: rearm.into(),
             seeded: VecDeque::new(),
-            resume: Vec::new(),
-            active: Arc::new(AtomicUsize::new(0)),
             draining: false,
             events_logged: 0,
             crashed: false,
             crashed_flag: Arc::new(AtomicBool::new(false)),
-            last_ckpt_events: 0,
-            escalated: false,
             hedge: cfg
                 .hedge
                 .map(|p| HedgeTrigger::new(p).expect("invalid hedge policy")),
-            hedge_checks: BinaryHeap::new(),
-            hedge_pair: HashMap::new(),
-            twin_origin: HashMap::new(),
             // Indexed by *global* node id, like the ledger's node table.
             worker_loads: vec![0; cfg.node_base as usize + workers],
             assign_cursor: cfg.node_base,
@@ -961,37 +957,35 @@ impl<S: RedundancyStrategy<bool>> Coordinator<S> {
     }
 
     fn run(mut self) -> (RuntimeReport, Journal, bool) {
-        // What the recovered WAL prefix still owes — a quarantine or
-        // poisoning whose record the crash cut off — comes first.
+        // What the recovered WAL prefix still owes comes first: a
+        // quarantine or poisoning whose record the crash cut off, then a
+        // `HedgeWasted` for every twin it left racing.
         let owed = self.ledger.owed();
         let at = self.stamp();
         self.enact(owed.discipline, at);
         if let Some(task) = owed.poison {
             self.finalize(task, Outcome::Poisoned, at);
         }
-        let resume = std::mem::take(&mut self.resume);
-        for task in resume {
-            if self.crashed {
-                break;
+        let _ = self.cancel_jobs(None, &[], at);
+        // Then every resumed task is nudged once: a crash can land between
+        // a recorded vote (or abandon) and the strategy step it should
+        // have triggered, leaving a task with nothing outstanding or
+        // queued. `advance` is a no-op while votes are outstanding.
+        let mut resumed: Vec<u32> = self.ledger.open().keys().copied().collect();
+        resumed.sort_unstable();
+        for task in resumed {
+            if !self.crashed {
+                self.advance(task, self.stamp());
             }
-            let at = self.stamp();
-            self.advance(task, at);
         }
-        loop {
-            if self.crashed {
-                break;
-            }
+        while !self.crashed {
             self.admit();
             self.supervise_hangs();
             self.release_quarantines();
             self.drain_pending();
-            self.fire_hedges(Instant::now());
-            self.expire_deadlines(Instant::now());
-            if self.crashed {
-                break;
-            }
+            self.fire_timers();
             let idle = self.ledger.open().is_empty() && self.seeded.is_empty();
-            if self.draining && idle {
+            if self.crashed || (self.draining && idle) {
                 break;
             }
             if idle {
@@ -1011,20 +1005,18 @@ impl<S: RedundancyStrategy<bool>> Coordinator<S> {
                     Err(RecvTimeoutError::Timeout) => {}
                 }
             } else {
-                let wait = match self.deadlines.peek() {
-                    Some(&Reverse((deadline, _, _))) => {
-                        deadline.saturating_duration_since(Instant::now()).min(TICK)
-                    }
-                    None => TICK,
-                };
+                let wait = self.timers.peek().map_or(TICK, |&Reverse((due, ..))| {
+                    let left = due.as_micros().saturating_sub(self.stamp().as_micros());
+                    Duration::from_micros(left).min(TICK)
+                });
                 match self.result_rx.recv_timeout(wait) {
                     Ok(event) => {
                         self.on_pool_event(event);
                         while !self.crashed {
-                            match self.result_rx.try_recv() {
-                                Ok(more) => self.on_pool_event(more),
-                                Err(_) => break,
-                            }
+                            let Ok(more) = self.result_rx.try_recv() else {
+                                break;
+                            };
+                            self.on_pool_event(more);
                         }
                     }
                     Err(RecvTimeoutError::Timeout) => {}
@@ -1037,12 +1029,12 @@ impl<S: RedundancyStrategy<bool>> Coordinator<S> {
             let end = self.stamp();
             if self.log(end, RunEvent::RunEnded) {
                 self.commit_wal();
-                self.report.makespan_units = end.as_units();
             }
         }
         let crashed = self.crashed;
+        self.crashed_flag.store(crashed, Ordering::Release);
         self.pool.shutdown();
-        (self.report, self.journal, crashed)
+        (self.ledger.report().clone(), self.journal, crashed)
     }
 
     /// Monotone wall-clock stamp: micros since runtime start (plus the
@@ -1064,18 +1056,12 @@ impl<S: RedundancyStrategy<bool>> Coordinator<S> {
     /// crashed, or this very append hit the chaos threshold
     /// ([`RuntimeConfig::crash_after_events`]). A `false` return means the
     /// caller must not perform the event's side effects — exactly the
-    /// state a real crash between "append" and "act" leaves.
+    /// state a real crash between "append" and "act" leaves. The ledger
+    /// applies the event right after the WAL append (what it earned is
+    /// then [`Ledger::owed`]), never a record the writer refused.
     fn log(&mut self, at: SimTime, event: RunEvent) -> bool {
-        self.log_owed(at, event).is_some()
-    }
-
-    /// [`Self::log`], returning what the ledger says the event earned
-    /// (`None` when the coordinator is dead). The ledger applies the
-    /// event right after the WAL append, so it never holds a change whose
-    /// record the writer refused.
-    fn log_owed(&mut self, at: SimTime, event: RunEvent) -> Option<Owed> {
         if self.crashed {
-            return None;
+            return false;
         }
         let entry = Stamped {
             at,
@@ -1092,12 +1078,10 @@ impl<S: RedundancyStrategy<bool>> Coordinator<S> {
                 // acknowledged pages), and recovery resumes from the
                 // WAL's durable prefix exactly as after a power loss.
                 self.crashed = true;
-                self.crashed_flag.store(true, Ordering::Release);
-                return None;
+                return false;
             }
         }
-        let owed = self
-            .ledger
+        self.ledger
             .apply(&entry)
             .expect("the coordinator logs only events its own state produced");
         self.events_logged += 1;
@@ -1107,11 +1091,10 @@ impl<S: RedundancyStrategy<bool>> Coordinator<S> {
                 // exactly `limit` records, none of them acted on.
                 self.commit_wal();
                 self.crashed = true;
-                self.crashed_flag.store(true, Ordering::Release);
-                return None;
+                return false;
             }
         }
-        Some(owed)
+        true
     }
 
     /// The write-ahead barrier: writes every buffered record to the WAL
@@ -1129,7 +1112,6 @@ impl<S: RedundancyStrategy<bool>> Coordinator<S> {
                 // durable, so whatever side effect this commit was
                 // guarding must not happen. Die; recover from the prefix.
                 self.crashed = true;
-                self.crashed_flag.store(true, Ordering::Release);
             }
         }
     }
@@ -1137,53 +1119,35 @@ impl<S: RedundancyStrategy<bool>> Coordinator<S> {
     /// Takes a checkpoint when one is due and the coordinator is
     /// quiescent — no open tasks, no in-flight jobs, nothing parked — so
     /// the snapshot needs no open-task state and the suffix fold starts
-    /// from a clean slate.
-    fn maybe_checkpoint(&mut self) {
-        let Some(every) = self.cfg.checkpoint_every else {
-            return;
-        };
-        if self.crashed || self.wal.is_none() {
-            return;
-        }
-        let quiescent = self.ledger.open().is_empty()
-            && self.seeded.is_empty()
-            && self.pending.is_empty()
-            && self.rearm.is_empty()
-            && self.jobs.is_empty();
-        if !quiescent {
-            return;
-        }
-        if self
-            .journal
-            .next_seq()
-            .saturating_sub(self.last_ckpt_events)
-            < every.max(1)
-        {
-            return;
-        }
-        self.take_checkpoint();
-    }
-
-    /// Commits the WAL, atomically stores the snapshot, truncates the
-    /// segment, and seals the fresh segment with a
+    /// from a clean slate: commits the WAL, atomically stores the
+    /// snapshot, truncates the segment, and seals the fresh segment with a
     /// [`RunEvent::CheckpointTaken`] record whose `seq` equals the
     /// compacted event count. Every crash window inside this sequence is
     /// recoverable — see the `checkpoint` module docs; an I/O failure
     /// either leaves the old segment intact (snapshot store) or poisons
     /// the writer and crashes the coordinator (truncate/seal).
-    fn take_checkpoint(&mut self) {
+    fn maybe_checkpoint(&mut self) {
+        let (Some(every), Some(wal)) = (self.cfg.checkpoint_every, &self.cfg.wal) else {
+            return;
+        };
+        let quiescent = self.ledger.open().is_empty()
+            && self.seeded.is_empty()
+            && self.pending.is_empty()
+            && self.rearm.is_empty()
+            && self.jobs.is_empty();
+        let events = self.journal.next_seq();
+        if !quiescent || events.saturating_sub(self.last_ckpt_events) < every.max(1) {
+            return;
+        }
+        let path = checkpoint_path(wal);
         self.commit_wal();
         if self.crashed {
             return;
         }
-        let Some(path) = self.cfg.wal.clone() else {
-            return;
-        };
         let at = self.stamp();
-        let events = self.journal.next_seq();
-        let state = self.ledger.checkpoint(events, at, &self.report);
+        let state = self.ledger.checkpoint(events, at);
         let digest = state.digest();
-        if state.store(&checkpoint_path(&path)).is_err() {
+        if state.store(&path).is_err() {
             // The old WAL is fully intact — skip this checkpoint and try
             // again only after another interval's worth of events.
             self.last_ckpt_events = events;
@@ -1192,7 +1156,6 @@ impl<S: RedundancyStrategy<bool>> Coordinator<S> {
         if let Some(wal) = self.wal.as_mut() {
             if wal.truncate().is_err() {
                 self.crashed = true;
-                self.crashed_flag.store(true, Ordering::Release);
                 return;
             }
         }
@@ -1217,8 +1180,6 @@ impl<S: RedundancyStrategy<bool>> Coordinator<S> {
                 }
             }
         }
-        self.active
-            .store(self.ledger.open().len(), Ordering::Relaxed);
     }
 
     fn admit_op(&mut self, op: ClientOp) {
@@ -1286,18 +1247,11 @@ impl<S: RedundancyStrategy<bool>> Coordinator<S> {
                 self.worker_loads[worker as usize] += 1;
             });
         }
-        let mut eligible: Vec<u32> = self
-            .pool
-            .node_ids()
-            .filter(|&n| self.pool.is_enabled(n) && Some(n) != avoid)
-            .collect();
+        let enabled = self.pool.node_ids().filter(|&n| self.pool.is_enabled(n));
+        let mut eligible: Vec<u32> = enabled.clone().filter(|&n| Some(n) != avoid).collect();
         if eligible.is_empty() {
             // Only the avoided worker remains enabled: waive the exclusion.
-            eligible = self
-                .pool
-                .node_ids()
-                .filter(|&n| self.pool.is_enabled(n))
-                .collect();
+            eligible = enabled.collect();
         }
         if eligible.is_empty() {
             return Err(assignment);
@@ -1320,425 +1274,320 @@ impl<S: RedundancyStrategy<bool>> Coordinator<S> {
             order.extend_from_slice(&eligible[..at]);
             order
         };
-        match self.pool.try_dispatch_ordered(assignment, &order) {
-            Ok(worker) => {
-                self.assign_cursor = worker.wrapping_add(1);
-                self.worker_loads[worker as usize] += 1;
-                Ok(worker)
-            }
-            Err(back) => Err(back),
-        }
+        let sent = self.pool.try_dispatch_ordered(assignment, &order);
+        sent.inspect(|&worker| {
+            self.assign_cursor = worker.wrapping_add(1);
+            self.worker_loads[worker as usize] += 1;
+        })
     }
 
-    /// Arms a hedge check for a just-dispatched job, if the trigger is
-    /// warm and the threshold beats the deadline (hedging past the
-    /// deadline would duplicate a job the timeout path is about to
-    /// abandon anyway).
-    fn arm_hedge(&mut self, job: u32, epoch: u32, dispatched: Instant) {
-        let Some(threshold) = self.hedge.as_ref().and_then(|t| t.threshold()) else {
-            return;
+    /// Puts one job in flight: hands it to a worker, journals what `record`
+    /// says, maps it and arms its deadline — and, unless it is a twin, its
+    /// hedge check, if the trigger is warm and the threshold beats the
+    /// deadline (past it the timeout path abandons the job anyway).
+    /// Returns `false` when every inbox refused and the caller should park
+    /// the job; `true` also for a task decided while parked and on death.
+    fn launch(&mut self, task: u32, avoid: Option<u32>, record: Record) -> bool {
+        let Some(state) = self.ledger.open().get(&task) else {
+            return true;
         };
-        if threshold < self.cfg.deadline.as_secs_f64() {
-            self.hedge_checks.push(Reverse((
-                dispatched + Duration::from_secs_f64(threshold),
+        let (job, replica, epoch) = match record {
+            Record::Rearm(ids) | Record::Hedge(ids, _) => ids,
+            Record::Dispatch => (self.ledger.next_job(), state.dispatched, state.epoch),
+        };
+        let assignment = JobAssignment {
+            job,
+            task,
+            replica,
+            epoch,
+            payload: state.delivery().payload.clone(),
+        };
+        let Ok(worker) = self.dispatch_to_pool(assignment, avoid) else {
+            return false;
+        };
+        let at = self.stamp();
+        let deadline = at + SimDuration::from_micros(self.cfg.deadline.as_micros() as u64);
+        let event = match record {
+            Record::Rearm(_) => None,
+            Record::Dispatch => Some(RunEvent::JobDispatched {
                 job,
+                task,
+                node: worker,
+                eta: deadline,
+            }),
+            Record::Hedge(_, origin) => Some(RunEvent::HedgeLaunched {
+                job,
+                task,
+                origin,
                 epoch,
-            )));
+            }),
+        };
+        if event.is_some_and(|event| !self.log(at, event)) {
+            return true;
         }
+        self.jobs.insert(
+            job,
+            JobInfo {
+                task,
+                worker,
+                replica,
+                epoch,
+                dispatched_at: at,
+            },
+        );
+        self.timers
+            .push(Reverse((deadline, Timer::Deadline, job, epoch)));
+        if !matches!(record, Record::Hedge(..)) {
+            let threshold = self.hedge.as_ref().and_then(|t| t.threshold());
+            if let Some(threshold) = threshold.filter(|&t| t < self.cfg.deadline.as_secs_f64()) {
+                let due = at + SimDuration::from_units(threshold);
+                self.timers.push(Reverse((due, Timer::Hedge, job, epoch)));
+            }
+        }
+        true
     }
 
     /// Hands parked replicas to workers, stopping at the first refusal
     /// (every inbox full) — the next tick retries. Re-armed jobs (hung
-    /// respawns, recovery) go first and are *not* re-journaled: they are
-    /// the same logical jobs the log already counted.
+    /// respawns, recovery) go first.
     fn drain_pending(&mut self) {
-        while let Some((job, task, replica, epoch)) = self.rearm.pop_front() {
-            let Some(state) = self.ledger.open().get(&task) else {
-                continue; // task decided (e.g. poisoned) while parked
-            };
-            let assignment = JobAssignment {
-                job,
-                task,
-                replica,
-                epoch,
-                payload: state.delivery().payload.clone(),
-            };
-            match self.dispatch_to_pool(assignment, None) {
-                Ok(worker) => {
-                    let now = Instant::now();
-                    self.jobs.insert(
-                        job,
-                        JobInfo {
-                            task,
-                            worker,
-                            replica,
-                            epoch,
-                            dispatched_at: self.stamp(),
-                        },
-                    );
-                    self.deadlines
-                        .push(Reverse((now + self.cfg.deadline, job, epoch)));
-                    self.arm_hedge(job, epoch, now);
-                }
-                Err(back) => {
-                    self.rearm
-                        .push_front((back.job, back.task, back.replica, back.epoch));
-                    return;
-                }
+        while let Some(&(job, task, replica, epoch)) = self.rearm.front() {
+            let rearm = Record::Rearm((job, replica, epoch));
+            if self.crashed || !self.launch(task, None, rearm) {
+                return;
             }
+            self.rearm.pop_front();
         }
-        while let Some(task) = self.pending.pop_front() {
-            let Some(state) = self.ledger.open().get(&task) else {
-                continue;
-            };
-            let job = self.ledger.next_job();
-            let (replica, epoch) = (state.dispatched, state.epoch);
-            let assignment = JobAssignment {
-                job,
-                task,
-                replica,
-                epoch,
-                payload: state.delivery().payload.clone(),
-            };
-            match self.dispatch_to_pool(assignment, None) {
-                Ok(worker) => {
-                    let now = Instant::now();
-                    let at = self.stamp();
-                    let eta = at + SimDuration::from_micros(self.cfg.deadline.as_micros() as u64);
-                    let alive = self.log(
-                        at,
-                        RunEvent::JobDispatched {
-                            job,
-                            task,
-                            node: worker,
-                            eta,
-                        },
-                    );
-                    if !alive {
-                        return;
-                    }
-                    self.report.total_jobs += 1;
-                    self.jobs.insert(
-                        job,
-                        JobInfo {
-                            task,
-                            worker,
-                            replica,
-                            epoch,
-                            dispatched_at: at,
-                        },
-                    );
-                    self.deadlines
-                        .push(Reverse((now + self.cfg.deadline, job, epoch)));
-                    self.arm_hedge(job, epoch, now);
-                }
-                Err(_) => {
-                    self.pending.push_front(task);
-                    return;
-                }
+        while let Some(&task) = self.pending.front() {
+            if self.crashed || !self.launch(task, None, Record::Dispatch) {
+                return;
+            }
+            self.pending.pop_front();
+        }
+    }
+
+    /// Fires every due timer in time order.
+    fn fire_timers(&mut self) {
+        let now = self.stamp();
+        while let Some(&Reverse((due, timer, job, epoch))) = self.timers.peek() {
+            if due > now || self.crashed {
+                break;
+            }
+            self.timers.pop();
+            match timer {
+                Timer::Hedge => self.fire_hedge(job, epoch),
+                Timer::Deadline => self.resolve(job, epoch, End::Lapsed),
             }
         }
     }
 
-    /// Launches hedge twins for armed checks whose origin job is still
+    /// The staleness rule for replies and timers alike: a resolved job is
+    /// gone from the map, a re-dispatched one carries a newer epoch.
+    fn fresh(&self, job: u32, epoch: u32) -> Option<&JobInfo> {
+        self.jobs.get(&job).filter(|info| info.epoch == epoch)
+    }
+
+    /// A due hedge check: launches a twin if `origin` is still
     /// outstanding. The twin re-runs the *same* `(task, replica)` under
     /// the same epoch — its fault draw, and hence its vote, is identical
     /// to the origin's — on a different worker when one is available.
     /// Twins bypass the wave/job accounting entirely: their launch event
-    /// replaces `JobDispatched`, and every terminal journal event of the
-    /// pair carries the origin's job id, so WAL recovery replays the pair
-    /// as one logical replica.
-    fn fire_hedges(&mut self, now: Instant) {
-        let Some(policy) = self.hedge.as_ref().map(|t| t.policy()) else {
+    /// replaces `JobDispatched`.
+    fn fire_hedge(&mut self, origin: u32, epoch: u32) {
+        let Some(policy) = self.cfg.hedge else {
             return;
         };
-        while let Some(&Reverse((fire_at, origin, epoch))) = self.hedge_checks.peek() {
-            if fire_at > now || self.crashed {
-                break;
-            }
-            self.hedge_checks.pop();
-            // Double-fire guards: the origin must still be outstanding
-            // under the armed epoch (a timeout reissue or audit void
-            // removed it or bumped the epoch), unhedged, and within the
-            // task's per-epoch budget.
-            let Some(info) = self.jobs.get(&origin) else {
-                continue;
-            };
-            if info.epoch != epoch || self.hedge_pair.contains_key(&origin) {
-                continue;
-            }
-            let (task, origin_worker, replica) = (info.task, info.worker, info.replica);
-            let Some(state) = self.ledger.open().get(&task) else {
-                continue;
-            };
-            if state.epoch != epoch || state.exec.hedges_launched() >= policy.max_per_task as usize
-            {
-                continue;
-            }
-            let twin = self.ledger.next_job();
-            let assignment = JobAssignment {
-                job: twin,
-                task,
-                replica,
-                epoch,
-                payload: state.delivery().payload.clone(),
-            };
-            // Best-effort: on Err (every inbox full) the hedge is skipped.
-            if let Ok(worker) = self.dispatch_to_pool(assignment, Some(origin_worker)) {
-                let at = self.stamp();
-                let alive = self.log(
-                    at,
-                    RunEvent::HedgeLaunched {
-                        job: twin,
-                        task,
-                        origin,
-                        epoch,
-                    },
-                );
-                if !alive {
-                    return;
-                }
-                self.report.hedges_launched += 1;
-                self.jobs.insert(
-                    twin,
-                    JobInfo {
-                        task,
-                        worker,
-                        replica,
-                        epoch,
-                        dispatched_at: at,
-                    },
-                );
-                self.hedge_pair.insert(origin, twin);
-                self.hedge_pair.insert(twin, origin);
-                self.twin_origin.insert(twin, (origin, task));
-                self.deadlines
-                    .push(Reverse((Instant::now() + self.cfg.deadline, twin, epoch)));
-            }
+        // Double-fire guards: the origin must still be outstanding under
+        // the armed epoch (a timeout reissue or audit void removed it or
+        // bumped the epoch), unhedged, and within the task's per-epoch
+        // budget.
+        let Some(info) = self.fresh(origin, epoch) else {
+            return;
+        };
+        let (task, origin_worker, replica) = (info.task, info.worker, info.replica);
+        if self.ledger.pair_of(origin).is_some() {
+            return;
         }
+        let Some(state) = self.ledger.open().get(&task) else {
+            return;
+        };
+        if state.epoch != epoch || state.exec.hedges_launched() >= policy.max_per_task as usize {
+            return;
+        }
+        let twin = self.ledger.next_job();
+        // Best-effort: when every inbox refuses, the hedge is skipped.
+        let record = Record::Hedge((twin, replica, epoch), origin);
+        self.launch(task, Some(origin_worker), record);
     }
 
-    /// Logs a twin's terminal hedge event exactly once: `won` means its
-    /// result supplied the replica's vote. Returns `log`'s aliveness.
-    fn settle_twin(&mut self, twin: u32, task: u32, won: bool, at: SimTime) -> bool {
-        let removed = self.twin_origin.remove(&twin);
-        debug_assert!(removed.is_some(), "twin settled twice");
+    /// Dissolves a hedge pair, the only place one ends: the twin's single
+    /// terminal record — `won` when its reply supplied the replica's vote,
+    /// wasted otherwise — and the pair's loser leaves the job map, so its
+    /// worker's eventual reply drops as stale. Returns `log`'s aliveness.
+    fn dissolve(&mut self, origin: u32, twin: u32, task: u32, won: bool, at: SimTime) -> bool {
+        self.jobs.remove(if won { &origin } else { &twin });
         let event = if won {
             RunEvent::HedgeWon { job: twin, task }
         } else {
             RunEvent::HedgeWasted { job: twin, task }
         };
-        if !self.log(at, event) {
-            return false;
-        }
-        if won {
-            self.report.hedges_won += 1;
-        } else {
-            self.report.hedges_wasted += 1;
-        }
-        true
+        self.log(at, event)
     }
 
     fn on_pool_event(&mut self, event: PoolEvent) {
         match event {
-            PoolEvent::Result(result) => self.on_result(result),
+            PoolEvent::Result(result) => {
+                self.resolve(result.job, result.epoch, End::Returned(result))
+            }
             PoolEvent::Crash {
                 worker,
                 job,
                 task,
                 epoch,
-            } => self.on_crash(worker, job, task, epoch),
+            } => self.resolve(job, epoch, End::Crashed { worker, task }),
         }
     }
 
-    fn on_result(&mut self, result: JobResult) {
-        let at = self.stamp();
-        // The staleness filter: a reply counts only if the job is still
-        // live *and* carries the epoch it was dispatched under. Late
-        // replies after a timeout/verdict, and replies from a replica
-        // superseded by a re-dispatch, are journaled as dropped — never
-        // tallied, so no vote can be counted twice.
-        let fresh = self
-            .jobs
-            .get(&result.job)
-            .is_some_and(|info| info.epoch == result.epoch);
-        if !fresh {
-            let alive = self.log(
-                at,
-                RunEvent::StaleReplyDropped {
-                    job: result.job,
-                    task: result.task,
-                    epoch: result.epoch,
-                },
-            );
-            if alive {
-                self.report.stale_replies += 1;
+    /// Ends one job, one lifecycle for all three ends: stale-drop, pair
+    /// settlement, the terminal record the ledger tallies or abandons on,
+    /// what that record earned (strikes, poison), the strategy's next step.
+    fn resolve(&mut self, job: u32, epoch: u32, end: End) {
+        // A reply counts only if the job is still live *and* carries the
+        // epoch it was dispatched under. Late replies after a timeout or
+        // verdict, replies from a superseded dispatch and crashes of a
+        // detached pre-respawn thread are journaled as dropped — never
+        // tallied, so no vote counts twice. A stale deadline just lapses.
+        if self.fresh(job, epoch).is_none() {
+            if let End::Returned(JobResult { task, .. }) | End::Crashed { task, .. } = end {
+                let at = self.stamp();
+                self.log(at, RunEvent::StaleReplyDropped { job, task, epoch });
             }
             return;
         }
-        let info = self.jobs.remove(&result.job).expect("fresh job is mapped");
+        let at = self.stamp();
+        let info = self.jobs.remove(&job).expect("fresh job is mapped");
         let task = info.task;
-        // Hedge-pair dissolution happens up front: whichever member
-        // resolves first dissolves the pair, and the terminal journal
-        // event below carries the ORIGIN's job id, so WAL recovery
-        // replays the pair as one logical replica.
-        let partner = self.hedge_pair.remove(&result.job);
-        if let Some(p) = partner {
-            self.hedge_pair.remove(&p);
+        let returned = matches!(end, End::Returned(_));
+        // A hedge pair is one logical replica: its terminal record carries
+        // the ORIGIN's job id, so WAL recovery replays the pair as one.
+        let pair = self.ledger.pair_of(job);
+        let origin = pair.map_or(job, |(origin, _)| origin);
+        let is_twin = pair.is_some_and(|(_, twin)| twin == job);
+        let partner_flying =
+            pair.is_some_and(|(o, t)| self.jobs.contains_key(if is_twin { &o } else { &t }));
+        if partner_flying && !returned {
+            // Absorbed: the partner still flying will supply the pair's
+            // terminal record, so none is journaled here — the ledger
+            // strikes, charges poison and abandons only on that record.
+            // A crash's in-place restart is real, though.
+            if let End::Crashed { worker, .. } = end {
+                if !self.log_restart(worker, at) {
+                    return;
+                }
+            }
+            if is_twin {
+                self.dissolve(origin, job, task, false, at);
+            }
+            return;
         }
-        let is_twin = self.twin_origin.contains_key(&result.job);
-        let origin_id = self.origin_of(result.job);
-        // A genuine resolution feeds the straggler estimator.
-        if let Some(trigger) = self.hedge.as_mut() {
-            trigger.observe(at.since(info.dispatched_at).as_units());
+        // A reply or a solo deadline miss is a genuine service time for
+        // the straggler estimator; a panic is not.
+        if !matches!(end, End::Crashed { .. }) {
+            if let Some(trigger) = self.hedge.as_mut() {
+                trigger.observe(at.since(info.dispatched_at).as_units());
+            }
         }
-        // Cancel the losing partner: its worker keeps computing, but the
-        // job leaves the map, so its eventual reply drops as stale.
-        if let Some(p) = partner.filter(|p| self.jobs.contains_key(p)) {
-            self.jobs.remove(&p);
-            if !is_twin && !self.settle_twin(p, task, false, at) {
+        // A replying twin won, and says so after the vote it supplied.
+        // Any other live twin is wasted first: canceled by its origin's
+        // reply, or ending solo without a vote.
+        let won = is_twin && returned;
+        if let Some((_, twin)) = pair.filter(|_| !won) {
+            if !self.dissolve(origin, twin, task, false, at) {
                 return;
             }
         }
-        let alive = self.log(
-            at,
-            RunEvent::JobReturned {
-                job: origin_id,
+        // The terminal record — the ledger tallies the vote on it, or
+        // abandons the replica and charges timeout, strike and poison.
+        let terminal = match end {
+            End::Returned(reply) => RunEvent::JobReturned {
+                job: origin,
                 task,
-                node: result.worker,
-                value: result.vote,
+                node: reply.worker,
+                value: reply.vote,
             },
-        );
-        if !alive {
-            return;
-        }
-        if is_twin && !self.settle_twin(result.job, task, true, at) {
-            return;
-        }
-        let state = self.ledger.note_answer(task, result.vote, result.answer);
-        let (leader_count, runner_up) = state.exec.leader_counts();
-        let boundary = state.exec.wave_boundary();
-        let wave = state.exec.waves() as u32;
-        let alive = self.log(
-            at,
-            RunEvent::VoteTallied {
-                task,
-                value: result.vote,
-                leader_count: leader_count as u32,
-                runner_up: runner_up as u32,
-            },
-        );
-        if !alive {
-            return;
-        }
-        if boundary && !self.log(at, RunEvent::WaveClosed { task, wave }) {
-            return;
-        }
-        self.advance(task, at);
-    }
-
-    /// Handles a caught worker panic: journal the crash and the (already
-    /// completed) in-place restart, charge node strikes and the task's
-    /// poison counter, then either poison the task or abandon the dead
-    /// replica and reissue.
-    fn on_crash(&mut self, worker: u32, job: u32, task: u32, epoch: u32) {
-        let at = self.stamp();
-        let fresh = self.jobs.get(&job).is_some_and(|info| info.epoch == epoch);
-        if !fresh {
-            // A detached pre-respawn thread crashed on a superseded job:
-            // stale, like any other late reply. (The pool slot that crash
-            // belonged to was already replaced.)
-            let alive = self.log(at, RunEvent::StaleReplyDropped { job, task, epoch });
-            if alive {
-                self.report.stale_replies += 1;
-            }
-            return;
-        }
-        // Pair dissolution first: the pair's terminal event carries the
-        // origin's job id.
-        let partner = self.hedge_pair.remove(&job);
-        if let Some(p) = partner {
-            self.hedge_pair.remove(&p);
-        }
-        let is_twin = self.twin_origin.contains_key(&job);
-        let origin_id = self.origin_of(job);
-        if partner.is_some_and(|p| self.jobs.contains_key(&p)) {
-            // Suppressed crash: the hedge partner is still flying and will
-            // supply the pair's single terminal event, so no
-            // `WorkerCrashed` is journaled — the ledger strikes, charges
-            // poison, and abandons only on that event, and a lapse the
-            // live run absorbed must not do any of those on replay. The
-            // in-place restart is real, though: log it.
-            self.jobs.remove(&job);
-            if self.log_restart(worker, at) && is_twin {
-                let _ = self.settle_twin(job, task, false, at);
-            }
-            return;
-        }
-        if is_twin && !self.settle_twin(job, task, false, at) {
-            return;
-        }
-        let Some(owed) = self.log_owed(
-            at,
-            RunEvent::WorkerCrashed {
+            End::Crashed { worker, .. } => RunEvent::WorkerCrashed {
                 node: worker,
-                job: origin_id,
+                job: origin,
                 task,
             },
-        ) else {
-            return;
+            End::Lapsed => RunEvent::JobTimedOut {
+                job: origin,
+                task,
+                node: info.worker,
+            },
         };
-        self.report.worker_crashes += 1;
-        if !self.log_restart(worker, at) {
+        if !self.log(at, terminal) || (won && !self.dissolve(origin, job, task, true, at)) {
             return;
         }
+        // One read of the task as that record left it; the records that
+        // follow restate it and change nothing the strategy sees.
+        let state = match end {
+            End::Returned(reply) => Some(self.ledger.note_answer(task, reply.vote, reply.answer)),
+            _ => self.ledger.open().get(&task),
+        };
+        let tail = state.map(|s| (s.timeouts, s.exec.waves() as u32, s.exec.wave_boundary()));
+        let (leader_count, runner_up) = state.map_or((0, 0), |s| s.exec.leader_counts());
+        let alive = match end {
+            End::Returned(reply) => self.log(
+                at,
+                RunEvent::VoteTallied {
+                    task,
+                    value: reply.vote,
+                    leader_count: leader_count as u32,
+                    runner_up: runner_up as u32,
+                },
+            ),
+            End::Crashed { worker, .. } => self.log_restart(worker, at),
+            End::Lapsed => true,
+        };
+        if !alive {
+            return;
+        }
+        // A crash's restart record carries what the crash earned across.
+        let owed = self.ledger.owed();
         self.enact(owed.discipline, at);
         if self.crashed {
             return;
         }
-        self.jobs.remove(&job);
         if owed.poison.is_some() {
-            self.finalize(task, Outcome::Poisoned, at);
-            return;
+            return self.finalize(task, Outcome::Poisoned, at);
         }
-        // The replica died without a vote: the ledger abandoned it, and
-        // the strategy reopens a wave for a fresh replica (a fresh fault
-        // draw — re-running the same replica would crash identically
-        // forever).
-        let Some(state) = self.ledger.open().get(&task) else {
+        let Some((attempt, wave, boundary)) = tail else {
             return;
         };
-        let boundary = state.exec.wave_boundary();
-        let wave = state.exec.waves() as u32;
+        // Reissue: a replica that died or lapsed is replaced by a fresh
+        // one (a fresh fault draw — the same replica would fail the same
+        // way forever) when the strategy reopens the wave below.
+        if matches!(end, End::Lapsed) && !self.log(at, RunEvent::JobRetried { task, attempt }) {
+            return;
+        }
         if boundary && !self.log(at, RunEvent::WaveClosed { task, wave }) {
             return;
         }
         self.advance(task, at);
-    }
-
-    /// The job id a pair's terminal events carry: `job`'s origin when it
-    /// is a hedge twin, else `job` itself.
-    fn origin_of(&self, job: u32) -> u32 {
-        self.twin_origin
-            .get(&job)
-            .map_or(job, |&(origin, _)| origin)
     }
 
     /// Journals `worker`'s next incarnation (a crash rebuild or a hang
     /// respawn).
     fn log_restart(&mut self, worker: u32, at: SimTime) -> bool {
         let incarnation = self.ledger.node(worker).incarnation + 1;
-        let alive = self.log(
+        self.log(
             at,
             RunEvent::WorkerRestarted {
                 node: worker,
                 incarnation,
             },
-        );
-        if alive {
-            self.report.worker_restarts += 1;
-        }
-        alive
+        )
     }
 
     /// Respawns workers stuck inside one `execute` call past
@@ -1749,11 +1598,8 @@ impl<S: RedundancyStrategy<bool>> Coordinator<S> {
             return;
         };
         for worker in self.pool.node_ids() {
-            if self.pool.busy_for(worker).is_some_and(|busy| busy > limit) {
+            if !self.crashed && self.pool.busy_for(worker).is_some_and(|busy| busy > limit) {
                 self.respawn_worker(worker);
-                if self.crashed {
-                    return;
-                }
             }
         }
     }
@@ -1769,7 +1615,7 @@ impl<S: RedundancyStrategy<bool>> Coordinator<S> {
         // (so the detached thread's eventual reply is rejected) and
         // re-dispatch the same jobs under the new epoch, without new
         // journal records.
-        let lost: Vec<(u32, u32, u32)> = self
+        let mut lost: Vec<(u32, u32, u32)> = self
             .jobs
             .iter()
             .filter(|(_, info)| info.worker == worker)
@@ -1787,28 +1633,25 @@ impl<S: RedundancyStrategy<bool>> Coordinator<S> {
                 }
             }
         }
-        let mut lost = lost;
         lost.sort_unstable();
         for (job, task, replica) in lost {
             if self.jobs.remove(&job).is_none() {
                 continue; // canceled while handling an earlier pair member
             }
-            if let Some(p) = self.hedge_pair.remove(&job) {
-                self.hedge_pair.remove(&p);
-                if self.twin_origin.contains_key(&job) {
-                    // A hedge twin died with its worker: settle it and let
-                    // the origin keep flying — recovery never re-arms
-                    // twins, so the live run must not either.
-                    if !self.settle_twin(job, task, false, at) {
+            if let Some((origin, twin)) = self.ledger.pair_of(job) {
+                let partner = if twin == job { origin } else { twin };
+                if self.jobs.contains_key(&partner) {
+                    // A twin lost with its worker is settled and its
+                    // origin keeps flying (recovery never re-arms twins,
+                    // so the live run must not either); a hedged origin is
+                    // re-armed below, its twin canceled, and stays the
+                    // pair's sole voter.
+                    if !self.dissolve(origin, twin, task, false, at) {
                         return;
                     }
-                    continue;
-                }
-                // A hedged origin is re-armed below; its twin is canceled
-                // (its late reply drops as stale) so the re-armed origin
-                // stays the pair's sole voter.
-                if self.jobs.remove(&p).is_some() && !self.settle_twin(p, task, false, at) {
-                    return;
+                    if twin == job {
+                        continue;
+                    }
                 }
             }
             let Some(state) = self.ledger.open().get(&task) else {
@@ -1861,79 +1704,6 @@ impl<S: RedundancyStrategy<bool>> Coordinator<S> {
         }
     }
 
-    fn expire_deadlines(&mut self, now: Instant) {
-        while let Some(&Reverse((deadline, job, epoch))) = self.deadlines.peek() {
-            if deadline > now {
-                break;
-            }
-            self.deadlines.pop();
-            // Resolved jobs leave stale heap entries, and re-dispatched
-            // jobs carry a newer epoch than their old entry; skip both.
-            let still_armed = self.jobs.get(&job).is_some_and(|info| info.epoch == epoch);
-            if !still_armed {
-                continue;
-            }
-            let info = self.jobs.remove(&job).expect("armed job is mapped");
-            let task = info.task;
-            let at = self.stamp();
-            // Pair dissolution first: a lapse with the hedge partner still
-            // flying is absorbed silently — no journal event, no strike,
-            // no abandon — because the partner will supply the pair's
-            // single terminal event under the origin's id.
-            let partner = self.hedge_pair.remove(&job);
-            if let Some(p) = partner {
-                self.hedge_pair.remove(&p);
-            }
-            let is_twin = self.twin_origin.contains_key(&job);
-            let origin_id = self.origin_of(job);
-            if partner.is_some_and(|p| self.jobs.contains_key(&p)) {
-                if is_twin && !self.settle_twin(job, task, false, at) {
-                    return;
-                }
-                continue;
-            }
-            // A solo lapse is a genuine deadline miss: it feeds the
-            // estimator and takes the normal timeout path.
-            if let Some(trigger) = self.hedge.as_mut() {
-                trigger.observe(at.since(info.dispatched_at).as_units());
-            }
-            if is_twin && !self.settle_twin(job, task, false, at) {
-                return;
-            }
-            // The ledger charges the timeout, abandons the replica and
-            // strikes the node on this record.
-            let Some(owed) = self.log_owed(
-                at,
-                RunEvent::JobTimedOut {
-                    job: origin_id,
-                    task,
-                    node: info.worker,
-                },
-            ) else {
-                return;
-            };
-            self.report.timeouts += 1;
-            self.enact(owed.discipline, at);
-            if self.crashed {
-                return;
-            }
-            let state = &self.ledger.open()[&task];
-            let attempt = state.timeouts;
-            let boundary = state.exec.wave_boundary();
-            let wave = state.exec.waves() as u32;
-            // Reissue semantics: the abandoned replica is replaced by a
-            // fresh one when the strategy reopens the wave below.
-            if !self.log(at, RunEvent::JobRetried { task, attempt }) {
-                return;
-            }
-            self.report.retries += 1;
-            if boundary && !self.log(at, RunEvent::WaveClosed { task, wave }) {
-                return;
-            }
-            self.advance(task, at);
-        }
-    }
-
     /// Runs one audit group on `task` at verdict time: log the schedule,
     /// recompute the payload locally, and compare every recorded return
     /// against the honest value. Returns `true` when the verdict stands;
@@ -1943,7 +1713,6 @@ impl<S: RedundancyStrategy<bool>> Coordinator<S> {
         if !self.log(at, RunEvent::AuditScheduled { task }) {
             return false;
         }
-        self.report.audits += 1;
         // The local recomputation costs one job-equivalent of coordinator
         // compute (counted in `report.audits`, and in `total_cost()` for
         // matched-cost comparisons). A recorded vote is the server-checked
@@ -1963,12 +1732,10 @@ impl<S: RedundancyStrategy<bool>> Coordinator<S> {
             return self.log(at, RunEvent::AuditPassed { task });
         }
         for &(_, node) in &liars {
-            let Some(owed) = self.log_owed(at, RunEvent::AuditFailed { task, node }) else {
+            if !self.log(at, RunEvent::AuditFailed { task, node }) {
                 return false;
-            };
-            self.report.audit_failures += 1;
-            self.escalated = true;
-            self.enact(owed.discipline, at);
+            }
+            self.enact(self.ledger.owed().discipline, at);
             if self.crashed {
                 return false;
             }
@@ -1988,7 +1755,6 @@ impl<S: RedundancyStrategy<bool>> Coordinator<S> {
             if !self.void_attempt(t, RunEvent::TaskRetallied { task: t }, at) {
                 return false;
             }
-            self.report.tasks_retallied += 1;
             self.advance(t, at);
             if self.crashed {
                 return false;
@@ -2004,7 +1770,6 @@ impl<S: RedundancyStrategy<bool>> Coordinator<S> {
         // the recomputation. Void it before acceptance and re-run the
         // task — no `VerdictReached` is ever logged for this attempt.
         if self.void_attempt(task, RunEvent::VerdictVoided { task }, at) {
-            self.report.verdicts_voided += 1;
             self.advance(task, at);
         }
         false
@@ -2023,57 +1788,44 @@ impl<S: RedundancyStrategy<bool>> Coordinator<S> {
         }
         self.pending.retain(|&t| t != task);
         self.rearm.retain(|&(_, t, _, _)| t != task);
-        self.cancel_jobs(task, &origins, at)
+        self.cancel_jobs(Some(task), &origins, at)
     }
 
     /// Drops every job of `task` still flying — `origins`, its unresolved
     /// replicas, and any hedge twin — so their late replies fail the
     /// job-map freshness check, and settles the twins as wasted, in job
-    /// order. Returns `log`'s aliveness.
-    fn cancel_jobs(&mut self, task: u32, origins: &[(u32, u32)], at: SimTime) -> bool {
+    /// order. With no task: every twin a recovered WAL prefix left
+    /// unsettled. Returns `log`'s aliveness.
+    fn cancel_jobs(&mut self, task: Option<u32>, origins: &[(u32, u32)], at: SimTime) -> bool {
         for (job, _) in origins {
             self.jobs.remove(job);
-            if let Some(p) = self.hedge_pair.remove(job) {
-                self.hedge_pair.remove(&p);
-            }
         }
-        let mut twins: Vec<u32> = self
-            .twin_origin
-            .iter()
-            .filter(|&(_, &(_, t))| t == task)
-            .map(|(&twin, _)| twin)
-            .collect();
-        twins.sort_unstable();
-        for twin in twins {
-            self.jobs.remove(&twin);
-            if !self.settle_twin(twin, task, false, at) {
-                return false;
-            }
-        }
-        true
+        let mut twins = self.ledger.twins(task).into_iter();
+        twins.all(|(origin, twin, task)| self.dissolve(origin, twin, task, false, at))
     }
 
     fn finalize(&mut self, task: u32, outcome: Outcome, at: SimTime) {
         // Verdicts pass through the audit layer before they are accepted:
         // a spot-checked (or probation-flagged) task is recomputed
         // locally, and a tainted verdict is voided instead of delivered.
+        // Once any audit has caught a liar, spot-checking runs at
+        // [`AuditPolicy::escalated_rate`].
         if let Outcome::Verdict(value) = outcome {
             if self.cfg.audit.is_enabled() {
-                let flagged = self.ledger.open()[&task].must_audit;
-                let selected = flagged
+                let escalated = self.ledger.report().audit_failures > 0;
+                let selected = self.ledger.open()[&task].must_audit
                     || self
                         .cfg
                         .audit
-                        .selects(self.cfg.audit_seed, u64::from(task), self.escalated);
+                        .selects(self.cfg.audit_seed, u64::from(task), escalated);
                 if selected && !self.run_audit(task, value, at) {
                     return;
                 }
             }
         }
-        // The decision is WAL-durable before any side effect (report
-        // update, verdict send) — the exactly-once anchor: a recovered
-        // coordinator treats a logged decision as delivered and never
-        // re-runs or re-sends it.
+        // The decision is WAL-durable before any side effect (the verdict
+        // send) — the exactly-once anchor: a recovered coordinator treats
+        // a logged decision as delivered and never re-runs or re-sends it.
         let event = match outcome {
             Outcome::Verdict(value) => RunEvent::VerdictReached {
                 task,
@@ -2099,55 +1851,23 @@ impl<S: RedundancyStrategy<bool>> Coordinator<S> {
             return;
         }
         let state = self.ledger.take_closed().expect("finalizing a live task");
-        let _ = self.cancel_jobs(task, &state.in_flight, at);
+        let _ = self.cancel_jobs(Some(task), &state.in_flight, at);
         self.active
             .store(self.ledger.open().len(), Ordering::Relaxed);
         let delivery = state.delivery();
-        let jobs = state.exec.jobs_deployed();
-        let latency = match state.first_dispatch {
-            Some(started) => at.since(started).as_units(),
-            None => 0.0,
+        let vote = match outcome {
+            Outcome::Verdict(value) => Some(value),
+            _ => None,
         };
-        match outcome {
-            Outcome::Verdict(value) => {
-                self.report.tasks_completed += 1;
-                if value {
-                    self.report.tasks_correct += 1;
-                }
-                self.report.jobs_per_task.record(jobs as f64);
-                self.report.waves_per_task.record(state.exec.waves() as f64);
-                self.report.response_time.record(latency);
-                let _ = delivery.verdict_tx.send(TaskVerdict {
-                    task,
-                    vote: Some(value),
-                    answer: delivery.answers[usize::from(value)],
-                    poisoned: false,
-                    latency_units: latency,
-                    jobs: jobs as u32,
-                });
-            }
-            Outcome::Capped => {
-                self.report.tasks_capped += 1;
-                let _ = delivery.verdict_tx.send(TaskVerdict {
-                    task,
-                    vote: None,
-                    answer: None,
-                    poisoned: false,
-                    latency_units: latency,
-                    jobs: jobs as u32,
-                });
-            }
-            Outcome::Poisoned => {
-                self.report.tasks_poisoned += 1;
-                let _ = delivery.verdict_tx.send(TaskVerdict {
-                    task,
-                    vote: None,
-                    answer: None,
-                    poisoned: true,
-                    latency_units: latency,
-                    jobs: jobs as u32,
-                });
-            }
-        }
+        let _ = delivery.verdict_tx.send(TaskVerdict {
+            task,
+            vote,
+            answer: vote.and_then(|value| delivery.answers[usize::from(value)]),
+            poisoned: matches!(outcome, Outcome::Poisoned),
+            latency_units: state
+                .first_dispatch
+                .map_or(0.0, |started| at.since(started).as_units()),
+            jobs: state.exec.jobs_deployed() as u32,
+        });
     }
 }

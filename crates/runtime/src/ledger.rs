@@ -12,6 +12,12 @@
 //! keep in step. DESIGN.md §9 tabulates, per event, the mutation and the
 //! consequence it leaves owed.
 //!
+//! The live [`RuntimeReport`] is part of that state: `apply` folds each
+//! record into it, so the coordinator counts nothing by hand and a
+//! recovered ledger holds the whole history's report (seeded from the
+//! snapshot when there is one). `report::report_from_journal` shares no
+//! code with this fold on purpose — it is the reference tests hold it to.
+//!
 //! A consequence is *owed* from the record that earns it until the record
 //! that carries it out; any other record in between means the live
 //! coordinator waived it (the last-enabled-worker guard). Whatever is
@@ -30,7 +36,11 @@
 //!
 //! Hedge twins live outside the replica accounting: every terminal event
 //! of a pair carries the origin's job id, so the pair replays as one
-//! logical replica and a twin still racing at the crash dies with it.
+//! logical replica. The table of live twins — launched, not yet won or
+//! wasted — is the one pair structure, live and on replay. A twin still in
+//! it when a WAL prefix ends is owed its `HedgeWasted` (recovery never
+//! re-arms twins): with [`Ledger::owed`], [`Ledger::twins`] is what the
+//! resumed coordinator settles first.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::mpsc::Sender;
@@ -144,9 +154,15 @@ pub(crate) struct Ledger<S> {
     /// the base belong to other shards and stay untouched defaults.
     nodes: Vec<NodeState>,
     next_job: u32,
-    max_task: Option<u32>,
     last_at: SimTime,
     owed: Owed,
+    /// Live hedge pairs as `(origin, twin, task)`: in from `HedgeLaunched`
+    /// until the twin's `HedgeWon`/`HedgeWasted`. Job ids only grow, so
+    /// launch order is twin-id order; few are ever live at once.
+    twins: Vec<(u32, u32, u32)>,
+    /// The fold of every applied record (on top of the snapshot's report,
+    /// after [`Self::restore`]).
+    report: RuntimeReport,
 }
 
 fn corrupt<T>(msg: String) -> Result<T, RecoveryError> {
@@ -162,9 +178,10 @@ impl<S: RedundancyStrategy<bool>> Ledger<S> {
             decided: HashSet::new(),
             nodes: vec![NodeState::default(); cfg.node_base as usize + cfg.worker_count()],
             next_job: 0,
-            max_task: None,
             last_at: SimTime::ZERO,
             owed: Owed::default(),
+            twins: Vec::new(),
+            report: RuntimeReport::new(),
             cfg: cfg.clone(),
         }
     }
@@ -189,7 +206,7 @@ impl<S: RedundancyStrategy<bool>> Ledger<S> {
 
     /// Highest task id seen, if any.
     pub fn max_task(&self) -> Option<u32> {
-        self.max_task
+        self.open.keys().chain(&self.decided).max().copied()
     }
 
     /// Stamp of the last applied event (the recovered clock base).
@@ -197,8 +214,28 @@ impl<S: RedundancyStrategy<bool>> Ledger<S> {
         self.last_at
     }
 
+    /// What the last record earned and none has carried out yet. (A WAL
+    /// prefix ending here also owes every one of [`Self::twins`].)
     pub fn owed(&self) -> Owed {
         self.owed
+    }
+
+    /// The run's report so far.
+    pub fn report(&self) -> &RuntimeReport {
+        &self.report
+    }
+
+    /// The live hedge pair `job` belongs to, as `(origin, twin)`.
+    pub fn pair_of(&self, job: u32) -> Option<(u32, u32)> {
+        let pair = self.twins.iter().find(|&&(o, t, _)| o == job || t == job);
+        pair.map(|&(origin, twin, _)| (origin, twin))
+    }
+
+    /// Live pairs as `(origin, twin, task)` in twin order: `task`'s, or
+    /// with `None` every one — what a recovered prefix left unsettled.
+    pub fn twins(&self, task: Option<u32>) -> Vec<(u32, u32, u32)> {
+        let of_task = |&(_, _, t): &(u32, u32, u32)| task.is_none_or(|task| t == task);
+        self.twins.iter().copied().filter(of_task).collect()
     }
 
     /// The entry a decision record just closed.
@@ -230,10 +267,8 @@ impl<S: RedundancyStrategy<bool>> Ledger<S> {
 
     /// Opens `task` (live admission) or finds it (recovery, where replay
     /// opened it) and attaches what the WAL does not carry.
-    pub fn attach(&mut self, task: u32, delivery: Delivery) -> &TaskState<S> {
-        let state = self.entry(task);
-        state.delivery = Some(delivery);
-        state
+    pub fn attach(&mut self, task: u32, delivery: Delivery) {
+        self.entry(task).delivery = Some(delivery);
     }
 
     /// Keeps the raw answer behind a just-tallied `vote` (answers are not
@@ -253,6 +288,14 @@ impl<S: RedundancyStrategy<bool>> Ledger<S> {
         Some(self.open.get_mut(&task)?.exec.step_wave())
     }
 
+    /// Moves `task` from open to decided; the closed entry stays for the
+    /// live coordinator to deliver from ([`Self::take_closed`]).
+    fn close(&mut self, task: u32) -> Option<&TaskState<S>> {
+        self.closed = self.open.remove(&task);
+        self.decided.insert(task);
+        self.closed.as_ref()
+    }
+
     /// Charges `weight` strikes to `node` under `cfg.discipline`.
     fn strike(&mut self, node: u32, weight: u32, at: SimTime) -> Option<(u32, DisciplineAction)> {
         let policy = self.cfg.discipline?;
@@ -268,16 +311,15 @@ impl<S: RedundancyStrategy<bool>> Ledger<S> {
     }
 
     /// Applies one logged event (DESIGN.md §9 has the table). The only code
-    /// that mutates WAL-determined state. Returns what is owed once the
-    /// event is applied; an event the state cannot have produced is
-    /// [`RecoveryError::Corrupt`].
+    /// that mutates WAL-determined state, the report included. Returns
+    /// what is owed once the event is applied; an event the state cannot
+    /// have produced is [`RecoveryError::Corrupt`].
     pub fn apply(&mut self, e: &Stamped) -> Result<Owed, RecoveryError> {
         let carried = std::mem::take(&mut self.owed);
         self.last_at = e.at;
         match e.event {
             RunEvent::WaveOpened { task, jobs, .. } => {
                 self.entry(task).replicas += jobs;
-                self.max_task = self.max_task.max(Some(task));
             }
             RunEvent::JobDispatched { job, task, .. } => {
                 let Some(t) = self.open.get_mut(&task) else {
@@ -293,6 +335,7 @@ impl<S: RedundancyStrategy<bool>> Ledger<S> {
                 t.dispatched += 1;
                 t.first_dispatch.get_or_insert(e.at);
                 self.next_job = self.next_job.max(job + 1);
+                self.report.total_jobs += 1;
             }
             RunEvent::JobReturned {
                 job,
@@ -325,6 +368,7 @@ impl<S: RedundancyStrategy<bool>> Ledger<S> {
                 t.timeouts += 1;
                 t.exec.abandon(1);
                 self.owed.discipline = self.strike(node, 1, e.at);
+                self.report.timeouts += 1;
             }
             RunEvent::WorkerCrashed { node, job, task } => {
                 // A logged crash always resolved a live job (stale crash
@@ -338,6 +382,7 @@ impl<S: RedundancyStrategy<bool>> Ledger<S> {
                     t.exec.abandon(1);
                 }
                 self.owed.discipline = self.strike(node, 1, e.at);
+                self.report.worker_crashes += 1;
             }
             RunEvent::WorkerRestarted { node, incarnation } => {
                 if let Some(n) = self.nodes.get_mut(node as usize) {
@@ -346,18 +391,35 @@ impl<S: RedundancyStrategy<bool>> Ledger<S> {
                 // The second half of a crash's record pair: what the
                 // crash owes is carried out only after it.
                 self.owed = carried;
+                self.report.worker_restarts += 1;
             }
             RunEvent::EpochAdvanced { task, epoch } => {
                 if let Some(t) = self.open.get_mut(&task) {
                     t.epoch = epoch;
                 }
             }
-            RunEvent::VerdictReached { task, .. }
-            | RunEvent::TaskCapped { task }
-            | RunEvent::TaskPoisoned { task, .. } => {
-                self.closed = self.open.remove(&task);
-                self.decided.insert(task);
-                self.max_task = self.max_task.max(Some(task));
+            RunEvent::VerdictReached { task, value, .. } => {
+                // Only the final attempt's waves are in `exec`: a void or
+                // re-tally reset it.
+                let (jobs, waves, started) = self
+                    .close(task)
+                    .map(|t| (t.exec.jobs_deployed(), t.exec.waves(), t.first_dispatch))
+                    .unwrap_or_default();
+                let r = &mut self.report;
+                r.tasks_completed += 1;
+                r.tasks_correct += usize::from(value);
+                r.jobs_per_task.record(jobs as f64);
+                r.waves_per_task.record(waves as f64);
+                r.response_time
+                    .record(started.map_or(0.0, |s| e.at.since(s).as_units()));
+            }
+            RunEvent::TaskCapped { task } => {
+                self.close(task);
+                self.report.tasks_capped += 1;
+            }
+            RunEvent::TaskPoisoned { task, .. } => {
+                self.close(task);
+                self.report.tasks_poisoned += 1;
             }
             RunEvent::NodeQuarantined { node } => {
                 if let (Some(policy), Some(n)) =
@@ -397,6 +459,7 @@ impl<S: RedundancyStrategy<bool>> Ledger<S> {
                 // signal like a timeout, so it can quarantine in one blow.
                 let weight = self.cfg.audit.strike_weight.max(1);
                 self.owed.discipline = self.strike(node, weight, e.at);
+                self.report.audit_failures += 1;
             }
             RunEvent::VerdictVoided { task } | RunEvent::TaskRetallied { task } => {
                 let Some(t) = self.open.get_mut(&task) else {
@@ -411,28 +474,46 @@ impl<S: RedundancyStrategy<bool>> Ledger<S> {
                 t.returns.clear();
                 t.must_audit = false;
                 t.dispatched = t.replicas;
+                if matches!(e.event, RunEvent::VerdictVoided { .. }) {
+                    self.report.verdicts_voided += 1;
+                } else {
+                    self.report.tasks_retallied += 1;
+                }
             }
-            RunEvent::HedgeLaunched { job, task, .. } => {
+            RunEvent::HedgeLaunched {
+                job, task, origin, ..
+            } => {
                 self.next_job = self.next_job.max(job + 1);
                 if let Some(t) = self.open.get_mut(&task) {
                     t.exec.note_hedge();
                 }
+                self.twins.push((origin, job, task));
+                self.report.hedges_launched += 1;
             }
-            // No ledger state. An audit schedule is re-derived at finalize
-            // time (selection is a pure function of the seed and task id,
-            // plus `must_audit`); tallies, wave closes, retries and stale
-            // drops restate what the strategy replay reproduces; a
-            // checkpoint seal summarizes what was seeded from its
-            // snapshot; the runtime never emits churn, outage or
-            // fault-plan events; DAG annotations are the caller's
-            // bookkeeping, preserved in the WAL but driving no tally.
-            RunEvent::AuditScheduled { .. }
-            | RunEvent::HedgeWon { .. }
-            | RunEvent::HedgeWasted { .. }
-            | RunEvent::VoteTallied { .. }
+            RunEvent::HedgeWon { job, .. } => {
+                self.twins.retain(|&(_, twin, _)| twin != job);
+                self.report.hedges_won += 1;
+            }
+            RunEvent::HedgeWasted { job, .. } => {
+                self.twins.retain(|&(_, twin, _)| twin != job);
+                self.report.hedges_wasted += 1;
+            }
+            // Counted, no other state: an audit schedule is re-derived at
+            // finalize time (selection is a pure function of the seed and
+            // task id, plus `must_audit`); retries and stale drops restate
+            // what the strategy replay reproduces.
+            RunEvent::AuditScheduled { .. } => self.report.audits += 1,
+            RunEvent::JobRetried { .. } => self.report.retries += 1,
+            RunEvent::StaleReplyDropped { .. } => self.report.stale_replies += 1,
+            RunEvent::RunEnded => self.report.makespan_units = e.at.as_units(),
+            // No ledger state. Tallies and wave closes restate what the
+            // strategy replay reproduces; a checkpoint seal summarizes
+            // what was seeded from its snapshot; the runtime never emits
+            // churn, outage or fault-plan events; DAG annotations are the
+            // caller's bookkeeping, preserved in the WAL but driving no
+            // tally.
+            RunEvent::VoteTallied { .. }
             | RunEvent::WaveClosed { .. }
-            | RunEvent::JobRetried { .. }
-            | RunEvent::StaleReplyDropped { .. }
             | RunEvent::CheckpointTaken { .. }
             | RunEvent::NodeJoined { .. }
             | RunEvent::OutageStarted { .. }
@@ -440,8 +521,7 @@ impl<S: RedundancyStrategy<bool>> Ledger<S> {
             | RunEvent::TransferStarted { .. }
             | RunEvent::TransferCompleted { .. }
             | RunEvent::StageDecided { .. }
-            | RunEvent::PoisonPropagated { .. }
-            | RunEvent::RunEnded => {}
+            | RunEvent::PoisonPropagated { .. } => {}
         }
         Ok(self.owed)
     }
@@ -468,7 +548,7 @@ impl<S: RedundancyStrategy<bool>> Ledger<S> {
 
     /// Snapshots the closed state for a checkpoint. Checkpoints are taken
     /// only at quiescence, so there are no open tasks to capture.
-    pub fn checkpoint(&self, events: u64, at: SimTime, report: &RuntimeReport) -> CheckpointState {
+    pub fn checkpoint(&self, events: u64, at: SimTime) -> CheckpointState {
         let mut decided: Vec<u32> = self.decided.iter().copied().collect();
         decided.sort_unstable();
         CheckpointState {
@@ -481,7 +561,7 @@ impl<S: RedundancyStrategy<bool>> Ledger<S> {
                 .filter(|&(_, n)| *n != NodeState::default())
                 .map(|(id, n)| (id, *n))
                 .collect(),
-            report: report.clone(),
+            report: self.report.clone(),
         }
     }
 
@@ -489,9 +569,9 @@ impl<S: RedundancyStrategy<bool>> Ledger<S> {
     /// top of it.
     pub fn restore(&mut self, snap: &CheckpointState) {
         self.decided = snap.decided.iter().copied().collect();
-        self.max_task = snap.decided.iter().max().copied();
         self.next_job = snap.next_job;
         self.last_at = snap.last_at;
+        self.report = snap.report.clone();
         for &(id, state) in &snap.nodes {
             if let Some(n) = self.nodes.get_mut(id as usize) {
                 *n = state;
@@ -515,6 +595,7 @@ mod tests {
     use smartred_desim::journal::{EventKind, Journal};
 
     use super::*;
+    use crate::report::report_from_journal;
     use crate::worker::{CartelWorker, FaultProfile, FaultyWorker, JobAssignment, Worker};
     use crate::Runtime;
 
@@ -549,25 +630,37 @@ mod tests {
     /// Replays `journal` one event at a time — the state after `k` events
     /// is the fold of the `k`-event prefix, so every prefix length is
     /// checked: it must replay without divergence, owe nothing once it
-    /// ends on a decision record, and at full length leave no task open
-    /// and exactly the journal's decisions decided.
+    /// ends on a decision record — where its report must also equal the
+    /// reference fold of that prefix — and at full length leave no task
+    /// open, no twin live, exactly the journal's decisions decided and the
+    /// reference fold's report.
     fn every_prefix_replays(cfg: &RuntimeConfig, margin: usize, journal: &Journal) {
         let mut ledger = Ledger::new(cfg, Arc::new(ir(margin)));
         let mut decisions = HashSet::new();
+        let mut prefix = Journal::new();
         for e in journal.events() {
             let owed = ledger
                 .replay(e)
                 .unwrap_or_else(|err| panic!("prefix ending at seq {}: {err}", e.seq));
+            prefix.record(e.at, e.event);
             if matches!(
                 e.event.kind(),
                 EventKind::VerdictReached | EventKind::TaskCapped | EventKind::TaskPoisoned
             ) {
                 decisions.insert(e.event.task().expect("decisions name their task"));
                 assert_eq!(owed, Owed::default(), "owed after decision seq {}", e.seq);
+                assert_eq!(
+                    ledger.report(),
+                    &report_from_journal(&prefix),
+                    "report after decision seq {}",
+                    e.seq
+                );
             }
         }
         assert!(ledger.open().is_empty());
+        assert_eq!(ledger.twins(None), []);
         assert_eq!(ledger.decided(), &decisions);
+        assert_eq!(ledger.report(), &report_from_journal(journal));
     }
 
     #[test]

@@ -19,13 +19,13 @@
 //!   wall-clock deadlines with timeout→reissue semantics, and delivers
 //!   [`TaskVerdict`]s;
 //! * [`workload`] — the job payloads replicas execute;
-//! * [`report`] — live metrics plus [`report_from_journal`], the exact
-//!   replay cross-check;
+//! * [`report`] — the metrics type plus [`report_from_journal`], the
+//!   independent reference fold the live report is compared against;
 //! * `ledger` — the state the WAL determines (open tasks, the decided
-//!   set, node supervision, the job-id cursor) and the one `apply` that
-//!   mutates it: the live coordinator applies each event as it logs it,
-//!   and [`Runtime::recover`] replays the WAL prefix through the same
-//!   code;
+//!   set, node supervision, the job-id cursor, live hedge twins, the live
+//!   report) and the one `apply` that mutates it: the live coordinator
+//!   applies each event as it logs it, and [`Runtime::recover`] replays
+//!   the WAL prefix through the same code;
 //! * [`recovery`] — what recovery reports: [`RecoveryError`] and
 //!   [`RecoveryReport`];
 //! * [`checkpoint`] — checksummed coordinator snapshots taken at

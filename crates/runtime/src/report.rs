@@ -1,17 +1,20 @@
 //! Run metrics and the journal replay cross-check.
 //!
-//! The coordinator builds a [`RuntimeReport`] incrementally as it emits
-//! journal events; [`report_from_journal`] derives the same report purely
-//! from the recorded event stream. Every metric is a fold over events in
-//! stream order — including the order-sensitive Welford summaries — so for
-//! a journaled run the two must agree **exactly** (`==`), the same
-//! contract `dca::replay` enforces for the simulator. Any drift between
-//! the live bookkeeping and the recorded trajectory is a test failure,
-//! not a silent skew.
+//! The live [`RuntimeReport`] is built in one place: the coordinator's
+//! ledger folds every record into it as the record is applied
+//! (`Ledger::apply`), and recovery rebuilds it by feeding the WAL through
+//! the same `apply`. [`report_from_journal`] derives the same report from
+//! the recorded event stream alone and deliberately shares no code with
+//! the ledger: it is the independent reference that tests, the sharded
+//! merge and the benchmark gate hold the live report to. Every metric is
+//! a fold over events in stream order — including the order-sensitive
+//! Welford summaries — so for a journaled run the two must agree
+//! **exactly** (`==`), the same contract `dca::replay` enforces for the
+//! simulator. Any drift is a test failure, not a silent skew.
 
 use std::collections::HashMap;
 
-use smartred_desim::journal::{Journal, RunEvent, Stamped};
+use smartred_desim::journal::{Journal, RunEvent};
 use smartred_desim::time::SimTime;
 use smartred_stats::Summary;
 
@@ -114,19 +117,8 @@ struct TaskAcc {
 /// live report exactly.
 pub fn report_from_journal(journal: &Journal) -> RuntimeReport {
     let mut report = RuntimeReport::new();
-    fold_into(&mut report, journal.events());
-    report
-}
-
-/// Folds an event stream into an existing report — the continuation used
-/// by checkpointed recovery, where the snapshot supplies the base report
-/// and the WAL suffix is folded on top. The per-task accumulation starts
-/// fresh, which is sound because checkpoints are only taken at
-/// quiescence: no task in the suffix has pre-checkpoint dispatches, and
-/// task ids are never reused.
-pub(crate) fn fold_into(report: &mut RuntimeReport, events: &[Stamped]) {
     let mut tasks: HashMap<u32, TaskAcc> = HashMap::new();
-    for e in events {
+    for e in journal.events() {
         match e.event {
             RunEvent::JobDispatched { task, .. } => {
                 report.total_jobs += 1;
@@ -182,12 +174,13 @@ pub(crate) fn fold_into(report: &mut RuntimeReport, events: &[Stamped]) {
             RunEvent::HedgeWon { .. } => report.hedges_won += 1,
             RunEvent::HedgeWasted { .. } => report.hedges_wasted += 1,
             RunEvent::RunEnded => report.makespan_units = e.at.as_units(),
-            // The runtime does not emit churn, quarantine, or fault-plan
-            // events; returned jobs, wave closes, tallies, and checkpoint
-            // seals carry no report-level metric of their own.
+            // Returned jobs, wave closes, tallies, node discipline records
+            // and checkpoint seals carry no report-level metric of their
+            // own; the runtime does not emit churn or fault-plan events.
             _ => {}
         }
     }
+    report
 }
 
 #[cfg(test)]

@@ -442,6 +442,130 @@ fn quarantine_cut_off_by_a_crash_is_carried_out_on_recovery() {
     let _ = std::fs::remove_file(&wal);
 }
 
+/// The twin window: a hedge twin still racing when the coordinator dies
+/// is never re-armed, so the WAL prefix owes it a `HedgeWasted`. The
+/// resumed coordinator settles every such orphan before it dispatches
+/// anything, and `launched = won + wasted` holds across the crash.
+#[test]
+fn twins_orphaned_by_a_crash_settle_wasted_on_recovery() {
+    use smartred_core::hedge::HedgePolicy;
+
+    /// Votes like [`FaultyWorker`]; a fifth of the replicas straggle on
+    /// *whichever* worker runs them, so a twin launched for one keeps
+    /// racing its origin for tens of milliseconds.
+    struct Straggler(FaultyWorker);
+    impl Worker for Straggler {
+        fn execute(&mut self, job: &JobAssignment) -> Option<(bool, bool)> {
+            let slow = (job.task + job.replica).is_multiple_of(5);
+            std::thread::sleep(Duration::from_millis(if slow { 40 } else { 1 }));
+            self.0.execute(job)
+        }
+    }
+    let cfg = |wal: Option<PathBuf>| RuntimeConfig {
+        workers: Some(8),
+        max_active: 32,
+        // The median is the fast mode: a straggler is hedged a few
+        // milliseconds in, long before it returns.
+        hedge: Some(HedgePolicy {
+            quantile: 0.5,
+            min_samples: 10,
+            multiplier: 3.0,
+            max_per_task: 2,
+        }),
+        ..chaos_cfg(wal)
+    };
+    let make_worker = |_| {
+        let liars = FaultProfile {
+            wrong_rate: 0.25,
+            ..FaultProfile::default()
+        };
+        Box::new(Straggler(FaultyWorker::new(SEED, liars))) as Box<dyn Worker>
+    };
+    let strategy = || Iterative::new(VoteMargin::new(MARGIN).unwrap());
+    let tasks = roster(40);
+    let serve = |cfg: RuntimeConfig| {
+        let runtime = Runtime::start(cfg, strategy(), make_worker);
+        let client = runtime.client();
+        submit_all(&client, &tasks);
+        drain_verdicts(&client);
+        drop(client);
+        runtime.finish()
+    };
+    /// Twins launched and not yet won or wasted when the journal ends.
+    fn live_twins(journal: &Journal) -> HashSet<u32> {
+        let mut live = HashSet::new();
+        for e in journal.events() {
+            match e.event {
+                RunEvent::HedgeLaunched { job, .. } => live.insert(job),
+                RunEvent::HedgeWon { job, .. } | RunEvent::HedgeWasted { job, .. } => {
+                    live.remove(&job)
+                }
+                _ => false,
+            };
+        }
+        live
+    }
+
+    let golden = serve(cfg(None));
+    assert!(!golden.crashed);
+    assert!(
+        golden.report.hedges_launched > 0,
+        "stragglers must be hedged"
+    );
+    let events = golden.journal.events().len() as u64;
+
+    // Hedge timing is wall-clock, so which records have a twin in flight
+    // differs run to run: try crash points until one lands inside a pair.
+    let wal = wal_path("orphan-twins");
+    let orphans = (2..10)
+        .map(|tenth| events * tenth / 10)
+        .find_map(|crash_at| {
+            let _ = std::fs::remove_file(&wal);
+            let crashed = serve(RuntimeConfig {
+                crash_after_events: Some(crash_at),
+                ..cfg(Some(wal.clone()))
+            });
+            assert!(crashed.crashed, "crash point {crash_at} must trip");
+            let orphans = live_twins(&crashed.journal);
+            (!orphans.is_empty()).then_some((crash_at as usize, orphans))
+        });
+    let (cut, orphans) = orphans.expect("some crash point leaves a twin in flight");
+
+    let (runtime, client, rec) =
+        Runtime::recover(cfg(Some(wal.clone())), strategy(), make_worker, &tasks)
+            .expect("WAL recovery");
+    assert_eq!(rec.events_replayed, cut);
+    drain_verdicts(&client);
+    drop(client);
+    let run = runtime.finish();
+    assert!(!run.crashed);
+
+    // Settled first, in job order: the records right after the cut.
+    let mut expected: Vec<u32> = orphans.into_iter().collect();
+    expected.sort_unstable();
+    let settled: Vec<Option<u32>> = run.journal.events()[cut..cut + expected.len()]
+        .iter()
+        .map(|e| match e.event {
+            RunEvent::HedgeWasted { job, .. } => Some(job),
+            _ => None,
+        })
+        .collect();
+    let expected: Vec<Option<u32>> = expected.into_iter().map(Some).collect();
+    assert_eq!(settled, expected, "every orphan settles wasted on resume");
+    assert!(live_twins(&run.journal).is_empty());
+    assert_eq!(
+        run.report.hedges_launched,
+        run.report.hedges_won + run.report.hedges_wasted,
+        "every launched twin settles exactly once, across the crash"
+    );
+    assert_eq!(report_from_journal(&run.journal), run.report);
+    let decisions = decisions_per_task(&run.journal);
+    assert_eq!(decisions.len(), tasks.len());
+    assert!(decisions.values().all(|&count| count == 1));
+    assert_eq!(shape(&run.journal), shape(&golden.journal));
+    let _ = std::fs::remove_file(&wal);
+}
+
 /// A torn final record — the write that was in flight when the process
 /// died — is detected, truncated away, and the run still converges.
 #[test]
