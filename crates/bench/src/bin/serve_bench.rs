@@ -634,6 +634,35 @@ fn run_roster(
     runtime.finish()
 }
 
+/// [`run_roster`] for a run a disk fault is due to kill: keeps its client
+/// until the coordinator has died, and returns with the run the tasks
+/// whose verdicts were delivered, in delivery order.
+fn run_roster_until_crash(
+    cfg: RuntimeConfig,
+    margin: VoteMargin,
+    make_worker: impl Fn(u32) -> Box<dyn Worker> + Send + Sync + 'static,
+    roster: &[(u32, Payload)],
+) -> (RuntimeRun, Vec<u32>) {
+    let runtime = Runtime::start(cfg, Iterative::new(margin), make_worker);
+    let client = runtime.client();
+    for (_, payload) in roster {
+        assert_ne!(client.submit(payload.clone()), SubmitOutcome::Shed);
+    }
+    let mut delivered = Vec::new();
+    // The crash flag is published after the coordinator's last send, so
+    // the pass that starts after seeing it set drains what is left.
+    let mut dead = false;
+    while delivered.len() < roster.len() {
+        match client.recv_timeout(Duration::from_millis(5)) {
+            Some(verdict) => delivered.push(verdict.task),
+            None if dead => break,
+            None => dead = runtime.is_crashed(),
+        }
+    }
+    drop(client);
+    (runtime.finish(), delivered)
+}
+
 /// The chaos harness: golden run, then crash-at-point + recover rounds.
 /// Returns process exit code.
 fn chaos(args: &Args) -> i32 {
@@ -1876,14 +1905,18 @@ fn disk_chaos_mode(args: &Args) -> i32 {
     let seed = args.seed;
     let factory = move |_| Box::new(FaultyWorker::new(seed, chaos_profile())) as Box<dyn Worker>;
 
-    let golden = run_roster(
-        chaos_cfg(args, tasks, None),
-        margin,
-        seed,
-        None,
-        false,
-        &roster,
-    );
+    // A narrow window, so the roster spans several turns' worth of
+    // decisions (see the fault indices below), and a write and a sync per
+    // turn rather than per record, so the faults land among decisions
+    // instead of on the first few dispatch records.
+    const MAX_ACTIVE: usize = 4;
+    let disk_cfg = |wal: Option<PathBuf>| RuntimeConfig {
+        max_active: MAX_ACTIVE,
+        wal_batch: 64,
+        ..chaos_cfg(args, tasks, wal)
+    };
+
+    let golden = run_roster(disk_cfg(None), margin, seed, None, false, &roster);
     assert!(!golden.crashed);
     let golden_shape = shape(&golden.journal);
     println!(
@@ -1898,11 +1931,12 @@ fn disk_chaos_mode(args: &Args) -> i32 {
 
     // Detectable faults: each must crash the coordinator (fail-stop, never
     // limp on over a disk it cannot trust), then recover cleanly. A fault
-    // index counts commits, not records, and the one count every run is
-    // sure to reach is a write and a sync per decision — the roster size
-    // — so each index is a fraction of it; a leg whose fault never fires
-    // fails as "did not crash".
-    let floor = tasks as u64;
+    // index counts commits, not records, and a commit carries a whole
+    // turn — up to `max_active` decisions, every task that was open. So
+    // the one count every run is sure to reach is a write and a sync per
+    // `max_active` decisions, and each index is a fraction of that; a leg
+    // whose fault never fires fails as "did not crash".
+    let floor = (tasks / MAX_ACTIVE) as u64;
     type ArmFault = fn(&mut DiskFaultPlan, u64);
     let legs: [(&str, ArmFault); 3] = [
         ("failed-fsync", |p, n| p.fail_fsync_at = Some(n / 3)),
@@ -1911,18 +1945,18 @@ fn disk_chaos_mode(args: &Args) -> i32 {
     ];
     for (name, arm) in legs {
         let wal = dir.join(format!("{name}.wal.jsonl"));
-        let mut cfg = chaos_cfg(args, tasks, Some(wal.clone()));
+        let mut cfg = disk_cfg(Some(wal.clone()));
         let mut plan = DiskFaultPlan::none(seed ^ 0xd15c);
         arm(&mut plan, floor);
         cfg.disk_faults = Some(plan);
-        let crashed = run_roster(cfg, margin, seed, None, false, &roster);
+        let (crashed, delivered) = run_roster_until_crash(cfg, margin, factory, &roster);
         if !crashed.crashed {
             eprintln!("FAIL: {name}: injected disk fault did not crash the coordinator");
             failed = true;
             continue;
         }
         let (runtime, client, rec) = Runtime::recover(
-            chaos_cfg(args, tasks, Some(wal.clone())),
+            disk_cfg(Some(wal.clone())),
             Iterative::new(margin),
             factory,
             &roster,
@@ -1933,21 +1967,43 @@ fn disk_chaos_mode(args: &Args) -> i32 {
         assert!(!run.crashed);
         let replay_ok = report_from_journal(&run.journal) == run.report;
         let shape_ok = shape(&run.journal) == golden_shape;
+        // What the failed commit cost: verdicts leave in log order behind
+        // the commit that holds their decisions, so the delivered ones are
+        // a prefix of the log's decisions, all of them durable, and the
+        // durable-but-undelivered rest is at most one turn's decisions.
+        let decisions = crashed
+            .journal
+            .events()
+            .iter()
+            .filter_map(|e| match e.event {
+                RunEvent::VerdictReached { task, .. }
+                | RunEvent::TaskCapped { task }
+                | RunEvent::TaskPoisoned { task, .. } => Some(task),
+                _ => None,
+            });
+        let logged: Vec<u32> = decisions.collect();
+        let undelivered = rec.tasks_decided.checked_sub(delivered.len());
+        let delivery_ok =
+            logged.starts_with(&delivered) && undelivered.is_some_and(|lost| lost <= MAX_ACTIVE);
         println!(
             "disk-chaos: {name}: coordinator died mid-run (torn tail: {}), resumed {} open + \
-             {} decided + {} unseen tasks -> {}",
+             {} decided ({} delivered) + {} unseen tasks -> {}",
             rec.torn_tail,
             rec.tasks_resumed,
             rec.tasks_decided,
+            delivered.len(),
             rec.tasks_seeded,
-            if replay_ok && shape_ok {
+            if replay_ok && shape_ok && delivery_ok {
                 "matches golden"
             } else {
                 "MISMATCH"
             },
         );
-        if !replay_ok || !shape_ok {
-            eprintln!("FAIL: {name}: recovered run diverged from golden (replay {replay_ok}, shape {shape_ok})");
+        if !replay_ok || !shape_ok || !delivery_ok {
+            eprintln!(
+                "FAIL: {name}: recovered run diverged from golden (replay {replay_ok}, shape \
+                 {shape_ok}, delivery {delivery_ok})"
+            );
             failed = true;
         }
     }
@@ -1957,14 +2013,14 @@ fn disk_chaos_mode(args: &Args) -> i32 {
     // the wiser, and checksummed recovery must refuse the segment instead
     // of replaying a corrupt record.
     let wal = dir.join("bit-rot.wal.jsonl");
-    let mut cfg = chaos_cfg(args, tasks, Some(wal.clone()));
+    let mut cfg = disk_cfg(Some(wal.clone()));
     cfg.wal_checksum = true;
     let mut plan = DiskFaultPlan::none(seed ^ 0xb17);
     plan.flip_bit_after = Some(floor / 2);
     cfg.disk_faults = Some(plan);
     let run = run_roster(cfg, margin, seed, None, false, &roster);
     assert!(!run.crashed, "bit rot is silent: the run must complete");
-    let mut clean = chaos_cfg(args, tasks, Some(wal.clone()));
+    let mut clean = disk_cfg(Some(wal.clone()));
     clean.wal_checksum = true;
     match Runtime::recover(clean, Iterative::new(margin), factory, &roster) {
         Err(RecoveryError::Parse(e)) => {

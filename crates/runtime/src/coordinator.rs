@@ -14,12 +14,16 @@
 //!
 //! When [`RuntimeConfig::wal`] is set, every journal record goes to a
 //! write-ahead log, and the log is *committed* — written to the file in
-//! one `write`, and fsync'd under [`RuntimeConfig::wal_sync`] — before
-//! every effect visible outside the process (a verdict send, an
-//! annotation, a checkpoint, shutdown) and at the bottom of every
-//! coordinator turn, just before it blocks on a channel. A decision is
-//! in the file before anyone can observe it; a process kill loses at most
-//! the current turn's non-decision tail, which recovery already treats as
+//! one `write`, and fsync'd under [`RuntimeConfig::wal_sync`] — once per
+//! coordinator turn, at the bottom, just before it blocks on a channel
+//! (and around a checkpoint, and at shutdown). That commit is the only
+//! release point: a decision's verdict is parked when the decision is
+//! logged and sent, in log order, once the commit that holds it has
+//! returned — so the coordinator pays one `write` per turn instead of one
+//! per decision, and a verdict waits at most for the replies that were
+//! already in flight when it was decided. A decision is in the file
+//! before anyone can observe it; a process kill loses at most the current
+//! turn's tail, none of it observed, which recovery already treats as
 //! "crashed one turn earlier". [`Runtime::recover`] replays
 //! the surviving WAL prefix (tolerating a torn final record) into a fresh
 //! coordinator that resumes exactly where the dead one stopped: decided
@@ -94,9 +98,9 @@ pub struct RuntimeConfig {
     /// Whether to record the run journal (forced on when `wal` is set).
     pub journal: bool,
     /// Durable write-ahead log path. When set, every event is logged to
-    /// this file — committed before any effect an outsider can observe and
-    /// before the coordinator sleeps (see the module docs) — and
-    /// [`Runtime::recover`] can restart the run from it.
+    /// this file — committed once per coordinator turn, before the turn's
+    /// verdicts leave and before the coordinator sleeps (see the module
+    /// docs) — and [`Runtime::recover`] can restart the run from it.
     pub wal: Option<PathBuf>,
     /// Whether a WAL commit `fdatasync`s after its write (durable against
     /// power loss, not just process death). Write-only (`false`) is
@@ -124,9 +128,10 @@ pub struct RuntimeConfig {
     /// fault seeds — see [`smartred_core::audit::AUDIT_STREAM`]).
     pub audit_seed: u64,
     /// Chaos hook: the coordinator "dies" abruptly after this many journal
-    /// appends — no further events, verdicts, or dispatch bookkeeping —
-    /// leaving the WAL holding exactly that many records, as a kill right
-    /// after a commit would. Test-only.
+    /// appends — no further events or dispatch bookkeeping, and no verdict
+    /// but those the last commit made durable — leaving the WAL holding
+    /// exactly that many records, as a kill right after a commit would.
+    /// Test-only.
     pub crash_after_events: Option<u64>,
     /// First global node id of this coordinator's worker pool. A sharded
     /// runtime gives each shard's sub-pool a disjoint id span (see
@@ -139,11 +144,11 @@ pub struct RuntimeConfig {
     /// its own, without waiting for the coordinator's next barrier. `1` —
     /// the default — is the classic WAL, one write and one sync per
     /// record; a larger batch leaves the committing to the barriers (one
-    /// write and one sync per decision and per turn, whatever the turn
-    /// logged). Decision events (verdicts, caps, poisonings), annotations
-    /// and shutdown always commit before their side effects, so
-    /// exactly-once delivery is unaffected; only not-yet-committed
-    /// *non*-decision tail events can be lost, which recovery handles
+    /// write and one sync per turn, whatever the turn logged and however
+    /// many tasks it decided). A verdict leaves only behind the commit
+    /// that holds its decision, and shutdown commits before it returns, so
+    /// exactly-once delivery is unaffected; only not-yet-committed tail
+    /// events nobody observed can be lost, which recovery handles
     /// identically to crashing earlier.
     pub wal_batch: u64,
     /// Straggler hedging: a job that outlives the online latency-quantile
@@ -839,12 +844,17 @@ struct Coordinator<S> {
     time_base: u64,
     journal: Journal,
     wal: Option<WalWriter>,
+    /// Verdicts decided since the last commit, in log order, each parked
+    /// until the commit that holds its decision has returned
+    /// ([`Self::commit_wal`], the only place one is sent).
+    outbox: Vec<(Sender<TaskVerdict>, TaskVerdict)>,
     jobs: HashMap<u32, JobInfo>,
     /// Armed timers as `(due, what, job, dispatch epoch)`, due in journal
     /// time ([`Self::stamp`]): a deadline per dispatch — its `eta` — and a
     /// hedge check per hedgeable one. An entry whose job has resolved or
-    /// was re-dispatched under a newer epoch is stale and skipped when it
-    /// falls due.
+    /// was re-dispatched under a newer epoch is stale: skipped when it
+    /// falls due, dropped earlier once stale entries outnumber live ones
+    /// ([`Self::launch`]).
     timers: BinaryHeap<Reverse<(SimTime, Timer, u32, u32)>>,
     /// One entry per replica opened but not yet handed to a worker (all
     /// inboxes full): its task. The replica index is the task's dispatch
@@ -880,7 +890,8 @@ struct Coordinator<S> {
 }
 
 /// Poll tick: bounds how long the loop waits before re-checking the
-/// submission queue and parked dispatches.
+/// submission queue and parked dispatches. No verdict waits it out: the
+/// outbox is released before every sleep.
 const TICK: Duration = Duration::from_millis(1);
 
 impl<S: RedundancyStrategy<bool>> Coordinator<S> {
@@ -936,6 +947,7 @@ impl<S: RedundancyStrategy<bool>> Coordinator<S> {
             start: Instant::now(),
             journal,
             wal,
+            outbox: Vec::new(),
             jobs: HashMap::new(),
             timers: BinaryHeap::new(),
             pending,
@@ -991,8 +1003,9 @@ impl<S: RedundancyStrategy<bool>> Coordinator<S> {
             if idle {
                 self.maybe_checkpoint();
             }
-            // Turn boundary: everything this turn logged reaches the file
-            // in one write before the coordinator sleeps.
+            // Turn boundary, the only release point: everything this turn
+            // logged reaches the file in one write, then the verdicts it
+            // decided leave, before the coordinator sleeps.
             self.commit_wal();
             if self.crashed {
                 break;
@@ -1045,12 +1058,12 @@ impl<S: RedundancyStrategy<bool>> Coordinator<S> {
 
     /// Records one event: in-memory journal, then the WAL's commit buffer,
     /// then the ledger. The record reaches the file at the next
-    /// [`Self::commit_wal`] — the barrier every externally visible effect
-    /// sits behind, and the last thing each `run` turn does before it
-    /// sleeps — or earlier when a sync falls due
-    /// ([`RuntimeConfig::wal_batch`]). Effects that die with the process
-    /// (a dispatch to an in-process worker) need no barrier: losing their
-    /// records with them is the same as having crashed a turn earlier.
+    /// [`Self::commit_wal`] — the last thing each `run` turn does before it
+    /// sleeps, and the barrier every verdict waits behind — or earlier when
+    /// a sync falls due ([`RuntimeConfig::wal_batch`]). Effects that die
+    /// with the process (a dispatch to an in-process worker) need no
+    /// barrier: losing their records with them is the same as having
+    /// crashed a turn earlier.
     ///
     /// Returns `false` when the coordinator is dead: either it already
     /// crashed, or this very append hit the chaos threshold
@@ -1088,7 +1101,8 @@ impl<S: RedundancyStrategy<bool>> Coordinator<S> {
         if let Some(limit) = self.cfg.crash_after_events {
             if self.events_logged >= limit {
                 // The hook models death *at* a barrier: the WAL holds
-                // exactly `limit` records, none of them acted on.
+                // exactly `limit` records, the last of them not acted on,
+                // and the verdicts that commit made durable have left.
                 self.commit_wal();
                 self.crashed = true;
                 return false;
@@ -1097,22 +1111,27 @@ impl<S: RedundancyStrategy<bool>> Coordinator<S> {
         true
     }
 
-    /// The write-ahead barrier: writes every buffered record to the WAL
-    /// file (and fsyncs under [`RuntimeConfig::wal_sync`]). Called between
-    /// logging a decision and performing its side effects — a verdict is
-    /// never delivered before it is in the file — and at the bottom of
-    /// every `run` turn. Returns immediately without a WAL.
+    /// The write-ahead barrier and the only release point: writes every
+    /// buffered record to the WAL file in one `write` (and fsyncs under
+    /// [`RuntimeConfig::wal_sync`]), then sends the parked verdicts in log
+    /// order — a verdict is never delivered before its decision is in the
+    /// file. Called at the bottom of every `run` turn, by the crash hook,
+    /// around a checkpoint and after `RunEnded`; without a WAL it only
+    /// releases. A dead coordinator releases nothing: what a failed append
+    /// or commit left parked is decided, perhaps durable, and never sent.
     fn commit_wal(&mut self) {
         if self.crashed {
             return;
         }
-        if let Some(wal) = self.wal.as_mut() {
-            if wal.commit().is_err() {
-                // Same contract as a failed append: the batch may not be
-                // durable, so whatever side effect this commit was
-                // guarding must not happen. Die; recover from the prefix.
-                self.crashed = true;
-            }
+        if self.wal.as_mut().is_some_and(|wal| wal.commit().is_err()) {
+            // Same contract as a failed append: the batch may not be
+            // durable, so the verdicts behind it must not leave. Die;
+            // recover from the prefix.
+            self.crashed = true;
+            return;
+        }
+        for (verdict_tx, verdict) in self.outbox.drain(..) {
+            let _ = verdict_tx.send(verdict);
         }
     }
 
@@ -1186,12 +1205,11 @@ impl<S: RedundancyStrategy<bool>> Coordinator<S> {
         match op {
             ClientOp::Submit(sub) => self.admit_one(sub),
             ClientOp::Annotate(event) => {
-                // Write-ahead like any decision event: durable before the
-                // caller can observe the annotation took effect.
+                // No ack, so no barrier of its own: whatever the caller
+                // observes next is a verdict, released behind a commit
+                // that contains this record.
                 let at = self.stamp();
-                if self.log(at, event) {
-                    self.commit_wal();
-                }
+                self.log(at, event);
             }
         }
     }
@@ -1343,6 +1361,15 @@ impl<S: RedundancyStrategy<bool>> Coordinator<S> {
                 let due = at + SimDuration::from_units(threshold);
                 self.timers.push(Reverse((due, Timer::Hedge, job, epoch)));
             }
+        }
+        // A resolved job's timers stay in the heap until they fall due — a
+        // whole `deadline` later. A job arms at most two, so past four a
+        // job the stale outnumber the live: drop them, and the heap stays
+        // O(in flight). The key is total, so firing order is untouched.
+        if self.timers.len() > 4 * self.jobs.len() + 64 {
+            let mut timers = std::mem::take(&mut self.timers);
+            timers.retain(|&Reverse((.., job, epoch))| self.fresh(job, epoch).is_some());
+            self.timers = timers;
         }
         true
     }
@@ -1823,9 +1850,8 @@ impl<S: RedundancyStrategy<bool>> Coordinator<S> {
                 }
             }
         }
-        // The decision is WAL-durable before any side effect (the verdict
-        // send) — the exactly-once anchor: a recovered coordinator treats
-        // a logged decision as delivered and never re-runs or re-sends it.
+        // The exactly-once anchor: a recovered coordinator treats a logged
+        // decision as delivered and never re-runs or re-sends it.
         let event = match outcome {
             Outcome::Verdict(value) => RunEvent::VerdictReached {
                 task,
@@ -1842,24 +1868,20 @@ impl<S: RedundancyStrategy<bool>> Coordinator<S> {
         if !self.log(at, event) {
             return;
         }
-        // The decision must be fsync-durable before any side effect,
-        // whatever the group-commit batch says. A failed commit kills
-        // the coordinator, and the decision must then not be
-        // delivered — recovery re-runs the task from the prefix.
-        self.commit_wal();
-        if self.crashed {
-            return;
-        }
-        let state = self.ledger.take_closed().expect("finalizing a live task");
-        let _ = self.cancel_jobs(Some(task), &state.in_flight, at);
+        // The verdict is parked, not sent: it leaves when the commit that
+        // holds its decision has returned (and fsynced, when syncing). A
+        // failed commit kills the coordinator with the verdict unsent.
+        // Parked before the twins settle, so a crash hook tripped by their
+        // records still releases it with the decision it made durable.
+        let mut state = self.ledger.take_closed().expect("finalizing a live task");
         self.active
             .store(self.ledger.open().len(), Ordering::Relaxed);
-        let delivery = state.delivery();
+        let delivery = state.delivery.take().expect("attached at admission");
         let vote = match outcome {
             Outcome::Verdict(value) => Some(value),
             _ => None,
         };
-        let _ = delivery.verdict_tx.send(TaskVerdict {
+        let verdict = TaskVerdict {
             task,
             vote,
             answer: vote.and_then(|value| delivery.answers[usize::from(value)]),
@@ -1868,6 +1890,11 @@ impl<S: RedundancyStrategy<bool>> Coordinator<S> {
                 .first_dispatch
                 .map_or(0.0, |started| at.since(started).as_units()),
             jobs: state.exec.jobs_deployed() as u32,
-        });
+        };
+        self.outbox.push((delivery.verdict_tx, verdict));
+        let _ = self.cancel_jobs(Some(task), &state.in_flight, at);
     }
 }
+
+#[cfg(test)]
+mod tests;

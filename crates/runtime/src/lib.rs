@@ -40,8 +40,9 @@
 //! ## Crash recovery
 //!
 //! With [`RuntimeConfig::wal`] set, every journal event is logged and the
-//! log committed to the file before any effect an outsider can observe
-//! and before the coordinator sleeps. If the coordinator process
+//! log committed to the file once per coordinator turn — before the
+//! verdicts that turn decided are released and before the coordinator
+//! sleeps. If the coordinator process
 //! dies, [`Runtime::recover`] replays the surviving WAL prefix (tolerating
 //! a torn final record) and resumes: decided tasks are never re-run or
 //! re-delivered, open tasks keep their exact vote tallies and replica

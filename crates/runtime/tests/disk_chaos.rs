@@ -150,28 +150,72 @@ fn votes(verdicts: &[TaskVerdict]) -> HashMap<u32, Option<bool>> {
     map
 }
 
-/// Exactly-once delivery and golden agreement across a crash: the two
-/// delivery sets are disjoint, every delivered vote matches the golden
-/// run, and at most `slack` verdicts were lost to the crash boundary (a
-/// decision that became durable in the instant the coordinator died is
-/// never re-delivered — decisions are exactly-once, delivery at-most-once).
-fn assert_delivery(
+/// The tasks a journal decides (verdict, cap or poisoning), in log order.
+fn decisions(journal: &Journal) -> Vec<u32> {
+    let decided = journal.events().iter().filter_map(|e| match e.event {
+        RunEvent::VerdictReached { task, .. }
+        | RunEvent::TaskCapped { task }
+        | RunEvent::TaskPoisoned { task, .. } => Some(task),
+        _ => None,
+    });
+    decided.collect()
+}
+
+/// Exactly-once delivery and golden agreement across a crash, and what the
+/// crash may cost. `crashed` holds the dead run's journals (one per
+/// coordinator), `decided` is how many decisions recovery found durable.
+///
+/// The two delivery sets are disjoint and every delivered vote matches the
+/// golden run. A verdict leaves only behind the commit that holds its
+/// decision, in log order, so per coordinator the verdicts delivered
+/// before the crash are a *prefix* of its decisions, and every one of them
+/// is durable. What is durable but was never delivered is never re-sent
+/// (decisions are exactly-once, delivery at-most-once): that suffix is at
+/// most `bound` long — one decision per coordinator when the crash hook
+/// dies on its own append, the decisions of the one failed commit,
+/// at most `max_active`, when the disk does — and it is exactly what the
+/// two sides together miss of the golden run.
+fn assert_delivery<'a>(
     ctx: &str,
+    crashed: impl IntoIterator<Item = &'a Journal>,
+    decided: usize,
     pre: &[TaskVerdict],
     post: &[TaskVerdict],
     golden: &HashMap<u32, Option<bool>>,
-    slack: usize,
+    bound: usize,
 ) {
-    let pre = votes(pre);
-    let post = votes(post);
-    for task in pre.keys() {
+    let (pre_votes, post_votes) = (votes(pre), votes(post));
+    for journal in crashed {
+        let logged = decisions(journal);
+        let delivered: Vec<u32> = pre
+            .iter()
+            .map(|v| v.task)
+            .filter(|task| logged.contains(task))
+            .collect();
+        assert_eq!(
+            delivered[..],
+            logged[..delivered.len()],
+            "{ctx}: delivered verdicts are not a prefix of the log's decisions"
+        );
+    }
+    let lost = decided.checked_sub(pre.len()).unwrap_or_else(|| {
+        panic!(
+            "{ctx}: {} verdicts delivered, only {decided} decisions durable",
+            pre.len()
+        )
+    });
+    assert!(
+        lost <= bound,
+        "{ctx}: {lost} durable decisions undelivered, at most {bound} allowed"
+    );
+    for task in pre_votes.keys() {
         assert!(
-            !post.contains_key(task),
+            !post_votes.contains_key(task),
             "{ctx}: task {task} delivered on both sides of the crash"
         );
     }
-    let mut all = pre;
-    all.extend(post);
+    let mut all = pre_votes;
+    all.extend(post_votes);
     for (task, vote) in &all {
         assert_eq!(
             golden.get(task),
@@ -179,11 +223,10 @@ fn assert_delivery(
             "{ctx}: task {task} diverged from the golden run"
         );
     }
-    assert!(
-        all.len() + slack >= golden.len(),
-        "{ctx}: {} verdicts delivered, expected at least {}",
-        all.len(),
-        golden.len() - slack
+    assert_eq!(
+        all.len() + lost,
+        golden.len(),
+        "{ctx}: delivered plus durable-but-undelivered must cover the roster"
     );
 }
 
@@ -233,22 +276,25 @@ const DURABILITY: [(&str, bool, u64); 3] = [
 /// with every delivery exactly-once across the crash.
 ///
 /// Fault indices count `write_all`/`sync_data` calls, and a call carries
-/// however many records the coordinator logged since its last barrier —
-/// so the only count every durability setting guarantees is one write
-/// (and, when syncing, one sync) per decision, i.e. the roster size. Every
-/// index is at most that, and each leg asserts the crash: an index the
-/// run never reaches fails the test instead of passing it.
+/// however many records the coordinator logged in a turn, decisions
+/// included. A turn admits nothing while it drains replies, so it decides
+/// at most the `max_active` tasks that were open: the only count every
+/// durability setting guarantees is one write (and, when syncing, one
+/// sync) per `max_active` decisions. Every index is at most that floor,
+/// and each leg asserts the crash: an index the run never reaches fails
+/// the test instead of passing it.
 #[test]
 fn injected_disk_faults_crash_the_coordinator_and_recovery_converges() {
     quiet_injected_panics();
-    let tasks = roster(8);
+    const MAX_ACTIVE: usize = 4;
+    let tasks = roster(24);
     let (golden, golden_verdicts) = run_roster(chaos_cfg(None), &tasks);
     assert!(!golden.crashed);
     let golden_votes = votes(&golden_verdicts);
     assert_eq!(golden_votes.len(), tasks.len());
     let golden_shape = shape(&golden.journal);
 
-    let floor = tasks.len() as u64;
+    let floor = (tasks.len() / MAX_ACTIVE) as u64;
     let plans: Vec<(&str, DiskFaultPlan)> = vec![
         (
             "fsync-early",
@@ -292,6 +338,7 @@ fn injected_disk_faults_crash_the_coordinator_and_recovery_converges() {
             let durable_cfg = |wal: &PathBuf| RuntimeConfig {
                 wal_sync: sync,
                 wal_batch: batch,
+                max_active: MAX_ACTIVE,
                 ..chaos_cfg(Some(wal.clone()))
             };
             let wal = wal_path(&name);
@@ -316,7 +363,17 @@ fn injected_disk_faults_crash_the_coordinator_and_recovery_converges() {
                 golden_shape,
                 "{name}: recovered run diverged from golden"
             );
-            assert_delivery(&name, &pre_verdicts, &post_verdicts, &golden_votes, 1);
+            // The disk failed one commit: its decisions, at most a turn's
+            // worth, may be durable and undelivered.
+            assert_delivery(
+                &name,
+                [&crashed.journal],
+                rec.tasks_decided,
+                &pre_verdicts,
+                &post_verdicts,
+                &golden_votes,
+                MAX_ACTIVE,
+            );
             cleanup(&wal);
         }
     }
@@ -337,14 +394,16 @@ fn bit_rot_in_a_checksummed_wal_is_refused_and_quarantined() {
         cfg.wal_batch = batch;
         cfg.wal_checksum = true;
         // Flip one seeded bit after a write every setting is guaranteed
-        // to reach (one per decision) and to follow with more: the rot
-        // lands strictly before later commits, so the damaged record is
-        // newline-terminated — in-place corruption, not a torn tail. Had
-        // the flip not fired, recovery below would succeed and fail the
-        // test.
+        // to reach (one per `max_active` decisions) and to follow with
+        // more: the rot lands strictly before later commits, so the
+        // damaged record is newline-terminated — in-place corruption, not
+        // a torn tail. Had the flip not fired, recovery below would
+        // succeed and fail the test.
+        cfg.max_active = 2;
+        let floor = (tasks.len() / cfg.max_active) as u64;
         cfg.disk_faults = Some(DiskFaultPlan {
             seed: SEED ^ 4,
-            flip_bit_after: Some(tasks.len() as u64 / 2),
+            flip_bit_after: Some(floor / 2),
             ..DiskFaultPlan::default()
         });
         let (run, verdicts) = run_roster(cfg, &tasks);
@@ -430,7 +489,15 @@ fn checksummed_wal_round_trips_through_crash_and_recovery() {
         .iter()
         .map(|&(task, _, vote)| (task, vote))
         .collect();
-    assert_delivery("checksummed", &pre, &post, &golden, 1);
+    assert_delivery(
+        "checksummed",
+        [&crashed.journal],
+        rec.tasks_decided,
+        &pre,
+        &post,
+        &golden,
+        1,
+    );
     let on_disk = std::fs::read_to_string(&wal).unwrap();
     assert!(on_disk.lines().all(|l| l.contains("\"crc\":\"")));
     cleanup(&wal);
@@ -512,6 +579,8 @@ mod checkpoint_matrix {
 
             assert_delivery(
                 &format!("pct {pct}"),
+                [&crashed.journal],
+                rec.tasks_decided,
                 &pre_verdicts,
                 &post_verdicts,
                 &golden_votes,
@@ -694,6 +763,8 @@ mod checkpoint_matrix {
             );
             assert_delivery(
                 &format!("{shards} shards"),
+                crashed.shards.iter().map(|s| &s.journal),
+                reports.iter().map(|r| r.tasks_decided).sum(),
                 &pre_verdicts,
                 &post_verdicts,
                 &golden_votes,
@@ -751,6 +822,7 @@ fn disk_fault_during_a_checkpointed_run_recovers() {
 
     let wal = wal_path("ckpt-fault");
     let mut cfg = chaos_cfg(Some(wal.clone()));
+    let max_active = cfg.max_active;
     cfg.checkpoint_every = Some(10);
     cfg.disk_faults = Some(DiskFaultPlan {
         seed: SEED ^ 7,
@@ -778,10 +850,12 @@ fn disk_fault_during_a_checkpointed_run_recovers() {
     assert_eq!(rec.report, report_from_journal(&crashed.journal));
     assert_delivery(
         "ckpt-fault",
+        [&crashed.journal],
+        rec.tasks_decided,
         &pre_verdicts,
         &post_verdicts,
         &golden_votes,
-        1,
+        max_active,
     );
     cleanup(&wal);
 }
