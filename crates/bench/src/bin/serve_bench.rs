@@ -1,96 +1,42 @@
-//! Closed-loop load generator and chaos harness for the live runtime.
+//! Closed-loop load generator for the live runtime: the questions only a
+//! live, wall-clock run can answer, each behind one flag combination.
 //!
-//! ```text
-//! serve_bench [--smoke] [--chaos] [--tasks N] [--workers N] [--seed N] [--journal <path>]
-//! ```
+//! * *(default)* — the live analogue of the paper's Figure 5: a
+//!   30%-faulty pool serves 3-SAT blocks under traditional, progressive
+//!   and iterative redundancy at *matched predicted reliability*, a fixed
+//!   window of tasks in flight. Prints throughput, p50/p99
+//!   first-dispatch→verdict latency, jobs per task, achieved reliability
+//!   and shed rate, and exits non-zero unless IR < PR < TR jobs/task.
+//!   `--shards N` serves on the sharded runtime, `--hedge` arms
+//!   straggler hedging, `--assignment` picks the placement policy,
+//!   `--journal <path>` writes the iterative run's journal as JSONL, and
+//!   `--smoke` shrinks every mode to a CI smoke budget.
+//! * `--audit-demo` — against an adaptive cartel (`--cartel N` members,
+//!   half the pool by default), an audit-enabled strategy must beat the
+//!   best audit-free one on delivered reliability at no greater total
+//!   cost (replicas + audits).
+//! * `--bench-json <path>` — `BENCH_6.json`: audit fractions {0, 0.05,
+//!   0.2} under the standard pool. With `--shards N`, `BENCH_7.json`:
+//!   shard counts {1, 2, 4, …, N} of zero-work tasks under a durable
+//!   per-event-fsync WAL, which isolates the coordination plane sharding
+//!   scales. With `--hedge`, `BENCH_8.json`: TR/PR/IR hedged and unhedged
+//!   on a straggler-prone pool; exits non-zero unless hedging cuts TR's
+//!   p99 at bit-identical verdicts.
+//! * `--dag` — `BENCH_9.json` (simulated units only, byte-identical
+//!   across `SMARTRED_THREADS`): on a poisoned map→shuffle→reduce
+//!   pipeline a per-stage strategy mix must beat every budget-matched
+//!   uniform strategy on poison-escape rate.
+//! * `--dag --chaos` — the live pipeline with a colluder poisoning one
+//!   map task, its coordinator (shard 0 under `--shards N`) killed at
+//!   seeded points: each WAL's DAG annotation stream must be a prefix of
+//!   the uninterrupted run's. `--journal <path>` names where the WAL
+//!   segments of a failing round are kept.
 //!
-//! Drives the `smartred-runtime` job-serving runtime with a 30%-faulty
-//! worker pool under traditional, progressive, and iterative redundancy at
-//! *matched predicted reliability*, keeping a fixed window of tasks in
-//! flight (closed loop). For each strategy it reports throughput, p50/p99
-//! first-dispatch→verdict latency, jobs per task, achieved reliability,
-//! and the shed rate — the live analogue of the paper's Figure 5 cost
-//! comparison — then asserts the qualitative cost ordering
-//! IR < PR < TR jobs/task and exits non-zero if it fails to hold.
-//!
-//! `--chaos` runs the crash-recovery harness instead: a golden
-//! uninterrupted run (with crash-injecting workers) fixes the expected
-//! outcome, then the same workload is re-run with a durable WAL and the
-//! coordinator killed at seeded points; each crashed run is restarted with
-//! `Runtime::recover` and must converge to a final journal whose verdicts,
-//! per-task job counts, and totals equal the golden run's — and whose
-//! folded report equals the live one — exiting non-zero otherwise.
-//!
-//! `--smoke` shrinks the run to a few hundred tasks so the whole binary
-//! finishes within a CI smoke budget (~10 s). `--journal <path>` writes
-//! the iterative run's event journal as JSONL (for artifact upload); every
-//! run is additionally replay-checked by folding its journal back into a
-//! report and requiring exact equality with the live one. Under `--chaos`,
-//! `--journal <path>` names where the WAL of a *failed* recovery round is
-//! preserved for artifact upload.
-//!
-//! `--cartel N` arms an adaptive coalition of the first N workers
-//! (coordinated per-task lies, honest otherwise). Under `--chaos` the
-//! coalition runs against an audit-enabled coordinator, checking that the
-//! new audit events survive crash + WAL recovery. `--audit-demo` runs the
-//! matched-cost acceptance comparison: against the cartel, an
-//! audit-enabled strategy must beat the best audit-free strategy on
-//! measured reliability at no greater total cost (replicas + audits).
-//! `--bench-json <path>` sweeps audit fractions {0, 0.05, 0.2} and writes
-//! the machine-readable throughput baseline (`BENCH_6.json`).
-//!
-//! `--shards N` runs the whole serving comparison on the sharded
-//! multi-coordinator runtime (`ShardedRuntime`): tasks hash to one of N
-//! coordinators with disjoint WAL segments and worker sub-pools behind a
-//! router that owns admission. Combined with `--bench-json <path>` it
-//! instead sweeps shard counts {1, 2, 4, …, N} under a durable
-//! per-event-fsync WAL and writes the throughput-vs-shards baseline
-//! (`BENCH_7.json`);
-//! the sweep is coordination-bound (zero-work payloads) so it measures
-//! exactly what sharding scales — the coordinator/WAL plane, at matched
-//! verdict reliability across shard counts.
-//!
-//! `--hedge` arms straggler-aware hedging (quantile-triggered duplicate
-//! replicas; the first pair member to answer supplies the vote) and
-//! `--assignment <random|round-robin|least-loaded>` picks the replica
-//! placement policy. Combined with `--bench-json <path>` it runs TR/PR/IR
-//! hedged and unhedged on a straggler-prone pool and writes the
-//! latency-vs-cost frontier (`BENCH_8.json`), exiting non-zero unless
-//! hedging cuts TR's p99 latency at bit-identical verdicts. Combined with
-//! `--chaos` it runs the crash-recovery harness with hedge pairs live at
-//! every crash point.
-//!
-//! `--dag` runs the network-aware DAG pipeline comparison instead
-//! (`smartred-dag`): a map→shuffle→reduce pipeline over a transfer-charged
-//! simulated pool, attacked by a seeded adversary that targets the wide
-//! map cut. A per-stage strategy *mix* (strong iterative redundancy on the
-//! attacked stage, cheap strategies elsewhere) runs against uniform TR,
-//! PR, and IR calibrated to spend at least the mix's measured job budget,
-//! and `BENCH_9.json` records poison-escape rate, total cost, and
-//! makespan (simulated units only — the file is bit-identical across
-//! `SMARTRED_THREADS` settings). Exits non-zero unless the mix beats
-//! every budget-matched uniform on escape rate and each policy's journal
-//! replays to its live report exactly.
-//!
-//! `--disk-chaos` runs the durable-storage chaos harness: the same
-//! workload re-runs with fault-injecting disks mounted under the
-//! coordinator's WAL (failed fsync, short write, power-loss torn write).
-//! Each detectable fault must crash the coordinator — fail-stop, never
-//! limping on over a disk it cannot trust — and `Runtime::recover` on a
-//! healthy disk must converge to the golden journal shape. The final leg
-//! arms checksummed framing against silent in-place bit rot and requires
-//! recovery to refuse and quarantine the rotten segment rather than
-//! replay a corrupt record. Combined with `--bench-json <path>` it
-//! instead measures the three durable-storage costs and writes
-//! `BENCH_10.json`: WAL append throughput across sync x batch settings,
-//! replay rate with and without checksums, and recovery time vs uptime —
-//! full-WAL replay grows linearly while checkpointed recovery replays
-//! only the suffix past the last seal, and the binary exits non-zero
-//! unless the checkpointed leg replays well under half the events of the
-//! full-replay leg at the longest uptime.
+//! Every serving run is replay-checked: its journal must fold back into
+//! the live report exactly. Coordinator crash recovery, disk faults and
+//! the WAL's costs belong to `runtime/tests` and `benchmark/`, not here.
 
-use std::collections::HashMap;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -102,23 +48,32 @@ use smartred_core::hedge::HedgePolicy;
 use smartred_core::params::{KVotes, Reliability, VoteMargin};
 use smartred_core::resilience::QuarantinePolicy;
 use smartred_core::strategy::{Iterative, Progressive, RedundancyStrategy, Traditional};
-use smartred_desim::disk::DiskFaultPlan;
-use smartred_desim::journal::{Journal, RunEvent, WalWriter};
-use smartred_desim::time::SimTime;
+use smartred_desim::journal::Journal;
 use smartred_runtime::{
-    report_from_journal, CartelWorker, Client, FaultProfile, FaultyWorker, JobAssignment, Payload,
-    RecoveryError, Runtime, RuntimeConfig, RuntimeRun, ShardedClient, ShardedConfig,
-    ShardedRuntime, SubmitOutcome, TaskVerdict, Worker,
+    report_from_journal, CartelWorker, FaultProfile, FaultyWorker, JobAssignment, Payload, Runtime,
+    RuntimeConfig, RuntimeRun, ShardedConfig, ShardedRuntime, StragglerWorker, SubmitOutcome,
+    TaskClient, Worker,
 };
-use smartred_sat::{decompose, random_3sat, CnfFormula, ThreeSatConfig};
+use smartred_sat::{decompose, random_3sat, ThreeSatConfig};
 
 /// Worker honesty for the whole benchmark: r = 0.7 (30% colluding-wrong),
 /// the paper's canonical hostile regime.
 const WRONG_RATE: f64 = 0.3;
 /// Iterative margin: d = 4 predicts R ≈ 0.967 at r = 0.7 (Eq. 6).
 const MARGIN: usize = 4;
+/// Tasks the closed loop keeps in flight unless a mode says otherwise.
+const WINDOW: usize = 64;
+/// The straggler pool of `--hedge --bench-json`: a seeded 1% of
+/// placements take 100 ms, the rest 1 ms. The slow rate is deliberately
+/// low twice over: the online p90 must sit in the fast mode or the
+/// trigger's threshold would chase the stragglers instead of catching
+/// them, and a task whose twin is *itself* slow (the one tail hedging
+/// cannot remove, since a paired origin is never re-hedged) must stay
+/// rarer than 1% of tasks or it pins the p99.
+const SLOW_RATE: f64 = 0.01;
+const SLOW: Duration = Duration::from_millis(100);
 
-#[derive(Clone)]
+#[derive(Clone, Debug)]
 struct Args {
     tasks: usize,
     workers: usize,
@@ -133,11 +88,74 @@ struct Args {
     hedge: bool,
     assignment: Assignment,
     dag: bool,
-    disk_chaos: bool,
 }
 
-fn parse_args() -> Args {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
+fn number<T: std::str::FromStr>(value: &str) -> Result<T, String> {
+    value.parse().map_err(|_| "not a number".to_string())
+}
+
+/// How a flag lands in [`Args`]: a switch, or a value (with the
+/// placeholder the usage line shows for it).
+enum Flag {
+    Switch(fn(&mut Args)),
+    Value(&'static str, fn(&mut Args, &str) -> Result<(), String>),
+}
+use Flag::{Switch, Value};
+
+/// Every flag, once. The parser and the usage line both read this table.
+const FLAGS: [(&str, Flag); 13] = [
+    ("--smoke", Switch(|a| (a.smoke, a.tasks) = (true, 200))),
+    ("--chaos", Switch(|a| a.chaos = true)),
+    ("--audit-demo", Switch(|a| a.audit_demo = true)),
+    ("--dag", Switch(|a| a.dag = true)),
+    ("--hedge", Switch(|a| a.hedge = true)),
+    ("--tasks", Value("N", |a, v| number(v).map(|n| a.tasks = n))),
+    (
+        "--workers",
+        Value("N", |a, v| number(v).map(|n| a.workers = n)),
+    ),
+    ("--seed", Value("N", |a, v| number(v).map(|n| a.seed = n))),
+    (
+        "--shards",
+        Value("N", |a, v| number(v).map(|n: usize| a.shards = n.max(1))),
+    ),
+    (
+        "--cartel",
+        Value("N", |a, v| number(v).map(|n| a.cartel = n)),
+    ),
+    (
+        "--assignment",
+        Value("<random|round-robin|least-loaded>", |a, v| {
+            let policy = Assignment::parse(v).ok_or("unknown policy")?;
+            a.assignment = policy;
+            Ok(())
+        }),
+    ),
+    (
+        "--journal",
+        Value("<path>", |a, v| {
+            a.journal = Some(v.to_string());
+            Ok(())
+        }),
+    ),
+    (
+        "--bench-json",
+        Value("<path>", |a, v| {
+            a.bench_json = Some(v.to_string());
+            Ok(())
+        }),
+    ),
+];
+
+fn usage() -> String {
+    let flags = FLAGS.iter().map(|(name, flag)| match flag {
+        Value(placeholder, _) => format!(" [{name} {placeholder}]"),
+        Switch(_) => format!(" [{name}]"),
+    });
+    format!("usage: serve_bench{}", flags.collect::<String>())
+}
+
+fn parse_args(argv: &[String]) -> Result<Args, String> {
     let mut args = Args {
         tasks: 1000,
         workers: 8,
@@ -152,96 +170,27 @@ fn parse_args() -> Args {
         hedge: false,
         assignment: Assignment::Random,
         dag: false,
-        disk_chaos: false,
     };
-    let mut i = 0;
-    while i < argv.len() {
-        let value = |i: usize| -> String {
-            argv.get(i + 1).cloned().unwrap_or_else(|| {
-                eprintln!("{} requires an argument", argv[i]);
-                std::process::exit(2);
-            })
-        };
-        match argv[i].as_str() {
-            "--smoke" => {
-                args.tasks = 200;
-                args.smoke = true;
-            }
-            "--chaos" => args.chaos = true,
-            "--audit-demo" => args.audit_demo = true,
-            "--tasks" => {
-                args.tasks = value(i).parse().expect("--tasks N");
-                i += 1;
-            }
-            "--workers" => {
-                args.workers = value(i).parse().expect("--workers N");
-                i += 1;
-            }
-            "--seed" => {
-                args.seed = value(i).parse().expect("--seed N");
-                i += 1;
-            }
-            "--shards" => {
-                args.shards = value(i).parse().expect("--shards N");
-                args.shards = args.shards.max(1);
-                i += 1;
-            }
-            "--cartel" => {
-                args.cartel = value(i).parse().expect("--cartel N");
-                i += 1;
-            }
-            "--journal" => {
-                args.journal = Some(value(i));
-                i += 1;
-            }
-            "--bench-json" => {
-                args.bench_json = Some(value(i));
-                i += 1;
-            }
-            "--hedge" => args.hedge = true,
-            "--dag" => args.dag = true,
-            "--disk-chaos" => args.disk_chaos = true,
-            "--assignment" => {
-                let name = value(i);
-                args.assignment = Assignment::parse(&name).unwrap_or_else(|| {
-                    eprintln!(
-                        "--assignment {name}: unknown policy (random | round-robin | least-loaded)"
-                    );
-                    std::process::exit(2);
-                });
-                i += 1;
-            }
-            other => {
-                eprintln!(
-                    "unknown flag '{other}'; usage: serve_bench [--smoke] [--chaos] \
-                     [--audit-demo] [--dag] [--disk-chaos] [--tasks N] [--workers N] [--seed N] \
-                     [--shards N] [--cartel N] [--hedge] [--assignment <policy>] \
-                     [--journal <path>] [--bench-json <path>]"
-                );
-                std::process::exit(2);
+    let mut argv = argv.iter();
+    while let Some(flag) = argv.next() {
+        let (name, flag) = FLAGS
+            .iter()
+            .find(|(name, _)| name == flag)
+            .ok_or_else(|| format!("unknown flag '{flag}'"))?;
+        match flag {
+            Switch(set) => set(&mut args),
+            Value(_, set) => {
+                let value = argv
+                    .next()
+                    .ok_or_else(|| format!("{name} requires an argument"))?;
+                set(&mut args, value).map_err(|e| format!("{name} {value}: {e}"))?;
             }
         }
-        i += 1;
     }
-    args
-}
-
-struct Outcome {
-    name: &'static str,
-    run: RuntimeRun,
-    elapsed: Duration,
-    /// Sorted first-dispatch→verdict latencies, in journal units (seconds).
-    latencies: Vec<f64>,
-}
-
-impl Outcome {
-    fn throughput(&self) -> f64 {
-        self.run.report.tasks_completed as f64 / self.elapsed.as_secs_f64()
+    if args.chaos && !args.dag {
+        return Err("--chaos runs only with --dag".to_string());
     }
-
-    fn percentile(&self, p: f64) -> f64 {
-        smartred_stats::percentile_nearest_rank(&self.latencies, p)
-    }
+    Ok(args)
 }
 
 /// The `--hedge` trigger: once 10 latency samples are in, a job that
@@ -259,236 +208,284 @@ fn hedge_policy() -> HedgePolicy {
     }
 }
 
-/// A worker whose *vote* is the pure `(seed, task, replica)` draw of the
-/// wrapped [`FaultyWorker`] but whose *service time* additionally depends
-/// on the worker index: a seeded 1% of `(worker, task, replica)` triples
-/// take 100 ms, the rest 1 ms. Slowness is a property of the placement,
-/// so a hedge twin redraws the delay on its new worker while voting
-/// bit-identically to its origin — hedging changes latency, never votes.
-/// The slow rate is deliberately low twice over: the online p90 must sit
-/// in the fast mode or the trigger's threshold would chase the stragglers
-/// instead of catching them, and a task whose twin is *itself* slow (the
-/// one tail hedging cannot remove, since a paired origin is never
-/// re-hedged) must stay rarer than 1% of tasks or it pins the p99.
-struct StragglerWorker {
-    index: u32,
-    seed: u64,
-    inner: FaultyWorker,
+/// Matched reliability: IR's margin, the smallest odd k whose predicted
+/// TR reliability (Eq. 2) meets what that margin predicts (Eq. 6), and
+/// the prediction. Progressive with the same k is never less reliable,
+/// so one k matches both.
+fn matched() -> (VoteMargin, KVotes, f64) {
+    let r = Reliability::new(1.0 - WRONG_RATE).unwrap();
+    let d = VoteMargin::new(MARGIN).unwrap();
+    let target = analysis::iterative::reliability(d, r);
+    let k = (1..=61)
+        .step_by(2)
+        .map(|k| KVotes::new(k).unwrap())
+        .find(|&k| analysis::traditional::reliability(k, r) >= target)
+        .expect("a matching k exists below 61");
+    (d, k, target)
 }
 
-impl StragglerWorker {
-    fn new(index: u32, seed: u64, profile: FaultProfile) -> Self {
-        Self {
-            index,
-            seed,
-            inner: FaultyWorker::new(seed, profile),
-        }
-    }
-
-    fn delay(&self, task: u32, replica: u32) -> Duration {
-        let mut x = self
-            .seed
-            .wrapping_add(u64::from(self.index) << 32)
-            .wrapping_add(u64::from(task) << 16)
-            .wrapping_add(u64::from(replica));
-        x = (x ^ (x >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-        x = (x ^ (x >> 27)).wrapping_mul(0x94d049bb133111eb);
-        x ^= x >> 31;
-        if (x >> 11) as f64 / ((1u64 << 53) as f64) < 0.01 {
-            Duration::from_millis(100)
-        } else {
-            Duration::from_millis(1)
-        }
-    }
+/// The benchmark's workload: `tasks` assignment blocks of one random
+/// 3-SAT formula drawn from `seed`.
+fn sat_workload(seed: u64, tasks: usize) -> Vec<Payload> {
+    let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed ^ 0x5eed);
+    let cfg = ThreeSatConfig {
+        num_vars: 16,
+        clause_ratio: 4.26,
+    };
+    let formula = Arc::new(random_3sat(cfg, &mut rng));
+    let blocks = decompose(formula.num_vars(), tasks).into_iter();
+    let payload = |block| Payload::Sat {
+        formula: formula.clone(),
+        block,
+    };
+    blocks.map(payload).collect()
 }
 
-impl Worker for StragglerWorker {
-    fn execute(&mut self, job: &JobAssignment) -> Option<(bool, bool)> {
-        std::thread::sleep(self.delay(job.task, job.replica));
-        self.inner.execute(job)
-    }
-}
-
-/// Adversary-side configuration of one `drive` run. With `audit` enabled,
-/// spot-checked verdicts are recomputed locally and liars disciplined; with
-/// a `cartel`, the first members of the pool lie in concert (and are
-/// otherwise honest — the coalition is the adversary). A `job_cap` bounds
-/// each task's tally race: a coalition of exactly half the pool turns a
-/// vote-margin race into a fair coin walk with unbounded expected length,
-/// so capped tasks fail (deliver no answer) instead of livelocking the run.
+/// One serving run: the pool, the runtime it serves on, and the
+/// adversary.
 #[derive(Clone, Copy)]
-struct Regime {
+struct Leg {
+    workers: usize,
+    seed: u64,
+    /// Tasks the closed loop keeps in flight; also the admission capacity.
+    window: usize,
+    /// `None` serves on one coordinator, `Some(n)` on the sharded runtime.
+    shards: Option<usize>,
+    /// Log to a WAL, one fsync per event, in a scratch directory.
+    durable: bool,
+    hedge: bool,
+    assignment: Assignment,
+    /// When enabled, spot-checked verdicts are recomputed locally and
+    /// liars disciplined.
     audit: AuditPolicy,
+    /// The first members of the pool lie in concert and are otherwise
+    /// honest — the coalition is the adversary.
     cartel: Option<Cartel>,
+    /// Bounds each task's tally race: a coalition of exactly half the
+    /// pool turns a vote-margin race into a fair coin walk with unbounded
+    /// expected length, so capped tasks fail (deliver no answer) instead
+    /// of livelocking the run.
     job_cap: Option<usize>,
-    /// Run the pool as [`StragglerWorker`]s (the `--hedge` latency mix)
-    /// instead of uniformly fast workers.
+    /// Serve on the [`SLOW_RATE`] straggler pool instead of uniformly
+    /// fast workers.
     straggle: bool,
 }
 
-impl Regime {
-    /// Independent 30%-wrong workers, no auditing, no cap — the standard
-    /// benchmark regime.
-    fn honest() -> Self {
-        Regime {
+impl Leg {
+    /// The standard regime under the command line's pool, runtime and
+    /// placement: independent 30%-wrong workers, no auditing, no cap.
+    fn standard(args: &Args) -> Leg {
+        Leg {
+            workers: args.workers,
+            seed: args.seed,
+            window: WINDOW,
+            shards: (args.shards > 1).then_some(args.shards),
+            durable: false,
+            hedge: args.hedge,
+            assignment: args.assignment,
             audit: AuditPolicy::disabled(),
             cartel: None,
             job_cap: None,
             straggle: false,
         }
     }
-}
 
-/// Either serving runtime behind one submit/recv surface, so the whole
-/// benchmark (and its closed loop) runs unchanged under `--shards N`.
-enum AnyRuntime {
-    One(Runtime),
-    Sharded(ShardedRuntime),
-}
-
-enum AnyClient {
-    One(Client),
-    Sharded(ShardedClient),
-}
-
-impl AnyRuntime {
-    fn client(&self) -> AnyClient {
-        match self {
-            AnyRuntime::One(r) => AnyClient::One(r.client()),
-            AnyRuntime::Sharded(r) => AnyClient::Sharded(r.client()),
-        }
-    }
-
-    fn finish(self) -> RuntimeRun {
-        match self {
-            AnyRuntime::One(r) => r.finish(),
-            AnyRuntime::Sharded(r) => {
-                let run = r.finish();
-                RuntimeRun {
-                    report: run.report,
-                    admission: run.admission,
-                    journal: run.journal,
-                    crashed: run.crashed,
-                }
+    /// The worker factory of this leg's pool.
+    fn pool(&self) -> impl Fn(u32) -> Box<dyn Worker> + Send + Sync + 'static {
+        let (seed, cartel, straggle) = (self.seed, self.cartel, self.straggle);
+        let profile = FaultProfile {
+            wrong_rate: if cartel.is_some() { 0.0 } else { WRONG_RATE },
+            ..FaultProfile::default()
+        };
+        move |index| match cartel {
+            Some(c) => Box::new(CartelWorker::new(index, seed, c, profile)) as Box<dyn Worker>,
+            None if straggle => {
+                Box::new(StragglerWorker::new(index, seed, profile, SLOW_RATE, SLOW))
             }
+            None => Box::new(FaultyWorker::new(seed, profile)),
         }
     }
 }
 
-impl AnyClient {
-    fn submit(&self, payload: Payload) -> SubmitOutcome {
-        match self {
-            AnyClient::One(c) => c.submit(payload),
-            AnyClient::Sharded(c) => c.submit(payload),
-        }
-    }
+/// A fresh scratch directory of this process.
+fn scratch_dir(name: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("smartred-{name}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("create scratch directory");
+    dir
+}
 
-    fn recv(&self) -> Option<TaskVerdict> {
-        match self {
-            AnyClient::One(c) => c.recv(),
-            AnyClient::Sharded(c) => c.recv(),
-        }
+/// The WAL segments a run on `shards` writes under `dir`.
+fn wal_segments(dir: &Path, shards: Option<usize>) -> Vec<PathBuf> {
+    match shards {
+        Some(n) => (0..n).map(|k| ShardedConfig::wal_segment(dir, k)).collect(),
+        None => vec![dir.join("wal.jsonl")],
     }
 }
 
-/// Runs `tasks` 3-SAT block tasks through a fresh runtime under `strategy`,
-/// keeping at most `window` in flight (closed loop, shed-retry on overload),
-/// against the adversary described by `regime`. With `args.shards > 1` the
-/// tasks serve on the sharded multi-coordinator runtime instead.
-fn drive<S>(
-    name: &'static str,
+/// The one place that picks a runtime. Starts one coordinator, or
+/// `shards` of them behind the router (admitting `cfg.queue_cap` tasks
+/// either way), logging under `wal_dir` and dying after `crash_at` events
+/// — shard 0's, when sharded; runs `body` against its client; finishes.
+fn serve<S, T>(
+    cfg: RuntimeConfig,
+    shards: Option<usize>,
+    wal_dir: Option<&Path>,
+    crash_at: Option<u64>,
     strategy: S,
-    formula: &Arc<CnfFormula>,
-    args: &Args,
-    window: usize,
-    regime: Regime,
-) -> Outcome
+    make_worker: impl Fn(u32) -> Box<dyn Worker> + Send + Sync + 'static,
+    body: impl FnOnce(&dyn TaskClient) -> T,
+) -> (T, RuntimeRun)
 where
     S: RedundancyStrategy<bool> + Clone + Send + Sync + 'static,
 {
-    let Regime {
-        audit,
-        cartel,
-        job_cap,
-        straggle,
-    } = regime;
-    let blocks = decompose(formula.num_vars(), args.tasks);
-    let cfg = RuntimeConfig {
-        workers: Some(args.workers),
-        queue_cap: window,
-        max_active: window,
-        deadline: Duration::from_secs(5),
-        job_cap,
-        discipline: audit.is_enabled().then(QuarantinePolicy::default),
-        audit,
-        audit_seed: args.seed,
-        hedge: args.hedge.then(hedge_policy),
-        assignment: args.assignment,
-        ..RuntimeConfig::default()
-    };
-    let seed = args.seed;
-    let profile = FaultProfile {
-        wrong_rate: if cartel.is_some() { 0.0 } else { WRONG_RATE },
-        hang_rate: 0.0,
-        crash_rate: 0.0,
-        think: Duration::ZERO,
-    };
-    let make_worker = move |index: u32| match cartel {
-        Some(c) => Box::new(CartelWorker::new(index, seed, c, profile)) as Box<dyn Worker>,
-        None if straggle => Box::new(StragglerWorker::new(index, seed, profile)),
-        None => Box::new(FaultyWorker::new(seed, profile)),
-    };
-    let runtime = if args.shards > 1 {
-        AnyRuntime::Sharded(ShardedRuntime::start(
-            ShardedConfig {
+    match shards {
+        Some(shards) => {
+            let mut crash_after = vec![None; shards];
+            crash_after[0] = crash_at;
+            let cfg = ShardedConfig {
+                admission_cap: cfg.queue_cap,
                 base: cfg,
-                shards: args.shards,
-                wal_dir: None,
-                admission_cap: window,
-                crash_after: None,
-            },
-            strategy,
-            make_worker,
-        ))
-    } else {
-        AnyRuntime::One(Runtime::start(cfg, strategy, make_worker))
-    };
-    let client = runtime.client();
-    let started = Instant::now();
-    let mut latencies = Vec::with_capacity(args.tasks);
-    let mut in_flight = 0usize;
-    for block in blocks {
-        // Closed loop: a full window waits for a verdict before the next
-        // submission, so offered load tracks service capacity.
-        while in_flight >= window {
-            let verdict = client.recv().expect("runtime dropped a verdict");
-            latencies.push(verdict.latency_units);
-            in_flight -= 1;
+                shards,
+                wal_dir: wal_dir.map(Path::to_path_buf),
+                crash_after: Some(crash_after),
+            };
+            let runtime = ShardedRuntime::start(cfg, strategy, make_worker);
+            let client = runtime.client();
+            let out = body(&client);
+            drop(client);
+            (out, runtime.finish().into())
         }
-        loop {
-            let outcome = client.submit(Payload::Sat {
-                formula: formula.clone(),
-                block,
-            });
-            if outcome != SubmitOutcome::Shed {
-                break;
-            }
-            // Shed under a race with the drain: back off and retry.
-            std::thread::sleep(Duration::from_micros(200));
+        None => {
+            let cfg = RuntimeConfig {
+                wal: wal_dir.map(|dir| wal_segments(dir, None).remove(0)),
+                crash_after_events: crash_at,
+                ..cfg
+            };
+            let runtime = Runtime::start(cfg, strategy, make_worker);
+            let client = runtime.client();
+            let out = body(&client);
+            drop(client);
+            (out, runtime.finish())
         }
-        in_flight += 1;
     }
-    while in_flight > 0 {
+}
+
+/// The closed loop: keeps at most `window` of `payloads` in flight — a
+/// full window waits for a verdict before the next submission, so offered
+/// load tracks service capacity — and returns the wall time with the
+/// sorted first-dispatch→verdict latencies, in journal units (seconds).
+fn closed_loop(
+    client: &dyn TaskClient,
+    payloads: &[Payload],
+    window: usize,
+) -> (Duration, Vec<f64>) {
+    let started = Instant::now();
+    let mut latencies = Vec::with_capacity(payloads.len());
+    let await_verdict = |latencies: &mut Vec<f64>| {
         let verdict = client.recv().expect("runtime dropped a verdict");
         latencies.push(verdict.latency_units);
-        in_flight -= 1;
+    };
+    for (submitted, payload) in payloads.iter().enumerate() {
+        while submitted - latencies.len() >= window {
+            await_verdict(&mut latencies);
+        }
+        // Shed under a race with the drain: back off and retry.
+        while client.submit(payload.clone()) == SubmitOutcome::Shed {
+            std::thread::sleep(Duration::from_micros(200));
+        }
+    }
+    while latencies.len() < payloads.len() {
+        await_verdict(&mut latencies);
     }
     let elapsed = started.elapsed();
-    drop(client);
-    let run = runtime.finish();
+    latencies.sort_by(f64::total_cmp);
+    (elapsed, latencies)
+}
+
+struct Outcome {
+    name: &'static str,
+    run: RuntimeRun,
+    elapsed: Duration,
+    /// Sorted first-dispatch→verdict latencies, in seconds.
+    latencies: Vec<f64>,
+}
+
+/// One rendered JSON member: key and value text.
+type Field = (&'static str, String);
+
+impl Outcome {
+    fn throughput(&self) -> f64 {
+        self.run.report.tasks_completed as f64 / self.elapsed.as_secs_f64()
+    }
+
+    fn percentile_ms(&self, p: f64) -> f64 {
+        smartred_stats::percentile_nearest_rank(&self.latencies, p) * 1e3
+    }
+
+    fn jobs_per_sec(&self) -> f64 {
+        self.run.report.total_jobs as f64 / self.elapsed.as_secs_f64()
+    }
+
+    /// One table / bench-JSON row: `lead`, then those measured columns
+    /// whose keys `columns` names (space-separated), in the one order
+    /// every `BENCH_*.json` lists them.
+    fn row(&self, mut lead: Vec<Field>, columns: &str) -> Vec<Field> {
+        let r = &self.run.report;
+        let measured = [
+            ("tasks_per_sec", format!("{:.2}", self.throughput())),
+            ("jobs_per_sec", format!("{:.2}", self.jobs_per_sec())),
+            ("p50_ms", format!("{:.3}", self.percentile_ms(0.50))),
+            ("p99_ms", format!("{:.3}", self.percentile_ms(0.99))),
+            ("jobs_per_task", format!("{:.4}", r.cost_factor())),
+            ("audits", r.audits.to_string()),
+            ("hedges_launched", r.hedges_launched.to_string()),
+            ("hedges_won", r.hedges_won.to_string()),
+            ("hedges_wasted", r.hedges_wasted.to_string()),
+            ("total_cost", r.total_cost().to_string()),
+            ("reliability", format!("{:.4}", r.reliability())),
+        ];
+        let wanted = |(key, _): &Field| columns.split_whitespace().any(|c| c == *key);
+        lead.extend(measured.into_iter().filter(wanted));
+        lead
+    }
+}
+
+/// Runs `payloads` through a fresh runtime under `strategy` on the
+/// closed loop, as `leg` describes.
+fn drive<S>(name: &'static str, strategy: S, payloads: &[Payload], leg: &Leg) -> Outcome
+where
+    S: RedundancyStrategy<bool> + Clone + Send + Sync + 'static,
+{
+    let cfg = RuntimeConfig {
+        workers: Some(leg.workers),
+        queue_cap: leg.window,
+        max_active: leg.window,
+        deadline: Duration::from_secs(5),
+        job_cap: leg.job_cap,
+        discipline: leg.audit.is_enabled().then(QuarantinePolicy::default),
+        audit: leg.audit,
+        audit_seed: leg.seed,
+        hedge: leg.hedge.then(hedge_policy),
+        assignment: leg.assignment,
+        ..RuntimeConfig::default()
+    };
+    let wal_dir = leg.durable.then(|| scratch_dir("bench-wal"));
+    let ((elapsed, latencies), run) = serve(
+        cfg,
+        leg.shards,
+        wal_dir.as_deref(),
+        None,
+        strategy,
+        leg.pool(),
+        |client| closed_loop(client, payloads, leg.window),
+    );
+    if let Some(dir) = wal_dir {
+        let _ = std::fs::remove_dir_all(dir);
+    }
     assert_eq!(
         run.report.tasks_completed + run.report.tasks_capped,
-        args.tasks,
+        payloads.len(),
         "{name}: every submitted task must reach a verdict or cap out"
     );
     // Replay cross-check: the journal folds to the identical live report.
@@ -497,7 +494,6 @@ where
         run.report,
         "{name}: journal replay must reproduce the live report exactly"
     );
-    latencies.sort_by(|a, b| a.partial_cmp(b).expect("latencies are finite"));
     Outcome {
         name,
         run,
@@ -506,327 +502,175 @@ where
     }
 }
 
-/// Schedule-independent structure of a finished run: everything that must
-/// be bit-identical between an uninterrupted run and one reassembled from
-/// crash + WAL recovery. (Wall-clock stamps and cross-task interleaving
-/// legitimately differ; fault draws, votes, verdicts, and per-task job
-/// counts may not.)
-#[derive(Debug, PartialEq, Eq)]
-struct RunShape {
-    total_jobs: u64,
-    completed: usize,
-    correct: usize,
-    capped: usize,
-    poisoned: usize,
-    /// `(task, verdict vote or None, jobs dispatched)`, sorted by task.
-    /// Failed tasks are tagged by `kind` (0 verdict, 1 capped, 2 poisoned).
-    verdicts: Vec<(u32, u8, Option<bool>, u64)>,
-}
-
-fn shape(journal: &Journal) -> RunShape {
-    let mut jobs: HashMap<u32, u64> = HashMap::new();
-    let mut verdicts: Vec<(u32, u8, Option<bool>)> = Vec::new();
-    let mut s = RunShape {
-        total_jobs: 0,
-        completed: 0,
-        correct: 0,
-        capped: 0,
-        poisoned: 0,
-        verdicts: Vec::new(),
-    };
-    for e in journal.events() {
-        match e.event {
-            RunEvent::JobDispatched { task, .. } => {
-                s.total_jobs += 1;
-                *jobs.entry(task).or_default() += 1;
-            }
-            RunEvent::VerdictReached { task, value, .. } => {
-                s.completed += 1;
-                if value {
-                    s.correct += 1;
-                }
-                verdicts.push((task, 0, Some(value)));
-            }
-            RunEvent::TaskCapped { task } => {
-                s.capped += 1;
-                verdicts.push((task, 1, None));
-            }
-            RunEvent::TaskPoisoned { task, .. } => {
-                s.poisoned += 1;
-                verdicts.push((task, 2, None));
-            }
-            _ => {}
+/// Creates the directory `path` points into.
+fn create_parent(path: &str) {
+    if let Some(dir) = Path::new(path).parent() {
+        if !dir.as_os_str().is_empty() {
+            std::fs::create_dir_all(dir).expect("create output directory");
         }
     }
-    verdicts.sort_unstable();
-    s.verdicts = verdicts
-        .into_iter()
-        .map(|(task, kind, vote)| (task, kind, vote, jobs.get(&task).copied().unwrap_or(0)))
-        .collect();
-    s
 }
 
-/// Worker profile for chaos runs: lies *and* panics, both drawn purely
-/// from `(seed, task, replica)` so the golden and recovered runs face
-/// byte-identical adversity.
-fn chaos_profile() -> FaultProfile {
-    FaultProfile {
-        wrong_rate: WRONG_RATE,
-        hang_rate: 0.0,
-        crash_rate: 0.05,
-        think: Duration::ZERO,
-    }
-}
-
-fn chaos_cfg(args: &Args, tasks: usize, wal: Option<PathBuf>) -> RuntimeConfig {
-    // With a cartel armed, the coordinator fights back: spot-checks with
-    // probationary re-admission, weighted strikes, and verdict voiding —
-    // so the crash points land amid live audit state.
-    let audit = if args.cartel > 0 {
-        AuditPolicy::spot(0.2)
-    } else {
-        AuditPolicy::disabled()
-    };
-    RuntimeConfig {
-        workers: Some(args.workers),
-        queue_cap: tasks.max(1),
-        max_active: 64,
-        deadline: Duration::from_secs(30),
-        discipline: audit.is_enabled().then(QuarantinePolicy::default),
-        audit,
-        audit_seed: args.seed,
-        // With `--hedge`, every chaos leg (golden, crashed, recovered)
-        // arms the same quantile trigger, so crash points land amid live
-        // hedge pairs and HedgeLaunched events must survive the WAL.
-        hedge: args.hedge.then(hedge_policy),
-        assignment: args.assignment,
-        wal,
-        ..RuntimeConfig::default()
-    }
-}
-
-/// Submits the whole roster (ids are assigned in submission order, so they
-/// land on the roster's own ids), lets the run finish — or crash at its
-/// chaos point — and returns it.
-fn run_roster(
-    cfg: RuntimeConfig,
-    margin: VoteMargin,
-    seed: u64,
-    cartel: Option<Cartel>,
-    straggle: bool,
-    roster: &[(u32, Payload)],
-) -> RuntimeRun {
-    let runtime = Runtime::start(cfg, Iterative::new(margin), move |index| match cartel {
-        Some(c) => Box::new(CartelWorker::new(index, seed, c, chaos_profile())) as Box<dyn Worker>,
-        None if straggle => Box::new(StragglerWorker::new(index, seed, chaos_profile())),
-        None => Box::new(FaultyWorker::new(seed, chaos_profile())),
-    });
-    let client = runtime.client();
-    for (task, payload) in roster {
-        match client.submit(payload.clone()) {
-            SubmitOutcome::Shed => panic!("chaos queue_cap admits the whole roster"),
-            SubmitOutcome::Accepted { task: id } | SubmitOutcome::Queued { task: id } => {
-                assert_eq!(id, *task, "submission order must assign roster ids");
-            }
-        }
-    }
-    drop(client);
-    runtime.finish()
-}
-
-/// [`run_roster`] for a run a disk fault is due to kill: keeps its client
-/// until the coordinator has died, and returns with the run the tasks
-/// whose verdicts were delivered, in delivery order.
-fn run_roster_until_crash(
-    cfg: RuntimeConfig,
-    margin: VoteMargin,
-    make_worker: impl Fn(u32) -> Box<dyn Worker> + Send + Sync + 'static,
-    roster: &[(u32, Payload)],
-) -> (RuntimeRun, Vec<u32>) {
-    let runtime = Runtime::start(cfg, Iterative::new(margin), make_worker);
-    let client = runtime.client();
-    for (_, payload) in roster {
-        assert_ne!(client.submit(payload.clone()), SubmitOutcome::Shed);
-    }
-    let mut delivered = Vec::new();
-    // The crash flag is published after the coordinator's last send, so
-    // the pass that starts after seeing it set drains what is left.
-    let mut dead = false;
-    while delivered.len() < roster.len() {
-        match client.recv_timeout(Duration::from_millis(5)) {
-            Some(verdict) => delivered.push(verdict.task),
-            None if dead => break,
-            None => dead = runtime.is_crashed(),
-        }
-    }
-    drop(client);
-    (runtime.finish(), delivered)
-}
-
-/// The chaos harness: golden run, then crash-at-point + recover rounds.
-/// Returns process exit code.
-fn chaos(args: &Args) -> i32 {
-    // Injected worker crashes are supervised and expected by the hundreds;
-    // keep their panic backtraces off stderr, but let real panics through.
-    let default_hook = std::panic::take_hook();
-    std::panic::set_hook(Box::new(move |info| {
-        let injected = info
-            .payload()
-            .downcast_ref::<String>()
-            .is_some_and(|s| s.starts_with("injected worker crash"));
-        if !injected {
-            default_hook(info);
-        }
-    }));
-    let tasks = if args.smoke { 150 } else { args.tasks };
-    let margin = VoteMargin::new(MARGIN).unwrap();
-    let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(args.seed ^ 0x5eed);
-    let formula = Arc::new(random_3sat(
-        ThreeSatConfig {
-            num_vars: 16,
-            clause_ratio: 4.26,
-        },
-        &mut rng,
-    ));
-    let roster: Vec<(u32, Payload)> = decompose(formula.num_vars(), tasks)
-        .into_iter()
-        .enumerate()
-        .map(|(i, block)| {
-            (
-                i as u32,
-                Payload::Sat {
-                    formula: formula.clone(),
-                    block,
-                },
-            )
-        })
-        .collect();
-
-    let cartel = (args.cartel > 0).then(|| Cartel::new(args.cartel, 0.25));
-    let golden = run_roster(
-        chaos_cfg(args, tasks, None),
-        margin,
-        args.seed,
-        cartel,
-        args.hedge,
-        &roster,
-    );
-    assert!(!golden.crashed);
-    let golden_shape = shape(&golden.journal);
-    let golden_events = golden.journal.events().len();
-    println!(
-        "chaos: golden run: {} tasks, {} jobs, {} worker crashes, {} poisoned, {} audits \
-         ({} failed, {} voided), {} hedges, {} events",
-        golden.report.tasks_completed,
-        golden.report.total_jobs,
-        golden.report.worker_crashes,
-        golden.report.tasks_poisoned,
-        golden.report.audits,
-        golden.report.audit_failures,
-        golden.report.verdicts_voided,
-        golden.report.hedges_launched,
-        golden_events,
-    );
-    if args.hedge {
-        assert!(
-            golden.report.hedges_launched > 0,
-            "the hedged chaos pool must actually fire hedges"
-        );
-    }
-    if cartel.is_some() {
-        assert!(
-            golden.report.audits > 0,
-            "an armed cartel must trigger audits"
-        );
-    }
-
-    let wal_dir = std::env::temp_dir().join(format!("smartred-chaos-{}", std::process::id()));
-    let mut failed = false;
-    for (round, frac) in [0.2, 0.5, 0.8].into_iter().enumerate() {
-        let crash_at = ((golden_events as f64 * frac) as u64).max(1);
-        let wal = wal_dir.join(format!("round-{round}.wal.jsonl"));
-        let mut cfg = chaos_cfg(args, tasks, Some(wal.clone()));
-        cfg.crash_after_events = Some(crash_at);
-        let crashed = run_roster(cfg, margin, args.seed, cartel, args.hedge, &roster);
-        assert!(
-            crashed.crashed,
-            "the coordinator must die at its chaos point"
-        );
-
-        let (runtime, client, rec) = Runtime::recover(
-            chaos_cfg(args, tasks, Some(wal.clone())),
-            Iterative::new(margin),
-            {
-                let seed = args.seed;
-                let straggle = args.hedge;
-                move |index| match cartel {
-                    Some(c) => Box::new(CartelWorker::new(index, seed, c, chaos_profile()))
-                        as Box<dyn Worker>,
-                    None if straggle => {
-                        Box::new(StragglerWorker::new(index, seed, chaos_profile()))
-                    }
-                    None => Box::new(FaultyWorker::new(seed, chaos_profile())),
-                }
-            },
-            &roster,
-        )
-        .expect("WAL recovery");
-        drop(client);
-        let run = runtime.finish();
-        assert!(!run.crashed);
-        assert_eq!(
-            report_from_journal(&run.journal),
-            run.report,
-            "recovered run: journal replay must reproduce the live report exactly"
-        );
-        // With audits armed, retaliation re-tallies whatever happens to be
-        // open at conviction time, so per-task job counts legitimately
-        // differ across schedules; the invariants are exactly-once
-        // decisions and exact replay. Without audits, the full golden
-        // shape must match bit for bit.
-        let recovered_shape = shape(&run.journal);
-        let ok = if cartel.is_some() {
-            let mut decisions: HashMap<u32, u32> = HashMap::new();
-            for &(task, _, _, _) in &recovered_shape.verdicts {
-                *decisions.entry(task).or_default() += 1;
-            }
-            roster.len() == decisions.len() && decisions.values().all(|&c| c == 1)
-        } else {
-            recovered_shape == golden_shape
+/// Keeps the WAL of a failing round where CI uploads from: a lone segment
+/// as `path`, segment `k` of several as `path.<k>` — the divergence may
+/// sit in any shard's.
+fn preserve_wal(path: &str, segments: &[PathBuf]) {
+    create_parent(path);
+    for (k, segment) in segments.iter().enumerate() {
+        let to = match segments.len() {
+            1 => path.to_string(),
+            _ => format!("{path}.{k}"),
         };
-        println!(
-            "chaos: round {round}: killed coordinator after {crash_at}/{golden_events} events \
-             (torn tail: {}), resumed {} open + {} decided + {} unseen tasks, re-armed {} jobs \
-             -> {}",
-            rec.torn_tail,
-            rec.tasks_resumed,
-            rec.tasks_decided,
-            rec.tasks_seeded,
-            rec.jobs_rearmed,
-            if ok { "matches golden" } else { "MISMATCH" },
-        );
-        if !ok {
-            eprintln!(
-                "FAIL: round {round}: recovered shape diverged from golden\n  golden:    \
-                 {golden_shape:?}\n  recovered: {recovered_shape:?}"
-            );
-            if let Some(path) = &args.journal {
-                if let Some(dir) = std::path::Path::new(path).parent() {
-                    if !dir.as_os_str().is_empty() {
-                        std::fs::create_dir_all(dir).expect("create journal directory");
-                    }
-                }
-                std::fs::copy(&wal, path).expect("preserve failing WAL");
-                eprintln!("failing WAL preserved at {path}");
-            }
-            failed = true;
+        match std::fs::copy(segment, &to) {
+            Ok(_) => eprintln!("failing WAL preserved at {to}"),
+            Err(e) => eprintln!("could not preserve {}: {e}", segment.display()),
         }
     }
-    let _ = std::fs::remove_dir_all(&wal_dir);
-    if failed {
+}
+
+fn quoted(text: &str) -> String {
+    format!("\"{text}\"")
+}
+
+/// The head every serving `BENCH_*.json` opens with.
+fn serving_header(bench: u32, name: &str, tasks: usize, workers: usize, seed: u64) -> Vec<Field> {
+    vec![
+        ("bench", bench.to_string()),
+        ("name", quoted(name)),
+        ("tasks", tasks.to_string()),
+        ("workers", workers.to_string()),
+        ("seed", seed.to_string()),
+        ("wrong_rate", WRONG_RATE.to_string()),
+        ("margin", MARGIN.to_string()),
+    ]
+}
+
+/// Writes one bench-JSON document — `header` members, then `rows` one per
+/// line under `rows_key` — creating parent directories as needed: the
+/// single emitter of every `--bench-json` mode.
+fn write_bench_json(path: &str, header: &[Field], rows_key: &str, rows: &[Vec<Field>]) {
+    let members = |fields: &[Field], sep: &str| {
+        let rendered = fields
+            .iter()
+            .map(|(key, value)| format!("\"{key}\": {value}"));
+        rendered.collect::<Vec<_>>().join(sep)
+    };
+    let rows: Vec<String> = rows
+        .iter()
+        .map(|row| format!("    {{{}}}", members(row, ", ")))
+        .collect();
+    let json = format!(
+        "{{\n  {},\n  \"{rows_key}\": [\n{}\n  ]\n}}\n",
+        members(header, ",\n  "),
+        rows.join(",\n")
+    );
+    create_parent(path);
+    std::fs::write(path, json).expect("write bench json");
+    println!("bench-json: wrote {path}");
+}
+
+/// Prints `rows` as an aligned table under their keys: the rows
+/// [`write_bench_json`] writes, for the eye.
+fn print_table(rows: &[Vec<Field>]) {
+    let cell = |value: &str, column: usize| {
+        let lengths = rows.iter().map(|row| row[column].1.len());
+        let width = lengths.chain([rows[0][column].0.len()]).max().unwrap_or(0);
+        format!("{:>width$}", value.trim_matches('"'))
+    };
+    let line = |cells: Vec<&str>| {
+        let cells = cells.iter().enumerate().map(|(i, value)| cell(value, i));
+        println!("{}", cells.collect::<Vec<_>>().join("  "));
+    };
+    line(rows[0].iter().map(|(key, _)| *key).collect());
+    for row in rows {
+        line(row.iter().map(|(_, value)| value.as_str()).collect());
+    }
+}
+
+/// A mode's requirements: each one violated prints its `FAIL:` line, and
+/// any of them turns the exit code to 1.
+#[derive(Default)]
+struct Checks {
+    failed: bool,
+}
+
+impl Checks {
+    fn require(&mut self, holds: bool, violation: String) {
+        if !holds {
+            eprintln!("FAIL: {violation}");
+            self.failed = true;
+        }
+    }
+}
+
+/// The default mode: TR/PR/IR at matched predicted reliability on the
+/// standard pool. Returns process exit code.
+fn compare(args: &Args) -> i32 {
+    let (d, k, target) = matched();
+    let (tasks, workers, shards, seed) = (args.tasks, args.workers, args.shards, args.seed);
+    println!(
+        "serve_bench: {tasks} tasks, {workers} workers, {shards} shard(s), seed {seed}, r = {:.2}; \
+         IR d = {MARGIN} vs PR/TR k = {} (predicted R >= {target:.4})",
+        1.0 - WRONG_RATE,
+        k.get(),
+    );
+    let payloads = sat_workload(args.seed, args.tasks);
+    let leg = Leg::standard(args);
+    let outcomes = [
+        drive("TR", Traditional::new(k), &payloads, &leg),
+        drive("PR", Progressive::new(k), &payloads, &leg),
+        drive("IR", Iterative::new(d), &payloads, &leg),
+    ];
+
+    let rows = outcomes.each_ref().map(|o| {
+        let mut row = o.row(
+            vec![("strategy", quoted(o.name))],
+            "tasks_per_sec p50_ms p99_ms jobs_per_task reliability",
+        );
+        row.push(("shed_rate", format!("{:.4}", o.run.admission.shed_rate())));
+        row
+    });
+    print_table(&rows);
+    let [tr, pr, ir] = &outcomes;
+    if let Some(path) = &args.journal {
+        create_parent(path);
+        std::fs::write(path, ir.run.journal.to_jsonl()).expect("write journal");
+        eprintln!(
+            "journal: {} events -> {path} (digest {})",
+            ir.run.journal.events().len(),
+            ir.run.journal.digest_hex()
+        );
+    }
+
+    // Figure 5 qualitatively: at matched reliability, iterative redundancy
+    // is the cheapest and traditional the most expensive.
+    let mut checks = Checks::default();
+    let cost = |o: &Outcome| o.run.report.cost_factor();
+    for (cheap, dear) in [(ir, pr), (pr, tr)] {
+        let (a, b) = (cheap.name, dear.name);
+        let violation = format!(
+            "{a} jobs/task {:.2} must beat {b} {:.2}",
+            cost(cheap),
+            cost(dear)
+        );
+        checks.require(cost(cheap) < cost(dear), violation);
+    }
+    for o in &outcomes {
+        let (name, achieved) = (o.name, o.run.report.reliability());
+        let violation = format!(
+            "{name} achieved reliability {achieved:.4} fell far below the {target:.4} target"
+        );
+        checks.require(achieved >= target - 0.05, violation);
+    }
+    if checks.failed {
         return 1;
     }
-    println!("chaos recovery holds: all crash points converge to the golden run");
+    println!(
+        "cost ordering holds: IR {:.2} < PR {:.2} < TR {:.2} jobs/task",
+        cost(ir),
+        cost(pr),
+        cost(tr)
+    );
     0
 }
 
@@ -836,15 +680,6 @@ fn chaos(args: &Args) -> i32 {
 /// (replicas + audits). Returns process exit code.
 fn audit_demo(args: &Args) -> i32 {
     let tasks = if args.smoke { 200 } else { 400 };
-    let demo = Args {
-        tasks,
-        shards: 1,
-        journal: None,
-        chaos: false,
-        audit_demo: true,
-        bench_json: None,
-        ..args.clone()
-    };
     // A coalition of half the pool lying in concert on a quarter of the
     // tasks (and behaving honestly otherwise). On a lied-on task the vote
     // splits evenly, so *no* replication level fixes it: the margin race
@@ -852,306 +687,129 @@ fn audit_demo(args: &Args) -> i32 {
     // unbounded expected length besides — which is why every leg runs
     // under a job cap (a capped task fails, delivering no answer). An
     // auditor that recomputes one sample convicts the whole coalition.
-    let cartel = Cartel::new(
-        if args.cartel > 0 {
-            args.cartel
-        } else {
-            (args.workers / 2) as u32
-        },
-        0.25,
-    );
-    // Bounds each fair-coin tally race; see `drive`.
-    let cap = Some(64);
-    let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(demo.seed ^ 0x5eed);
-    let formula = Arc::new(random_3sat(
-        ThreeSatConfig {
-            num_vars: 16,
-            clause_ratio: 4.26,
-        },
-        &mut rng,
-    ));
-    let window = 64;
+    let members = match args.cartel {
+        0 => (args.workers / 2) as u32,
+        n => n,
+    };
+    let cartel = Cartel::new(members, 0.25);
+    let free = Leg {
+        shards: None,
+        cartel: Some(cartel),
+        job_cap: Some(64),
+        ..Leg::standard(args)
+    };
+    let audited = Leg {
+        audit: AuditPolicy::spot(0.2),
+        ..free
+    };
     println!(
-        "audit-demo: {} tasks, {} workers, cartel of {} lying on {:.0}% of tasks",
-        demo.tasks,
-        demo.workers,
+        "audit-demo: {tasks} tasks, {} workers, cartel of {} lying on {:.0}% of tasks",
+        args.workers,
         cartel.size,
         cartel.lie_rate * 100.0
     );
-    let d4 = VoteMargin::new(4).unwrap();
-    let d6 = VoteMargin::new(6).unwrap();
+    let payloads = sat_workload(args.seed, tasks);
+    let d4 = Iterative::new(VoteMargin::new(4).unwrap());
+    let d6 = Iterative::new(VoteMargin::new(6).unwrap());
     let outcomes = [
-        drive(
-            "IR-4",
-            Iterative::new(d4),
-            &formula,
-            &demo,
-            window,
-            Regime {
-                audit: AuditPolicy::disabled(),
-                cartel: Some(cartel),
-                job_cap: cap,
-                ..Regime::honest()
-            },
-        ),
-        drive(
-            "IR-6",
-            Iterative::new(d6),
-            &formula,
-            &demo,
-            window,
-            Regime {
-                audit: AuditPolicy::disabled(),
-                cartel: Some(cartel),
-                job_cap: cap,
-                ..Regime::honest()
-            },
-        ),
-        drive(
-            "IR-4+audit",
-            Iterative::new(d4),
-            &formula,
-            &demo,
-            window,
-            Regime {
-                audit: AuditPolicy::spot(0.2),
-                cartel: Some(cartel),
-                job_cap: cap,
-                ..Regime::honest()
-            },
-        ),
+        drive("IR-4", d4, &payloads, &free),
+        drive("IR-6", d6, &payloads, &free),
+        drive("IR-4+audit", d4, &payloads, &audited),
     ];
     // Delivered reliability: the fraction of *submitted* tasks whose
     // accepted answer was correct. A capped task delivered nothing, so it
     // counts against the strategy — unlike `report.reliability()`, which
     // would quietly drop failed races from the denominator.
-    let delivered = |o: &Outcome| o.run.report.tasks_correct as f64 / demo.tasks as f64;
-    println!(
-        "{:<12} {:>10} {:>12} {:>10} {:>12} {:>8} {:>8} {:>12}",
-        "strat", "tasks/s", "jobs/task", "audits", "total cost", "voided", "capped", "delivered"
+    let delivered = |o: &Outcome| o.run.report.tasks_correct as f64 / tasks as f64;
+    let rows = outcomes.each_ref().map(|o| {
+        let lead = vec![("strategy", quoted(o.name))];
+        let mut row = o.row(lead, "tasks_per_sec jobs_per_task audits total_cost");
+        row.push(("voided", o.run.report.verdicts_voided.to_string()));
+        row.push(("capped", o.run.report.tasks_capped.to_string()));
+        row.push(("delivered", format!("{:.4}", delivered(o))));
+        row
+    });
+    print_table(&rows);
+    let [ir4, ir6, audited] = &outcomes;
+    let best_free = if delivered(ir6) >= delivered(ir4) {
+        ir6
+    } else {
+        ir4
+    };
+    let cost = |o: &Outcome| o.run.report.total_cost();
+    let mut checks = Checks::default();
+    let violation = "the audit-enabled run never audited anything";
+    checks.require(audited.run.report.audits > 0, violation.to_string());
+    let violation = format!(
+        "audited delivered reliability {:.4} must strictly beat the best audit-free ({}) {:.4}",
+        delivered(audited),
+        best_free.name,
+        delivered(best_free)
     );
-    for o in &outcomes {
-        println!(
-            "{:<12} {:>10.1} {:>12.2} {:>10} {:>12} {:>8} {:>8} {:>12.4}",
-            o.name,
-            o.throughput(),
-            o.run.report.cost_factor(),
-            o.run.report.audits,
-            o.run.report.total_cost(),
-            o.run.report.verdicts_voided,
-            o.run.report.tasks_capped,
-            delivered(o),
-        );
-    }
-    let audited = &outcomes[2];
-    let best_free = outcomes[..2]
-        .iter()
-        .max_by(|a, b| delivered(a).total_cmp(&delivered(b)))
-        .unwrap();
-    let mut failed = false;
-    if audited.run.report.audits == 0 {
-        eprintln!("FAIL: the audit-enabled run never audited anything");
-        failed = true;
-    }
-    if delivered(audited) <= delivered(best_free) {
-        eprintln!(
-            "FAIL: audited delivered reliability {:.4} must strictly beat the best audit-free \
-             ({}) {:.4}",
-            delivered(audited),
-            best_free.name,
-            delivered(best_free)
-        );
-        failed = true;
-    }
+    checks.require(delivered(audited) > delivered(best_free), violation);
     // Matched cost against the *expensive* audit-free competitor: buying
     // more replication (IR-6) costs at least as much as IR-4 plus the
     // audit budget, yet loses on measured reliability.
-    if audited.run.report.total_cost() > outcomes[1].run.report.total_cost() {
-        eprintln!(
-            "FAIL: audited total cost {} must not exceed IR-6's {}",
-            audited.run.report.total_cost(),
-            outcomes[1].run.report.total_cost()
-        );
-        failed = true;
-    }
-    if failed {
+    let violation = format!(
+        "audited total cost {} must not exceed IR-6's {}",
+        cost(audited),
+        cost(ir6)
+    );
+    checks.require(cost(audited) <= cost(ir6), violation);
+    if checks.failed {
         return 1;
     }
     println!(
         "matched-cost frontier holds: IR-4+audit delivers {:.4} at cost {}, beating {} {:.4} at \
          cost {}",
         delivered(audited),
-        audited.run.report.total_cost(),
+        cost(audited),
         best_free.name,
         delivered(best_free),
-        outcomes[1].run.report.total_cost(),
+        cost(ir6),
     );
     0
 }
 
-/// Writes one bench-JSON document, creating parent directories as
-/// needed — the single emitter shared by every `--bench-json` mode.
-fn write_bench_json(path: &str, json: &str) {
-    if let Some(dir) = std::path::Path::new(path).parent() {
-        if !dir.as_os_str().is_empty() {
-            std::fs::create_dir_all(dir).expect("create bench-json directory");
-        }
-    }
-    std::fs::write(path, json).expect("write bench json");
-    println!("bench-json: wrote {path}");
-}
-
-/// Sweeps audit fractions {0, 0.05, 0.2} under the standard 30%-faulty
-/// pool and writes the machine-readable throughput baseline
-/// (`BENCH_6.json`) so audit overhead and future perf PRs have a
+/// `BENCH_6.json`: sweeps audit fractions {0, 0.05, 0.2} under the
+/// standard 30%-faulty pool, so audit overhead and future perf PRs have a
 /// reference point.
-fn bench_json(args: &Args, path: &str) {
-    let d = VoteMargin::new(MARGIN).unwrap();
-    let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(args.seed ^ 0x5eed);
-    let formula = Arc::new(random_3sat(
-        ThreeSatConfig {
-            num_vars: 16,
-            clause_ratio: 4.26,
-        },
-        &mut rng,
-    ));
-    let window = 64;
+fn bench6_json(args: &Args, path: &str) -> i32 {
+    let (d, ..) = matched();
+    let payloads = sat_workload(args.seed, args.tasks);
     let mut rows = Vec::new();
     for frac in [0.0, 0.05, 0.2] {
-        let audit = if frac > 0.0 {
-            AuditPolicy::spot(frac)
-        } else {
-            AuditPolicy::disabled()
+        let leg = Leg {
+            audit: match frac > 0.0 {
+                true => AuditPolicy::spot(frac),
+                false => AuditPolicy::disabled(),
+            },
+            ..Leg::standard(args)
         };
-        let regime = Regime {
-            audit,
-            ..Regime::honest()
-        };
-        let o = drive("IR", Iterative::new(d), &formula, args, window, regime);
-        println!(
-            "bench-json: audit fraction {frac}: {:.1} tasks/s, {:.2} jobs/task, {} audits, \
-             reliability {:.4}",
-            o.throughput(),
-            o.run.report.cost_factor(),
-            o.run.report.audits,
-            o.run.report.reliability(),
-        );
-        rows.push(format!(
-            "    {{\"audit_fraction\": {frac}, \"tasks_per_sec\": {:.2}, \"p50_ms\": {:.3}, \
-             \"p99_ms\": {:.3}, \"jobs_per_task\": {:.4}, \"audits\": {}, \"total_cost\": {}, \
-             \"reliability\": {:.4}}}",
-            o.throughput(),
-            o.percentile(0.50) * 1e3,
-            o.percentile(0.99) * 1e3,
-            o.run.report.cost_factor(),
-            o.run.report.audits,
-            o.run.report.total_cost(),
-            o.run.report.reliability(),
+        let o = drive("IR", Iterative::new(d), &payloads, &leg);
+        rows.push(o.row(
+            vec![("audit_fraction", frac.to_string())],
+            "tasks_per_sec p50_ms p99_ms jobs_per_task audits total_cost reliability",
         ));
     }
-    let json = format!(
-        "{{\n  \"bench\": 6,\n  \"name\": \"serve_bench audit-fraction sweep\",\n  \"tasks\": \
-         {},\n  \"workers\": {},\n  \"seed\": {},\n  \"wrong_rate\": {WRONG_RATE},\n  \
-         \"margin\": {MARGIN},\n  \"runs\": [\n{}\n  ]\n}}\n",
-        args.tasks,
-        args.workers,
-        args.seed,
-        rows.join(",\n")
-    );
-    write_bench_json(path, &json);
+    print_table(&rows);
+    let name = "serve_bench audit-fraction sweep";
+    let header = serving_header(6, name, args.tasks, args.workers, args.seed);
+    write_bench_json(path, &header, "runs", &rows);
+    0
 }
 
-/// One leg of the shard sweep: a closed-loop run of zero-work synthetic
-/// tasks on the sharded runtime with a durable per-event-fsync WAL, so
-/// the measurement isolates the coordination plane — the thing sharding
-/// scales — rather than worker arithmetic. Each shard's fsync stream is
-/// serialized by its coordinator; N shards overlap N streams.
-fn measure_shards(args: &Args, shards: usize, window: usize) -> Outcome {
-    let wal_dir =
-        std::env::temp_dir().join(format!("smartred-bench7-{}-{shards}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&wal_dir);
-    std::fs::create_dir_all(&wal_dir).expect("create bench WAL directory");
-    let cfg = ShardedConfig {
-        base: RuntimeConfig {
-            workers: Some(args.workers),
-            queue_cap: window,
-            max_active: window,
-            deadline: Duration::from_secs(5),
-            wal_batch: 1,
-            ..RuntimeConfig::default()
-        },
-        shards,
-        wal_dir: Some(wal_dir.clone()),
-        admission_cap: window,
-        crash_after: None,
-    };
-    let seed = args.seed;
-    let profile = FaultProfile {
-        wrong_rate: WRONG_RATE,
-        hang_rate: 0.0,
-        crash_rate: 0.0,
-        think: Duration::ZERO,
-    };
-    let runtime = ShardedRuntime::start(
-        cfg,
-        Iterative::new(VoteMargin::new(MARGIN).unwrap()),
-        move |_| Box::new(FaultyWorker::new(seed, profile)),
-    );
-    let client = runtime.client();
-    let started = Instant::now();
-    let mut latencies = Vec::with_capacity(args.tasks);
-    let mut in_flight = 0usize;
-    for _ in 0..args.tasks {
-        while in_flight >= window {
-            let verdict = client.recv().expect("runtime dropped a verdict");
-            latencies.push(verdict.latency_units);
-            in_flight -= 1;
-        }
-        loop {
-            let outcome = client.submit(Payload::Synthetic {
-                answer: true,
-                work: Duration::ZERO,
-            });
-            if outcome != SubmitOutcome::Shed {
-                break;
-            }
-            std::thread::sleep(Duration::from_micros(200));
-        }
-        in_flight += 1;
-    }
-    while in_flight > 0 {
-        let verdict = client.recv().expect("runtime dropped a verdict");
-        latencies.push(verdict.latency_units);
-        in_flight -= 1;
-    }
-    let elapsed = started.elapsed();
-    drop(client);
-    let sharded = runtime.finish();
-    let _ = std::fs::remove_dir_all(&wal_dir);
-    assert_eq!(
-        sharded.report.tasks_completed, args.tasks,
-        "shards {shards}: every task must reach a verdict"
-    );
-    latencies.sort_by(|a, b| a.partial_cmp(b).expect("latencies are finite"));
-    Outcome {
-        name: "IR",
-        run: RuntimeRun {
-            report: sharded.report,
-            admission: sharded.admission,
-            journal: sharded.journal,
-            crashed: sharded.crashed,
-        },
-        elapsed,
-        latencies,
-    }
-}
-
-/// Sweeps shard counts {1, 2, 4, …, `--shards N`} at fixed total worker
-/// count and admission capacity, and writes the machine-readable
-/// throughput-vs-shards baseline (`BENCH_7.json`). Verdict reliability is
-/// matched across rows by construction — fault draws are keyed by
-/// `(seed, task, replica)`, so shard count cannot change a single vote.
-fn bench7_json(args: &Args, path: &str) {
+/// `BENCH_7.json`: sweeps shard counts {1, 2, 4, …, `--shards N`} at fixed
+/// total worker count and admission capacity. Each leg is a closed loop
+/// of zero-work synthetic tasks on the sharded runtime with a durable
+/// per-event-fsync WAL, so the measurement isolates the coordination
+/// plane — the thing sharding scales — rather than worker arithmetic:
+/// each shard's fsync stream is serialized by its coordinator, N shards
+/// overlap N streams. Verdict reliability is matched across rows by
+/// construction — fault draws are keyed by `(seed, task, replica)`, so
+/// shard count cannot change a single vote.
+fn bench7_json(args: &Args, path: &str) -> i32 {
+    let (d, ..) = matched();
     let mut counts: Vec<usize> = [1, 2, 4, 8]
         .into_iter()
         .filter(|&c| c <= args.shards)
@@ -1159,76 +817,50 @@ fn bench7_json(args: &Args, path: &str) {
     if !counts.contains(&args.shards) {
         counts.push(args.shards);
     }
-    let window = 64;
+    let payload = Payload::Synthetic {
+        answer: true,
+        work: Duration::ZERO,
+    };
+    let payloads = vec![payload; args.tasks];
     let mut rows = Vec::new();
     let mut jobs_per_sec = Vec::new();
     for &shards in &counts {
-        let o = measure_shards(args, shards, window);
-        let jps = o.run.report.total_jobs as f64 / o.elapsed.as_secs_f64();
-        println!(
-            "bench-json: {shards} shard(s): {:.1} tasks/s, {:.1} jobs/s, {:.2} jobs/task, \
-             reliability {:.4}",
-            o.throughput(),
-            jps,
-            o.run.report.cost_factor(),
-            o.run.report.reliability(),
-        );
-        rows.push(format!(
-            "    {{\"shards\": {shards}, \"tasks_per_sec\": {:.2}, \"jobs_per_sec\": {:.2}, \
-             \"p50_ms\": {:.3}, \"p99_ms\": {:.3}, \"jobs_per_task\": {:.4}, \
-             \"reliability\": {:.4}}}",
-            o.throughput(),
-            jps,
-            o.percentile(0.50) * 1e3,
-            o.percentile(0.99) * 1e3,
-            o.run.report.cost_factor(),
-            o.run.report.reliability(),
+        let leg = Leg {
+            shards: Some(shards),
+            durable: true,
+            ..Leg::standard(args)
+        };
+        let o = drive("IR", Iterative::new(d), &payloads, &leg);
+        rows.push(o.row(
+            vec![("shards", shards.to_string())],
+            "tasks_per_sec jobs_per_sec p50_ms p99_ms jobs_per_task reliability",
         ));
-        jobs_per_sec.push(jps);
+        jobs_per_sec.push(o.jobs_per_sec());
     }
+    print_table(&rows);
     let speedup = jobs_per_sec.last().unwrap() / jobs_per_sec[0];
     println!(
         "bench-json: {}-shard speedup over 1 shard: {speedup:.2}x jobs/s",
         counts.last().unwrap()
     );
-    let json = format!(
-        "{{\n  \"bench\": 7,\n  \"name\": \"serve_bench throughput-vs-shards sweep\",\n  \
-         \"tasks\": {},\n  \"workers\": {},\n  \"seed\": {},\n  \"wrong_rate\": {WRONG_RATE},\n  \
-         \"margin\": {MARGIN},\n  \"wal_batch\": 1,\n  \"speedup_max_over_one\": {speedup:.2},\n  \
-         \"runs\": [\n{}\n  ]\n}}\n",
-        args.tasks,
-        args.workers,
-        args.seed,
-        rows.join(",\n")
-    );
-    write_bench_json(path, &json);
+    let name = "serve_bench throughput-vs-shards sweep";
+    let mut header = serving_header(7, name, args.tasks, args.workers, args.seed);
+    header.push(("wal_batch", "1".to_string()));
+    header.push(("speedup_max_over_one", format!("{speedup:.2}")));
+    write_bench_json(path, &header, "runs", &rows);
+    0
 }
 
-/// Sweeps TR/PR/IR at matched predicted reliability, hedging off vs on,
-/// on a straggler-prone pool (1% of placements take 100× the fast service
-/// time) and writes the latency-vs-cost frontier (`BENCH_8.json`): p50/p99
+/// `BENCH_8.json`: sweeps TR/PR/IR at matched predicted reliability,
+/// hedging off vs on, on the straggler pool: p50/p99
 /// first-dispatch→verdict latency against jobs per task and hedge cost.
 /// Returns non-zero unless hedging cuts TR's p99 while changing not a
 /// single verdict (matched reliability is exact, not statistical: votes
 /// are pure in `(seed, task, replica)`, so the hedged leg of each pair
 /// delivers bit-identical correctness).
 fn bench8_json(args: &Args, path: &str) -> i32 {
-    let r = Reliability::new(1.0 - WRONG_RATE).unwrap();
-    let d = VoteMargin::new(MARGIN).unwrap();
-    let target = analysis::iterative::reliability(d, r);
-    let k = (1..=61)
-        .step_by(2)
-        .map(|k| KVotes::new(k).unwrap())
-        .find(|&k| analysis::traditional::reliability(k, r) >= target)
-        .expect("a matching k exists below 61");
-    let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(args.seed ^ 0x5eed);
-    let formula = Arc::new(random_3sat(
-        ThreeSatConfig {
-            num_vars: 16,
-            clause_ratio: 4.26,
-        },
-        &mut rng,
-    ));
+    let (d, k, _) = matched();
+    let payloads = sat_workload(args.seed, args.tasks);
     // One task in flight, and a pool at least as wide as TR's burst of k
     // replicas, keeps queueing delay out of the measurement entirely: a
     // job's elapsed time is its service time, so the quantile trigger
@@ -1238,168 +870,102 @@ fn bench8_json(args: &Args, path: &str) -> i32 {
     // added load *raises* the tail — the classic hedging failure mode.)
     // Throughput is sacrificed knowingly: this sweep measures the latency
     // frontier, BENCH_6/7 own the throughput story.
-    let window = 1;
-    let workers = args.workers.max(k.get() + 5);
-    let regime = Regime {
+    let plain = Leg {
+        workers: args.workers.max(k.get() + 5),
+        window: 1,
+        hedge: false,
         straggle: true,
-        ..Regime::honest()
+        ..Leg::standard(args)
     };
-    let mut plain = args.clone();
-    plain.hedge = false;
-    plain.workers = workers;
-    let mut hedged = args.clone();
-    hedged.hedge = true;
-    hedged.workers = workers;
+    let hedged = Leg {
+        hedge: true,
+        ..plain
+    };
     println!(
-        "bench-json: straggler frontier: {} tasks, {} workers, assignment {}, IR d = {} vs \
+        "bench-json: straggler frontier: {} tasks, {} workers, assignment {}, IR d = {MARGIN} vs \
          PR/TR k = {}",
         args.tasks,
-        workers,
+        plain.workers,
         args.assignment.name(),
-        MARGIN,
         k.get(),
     );
     let pairs = [
         (
             "TR",
-            drive("TR", Traditional::new(k), &formula, &plain, window, regime),
-            drive(
-                "TR+h",
-                Traditional::new(k),
-                &formula,
-                &hedged,
-                window,
-                regime,
-            ),
+            drive("TR", Traditional::new(k), &payloads, &plain),
+            drive("TR+h", Traditional::new(k), &payloads, &hedged),
         ),
         (
             "PR",
-            drive("PR", Progressive::new(k), &formula, &plain, window, regime),
-            drive(
-                "PR+h",
-                Progressive::new(k),
-                &formula,
-                &hedged,
-                window,
-                regime,
-            ),
+            drive("PR", Progressive::new(k), &payloads, &plain),
+            drive("PR+h", Progressive::new(k), &payloads, &hedged),
         ),
         (
             "IR",
-            drive("IR", Iterative::new(d), &formula, &plain, window, regime),
-            drive("IR+h", Iterative::new(d), &formula, &hedged, window, regime),
+            drive("IR", Iterative::new(d), &payloads, &plain),
+            drive("IR+h", Iterative::new(d), &payloads, &hedged),
         ),
     ];
     let mut rows = Vec::new();
-    let mut failed = false;
-    println!(
-        "{:<6} {:>6} {:>10} {:>10} {:>10} {:>10} {:>8} {:>6} {:>8} {:>12}",
-        "strat",
-        "hedge",
-        "tasks/s",
-        "p50 ms",
-        "p99 ms",
-        "jobs/task",
-        "hedges",
-        "won",
-        "cost",
-        "reliability"
-    );
+    let mut checks = Checks::default();
     for (name, off, on) in &pairs {
+        let (plain, hedged) = (&off.run.report, &on.run.report);
         // Verdict invariance at the shared seed: the hedged leg must buy
         // its latency with twins alone, never with a changed answer.
-        if off.run.report.tasks_correct != on.run.report.tasks_correct
-            || off.run.report.total_jobs != on.run.report.total_jobs
-        {
-            eprintln!(
-                "FAIL: {name}: hedging moved a verdict or wave job ({} vs {} correct, {} vs {} \
-                 jobs)",
-                off.run.report.tasks_correct,
-                on.run.report.tasks_correct,
-                off.run.report.total_jobs,
-                on.run.report.total_jobs,
-            );
-            failed = true;
-        }
-        if on.run.report.hedges_launched != on.run.report.hedges_won + on.run.report.hedges_wasted {
-            eprintln!("FAIL: {name}: a launched twin escaped settlement");
-            failed = true;
-        }
-        for o in [off, on] {
-            let is_hedged = !std::ptr::eq(o, off);
-            println!(
-                "{:<6} {:>6} {:>10.1} {:>10.2} {:>10.2} {:>10.2} {:>8} {:>6} {:>8} {:>12.4}",
-                name,
-                if is_hedged { "on" } else { "off" },
-                o.throughput(),
-                o.percentile(0.50) * 1e3,
-                o.percentile(0.99) * 1e3,
-                o.run.report.cost_factor(),
-                o.run.report.hedges_launched,
-                o.run.report.hedges_won,
-                o.run.report.total_cost(),
-                o.run.report.reliability(),
-            );
-            rows.push(format!(
-                "    {{\"strategy\": \"{name}\", \"hedged\": {is_hedged}, \"tasks_per_sec\": \
-                 {:.2}, \"p50_ms\": {:.3}, \"p99_ms\": {:.3}, \"jobs_per_task\": {:.4}, \
-                 \"hedges_launched\": {}, \"hedges_won\": {}, \"hedges_wasted\": {}, \
-                 \"total_cost\": {}, \"reliability\": {:.4}}}",
-                o.throughput(),
-                o.percentile(0.50) * 1e3,
-                o.percentile(0.99) * 1e3,
-                o.run.report.cost_factor(),
-                o.run.report.hedges_launched,
-                o.run.report.hedges_won,
-                o.run.report.hedges_wasted,
-                o.run.report.total_cost(),
-                o.run.report.reliability(),
-            ));
-        }
-    }
-    let (_, tr_off, tr_on) = &pairs[0];
-    if tr_on.run.report.hedges_launched == 0 {
-        eprintln!("FAIL: a 1% straggler rate must trigger hedges under TR");
-        failed = true;
-    }
-    let (p99_off, p99_on) = (tr_off.percentile(0.99), tr_on.percentile(0.99));
-    if p99_on >= p99_off {
-        eprintln!(
-            "FAIL: hedging must cut TR's p99 at matched reliability: {:.2} ms vs {:.2} ms",
-            p99_on * 1e3,
-            p99_off * 1e3,
+        let invariant =
+            (plain.tasks_correct, plain.total_jobs) == (hedged.tasks_correct, hedged.total_jobs);
+        let violation = format!(
+            "{name}: hedging moved a verdict or wave job ({} vs {} correct, {} vs {} jobs)",
+            plain.tasks_correct, hedged.tasks_correct, plain.total_jobs, hedged.total_jobs,
         );
-        failed = true;
+        checks.require(invariant, violation);
+        let settled = hedged.hedges_launched == hedged.hedges_won + hedged.hedges_wasted;
+        checks.require(
+            settled,
+            format!("{name}: a launched twin escaped settlement"),
+        );
+        for (is_hedged, o) in [(false, off), (true, on)] {
+            let lead = vec![
+                ("strategy", quoted(name)),
+                ("hedged", is_hedged.to_string()),
+            ];
+            let columns = "tasks_per_sec p50_ms p99_ms jobs_per_task hedges_launched hedges_won \
+                           hedges_wasted total_cost reliability";
+            rows.push(o.row(lead, columns));
+        }
     }
-    let policy = hedge_policy();
-    let json = format!(
-        "{{\n  \"bench\": 8,\n  \"name\": \"serve_bench straggler hedging frontier\",\n  \
-         \"tasks\": {},\n  \"workers\": {},\n  \"seed\": {},\n  \"wrong_rate\": {WRONG_RATE},\n  \
-         \"margin\": {MARGIN},\n  \"k\": {},\n  \"assignment\": \"{}\",\n  \"window\": \
-         {window},\n  \"hedge_quantile\": {},\n  \"hedge_multiplier\": {},\n  \
-         \"hedge_max_per_task\": {},\n  \"slow_ms\": 100,\n  \"fast_ms\": 1,\n  \"slow_rate\": \
-         0.01,\n  \"tr_p99_ms_unhedged\": {:.3},\n  \"tr_p99_ms_hedged\": {:.3},\n  \"runs\": \
-         [\n{}\n  ]\n}}\n",
-        args.tasks,
-        workers,
-        args.seed,
-        k.get(),
-        args.assignment.name(),
-        policy.quantile,
-        policy.multiplier,
-        policy.max_per_task,
-        p99_off * 1e3,
-        p99_on * 1e3,
-        rows.join(",\n")
+    print_table(&rows);
+    let (_, tr_off, tr_on) = &pairs[0];
+    let violation = "a 1% straggler rate must trigger hedges under TR";
+    checks.require(tr_on.run.report.hedges_launched > 0, violation.to_string());
+    let (p99_off, p99_on) = (tr_off.percentile_ms(0.99), tr_on.percentile_ms(0.99));
+    let violation = format!(
+        "hedging must cut TR's p99 at matched reliability: {p99_on:.2} ms vs {p99_off:.2} ms"
     );
-    write_bench_json(path, &json);
-    if failed {
+    checks.require(p99_on < p99_off, violation);
+    let policy = hedge_policy();
+    let name = "serve_bench straggler hedging frontier";
+    let mut header = serving_header(8, name, args.tasks, plain.workers, args.seed);
+    header.extend([
+        ("k", k.get().to_string()),
+        ("assignment", quoted(args.assignment.name())),
+        ("window", plain.window.to_string()),
+        ("hedge_quantile", policy.quantile.to_string()),
+        ("hedge_multiplier", policy.multiplier.to_string()),
+        ("hedge_max_per_task", policy.max_per_task.to_string()),
+        ("slow_ms", SLOW.as_millis().to_string()),
+        ("fast_ms", "1".to_string()),
+        ("slow_rate", SLOW_RATE.to_string()),
+        ("tr_p99_ms_unhedged", format!("{p99_off:.3}")),
+        ("tr_p99_ms_hedged", format!("{p99_on:.3}")),
+    ]);
+    write_bench_json(path, &header, "runs", &rows);
+    if checks.failed {
         return 1;
     }
     println!(
-        "hedging frontier holds: TR p99 {:.2} ms -> {:.2} ms at bit-identical verdicts",
-        p99_off * 1e3,
-        p99_on * 1e3,
+        "hedging frontier holds: TR p99 {p99_off:.2} ms -> {p99_on:.2} ms at bit-identical \
+         verdicts"
     );
     0
 }
@@ -1422,43 +988,22 @@ impl Worker for DagColluder {
     }
 }
 
-/// The DAG crash-point harness (`--dag --chaos`): a live map→shuffle→
-/// reduce pipeline with a colluder poisoning one map task, run once
-/// uninterrupted (golden) and then re-run with a durable WAL and the
+/// The DAG crash-point harness (`--dag --chaos`): the live pipeline run
+/// once uninterrupted (golden), then re-run with a durable WAL and the
 /// coordinator killed at seeded points. Each crashed run's WAL must
 /// tolerant-parse (torn tails included) into a journal whose DAG
 /// annotation stream — `StageDecided` per decided stage, `PoisonPropagated`
-/// per poisoned task — is an exact prefix of the golden run's. With
-/// `--shards N` the legs run on the sharded runtime (shard 0 crashes) and
-/// the check applies to the deterministic merge of all shard WAL segments.
-/// Returns process exit code.
+/// per poisoned task — is an exact prefix of the golden run's; sharded,
+/// that is the deterministic merge of all shard WAL segments. Returns
+/// process exit code.
 fn dag_chaos(args: &Args) -> i32 {
     use smartred_dag::{annotations_from_journal, run_dag_with, DagSpec, StageStrategy};
 
-    let spec = DagSpec::map_shuffle_reduce(
-        8,
-        2,
-        StageStrategy::ir(2).unwrap(),
-        StageStrategy::ir(2).unwrap(),
-        StageStrategy::ir(2).unwrap(),
-    )
-    .expect("static pipeline spec is valid");
+    let ir2 = StageStrategy::ir(2).unwrap();
+    let spec = DagSpec::map_shuffle_reduce(8, 2, ir2, ir2, ir2).expect("valid pipeline spec");
     let total = spec.total_tasks() as usize;
-    let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(args.seed ^ 0x5eed);
-    let formula = Arc::new(random_3sat(
-        ThreeSatConfig {
-            num_vars: 16,
-            clause_ratio: 4.26,
-        },
-        &mut rng,
-    ));
-    let payloads: Vec<Payload> = decompose(formula.num_vars(), total)
-        .into_iter()
-        .map(|block| Payload::Sat {
-            formula: formula.clone(),
-            block,
-        })
-        .collect();
+    let payloads = sat_workload(args.seed, total);
+    let shards = (args.shards > 1).then_some(args.shards);
     // The driver submits sequentially into a fresh runtime each leg, so
     // runtime ids equal DAG ids: target map task 3, which poisons its
     // pairwise combine child (11) and, through the shuffle, both sinks.
@@ -1466,60 +1011,17 @@ fn dag_chaos(args: &Args) -> i32 {
     // Live stages decide in milliseconds; the patience only pays out on
     // the crashed legs, where it is pure added wall time.
     let patience = Duration::from_secs(2);
-
-    let leg = |wal: Option<PathBuf>,
-               crash_at: Option<u64>|
-     -> (smartred_dag::LiveDagReport, RuntimeRun) {
-        if args.shards > 1 {
-            let mut crash = vec![None; args.shards];
-            crash[0] = crash_at;
-            let cfg = ShardedConfig {
-                base: RuntimeConfig {
-                    workers: Some(args.workers),
-                    journal: true,
-                    queue_cap: total,
-                    max_active: total,
-                    ..RuntimeConfig::default()
-                },
-                shards: args.shards,
-                wal_dir: wal,
-                admission_cap: total,
-                crash_after: crash_at.map(|_| crash),
-            };
-            let rt = ShardedRuntime::start(cfg, StageStrategy::ir(2).unwrap(), move |_| {
-                Box::new(DagColluder { target }) as Box<dyn Worker>
-            });
-            let client = rt.client();
-            let report = run_dag_with(&client, &spec, &payloads, patience);
-            drop(client);
-            let run = rt.finish();
-            (
-                report,
-                RuntimeRun {
-                    report: run.report,
-                    admission: run.admission,
-                    journal: run.journal,
-                    crashed: run.crashed,
-                },
-            )
-        } else {
-            let cfg = RuntimeConfig {
-                workers: Some(args.workers),
-                journal: true,
-                queue_cap: total,
-                max_active: total,
-                wal: wal.map(|d| d.join("dag.wal.jsonl")),
-                crash_after_events: crash_at,
-                ..RuntimeConfig::default()
-            };
-            let rt = Runtime::start(cfg, StageStrategy::ir(2).unwrap(), move |_| {
-                Box::new(DagColluder { target }) as Box<dyn Worker>
-            });
-            let client = rt.client();
-            let report = run_dag_with(&client, &spec, &payloads, patience);
-            drop(client);
-            (report, rt.finish())
-        }
+    let leg = |wal_dir: Option<&Path>, crash_at: Option<u64>| {
+        let cfg = RuntimeConfig {
+            workers: Some(args.workers),
+            queue_cap: total,
+            max_active: total,
+            ..RuntimeConfig::default()
+        };
+        let colluder = move |_| Box::new(DagColluder { target }) as Box<dyn Worker>;
+        serve(cfg, shards, wal_dir, crash_at, ir2, colluder, |client| {
+            run_dag_with(client, &spec, &payloads, patience)
+        })
     };
 
     let (golden_report, golden_run) = leg(None, None);
@@ -1535,27 +1037,19 @@ fn dag_chaos(args: &Args) -> i32 {
     assert_eq!(golden_ann.poisoned_tasks, 3);
     let golden_events = golden_run.journal.events().len();
     println!(
-        "dag-chaos: golden pipeline: {} tasks, {} jobs, {} poisoned, stages {:?}, {} events, \
-         {} shard(s)",
-        total,
-        golden_report.jobs,
-        golden_report.poisoned_tasks,
-        golden_ann.stages,
-        golden_events,
-        args.shards,
+        "dag-chaos: golden pipeline: {total} tasks, {} jobs, {} poisoned, stages {:?}, \
+         {golden_events} events, {} shard(s)",
+        golden_report.jobs, golden_report.poisoned_tasks, golden_ann.stages, args.shards,
     );
 
-    let wal_dir = std::env::temp_dir().join(format!("smartred-dagchaos-{}", std::process::id()));
-    let mut failed = false;
+    let mut checks = Checks::default();
     for (round, frac) in [0.25, 0.6, 0.9].into_iter().enumerate() {
         // Per-coordinator crash point: the sharded legs kill shard 0 after
         // its share of the golden stream.
-        let stream = golden_events / args.shards.max(1);
+        let stream = golden_events / args.shards;
         let crash_at = ((stream as f64 * frac) as u64).max(1);
-        let dir = wal_dir.join(format!("round-{round}"));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).expect("create dag-chaos WAL directory");
-        let (report, run) = leg(Some(dir.clone()), Some(crash_at));
+        let dir = scratch_dir(&format!("dagchaos-round-{round}"));
+        let (report, run) = leg(Some(&dir), Some(crash_at));
         assert!(
             report.crashed && run.crashed,
             "round {round}: the coordinator must die at its chaos point"
@@ -1563,17 +1057,11 @@ fn dag_chaos(args: &Args) -> i32 {
         // Reassemble whatever reached disk: tolerant-parse each WAL
         // segment (the killed shard's tail may be torn mid-record) and
         // merge them deterministically.
+        let segments = wal_segments(&dir, shards);
         let mut parts = Vec::new();
         let mut torn = false;
-        let segments: Vec<PathBuf> = if args.shards > 1 {
-            (0..args.shards)
-                .map(|k| ShardedConfig::wal_segment(&dir, k))
-                .collect()
-        } else {
-            vec![dir.join("dag.wal.jsonl")]
-        };
-        for seg in &segments {
-            let text = std::fs::read_to_string(seg).expect("read WAL segment");
+        for segment in &segments {
+            let text = std::fs::read_to_string(segment).expect("read WAL segment");
             let prefix = Journal::from_jsonl_prefix(&text).expect("WAL prefix parses");
             torn |= prefix.torn;
             parts.push(prefix.journal);
@@ -1583,8 +1071,7 @@ fn dag_chaos(args: &Args) -> i32 {
         // Durability contract: the WAL's annotation stream is an exact
         // prefix of the golden one — never a reordering, never a stage the
         // run hadn't decided, and no poison marks beyond the golden count.
-        let ok = ann.stages.len() <= golden_ann.stages.len()
-            && ann.stages[..] == golden_ann.stages[..ann.stages.len()]
+        let ok = golden_ann.stages.starts_with(&ann.stages)
             && ann.poisoned_tasks <= golden_ann.poisoned_tasks;
         println!(
             "dag-chaos: round {round}: killed after {crash_at}/{stream} events (torn: {torn}), \
@@ -1595,26 +1082,18 @@ fn dag_chaos(args: &Args) -> i32 {
             ann.poisoned_tasks,
             if ok { "prefix of golden" } else { "MISMATCH" },
         );
-        if !ok {
-            eprintln!(
-                "FAIL: round {round}: WAL annotations diverged from golden\n  golden: {:?} / {} \
-                 poisoned\n  walled: {:?} / {} poisoned",
-                golden_ann.stages, golden_ann.poisoned_tasks, ann.stages, ann.poisoned_tasks
-            );
-            if let Some(path) = &args.journal {
-                if let Some(parent) = std::path::Path::new(path).parent() {
-                    if !parent.as_os_str().is_empty() {
-                        std::fs::create_dir_all(parent).expect("create journal directory");
-                    }
-                }
-                std::fs::copy(&segments[0], path).expect("preserve failing WAL");
-                eprintln!("failing WAL preserved at {path}");
-            }
-            failed = true;
+        let violation = format!(
+            "round {round}: WAL annotations diverged from golden\n  golden: {:?} / {} poisoned\n  \
+             walled: {:?} / {} poisoned",
+            golden_ann.stages, golden_ann.poisoned_tasks, ann.stages, ann.poisoned_tasks
+        );
+        checks.require(ok, violation);
+        if let (false, Some(path)) = (ok, &args.journal) {
+            preserve_wal(path, &segments);
         }
+        let _ = std::fs::remove_dir_all(&dir);
     }
-    let _ = std::fs::remove_dir_all(&wal_dir);
-    if failed {
+    if checks.failed {
         return 1;
     }
     println!("dag-chaos holds: every crash point leaves a WAL prefix of the golden annotations");
@@ -1782,81 +1261,55 @@ fn bench9_json(args: &Args, path: &str) -> i32 {
         measure_dag(ir_uniform, &cfg, runs),
     ];
 
-    println!(
-        "{:<16} {:>6} {:>10} {:>10} {:>12} {:>12} {:>12} {:>10}",
-        "policy", "mix", "escape", "cost", "makespan", "p50 mk", "p99 mk", "poisoned"
-    );
-    let mut json_rows = Vec::new();
-    for r in &rows {
-        println!(
-            "{:<16} {:>6} {:>10.4} {:>10.1} {:>12.2} {:>12.2} {:>12.2} {:>10.2}",
-            r.policy.label,
-            if r.policy.mix { "yes" } else { "no" },
-            r.stats.escape_rate,
-            r.stats.mean_cost,
-            r.stats.mean_makespan,
-            r.p50_makespan,
-            r.p99_makespan,
-            r.stats.mean_poisoned,
-        );
-        json_rows.push(format!(
-            "    {{\"policy\": \"{}\", \"mix\": {}, \"escape_rate\": {:.6}, \"mean_cost\": \
-             {:.4}, \"mean_makespan\": {:.4}, \"p50_makespan\": {:.4}, \"p99_makespan\": \
-             {:.4}, \"mean_poisoned\": {:.4}, \"journal_digest\": \"{}\"}}",
-            r.policy.label,
-            r.policy.mix,
-            r.stats.escape_rate,
-            r.stats.mean_cost,
-            r.stats.mean_makespan,
-            r.p50_makespan,
-            r.p99_makespan,
-            r.stats.mean_poisoned,
-            r.digest,
-        ));
-    }
+    let json_rows = rows.each_ref().map(|r| {
+        vec![
+            ("policy", quoted(&r.policy.label)),
+            ("mix", r.policy.mix.to_string()),
+            ("escape_rate", format!("{:.6}", r.stats.escape_rate)),
+            ("mean_cost", format!("{:.4}", r.stats.mean_cost)),
+            ("mean_makespan", format!("{:.4}", r.stats.mean_makespan)),
+            ("p50_makespan", format!("{:.4}", r.p50_makespan)),
+            ("p99_makespan", format!("{:.4}", r.p99_makespan)),
+            ("mean_poisoned", format!("{:.4}", r.stats.mean_poisoned)),
+            ("journal_digest", quoted(&r.digest)),
+        ]
+    });
+    print_table(&json_rows);
 
-    let mut failed = false;
+    let mut checks = Checks::default();
     let (mix, hedged_mix, uniforms) = (&rows[0], &rows[1], &rows[2..]);
     for u in uniforms {
-        if u.stats.mean_cost < budget * 0.98 {
-            eprintln!(
-                "FAIL: uniform {} calibrated below the mix budget ({:.1} vs {:.1} jobs)",
-                u.policy.label, u.stats.mean_cost, budget
-            );
-            failed = true;
-        }
-        if mix.stats.escape_rate >= u.stats.escape_rate {
-            eprintln!(
-                "FAIL: mix {} escape {:.4} must beat uniform {} escape {:.4} at matched cost \
-                 ({:.1} vs {:.1} jobs)",
-                mix.policy.label,
-                mix.stats.escape_rate,
-                u.policy.label,
-                u.stats.escape_rate,
-                budget,
-                u.stats.mean_cost,
-            );
-            failed = true;
-        }
+        let (label, cost, escape) = (&u.policy.label, u.stats.mean_cost, u.stats.escape_rate);
+        let violation = format!(
+            "uniform {label} calibrated below the mix budget ({cost:.1} vs {budget:.1} jobs)"
+        );
+        checks.require(cost >= budget * 0.98, violation);
+        let violation = format!(
+            "mix {} escape {:.4} must beat uniform {label} escape {escape:.4} at matched cost \
+             ({budget:.1} vs {cost:.1} jobs)",
+            mix.policy.label, mix.stats.escape_rate,
+        );
+        checks.require(mix.stats.escape_rate < escape, violation);
     }
-    if hedged_mix.hedge_jobs == 0 {
-        eprintln!("FAIL: the hedged mix never launched a twin");
-        failed = true;
-    }
+    let violation = "the hedged mix never launched a twin";
+    checks.require(hedged_mix.hedge_jobs > 0, violation.to_string());
 
-    let json = format!(
-        "{{\n  \"bench\": 9,\n  \"name\": \"serve_bench DAG per-stage strategy mix\",\n  \
-         \"width\": {WIDTH},\n  \"reduce_width\": {REDUCE},\n  \"nodes\": {},\n  \"seed\": \
-         {},\n  \"runs\": {runs},\n  \"targeted_wrong\": {TARGETED},\n  \"background_wrong\": \
-         {BACKGROUND},\n  \"link_bandwidth\": {},\n  \"runs_detail\": \"all quantities in \
-         simulated units; bit-identical across SMARTRED_THREADS\",\n  \"rows\": [\n{}\n  ]\n}}\n",
-        cfg.nodes,
-        args.seed,
-        cfg.link.bandwidth,
-        json_rows.join(",\n")
-    );
-    write_bench_json(path, &json);
-    if failed {
+    let detail = "all quantities in simulated units; bit-identical across SMARTRED_THREADS";
+    let header = [
+        ("bench", "9".to_string()),
+        ("name", quoted("serve_bench DAG per-stage strategy mix")),
+        ("width", WIDTH.to_string()),
+        ("reduce_width", REDUCE.to_string()),
+        ("nodes", cfg.nodes.to_string()),
+        ("seed", args.seed.to_string()),
+        ("runs", runs.to_string()),
+        ("targeted_wrong", TARGETED.to_string()),
+        ("background_wrong", BACKGROUND.to_string()),
+        ("link_bandwidth", cfg.link.bandwidth.to_string()),
+        ("runs_detail", quoted(detail)),
+    ];
+    write_bench_json(path, &header, "rows", &json_rows);
+    if checks.failed {
         return 1;
     }
     println!(
@@ -1867,563 +1320,76 @@ fn bench9_json(args: &Args, path: &str) -> i32 {
     0
 }
 
-/// The durable-storage chaos harness (`--disk-chaos`): reruns a golden
-/// workload with fault-injecting disks mounted under the coordinator's
-/// WAL. Every *detectable* fault (failed fsync, short write, power-loss
-/// torn write) must crash the coordinator mid-run, and `Runtime::recover`
-/// on a healthy disk must converge to the golden journal shape with an
-/// exact report replay. Silent bit rot is the one fault a crash cannot
-/// flag, so the final leg arms checksummed framing and requires recovery
-/// to *refuse* the rotten segment (quarantining it) rather than replay a
-/// corrupt record. Returns process exit code.
-fn disk_chaos_mode(args: &Args) -> i32 {
-    // Injected worker crashes are supervised and expected; keep their
-    // panic backtraces off stderr, but let real panics through.
-    let default_hook = std::panic::take_hook();
-    std::panic::set_hook(Box::new(move |info| {
-        let injected = info
-            .payload()
-            .downcast_ref::<String>()
-            .is_some_and(|s| s.starts_with("injected worker crash"));
-        if !injected {
-            default_hook(info);
-        }
-    }));
-    let tasks = if args.smoke { 24 } else { 48 };
-    let margin = VoteMargin::new(MARGIN).unwrap();
-    let roster: Vec<(u32, Payload)> = (0..tasks)
-        .map(|i| {
-            (
-                i as u32,
-                Payload::Synthetic {
-                    answer: i % 2 == 0,
-                    work: Duration::ZERO,
-                },
-            )
-        })
-        .collect();
-    let seed = args.seed;
-    let factory = move |_| Box::new(FaultyWorker::new(seed, chaos_profile())) as Box<dyn Worker>;
-
-    // A narrow window, so the roster spans several turns' worth of
-    // decisions (see the fault indices below), and a write and a sync per
-    // turn rather than per record, so the faults land among decisions
-    // instead of on the first few dispatch records.
-    const MAX_ACTIVE: usize = 4;
-    let disk_cfg = |wal: Option<PathBuf>| RuntimeConfig {
-        max_active: MAX_ACTIVE,
-        wal_batch: 64,
-        ..chaos_cfg(args, tasks, wal)
-    };
-
-    let golden = run_roster(disk_cfg(None), margin, seed, None, false, &roster);
-    assert!(!golden.crashed);
-    let golden_shape = shape(&golden.journal);
-    println!(
-        "disk-chaos: golden run: {} tasks, {} jobs, {} events",
-        golden.report.tasks_completed,
-        golden.report.total_jobs,
-        golden.journal.events().len(),
-    );
-
-    let dir = std::env::temp_dir().join(format!("smartred-disk-chaos-{}", std::process::id()));
-    let mut failed = false;
-
-    // Detectable faults: each must crash the coordinator (fail-stop, never
-    // limp on over a disk it cannot trust), then recover cleanly. A fault
-    // index counts commits, not records, and a commit carries a whole
-    // turn — up to `max_active` decisions, every task that was open. So
-    // the one count every run is sure to reach is a write and a sync per
-    // `max_active` decisions, and each index is a fraction of that; a leg
-    // whose fault never fires fails as "did not crash".
-    let floor = (tasks / MAX_ACTIVE) as u64;
-    type ArmFault = fn(&mut DiskFaultPlan, u64);
-    let legs: [(&str, ArmFault); 3] = [
-        ("failed-fsync", |p, n| p.fail_fsync_at = Some(n / 3)),
-        ("short-write", |p, n| p.short_write_at = Some(n / 2)),
-        ("power-loss", |p, n| p.crash_after_writes = Some(n * 3 / 4)),
-    ];
-    for (name, arm) in legs {
-        let wal = dir.join(format!("{name}.wal.jsonl"));
-        let mut cfg = disk_cfg(Some(wal.clone()));
-        let mut plan = DiskFaultPlan::none(seed ^ 0xd15c);
-        arm(&mut plan, floor);
-        cfg.disk_faults = Some(plan);
-        let (crashed, delivered) = run_roster_until_crash(cfg, margin, factory, &roster);
-        if !crashed.crashed {
-            eprintln!("FAIL: {name}: injected disk fault did not crash the coordinator");
-            failed = true;
-            continue;
-        }
-        let (runtime, client, rec) = Runtime::recover(
-            disk_cfg(Some(wal.clone())),
-            Iterative::new(margin),
-            factory,
-            &roster,
-        )
-        .expect("recovery from a healthy disk");
-        drop(client);
-        let run = runtime.finish();
-        assert!(!run.crashed);
-        let replay_ok = report_from_journal(&run.journal) == run.report;
-        let shape_ok = shape(&run.journal) == golden_shape;
-        // What the failed commit cost: verdicts leave in log order behind
-        // the commit that holds their decisions, so the delivered ones are
-        // a prefix of the log's decisions, all of them durable, and the
-        // durable-but-undelivered rest is at most one turn's decisions.
-        let decisions = crashed
-            .journal
-            .events()
-            .iter()
-            .filter_map(|e| match e.event {
-                RunEvent::VerdictReached { task, .. }
-                | RunEvent::TaskCapped { task }
-                | RunEvent::TaskPoisoned { task, .. } => Some(task),
-                _ => None,
-            });
-        let logged: Vec<u32> = decisions.collect();
-        let undelivered = rec.tasks_decided.checked_sub(delivered.len());
-        let delivery_ok =
-            logged.starts_with(&delivered) && undelivered.is_some_and(|lost| lost <= MAX_ACTIVE);
-        println!(
-            "disk-chaos: {name}: coordinator died mid-run (torn tail: {}), resumed {} open + \
-             {} decided ({} delivered) + {} unseen tasks -> {}",
-            rec.torn_tail,
-            rec.tasks_resumed,
-            rec.tasks_decided,
-            delivered.len(),
-            rec.tasks_seeded,
-            if replay_ok && shape_ok && delivery_ok {
-                "matches golden"
-            } else {
-                "MISMATCH"
-            },
-        );
-        if !replay_ok || !shape_ok || !delivery_ok {
-            eprintln!(
-                "FAIL: {name}: recovered run diverged from golden (replay {replay_ok}, shape \
-                 {shape_ok}, delivery {delivery_ok})"
-            );
-            failed = true;
-        }
-    }
-
-    // Silent bit rot: the disk flips one bit in place after a write the
-    // run is sure to make and to follow with more, the run completes none
-    // the wiser, and checksummed recovery must refuse the segment instead
-    // of replaying a corrupt record.
-    let wal = dir.join("bit-rot.wal.jsonl");
-    let mut cfg = disk_cfg(Some(wal.clone()));
-    cfg.wal_checksum = true;
-    let mut plan = DiskFaultPlan::none(seed ^ 0xb17);
-    plan.flip_bit_after = Some(floor / 2);
-    cfg.disk_faults = Some(plan);
-    let run = run_roster(cfg, margin, seed, None, false, &roster);
-    assert!(!run.crashed, "bit rot is silent: the run must complete");
-    let mut clean = disk_cfg(Some(wal.clone()));
-    clean.wal_checksum = true;
-    match Runtime::recover(clean, Iterative::new(margin), factory, &roster) {
-        Err(RecoveryError::Parse(e)) => {
-            let quarantined = wal.with_extension("jsonl.quarantined").exists()
-                || std::path::Path::new(&format!("{}.quarantined", wal.display())).exists();
-            println!("disk-chaos: bit-rot: refused and quarantined ({e})");
-            if !quarantined {
-                eprintln!("FAIL: bit-rot: no quarantined segment left behind");
-                failed = true;
-            }
-        }
-        Ok((runtime, client, _)) => {
-            eprintln!("FAIL: bit-rot: checksummed recovery accepted a corrupt segment");
-            drop(client);
-            let _ = runtime.finish();
-            failed = true;
-        }
-        Err(other) => {
-            eprintln!("FAIL: bit-rot: expected a parse refusal, got: {other}");
-            failed = true;
-        }
-    }
-
-    let _ = std::fs::remove_dir_all(&dir);
-    if failed {
-        return 1;
-    }
-    println!("disk-chaos holds: detectable faults crash and recover; silent rot is refused");
-    0
-}
-
-/// `--disk-chaos --bench-json <path>`: measures the three durable-storage
-/// costs and writes `BENCH_10.json` — WAL append+fsync throughput across
-/// sync x batch settings, recovery replay rate (events/sec parsed back
-/// from disk, with and without checksums), and recovery time vs uptime
-/// with and without checkpoints. The exit-code check is structural, not
-/// timing-based (CI machines vary): at the longest uptime, checkpointed
-/// recovery must replay well under half the events of full-WAL replay.
-fn bench10_json(args: &Args, path: &str) -> i32 {
-    let n: usize = if args.smoke { 4_000 } else { 20_000 };
-    let mut journal = Journal::new();
-    for i in 0..n as u64 {
-        let event = if i % 4 == 3 {
-            RunEvent::JobReturned {
-                job: i as u32,
-                task: (i / 4) as u32,
-                node: (i % 8) as u32,
-                value: true,
-            }
-        } else {
-            RunEvent::JobDispatched {
-                job: i as u32,
-                task: (i / 4) as u32,
-                node: (i % 8) as u32,
-                eta: SimTime::from_micros(i + 10),
-            }
-        };
-        journal.record(SimTime::from_micros(i), event);
-    }
-    let dir = std::env::temp_dir().join(format!("smartred-bench10-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("create bench10 dir");
-
-    // 1) Append + fsync cost across the sync x batch grid (checksummed
-    //    framing, the hardened default for new WALs).
-    let mut append_rows = Vec::new();
-    for sync in [false, true] {
-        for batch in [1u64, 16, 64] {
-            let wal = dir.join(format!("append-{sync}-{batch}.wal.jsonl"));
-            let mut w = WalWriter::create(&wal, sync)
-                .expect("wal create")
-                .with_batch(batch)
-                .with_checksums(true);
-            let start = Instant::now();
-            for e in journal.events() {
-                w.append(e).expect("wal append");
-            }
-            w.commit().expect("wal commit");
-            let secs = start.elapsed().as_secs_f64();
-            let per_event_us = secs * 1e6 / n as f64;
-            println!(
-                "bench10: append sync={sync} batch={batch}: {:.2} us/event, {:.0} events/s",
-                per_event_us,
-                n as f64 / secs,
-            );
-            append_rows.push(format!(
-                "    {{\"sync\": {sync}, \"batch\": {batch}, \"micros_per_event\": {:.3}, \
-                 \"events_per_sec\": {:.0}}}",
-                per_event_us,
-                n as f64 / secs,
-            ));
-        }
-    }
-
-    // 2) Replay rate: parse the full segment back, plain vs checksummed.
-    let mut replay_rows = Vec::new();
-    for checksums in [false, true] {
-        let wal = dir.join(format!("replay-{checksums}.wal.jsonl"));
-        let mut w = WalWriter::create(&wal, false)
-            .expect("wal create")
-            .with_batch(64)
-            .with_checksums(checksums);
-        for e in journal.events() {
-            w.append(e).expect("wal append");
-        }
-        w.commit().expect("wal commit");
-        let text = std::fs::read_to_string(&wal).expect("read wal");
-        let start = Instant::now();
-        let prefix = Journal::from_jsonl_prefix(&text).expect("replay parse");
-        let secs = start.elapsed().as_secs_f64();
-        assert_eq!(prefix.journal.events().len(), n);
-        assert!(!prefix.torn);
-        println!(
-            "bench10: replay checksums={checksums}: {:.0} events/s ({:.1} ms total)",
-            n as f64 / secs,
-            secs * 1e3,
-        );
-        replay_rows.push(format!(
-            "    {{\"checksums\": {checksums}, \"events_per_sec\": {:.0}, \"ms_total\": {:.2}}}",
-            n as f64 / secs,
-            secs * 1e3,
-        ));
-    }
-
-    // 3) Recovery time vs uptime: live runs of 1, 2, and 4 quiescent
-    //    bursts, recovered with and without checkpoints armed. Full-WAL
-    //    replay grows linearly with uptime; checkpointed recovery replays
-    //    only the suffix past the last seal and stays flat-ish.
-    let burst = if args.smoke { 30 } else { 80 };
-    let margin = VoteMargin::new(MARGIN).unwrap();
-    let seed = args.seed;
-    let mut recovery_rows = Vec::new();
-    let mut replayed_at_max: HashMap<bool, usize> = HashMap::new();
-    for checkpoints in [false, true] {
-        for bursts in [1usize, 2, 4] {
-            let wal = dir.join(format!("recover-{checkpoints}-{bursts}.wal.jsonl"));
-            let tasks = burst * bursts;
-            let cfg = RuntimeConfig {
-                workers: Some(args.workers),
-                queue_cap: tasks,
-                max_active: 64,
-                deadline: Duration::from_secs(30),
-                wal: Some(wal.clone()),
-                wal_sync: false,
-                checkpoint_every: checkpoints.then_some(64),
-                ..RuntimeConfig::default()
-            };
-            let honest = move |_| {
-                Box::new(FaultyWorker::new(seed, FaultProfile::default())) as Box<dyn Worker>
-            };
-            let runtime = Runtime::start(cfg.clone(), Iterative::new(margin), honest);
-            let client = runtime.client();
-            for _ in 0..bursts {
-                for i in 0..burst {
-                    match client.submit(Payload::Synthetic {
-                        answer: i % 2 == 0,
-                        work: Duration::ZERO,
-                    }) {
-                        SubmitOutcome::Shed => panic!("bench10 queue admits every burst"),
-                        SubmitOutcome::Accepted { .. } | SubmitOutcome::Queued { .. } => {}
-                    }
-                }
-                for _ in 0..burst {
-                    client.recv().expect("bench10 verdict");
-                }
-                // A quiescent window between bursts, so the checkpointed
-                // legs actually seal and truncate.
-                std::thread::sleep(Duration::from_millis(40));
-            }
-            drop(client);
-            let run = runtime.finish();
-            assert!(!run.crashed);
-            let wal_events = std::fs::read_to_string(&wal)
-                .expect("read wal")
-                .lines()
-                .count();
-            let roster: Vec<(u32, Payload)> = (0..tasks)
-                .map(|i| {
-                    (
-                        i as u32,
-                        Payload::Synthetic {
-                            answer: i % 2 == 0,
-                            work: Duration::ZERO,
-                        },
-                    )
-                })
-                .collect();
-            let start = Instant::now();
-            let (recovered, client, rec) =
-                Runtime::recover(cfg, Iterative::new(margin), honest, &roster)
-                    .expect("bench10 recovery");
-            let recover_ms = start.elapsed().as_secs_f64() * 1e3;
-            drop(client);
-            let rerun = recovered.finish();
-            assert!(!rerun.crashed);
-            assert_eq!(rec.tasks_decided, tasks);
-            if bursts == 4 {
-                replayed_at_max.insert(checkpoints, rec.events_replayed);
-            }
-            println!(
-                "bench10: recovery checkpoints={checkpoints} bursts={bursts}: {wal_events} \
-                 on-disk events, {} replayed ({} in checkpoint), {recover_ms:.2} ms",
-                rec.events_replayed, rec.checkpoint_events,
-            );
-            recovery_rows.push(format!(
-                "    {{\"checkpoints\": {checkpoints}, \"bursts\": {bursts}, \"tasks\": {tasks}, \
-                 \"wal_events\": {wal_events}, \"events_replayed\": {}, \"checkpoint_events\": \
-                 {}, \"recover_ms\": {recover_ms:.2}}}",
-                rec.events_replayed, rec.checkpoint_events,
-            ));
-        }
-    }
-    let _ = std::fs::remove_dir_all(&dir);
-
-    let json = format!(
-        "{{\n  \"bench\": 10,\n  \"name\": \"serve_bench durable-storage costs\",\n  \
-         \"events\": {n},\n  \"workers\": {},\n  \"seed\": {},\n  \"append\": [\n{}\n  ],\n  \
-         \"replay\": [\n{}\n  ],\n  \"recovery\": [\n{}\n  ]\n}}\n",
-        args.workers,
-        args.seed,
-        append_rows.join(",\n"),
-        replay_rows.join(",\n"),
-        recovery_rows.join(",\n"),
-    );
-    write_bench_json(path, &json);
-
-    let full = replayed_at_max[&false];
-    let ckpt = replayed_at_max[&true];
-    println!("bench10: at max uptime, full replay walks {full} events vs {ckpt} past the seal");
-    if ckpt * 2 >= full {
-        eprintln!(
-            "FAIL: checkpointed recovery replayed {ckpt} events, not well under half of the \
-             full-WAL {full}"
-        );
-        return 1;
-    }
-    0
-}
-
 fn main() {
-    let args = parse_args();
-    if args.dag {
-        if args.chaos {
-            std::process::exit(dag_chaos(&args));
-        }
-        let path = args
-            .bench_json
-            .clone()
-            .unwrap_or_else(|| "BENCH_9.json".into());
-        std::process::exit(bench9_json(&args, &path));
-    }
-    if args.disk_chaos {
-        if let Some(path) = args.bench_json.clone() {
-            std::process::exit(bench10_json(&args, &path));
-        }
-        std::process::exit(disk_chaos_mode(&args));
-    }
-    if args.chaos {
-        std::process::exit(chaos(&args));
-    }
-    if args.audit_demo {
-        std::process::exit(audit_demo(&args));
-    }
-    if let Some(path) = args.bench_json.clone() {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let args = parse_args(&argv).unwrap_or_else(|e| {
+        eprintln!("{e}; {}", usage());
+        std::process::exit(2);
+    });
+    let code = if args.dag && args.chaos {
+        dag_chaos(&args)
+    } else if args.dag {
+        bench9_json(&args, args.bench_json.as_deref().unwrap_or("BENCH_9.json"))
+    } else if args.audit_demo {
+        audit_demo(&args)
+    } else if let Some(path) = &args.bench_json {
         if args.hedge {
-            std::process::exit(bench8_json(&args, &path));
+            bench8_json(&args, path)
         } else if args.shards > 1 {
-            bench7_json(&args, &path);
+            bench7_json(&args, path)
         } else {
-            bench_json(&args, &path);
+            bench6_json(&args, path)
         }
-        return;
-    }
-    let r = Reliability::new(1.0 - WRONG_RATE).unwrap();
-    let d = VoteMargin::new(MARGIN).unwrap();
-    let target = analysis::iterative::reliability(d, r);
-    // Matched reliability: the smallest odd k whose predicted TR
-    // reliability (Eq. 2) meets what IR's margin predicts. Progressive
-    // with the same k is never less reliable, so one k matches both.
-    let k = (1..=61)
-        .step_by(2)
-        .map(|k| KVotes::new(k).unwrap())
-        .find(|&k| analysis::traditional::reliability(k, r) >= target)
-        .expect("a matching k exists below 61");
-    println!(
-        "serve_bench: {} tasks, {} workers, {} shard(s), seed {}, r = {:.2}; IR d = {} vs \
-         PR/TR k = {} (predicted R >= {:.4})",
-        args.tasks,
-        args.workers,
-        args.shards,
-        args.seed,
-        r.get(),
-        MARGIN,
-        k.get(),
-        target
-    );
+    } else {
+        compare(&args)
+    };
+    std::process::exit(code);
+}
 
-    let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(args.seed ^ 0x5eed);
-    let formula = Arc::new(random_3sat(
-        ThreeSatConfig {
-            num_vars: 16,
-            clause_ratio: 4.26,
-        },
-        &mut rng,
-    ));
-    let window = 64;
+#[cfg(test)]
+mod tests {
+    use super::*;
 
-    let outcomes = [
-        drive(
-            "TR",
-            Traditional::new(k),
-            &formula,
-            &args,
-            window,
-            Regime::honest(),
-        ),
-        drive(
-            "PR",
-            Progressive::new(k),
-            &formula,
-            &args,
-            window,
-            Regime::honest(),
-        ),
-        drive(
-            "IR",
-            Iterative::new(d),
-            &formula,
-            &args,
-            window,
-            Regime::honest(),
-        ),
-    ];
-
-    println!(
-        "{:<4} {:>10} {:>12} {:>12} {:>12} {:>12} {:>10}",
-        "strat", "tasks/s", "p50 ms", "p99 ms", "jobs/task", "reliability", "shed rate"
-    );
-    for o in &outcomes {
-        println!(
-            "{:<4} {:>10.1} {:>12.2} {:>12.2} {:>12.2} {:>12.4} {:>10.4}",
-            o.name,
-            o.throughput(),
-            o.percentile(0.50) * 1e3,
-            o.percentile(0.99) * 1e3,
-            o.run.report.cost_factor(),
-            o.run.report.reliability(),
-            o.run.admission.shed_rate(),
-        );
+    fn parse(argv: &[&str]) -> Result<Args, String> {
+        parse_args(&argv.iter().map(|s| s.to_string()).collect::<Vec<_>>())
     }
 
-    if let Some(path) = &args.journal {
-        let ir = &outcomes[2];
-        if let Some(dir) = std::path::Path::new(path).parent() {
-            if !dir.as_os_str().is_empty() {
-                std::fs::create_dir_all(dir).expect("create journal directory");
-            }
+    #[test]
+    fn bad_usage_is_an_error_and_the_usage_line_is_the_table() {
+        for argv in [
+            &["--no-such-mode"][..],
+            &["--chaos"],
+            &["--tasks"],
+            &["--tasks", "many"],
+        ] {
+            assert!(parse(argv).is_err(), "{argv:?}");
         }
-        std::fs::write(path, ir.run.journal.to_jsonl()).expect("write journal");
-        eprintln!(
-            "journal: {} events -> {path} (digest {})",
-            ir.run.journal.events().len(),
-            ir.run.journal.digest_hex()
-        );
-    }
-
-    // Figure 5 qualitatively: at matched reliability, iterative redundancy
-    // is the cheapest and traditional the most expensive.
-    let (tr, pr, ir) = (&outcomes[0], &outcomes[1], &outcomes[2]);
-    let mut failed = false;
-    if ir.run.report.cost_factor() >= pr.run.report.cost_factor() {
-        eprintln!(
-            "FAIL: IR jobs/task {:.2} must beat PR {:.2}",
-            ir.run.report.cost_factor(),
-            pr.run.report.cost_factor()
-        );
-        failed = true;
-    }
-    if pr.run.report.cost_factor() >= tr.run.report.cost_factor() {
-        eprintln!(
-            "FAIL: PR jobs/task {:.2} must beat TR {:.2}",
-            pr.run.report.cost_factor(),
-            tr.run.report.cost_factor()
-        );
-        failed = true;
-    }
-    for o in &outcomes {
-        if o.run.report.reliability() < target - 0.05 {
-            eprintln!(
-                "FAIL: {} achieved reliability {:.4} fell far below the {:.4} target",
-                o.name,
-                o.run.report.reliability(),
-                target
-            );
-            failed = true;
+        let args = parse(&[
+            "--dag", "--chaos", "--shards", "0", "--smoke", "--tasks", "7",
+        ])
+        .unwrap();
+        assert!(args.dag && args.chaos && args.smoke);
+        assert_eq!((args.shards, args.tasks), (1, 7));
+        for (name, _) in &FLAGS {
+            assert!(usage().contains(&format!("[{name}")), "{name}");
         }
     }
-    if failed {
-        std::process::exit(1);
+
+    #[test]
+    fn a_failing_round_keeps_every_segment() {
+        let dir = scratch_dir("preserve-test");
+        let segments = wal_segments(&dir, Some(3));
+        for (k, segment) in segments.iter().enumerate() {
+            std::fs::write(segment, format!("shard {k}")).unwrap();
+        }
+        let kept = dir.join("kept/failing.wal.jsonl").display().to_string();
+        preserve_wal(&kept, &segments);
+        for k in 0..3 {
+            let copy = std::fs::read_to_string(format!("{kept}.{k}")).unwrap();
+            assert_eq!(copy, format!("shard {k}"));
+        }
+        preserve_wal(&kept, &segments[2..]);
+        assert_eq!(std::fs::read_to_string(&kept).unwrap(), "shard 2");
+        let _ = std::fs::remove_dir_all(dir);
     }
-    println!(
-        "cost ordering holds: IR {:.2} < PR {:.2} < TR {:.2} jobs/task",
-        ir.run.report.cost_factor(),
-        pr.run.report.cost_factor(),
-        tr.run.report.cost_factor()
-    );
 }

@@ -19,9 +19,13 @@
 use std::time::Duration;
 
 use smartred_desim::journal::{Journal, RunEvent};
-use smartred_runtime::{Client, Payload, ShardedClient, SubmitOutcome, TaskVerdict};
+use smartred_runtime::{Payload, SubmitOutcome};
 
 use crate::spec::{DagSpec, DepKind};
+
+/// The submission surface the DAG driver runs against: the runtime's one
+/// client trait, which both `Client` and `ShardedClient` implement.
+pub use smartred_runtime::TaskClient as DagClient;
 
 /// How long the driver waits for a verdict before concluding the runtime
 /// crashed or shut down underneath it.
@@ -29,42 +33,6 @@ const VERDICT_PATIENCE: Duration = Duration::from_secs(30);
 
 /// Back-off between submission retries while the admission gate is full.
 const SHED_BACKOFF: Duration = Duration::from_millis(1);
-
-/// Any submission surface the DAG driver can run against. Implemented by
-/// both the single-coordinator [`Client`] and the sharded
-/// [`ShardedClient`]; the driver never cares which.
-pub trait DagClient {
-    /// Submits one payload (see [`Client::submit`]).
-    fn submit(&self, payload: Payload) -> SubmitOutcome;
-    /// Waits for this client's next verdict.
-    fn recv_timeout(&self, timeout: Duration) -> Option<TaskVerdict>;
-    /// Journals an annotation event durably into the runtime's WAL.
-    fn annotate(&self, event: RunEvent) -> bool;
-}
-
-impl DagClient for Client {
-    fn submit(&self, payload: Payload) -> SubmitOutcome {
-        Client::submit(self, payload)
-    }
-    fn recv_timeout(&self, timeout: Duration) -> Option<TaskVerdict> {
-        Client::recv_timeout(self, timeout)
-    }
-    fn annotate(&self, event: RunEvent) -> bool {
-        Client::annotate(self, event)
-    }
-}
-
-impl DagClient for ShardedClient {
-    fn submit(&self, payload: Payload) -> SubmitOutcome {
-        ShardedClient::submit(self, payload)
-    }
-    fn recv_timeout(&self, timeout: Duration) -> Option<TaskVerdict> {
-        ShardedClient::recv_timeout(self, timeout)
-    }
-    fn annotate(&self, event: RunEvent) -> bool {
-        ShardedClient::annotate(self, event)
-    }
-}
 
 /// What a live DAG run produced.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -122,14 +90,18 @@ impl LiveDagReport {
 /// # Panics
 ///
 /// Panics if `payloads.len()` differs from `spec.total_tasks()`.
-pub fn run_dag<C: DagClient>(client: &C, spec: &DagSpec, payloads: &[Payload]) -> LiveDagReport {
+pub fn run_dag<C: DagClient + ?Sized>(
+    client: &C,
+    spec: &DagSpec,
+    payloads: &[Payload],
+) -> LiveDagReport {
     run_dag_with(client, spec, payloads, VERDICT_PATIENCE)
 }
 
 /// [`run_dag`] with an explicit verdict patience — how long the driver
 /// waits on a silent runtime before declaring it crashed. Chaos tests use
 /// a short patience; production callers should keep the default.
-pub fn run_dag_with<C: DagClient>(
+pub fn run_dag_with<C: DagClient + ?Sized>(
     client: &C,
     spec: &DagSpec,
     payloads: &[Payload],
@@ -271,7 +243,8 @@ mod tests {
     use super::*;
     use crate::spec::{DagSpec, StageSpec, StageStrategy};
     use smartred_runtime::{
-        FaultProfile, FaultyWorker, JobAssignment, Runtime, RuntimeConfig, Worker,
+        Client, FaultProfile, FaultyWorker, JobAssignment, Runtime, RuntimeConfig, TaskVerdict,
+        Worker,
     };
 
     fn spec() -> DagSpec {
@@ -439,6 +412,9 @@ mod tests {
                     .insert(task, self.annotated.borrow().len());
             }
             outcome
+        }
+        fn recv(&self) -> Option<TaskVerdict> {
+            unreachable!("the DAG driver always waits with a patience")
         }
         fn recv_timeout(&self, timeout: Duration) -> Option<TaskVerdict> {
             let verdict = self.inner.recv_timeout(timeout)?;

@@ -18,6 +18,8 @@
 //!   `core::execution::step_wave` surface, tallies votes, enforces
 //!   wall-clock deadlines with timeout→reissue semantics, and delivers
 //!   [`TaskVerdict`]s;
+//! * [`client`] — [`TaskClient`], the one submission surface both the
+//!   single-coordinator and the sharded client implement;
 //! * [`workload`] — the job payloads replicas execute;
 //! * [`report`] — the metrics type plus [`report_from_journal`], the
 //!   independent reference fold the live report is compared against;
@@ -105,6 +107,7 @@
 #![forbid(unsafe_code)]
 
 pub mod checkpoint;
+pub mod client;
 pub mod coordinator;
 mod ledger;
 pub mod recovery;
@@ -114,11 +117,14 @@ pub mod worker;
 pub mod workload;
 
 pub use checkpoint::checkpoint_path;
+pub use client::TaskClient;
 pub use coordinator::{
     AdmissionStats, Client, Runtime, RuntimeConfig, RuntimeRun, SubmitOutcome, TaskVerdict,
 };
 pub use recovery::{RecoveryError, RecoveryReport};
 pub use report::{report_from_journal, RuntimeReport};
 pub use shard::{ShardedClient, ShardedConfig, ShardedRun, ShardedRuntime};
-pub use worker::{CartelWorker, FaultProfile, FaultyWorker, JobAssignment, JobResult, Worker};
+pub use worker::{
+    CartelWorker, FaultProfile, FaultyWorker, JobAssignment, JobResult, StragglerWorker, Worker,
+};
 pub use workload::Payload;

@@ -165,6 +165,18 @@ pub struct ShardedRun {
     pub crashed: bool,
 }
 
+impl From<ShardedRun> for RuntimeRun {
+    /// The merged view as one run; the per-shard runs are dropped.
+    fn from(run: ShardedRun) -> Self {
+        RuntimeRun {
+            report: run.report,
+            admission: run.admission,
+            journal: run.journal,
+            crashed: run.crashed,
+        }
+    }
+}
+
 /// A sharded live runtime: N coordinators plus the router thread.
 ///
 /// Create with [`ShardedRuntime::start`] (or

@@ -220,6 +220,67 @@ impl Worker for CartelWorker {
     }
 }
 
+/// A worker whose *vote* is the pure `(seed, task, replica)` draw of the
+/// wrapped [`FaultyWorker`] but whose *service time* additionally depends
+/// on the worker index: a seeded `slow_rate` of `(worker, task, replica)`
+/// triples take `slow`, the rest a millisecond. Slowness is a property of
+/// the placement, so a hedge twin redraws the delay on its new worker
+/// while voting bit-identically to its origin — hedging changes latency,
+/// never votes.
+#[derive(Debug, Clone)]
+pub struct StragglerWorker {
+    index: u32,
+    seed: u64,
+    inner: FaultyWorker,
+    slow_rate: f64,
+    slow: Duration,
+}
+
+impl StragglerWorker {
+    /// Creates pool worker `index`, voting as a [`FaultyWorker`] with
+    /// `seed` and `profile` and straggling for `slow` on a `slow_rate`
+    /// share of its jobs.
+    pub fn new(
+        index: u32,
+        seed: u64,
+        profile: FaultProfile,
+        slow_rate: f64,
+        slow: Duration,
+    ) -> Self {
+        Self {
+            index,
+            seed,
+            inner: FaultyWorker::new(seed, profile),
+            slow_rate,
+            slow,
+        }
+    }
+
+    /// SplitMix64 over `(seed, worker, task, replica)`.
+    fn delay(&self, task: u32, replica: u32) -> Duration {
+        let mut x = self
+            .seed
+            .wrapping_add(u64::from(self.index) << 32)
+            .wrapping_add(u64::from(task) << 16)
+            .wrapping_add(u64::from(replica));
+        x = (x ^ (x >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
+        x = (x ^ (x >> 27)).wrapping_mul(0x94d049bb133111eb);
+        x ^= x >> 31;
+        if ((x >> 11) as f64 / (1u64 << 53) as f64) < self.slow_rate {
+            self.slow
+        } else {
+            Duration::from_millis(1)
+        }
+    }
+}
+
+impl Worker for StragglerWorker {
+    fn execute(&mut self, job: &JobAssignment) -> Option<(bool, bool)> {
+        std::thread::sleep(self.delay(job.task, job.replica));
+        self.inner.execute(job)
+    }
+}
+
 /// The factory the pool rebuilds workers from after crashes and respawns.
 pub(crate) type WorkerFactory = Arc<dyn Fn(u32) -> Box<dyn Worker> + Send + Sync>;
 

@@ -16,151 +16,19 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use smartred_core::params::{KVotes, VoteMargin};
+use smartred_core::params::KVotes;
 use smartred_core::resilience::PoisonPolicy;
-use smartred_core::strategy::{Iterative, Traditional};
+use smartred_core::strategy::Traditional;
 use smartred_desim::journal::{Journal, RunEvent};
 use smartred_runtime::{
-    report_from_journal, Client, FaultProfile, FaultyWorker, JobAssignment, Payload, RecoveryError,
-    Runtime, RuntimeConfig, RuntimeRun, SubmitOutcome, TaskVerdict, Worker,
+    report_from_journal, FaultProfile, FaultyWorker, JobAssignment, Payload, RecoveryError,
+    Runtime, RuntimeConfig, SubmitOutcome, Worker,
 };
 
-/// Keep injected-panic backtraces out of the test output while letting
-/// real panics (including test assertion failures) through.
-fn quiet_injected_panics() {
-    use std::sync::Once;
-    static ONCE: Once = Once::new();
-    ONCE.call_once(|| {
-        let default_hook = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            let injected = info
-                .payload()
-                .downcast_ref::<String>()
-                .is_some_and(|s| s.starts_with("injected worker crash") || s.starts_with("poison"));
-            if !injected {
-                default_hook(info);
-            }
-        }));
-    });
-}
-
-fn roster(n: usize) -> Vec<(u32, Payload)> {
-    (0..n as u32)
-        .map(|task| {
-            (
-                task,
-                Payload::Synthetic {
-                    answer: true,
-                    work: Duration::ZERO,
-                },
-            )
-        })
-        .collect()
-}
-
-/// Lies and panics, no hangs: hang recovery is schedule-dependent, so the
-/// golden-comparison tests keep deadlines generous and hang_rate zero.
-fn chaos_profile() -> FaultProfile {
-    FaultProfile {
-        wrong_rate: 0.25,
-        hang_rate: 0.0,
-        crash_rate: 0.15,
-        think: Duration::ZERO,
-    }
-}
-
-fn chaos_cfg(wal: Option<PathBuf>) -> RuntimeConfig {
-    RuntimeConfig {
-        workers: None, // honor SMARTRED_THREADS (the CI chaos matrix axis)
-        queue_cap: 512,
-        max_active: 16,
-        deadline: Duration::from_secs(30),
-        poison: Some(PoisonPolicy { crash_limit: 2 }),
-        wal,
-        ..RuntimeConfig::default()
-    }
-}
+mod common;
+use common::*;
 
 const SEED: u64 = 0x5eed_cafe;
-const MARGIN: usize = 3;
-
-fn start_chaos(cfg: RuntimeConfig) -> Runtime {
-    Runtime::start(
-        cfg,
-        Iterative::new(VoteMargin::new(MARGIN).unwrap()),
-        |_| Box::new(FaultyWorker::new(SEED, chaos_profile())),
-    )
-}
-
-fn submit_all(client: &Client, tasks: &[(u32, Payload)]) {
-    for (task, payload) in tasks {
-        match client.submit(payload.clone()) {
-            SubmitOutcome::Shed => panic!("queue_cap admits the whole roster"),
-            SubmitOutcome::Accepted { task: id } | SubmitOutcome::Queued { task: id } => {
-                assert_eq!(id, *task, "submission order must assign roster ids");
-            }
-        }
-    }
-}
-
-fn drain_verdicts(client: &Client) -> Vec<TaskVerdict> {
-    let mut verdicts = Vec::new();
-    while let Some(v) = client.recv_timeout(Duration::from_millis(400)) {
-        verdicts.push(v);
-    }
-    verdicts
-}
-
-/// Runs the roster to completion (or to the configured chaos crash),
-/// returning the run and every verdict the client actually received.
-fn run_roster(cfg: RuntimeConfig, tasks: &[(u32, Payload)]) -> (RuntimeRun, Vec<TaskVerdict>) {
-    let runtime = start_chaos(cfg);
-    let client = runtime.client();
-    submit_all(&client, tasks);
-    let verdicts = drain_verdicts(&client);
-    drop(client);
-    (runtime.finish(), verdicts)
-}
-
-fn recover_chaos(
-    cfg: RuntimeConfig,
-    tasks: &[(u32, Payload)],
-) -> (
-    RuntimeRun,
-    Vec<TaskVerdict>,
-    smartred_runtime::RecoveryReport,
-) {
-    let (runtime, client, report) = Runtime::recover(
-        cfg,
-        Iterative::new(VoteMargin::new(MARGIN).unwrap()),
-        |_| Box::new(FaultyWorker::new(SEED, chaos_profile())),
-        tasks,
-    )
-    .expect("WAL recovery");
-    let verdicts = drain_verdicts(&client);
-    drop(client);
-    (runtime.finish(), verdicts, report)
-}
-
-/// Schedule-independent run structure: `(task, kind, vote, jobs)` sorted
-/// by task, where kind is 0 = verdict, 1 = capped, 2 = poisoned.
-fn shape(journal: &Journal) -> Vec<(u32, u8, Option<bool>, u64)> {
-    let mut jobs: HashMap<u32, u64> = HashMap::new();
-    let mut out = Vec::new();
-    for e in journal.events() {
-        match e.event {
-            RunEvent::JobDispatched { task, .. } => *jobs.entry(task).or_default() += 1,
-            RunEvent::VerdictReached { task, value, .. } => out.push((task, 0, Some(value))),
-            RunEvent::TaskCapped { task } => out.push((task, 1, None)),
-            RunEvent::TaskPoisoned { task, .. } => out.push((task, 2, None)),
-            _ => {}
-        }
-    }
-    out.sort_unstable();
-    out.into_iter()
-        .map(|(task, kind, vote)| (task, kind, vote, jobs.get(&task).copied().unwrap_or(0)))
-        .collect()
-}
 
 /// How many decision events (verdict, cap, poison) each task has.
 fn decisions_per_task(journal: &Journal) -> HashMap<u32, u32> {
@@ -176,11 +44,97 @@ fn decisions_per_task(journal: &Journal) -> HashMap<u32, u32> {
     counts
 }
 
-fn wal_path(name: &str) -> PathBuf {
-    std::env::temp_dir().join(format!(
-        "smartred-crash-recovery-{}-{name}.wal.jsonl",
-        std::process::id()
-    ))
+/// One row of the crash sweep: the pool and coordinator configuration
+/// the coordinator is killed and recovered under.
+struct SweepRow {
+    name: String,
+    tasks: usize,
+    cfg: RuntimeConfig,
+    worker: fn(u32) -> Box<dyn Worker>,
+    /// Crash points are strides of a `1/strides` share of the events every
+    /// schedule reaches; `reach_pct` is that share of the golden count for
+    /// a row whose count varies with the wall clock (hedge and re-tally
+    /// records), 100 where only the poisoning replies below vary.
+    strides: u64,
+    reach_pct: u64,
+    /// Whether verdicts and per-task job counts are schedule-independent,
+    /// so the recovered shape must equal the golden one. A cartel's votes
+    /// depend on which worker served the replica, and retaliation
+    /// re-tallies whatever is open at conviction time: there the oracle
+    /// is exactly-once decisions and exact replay.
+    golden_shape: bool,
+    /// The row's adversary left its mark on the golden run.
+    fired: fn(&smartred_runtime::RuntimeReport) -> bool,
+}
+
+fn sweep_rows() -> Vec<SweepRow> {
+    use smartred_core::audit::{AuditPolicy, Cartel};
+    use smartred_core::execution::Assignment;
+    use smartred_core::hedge::HedgePolicy;
+    use smartred_core::resilience::QuarantinePolicy;
+    use smartred_runtime::CartelWorker;
+
+    let mut rows = vec![SweepRow {
+        name: "plain".into(),
+        tasks: 10,
+        cfg: chaos_cfg(None),
+        worker: chaos_worker,
+        strides: 6,
+        reach_pct: 100,
+        golden_shape: true,
+        fired: |_| true,
+    }];
+    // Hedge pairs live at every crash point, under each placement policy.
+    rows.extend(Assignment::ALL.map(|assignment| SweepRow {
+        name: format!("hedged-{}", assignment.name()),
+        tasks: 40,
+        cfg: RuntimeConfig {
+            workers: Some(8),
+            max_active: 32,
+            hedge: Some(HedgePolicy {
+                quantile: 0.9,
+                min_samples: 10,
+                multiplier: 3.0,
+                max_per_task: 4,
+            }),
+            assignment,
+            ..chaos_cfg(None)
+        },
+        worker: straggling_liar,
+        strides: 2,
+        reach_pct: 80,
+        golden_shape: true,
+        fired: |report| report.hedges_launched > 0,
+    }));
+    // Live audit state at every crash point: a cartel of three lying in
+    // concert against spot checks, weighted strikes and verdict voiding.
+    // Everyone else is honest, so a conviction is the cartel's.
+    rows.push(SweepRow {
+        name: "cartel".into(),
+        tasks: 150,
+        cfg: RuntimeConfig {
+            workers: Some(8),
+            max_active: 64,
+            discipline: Some(QuarantinePolicy::default()),
+            audit: AuditPolicy::spot(0.2),
+            audit_seed: SEED,
+            ..chaos_cfg(None)
+        },
+        worker: |index| {
+            let cartel = Cartel::new(3, 0.5);
+            Box::new(CartelWorker::new(
+                index,
+                SEED,
+                cartel,
+                FaultProfile::default(),
+            ))
+        },
+        strides: 2,
+        reach_pct: 50,
+        golden_shape: false,
+        fired: |report| report.audit_failures > 0,
+    });
+    rows
 }
 
 /// The tentpole acceptance test: kill the coordinator at a sweep of
@@ -188,85 +142,122 @@ fn wal_path(name: &str) -> PathBuf {
 /// verdicts and per-task job counts are identical to the uninterrupted
 /// golden run, every task must be decided exactly once across the
 /// combined log, no verdict may be delivered twice, and the on-disk WAL
-/// must equal the final journal byte for byte.
+/// must equal the final journal byte for byte. Swept under every
+/// [`SweepRow`].
 #[test]
 fn coordinator_killed_at_seeded_points_recovers_to_the_golden_run() {
     quiet_injected_panics();
-    let tasks = roster(10);
-    let (golden, golden_verdicts) = run_roster(chaos_cfg(None), &tasks);
-    assert!(!golden.crashed);
-    assert_eq!(golden_verdicts.len(), tasks.len());
-    assert_eq!(report_from_journal(&golden.journal), golden.report);
-    let golden_shape = shape(&golden.journal);
-
-    // The event count is not the same on every schedule: a reply to a task
-    // that ends up poisoned logs two events (`JobReturned`, `VoteTallied`)
-    // if it lands before the poisoning and one (`StaleReplyDropped`) if it
-    // lands after. Every other event is a function of the seeded fault
-    // draws. So sweep only up to a count every schedule reaches — this
-    // run's, less one per such reply — or a shorter crashing run would
-    // never trip the last points.
-    let returned_then_poisoned = golden
-        .journal
-        .events()
-        .iter()
-        .filter(|e| match e.event {
-            RunEvent::JobReturned { task, .. } => golden_shape
-                .iter()
-                .any(|&(t, kind, ..)| t == task && kind == 2),
-            _ => false,
-        })
-        .count() as u64;
-    let events = golden.journal.events().len() as u64 - returned_then_poisoned;
-
-    let stride = (events / 6).max(1);
-    let mut points: Vec<u64> = (1..events).step_by(stride as usize).collect();
-    points.push(events - 1);
-    for (round, crash_at) in points.into_iter().enumerate() {
-        let wal = wal_path(&format!("sweep-{round}"));
-        let mut cfg = chaos_cfg(Some(wal.clone()));
-        cfg.crash_after_events = Some(crash_at);
-        let runtime = start_chaos(cfg);
-        let client = runtime.client();
-        submit_all(&client, &tasks);
-        let pre_crash_verdicts = drain_verdicts(&client);
-        assert!(runtime.is_crashed(), "crash point {crash_at} must trip");
-        drop(client);
-        let crashed = runtime.finish();
-        assert!(crashed.crashed);
-
-        let (run, post_verdicts, rec) = recover_chaos(chaos_cfg(Some(wal.clone())), &tasks);
-        assert!(!run.crashed);
-        assert!(!rec.torn_tail, "event-boundary crashes leave no torn tail");
-        assert_eq!(rec.events_replayed as u64, crash_at);
-        assert_eq!(
-            report_from_journal(&run.journal),
-            run.report,
-            "crash point {crash_at}: replayed report must equal the live one"
-        );
-        assert_eq!(
-            shape(&run.journal),
-            golden_shape,
-            "crash point {crash_at}: recovered run diverged from golden"
-        );
-        for (task, count) in decisions_per_task(&run.journal) {
-            assert_eq!(count, 1, "task {task} must be decided exactly once");
-        }
-        // Exactly-once delivery across the crash: no task's verdict
-        // reaches a client twice. (A verdict logged right at the crash
-        // boundary may reach *no* client — decisions are exactly-once,
-        // delivery is at-most-once.)
-        let before: HashSet<u32> = pre_crash_verdicts.iter().map(|v| v.task).collect();
-        let after: HashSet<u32> = post_verdicts.iter().map(|v| v.task).collect();
+    for row in sweep_rows() {
+        let name = &row.name;
+        let tasks = roster(row.tasks);
+        let serve = |cfg: RuntimeConfig| {
+            let runtime = Runtime::start(cfg, strategy(), row.worker);
+            let client = runtime.client();
+            submit_all(&client, &tasks);
+            let verdicts = drain_verdicts(&client);
+            // Read while the client is still held: a crash point must trip
+            // mid-run, not on the shutdown record.
+            let tripped = runtime.is_crashed();
+            drop(client);
+            (runtime.finish(), verdicts, tripped)
+        };
+        let (golden, golden_verdicts, _) = serve(row.cfg.clone());
+        assert!(!golden.crashed);
+        assert_eq!(golden_verdicts.len(), tasks.len());
+        assert_eq!(report_from_journal(&golden.journal), golden.report);
         assert!(
-            before.is_disjoint(&after),
-            "crash point {crash_at}: tasks {:?} were delivered twice",
-            before.intersection(&after).collect::<Vec<_>>()
+            (row.fired)(&golden.report),
+            "{name}: the adversary never fired"
         );
-        // Durable WAL == final journal, byte for byte.
-        let on_disk = std::fs::read_to_string(&wal).unwrap();
-        assert_eq!(on_disk, run.journal.to_jsonl());
-        let _ = std::fs::remove_file(&wal);
+        let golden_shape = shape(&golden.journal);
+
+        // The event count is not the same on every schedule: a reply to a
+        // task that ends up poisoned logs two events (`JobReturned`,
+        // `VoteTallied`) if it lands before the poisoning and one
+        // (`StaleReplyDropped`) if it lands after. Every other event of
+        // the plain row is a function of the seeded fault draws. So sweep
+        // only up to a count every schedule reaches — this run's, less one
+        // per such reply — or a shorter crashing run would never trip the
+        // last points.
+        let returned_then_poisoned = golden
+            .journal
+            .events()
+            .iter()
+            .filter(|e| match e.event {
+                RunEvent::JobReturned { task, .. } => golden_shape
+                    .iter()
+                    .any(|&(t, kind, ..)| t == task && kind == 2),
+                _ => false,
+            })
+            .count() as u64;
+        let events =
+            (golden.journal.events().len() as u64 - returned_then_poisoned) * row.reach_pct / 100;
+
+        let stride = (events / row.strides).max(1);
+        let mut points: Vec<u64> = (1..events).step_by(stride as usize).collect();
+        points.push(events - 1);
+        for (round, crash_at) in points.into_iter().enumerate() {
+            let wal = wal_path(&format!("sweep-{name}-{round}"));
+            let durable = |crash_after_events| RuntimeConfig {
+                wal: Some(wal.clone()),
+                crash_after_events,
+                ..row.cfg.clone()
+            };
+            let (crashed, pre_crash_verdicts, tripped) = serve(durable(Some(crash_at)));
+            assert!(tripped, "{name}: crash point {crash_at} must trip");
+            assert!(crashed.crashed);
+
+            let (runtime, client, rec) =
+                Runtime::recover(durable(None), strategy(), row.worker, &tasks)
+                    .expect("WAL recovery");
+            let post_verdicts = drain_verdicts(&client);
+            drop(client);
+            let run = runtime.finish();
+            assert!(!run.crashed);
+            assert!(!rec.torn_tail, "event-boundary crashes leave no torn tail");
+            assert_eq!(rec.events_replayed as u64, crash_at);
+            assert_eq!(
+                report_from_journal(&run.journal),
+                run.report,
+                "{name}: crash point {crash_at}: replayed report must equal the live one"
+            );
+            if row.golden_shape {
+                assert_eq!(
+                    shape(&run.journal),
+                    golden_shape,
+                    "{name}: crash point {crash_at}: recovered run diverged from golden"
+                );
+            }
+            let decisions = decisions_per_task(&run.journal);
+            assert_eq!(
+                decisions.len(),
+                tasks.len(),
+                "{name}: every task is decided"
+            );
+            for (task, count) in decisions {
+                assert_eq!(count, 1, "{name}: task {task} must be decided exactly once");
+            }
+            assert_eq!(
+                run.report.hedges_launched,
+                run.report.hedges_won + run.report.hedges_wasted,
+                "{name}: every launched twin settles exactly once, across the crash"
+            );
+            // Exactly-once delivery across the crash: no task's verdict
+            // reaches a client twice. (A verdict logged right at the crash
+            // boundary may reach *no* client — decisions are exactly-once,
+            // delivery is at-most-once.)
+            let before: HashSet<u32> = pre_crash_verdicts.iter().map(|v| v.task).collect();
+            let after: HashSet<u32> = post_verdicts.iter().map(|v| v.task).collect();
+            assert!(
+                before.is_disjoint(&after),
+                "{name}: crash point {crash_at}: tasks {:?} were delivered twice",
+                before.intersection(&after).collect::<Vec<_>>()
+            );
+            // Durable WAL == final journal, byte for byte.
+            let on_disk = std::fs::read_to_string(&wal).unwrap();
+            assert_eq!(on_disk, run.journal.to_jsonl());
+            let _ = std::fs::remove_file(&wal);
+        }
     }
 }
 
@@ -481,7 +472,6 @@ fn twins_orphaned_by_a_crash_settle_wasted_on_recovery() {
         };
         Box::new(Straggler(FaultyWorker::new(SEED, liars))) as Box<dyn Worker>
     };
-    let strategy = || Iterative::new(VoteMargin::new(MARGIN).unwrap());
     let tasks = roster(40);
     let serve = |cfg: RuntimeConfig| {
         let runtime = Runtime::start(cfg, strategy(), make_worker);
@@ -608,12 +598,7 @@ fn recovery_rejects_missing_wal_roster_gaps_and_interior_corruption() {
     quiet_injected_panics();
     let tasks = roster(6);
     fn recover_err(cfg: RuntimeConfig, tasks: &[(u32, Payload)]) -> RecoveryError {
-        match Runtime::recover(
-            cfg,
-            Iterative::new(VoteMargin::new(MARGIN).unwrap()),
-            |_| Box::new(FaultyWorker::new(SEED, chaos_profile())) as Box<dyn Worker>,
-            tasks,
-        ) {
+        match Runtime::recover(cfg, strategy(), chaos_worker, tasks) {
             Ok(_) => panic!("recovery was expected to fail"),
             Err(err) => err,
         }
@@ -910,11 +895,9 @@ fn the_wal_file_is_complete_whenever_the_coordinator_sleeps() {
         cfg.wal_sync = sync;
         cfg.wal_batch = batch;
         let worker_gate = gate.clone();
-        let runtime = Runtime::start(
-            cfg,
-            Iterative::new(VoteMargin::new(MARGIN).unwrap()),
-            move |_| Box::new(Gated(worker_gate.clone())),
-        );
+        let runtime = Runtime::start(cfg, strategy(), move |_| {
+            Box::new(Gated(worker_gate.clone()))
+        });
         let client = runtime.client();
         submit_all(&client, &roster(1));
 
@@ -1003,11 +986,9 @@ mod audit_prefix_property {
     }
 
     fn start_audit_chaos(cfg: RuntimeConfig) -> Runtime {
-        Runtime::start(
-            cfg,
-            Iterative::new(VoteMargin::new(MARGIN).unwrap()),
-            |_| Box::new(FaultyWorker::new(SEED, liar_profile())),
-        )
+        Runtime::start(cfg, strategy(), |_| {
+            Box::new(FaultyWorker::new(SEED, liar_profile()))
+        })
     }
 
     /// Schedule- and crash-independent audit structure: per decided task,
@@ -1112,7 +1093,7 @@ mod audit_prefix_property {
 
             let (runtime, client, _) = Runtime::recover(
                 audit_cfg(Some(wal.clone())),
-                Iterative::new(VoteMargin::new(MARGIN).unwrap()),
+                strategy(),
                 |_| Box::new(FaultyWorker::new(SEED, liar_profile())),
                 &fixture.tasks,
             )
@@ -1199,7 +1180,7 @@ mod sharded_crash_matrix {
 
     use super::*;
     use smartred_core::execution::shard_of;
-    use smartred_runtime::{ShardedClient, ShardedConfig, ShardedRun, ShardedRuntime};
+    use smartred_runtime::{ShardedConfig, ShardedRun, ShardedRuntime, TaskVerdict};
 
     /// Shard count under test: the CI `shard-chaos` matrix axis
     /// (`SMARTRED_SHARDS` ∈ {1, 4}), defaulting to 4.
@@ -1221,34 +1202,11 @@ mod sharded_crash_matrix {
         }
     }
 
-    fn start_sharded(cfg: ShardedConfig) -> ShardedRuntime {
-        ShardedRuntime::start(
-            cfg,
-            Iterative::new(VoteMargin::new(MARGIN).unwrap()),
-            |_| Box::new(FaultyWorker::new(SEED, chaos_profile())),
-        )
-    }
-
-    fn drain_sharded(client: &ShardedClient) -> Vec<TaskVerdict> {
-        let mut verdicts = Vec::new();
-        while let Some(v) = client.recv_timeout(Duration::from_millis(400)) {
-            verdicts.push(v);
-        }
-        verdicts
-    }
-
     fn run_sharded(cfg: ShardedConfig, tasks: &[(u32, Payload)]) -> (ShardedRun, Vec<TaskVerdict>) {
-        let runtime = start_sharded(cfg);
+        let runtime = ShardedRuntime::start(cfg, strategy(), chaos_worker);
         let client = runtime.client();
-        for (task, payload) in tasks {
-            match client.submit(payload.clone()) {
-                SubmitOutcome::Shed => panic!("admission_cap admits the whole roster"),
-                SubmitOutcome::Accepted { task: id } | SubmitOutcome::Queued { task: id } => {
-                    assert_eq!(id, *task, "submission order must assign roster ids");
-                }
-            }
-        }
-        let verdicts = drain_sharded(&client);
+        submit_all(&client, tasks);
+        let verdicts = drain_verdicts(&client);
         drop(client);
         (runtime.finish(), verdicts)
     }
@@ -1311,12 +1269,12 @@ mod sharded_crash_matrix {
 
             let (runtime, client, reports) = ShardedRuntime::recover(
                 sharded_chaos_cfg(Some(dir.clone())),
-                Iterative::new(VoteMargin::new(MARGIN).unwrap()),
-                |_| Box::new(FaultyWorker::new(SEED, chaos_profile())),
+                strategy(),
+                chaos_worker,
                 &tasks,
             )
             .expect("parallel shard recovery");
-            let post_verdicts = drain_sharded(&client);
+            let post_verdicts = drain_verdicts(&client);
             drop(client);
             let run = runtime.finish();
             assert!(!run.crashed);

@@ -10,132 +10,18 @@
 
 use std::collections::HashMap;
 use std::path::PathBuf;
-use std::time::Duration;
 
-use smartred_core::params::VoteMargin;
-use smartred_core::resilience::PoisonPolicy;
-use smartred_core::strategy::Iterative;
 use smartred_desim::disk::DiskFaultPlan;
 use smartred_desim::journal::{Journal, RunEvent};
 use smartred_runtime::{
-    checkpoint_path, report_from_journal, Client, FaultProfile, FaultyWorker, Payload,
-    RecoveryError, Runtime, RuntimeConfig, RuntimeRun, SubmitOutcome, TaskVerdict, Worker,
+    checkpoint_path, report_from_journal, Payload, RecoveryError, Runtime, RuntimeConfig,
+    TaskVerdict,
 };
 
+mod common;
+use common::*;
+
 const SEED: u64 = 0xd15c_cafe;
-const MARGIN: usize = 3;
-
-/// Keep injected-panic backtraces out of the test output while letting
-/// real panics (including test assertion failures) through.
-fn quiet_injected_panics() {
-    use std::sync::Once;
-    static ONCE: Once = Once::new();
-    ONCE.call_once(|| {
-        let default_hook = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            let injected = info
-                .payload()
-                .downcast_ref::<String>()
-                .is_some_and(|s| s.starts_with("injected worker crash"));
-            if !injected {
-                default_hook(info);
-            }
-        }));
-    });
-}
-
-fn roster(n: usize) -> Vec<(u32, Payload)> {
-    (0..n as u32)
-        .map(|task| {
-            (
-                task,
-                Payload::Synthetic {
-                    answer: true,
-                    work: Duration::ZERO,
-                },
-            )
-        })
-        .collect()
-}
-
-/// Lies and panics, no hangs — the same schedule-independent chaos the
-/// crash-recovery suite uses, so fault draws line up across runs.
-fn chaos_profile() -> FaultProfile {
-    FaultProfile {
-        wrong_rate: 0.25,
-        hang_rate: 0.0,
-        crash_rate: 0.15,
-        think: Duration::ZERO,
-    }
-}
-
-fn chaos_cfg(wal: Option<PathBuf>) -> RuntimeConfig {
-    RuntimeConfig {
-        workers: None, // honor SMARTRED_THREADS (the CI disk-chaos matrix axis)
-        queue_cap: 512,
-        max_active: 16,
-        deadline: Duration::from_secs(30),
-        poison: Some(PoisonPolicy { crash_limit: 2 }),
-        wal,
-        ..RuntimeConfig::default()
-    }
-}
-
-fn start_chaos(cfg: RuntimeConfig) -> Runtime {
-    Runtime::start(
-        cfg,
-        Iterative::new(VoteMargin::new(MARGIN).unwrap()),
-        |_| Box::new(FaultyWorker::new(SEED, chaos_profile())),
-    )
-}
-
-fn submit_all(client: &Client, tasks: &[(u32, Payload)]) {
-    for (task, payload) in tasks {
-        match client.submit(payload.clone()) {
-            SubmitOutcome::Shed => panic!("queue_cap admits the whole roster"),
-            SubmitOutcome::Accepted { task: id } | SubmitOutcome::Queued { task: id } => {
-                assert_eq!(id, *task, "submission order must assign roster ids");
-            }
-        }
-    }
-}
-
-fn drain_verdicts(client: &Client) -> Vec<TaskVerdict> {
-    let mut verdicts = Vec::new();
-    while let Some(v) = client.recv_timeout(Duration::from_millis(400)) {
-        verdicts.push(v);
-    }
-    verdicts
-}
-
-fn run_roster(cfg: RuntimeConfig, tasks: &[(u32, Payload)]) -> (RuntimeRun, Vec<TaskVerdict>) {
-    let runtime = start_chaos(cfg);
-    let client = runtime.client();
-    submit_all(&client, tasks);
-    let verdicts = drain_verdicts(&client);
-    drop(client);
-    (runtime.finish(), verdicts)
-}
-
-fn recover_chaos(
-    cfg: RuntimeConfig,
-    tasks: &[(u32, Payload)],
-) -> (
-    RuntimeRun,
-    Vec<TaskVerdict>,
-    smartred_runtime::RecoveryReport,
-) {
-    let (runtime, client, report) = Runtime::recover(
-        cfg,
-        Iterative::new(VoteMargin::new(MARGIN).unwrap()),
-        |_| Box::new(FaultyWorker::new(SEED, chaos_profile())),
-        tasks,
-    )
-    .expect("WAL recovery");
-    let verdicts = drain_verdicts(&client);
-    drop(client);
-    (runtime.finish(), verdicts, report)
-}
 
 /// `task → vote` of every delivered verdict, asserting no duplicates.
 fn votes(verdicts: &[TaskVerdict]) -> HashMap<u32, Option<bool>> {
@@ -228,29 +114,6 @@ fn assert_delivery<'a>(
         golden.len(),
         "{ctx}: delivered plus durable-but-undelivered must cover the roster"
     );
-}
-
-/// Schedule-independent run structure: `(task, kind, vote)` sorted by
-/// task, where kind is 0 = verdict, 1 = capped, 2 = poisoned.
-fn shape(journal: &Journal) -> Vec<(u32, u8, Option<bool>)> {
-    let mut out = Vec::new();
-    for e in journal.events() {
-        match e.event {
-            RunEvent::VerdictReached { task, value, .. } => out.push((task, 0, Some(value))),
-            RunEvent::TaskCapped { task } => out.push((task, 1, None)),
-            RunEvent::TaskPoisoned { task, .. } => out.push((task, 2, None)),
-            _ => {}
-        }
-    }
-    out.sort_unstable();
-    out
-}
-
-fn wal_path(name: &str) -> PathBuf {
-    PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join(format!(
-        "smartred-disk-chaos-{}-{name}.wal.jsonl",
-        std::process::id()
-    ))
 }
 
 fn cleanup(wal: &PathBuf) {
@@ -412,8 +275,8 @@ fn bit_rot_in_a_checksummed_wal_is_refused_and_quarantined() {
 
         let err = match Runtime::recover(
             chaos_cfg(Some(wal.clone())),
-            Iterative::new(VoteMargin::new(MARGIN).unwrap()),
-            |_| Box::new(FaultyWorker::new(SEED, chaos_profile())) as Box<dyn Worker>,
+            strategy(),
+            chaos_worker,
             &tasks,
         ) {
             Ok(_) => panic!("{durability}: corrupt WAL must not recover"),
@@ -487,7 +350,7 @@ fn checksummed_wal_round_trips_through_crash_and_recovery() {
     // Capped and poisoned tasks deliver vote-less verdicts.
     let golden: HashMap<u32, Option<bool>> = decided
         .iter()
-        .map(|&(task, _, vote)| (task, vote))
+        .map(|&(task, _, vote, _)| (task, vote))
         .collect();
     assert_delivery(
         "checksummed",
@@ -510,7 +373,7 @@ mod checkpoint_matrix {
     //! 4 shards, across a sweep of crash points.
 
     use super::*;
-    use smartred_runtime::{ShardedClient, ShardedConfig, ShardedRuntime};
+    use smartred_runtime::{ShardedConfig, ShardedRuntime};
 
     const EVERY: u64 = 20;
 
@@ -682,8 +545,8 @@ mod checkpoint_matrix {
         std::fs::write(&wal, rest).unwrap();
         let err = match Runtime::recover(
             chaos_cfg(Some(wal.clone())),
-            Iterative::new(VoteMargin::new(MARGIN).unwrap()),
-            |_| Box::new(FaultyWorker::new(SEED, chaos_profile())) as Box<dyn Worker>,
+            strategy(),
+            chaos_worker,
             &tasks,
         ) {
             Ok(_) => panic!("mid-stream segment must not recover"),
@@ -738,12 +601,12 @@ mod checkpoint_matrix {
 
             let (runtime, client, reports) = ShardedRuntime::recover(
                 cfg(Some(dir.clone()), None),
-                Iterative::new(VoteMargin::new(MARGIN).unwrap()),
-                |_| Box::new(FaultyWorker::new(SEED, chaos_profile())),
+                strategy(),
+                chaos_worker,
                 &tasks,
             )
             .expect("parallel shard recovery");
-            let post_verdicts = drain_sharded(&client);
+            let post_verdicts = drain_verdicts(&client);
             drop(client);
             let run = runtime.finish();
             assert!(!run.crashed);
@@ -778,35 +641,18 @@ mod checkpoint_matrix {
         cfg: ShardedConfig,
         tasks: &[(u32, Payload)],
     ) -> (smartred_runtime::ShardedRun, Vec<TaskVerdict>) {
-        let runtime = ShardedRuntime::start(
-            cfg,
-            Iterative::new(VoteMargin::new(MARGIN).unwrap()),
-            |_| Box::new(FaultyWorker::new(SEED, chaos_profile())),
-        );
+        let runtime = ShardedRuntime::start(cfg, strategy(), chaos_worker);
         let client = runtime.client();
         let mut verdicts = Vec::new();
         for burst in tasks.chunks(tasks.len().div_ceil(3)) {
-            for (_, payload) in burst {
-                match client.submit(payload.clone()) {
-                    SubmitOutcome::Shed => panic!("admission_cap admits the roster"),
-                    SubmitOutcome::Accepted { .. } | SubmitOutcome::Queued { .. } => {}
-                }
-            }
-            verdicts.extend(drain_sharded(&client));
+            submit_all(&client, burst);
+            verdicts.extend(drain_verdicts(&client));
             if runtime.is_crashed() {
                 break;
             }
         }
         drop(client);
         (runtime.finish(), verdicts)
-    }
-
-    fn drain_sharded(client: &ShardedClient) -> Vec<TaskVerdict> {
-        let mut verdicts = Vec::new();
-        while let Some(v) = client.recv_timeout(Duration::from_millis(400)) {
-            verdicts.push(v);
-        }
-        verdicts
     }
 }
 

@@ -16,65 +16,10 @@ use smartred_core::params::VoteMargin;
 use smartred_core::strategy::{Iterative, RedundancyStrategy};
 use smartred_desim::journal::{EventKind, Journal};
 use smartred_runtime::{
-    report_from_journal, FaultProfile, FaultyWorker, JobAssignment, Payload, Runtime,
-    RuntimeConfig, RuntimeRun, SubmitOutcome, TaskVerdict, Worker,
+    report_from_journal, FaultProfile, Payload, Runtime, RuntimeConfig, RuntimeRun,
+    StragglerWorker, SubmitOutcome, TaskVerdict,
 };
 use smartred_sat::{decompose, random_3sat, ThreeSatConfig};
-
-/// A worker whose *vote* is the pure `(seed, task, replica)` draw of
-/// [`FaultyWorker`] but whose *service time* additionally depends on the
-/// worker index: a seeded fraction of `(worker, task, replica)` triples
-/// straggle. A hedge twin re-runs the same `(task, replica)` on a
-/// different worker, so it redraws the delay (usually fast) while its
-/// vote is bit-identical to the origin's — the property the whole layer
-/// rests on.
-struct StragglerWorker {
-    index: u32,
-    seed: u64,
-    inner: FaultyWorker,
-    slow: Duration,
-    fast: Duration,
-    slow_rate: f64,
-}
-
-impl StragglerWorker {
-    fn new(index: u32, seed: u64, profile: FaultProfile) -> Self {
-        Self {
-            index,
-            seed,
-            inner: FaultyWorker::new(seed, profile),
-            slow: Duration::from_millis(40),
-            fast: Duration::from_millis(1),
-            slow_rate: 0.08,
-        }
-    }
-
-    fn delay(&self, task: u32, replica: u32) -> Duration {
-        // splitmix64 over (seed, worker, task, replica): machine slowness
-        // is a property of the placement, not of the task.
-        let mut x = self
-            .seed
-            .wrapping_add(u64::from(self.index) << 32)
-            .wrapping_add(u64::from(task) << 16)
-            .wrapping_add(u64::from(replica));
-        x = (x ^ (x >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-        x = (x ^ (x >> 27)).wrapping_mul(0x94d049bb133111eb);
-        x ^= x >> 31;
-        let u = (x >> 11) as f64 / (1u64 << 53) as f64;
-        if u < self.slow_rate {
-            self.slow
-        } else {
-            self.fast
-        }
-    }
-}
-
-impl Worker for StragglerWorker {
-    fn execute(&mut self, job: &JobAssignment) -> Option<(bool, bool)> {
-        std::thread::sleep(self.delay(job.task, job.replica));
-        self.inner.execute(job)
-    }
-}
 
 const THIRTY_PCT_FAULTY: FaultProfile = FaultProfile {
     wrong_rate: 0.3,
@@ -139,7 +84,17 @@ where
         ..RuntimeConfig::default()
     };
     let runtime = Runtime::start(cfg, strategy, move |index| {
-        Box::new(StragglerWorker::new(index, seed, THIRTY_PCT_FAULTY))
+        // 8% of placements straggle for 40 ms: a hedge twin redraws the
+        // delay on its new worker (usually fast) while its vote is
+        // bit-identical to the origin's — the property the layer rests on.
+        let slow = Duration::from_millis(40);
+        Box::new(StragglerWorker::new(
+            index,
+            seed,
+            THIRTY_PCT_FAULTY,
+            0.08,
+            slow,
+        ))
     });
     let client = runtime.client();
     for block in blocks {

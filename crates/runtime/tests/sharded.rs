@@ -18,66 +18,22 @@ use smartred_core::audit::{AuditPolicy, Cartel};
 use smartred_core::execution::{shard_of, Assignment};
 use smartred_core::hedge::HedgePolicy;
 use smartred_core::params::VoteMargin;
-use smartred_core::resilience::PoisonPolicy;
 use smartred_core::strategy::Iterative;
 use smartred_desim::journal::{Journal, RunEvent};
 use smartred_runtime::{
     report_from_journal, CartelWorker, FaultProfile, FaultyWorker, JobAssignment, Payload, Runtime,
-    RuntimeConfig, ShardedClient, ShardedConfig, ShardedRuntime, SubmitOutcome, TaskVerdict,
-    Worker,
+    RuntimeConfig, ShardedConfig, ShardedRuntime, SubmitOutcome, Worker,
 };
 
+mod common;
+use common::*;
+
 const SEED: u64 = 0x5eed_beef;
-const MARGIN: usize = 3;
-
-fn quiet_injected_panics() {
-    use std::sync::Once;
-    static ONCE: Once = Once::new();
-    ONCE.call_once(|| {
-        let default_hook = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            let injected = info
-                .payload()
-                .downcast_ref::<String>()
-                .is_some_and(|s| s.starts_with("injected worker crash"));
-            if !injected {
-                default_hook(info);
-            }
-        }));
-    });
-}
-
-fn roster(n: usize) -> Vec<(u32, Payload)> {
-    (0..n as u32)
-        .map(|task| {
-            (
-                task,
-                Payload::Synthetic {
-                    answer: true,
-                    work: Duration::ZERO,
-                },
-            )
-        })
-        .collect()
-}
-
-fn chaos_profile() -> FaultProfile {
-    FaultProfile {
-        wrong_rate: 0.25,
-        hang_rate: 0.0,
-        crash_rate: 0.15,
-        think: Duration::ZERO,
-    }
-}
 
 fn base_cfg() -> RuntimeConfig {
     RuntimeConfig {
         workers: Some(8),
-        queue_cap: 512,
-        max_active: 16,
-        deadline: Duration::from_secs(30),
-        poison: Some(PoisonPolicy { crash_limit: 2 }),
-        ..RuntimeConfig::default()
+        ..chaos_cfg(None)
     }
 }
 
@@ -91,54 +47,11 @@ fn sharded_cfg(shards: usize) -> ShardedConfig {
     }
 }
 
-fn submit_all(client: &ShardedClient, tasks: &[(u32, Payload)]) {
-    for (task, payload) in tasks {
-        match client.submit(payload.clone()) {
-            SubmitOutcome::Shed => panic!("admission_cap admits the whole roster"),
-            SubmitOutcome::Accepted { task: id } | SubmitOutcome::Queued { task: id } => {
-                assert_eq!(id, *task, "submission order must assign roster ids");
-            }
-        }
-    }
-}
-
-fn drain(client: &ShardedClient) -> Vec<TaskVerdict> {
-    let mut verdicts = Vec::new();
-    while let Some(v) = client.recv_timeout(Duration::from_millis(400)) {
-        verdicts.push(v);
-    }
-    verdicts
-}
-
-/// Schedule-independent run structure: `(task, kind, vote, jobs)` sorted
-/// by task, where kind is 0 = verdict, 1 = capped, 2 = poisoned.
-fn shape(journal: &Journal) -> Vec<(u32, u8, Option<bool>, u64)> {
-    let mut jobs: HashMap<u32, u64> = HashMap::new();
-    let mut out = Vec::new();
-    for e in journal.events() {
-        match e.event {
-            RunEvent::JobDispatched { task, .. } => *jobs.entry(task).or_default() += 1,
-            RunEvent::VerdictReached { task, value, .. } => out.push((task, 0, Some(value))),
-            RunEvent::TaskCapped { task } => out.push((task, 1, None)),
-            RunEvent::TaskPoisoned { task, .. } => out.push((task, 2, None)),
-            _ => {}
-        }
-    }
-    out.sort_unstable();
-    out.into_iter()
-        .map(|(task, kind, vote)| (task, kind, vote, jobs.get(&task).copied().unwrap_or(0)))
-        .collect()
-}
-
 fn run_sharded(shards: usize, tasks: &[(u32, Payload)]) -> smartred_runtime::ShardedRun {
-    let runtime = ShardedRuntime::start(
-        sharded_cfg(shards),
-        Iterative::new(VoteMargin::new(MARGIN).unwrap()),
-        |_| Box::new(FaultyWorker::new(SEED, chaos_profile())),
-    );
+    let runtime = ShardedRuntime::start(sharded_cfg(shards), strategy(), chaos_worker);
     let client = runtime.client();
     submit_all(&client, tasks);
-    let verdicts = drain(&client);
+    let verdicts = drain_verdicts(&client);
     assert_eq!(verdicts.len(), tasks.len());
     drop(client);
     runtime.finish()
@@ -153,11 +66,7 @@ fn one_shard_is_identical_to_the_unsharded_runtime() {
     quiet_injected_panics();
     let tasks = roster(12);
 
-    let unsharded = Runtime::start(
-        base_cfg(),
-        Iterative::new(VoteMargin::new(MARGIN).unwrap()),
-        |_| Box::new(FaultyWorker::new(SEED, chaos_profile())),
-    );
+    let unsharded = Runtime::start(base_cfg(), strategy(), chaos_worker);
     let client = unsharded.client();
     for (_, payload) in &tasks {
         let _ = client.submit(payload.clone());
@@ -255,11 +164,9 @@ fn shed_count_at_matched_capacity_is_independent_of_shard_count() {
         let gate = open.clone();
         let mut cfg = sharded_cfg(shards);
         cfg.admission_cap = CAP;
-        let runtime = ShardedRuntime::start(
-            cfg,
-            Iterative::new(VoteMargin::new(MARGIN).unwrap()),
-            move |_| Box::new(Gated { open: gate.clone() }),
-        );
+        let runtime = ShardedRuntime::start(cfg, strategy(), move |_| {
+            Box::new(Gated { open: gate.clone() })
+        });
         let client = runtime.client();
         let mut shed = 0u64;
         for i in 0..SUBMITTED {
@@ -408,58 +315,6 @@ fn cartel_conviction_on_one_shard_only_voids_that_shards_verdicts() {
     let _ = std::fs::remove_dir_all(&wal_dir);
 }
 
-/// A worker whose vote is the pure `(seed, task, replica)` draw of
-/// [`FaultyWorker`] but whose service time additionally depends on the
-/// worker index: a seeded 8% of `(worker, task, replica)` triples
-/// straggle for 40 ms while the rest answer in 1 ms. Slowness is a
-/// property of the placement, so a hedge twin on another worker redraws
-/// the delay while voting bit-identically to its origin.
-struct StragglerWorker {
-    index: u32,
-    inner: FaultyWorker,
-}
-
-impl StragglerWorker {
-    fn new(index: u32, seed: u64) -> Self {
-        let profile = FaultProfile {
-            wrong_rate: 0.25,
-            hang_rate: 0.0,
-            // No crashes: whether a crash strike is suppressed depends on
-            // whether a twin happens to be pending at crash time — a
-            // wall-clock race — so poisoning under hedged crashes is not
-            // a shard-count-invariant quantity. Votes are.
-            crash_rate: 0.0,
-            think: Duration::ZERO,
-        };
-        Self {
-            index,
-            inner: FaultyWorker::new(seed, profile),
-        }
-    }
-
-    fn delay(&self, task: u32, replica: u32) -> Duration {
-        let mut x = SEED
-            .wrapping_add(u64::from(self.index) << 32)
-            .wrapping_add(u64::from(task) << 16)
-            .wrapping_add(u64::from(replica));
-        x = (x ^ (x >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-        x = (x ^ (x >> 27)).wrapping_mul(0x94d049bb133111eb);
-        x ^= x >> 31;
-        if (x >> 11) as f64 / ((1u64 << 53) as f64) < 0.08 {
-            Duration::from_millis(40)
-        } else {
-            Duration::from_millis(1)
-        }
-    }
-}
-
-impl Worker for StragglerWorker {
-    fn execute(&mut self, job: &JobAssignment) -> Option<(bool, bool)> {
-        std::thread::sleep(self.delay(job.task, job.replica));
-        self.inner.execute(job)
-    }
-}
-
 /// Shard-count equivalence of hedging decisions: with hedging enabled on
 /// a straggler-prone pool, every shard count in {1, 2, 4, 8} reaches the
 /// same verdicts, votes, and per-task job counts — placement and twin
@@ -479,14 +334,10 @@ fn hedging_decisions_are_equivalent_across_shard_counts() {
             max_per_task: 2,
         });
         cfg.base.assignment = Assignment::LeastLoaded;
-        let runtime = ShardedRuntime::start(
-            cfg,
-            Iterative::new(VoteMargin::new(MARGIN).unwrap()),
-            |index| Box::new(StragglerWorker::new(index, SEED)),
-        );
+        let runtime = ShardedRuntime::start(cfg, strategy(), straggling_liar);
         let client = runtime.client();
         submit_all(&client, &tasks);
-        let verdicts = drain(&client);
+        let verdicts = drain_verdicts(&client);
         assert_eq!(verdicts.len(), tasks.len(), "{shards} shard(s)");
         drop(client);
         let run = runtime.finish();
@@ -527,14 +378,12 @@ mod equivalence_property {
         seed: u64,
         tasks: &[(u32, Payload)],
     ) -> Vec<(u32, u8, Option<bool>, u64)> {
-        let runtime = ShardedRuntime::start(
-            sharded_cfg(shards),
-            Iterative::new(VoteMargin::new(MARGIN).unwrap()),
-            move |_| Box::new(FaultyWorker::new(seed, chaos_profile())),
-        );
+        let runtime = ShardedRuntime::start(sharded_cfg(shards), strategy(), move |_| {
+            Box::new(FaultyWorker::new(seed, chaos_profile()))
+        });
         let client = runtime.client();
         submit_all(&client, tasks);
-        let verdicts = drain(&client);
+        let verdicts = drain_verdicts(&client);
         assert_eq!(verdicts.len(), tasks.len());
         drop(client);
         let run = runtime.finish();
