@@ -1061,8 +1061,9 @@ fn dag_chaos(args: &Args) -> i32 {
         let mut parts = Vec::new();
         let mut torn = false;
         for segment in &segments {
-            let text = std::fs::read_to_string(segment).expect("read WAL segment");
-            let prefix = Journal::from_jsonl_prefix(&text).expect("WAL prefix parses");
+            let prefix = Journal::read_wal(segment, 1)
+                .expect("read WAL segment")
+                .expect("WAL prefix parses");
             torn |= prefix.torn;
             parts.push(prefix.journal);
         }

@@ -390,8 +390,7 @@ mod tests {
 
     impl WalWatcher {
         fn annotations_on_disk(&self) -> Vec<RunEvent> {
-            let text = std::fs::read_to_string(&self.wal).unwrap();
-            let prefix = Journal::from_jsonl_prefix(&text).unwrap();
+            let prefix = Journal::read_wal(&self.wal, 1).unwrap().unwrap();
             let annotation = |e: &RunEvent| {
                 matches!(
                     e,

@@ -42,7 +42,11 @@
 //! assert_eq!(restored.digest(), journal.digest());
 //! ```
 
+use std::borrow::Cow;
 use std::fmt::{self, Write as _};
+use std::io::{self, Read as _, Seek as _, SeekFrom};
+use std::ops::Range;
+use std::path::Path;
 
 use crate::time::SimTime;
 
@@ -1071,7 +1075,7 @@ impl Journal {
     /// the first record that breaks time order or the dense-`seq` contract
     /// (see [`Journal::from_jsonl_prefix`]).
     pub fn from_jsonl(text: &str) -> Result<Self, JournalParseError> {
-        Self::read_lines(text, false).map(|prefix| prefix.journal)
+        read_text(text, false).map(|prefix| prefix.journal)
     }
 
     /// Reads a journal from possibly crash-truncated WAL bytes.
@@ -1081,6 +1085,11 @@ impl Journal {
     /// parse). Such a tail is dropped and reported via [`WalPrefix::torn`];
     /// `valid_bytes` is the length of the longest whole-record prefix, so a
     /// recovering writer can truncate the file there and resume appending.
+    ///
+    /// Text longer than one block (1 MiB) is read a block per core at a
+    /// time; the result is the same for every block length and thread
+    /// count, shorter text never leaves the calling thread, and
+    /// [`Journal::read_wal`] is this function over a file.
     ///
     /// # Errors
     ///
@@ -1098,78 +1107,32 @@ impl Journal {
     /// anywhere), so a whole line duplicated or lost in the file is refused
     /// rather than double-counted or skipped by recovery.
     pub fn from_jsonl_prefix(text: &str) -> Result<WalPrefix, JournalParseError> {
-        Self::read_lines(text, true)
+        read_text(text, true)
     }
 
-    /// The line walk behind both readers. They differ only in what an
-    /// unterminated final line means: a torn append to drop
-    /// (`drop_torn_tail`), or an ordinary last line.
-    fn read_lines(text: &str, drop_torn_tail: bool) -> Result<WalPrefix, JournalParseError> {
-        let mut journal = Journal::new();
-        // Few records are shorter than 64 bytes: sized once from the
-        // input, the event vector rarely has to grow and copy mid-read.
-        journal.events.reserve_exact(text.len() / 64);
-        let mut torn = false;
-        let mut valid_bytes = 0usize;
-        let mut offset = 0usize;
-        let mut line_no = 0usize;
-        while offset < text.len() {
-            line_no += 1;
-            let rest = &text[offset..];
-            let (line, end, terminated) = match rest.find('\n') {
-                Some(nl) => (&rest[..nl], offset + nl + 1, true),
-                None => (rest, text.len(), false),
-            };
-            if !line.trim().is_empty() {
-                if drop_torn_tail && !terminated {
-                    // The newline never hit the disk, so the record was
-                    // never acknowledged — and may be incomplete even if
-                    // it parses (a truncated integer still does). Only
-                    // whole lines count.
-                    torn = true;
-                    break;
-                }
-                let refuse = |seq: Option<u64>, message: String| JournalParseError {
-                    line: line_no,
-                    offset,
-                    seq,
-                    message,
-                };
-                // A terminated line was fully written in one append, so a
-                // parse or checksum failure is in-place corruption of an
-                // acknowledged record — refuse, never resume past it.
-                let stamped = Stamped::from_jsonl_line(line)
-                    .map_err(|message| refuse(sniff_seq(line), message))?;
-                if let Some(prev) = journal.events.last() {
-                    if stamped.at < prev.at {
-                        return Err(refuse(
-                            Some(stamped.seq),
-                            format!("events out of time order: {} after {}", stamped.at, prev.at),
-                        ));
-                    }
-                    if prev.seq.checked_add(1) != Some(stamped.seq) {
-                        return Err(refuse(
-                            Some(stamped.seq),
-                            format!(
-                                "sequence break: seq {} follows seq {} (a record was duplicated or lost)",
-                                stamped.seq, prev.seq
-                            ),
-                        ));
-                    }
-                }
-                journal.next_seq = stamped.seq.saturating_add(1);
-                journal.events.push(stamped);
-            }
-            if terminated {
-                valid_bytes = end;
-            }
-            offset = end;
-        }
-        Ok(WalPrefix {
-            journal,
-            torn,
-            valid_bytes,
-        })
+    /// Reads a WAL file as [`Journal::from_jsonl_prefix`] reads its text,
+    /// without ever holding the file: `min(threads, blocks)` threads each
+    /// read every `threads`-th 1 MiB block into a buffer of their own,
+    /// verify and decode the lines that start in it, and hand the events
+    /// over in block order. A file of one block, or `threads <= 1`, is
+    /// read on the calling thread.
+    ///
+    /// Bytes that are not UTF-8 are read as `String::from_utf8_lossy`
+    /// shows them, so a bit flip that breaks an encoding is refused like
+    /// any other — a parse error with line, offset and seq — rather than
+    /// failing the read.
+    ///
+    /// # Errors
+    ///
+    /// The outer error is the file system's; the inner one is
+    /// [`Journal::from_jsonl_prefix`]'s, with `offset` a file offset.
+    pub fn read_wal(
+        path: &Path,
+        threads: usize,
+    ) -> io::Result<Result<WalPrefix, JournalParseError>> {
+        let len = usize::try_from(std::fs::metadata(path)?.len())
+            .map_err(|_| io::Error::other("WAL is larger than the address space"))?;
+        read_blocks(len, BLOCK_LEN, threads, true, || FileBlocks::open(path))
     }
 
     /// Deterministically merges per-shard event streams into one journal.
@@ -1225,6 +1188,369 @@ pub struct WalPrefix {
     /// Byte length of the intact prefix; truncate the file here before
     /// resuming appends.
     pub valid_bytes: usize,
+}
+
+/// Bytes per block of the reader. The input is cut every `BLOCK_LEN`
+/// bytes and a block owns the lines that *start* in it, so blocks are read,
+/// verified and decoded independently and their events joined in order.
+const BLOCK_LEN: usize = 1 << 20;
+
+/// How far at a time a reader looks past its block for the newline that
+/// ends the block's last line. Few records are longer.
+const READ_ON: usize = 512;
+
+/// Why `next` cannot directly follow `prev` in one stream, if it cannot:
+/// the check between two lines of a block and across the seam of two.
+fn breaks_stream(prev: &Stamped, next: &Stamped) -> Option<String> {
+    if next.at < prev.at {
+        return Some(format!(
+            "events out of time order: {} after {}",
+            next.at, prev.at
+        ));
+    }
+    if prev.seq.checked_add(1) != Some(next.seq) {
+        return Some(format!(
+            "sequence break: seq {} follows seq {} (a record was duplicated or lost)",
+            next.seq, prev.seq
+        ));
+    }
+    None
+}
+
+/// What the line walk made of one block's text. Lines and offsets count
+/// from the block's first byte; [`Stitcher::append`] rebases them.
+struct Block {
+    /// The records read before the walk ended.
+    events: Vec<Stamped>,
+    /// Lines walked, blank ones included.
+    lines: usize,
+    /// Bytes of text the block owns.
+    len: usize,
+    /// Bytes up to the end of the last newline-terminated line walked.
+    valid: usize,
+    /// An unterminated final line was dropped as a torn append.
+    torn: bool,
+    /// Line and offset of the first record, for a refusal at the seam.
+    first: (usize, usize),
+    /// The refusal that ended the walk early. Its line parsed no record,
+    /// or one that does not follow the block's previous record.
+    refused: Option<JournalParseError>,
+}
+
+/// The line walk behind every reader: one pass over `text`, which begins
+/// at the start of a line. The readers differ only in what an
+/// unterminated final line means: a torn append to drop
+/// (`drop_torn_tail`), or an ordinary last line.
+fn walk(text: &str, drop_torn_tail: bool) -> Block {
+    let mut block = Block {
+        // Few records are shorter than 64 bytes: sized once from the
+        // input, the event vector rarely has to grow and copy mid-read.
+        events: Vec::with_capacity(text.len() / 64),
+        lines: 0,
+        len: text.len(),
+        valid: 0,
+        torn: false,
+        first: (0, 0),
+        refused: None,
+    };
+    let mut offset = 0usize;
+    while offset < text.len() {
+        block.lines += 1;
+        let rest = &text[offset..];
+        let (line, end, terminated) = match rest.find('\n') {
+            Some(nl) => (&rest[..nl], offset + nl + 1, true),
+            None => (rest, text.len(), false),
+        };
+        if !line.trim().is_empty() {
+            if drop_torn_tail && !terminated {
+                // The newline never hit the disk, so the record was
+                // never acknowledged — and may be incomplete even if
+                // it parses (a truncated integer still does). Only
+                // whole lines count.
+                block.torn = true;
+                break;
+            }
+            // A terminated line was fully written in one append, so a
+            // parse or checksum failure is in-place corruption of an
+            // acknowledged record — refuse, never resume past it.
+            let refusal = match Stamped::from_jsonl_line(line) {
+                Err(message) => Some((sniff_seq(line), message)),
+                Ok(next) => {
+                    let prev = block.events.last();
+                    let broken = prev.and_then(|prev| breaks_stream(prev, &next));
+                    if broken.is_none() {
+                        if prev.is_none() {
+                            block.first = (block.lines, offset);
+                        }
+                        block.events.push(next);
+                    }
+                    broken.map(|message| (Some(next.seq), message))
+                }
+            };
+            if let Some((seq, message)) = refusal {
+                block.refused = Some(JournalParseError {
+                    line: block.lines,
+                    offset,
+                    seq,
+                    message,
+                });
+                break;
+            }
+        }
+        if terminated {
+            block.valid = end;
+        }
+        offset = end;
+    }
+    block
+}
+
+/// Joins walked blocks, in input order, into the one result a walk of
+/// the whole input returns.
+struct Stitcher {
+    prefix: WalPrefix,
+    /// Lines and bytes of the blocks appended so far.
+    lines: usize,
+    offset: usize,
+}
+
+impl Stitcher {
+    /// A stitcher whose event vector has room for `events` records.
+    fn with_capacity(events: usize) -> Self {
+        let mut journal = Journal::new();
+        journal.events.reserve_exact(events);
+        Stitcher {
+            prefix: WalPrefix {
+                journal,
+                torn: false,
+                valid_bytes: 0,
+            },
+            lines: 0,
+            offset: 0,
+        }
+    }
+
+    /// Appends the next block: its first record must continue the stream
+    /// across the seam, and a refusal inside it is the input's first, now
+    /// that every block before it has been appended whole.
+    fn append(&mut self, block: Block) -> Result<(), JournalParseError> {
+        let journal = &mut self.prefix.journal;
+        let at_seam = match (journal.events.last(), block.events.first()) {
+            (Some(prev), Some(next)) => breaks_stream(prev, next).map(|message| {
+                let (line, offset) = block.first;
+                JournalParseError {
+                    line,
+                    offset,
+                    seq: Some(next.seq),
+                    message,
+                }
+            }),
+            _ => None,
+        };
+        if let Some(mut refusal) = at_seam.or(block.refused) {
+            refusal.line += self.lines;
+            refusal.offset += self.offset;
+            return Err(refusal);
+        }
+        if journal.events.capacity() == 0 {
+            // The only block of a small input: its vector is the journal's.
+            journal.events = block.events;
+        } else {
+            journal.events.extend_from_slice(&block.events);
+        }
+        if let Some(last) = journal.events.last() {
+            journal.next_seq = last.seq.saturating_add(1);
+        }
+        if block.valid > 0 {
+            self.prefix.valid_bytes = self.offset + block.valid;
+        }
+        self.prefix.torn |= block.torn;
+        self.lines += block.lines;
+        self.offset += block.len;
+        Ok(())
+    }
+
+    /// Appends blocks `0..blocks` as `block` produces them, up to the
+    /// first that is refused or cannot be read.
+    fn join(
+        mut self,
+        blocks: usize,
+        block: &mut dyn FnMut(usize) -> io::Result<Block>,
+    ) -> io::Result<Result<WalPrefix, JournalParseError>> {
+        for k in 0..blocks {
+            if let Err(refusal) = self.append(block(k)?) {
+                return Ok(Err(refusal));
+            }
+        }
+        Ok(Ok(self.prefix))
+    }
+}
+
+/// The input a block reader cuts up, addressed by byte offset: a `&str`
+/// already in memory or a file read a block at a time.
+trait Blocks {
+    /// The bytes in `range`, which lies within the input.
+    fn bytes(&mut self, range: Range<usize>) -> io::Result<&[u8]>;
+    /// `range` as text: whole lines, within the bytes fetched since the
+    /// last call to `bytes` that did not start where the one before ended.
+    fn text(&self, range: Range<usize>) -> Cow<'_, str>;
+}
+
+impl Blocks for &str {
+    fn bytes(&mut self, range: Range<usize>) -> io::Result<&[u8]> {
+        Ok(&self.as_bytes()[range])
+    }
+    fn text(&self, range: Range<usize>) -> Cow<'_, str> {
+        Cow::Borrowed(&self[range])
+    }
+}
+
+/// One reader's handle on a WAL file and the buffer it reads blocks into.
+struct FileBlocks {
+    file: std::fs::File,
+    /// The bytes at file offsets `at..at + buf.len()`.
+    buf: Vec<u8>,
+    at: usize,
+}
+
+impl FileBlocks {
+    fn open(path: &Path) -> io::Result<Self> {
+        Ok(FileBlocks {
+            file: std::fs::File::open(path)?,
+            buf: Vec::new(),
+            at: 0,
+        })
+    }
+}
+
+impl Blocks for FileBlocks {
+    fn bytes(&mut self, range: Range<usize>) -> io::Result<&[u8]> {
+        if range.start != self.at + self.buf.len() {
+            self.buf.clear();
+            self.at = range.start;
+            self.file.seek(SeekFrom::Start(range.start as u64))?;
+        }
+        let held = self.buf.len();
+        self.buf.resize(held + range.len(), 0);
+        self.file.read_exact(&mut self.buf[held..])?;
+        Ok(&self.buf[held..])
+    }
+    /// A block that is not UTF-8 is shown as `String::from_utf8_lossy`
+    /// shows the whole file: newlines are ASCII, so cutting at them never
+    /// splits a sequence. Its first changed line is refused or is the torn
+    /// tail, so that the text's offsets then differ from the file's is
+    /// never seen.
+    fn text(&self, range: Range<usize>) -> Cow<'_, str> {
+        String::from_utf8_lossy(&self.buf[range.start - self.at..range.end - self.at])
+    }
+}
+
+/// The lines of `source` that start in `block`, as a byte range: from the
+/// first byte that follows a newline (or opens the input) to the end of
+/// the line the block's last byte is in, which may lie blocks further on.
+/// Empty when no line starts here.
+fn lines_starting_in(
+    source: &mut impl Blocks,
+    len: usize,
+    block: Range<usize>,
+) -> io::Result<Range<usize>> {
+    if block.is_empty() {
+        return Ok(block);
+    }
+    // The byte before the block says whether the block opens a line.
+    let look = block.start.saturating_sub(1);
+    let head = source.bytes(look..block.end)?;
+    let start = match block.start {
+        0 => 0,
+        _ => match head.iter().position(|&b| b == b'\n') {
+            Some(nl) => look + nl + 1,
+            None => block.end,
+        },
+    };
+    let mut end = block.end;
+    let mut terminated = start == end || head.last() == Some(&b'\n');
+    while !terminated && end < len {
+        let more = source.bytes(end..len.min(end + READ_ON))?;
+        let nl = more.iter().position(|&b| b == b'\n');
+        terminated = nl.is_some();
+        end += nl.map_or(more.len(), |nl| nl + 1);
+    }
+    Ok(start..end)
+}
+
+/// [`Journal::from_jsonl`] and [`Journal::from_jsonl_prefix`]: text of one
+/// block is walked where it stands, longer text on every core.
+fn read_text(text: &str, drop_torn_tail: bool) -> Result<WalPrefix, JournalParseError> {
+    let threads = match text.len() > BLOCK_LEN {
+        true => std::thread::available_parallelism().map_or(1, |n| n.get()),
+        false => 1,
+    };
+    read_blocks(text.len(), BLOCK_LEN, threads, drop_torn_tail, || Ok(text))
+        .expect("text in memory has no I/O to fail")
+}
+
+/// The one reader. The `len` bytes that `open` gives a handle on are cut
+/// every `block_len`; `min(threads, blocks)` readers each take every
+/// `threads`-th block, find the lines that start in it, walk them and hand
+/// the result over through a channel of their own, which holds one block:
+/// the stitcher takes blocks in input order as they arrive, so a reader
+/// is never more than two blocks ahead of it and the input is never held
+/// whole. One reader reads on the calling thread.
+///
+/// The result does not depend on `block_len` or `threads`: it is what
+/// [`walk`] returns for the whole input as one block.
+fn read_blocks<B: Blocks>(
+    len: usize,
+    block_len: usize,
+    threads: usize,
+    drop_torn_tail: bool,
+    open: impl Fn() -> io::Result<B> + Sync,
+) -> io::Result<Result<WalPrefix, JournalParseError>> {
+    let blocks = len.div_ceil(block_len).max(1);
+    let read = |source: &mut B, k: usize| -> io::Result<Block> {
+        let block = k * block_len..len.min((k + 1) * block_len);
+        let lines = lines_starting_in(source, len, block)?;
+        // An empty range is not at a line boundary, so it is not text.
+        let text = match lines.is_empty() {
+            true => Cow::Borrowed(""),
+            false => source.text(lines),
+        };
+        Ok(walk(&text, drop_torn_tail))
+    };
+    // One block's vector becomes the journal's; more are copied into one
+    // sized, like a block's, from the input's length.
+    let stitcher = Stitcher::with_capacity(if blocks > 1 { len / 64 } else { 0 });
+    let readers = threads.min(blocks);
+    if readers <= 1 {
+        let mut source = open()?;
+        return stitcher.join(blocks, &mut |k| read(&mut source, k));
+    }
+    std::thread::scope(|scope| {
+        let lanes: Vec<_> = (0..readers)
+            .map(|lane| {
+                let (tx, rx) = std::sync::mpsc::sync_channel(1);
+                let (open, read) = (&open, &read);
+                scope.spawn(move || {
+                    let run = || -> io::Result<()> {
+                        let mut source = open()?;
+                        for k in (lane..blocks).step_by(readers) {
+                            // The stitcher hangs up at the first refusal.
+                            if tx.send(Ok(read(&mut source, k)?)).is_err() {
+                                break;
+                            }
+                        }
+                        Ok(())
+                    };
+                    if let Err(e) = run() {
+                        let _ = tx.send(Err(e));
+                    }
+                });
+                rx
+            })
+            .collect();
+        let sent = "a reader sends every block it owns";
+        stitcher.join(blocks, &mut |k| lanes[k % readers].recv().expect(sent))
+    })
 }
 
 /// Durable appender for the JSONL write-ahead log: a commit buffer over a
@@ -2801,5 +3127,303 @@ mod tests {
             },
         );
         assert::that(&j).verdicts_have_quorum(5);
+    }
+
+    /// The block reader's contract: for every input, block length and
+    /// thread count, from memory and from a file, what the one-block walk
+    /// of the whole input returns.
+    mod blocks {
+        use super::*;
+        use proptest::prelude::*;
+
+        const BLOCK_LENS: [usize; 5] = [1, 7, 64, 257, 4096];
+        const THREADS: [usize; 4] = [1, 2, 3, 8];
+
+        /// Everything a read returns, comparable.
+        type Outcome = Result<(Vec<Stamped>, u64, bool, usize), JournalParseError>;
+
+        fn outcome(read: Result<WalPrefix, JournalParseError>) -> Outcome {
+            read.map(|p| {
+                let next_seq = p.journal.next_seq();
+                (p.journal.events, next_seq, p.torn, p.valid_bytes)
+            })
+        }
+
+        fn in_memory(text: &str, block_len: usize, threads: usize, drop_tail: bool) -> Outcome {
+            outcome(read_blocks(text.len(), block_len, threads, drop_tail, || Ok(text)).unwrap())
+        }
+
+        /// The one-block walk of the whole input, as recovery used to see
+        /// it: lossily decoded first.
+        fn whole(bytes: &[u8], drop_tail: bool) -> Outcome {
+            let text = String::from_utf8_lossy(bytes);
+            in_memory(&text, text.len().max(1), 1, drop_tail)
+        }
+
+        /// A scratch file holding `bytes`, removed when dropped.
+        struct Scratch(std::path::PathBuf);
+
+        impl Scratch {
+            fn holding(name: &str, bytes: &[u8]) -> Self {
+                let path = std::env::temp_dir().join(format!(
+                    "smartred-wal-blocks-{}-{name}.jsonl",
+                    std::process::id()
+                ));
+                std::fs::write(&path, bytes).unwrap();
+                Scratch(path)
+            }
+
+            fn read(&self, block_len: usize, threads: usize) -> Outcome {
+                let len = std::fs::metadata(&self.0).unwrap().len() as usize;
+                let open = || FileBlocks::open(&self.0);
+                outcome(read_blocks(len, block_len, threads, true, open).unwrap())
+            }
+        }
+
+        impl Drop for Scratch {
+            fn drop(&mut self) {
+                let _ = std::fs::remove_file(&self.0);
+            }
+        }
+
+        /// The lines of a WAL of the generated records: plain, checksummed,
+        /// or the two interleaved. Kinds include the float and the widest.
+        fn wal_lines(entries: &[(u64, u8, u32, bool)], framing: u8) -> Vec<String> {
+            let mut journal = Journal::resume_at(u64::from(entries[0].2));
+            let mut at = 0u64;
+            for &(delta, sel, a, v) in entries {
+                at += delta;
+                let (task, node, job) = (a % 64, a % 97, a);
+                let eta = SimTime::from_micros(at + 500);
+                let event = match sel % 6 {
+                    0 => RunEvent::JobDispatched {
+                        job,
+                        task,
+                        node,
+                        eta,
+                    },
+                    1 => RunEvent::JobReturned {
+                        job,
+                        task,
+                        node,
+                        value: v,
+                    },
+                    2 => RunEvent::VerdictReached {
+                        task,
+                        value: v,
+                        degraded: a % 5 == 0,
+                        confidence: f64::from(a % 1001) / 1000.0,
+                    },
+                    3 => RunEvent::TransferStarted {
+                        xfer: a,
+                        job,
+                        task,
+                        node,
+                        bytes: u64::MAX - u64::from(a),
+                        eta,
+                    },
+                    4 => RunEvent::WaveOpened {
+                        task,
+                        wave: a % 8 + 1,
+                        jobs: a % 32 + 1,
+                    },
+                    _ => RunEvent::RunEnded,
+                };
+                journal.record(SimTime::from_micros(at), event);
+            }
+            let framed = |(i, e): (usize, &Stamped)| match framing {
+                0 => e.to_jsonl_line() + "\n",
+                1 => e.to_jsonl_line_checksummed() + "\n",
+                _ if i % 3 == 0 => e.to_jsonl_line() + "\n",
+                _ => e.to_jsonl_line_checksummed() + "\n",
+            };
+            journal.events().iter().enumerate().map(framed).collect()
+        }
+
+        /// The WAL's bytes after one damage at byte `pos` of the intact
+        /// text (line damages hit the line that holds it); `pick` chooses
+        /// among a damage's variants.
+        fn damaged(lines: &[String], kind: u8, pos: usize, pick: usize) -> Vec<u8> {
+            let mut lines = lines.to_vec();
+            let mut line = 0;
+            let mut start = 0;
+            while line + 1 < lines.len() && start + lines[line].len() <= pos {
+                start += lines[line].len();
+                line += 1;
+            }
+            match kind {
+                // A whole line lost, written twice, or out of place.
+                2 => drop(lines.remove(line)),
+                3 => lines.insert(line, lines[line].clone()),
+                4 if lines.len() > 1 => {
+                    let first = line.min(lines.len() - 2);
+                    lines.swap(first, first + 1);
+                }
+                // Lines a reader skips: empty, spaces, Unicode whitespace.
+                6 => lines.insert(line, ["\n", "  \n", "\t \u{a0}\u{2003}\n"][pick % 3].into()),
+                _ => {}
+            }
+            let mut bytes = lines.concat().into_bytes();
+            let pos = pos.min(bytes.len().saturating_sub(1));
+            match kind {
+                1 => bytes[pos] ^= 1 << (pick % 8),
+                // A torn tail.
+                5 => bytes.truncate(pos),
+                // Not UTF-8: a stray byte, a lead with no continuation, a
+                // continuation with no lead.
+                7 => bytes[pos] = [0xff, 0xc3, 0x80][pick % 3],
+                _ => {}
+            }
+            bytes
+        }
+
+        /// Where a damage goes for one block length: the generated position,
+        /// then the seam next to it and the bytes either side of that seam.
+        fn placements(pos: usize, block_len: usize) -> [usize; 4] {
+            let seam = (pos / block_len).max(1) * block_len;
+            [pos, seam - 1, seam, seam + 1]
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(96))]
+
+            #[test]
+            fn reading_is_block_and_thread_count_invariant(
+                entries in proptest::collection::vec(
+                    (0u64..500, 0u8..6, 0u32..100_000, proptest::bool::ANY),
+                    2..40,
+                ),
+                framing in 0u8..3,
+                kind in 0u8..8,
+                at in 0usize..1 << 16,
+                pick in 0usize..24,
+                drop_tail in proptest::bool::ANY,
+            ) {
+                let lines = wal_lines(&entries, framing);
+                let len: usize = lines.iter().map(String::len).sum();
+                // Half the torn tails inside the last two records.
+                let last_two = len - lines[lines.len() - 2..].concat().len();
+                let pos = match kind {
+                    5 if pick % 2 == 0 => last_two + at % (len - last_two),
+                    _ => at % len,
+                };
+                for block_len in BLOCK_LENS {
+                    for pos in placements(pos, block_len) {
+                        let bytes = damaged(&lines, kind, pos, pick);
+                        // A `&str` reader is never handed anything else.
+                        let text = String::from_utf8_lossy(&bytes);
+                        let expected = whole(&bytes, drop_tail);
+                        for threads in THREADS {
+                            prop_assert_eq!(
+                                in_memory(&text, block_len, threads, drop_tail),
+                                expected.clone(),
+                                "kind {} at {}, block {}, {} threads", kind, pos, block_len, threads
+                            );
+                        }
+                    }
+                }
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(24))]
+
+            #[test]
+            fn reading_a_file_is_block_and_thread_count_invariant(
+                entries in proptest::collection::vec(
+                    (0u64..500, 0u8..6, 0u32..100_000, proptest::bool::ANY),
+                    2..16,
+                ),
+                framing in 0u8..3,
+                kind in 0u8..8,
+                at in 0usize..1 << 16,
+                pick in 0usize..24,
+            ) {
+                let lines = wal_lines(&entries, framing);
+                let len: usize = lines.iter().map(String::len).sum();
+                for block_len in BLOCK_LENS {
+                    for pos in placements(at % len, block_len) {
+                        let bytes = damaged(&lines, kind, pos, pick);
+                        let file = Scratch::holding("table", &bytes);
+                        let expected = whole(&bytes, true);
+                        for threads in THREADS {
+                            prop_assert_eq!(
+                                file.read(block_len, threads),
+                                expected.clone(),
+                                "kind {} at {}, block {}, {} threads", kind, pos, block_len, threads
+                            );
+                        }
+                    }
+                }
+            }
+        }
+
+        /// The tail torn at every byte of the last two records, from
+        /// memory and from a file.
+        #[test]
+        fn every_truncation_of_the_last_two_records_reads_alike() {
+            let entries: Vec<_> = (0..12u32)
+                .map(|i| (7, i as u8, i * 977, i % 2 == 0))
+                .collect();
+            let text = wal_lines(&entries, 2).concat();
+            let last_two = text[..text.len() - 1]
+                .rmatch_indices('\n')
+                .nth(1)
+                .unwrap()
+                .0
+                + 1;
+            for cut in last_two..=text.len() {
+                let bytes = &text.as_bytes()[..cut];
+                let file = Scratch::holding("truncated", bytes);
+                let expected = whole(bytes, true);
+                assert_eq!(expected.as_ref().unwrap().2, !text[..cut].ends_with('\n'));
+                for block_len in BLOCK_LENS {
+                    for threads in THREADS {
+                        let ctx = format!("cut {cut}, block {block_len}, {threads} threads");
+                        assert_eq!(
+                            in_memory(&text[..cut], block_len, threads, true),
+                            expected,
+                            "{ctx}"
+                        );
+                        assert_eq!(file.read(block_len, threads), expected, "file, {ctx}");
+                    }
+                }
+            }
+        }
+
+        /// A record that breaks the stream across a seam and garbage later
+        /// in the same block: the seam, first in the file, is what is named.
+        /// Garbage in the block before it wins over both.
+        #[test]
+        fn a_seam_refusal_and_a_later_one_report_in_file_order() {
+            let entries: Vec<_> = (0..9u32).map(|i| (3, 1, i, true)).collect();
+            let mut lines = wal_lines(&entries, 1);
+            // Line 5 repeats line 4; line 7 no longer hashes.
+            lines[4] = lines[3].clone();
+            lines[6] = lines[6].replace("true", "frue");
+            let seam: usize = lines[..4].iter().map(String::len).sum();
+            let text = lines.concat();
+            let expected = whole(text.as_bytes(), true);
+            let refusal = expected.clone().unwrap_err();
+            assert_eq!(
+                (refusal.line, refusal.offset, refusal.seq),
+                (5, seam, Some(3))
+            );
+            assert!(refusal
+                .message
+                .starts_with("sequence break: seq 3 follows seq 3"));
+            for threads in THREADS {
+                // One seam, exactly where line 5 starts.
+                assert_eq!(in_memory(&text, seam, threads, true), expected);
+            }
+
+            lines[1] = lines[1].replace("true", "frue");
+            let text = lines.concat();
+            let expected = whole(text.as_bytes(), true);
+            assert_eq!(expected.clone().unwrap_err().line, 2);
+            for threads in THREADS {
+                assert_eq!(in_memory(&text, seam, threads, true), expected);
+            }
+        }
     }
 }

@@ -1,6 +1,7 @@
 //! The WAL reader's allocation contract, held by a counting allocator:
-//! reading a record allocates nothing, and reading a whole log allocates
-//! once — the event vector, sized from the input's length.
+//! reading a record allocates nothing, reading a whole log of one block
+//! allocates once — the event vector, sized from the input's length —
+//! and a longer log allocates once more per block.
 //!
 //! This file is its own test binary because it installs a global
 //! allocator; the count is per thread, so the harness's own threads do not
@@ -110,4 +111,58 @@ fn reading_a_record_allocates_nothing_and_a_log_allocates_once() {
         assert_eq!(prefix.unwrap().journal.events(), journal.events());
         assert_eq!(allocations, 1, "one event vector, never regrown");
     }
+}
+
+/// A log of many blocks costs a bounded number of allocations per block —
+/// the block's event vector, while the read buffer is reused — and none
+/// per line: twice the lines in the same bytes allocate no more. Read on
+/// this thread, so the count sees every one of them.
+#[test]
+fn reading_many_blocks_allocates_per_block_not_per_line() {
+    const BYTES: usize = (3 << 20) + 4096;
+    let blocks = BYTES.div_ceil(1 << 20);
+    let long = |i: u32| RunEvent::TransferStarted {
+        xfer: i,
+        job: i,
+        task: i,
+        node: i % 7,
+        bytes: u64::MAX,
+        eta: SimTime::from_micros(u64::from(i) + 500),
+    };
+    let short = |i: u32| RunEvent::TaskCapped { task: i % 10 };
+    let log_of = |event: &dyn Fn(u32) -> RunEvent| {
+        let (mut wal, mut journal) = (String::new(), Journal::new());
+        while wal.len() < BYTES {
+            let i = journal.len() as u32;
+            journal.record(SimTime::from_micros(u64::from(i)), event(i));
+            wal.push_str(&journal.events()[i as usize].to_jsonl_line_checksummed());
+            wal.push('\n');
+        }
+        (wal, journal)
+    };
+    let path = std::path::PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join(format!(
+        "smartred-journal-alloc-{}.wal.jsonl",
+        std::process::id()
+    ));
+    let mut lines = Vec::new();
+    for event in [&long as &dyn Fn(u32) -> RunEvent, &short] {
+        let (wal, journal) = log_of(event);
+        assert_eq!(wal.len().div_ceil(1 << 20), blocks);
+        std::fs::write(&path, &wal).unwrap();
+        let (prefix, allocations) = allocations_in(|| Journal::read_wal(&path, 1));
+        let prefix = prefix.unwrap().unwrap();
+        assert_eq!(prefix.journal.events(), journal.events());
+        assert_eq!(prefix.valid_bytes, wal.len());
+        assert!(
+            allocations <= blocks + 8,
+            "{allocations} allocations for {blocks} blocks of {} lines",
+            journal.len()
+        );
+        lines.push(journal.len());
+    }
+    assert!(
+        lines[1] > 2 * lines[0],
+        "the second log has the lines: {lines:?}"
+    );
+    let _ = std::fs::remove_file(&path);
 }

@@ -506,6 +506,14 @@ impl Runtime {
     /// the deterministic fault draws keyed by `(seed, task, replica)`
     /// line up with an uninterrupted run.
     ///
+    /// The file is read by [`Journal::read_wal`] on [`Threads::Auto`]
+    /// threads (`SMARTRED_THREADS`, else every core — nothing else runs
+    /// until this returns): each reads, verifies and decodes a 1 MiB block
+    /// at a time, so the file is never in memory whole, and the threads
+    /// are gone before the replay starts. What is read, and what is
+    /// refused at which line, offset and seq, does not depend on their
+    /// number.
+    ///
     /// Returns the runtime, a [`Client`] that will receive the verdicts of
     /// resumed and re-admitted tasks, and a [`RecoveryReport`].
     ///
@@ -547,11 +555,11 @@ impl Runtime {
         F: Fn(u32) -> Box<dyn Worker> + Send + Sync + 'static,
     {
         let path = cfg.wal.clone().ok_or(RecoveryError::NoWal)?;
-        // Read as bytes: an injected bit flip can break UTF-8 itself, and
-        // that too must surface as corruption, not an unreadable file.
-        let bytes = std::fs::read(&path)?;
-        let text = String::from_utf8_lossy(&bytes);
-        let prefix = match Journal::from_jsonl_prefix(&text) {
+        // No worker exists until this returns, so every core reads: a
+        // block each, never the whole file. An injected bit flip can break
+        // UTF-8 itself, and that too surfaces as corruption, not as an
+        // unreadable file.
+        let prefix = match Journal::read_wal(&path, Threads::Auto.get())? {
             Ok(prefix) => prefix,
             Err(err) => {
                 // In-place corruption of an acknowledged record: recovery

@@ -216,7 +216,11 @@ impl ShardedRuntime {
 
     /// Restarts a crashed sharded run from its per-shard WAL segments,
     /// replaying the segments **in parallel** — one scoped thread per
-    /// shard, so recovery time tracks the largest shard's log.
+    /// shard, so recovery time tracks the largest shard's log. Each of
+    /// those threads reads its segment as [`Runtime::recover`] does, on up
+    /// to [`Threads::Auto`] reader threads of its own while the segment is
+    /// longer than one block: shards × readers threads at most, each
+    /// holding one block, all gone before this returns.
     ///
     /// `roster` maps task ids to payloads exactly as in
     /// [`Runtime::recover`]; it is partitioned by [`shard_of`] and each

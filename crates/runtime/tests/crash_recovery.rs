@@ -809,8 +809,7 @@ const DURABILITY: [(&str, bool, u64); 3] = [
 /// The whole-record prefix of the WAL file as it stands. The coordinator
 /// may be mid-write, so a torn tail is expected and dropped.
 fn wal_prefix_now(wal: &std::path::Path) -> Journal {
-    let text = std::fs::read_to_string(wal).unwrap();
-    Journal::from_jsonl_prefix(&text).unwrap().journal
+    Journal::read_wal(wal, 1).unwrap().unwrap().journal
 }
 
 /// The write-ahead barrier, seen from outside: whenever a client holds a

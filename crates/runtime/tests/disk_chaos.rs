@@ -116,12 +116,17 @@ fn assert_delivery<'a>(
     );
 }
 
+/// Where recovery moves a segment it refuses.
+fn quarantined(wal: &std::path::Path) -> PathBuf {
+    let mut path = wal.as_os_str().to_owned();
+    path.push(".quarantined");
+    PathBuf::from(path)
+}
+
 fn cleanup(wal: &PathBuf) {
     let _ = std::fs::remove_file(wal);
     let _ = std::fs::remove_file(checkpoint_path(wal));
-    let mut quarantined = wal.clone().into_os_string();
-    quarantined.push(".quarantined");
-    let _ = std::fs::remove_file(PathBuf::from(quarantined));
+    let _ = std::fs::remove_file(quarantined(wal));
 }
 
 /// The durability settings the fault legs run under, as
@@ -290,10 +295,10 @@ fn bit_rot_in_a_checksummed_wal_is_refused_and_quarantined() {
 
         // The segment was quarantined for forensics; the original path is
         // gone, so a retry fails on the missing file instead of re-tripping.
-        let mut quarantined = wal.clone().into_os_string();
-        quarantined.push(".quarantined");
-        let quarantined = PathBuf::from(quarantined);
-        assert!(quarantined.exists(), "damaged segment must be quarantined");
+        assert!(
+            quarantined(&wal).exists(),
+            "damaged segment must be quarantined"
+        );
         assert!(!wal.exists());
         cleanup(&wal);
     }
@@ -363,6 +368,93 @@ fn checksummed_wal_round_trips_through_crash_and_recovery() {
     );
     let on_disk = std::fs::read_to_string(&wal).unwrap();
     assert!(on_disk.lines().all(|l| l.contains("\"crc\":\"")));
+    cleanup(&wal);
+}
+
+/// Recovery reads a WAL longer than one block of the reader (1 MiB) a
+/// block per thread; what it makes of the file must not depend on that.
+/// One crashed run's segment, of at least three blocks, is recovered as
+/// it stands, with a byte flipped in a record of the second block, and
+/// with its last record torn: the golden shape, a refusal naming that
+/// record, and a truncation to exactly the last whole record.
+#[test]
+fn a_wal_of_several_blocks_recovers_is_refused_and_is_truncated_alike() {
+    quiet_injected_panics();
+    const BLOCK: usize = 1 << 20;
+    let tasks = roster(1_600);
+    let big_cfg = |wal: Option<PathBuf>| RuntimeConfig {
+        queue_cap: tasks.len(),
+        wal_checksum: true,
+        ..chaos_cfg(wal)
+    };
+    let (golden, _) = run_roster(big_cfg(None), &tasks);
+    assert!(!golden.crashed);
+    let golden_shape = shape(&golden.journal);
+
+    let wal = wal_path("blocks");
+    let events = golden.journal.events().len() as u64;
+    let mut cfg = big_cfg(Some(wal.clone()));
+    cfg.crash_after_events = Some(events * (85 + SEED % 10) / 100);
+    let (crashed, _) = run_roster(cfg, &tasks);
+    assert!(crashed.crashed);
+    let segment = std::fs::read(&wal).unwrap();
+    assert!(
+        segment.len() > 3 * BLOCK,
+        "{} bytes do not span three blocks: recovery would not be read in parallel",
+        segment.len()
+    );
+    let line_start = |at: usize| segment[..at].iter().rposition(|&b| b == b'\n').unwrap() + 1;
+    let flipped = line_start(BLOCK + BLOCK / 2);
+    let flipped_line = segment[..flipped].iter().filter(|&&b| b == b'\n').count() + 1;
+    let last = line_start(segment.len() - 1);
+
+    // (leg, byte to flip, bytes of the segment kept)
+    let legs = [
+        ("clean", None, segment.len()),
+        ("flipped", Some(flipped + 2), segment.len()),
+        ("torn", None, (last + segment.len()) / 2),
+    ];
+    for (leg, flip, kept) in legs {
+        let mut bytes = segment[..kept].to_vec();
+        if let Some(at) = flip {
+            bytes[at] ^= 1;
+            std::fs::write(&wal, &bytes).unwrap();
+            let refused =
+                Runtime::recover(big_cfg(Some(wal.clone())), strategy(), chaos_worker, &tasks);
+            let Err(RecoveryError::Parse(parse)) = refused else {
+                panic!("a flipped byte must be refused as corruption");
+            };
+            // The crashed run logged from seq 0 with no blank line.
+            assert_eq!(
+                (parse.line, parse.offset, parse.seq),
+                (flipped_line, flipped, Some(flipped_line as u64 - 1)),
+                "{parse}"
+            );
+            assert!(parse.message.starts_with("checksum mismatch"), "{parse}");
+            assert_eq!(std::fs::read(quarantined(&wal)).unwrap(), bytes);
+            assert!(!wal.exists());
+            continue;
+        }
+        std::fs::write(&wal, &bytes).unwrap();
+        let (run, _, rec) = recover_chaos(big_cfg(Some(wal.clone())), &tasks);
+        assert!(!run.crashed, "{leg}");
+        let torn = kept < segment.len();
+        assert_eq!(rec.torn_tail, torn, "{leg}");
+        let whole = if torn { last } else { segment.len() };
+        let replayed = segment[..whole].iter().filter(|&&b| b == b'\n').count();
+        assert_eq!(rec.events_replayed, replayed, "{leg}");
+        assert_eq!(shape(&run.journal), golden_shape, "{leg}");
+        assert_eq!(report_from_journal(&run.journal), run.report, "{leg}");
+        // The resumed writer cut the file at the last whole record and
+        // appended behind it: every whole record is still there, and the
+        // file reads back as the run.
+        let on_disk = std::fs::read(&wal).unwrap();
+        assert_eq!(on_disk[..whole], segment[..whole], "{leg}");
+        let reread = Journal::read_wal(&wal, 2).unwrap().unwrap();
+        assert!(!reread.torn, "{leg}");
+        assert_eq!(reread.valid_bytes, on_disk.len(), "{leg}");
+        assert_eq!(reread.journal.events(), run.journal.events(), "{leg}");
+    }
     cleanup(&wal);
 }
 

@@ -288,8 +288,9 @@ fn cartel_conviction_on_one_shard_only_voids_that_shards_verdicts() {
     // owning shard's WAL segment, never a global stream.
     for k in 0..SHARDS {
         let path = ShardedConfig::wal_segment(&wal_dir, k);
-        let text = std::fs::read_to_string(&path).unwrap();
-        let wal = Journal::from_jsonl(&text).unwrap();
+        let wal = Journal::read_wal(&path, 1).unwrap().unwrap();
+        assert!(!wal.torn, "a finished run leaves whole records");
+        let wal = wal.journal;
         assert_eq!(wal.events(), run.shards[k].journal.events());
         for e in wal.events() {
             if let Some(task) = e.event.task() {
