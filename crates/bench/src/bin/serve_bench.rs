@@ -324,7 +324,7 @@ fn wal_segments(dir: &Path, shards: Option<usize>) -> Vec<PathBuf> {
 }
 
 /// The one place that picks a runtime. Starts one coordinator, or
-/// `shards` of them behind the router (admitting `cfg.queue_cap` tasks
+/// `shards` of them behind one admission gate (admitting `cfg.queue_cap` tasks
 /// either way), logging under `wal_dir` and dying after `crash_at` events
 /// — shard 0's, when sharded; runs `body` against its client; finishes.
 fn serve<S, T>(

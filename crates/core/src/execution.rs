@@ -15,7 +15,7 @@ use crate::tally::VoteTally;
 ///
 /// The assignment is a pure function of `(task, shards)` — a multiplicative
 /// (Fibonacci) hash of the id, reduced modulo the shard count — so every
-/// component of a sharded deployment (router, recovery, tests) derives the
+/// component of a sharded deployment (clients, recovery, tests) derives the
 /// same owner without coordination, and sequentially-issued ids spread
 /// evenly instead of striping. One shard is the identity routing: a sharded
 /// runtime with `shards == 1` takes exactly the single-coordinator path.

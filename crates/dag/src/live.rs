@@ -12,7 +12,7 @@
 //!
 //! Task identity differs from the simulator: the runtime assigns its own
 //! dense task ids at submission, so annotations reference *runtime* ids —
-//! which is exactly what makes them shard-safe (the sharded router routes
+//! which is exactly what makes them shard-safe (the sharded client routes
 //! an annotation by the task it references, landing it in the same WAL
 //! segment as that task's votes).
 

@@ -4,18 +4,45 @@
 //!
 //! One coordinator thread owns all redundancy state and the journal; it is
 //! the only writer of either, which keeps the journal's monotone-time
-//! invariant trivially true under real concurrency. Every channel in the
-//! design is either bounded-and-non-blocking (submission queue, worker
-//! inboxes — `try_send` only) or unbounded (results, verdicts), so no
-//! cycle of blocking sends exists and the runtime cannot deadlock on its
-//! own queues.
+//! invariant trivially true under real concurrency.
+//!
+//! ## One inbox, one clock
+//!
+//! The coordinator only ever *reacts* (the paper's Fig. 4 server does
+//! nothing between a job's result and the next): its behaviour is
+//! `Coordinator::step(input, now)` for each `Input` — a submission, an
+//! annotation, a worker's reply or crash report, the drain signal — plus
+//! `fire_due(now)` for the named timers it armed itself (a job's
+//! deadline, hedge check and hang check, a quarantined node's release),
+//! the earliest of which is `next_due()`. No handler reads a clock or a
+//! channel. Clients and worker threads send on one unbounded channel, the
+//! inbox; the thread that owns its receiver and the wall clock is a driver
+//! (`Coordinator::run`): it blocks until an input arrives or a timer
+//! falls due — nothing polls — and stamps each input as it takes it off
+//! the channel, so no record is stamped earlier than its cause.
+//!
+//! A *turn* is: every input that has arrived, each one stepped at its own
+//! stamp; one admission from the backlog; the due timers; the dispatch of
+//! every replica the turn opened, re-armed or found parked; one WAL
+//! commit, which releases the turn's verdicts. Jobs leave for workers
+//! last, so a task decided in a turn was open when the turn began: a turn
+//! decides at most [`RuntimeConfig::max_active`] tasks.
+//!
+//! Nothing in the design blocks on a send: worker inboxes are bounded and
+//! `try_send` only (a refused job is parked, and every turn retries),
+//! the coordinator's inbox and the verdict channels are unbounded. What
+//! bounds the inbox is who may send: submissions wait behind a gate
+//! (`submitted − admitted ≤ queue_cap`, shed at the client), replies and
+//! crash reports number at most the jobs in flight, and an annotation
+//! answers a verdict its sender already holds. So no cycle of blocking
+//! sends exists and the runtime cannot deadlock on its own queues.
 //!
 //! ## Write-ahead logging
 //!
 //! When [`RuntimeConfig::wal`] is set, every journal record goes to a
 //! write-ahead log, and the log is *committed* — written to the file in
 //! one `write`, and fsync'd under [`RuntimeConfig::wal_sync`] — once per
-//! coordinator turn, at the bottom, just before it blocks on a channel
+//! coordinator turn, at the bottom, just before it blocks on its inbox
 //! (and around a checkpoint, and at shutdown). That commit is the only
 //! release point: a decision's verdict is parked when the decision is
 //! logged and sent, in log order, once the commit that holds it has
@@ -53,12 +80,13 @@
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, HashSet, VecDeque};
+use std::ops::Range;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender, SyncSender, TryRecvError};
+use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use smartred_core::audit::AuditPolicy;
 use smartred_core::execution::{Assignment, WaveStep};
@@ -74,7 +102,7 @@ use crate::checkpoint::{checkpoint_path, CheckpointState};
 use crate::ledger::{Delivery, Ledger};
 use crate::recovery::{RecoveryError, RecoveryReport};
 use crate::report::RuntimeReport;
-use crate::worker::{JobAssignment, JobResult, PoolEvent, Worker, WorkerPool};
+use crate::worker::{JobAssignment, JobResult, Pool, Worker, WorkerFactory, WorkerPool};
 use crate::workload::Payload;
 
 /// Runtime configuration.
@@ -86,8 +114,9 @@ pub struct RuntimeConfig {
     pub workers: Option<usize>,
     /// Bounded capacity of each worker's inbox.
     pub inbox_cap: usize,
-    /// Bounded capacity of the submission queue; submissions beyond it are
-    /// shed at the client.
+    /// Capacity of the submission queue — submissions sent and not yet
+    /// admitted, recovered roster entries included; submissions beyond it
+    /// are shed at the client.
     pub queue_cap: usize,
     /// Maximum tasks in flight; submissions past it wait in the queue.
     pub max_active: usize,
@@ -158,10 +187,11 @@ pub struct RuntimeConfig {
     /// `(seed, task, replica)`), so hedging changes *when* verdicts arrive,
     /// never what they say. `None` disables.
     pub hedge: Option<HedgePolicy>,
-    /// Worker-assignment policy for dispatch. `Random` keeps the pool's
-    /// historical round-robin-from-cursor scan; the deterministic
-    /// alternatives order eligible workers through
-    /// [`Assignment::pick`] before dispatch.
+    /// Worker-assignment policy for dispatch: where the scan for a worker
+    /// with inbox room starts. `Random` starts one past the previous pick
+    /// (a live pool's completions do the spreading), the deterministic
+    /// alternatives at [`Assignment::pick`]'s choice among the workers in
+    /// good standing — for `RoundRobin` the same node.
     pub assignment: Assignment,
     /// Per-record WAL checksums: each appended line carries an FNV-1a
     /// checksum of its canonical form, so recovery distinguishes a torn
@@ -318,6 +348,26 @@ impl AdmissionCounters {
     }
 }
 
+/// Admission accounting, shared by the coordinator and its submission
+/// handles. Counts that publish no other data, hence `Relaxed` — except
+/// `crashed`, which a reader acquires to see the dead coordinator's sends.
+#[derive(Debug, Default)]
+pub(crate) struct Gate {
+    /// Submissions sent, recovered roster entries included ...
+    submitted: AtomicU64,
+    /// ... and those admitted: the difference waits in the inbox or the
+    /// backlog, and [`RuntimeConfig::queue_cap`] bounds it. (A sharded
+    /// runtime's clients gate globally and send past this gate; nothing
+    /// reads these two there.)
+    admitted: AtomicU64,
+    /// Open tasks, which decide between `Accepted` and `Queued`.
+    active: AtomicUsize,
+    counters: AdmissionCounters,
+    /// Whether the coordinator died at its chaos crash point; stored as
+    /// its thread ends.
+    crashed: AtomicBool,
+}
+
 /// One admitted submission, in flight to the coordinator.
 pub(crate) struct Submission {
     pub(crate) task: u32,
@@ -325,73 +375,120 @@ pub(crate) struct Submission {
     pub(crate) verdict_tx: Sender<TaskVerdict>,
 }
 
-/// One client → coordinator message: a task submission, or a durable
-/// annotation event to journal into the WAL (workload bookkeeping such
-/// as DAG stage verdicts — no tally state, but crash-recoverable).
-pub(crate) enum ClientOp {
+/// Everything the coordinator reacts to, on the one channel it receives
+/// from: clients send the first two, worker threads the next two, and the
+/// drop of the last submission handle the last.
+pub(crate) enum Input {
+    /// A task to admit.
     Submit(Submission),
+    /// An event to journal durably into the WAL (workload bookkeeping such
+    /// as DAG stage verdicts — no tally state, but crash-recoverable).
     Annotate(RunEvent),
+    /// A job completed (honestly or not) and reported a result.
+    Reply(JobResult),
+    /// [`Worker::execute`] panicked. The thread survived, rebuilt its
+    /// worker from the factory, and is already serving its inbox again;
+    /// the crashed job died with the old worker value and must be
+    /// re-dispatched under a fresh epoch.
+    Crash {
+        /// Pool slot whose worker panicked.
+        worker: u32,
+        /// The job that killed it.
+        job: u32,
+        /// Task the job belonged to.
+        task: u32,
+        /// Epoch the job carried.
+        epoch: u32,
+    },
+    /// Nobody can submit any more: finish what is open, then stop.
+    Drain,
+}
+
+/// The sending half of a coordinator's inbox, as its submission handles
+/// share it: the [`Runtime`], every [`Client`], and a sharded client for
+/// each shard. Worker threads send on the same channel, so it never
+/// disconnects on its own: dropping the last handle sends
+/// [`Input::Drain`].
+#[derive(Debug)]
+pub(crate) struct Inbox {
+    tx: Sender<Input>,
+    gate: Arc<Gate>,
+    pub(crate) next_task: AtomicU32,
+    queue_cap: u64,
+    max_active: usize,
+}
+
+impl Inbox {
+    /// Sends `input`; `false` once the coordinator is gone.
+    pub(crate) fn send(&self, input: Input) -> bool {
+        self.tx.send(input).is_ok()
+    }
+}
+
+impl Drop for Inbox {
+    fn drop(&mut self) {
+        let _ = self.tx.send(Input::Drain);
+    }
 }
 
 /// A submission handle. Clones share the runtime's admission queue but
 /// each clone receives verdicts only for its own submissions.
 #[derive(Debug)]
 pub struct Client {
-    submit_tx: SyncSender<ClientOp>,
+    inbox: Arc<Inbox>,
     verdict_tx: Sender<TaskVerdict>,
     verdict_rx: Receiver<TaskVerdict>,
-    next_task: Arc<AtomicU32>,
-    active: Arc<AtomicUsize>,
-    max_active: usize,
-    counters: Arc<AdmissionCounters>,
 }
 
 impl Client {
-    /// A handle on the admission queue behind `submit_tx` that receives
-    /// its verdicts on `verdicts`.
+    /// A handle on `inbox` that receives its verdicts on `verdicts`.
     fn new(
-        submit_tx: SyncSender<ClientOp>,
+        inbox: Arc<Inbox>,
         (verdict_tx, verdict_rx): (Sender<TaskVerdict>, Receiver<TaskVerdict>),
-        next_task: Arc<AtomicU32>,
-        active: Arc<AtomicUsize>,
-        max_active: usize,
-        counters: Arc<AdmissionCounters>,
     ) -> Self {
         Self {
-            submit_tx,
+            inbox,
             verdict_tx,
             verdict_rx,
-            next_task,
-            active,
-            max_active,
-            counters,
         }
     }
 
-    /// Submits one task. Never blocks: a full queue sheds the submission
-    /// and returns [`SubmitOutcome::Shed`] (task ids are opaque — an id
-    /// burned by a shed submission is never reused for another task).
+    /// Submits one task. Never blocks: a full queue —
+    /// [`RuntimeConfig::queue_cap`] submissions sent and not yet admitted
+    /// — sheds the submission and returns [`SubmitOutcome::Shed`]. The
+    /// gate is consulted before a task id is drawn, so a shed burns none:
+    /// ids are dense in admission order, as a sharded client's are.
     pub fn submit(&self, payload: Payload) -> SubmitOutcome {
-        let task = self.next_task.fetch_add(1, Ordering::Relaxed);
+        let (inbox, gate) = (&*self.inbox, &*self.inbox.gate);
+        let reserve = |sent: u64| {
+            let waiting = sent.saturating_sub(gate.admitted.load(Ordering::Relaxed));
+            (waiting < inbox.queue_cap).then_some(sent + 1)
+        };
+        let shed = || {
+            gate.counters.shed.fetch_add(1, Ordering::Relaxed);
+            SubmitOutcome::Shed
+        };
+        let reserved = gate
+            .submitted
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, reserve);
+        if reserved.is_err() {
+            return shed();
+        }
+        let task = inbox.next_task.fetch_add(1, Ordering::Relaxed);
         let submission = Submission {
             task,
             payload: Arc::new(payload),
             verdict_tx: self.verdict_tx.clone(),
         };
-        match self.submit_tx.try_send(ClientOp::Submit(submission)) {
-            Ok(()) => {
-                if self.active.load(Ordering::Relaxed) < self.max_active {
-                    self.counters.accepted.fetch_add(1, Ordering::Relaxed);
-                    SubmitOutcome::Accepted { task }
-                } else {
-                    self.counters.queued.fetch_add(1, Ordering::Relaxed);
-                    SubmitOutcome::Queued { task }
-                }
-            }
-            Err(_) => {
-                self.counters.shed.fetch_add(1, Ordering::Relaxed);
-                SubmitOutcome::Shed
-            }
+        if !inbox.send(Input::Submit(submission)) {
+            return shed(); // the coordinator is gone, and its queue with it
+        }
+        if gate.active.load(Ordering::Relaxed) < inbox.max_active {
+            gate.counters.accepted.fetch_add(1, Ordering::Relaxed);
+            SubmitOutcome::Accepted { task }
+        } else {
+            gate.counters.queued.fetch_add(1, Ordering::Relaxed);
+            SubmitOutcome::Queued { task }
         }
     }
 
@@ -399,11 +496,15 @@ impl Client {
     /// carry no tally state — recovery preserves and ignores them — but
     /// they share the WAL's ordering and fsync guarantees, so workload
     /// layers (e.g. DAG stage verdicts) can reconstruct their own
-    /// bookkeeping from the same crash-consistent stream. Blocks if the
-    /// admission queue is full (annotations are never shed); returns
-    /// `false` once the runtime has shut down or crashed.
+    /// bookkeeping from the same crash-consistent stream. Never blocks and
+    /// is never shed: an annotation is logged in the turn that takes it
+    /// off the inbox, ahead of any submission sent after it, and what
+    /// bounds the annotations in the inbox is their sender — one answers a
+    /// verdict the sender holds or a task it is about to submit, so there
+    /// are no more of them than of those. Returns `false` once the runtime
+    /// has shut down or crashed.
     pub fn annotate(&self, event: RunEvent) -> bool {
-        self.submit_tx.send(ClientOp::Annotate(event)).is_ok()
+        self.inbox.send(Input::Annotate(event))
     }
 
     /// Blocks for this client's next verdict; `None` once the runtime has
@@ -421,14 +522,7 @@ impl Client {
 
 impl Clone for Client {
     fn clone(&self) -> Self {
-        Self::new(
-            self.submit_tx.clone(),
-            mpsc::channel(),
-            self.next_task.clone(),
-            self.active.clone(),
-            self.max_active,
-            self.counters.clone(),
-        )
+        Self::new(self.inbox.clone(), mpsc::channel())
     }
 }
 
@@ -458,13 +552,8 @@ pub struct RuntimeRun {
 /// `finish` returns the final [`RuntimeRun`].
 #[derive(Debug)]
 pub struct Runtime {
-    pub(crate) submit_tx: Option<SyncSender<ClientOp>>,
+    pub(crate) inbox: Arc<Inbox>,
     handle: JoinHandle<(RuntimeReport, Journal, bool)>,
-    pub(crate) next_task: Arc<AtomicU32>,
-    active: Arc<AtomicUsize>,
-    counters: Arc<AdmissionCounters>,
-    max_active: usize,
-    crashed: Arc<AtomicBool>,
 }
 
 impl Runtime {
@@ -488,9 +577,8 @@ impl Runtime {
             .as_ref()
             .map(|p| build_wal(p, &cfg).expect("create WAL file"));
         let ledger = Ledger::new(&cfg, Arc::new(strategy));
-        let (coordinator, submit_tx) =
-            Coordinator::new(cfg, ledger, journal, wal, Arc::new(make_worker));
-        spawn_runtime(coordinator, submit_tx, 0)
+        let make = Arc::new(make_worker);
+        spawn_runtime(cfg, ledger, journal, wal, make, VecDeque::new(), 0)
     }
 
     /// Restarts a crashed run from its write-ahead log.
@@ -535,7 +623,7 @@ impl Runtime {
         let verdicts = mpsc::channel();
         let (runtime, report) =
             Self::recover_with(cfg, strategy, make_worker, roster, &verdicts.0)?;
-        let client = runtime.client_on(verdicts);
+        let client = Client::new(runtime.inbox.clone(), verdicts);
         Ok((runtime, client, report))
     }
 
@@ -639,7 +727,7 @@ impl Runtime {
         // carry: open tasks get their payload back (first entry wins), and
         // entries the WAL never saw are admitted fresh, under their
         // original ids, ahead of any new submissions.
-        let mut seeded = VecDeque::new();
+        let mut backlog = VecDeque::new();
         for &(task, ref payload) in roster {
             if let Some(state) = ledger.open().get(&task) {
                 if state.delivery.is_none() {
@@ -648,7 +736,7 @@ impl Runtime {
                 }
             } else if !ledger.decided().contains(&task) {
                 let (payload, verdict_tx) = (Arc::new(payload.clone()), verdict_tx.clone());
-                seeded.push_back(Submission {
+                backlog.push_back(Submission {
                     task,
                     payload,
                     verdict_tx,
@@ -688,7 +776,7 @@ impl Runtime {
             checkpoint_events: base.as_ref().map_or(0, |s| s.events),
             tasks_resumed: ledger.open().len(),
             tasks_decided: ledger.decided().len(),
-            tasks_seeded: seeded.len(),
+            tasks_seeded: backlog.len(),
             jobs_rearmed: ledger.open().values().map(|s| s.in_flight.len()).sum(),
             // Checkpoints happen only at quiescence, so no open task
             // straddles one and the ledger's snapshot + suffix fold is
@@ -698,47 +786,37 @@ impl Runtime {
         let max_roster = roster.iter().map(|&(id, _)| id).max();
         let next_task = ledger.max_task().max(max_roster).map_or(0, |m| m + 1);
 
-        let (mut coordinator, submit_tx) =
-            Coordinator::new(cfg, ledger, journal, Some(wal), Arc::new(make_worker));
-        coordinator.seeded = seeded;
-        Ok((spawn_runtime(coordinator, submit_tx, next_task), recovery))
+        let make = Arc::new(make_worker);
+        let runtime = spawn_runtime(cfg, ledger, journal, Some(wal), make, backlog, next_task);
+        Ok((runtime, recovery))
     }
 
     /// Creates a submission handle.
     pub fn client(&self) -> Client {
-        self.client_on(mpsc::channel())
-    }
-
-    fn client_on(&self, verdicts: (Sender<TaskVerdict>, Receiver<TaskVerdict>)) -> Client {
-        Client::new(
-            self.submit_tx.clone().expect("runtime already finished"),
-            verdicts,
-            self.next_task.clone(),
-            self.active.clone(),
-            self.max_active,
-            self.counters.clone(),
-        )
+        Client::new(self.inbox.clone(), mpsc::channel())
     }
 
     /// Whether the coordinator has hit its chaos crash point. Once true,
     /// submissions go nowhere and [`Runtime::finish`] returns promptly
     /// with [`RuntimeRun::crashed`] set.
     pub fn is_crashed(&self) -> bool {
-        self.crashed.load(Ordering::Acquire)
+        self.inbox.gate.crashed.load(Ordering::Acquire)
     }
 
     /// Shuts down: stops accepting submissions, waits for in-flight tasks
     /// to drain and the pool to join, and returns the run.
     ///
-    /// Every [`Client`] must be dropped first — the coordinator drains only
-    /// once all submission handles are gone, so `finish` blocks while any
-    /// client could still submit.
-    pub fn finish(mut self) -> RuntimeRun {
-        drop(self.submit_tx.take());
+    /// Every [`Client`] must be dropped first — the runtime and its
+    /// clients share one inbox handle whose last drop tells the
+    /// coordinator to drain, so `finish` blocks while any client could
+    /// still submit.
+    pub fn finish(self) -> RuntimeRun {
+        let gate = self.inbox.gate.clone();
+        drop(self.inbox);
         let (report, journal, crashed) = self.handle.join().expect("coordinator panicked");
         RuntimeRun {
             report,
-            admission: self.counters.snapshot(),
+            admission: gate.counters.snapshot(),
             journal,
             crashed,
         }
@@ -764,26 +842,38 @@ fn build_wal(path: &std::path::Path, cfg: &RuntimeConfig) -> std::io::Result<Wal
         .with_checksums(cfg.wal_checksum))
 }
 
+/// Starts the worker pool and, over `ledger`, the coordinator's thread.
+/// `backlog` is admitted ahead of anything submitted later; new task ids
+/// start at `next_task`.
 fn spawn_runtime<S: RedundancyStrategy<bool> + Send + Sync + 'static>(
-    coordinator: Coordinator<S>,
-    submit_tx: SyncSender<ClientOp>,
+    cfg: RuntimeConfig,
+    ledger: Ledger<S>,
+    journal: Journal,
+    wal: Option<WalWriter>,
+    make_worker: WorkerFactory,
+    backlog: VecDeque<Submission>,
     next_task: u32,
 ) -> Runtime {
-    let active = coordinator.active.clone();
-    let crashed = coordinator.crashed_flag.clone();
-    let max_active = coordinator.cfg.max_active.max(1);
-    let handle = std::thread::Builder::new()
-        .name("smartred-coordinator".into())
-        .spawn(move || coordinator.run())
-        .expect("spawn coordinator thread");
+    let (tx, rx) = mpsc::channel();
+    let pool = WorkerPool::spawn(
+        cfg.worker_count(),
+        cfg.node_base,
+        cfg.inbox_cap,
+        tx.clone(),
+        make_worker,
+    );
+    let gate = Arc::new(Gate::default());
+    let inbox = Inbox {
+        tx,
+        gate: gate.clone(),
+        next_task: AtomicU32::new(next_task),
+        queue_cap: cfg.queue_cap.max(1) as u64,
+        max_active: cfg.max_active.max(1),
+    };
+    let coordinator = Coordinator::new(cfg, ledger, journal, wal, pool, gate, backlog);
     Runtime {
-        submit_tx: Some(submit_tx),
-        handle,
-        next_task: Arc::new(AtomicU32::new(next_task)),
-        active,
-        counters: Arc::new(AdmissionCounters::default()),
-        max_active,
-        crashed,
+        inbox: Arc::new(inbox),
+        handle: coordinator.run(rx),
     }
 }
 
@@ -815,10 +905,24 @@ enum End {
     Lapsed,
 }
 
-/// What falls due; at equal instants a hedge check precedes a deadline.
+/// What falls due, in firing order at equal instants. The first two are
+/// keyed by node; the others by `(job, dispatch epoch)`, and one whose job
+/// has resolved or was re-dispatched under a newer epoch is stale.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum Timer {
+    /// A quarantine sentence ends: armed where `NodeQuarantined` is logged
+    /// and, on recovery, from the ledger's release stamps.
+    Release,
+    /// A worker may have been inside one `execute` call past
+    /// [`RuntimeConfig::hang_after`]: armed, when that is set, with the
+    /// first job the worker is handed, and re-armed while it is inside a
+    /// call or holds a live job ([`Coordinator::check_hang`]). By worker,
+    /// not by job: a worker can wedge on a job its task no longer waits
+    /// for, and must be healed all the same.
+    Hang,
+    /// A job has outlived the hedge threshold.
     Hedge,
+    /// A job's deadline, its `eta`.
     Deadline,
 }
 
@@ -836,20 +940,19 @@ enum Record {
 /// A job's `(job, replica, epoch)`.
 type Ids = (u32, u32, u32);
 
-struct Coordinator<S> {
+/// The coordinator proper: state, and handlers that are told the time.
+/// `P` is the pool it dispatches to — threads in a runtime, a script in
+/// the unit tests.
+struct Coordinator<S, P> {
     cfg: RuntimeConfig,
     /// Everything the WAL determines — open tasks, the decided set, node
-    /// supervision state, the job-id cursor, live hedge twins, the report
-    /// — which only `log` changes.
+    /// supervision state (which also says who may be dispatched to), the
+    /// job-id cursor, live hedge twins, the report — which only `log`
+    /// changes.
     ledger: Ledger<S>,
-    pool: WorkerPool,
-    submit_rx: Receiver<ClientOp>,
-    result_rx: Receiver<PoolEvent>,
-    start: Instant,
-    /// Stamp offset in micros: 0 for a fresh run, the last replayed
-    /// event's stamp after recovery, so journal time stays monotone across
-    /// restarts.
-    time_base: u64,
+    pool: P,
+    /// The pool's global node ids.
+    nodes: Range<u32>,
     journal: Journal,
     wal: Option<WalWriter>,
     /// Verdicts decided since the last commit, in log order, each parked
@@ -857,12 +960,9 @@ struct Coordinator<S> {
     /// ([`Self::commit_wal`], the only place one is sent).
     outbox: Vec<(Sender<TaskVerdict>, TaskVerdict)>,
     jobs: HashMap<u32, JobInfo>,
-    /// Armed timers as `(due, what, job, dispatch epoch)`, due in journal
-    /// time ([`Self::stamp`]): a deadline per dispatch — its `eta` — and a
-    /// hedge check per hedgeable one. An entry whose job has resolved or
-    /// was re-dispatched under a newer epoch is stale: skipped when it
-    /// falls due, dropped earlier once stale entries outnumber live ones
-    /// ([`Self::launch`]).
+    /// Armed timers as `(due, what, job or node, dispatch epoch)`, due in
+    /// journal time. A stale entry is skipped when it falls due, dropped
+    /// earlier once stale entries outnumber live ones ([`Self::launch`]).
     timers: BinaryHeap<Reverse<(SimTime, Timer, u32, u32)>>,
     /// One entry per replica opened but not yet handed to a worker (all
     /// inboxes full): its task. The replica index is the task's dispatch
@@ -872,16 +972,15 @@ struct Coordinator<S> {
     /// `(job, task, replica, epoch)` — from hung-worker respawns and WAL
     /// recovery.
     rearm: VecDeque<(u32, u32, u32, u32)>,
-    /// Recovered roster tasks awaiting first admission, drained ahead of
-    /// the external submission queue.
-    seeded: VecDeque<Submission>,
-    active: Arc<AtomicUsize>,
+    /// Submissions awaiting admission, oldest first: a recovered roster's
+    /// fresh entries, then whatever arrived while `max_active` tasks were
+    /// open.
+    backlog: VecDeque<Submission>,
+    gate: Arc<Gate>,
     draining: bool,
     /// Journal appends so far, for the chaos crash threshold.
     events_logged: u64,
     crashed: bool,
-    /// `crashed`, published for [`Runtime::is_crashed`] when `run` ends.
-    crashed_flag: Arc<AtomicBool>,
     /// `Journal::next_seq` at the last checkpoint (or recovery), for the
     /// [`RuntimeConfig::checkpoint_every`] accumulation threshold.
     last_ckpt_events: u64,
@@ -893,45 +992,32 @@ struct Coordinator<S> {
     /// Per-worker dispatch counts, indexed by global node id — the load
     /// signal of [`Assignment::LeastLoaded`].
     worker_loads: Vec<u64>,
-    /// Rotation cursor of [`Assignment::RoundRobin`].
-    assign_cursor: u32,
+    /// The one dispatch rotation: one past the node picked last.
+    cursor: u32,
+    /// Workers with a [`Timer::Hang`] armed.
+    watched: HashSet<u32>,
 }
 
-/// Poll tick: bounds how long the loop waits before re-checking the
-/// submission queue and parked dispatches. No verdict waits it out: the
-/// outbox is released before every sleep.
-const TICK: Duration = Duration::from_millis(1);
+fn micros(d: Duration) -> SimDuration {
+    SimDuration::from_micros(d.as_micros() as u64)
+}
 
-impl<S: RedundancyStrategy<bool>> Coordinator<S> {
-    /// A coordinator over `ledger` with its worker pool and channels;
-    /// returns the submission sender with it. What a recovered ledger
-    /// holds resumes: the clock continues from the last stamp, sidelined
-    /// nodes stay disabled, unresolved jobs re-arm in job order without
-    /// new journal records, and replicas parked before the crash dispatch
-    /// in task order — the order a drain would have processed them.
+impl<S: RedundancyStrategy<bool>, P: Pool> Coordinator<S, P> {
+    /// A coordinator over `ledger` and `pool`, with `backlog` to admit
+    /// first. What a recovered ledger holds resumes: unresolved jobs
+    /// re-arm in job order without new journal records, and replicas
+    /// parked before the crash dispatch in task order — the order a drain
+    /// would have processed them. ([`Self::resume`] does the part that
+    /// needs the time.)
     fn new(
         cfg: RuntimeConfig,
         ledger: Ledger<S>,
         journal: Journal,
         wal: Option<WalWriter>,
-        make_worker: Arc<dyn Fn(u32) -> Box<dyn Worker> + Send + Sync>,
-    ) -> (Self, SyncSender<ClientOp>) {
-        let workers = cfg.worker_count();
-        let (submit_tx, submit_rx) = mpsc::sync_channel(cfg.queue_cap.max(1));
-        let (result_tx, result_rx) = mpsc::channel();
-        let mut pool = WorkerPool::spawn(
-            workers,
-            cfg.node_base,
-            cfg.inbox_cap,
-            result_tx,
-            make_worker,
-        );
-        for node in pool.node_ids() {
-            let state = ledger.node(node);
-            if state.blacklisted || state.quarantined_until.is_some() {
-                pool.set_enabled(node, false);
-            }
-        }
+        pool: P,
+        gate: Arc<Gate>,
+        backlog: VecDeque<Submission>,
+    ) -> Self {
         let mut resume: Vec<u32> = ledger.open().keys().copied().collect();
         resume.sort_unstable();
         let mut rearm = Vec::new();
@@ -944,15 +1030,14 @@ impl<S: RedundancyStrategy<bool>> Coordinator<S> {
             pending.extend(std::iter::repeat_n(task, parked));
         }
         rearm.sort_unstable();
-        let coordinator = Coordinator {
-            time_base: ledger.last_at().as_micros(),
+        gate.active.store(resume.len(), Ordering::Relaxed);
+        gate.submitted
+            .store(backlog.len() as u64, Ordering::Relaxed);
+        let nodes = cfg.node_base..cfg.node_base + cfg.worker_count() as u32;
+        Coordinator {
             last_ckpt_events: journal.next_seq(),
-            active: Arc::new(AtomicUsize::new(resume.len())),
             ledger,
             pool,
-            submit_rx,
-            result_rx,
-            start: Instant::now(),
             journal,
             wal,
             outbox: Vec::new(),
@@ -960,115 +1045,174 @@ impl<S: RedundancyStrategy<bool>> Coordinator<S> {
             timers: BinaryHeap::new(),
             pending,
             rearm: rearm.into(),
-            seeded: VecDeque::new(),
+            backlog,
+            gate,
             draining: false,
             events_logged: 0,
             crashed: false,
-            crashed_flag: Arc::new(AtomicBool::new(false)),
             hedge: cfg
                 .hedge
                 .map(|p| HedgeTrigger::new(p).expect("invalid hedge policy")),
             // Indexed by *global* node id, like the ledger's node table.
-            worker_loads: vec![0; cfg.node_base as usize + workers],
-            assign_cursor: cfg.node_base,
+            worker_loads: vec![0; nodes.end as usize],
+            cursor: nodes.start,
+            watched: HashSet::new(),
+            nodes,
             cfg,
-        };
-        (coordinator, submit_tx)
+        }
     }
 
-    fn run(mut self) -> (RuntimeReport, Journal, bool) {
-        // What the recovered WAL prefix still owes comes first: a
-        // quarantine or poisoning whose record the crash cut off, then a
-        // `HedgeWasted` for every twin it left racing.
+    /// The driver: a thread that owns the inbox's receiver and the wall
+    /// clock, and nothing else. Journal time is micros since this call —
+    /// made on the caller's thread, so the epoch lies inside
+    /// `Runtime::start` — plus the last recovered stamp: 1 unit = 1
+    /// second, monotone across restarts. It is read once for each input
+    /// *as it leaves the channel*, so a record is never stamped earlier
+    /// than what caused it, and once for the rest of the turn
+    /// ([`Self::turn`]). The thread sleeps until an input arrives or the
+    /// earliest armed timer falls due, whichever is first; nothing wakes
+    /// it otherwise.
+    fn run(mut self, inbox: Receiver<Input>) -> JoinHandle<(RuntimeReport, Journal, bool)>
+    where
+        S: Send + Sync + 'static,
+        P: Send + 'static,
+    {
+        let start = std::time::Instant::now();
+        let base = self.ledger.last_at().as_micros();
+        let clock = move || SimTime::from_micros(base + start.elapsed().as_micros() as u64);
+        let drive = move || {
+            self.resume(clock());
+            while self.turn(clock()) {
+                let mut input = match self.next_due() {
+                    // The pool holds a sender: no wait ends disconnected.
+                    None => inbox.recv().ok(),
+                    Some(due) => {
+                        let left = due.as_micros().saturating_sub(clock().as_micros());
+                        inbox.recv_timeout(Duration::from_micros(left)).ok()
+                    }
+                };
+                while let Some(next) = input.filter(|_| !self.crashed) {
+                    self.step(next, clock());
+                    input = inbox.try_recv().ok();
+                }
+            }
+            self.gate.crashed.store(self.crashed, Ordering::Release);
+            self.pool.shutdown();
+            (self.ledger.report().clone(), self.journal, self.crashed)
+        };
+        std::thread::Builder::new()
+            .name("smartred-coordinator".into())
+            .spawn(drive)
+            .expect("spawn coordinator thread")
+    }
+
+    /// What a recovered ledger still owes, before anything else: a
+    /// quarantine or poisoning whose record the crash cut off, a
+    /// `HedgeWasted` for every twin it left racing, a release timer for
+    /// every sentence still running. Then every resumed task is nudged
+    /// once: a crash can land between a recorded vote (or abandon) and the
+    /// strategy step it should have triggered, leaving a task with nothing
+    /// outstanding or queued. `advance` is a no-op while votes are
+    /// outstanding. On a fresh ledger all of it is nothing.
+    fn resume(&mut self, now: SimTime) {
         let owed = self.ledger.owed();
-        let at = self.stamp();
-        self.enact(owed.discipline, at);
+        self.enact(owed.discipline, now);
         if let Some(task) = owed.poison {
-            self.finalize(task, Outcome::Poisoned, at);
+            self.finalize(task, Outcome::Poisoned, now);
         }
-        let _ = self.cancel_jobs(None, &[], at);
-        // Then every resumed task is nudged once: a crash can land between
-        // a recorded vote (or abandon) and the strategy step it should
-        // have triggered, leaving a task with nothing outstanding or
-        // queued. `advance` is a no-op while votes are outstanding.
+        let _ = self.cancel_jobs(None, &[], now);
+        for node in self.nodes.clone() {
+            if let Some(until) = self.ledger.node(node).quarantined_until {
+                self.timers.push(Reverse((until, Timer::Release, node, 0)));
+            }
+        }
         let mut resumed: Vec<u32> = self.ledger.open().keys().copied().collect();
         resumed.sort_unstable();
         for task in resumed {
-            if !self.crashed {
-                self.advance(task, self.stamp());
-            }
+            self.advance(task, now);
         }
-        while !self.crashed {
-            self.admit();
-            self.supervise_hangs();
-            self.release_quarantines();
-            self.drain_pending();
-            self.fire_timers();
-            let idle = self.ledger.open().is_empty() && self.seeded.is_empty();
-            if self.crashed || (self.draining && idle) {
-                break;
-            }
-            if idle {
-                self.maybe_checkpoint();
-            }
-            // Turn boundary, the only release point: everything this turn
-            // logged reaches the file in one write, then the verdicts it
-            // decided leave, before the coordinator sleeps.
-            self.commit_wal();
-            if self.crashed {
-                break;
-            }
-            if idle {
-                // Nothing in flight: block on the submission queue.
-                match self.submit_rx.recv_timeout(Duration::from_millis(5)) {
-                    Ok(op) => self.admit_op(op),
-                    Err(RecvTimeoutError::Disconnected) => self.draining = true,
-                    Err(RecvTimeoutError::Timeout) => {}
-                }
-            } else {
-                let wait = self.timers.peek().map_or(TICK, |&Reverse((due, ..))| {
-                    let left = due.as_micros().saturating_sub(self.stamp().as_micros());
-                    Duration::from_micros(left).min(TICK)
-                });
-                match self.result_rx.recv_timeout(wait) {
-                    Ok(event) => {
-                        self.on_pool_event(event);
-                        while !self.crashed {
-                            let Ok(more) = self.result_rx.try_recv() else {
-                                break;
-                            };
-                            self.on_pool_event(more);
-                        }
-                    }
-                    Err(RecvTimeoutError::Timeout) => {}
-                    // All workers gone: nothing can resolve; stop.
-                    Err(RecvTimeoutError::Disconnected) => break,
-                }
-            }
-        }
-        if !self.crashed {
-            let end = self.stamp();
-            if self.log(end, RunEvent::RunEnded) {
-                self.commit_wal();
-            }
-        }
-        let crashed = self.crashed;
-        self.crashed_flag.store(crashed, Ordering::Release);
-        self.pool.shutdown();
-        (self.ledger.report().clone(), self.journal, crashed)
     }
 
-    /// Monotone wall-clock stamp: micros since runtime start (plus the
-    /// recovered base), so 1 journal unit = 1 second of wall time.
-    fn stamp(&self) -> SimTime {
-        SimTime::from_micros(self.time_base + self.start.elapsed().as_micros() as u64)
+    /// Reacts to one input at `now`, the instant the driver took it.
+    fn step(&mut self, input: Input, now: SimTime) {
+        match input {
+            // Straight in while there is room (and nobody ahead of it);
+            // its replicas leave with the turn's other dispatches.
+            Input::Submit(sub) if self.backlog.is_empty() && self.has_room() => {
+                self.admit(sub, now)
+            }
+            Input::Submit(sub) => self.backlog.push_back(sub),
+            // No ack, so no barrier of its own: whatever the caller
+            // observes next is a verdict, released behind a commit that
+            // contains this record.
+            Input::Annotate(event) => {
+                self.log(now, event);
+            }
+            Input::Reply(reply) => self.resolve(reply.job, reply.epoch, End::Returned(reply), now),
+            Input::Crash {
+                worker,
+                job,
+                task,
+                epoch,
+            } => self.resolve(job, epoch, End::Crashed { worker, task }, now),
+            Input::Drain => self.draining = true,
+        }
+    }
+
+    /// The rest of a turn, once its inputs are stepped: one admission from
+    /// the backlog, the due timers, then the dispatches — of everything
+    /// the turn opened or re-armed, so nothing waits on a wake-up that
+    /// may never come — and the turn boundary, the only release point:
+    /// everything the turn logged reaches the file in one write, then the
+    /// verdicts it decided leave, before the driver sleeps. Returns
+    /// `false` when there is no next turn: the coordinator died, or
+    /// drained (and said `RunEnded`).
+    fn turn(&mut self, now: SimTime) -> bool {
+        while self.has_room() && !self.crashed {
+            let Some(sub) = self.backlog.pop_front() else {
+                break;
+            };
+            self.admit(sub, now);
+        }
+        self.fire_due(now);
+        self.drain_pending(now);
+        let idle = self.ledger.open().is_empty() && self.backlog.is_empty();
+        let done = idle && self.draining;
+        if done {
+            self.log(now, RunEvent::RunEnded);
+        } else if idle {
+            self.maybe_checkpoint(now);
+        }
+        self.commit_wal();
+        !(done || self.crashed)
+    }
+
+    /// When the earliest armed timer falls due (it may prove stale).
+    fn next_due(&self) -> Option<SimTime> {
+        self.timers.peek().map(|&Reverse((due, ..))| due)
+    }
+
+    /// Fires every timer due at `now`, in time order.
+    fn fire_due(&mut self, now: SimTime) {
+        while let Some(&Reverse((due, timer, id, epoch))) = self.timers.peek() {
+            if due > now || self.crashed {
+                break;
+            }
+            self.timers.pop();
+            match timer {
+                Timer::Release => self.release(id, now),
+                Timer::Hang => self.check_hang(id, now),
+                Timer::Hedge => self.fire_hedge(id, epoch, now),
+                Timer::Deadline => self.resolve(id, epoch, End::Lapsed, now),
+            }
+        }
     }
 
     /// Records one event: in-memory journal, then the WAL's commit buffer,
     /// then the ledger. The record reaches the file at the next
-    /// [`Self::commit_wal`] — the last thing each `run` turn does before it
-    /// sleeps, and the barrier every verdict waits behind — or earlier when
-    /// a sync falls due ([`RuntimeConfig::wal_batch`]). Effects that die
+    /// [`Self::commit_wal`] — the last thing each turn does before the
+    /// driver sleeps, and the barrier every verdict waits behind — or
+    /// earlier when a sync falls due ([`RuntimeConfig::wal_batch`]). Effects that die
     /// with the process (a dispatch to an in-process worker) need no
     /// barrier: losing their records with them is the same as having
     /// crashed a turn earlier.
@@ -1123,7 +1267,7 @@ impl<S: RedundancyStrategy<bool>> Coordinator<S> {
     /// buffered record to the WAL file in one `write` (and fsyncs under
     /// [`RuntimeConfig::wal_sync`]), then sends the parked verdicts in log
     /// order — a verdict is never delivered before its decision is in the
-    /// file. Called at the bottom of every `run` turn, by the crash hook,
+    /// file. Called at the bottom of every turn, by the crash hook,
     /// around a checkpoint and after `RunEnded`; without a WAL it only
     /// releases. A dead coordinator releases nothing: what a failed append
     /// or commit left parked is decided, perhaps durable, and never sent.
@@ -1153,12 +1297,12 @@ impl<S: RedundancyStrategy<bool>> Coordinator<S> {
     /// recoverable — see the `checkpoint` module docs; an I/O failure
     /// either leaves the old segment intact (snapshot store) or poisons
     /// the writer and crashes the coordinator (truncate/seal).
-    fn maybe_checkpoint(&mut self) {
+    fn maybe_checkpoint(&mut self, at: SimTime) {
         let (Some(every), Some(wal)) = (self.cfg.checkpoint_every, &self.cfg.wal) else {
             return;
         };
         let quiescent = self.ledger.open().is_empty()
-            && self.seeded.is_empty()
+            && self.backlog.is_empty()
             && self.pending.is_empty()
             && self.rearm.is_empty()
             && self.jobs.is_empty();
@@ -1171,7 +1315,6 @@ impl<S: RedundancyStrategy<bool>> Coordinator<S> {
         if self.crashed {
             return;
         }
-        let at = self.stamp();
         let state = self.ledger.checkpoint(events, at);
         let digest = state.digest();
         if state.store(&path).is_err() {
@@ -1192,42 +1335,19 @@ impl<S: RedundancyStrategy<bool>> Coordinator<S> {
         self.last_ckpt_events = self.journal.next_seq();
     }
 
-    fn admit(&mut self) {
-        while self.ledger.open().len() < self.cfg.max_active.max(1) && !self.crashed {
-            if let Some(sub) = self.seeded.pop_front() {
-                self.admit_one(sub);
-                continue;
-            }
-            match self.submit_rx.try_recv() {
-                Ok(op) => self.admit_op(op),
-                Err(TryRecvError::Empty) => break,
-                Err(TryRecvError::Disconnected) => {
-                    self.draining = true;
-                    break;
-                }
-            }
-        }
+    /// Whether another task may be open.
+    fn has_room(&self) -> bool {
+        self.ledger.open().len() < self.cfg.max_active.max(1)
     }
 
-    fn admit_op(&mut self, op: ClientOp) {
-        match op {
-            ClientOp::Submit(sub) => self.admit_one(sub),
-            ClientOp::Annotate(event) => {
-                // No ack, so no barrier of its own: whatever the caller
-                // observes next is a verdict, released behind a commit
-                // that contains this record.
-                let at = self.stamp();
-                self.log(at, event);
-            }
-        }
-    }
-
-    fn admit_one(&mut self, sub: Submission) {
+    /// Opens `sub`'s task and takes its first strategy step.
+    fn admit(&mut self, sub: Submission, at: SimTime) {
         self.ledger
             .attach(sub.task, Delivery::new(sub.payload, sub.verdict_tx));
-        self.active
+        self.gate.admitted.fetch_add(1, Ordering::Relaxed);
+        self.gate
+            .active
             .store(self.ledger.open().len(), Ordering::Relaxed);
-        let at = self.stamp();
         self.advance(sub.task, at);
     }
 
@@ -1258,62 +1378,49 @@ impl<S: RedundancyStrategy<bool>> Coordinator<S> {
         }
     }
 
-    /// Hands an assignment to a worker under the configured assignment
-    /// policy. `avoid` — a hedge twin's origin worker — is excluded unless
-    /// it is the only enabled worker. [`Assignment::Random`] with no
-    /// exclusion delegates to the pool's historical round-robin scan, so
-    /// the default configuration's dispatch order is untouched.
-    fn dispatch_to_pool(
+    /// Hands an assignment to the first worker with inbox room, offering
+    /// the pool the workers in good standing — neither quarantined nor
+    /// blacklisted in the ledger — cyclically from where the assignment
+    /// policy starts. `avoid` — a hedge twin's origin worker — is not
+    /// offered unless no other worker is in good standing.
+    fn place(
         &mut self,
         assignment: JobAssignment,
         avoid: Option<u32>,
     ) -> Result<u32, JobAssignment> {
-        if self.cfg.assignment == Assignment::Random && avoid.is_none() {
-            return self.pool.try_dispatch(assignment).inspect(|&worker| {
-                self.worker_loads[worker as usize] += 1;
-            });
-        }
-        let enabled = self.pool.node_ids().filter(|&n| self.pool.is_enabled(n));
-        let mut eligible: Vec<u32> = enabled.clone().filter(|&n| Some(n) != avoid).collect();
-        if eligible.is_empty() {
-            // Only the avoided worker remains enabled: waive the exclusion.
-            eligible = enabled.collect();
-        }
-        if eligible.is_empty() {
-            return Err(assignment);
-        }
-        // `node_ids()` yields ascending ids, so `eligible` is sorted and
-        // the pick is a pure function of the eligible set.
-        let order: Vec<u32> = if self.cfg.assignment == Assignment::Random {
-            eligible
-        } else {
-            let loads: Vec<u64> = eligible
-                .iter()
-                .map(|&n| self.worker_loads[n as usize])
-                .collect();
-            let at = self
-                .cfg
-                .assignment
-                .pick(&eligible, &loads, self.assign_cursor, 0);
-            let mut order = Vec::with_capacity(eligible.len());
-            order.extend_from_slice(&eligible[at..]);
-            order.extend_from_slice(&eligible[..at]);
-            order
+        let (nodes, ledger) = (self.nodes.clone(), &self.ledger);
+        let avoid = avoid.filter(|&a| nodes.clone().any(|n| n != a && ledger.dispatchable(n)));
+        let offered = |n: &u32| Some(*n) != avoid && ledger.dispatchable(*n);
+        let start = match self.cfg.assignment {
+            Assignment::Random => self.cursor,
+            policy => {
+                let eligible: Vec<u32> = nodes.clone().filter(offered).collect();
+                if eligible.is_empty() {
+                    return Err(assignment);
+                }
+                let load = |&n: &u32| self.worker_loads[n as usize];
+                let loads: Vec<u64> = eligible.iter().map(load).collect();
+                eligible[policy.pick(&eligible, &loads, self.cursor, 0)]
+            }
         };
-        let sent = self.pool.try_dispatch_ordered(assignment, &order);
-        sent.inspect(|&worker| {
-            self.assign_cursor = worker.wrapping_add(1);
-            self.worker_loads[worker as usize] += 1;
-        })
+        let count = nodes.len() as u32;
+        let first = start.wrapping_sub(nodes.start) % count;
+        let order = (0..count).map(|i| nodes.start + (first + i) % count);
+        let worker = self.pool.send_first(assignment, order.filter(offered))?;
+        self.cursor = worker + 1;
+        self.worker_loads[worker as usize] += 1;
+        Ok(worker)
     }
 
-    /// Puts one job in flight: hands it to a worker, journals what `record`
-    /// says, maps it and arms its deadline — and, unless it is a twin, its
-    /// hedge check, if the trigger is warm and the threshold beats the
-    /// deadline (past it the timeout path abandons the job anyway).
-    /// Returns `false` when every inbox refused and the caller should park
-    /// the job; `true` also for a task decided while parked and on death.
-    fn launch(&mut self, task: u32, avoid: Option<u32>, record: Record) -> bool {
+    /// Puts one job in flight at `at`: hands it to a worker, journals what
+    /// `record` says, maps it and arms its deadline, its worker's hang
+    /// check under [`RuntimeConfig::hang_after`] if none is armed — and,
+    /// unless it is a twin, its hedge check, if the trigger is warm and the
+    /// threshold beats the deadline (past it the timeout path abandons the
+    /// job anyway). Returns `false` when every inbox refused and the caller
+    /// should park the job; `true` also for a task decided while parked and
+    /// on death.
+    fn launch(&mut self, task: u32, avoid: Option<u32>, record: Record, at: SimTime) -> bool {
         let Some(state) = self.ledger.open().get(&task) else {
             return true;
         };
@@ -1328,11 +1435,10 @@ impl<S: RedundancyStrategy<bool>> Coordinator<S> {
             epoch,
             payload: state.delivery().payload.clone(),
         };
-        let Ok(worker) = self.dispatch_to_pool(assignment, avoid) else {
+        let Ok(worker) = self.place(assignment, avoid) else {
             return false;
         };
-        let at = self.stamp();
-        let deadline = at + SimDuration::from_micros(self.cfg.deadline.as_micros() as u64);
+        let deadline = at + micros(self.cfg.deadline);
         let event = match record {
             Record::Rearm(_) => None,
             Record::Dispatch => Some(RunEvent::JobDispatched {
@@ -1363,6 +1469,10 @@ impl<S: RedundancyStrategy<bool>> Coordinator<S> {
         );
         self.timers
             .push(Reverse((deadline, Timer::Deadline, job, epoch)));
+        if let Some(limit) = self.cfg.hang_after.filter(|_| self.watched.insert(worker)) {
+            let due = at + micros(limit);
+            self.timers.push(Reverse((due, Timer::Hang, worker, 0)));
+        }
         if !matches!(record, Record::Hedge(..)) {
             let threshold = self.hedge.as_ref().and_then(|t| t.threshold());
             if let Some(threshold) = threshold.filter(|&t| t < self.cfg.deadline.as_secs_f64()) {
@@ -1376,43 +1486,31 @@ impl<S: RedundancyStrategy<bool>> Coordinator<S> {
         // O(in flight). The key is total, so firing order is untouched.
         if self.timers.len() > 4 * self.jobs.len() + 64 {
             let mut timers = std::mem::take(&mut self.timers);
-            timers.retain(|&Reverse((.., job, epoch))| self.fresh(job, epoch).is_some());
+            // (A node's timers are never stale, and there are few nodes.)
+            timers.retain(|&Reverse((_, timer, id, epoch))| {
+                timer < Timer::Hedge || self.fresh(id, epoch).is_some()
+            });
             self.timers = timers;
         }
         true
     }
 
     /// Hands parked replicas to workers, stopping at the first refusal
-    /// (every inbox full) — the next tick retries. Re-armed jobs (hung
-    /// respawns, recovery) go first.
-    fn drain_pending(&mut self) {
+    /// (every inbox full): every turn retries, and the reply that makes
+    /// room starts one. Re-armed jobs (hung respawns, recovery) go first.
+    fn drain_pending(&mut self, at: SimTime) {
         while let Some(&(job, task, replica, epoch)) = self.rearm.front() {
             let rearm = Record::Rearm((job, replica, epoch));
-            if self.crashed || !self.launch(task, None, rearm) {
+            if self.crashed || !self.launch(task, None, rearm, at) {
                 return;
             }
             self.rearm.pop_front();
         }
         while let Some(&task) = self.pending.front() {
-            if self.crashed || !self.launch(task, None, Record::Dispatch) {
+            if self.crashed || !self.launch(task, None, Record::Dispatch, at) {
                 return;
             }
             self.pending.pop_front();
-        }
-    }
-
-    /// Fires every due timer in time order.
-    fn fire_timers(&mut self) {
-        let now = self.stamp();
-        while let Some(&Reverse((due, timer, job, epoch))) = self.timers.peek() {
-            if due > now || self.crashed {
-                break;
-            }
-            self.timers.pop();
-            match timer {
-                Timer::Hedge => self.fire_hedge(job, epoch),
-                Timer::Deadline => self.resolve(job, epoch, End::Lapsed),
-            }
         }
     }
 
@@ -1428,7 +1526,7 @@ impl<S: RedundancyStrategy<bool>> Coordinator<S> {
     /// to the origin's — on a different worker when one is available.
     /// Twins bypass the wave/job accounting entirely: their launch event
     /// replaces `JobDispatched`.
-    fn fire_hedge(&mut self, origin: u32, epoch: u32) {
+    fn fire_hedge(&mut self, origin: u32, epoch: u32, at: SimTime) {
         let Some(policy) = self.cfg.hedge else {
             return;
         };
@@ -1452,7 +1550,7 @@ impl<S: RedundancyStrategy<bool>> Coordinator<S> {
         let twin = self.ledger.next_job();
         // Best-effort: when every inbox refuses, the hedge is skipped.
         let record = Record::Hedge((twin, replica, epoch), origin);
-        self.launch(task, Some(origin_worker), record);
+        self.launch(task, Some(origin_worker), record, at);
     }
 
     /// Dissolves a hedge pair, the only place one ends: the twin's single
@@ -1469,24 +1567,10 @@ impl<S: RedundancyStrategy<bool>> Coordinator<S> {
         self.log(at, event)
     }
 
-    fn on_pool_event(&mut self, event: PoolEvent) {
-        match event {
-            PoolEvent::Result(result) => {
-                self.resolve(result.job, result.epoch, End::Returned(result))
-            }
-            PoolEvent::Crash {
-                worker,
-                job,
-                task,
-                epoch,
-            } => self.resolve(job, epoch, End::Crashed { worker, task }),
-        }
-    }
-
     /// Ends one job, one lifecycle for all three ends: stale-drop, pair
     /// settlement, the terminal record the ledger tallies or abandons on,
     /// what that record earned (strikes, poison), the strategy's next step.
-    fn resolve(&mut self, job: u32, epoch: u32, end: End) {
+    fn resolve(&mut self, job: u32, epoch: u32, end: End, at: SimTime) {
         // A reply counts only if the job is still live *and* carries the
         // epoch it was dispatched under. Late replies after a timeout or
         // verdict, replies from a superseded dispatch and crashes of a
@@ -1494,12 +1578,10 @@ impl<S: RedundancyStrategy<bool>> Coordinator<S> {
         // tallied, so no vote counts twice. A stale deadline just lapses.
         if self.fresh(job, epoch).is_none() {
             if let End::Returned(JobResult { task, .. }) | End::Crashed { task, .. } = end {
-                let at = self.stamp();
                 self.log(at, RunEvent::StaleReplyDropped { job, task, epoch });
             }
             return;
         }
-        let at = self.stamp();
         let info = self.jobs.remove(&job).expect("fresh job is mapped");
         let task = info.task;
         let returned = matches!(end, End::Returned(_));
@@ -1625,22 +1707,32 @@ impl<S: RedundancyStrategy<bool>> Coordinator<S> {
         )
     }
 
-    /// Respawns workers stuck inside one `execute` call past
-    /// [`RuntimeConfig::hang_after`], bumping the epoch of every task with
-    /// jobs lost on that worker and re-arming them.
-    fn supervise_hangs(&mut self) {
+    /// A due hang check: respawns `worker` if it has been inside one
+    /// `execute` call past [`RuntimeConfig::hang_after`]. Otherwise looks
+    /// again when the call it is in — or one it starts now — could have
+    /// been; a worker idle and holding no live job is watched no longer
+    /// (the next job it is handed arms the next check).
+    fn check_hang(&mut self, worker: u32, at: SimTime) {
         let Some(limit) = self.cfg.hang_after else {
             return;
         };
-        for worker in self.pool.node_ids() {
-            if !self.crashed && self.pool.busy_for(worker).is_some_and(|busy| busy > limit) {
-                self.respawn_worker(worker);
-            }
+        let busy = self.pool.busy_for(worker);
+        if busy.is_some_and(|busy| busy > limit) {
+            self.watched.remove(&worker);
+            return self.respawn_worker(worker, at);
         }
+        if busy.is_none() && !self.jobs.values().any(|job| job.worker == worker) {
+            self.watched.remove(&worker);
+            return;
+        }
+        let left = limit - busy.unwrap_or_default();
+        let due = at + micros(left) + SimDuration::from_micros(1);
+        self.timers.push(Reverse((due, Timer::Hang, worker, 0)));
     }
 
-    fn respawn_worker(&mut self, worker: u32) {
-        let at = self.stamp();
+    /// Replaces `worker`'s thread, bumping the epoch of every task with
+    /// jobs lost on it and re-arming them.
+    fn respawn_worker(&mut self, worker: u32, at: SimTime) {
         if !self.log_restart(worker, at) {
             return;
         }
@@ -1697,14 +1789,15 @@ impl<S: RedundancyStrategy<bool>> Coordinator<S> {
     }
 
     /// Carries out a discipline action the ledger says a strike earned —
-    /// but never sidelines the last enabled worker, which would livelock
-    /// the pool.
+    /// but never sidelines the last worker in good standing, which would
+    /// livelock the pool. A quarantine arms its own release.
     fn enact(&mut self, owed: Option<(u32, DisciplineAction)>, at: SimTime) {
         let Some((worker, action)) = owed else {
             return;
         };
-        if self.pool.enabled_count() <= 1 || !self.pool.is_enabled(worker) {
-            return; // livelock guard / already sidelined
+        let standing = |&n: &u32| self.ledger.dispatchable(n);
+        if !standing(&worker) || self.nodes.clone().filter(standing).count() <= 1 {
+            return; // already sidelined / livelock guard
         }
         let event = match action {
             DisciplineAction::None => return,
@@ -1714,28 +1807,23 @@ impl<S: RedundancyStrategy<bool>> Coordinator<S> {
                 reason: DepartureReason::Blacklist,
             },
         };
-        if self.log(at, event) {
-            self.pool.set_enabled(worker, false);
+        if !self.log(at, event) {
+            return;
+        }
+        if let Some(until) = self.ledger.node(worker).quarantined_until {
+            self.timers
+                .push(Reverse((until, Timer::Release, worker, 0)));
         }
     }
 
-    /// Re-enables quarantined workers whose sentence has elapsed.
-    fn release_quarantines(&mut self) {
-        if self.cfg.discipline.is_none() {
-            return;
-        }
-        let now = self.stamp();
-        for worker in self.pool.node_ids() {
-            let due = self.ledger.node(worker).quarantined_until;
-            if due.is_some_and(|until| now >= until) {
-                // Probationary re-admission (the ledger starts it): the
-                // node's next results force audits until it has proven
-                // itself again.
-                if !self.log(now, RunEvent::NodeReleased { node: worker }) {
-                    return;
-                }
-                self.pool.set_enabled(worker, true);
-            }
+    /// A due release: re-admits `node` if its sentence has run (and it
+    /// was not blacklisted meanwhile). Probationary — the ledger starts
+    /// it: the node's next results force audits until it has proven
+    /// itself again.
+    fn release(&mut self, node: u32, at: SimTime) {
+        let due = self.ledger.node(node).quarantined_until;
+        if due.is_some_and(|until| at >= until) {
+            self.log(at, RunEvent::NodeReleased { node });
         }
     }
 
@@ -1882,7 +1970,8 @@ impl<S: RedundancyStrategy<bool>> Coordinator<S> {
         // Parked before the twins settle, so a crash hook tripped by their
         // records still releases it with the decision it made durable.
         let mut state = self.ledger.take_closed().expect("finalizing a live task");
-        self.active
+        self.gate
+            .active
             .store(self.ledger.open().len(), Ordering::Relaxed);
         let delivery = state.delivery.take().expect("attached at admission");
         let vote = match outcome {

@@ -199,6 +199,13 @@ impl<S: RedundancyStrategy<bool>> Ledger<S> {
         self.nodes.get(node as usize).copied().unwrap_or_default()
     }
 
+    /// Whether `node` may be handed jobs: neither serving a quarantine
+    /// nor blacklisted. The one source of truth for it.
+    pub fn dispatchable(&self, node: u32) -> bool {
+        let sidelined = |n: &NodeState| n.blacklisted || n.quarantined_until.is_some();
+        !self.nodes.get(node as usize).is_some_and(sidelined)
+    }
+
     /// The next fresh job id (max dispatched or hedged + 1).
     pub fn next_job(&self) -> u32 {
         self.next_job
@@ -581,7 +588,7 @@ impl<S: RedundancyStrategy<bool>> Ledger<S> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     //! The ledger runs with no threads and no clock: journals are captured
     //! once from a live `Runtime`, then folded back event by event.
 
@@ -634,7 +641,7 @@ mod tests {
     /// reference fold of that prefix — and at full length leave no task
     /// open, no twin live, exactly the journal's decisions decided and the
     /// reference fold's report.
-    fn every_prefix_replays(cfg: &RuntimeConfig, margin: usize, journal: &Journal) {
+    pub(crate) fn every_prefix_replays(cfg: &RuntimeConfig, margin: usize, journal: &Journal) {
         let mut ledger = Ledger::new(cfg, Arc::new(ir(margin)));
         let mut decisions = HashSet::new();
         let mut prefix = Journal::new();

@@ -12,12 +12,15 @@
 //!   [`Worker`] trait, and [`FaultyWorker`], whose lies and hangs are a
 //!   pure function of `(seed, task, replica)` via the counter-based RNG
 //!   streams of `core::parallel`;
-//! * [`coordinator`] — a single coordinator thread owning all redundancy
+//! * [`coordinator`] — a single coordinator owning all redundancy
 //!   state: it admits submissions (bounded queue, load shedding,
 //!   [`SubmitOutcome`]), sizes waves with the shared
 //!   `core::execution::step_wave` surface, tallies votes, enforces
 //!   wall-clock deadlines with timeout→reissue semantics, and delivers
-//!   [`TaskVerdict`]s;
+//!   [`TaskVerdict`]s. It is `step(input, now)` over one inbox that
+//!   clients and workers both send on, plus the timers it arms; its
+//!   thread is a driver that owns the channel and the clock and sleeps
+//!   until an input arrives or a timer falls due;
 //! * [`client`] — [`TaskClient`], the one submission surface both the
 //!   single-coordinator and the sharded client implement;
 //! * [`workload`] — the job payloads replicas execute;
@@ -35,9 +38,9 @@
 //!   whole history, and old WAL segments can be truncated;
 //! * [`shard`] — the sharded multi-coordinator runtime: tasks hash by id
 //!   to one of N coordinators (disjoint WAL segments and worker
-//!   sub-pools) behind a router thread that owns admission control;
-//!   per-shard journals merge deterministically and shard WALs recover
-//!   in parallel.
+//!   sub-pools) behind one admission gate, and a client that passes it
+//!   sends straight to the owning shard's inbox; per-shard journals merge
+//!   deterministically and shard WALs recover in parallel.
 //!
 //! ## Crash recovery
 //!

@@ -1,5 +1,5 @@
 //! The sharded multi-coordinator runtime: N independent coordinators
-//! behind one thin router.
+//! behind one admission gate.
 //!
 //! A single coordinator thread owns every tally, deadline, audit, and WAL
 //! append — the throughput ceiling and recovery bottleneck of the live
@@ -8,8 +8,10 @@
 //! with its own WAL segment (`wal-shard-<k>.jsonl`), its own worker
 //! sub-pool over a disjoint global node-id span
 //! ([`smartred_core::execution::shard_worker_span`]), and its own
-//! journal. A router thread in front does admission control and load
-//! shedding, then forwards each admitted submission to its owning shard.
+//! journal. In front sits admission control and load shedding, and no
+//! thread: a client that gets past the gate sends its submission straight
+//! to the owning shard's inbox, which is unbounded, so the send never
+//! blocks.
 //!
 //! ## The journal contract
 //!
@@ -31,23 +33,21 @@
 //! never re-run or re-delivered — and all recovered verdicts fan into one
 //! shared client.
 //!
-//! ## Router-level admission
+//! ## Admission
 //!
-//! The router's admission gate is a global outstanding-task counter
-//! checked against [`ShardedConfig::admission_cap`]: a submission is shed
-//! iff the counter is full, *before* any task id is routed. Shed
+//! The admission gate is a global outstanding-task counter checked
+//! against [`ShardedConfig::admission_cap`]: a submission is shed iff the
+//! counter is full, *before* any task id is drawn or routed. Shed
 //! accounting is therefore a pure function of the submission/verdict
 //! interleaving — the same number of submissions shed at matched capacity
-//! no matter how many shards sit behind the router. Because outstanding
-//! submissions never exceed the cap and every internal queue holds at
-//! least `admission_cap`, internal forwards never drop or block
-//! indefinitely.
+//! no matter how many shards sit behind the gate. It is the only gate: a
+//! shard's own `queue_cap` is not consulted, since outstanding submissions
+//! never exceed the cap, whichever shards they hash to.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
-use std::sync::mpsc::{self, Receiver, Sender, SyncSender};
+use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::Duration;
 
 use smartred_core::execution::{shard_of, shard_worker_span};
@@ -56,8 +56,8 @@ use smartred_core::strategy::RedundancyStrategy;
 use smartred_desim::journal::{Journal, RunEvent};
 
 use crate::coordinator::{
-    AdmissionCounters, AdmissionStats, ClientOp, Runtime, RuntimeConfig, RuntimeRun, Submission,
-    SubmitOutcome, TaskVerdict,
+    AdmissionCounters, AdmissionStats, Inbox, Input, Runtime, RuntimeConfig, RuntimeRun,
+    Submission, SubmitOutcome, TaskVerdict,
 };
 use crate::recovery::{RecoveryError, RecoveryReport};
 use crate::report::{report_from_journal, RuntimeReport};
@@ -78,7 +78,7 @@ pub struct ShardedConfig {
     /// Directory for the per-shard WAL segments `wal-shard-<k>.jsonl`.
     /// `None` disables write-ahead logging.
     pub wal_dir: Option<PathBuf>,
-    /// Router-level admission cap: the maximum number of outstanding
+    /// The admission cap: the maximum number of outstanding
     /// (admitted, verdict not yet received) tasks. Submissions past it
     /// are shed. Shed counts at matched capacity are independent of the
     /// shard count.
@@ -124,10 +124,6 @@ impl ShardedConfig {
         let mut cfg = self.base.clone();
         cfg.workers = Some(count);
         cfg.node_base = node_base;
-        // Any one shard may transiently hold every outstanding
-        // submission, so its queue must fit the full admission cap — the
-        // invariant that keeps the router's forwards non-blocking.
-        cfg.queue_cap = self.admission_cap.max(1);
         cfg.wal = self.wal_dir.as_ref().map(|d| Self::wal_segment(d, k));
         if let Some(crash) = &self.crash_after {
             cfg.crash_after_events = crash.get(k).copied().flatten();
@@ -158,7 +154,7 @@ pub struct ShardedRun {
     /// per-shard [`RecoveryReport::report`]s carried forward by each
     /// coordinator, not this merge.
     pub report: RuntimeReport,
-    /// Router-level admission tally (sheds never reach any shard and are
+    /// The admission gate's tally (sheds never reach any shard and are
     /// not journaled).
     pub admission: AdmissionStats,
     /// Whether any shard hit its chaos crash point.
@@ -177,7 +173,19 @@ impl From<ShardedRun> for RuntimeRun {
     }
 }
 
-/// A sharded live runtime: N coordinators plus the router thread.
+/// The admission gate, shared by the runtime and its clients.
+#[derive(Debug)]
+struct Front {
+    next_task: AtomicU32,
+    /// Tasks admitted whose verdict no client has received yet.
+    outstanding: AtomicUsize,
+    counters: AdmissionCounters,
+    admission_cap: usize,
+    accept_below: usize,
+}
+
+/// A sharded live runtime: N coordinators, their worker sub-pools, and
+/// nothing else.
 ///
 /// Create with [`ShardedRuntime::start`] (or
 /// [`ShardedRuntime::recover`]), submit through [`ShardedRuntime::client`]
@@ -185,17 +193,11 @@ impl From<ShardedRun> for RuntimeRun {
 #[derive(Debug)]
 pub struct ShardedRuntime {
     shards: Vec<Runtime>,
-    router_tx: Option<SyncSender<ClientOp>>,
-    router: Option<JoinHandle<()>>,
-    next_task: Arc<AtomicU32>,
-    outstanding: Arc<AtomicUsize>,
-    counters: Arc<AdmissionCounters>,
-    admission_cap: usize,
-    accept_below: usize,
+    front: Arc<Front>,
 }
 
 impl ShardedRuntime {
-    /// Starts `cfg.shards` coordinators and the router. `make_worker`
+    /// Starts `cfg.shards` coordinators. `make_worker`
     /// builds the executor for each *global* node id — cartel membership
     /// and fault seeding see one id space regardless of the shard count.
     pub fn start<S, F>(cfg: ShardedConfig, strategy: S, make_worker: F) -> Self
@@ -267,7 +269,7 @@ impl ShardedRuntime {
         }
         let next_task = runtimes
             .iter()
-            .map(|r| r.next_task.load(Ordering::Relaxed))
+            .map(|r| r.inbox.next_task.load(Ordering::Relaxed))
             .max()
             .unwrap_or(0);
         let outstanding: usize = reports
@@ -275,41 +277,26 @@ impl ShardedRuntime {
             .map(|r| r.tasks_resumed + r.tasks_seeded)
             .sum();
         let runtime = Self::assemble(&cfg, runtimes, next_task, outstanding);
-        let client = ShardedClient {
-            router_tx: runtime.router_tx.clone().expect("runtime just started"),
-            verdict_tx,
-            verdict_rx,
-            next_task: runtime.next_task.clone(),
-            outstanding: runtime.outstanding.clone(),
-            counters: runtime.counters.clone(),
-            admission_cap: runtime.admission_cap,
-            accept_below: runtime.accept_below,
-        };
+        let client = runtime.client_on((verdict_tx, verdict_rx));
         Ok((runtime, client, reports))
     }
 
     fn assemble(
         cfg: &ShardedConfig,
-        runtimes: Vec<Runtime>,
+        shards: Vec<Runtime>,
         next_task: u32,
         outstanding: usize,
     ) -> Self {
-        let admission_cap = cfg.admission_cap.max(1);
-        let (router_tx, router_rx) = mpsc::sync_channel(admission_cap);
-        let shard_txs: Vec<SyncSender<ClientOp>> = runtimes
-            .iter()
-            .map(|r| r.submit_tx.clone().expect("shard just started"))
-            .collect();
-        let router = spawn_router(router_rx, shard_txs);
-        Self {
-            shards: runtimes,
-            router_tx: Some(router_tx),
-            router: Some(router),
-            next_task: Arc::new(AtomicU32::new(next_task)),
-            outstanding: Arc::new(AtomicUsize::new(outstanding)),
-            counters: Arc::new(AdmissionCounters::default()),
-            admission_cap,
+        let front = Front {
+            next_task: AtomicU32::new(next_task),
+            outstanding: AtomicUsize::new(outstanding),
+            counters: AdmissionCounters::default(),
+            admission_cap: cfg.admission_cap.max(1),
             accept_below: cfg.base.max_active.max(1).saturating_mul(cfg.shards.max(1)),
+        };
+        Self {
+            shards,
+            front: Arc::new(front),
         }
     }
 
@@ -317,19 +304,18 @@ impl ShardedRuntime {
     /// calls) share the admission gate but receive verdicts only for
     /// their own submissions.
     pub fn client(&self) -> ShardedClient {
-        let (verdict_tx, verdict_rx) = mpsc::channel();
+        self.client_on(mpsc::channel())
+    }
+
+    fn client_on(
+        &self,
+        (verdict_tx, verdict_rx): (Sender<TaskVerdict>, Receiver<TaskVerdict>),
+    ) -> ShardedClient {
         ShardedClient {
-            router_tx: self
-                .router_tx
-                .clone()
-                .expect("sharded runtime already finished"),
+            inboxes: self.shards.iter().map(|r| r.inbox.clone()).collect(),
+            front: self.front.clone(),
             verdict_tx,
             verdict_rx,
-            next_task: self.next_task.clone(),
-            outstanding: self.outstanding.clone(),
-            counters: self.counters.clone(),
-            admission_cap: self.admission_cap,
-            accept_below: self.accept_below,
         }
     }
 
@@ -338,129 +324,95 @@ impl ShardedRuntime {
         self.shards.iter().any(Runtime::is_crashed)
     }
 
-    /// Shuts down: stops the router, finishes every shard, and returns
-    /// the per-shard runs plus the deterministic merged journal/report.
+    /// Shuts down: finishes every shard, and returns the per-shard runs
+    /// plus the deterministic merged journal/report.
     ///
     /// Every [`ShardedClient`] must be dropped first, exactly as with
-    /// [`Runtime::finish`].
-    pub fn finish(mut self) -> ShardedRun {
-        drop(self.router_tx.take());
-        if let Some(router) = self.router.take() {
-            let _ = router.join();
-        }
-        let mut shards: Vec<RuntimeRun> = std::mem::take(&mut self.shards)
-            .into_iter()
-            .map(Runtime::finish)
-            .collect();
+    /// [`Runtime::finish`]: each holds every shard's inbox handle.
+    pub fn finish(self) -> ShardedRun {
+        // Per-shard admission stays zero: clients gate here, not there.
+        let shards: Vec<RuntimeRun> = self.shards.into_iter().map(Runtime::finish).collect();
         let parts: Vec<Journal> = shards.iter().map(|run| run.journal.clone()).collect();
         let journal = Journal::merge_sharded(&parts);
         let report = report_from_journal(&journal);
         let crashed = shards.iter().any(|run| run.crashed);
-        // The router's gate is the only admission accounting — per-shard
-        // counters never see a submission (clients talk to the router).
-        for run in &mut shards {
-            run.admission = AdmissionStats::default();
-        }
         ShardedRun {
             shards,
             journal,
             report,
-            admission: self.counters.snapshot(),
+            admission: self.front.counters.snapshot(),
             crashed,
         }
     }
 }
 
-/// Forwards admitted submissions to their owning shard. The admission
-/// gate bounds outstanding submissions at the shard queues' capacity, so
-/// the blocking `send` below can always make progress; it errors (and the
-/// router exits) only when a shard is gone — shutdown or crash.
-fn spawn_router(rx: Receiver<ClientOp>, shard_txs: Vec<SyncSender<ClientOp>>) -> JoinHandle<()> {
-    std::thread::Builder::new()
-        .name("smartred-router".into())
-        .spawn(move || {
-            let shards = shard_txs.len();
-            while let Ok(op) = rx.recv() {
-                // Submissions route by task id; annotations follow the
-                // task they reference (so merge_sharded keeps them next to
-                // that task's events) and fall back to shard 0 for
-                // task-less events such as stage verdicts.
-                let k = match &op {
-                    ClientOp::Submit(sub) => shard_of(sub.task, shards),
-                    ClientOp::Annotate(event) => event.task().map_or(0, |t| shard_of(t, shards)),
-                };
-                if shard_txs[k].send(op).is_err() {
-                    return;
-                }
-            }
-        })
-        .expect("spawn router thread")
-}
-
 /// A submission handle to a [`ShardedRuntime`]. Task ids are assigned
 /// globally and routed to shards by [`shard_of`]; admission is decided at
-/// the router's global gate before routing.
+/// the global gate before routing.
 #[derive(Debug)]
 pub struct ShardedClient {
-    router_tx: SyncSender<ClientOp>,
+    /// Every shard's inbox, by shard id.
+    inboxes: Vec<Arc<Inbox>>,
+    front: Arc<Front>,
     verdict_tx: Sender<TaskVerdict>,
     verdict_rx: Receiver<TaskVerdict>,
-    next_task: Arc<AtomicU32>,
-    outstanding: Arc<AtomicUsize>,
-    counters: Arc<AdmissionCounters>,
-    admission_cap: usize,
-    accept_below: usize,
 }
 
 impl ShardedClient {
-    /// Submits one task through the router. Never blocks: when the
+    /// The inbox of the shard that owns `task`.
+    fn shard(&self, task: u32) -> &Inbox {
+        &self.inboxes[shard_of(task, self.inboxes.len())]
+    }
+
+    /// Submits one task to the shard that owns it. Never blocks: when the
     /// admission gate is full — `admission_cap` tasks admitted and not
     /// yet resolved — the submission is shed *before* a task id is
     /// burned, and the count of sheds at matched capacity is independent
     /// of the shard count.
     pub fn submit(&self, payload: Payload) -> SubmitOutcome {
-        let admitted = self
+        let front = &*self.front;
+        let admitted = front
             .outstanding
             .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| {
-                (n < self.admission_cap).then_some(n + 1)
+                (n < front.admission_cap).then_some(n + 1)
             });
         let Ok(prev) = admitted else {
-            self.counters.shed.fetch_add(1, Ordering::Relaxed);
+            front.counters.shed.fetch_add(1, Ordering::Relaxed);
             return SubmitOutcome::Shed;
         };
-        let task = self.next_task.fetch_add(1, Ordering::Relaxed);
+        let task = front.next_task.fetch_add(1, Ordering::Relaxed);
         let submission = Submission {
             task,
             payload: Arc::new(payload),
             verdict_tx: self.verdict_tx.clone(),
         };
-        match self.router_tx.try_send(ClientOp::Submit(submission)) {
-            Ok(()) => {
-                if prev < self.accept_below {
-                    self.counters.accepted.fetch_add(1, Ordering::Relaxed);
-                    SubmitOutcome::Accepted { task }
-                } else {
-                    self.counters.queued.fetch_add(1, Ordering::Relaxed);
-                    SubmitOutcome::Queued { task }
-                }
-            }
-            // Unreachable while the gate invariant holds (the router
-            // queue fits the full cap); defensive for a dead router.
-            Err(_) => {
-                self.release();
-                self.counters.shed.fetch_add(1, Ordering::Relaxed);
-                SubmitOutcome::Shed
-            }
+        if !self.shard(task).send(Input::Submit(submission)) {
+            // The shard is gone (crashed): nothing will answer.
+            self.release();
+            front.counters.shed.fetch_add(1, Ordering::Relaxed);
+            return SubmitOutcome::Shed;
+        }
+        if prev < front.accept_below {
+            front.counters.accepted.fetch_add(1, Ordering::Relaxed);
+            SubmitOutcome::Accepted { task }
+        } else {
+            front.counters.queued.fetch_add(1, Ordering::Relaxed);
+            SubmitOutcome::Queued { task }
         }
     }
 
     /// Journals `event` durably into the owning shard's WAL (routed like
-    /// a submission: by the task the event references, shard 0 for
-    /// task-less events). Annotations bypass the admission gate — they
-    /// resolve no verdict — and block rather than shed; returns `false`
-    /// once the runtime has shut down or crashed.
+    /// a submission: by the task the event references — so
+    /// `merge_sharded` keeps it next to that task's events — and to shard
+    /// 0 for task-less events such as stage verdicts). Annotations bypass
+    /// the admission gate — they resolve no verdict — and neither block
+    /// nor shed (see [`crate::Client::annotate`]); returns `false` once
+    /// the shard has shut down or crashed.
     pub fn annotate(&self, event: RunEvent) -> bool {
-        self.router_tx.send(ClientOp::Annotate(event)).is_ok()
+        let shard = event
+            .task()
+            .map_or(&*self.inboxes[0], |task| self.shard(task));
+        shard.send(Input::Annotate(event))
     }
 
     /// Blocks for this client's next verdict; `None` once the runtime
@@ -482,6 +434,7 @@ impl ShardedClient {
     /// Returns one admission slot to the gate.
     fn release(&self) {
         let _ = self
+            .front
             .outstanding
             .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| n.checked_sub(1));
     }
@@ -491,14 +444,10 @@ impl Clone for ShardedClient {
     fn clone(&self) -> Self {
         let (verdict_tx, verdict_rx) = mpsc::channel();
         Self {
-            router_tx: self.router_tx.clone(),
+            inboxes: self.inboxes.clone(),
+            front: self.front.clone(),
             verdict_tx,
             verdict_rx,
-            next_task: self.next_task.clone(),
-            outstanding: self.outstanding.clone(),
-            counters: self.counters.clone(),
-            admission_cap: self.admission_cap,
-            accept_below: self.accept_below,
         }
     }
 }

@@ -11,12 +11,18 @@
 //! deterministic given a seed even though its timings are not.
 //!
 //! The pool is *supervised*: a panic inside [`Worker::execute`] is caught
-//! on the worker thread, reported to the coordinator as
-//! `PoolEvent::Crash`, and the worker value is rebuilt in place from the
-//! factory, so one poisoned payload never takes a pool slot down. Threads
-//! stuck inside `execute` are detected via per-slot heartbeats and
-//! replaced wholesale with `WorkerPool::respawn`; the old thread is
-//! detached and its eventual late reply is rejected by epoch.
+//! on the worker thread, reported to the coordinator as `Input::Crash`,
+//! and the worker value is rebuilt in place from the factory, so one
+//! poisoned payload never takes a pool slot down. Threads stuck inside
+//! `execute` are detected via per-slot heartbeats and replaced wholesale
+//! with `Pool::respawn`; the old thread is detached and its eventual late
+//! reply is rejected by epoch.
+//!
+//! What the coordinator asks of its workers is the `Pool` trait — four
+//! methods, the one outward seam a test has to fake. Which worker *may* be
+//! handed a job is not the pool's to know: the coordinator's ledger holds
+//! the quarantine and blacklist state and offers the pool only nodes in
+//! good standing.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -29,6 +35,7 @@ use rand::Rng;
 use smartred_core::audit::Cartel;
 use smartred_core::parallel::task_rng;
 
+use crate::coordinator::Input;
 use crate::workload::Payload;
 
 /// One replica job handed to a worker.
@@ -66,27 +73,6 @@ pub struct JobResult {
     pub vote: bool,
     /// The answer actually reported: the honest answer, flipped when lying.
     pub answer: bool,
-}
-
-/// Everything a worker thread can report to the coordinator.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum PoolEvent {
-    /// A job completed (honestly or not) and reported a result.
-    Result(JobResult),
-    /// [`Worker::execute`] panicked. The thread survived, rebuilt its
-    /// worker from the factory, and is already serving its inbox again;
-    /// the crashed job died with the old worker value and must be
-    /// re-dispatched under a fresh epoch.
-    Crash {
-        /// Pool slot whose worker panicked.
-        worker: u32,
-        /// The job that killed it.
-        job: u32,
-        /// Task the job belonged to.
-        task: u32,
-        /// Epoch the job carried.
-        epoch: u32,
-    },
 }
 
 /// A job executor running on one pool thread.
@@ -284,6 +270,37 @@ impl Worker for StragglerWorker {
 /// The factory the pool rebuilds workers from after crashes and respawns.
 pub(crate) type WorkerFactory = Arc<dyn Fn(u32) -> Box<dyn Worker> + Send + Sync>;
 
+/// What the coordinator asks of its workers. [`WorkerPool`] answers with
+/// threads; a test answers with a script.
+pub(crate) trait Pool {
+    /// Hands `job` to the first node of `order` (global ids) whose inbox
+    /// has room, returning that node. Never blocks: the assignment comes
+    /// back on `Err` when every offered inbox is full, so the caller can
+    /// park it until a reply makes room.
+    fn send_first(
+        &mut self,
+        job: JobAssignment,
+        order: impl Iterator<Item = u32>,
+    ) -> Result<u32, JobAssignment>;
+
+    /// How long `node` has been inside one `execute` call, or `None` when
+    /// idle — what the hang supervisor holds against its threshold.
+    fn busy_for(&self, node: u32) -> Option<Duration>;
+
+    /// Replaces a hung worker: a fresh thread, worker value, and inbox
+    /// take over `node`'s slot. The old thread is detached — it exits on
+    /// its own when it escapes `execute` and finds its inbox closed, and
+    /// any late reply it manages to send carries a pre-respawn epoch the
+    /// coordinator rejects. Jobs queued in the old inbox are lost; the
+    /// caller must re-dispatch everything in flight on this worker.
+    fn respawn(&mut self, node: u32);
+
+    /// Closes every inbox and joins the threads. Threads caught mid-job
+    /// are detached instead of joined, so a worker hung forever cannot
+    /// wedge shutdown.
+    fn shutdown(self);
+}
+
 /// One pool slot: the live thread plus its supervision state.
 struct WorkerSlot {
     inbox: SyncSender<JobAssignment>,
@@ -292,9 +309,6 @@ struct WorkerSlot {
     /// job began executing. Written by the worker thread, read by the
     /// coordinator's hang supervisor.
     busy_since: Arc<AtomicU64>,
-    /// Dispatch eligibility; cleared when node discipline quarantines the
-    /// worker.
-    enabled: bool,
 }
 
 /// The pool: per-worker bounded inboxes plus joinable threads. Internal to
@@ -304,14 +318,15 @@ struct WorkerSlot {
 /// runtime gives each shard's sub-pool a disjoint id span (see
 /// [`smartred_core::execution::shard_worker_span`]), so journal events,
 /// discipline records, and cartel membership all speak one id space no
-/// matter how the pool is partitioned. All public methods take and return
+/// matter how the pool is partitioned. Every method takes and returns
 /// global node ids.
 pub(crate) struct WorkerPool {
     slots: Vec<WorkerSlot>,
-    events: Sender<PoolEvent>,
+    /// The coordinator's inbox: replies and crash reports join the
+    /// submissions there.
+    events: Sender<Input>,
     make: WorkerFactory,
     inbox_cap: usize,
-    cursor: usize,
     started: Instant,
     base: u32,
 }
@@ -324,17 +339,15 @@ impl WorkerPool {
         count: usize,
         node_base: u32,
         inbox_cap: usize,
-        events: Sender<PoolEvent>,
+        events: Sender<Input>,
         make: WorkerFactory,
     ) -> Self {
-        let started = Instant::now();
         let mut pool = Self {
             slots: Vec::with_capacity(count),
             events,
             make,
             inbox_cap,
-            cursor: 0,
-            started,
+            started: Instant::now(),
             base: node_base,
         };
         for slot in 0..count as u32 {
@@ -352,11 +365,6 @@ impl WorkerPool {
             self.base as usize + self.slots.len(),
         );
         (node - self.base) as usize
-    }
-
-    /// The global node ids this pool owns.
-    pub fn node_ids(&self) -> std::ops::Range<u32> {
-        self.base..self.base + self.slots.len() as u32
     }
 
     fn build_slot(&self, index: u32) -> WorkerSlot {
@@ -377,11 +385,11 @@ impl WorkerPool {
                     let outcome = catch_unwind(AssertUnwindSafe(|| worker.execute(&job)));
                     busy.store(0, Ordering::Release);
                     match outcome {
-                        // The events channel is unbounded: workers never
-                        // block reporting, so a stalled coordinator cannot
-                        // deadlock the pool.
+                        // The coordinator's inbox is unbounded: workers
+                        // never block reporting, so a stalled coordinator
+                        // cannot deadlock the pool.
                         Ok(Some((vote, answer))) => {
-                            let _ = events.send(PoolEvent::Result(JobResult {
+                            let _ = events.send(Input::Reply(JobResult {
                                 job: job.job,
                                 task: job.task,
                                 worker: index,
@@ -392,7 +400,7 @@ impl WorkerPool {
                         }
                         Ok(None) => {}
                         Err(_) => {
-                            let _ = events.send(PoolEvent::Crash {
+                            let _ = events.send(Input::Crash {
                                 worker: index,
                                 job: job.job,
                                 task: job.task,
@@ -410,64 +418,26 @@ impl WorkerPool {
             inbox: tx,
             handle: Some(handle),
             busy_since,
-            enabled: true,
         }
     }
+}
 
-    /// Hands `job` to the first enabled worker (round-robin) whose inbox
-    /// has room, returning its global node id. Never blocks: returns the
-    /// assignment back on `Err` when every eligible inbox is full, so the
-    /// caller can park it and retry after results drain.
-    pub fn try_dispatch(&mut self, job: JobAssignment) -> Result<u32, JobAssignment> {
-        let n = self.slots.len();
-        let mut job = job;
-        for i in 0..n {
-            let w = (self.cursor + i) % n;
-            if !self.slots[w].enabled {
-                continue;
-            }
-            match self.slots[w].inbox.try_send(job) {
-                Ok(()) => {
-                    self.cursor = (w + 1) % n;
-                    return Ok(self.base + w as u32);
-                }
-                Err(TrySendError::Full(back)) | Err(TrySendError::Disconnected(back)) => {
-                    job = back;
-                }
-            }
-        }
-        Err(job)
-    }
-
-    /// Like [`Self::try_dispatch`], but tries workers in the caller-given
-    /// global-id order instead of the pool's round-robin cursor — the hook
-    /// the coordinator's assignment policies and hedge dispatch use.
-    /// Disabled workers are skipped; the round-robin cursor is untouched,
-    /// so ordered dispatch never perturbs the default policy's rotation.
-    pub fn try_dispatch_ordered(
+impl Pool for WorkerPool {
+    fn send_first(
         &mut self,
-        job: JobAssignment,
-        order: &[u32],
+        mut job: JobAssignment,
+        order: impl Iterator<Item = u32>,
     ) -> Result<u32, JobAssignment> {
-        let mut job = job;
-        for &node in order {
-            let w = self.slot_of(node);
-            if !self.slots[w].enabled {
-                continue;
-            }
-            match self.slots[w].inbox.try_send(job) {
+        for node in order {
+            match self.slots[self.slot_of(node)].inbox.try_send(job) {
                 Ok(()) => return Ok(node),
-                Err(TrySendError::Full(back)) | Err(TrySendError::Disconnected(back)) => {
-                    job = back;
-                }
+                Err(TrySendError::Full(back) | TrySendError::Disconnected(back)) => job = back,
             }
         }
         Err(job)
     }
 
-    /// How long node `node` has been inside `execute`, or `None` when
-    /// idle. The hang supervisor compares this against its threshold.
-    pub fn busy_for(&self, node: u32) -> Option<Duration> {
+    fn busy_for(&self, node: u32) -> Option<Duration> {
         let since = self.slots[self.slot_of(node)]
             .busy_since
             .load(Ordering::Acquire);
@@ -478,43 +448,15 @@ impl WorkerPool {
         Some(Duration::from_micros(now.saturating_sub(since - 1)))
     }
 
-    /// Enables or disables dispatch to node `node`. Disabled workers
-    /// keep draining jobs already in their inbox.
-    pub fn set_enabled(&mut self, node: u32, enabled: bool) {
-        let slot = self.slot_of(node);
-        self.slots[slot].enabled = enabled;
-    }
-
-    /// Whether node `node` is eligible for dispatch.
-    pub fn is_enabled(&self, node: u32) -> bool {
-        self.slots[self.slot_of(node)].enabled
-    }
-
-    /// Number of currently enabled workers.
-    pub fn enabled_count(&self) -> usize {
-        self.slots.iter().filter(|s| s.enabled).count()
-    }
-
-    /// Replaces a hung worker: a fresh thread, worker value, and inbox
-    /// take over node `node`'s slot. The old thread is detached — it exits
-    /// on its own when it escapes `execute` and finds its inbox closed, and
-    /// any late reply it manages to send carries a pre-respawn epoch the
-    /// coordinator rejects. Jobs queued in the old inbox are lost; the
-    /// caller must re-dispatch everything in flight on this worker.
-    pub fn respawn(&mut self, node: u32) {
+    fn respawn(&mut self, node: u32) {
         let slot = self.slot_of(node);
         let fresh = self.build_slot(node);
         let old = std::mem::replace(&mut self.slots[slot], fresh);
-        // Preserve the discipline state across the restart.
-        self.slots[slot].enabled = old.enabled;
         drop(old.inbox);
         drop(old.handle); // detach: never join a thread presumed stuck
     }
 
-    /// Closes every inbox and joins the threads. Threads caught mid-job
-    /// are detached instead of joined, so a worker hung forever cannot
-    /// wedge shutdown.
-    pub fn shutdown(mut self) {
+    fn shutdown(mut self) {
         let handles: Vec<(Option<JoinHandle<()>>, Arc<AtomicU64>)> = self
             .slots
             .iter_mut()
@@ -611,13 +553,28 @@ mod tests {
         // third (at the latest) must bounce. Allow a race on the second.
         let mut bounced = false;
         for _ in 0..3 {
-            if pool.try_dispatch(assignment(0, 0)).is_err() {
+            if pool.send_first(assignment(0, 0), 0..1).is_err() {
                 bounced = true;
                 break;
             }
         }
         assert!(bounced, "a saturated pool must refuse, not block");
         pool.shutdown();
+    }
+
+    /// The next report on `rx`, as `Ok(reply)` or `Err((worker, job, task,
+    /// epoch))` of a crash.
+    fn report(rx: &Receiver<Input>) -> Result<JobResult, (u32, u32, u32, u32)> {
+        match rx.recv_timeout(Duration::from_secs(5)) {
+            Ok(Input::Reply(reply)) => Ok(reply),
+            Ok(Input::Crash {
+                worker,
+                job,
+                task,
+                epoch,
+            }) => Err((worker, job, task, epoch)),
+            _ => panic!("a worker reports replies and crashes only, and within 5 s"),
+        }
     }
 
     #[test]
@@ -639,43 +596,31 @@ mod tests {
         );
         let mut job = assignment(0, 0);
         job.epoch = 5;
-        pool.try_dispatch(job).unwrap();
-        match rx.recv_timeout(Duration::from_secs(5)).unwrap() {
-            PoolEvent::Crash {
-                worker,
-                job,
-                task,
-                epoch,
-            } => {
-                assert_eq!((worker, job, task, epoch), (0, 0, 0, 5));
-            }
-            PoolEvent::Result(r) => panic!("expected crash, got result {r:?}"),
-        }
+        pool.send_first(job, 0..1).unwrap();
+        assert_eq!(report(&rx).unwrap_err(), (0, 0, 0, 5));
         // The same slot keeps serving after the rebuild.
-        pool.try_dispatch(assignment(1, 0)).unwrap();
-        assert!(matches!(
-            rx.recv_timeout(Duration::from_secs(5)).unwrap(),
-            PoolEvent::Crash { task: 1, .. }
-        ));
+        pool.send_first(assignment(1, 0), 0..1).unwrap();
+        assert_eq!(report(&rx).unwrap_err(), (0, 0, 1, 0));
         pool.shutdown();
     }
 
     #[test]
-    fn disabled_workers_are_skipped_by_dispatch() {
+    fn only_the_offered_nodes_are_tried_and_in_the_order_given() {
         let (tx, rx) = std::sync::mpsc::channel();
-        let mut pool = WorkerPool::spawn(2, 0, 4, tx, factory(0, FaultProfile::default()));
-        pool.set_enabled(0, false);
-        assert_eq!(pool.enabled_count(), 1);
+        let mut pool = WorkerPool::spawn(3, 0, 4, tx, factory(0, FaultProfile::default()));
         for _ in 0..4 {
-            let worker = pool.try_dispatch(assignment(0, 0)).unwrap();
-            assert_eq!(worker, 1, "disabled slot 0 must never be picked");
+            let worker = pool.send_first(assignment(0, 0), [2, 1].into_iter());
+            assert_eq!(
+                worker.unwrap(),
+                2,
+                "node 0 was not offered, node 2 came first"
+            );
         }
         for _ in 0..4 {
-            match rx.recv_timeout(Duration::from_secs(5)).unwrap() {
-                PoolEvent::Result(r) => assert_eq!(r.worker, 1),
-                PoolEvent::Crash { .. } => panic!("honest worker cannot crash"),
-            }
+            assert_eq!(report(&rx).unwrap().worker, 2);
         }
+        let nobody = pool.send_first(assignment(0, 0), std::iter::empty());
+        assert!(nobody.is_err(), "no node offered, no node takes it");
         pool.shutdown();
     }
 
@@ -693,7 +638,7 @@ mod tests {
         }
         let (tx, rx) = std::sync::mpsc::channel();
         let mut pool = WorkerPool::spawn(1, 0, 4, tx, Arc::new(|_| Box::new(Stuck)));
-        pool.try_dispatch(assignment(0, 0)).unwrap();
+        pool.send_first(assignment(0, 0), 0..1).unwrap();
         // Wait until the supervisor would see the slot busy.
         let deadline = Instant::now() + Duration::from_secs(5);
         while pool.busy_for(0).is_none() {
@@ -703,11 +648,8 @@ mod tests {
         pool.respawn(0);
         // The fresh incarnation serves jobs while the old thread stays
         // parked (and is detached at shutdown rather than joined).
-        pool.try_dispatch(assignment(1, 0)).unwrap();
-        match rx.recv_timeout(Duration::from_secs(5)).unwrap() {
-            PoolEvent::Result(r) => assert_eq!(r.task, 1),
-            PoolEvent::Crash { .. } => panic!("unexpected crash"),
-        }
+        pool.send_first(assignment(1, 0), 0..1).unwrap();
+        assert_eq!(report(&rx).unwrap().task, 1);
         pool.shutdown();
     }
 
@@ -715,24 +657,12 @@ mod tests {
     fn pools_with_a_node_base_speak_global_ids() {
         let (tx, rx) = std::sync::mpsc::channel();
         let mut pool = WorkerPool::spawn(2, 10, 4, tx, factory(0, FaultProfile::default()));
-        assert_eq!(pool.node_ids(), 10..12);
-        // Dispatch returns global ids, and results carry them too.
-        let first = pool.try_dispatch(assignment(0, 0)).unwrap();
-        assert!(pool.node_ids().contains(&first));
-        match rx.recv_timeout(Duration::from_secs(5)).unwrap() {
-            PoolEvent::Result(r) => assert_eq!(r.worker, first),
-            PoolEvent::Crash { .. } => panic!("honest worker cannot crash"),
-        }
-        // Discipline and supervision address slots by global id.
-        pool.set_enabled(10, false);
-        assert!(!pool.is_enabled(10));
-        assert!(pool.is_enabled(11));
-        assert_eq!(pool.enabled_count(), 1);
-        assert_eq!(pool.try_dispatch(assignment(1, 0)).unwrap(), 11);
-        assert!(matches!(
-            rx.recv_timeout(Duration::from_secs(5)).unwrap(),
-            PoolEvent::Result(JobResult { worker: 11, .. })
-        ));
+        // Dispatch takes and returns global ids, and results carry them.
+        assert_eq!(pool.send_first(assignment(0, 0), 10..12).unwrap(), 10);
+        assert_eq!(report(&rx).unwrap().worker, 10);
+        assert_eq!(pool.send_first(assignment(1, 0), 11..12).unwrap(), 11);
+        assert_eq!(report(&rx).unwrap().worker, 11);
+        // Supervision addresses slots by global id too.
         pool.respawn(11);
         assert!(pool.busy_for(11).is_none());
         pool.shutdown();

@@ -1,6 +1,6 @@
 //! Cross-shard test battery for the sharded multi-coordinator runtime:
 //! N=1 identity against the unsharded runtime, shard-count equivalence of
-//! verdicts (property), router-level shed accounting independence
+//! verdicts (property), gate-level shed accounting independence
 //! (differential), and the audit re-tally shard-routing regression.
 //!
 //! The equivalence tests lean on the determinism contract: fault draws
@@ -150,7 +150,7 @@ impl Worker for Gated {
     }
 }
 
-/// Differential satellite: under overload, the router's admission gate
+/// Differential satellite: under overload, the global admission gate
 /// sheds exactly `submitted - admission_cap` submissions — the same count
 /// for every shard count at matched capacity, because shedding is decided
 /// by the global outstanding counter before any task id is routed.
