@@ -1,7 +1,9 @@
-//! The WAL reader's allocation contract, held by a counting allocator:
-//! reading a record allocates nothing, reading a whole log of one block
-//! allocates once — the event vector, sized from the input's length —
-//! and a longer log allocates once more per block.
+//! The WAL's allocation contracts, held by a counting allocator. The
+//! reader: reading a record allocates nothing, reading a whole log of one
+//! block allocates once — the event vector, sized from the input's length
+//! — and a longer log allocates once more per block. The writer: once its
+//! buffer and its list of unsealed records have grown, appending and
+//! committing allocate nothing.
 //!
 //! This file is its own test binary because it installs a global
 //! allocator; the count is per thread, so the harness's own threads do not
@@ -9,8 +11,10 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::{Arc, Mutex};
 
-use smartred_desim::journal::{Journal, RunEvent, Stamped};
+use smartred_desim::disk::Disk;
+use smartred_desim::journal::{fnv1a_64, Journal, RunEvent, Stamped, WalWriter};
 use smartred_desim::time::SimTime;
 
 thread_local! {
@@ -165,4 +169,57 @@ fn reading_many_blocks_allocates_per_block_not_per_line() {
         "the second log has the lines: {lines:?}"
     );
     let _ = std::fs::remove_file(&path);
+}
+
+/// A [`Disk`] that keeps no bytes, only how many and the hash of each
+/// write, so writing to it allocates nothing.
+#[derive(Debug, Default, Clone)]
+struct Tally(Arc<Mutex<Vec<(usize, u64)>>>);
+
+impl Disk for Tally {
+    fn write_all(&mut self, buf: &[u8]) -> std::io::Result<()> {
+        self.0.lock().unwrap().push((buf.len(), fnv1a_64(buf)));
+        Ok(())
+    }
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+    fn sync_data(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+    fn set_len(&mut self, _: u64) -> std::io::Result<()> {
+        Ok(())
+    }
+    fn seek_end(&mut self) -> std::io::Result<u64> {
+        Ok(0)
+    }
+}
+
+/// After one pass has grown the commit buffer (past the 64 KiB cap, so it
+/// writes out mid-pass too) and the list of records awaiting their
+/// checksums, the same appends and a commit, plain and checksummed
+/// records interleaved, allocate nothing, and write what the first pass
+/// wrote.
+#[test]
+fn appending_and_committing_allocate_nothing_once_the_buffers_have_grown() {
+    let journal = sample();
+    let disk = Tally::default();
+    // Room for both passes' tallies, outside the count.
+    disk.0.lock().unwrap().reserve(64);
+    let mut wal = WalWriter::with_disk(Box::new(disk.clone()), false);
+    let mut allocations = Vec::new();
+    for _pass in 0..2 {
+        let before = ALLOCATIONS.with(Cell::get);
+        for (i, e) in journal.events().iter().enumerate() {
+            wal = wal.with_checksums(i % 5 != 0);
+            wal.append(e).unwrap();
+        }
+        wal.commit().unwrap();
+        allocations.push(ALLOCATIONS.with(Cell::get) - before);
+    }
+    assert_eq!(allocations[1], 0, "{allocations:?}");
+    let writes = disk.0.lock().unwrap().clone();
+    let (first, second) = writes.split_at(writes.len() / 2);
+    assert!(first.len() > 1, "the cap never wrote: {writes:?}");
+    assert_eq!(first, second);
 }

@@ -4,7 +4,10 @@
 //! `SMARTRED_THREADS` parallelism knob), and windowing agrees with a naive
 //! filter.
 
+use std::sync::{Arc, Mutex};
+
 use proptest::prelude::*;
+use smartred_desim::disk::Disk;
 use smartred_desim::journal::{
     assert as jassert, DepartureReason, EventKind, FaultKind, Journal, RunEvent, Stamped, WalWriter,
 };
@@ -473,6 +476,149 @@ fn wal_bytes_after_commit_equal_the_line_encoders_for_every_kind() {
             );
             std::fs::remove_file(&path).ok();
         }
+    }
+}
+
+/// A [`Disk`] that keeps what it is handed; clones share it, so the test
+/// reads what the writer wrote.
+#[derive(Debug, Default, Clone)]
+struct Recorded(Arc<Mutex<Vec<u8>>>);
+
+impl Disk for Recorded {
+    fn write_all(&mut self, buf: &[u8]) -> std::io::Result<()> {
+        self.0.lock().unwrap().extend_from_slice(buf);
+        Ok(())
+    }
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+    fn sync_data(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+    fn set_len(&mut self, len: u64) -> std::io::Result<()> {
+        self.0.lock().unwrap().truncate(len as usize);
+        Ok(())
+    }
+    fn seek_end(&mut self) -> std::io::Result<u64> {
+        Ok(self.0.lock().unwrap().len() as u64)
+    }
+}
+
+/// `10^k + d`, saturating, for `k < 20`; `u64::MAX` past that: the values
+/// at which a decimal encoder gains a digit.
+fn near_pow10(k: u32, d: i64) -> u64 {
+    match 10u64.checked_pow(k) {
+        Some(p) => p.saturating_add_signed(d),
+        None => u64::MAX,
+    }
+}
+
+/// `event` with its `u64` fields and times, if it has any, at `wide`, and
+/// its confidence, if it has one, at `confidence`.
+fn widen(event: RunEvent, wide: u64, confidence: f64) -> RunEvent {
+    let time = SimTime::from_micros(wide);
+    match event {
+        RunEvent::JobDispatched {
+            job, task, node, ..
+        } => RunEvent::JobDispatched {
+            job,
+            task,
+            node,
+            eta: time,
+        },
+        RunEvent::TransferStarted {
+            xfer,
+            job,
+            task,
+            node,
+            ..
+        } => RunEvent::TransferStarted {
+            xfer,
+            job,
+            task,
+            node,
+            bytes: wide,
+            eta: time,
+        },
+        RunEvent::CheckpointTaken { .. } => RunEvent::CheckpointTaken {
+            events: wide,
+            digest: wide,
+        },
+        RunEvent::VerdictReached {
+            task,
+            value,
+            degraded,
+            ..
+        } => RunEvent::VerdictReached {
+            task,
+            value,
+            degraded,
+            confidence,
+        },
+        other => other,
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// The writer seals checksums in groups at write-out; the per-record
+    /// encoders seal one record. Whatever the kinds and the widths of
+    /// their numbers, however many records a commit holds (so every
+    /// remainder of a group occurs), with the 64 KiB cap writing in
+    /// between, and with checksums switched on and off inside one batch,
+    /// the file is the per-record lines in order.
+    #[test]
+    fn the_writer_writes_what_the_line_encoders_write(
+        entries in proptest::collection::vec(
+            ((0..ARMS, any::<u32>(), any::<u32>(), proptest::bool::ANY),
+             (0u32..21, 0u32..21, -2i64..3, 0.0f64..1.0)),
+            1..80,
+        ),
+        commits in proptest::collection::vec(1usize..10, 1..40),
+        (flips, over_cap, start_checksummed, toggles) in
+            (0u8..3, 0u8..4, proptest::bool::ANY, any::<u64>()),
+    ) {
+        let (flips, over_cap) = (flips == 0, over_cap == 0);
+        let disk = Recorded::default();
+        let mut checksums = start_checksummed;
+        let mut wal = WalWriter::with_disk(Box::new(disk.clone()), false).with_checksums(checksums);
+        let mut expected = String::new();
+        let mut sizes = commits.iter().copied().cycle();
+        // Past the cap: the entries again under fresh stamps, and a first
+        // commit of more than 64 KiB.
+        let (total, mut left) = match over_cap {
+            true => (2_000, 1_900),
+            false => (entries.len(), sizes.next().unwrap()),
+        };
+        for (i, &((sel, a, b, v), (k_at, k_seq, d, confidence))) in
+            entries.iter().cycle().take(total).enumerate()
+        {
+            let e = Stamped {
+                at: SimTime::from_micros(near_pow10(k_at, d)),
+                seq: near_pow10(k_seq, d).wrapping_add(i as u64),
+                event: widen(event_from(sel, a, b, v), near_pow10(k_at.max(k_seq), d), confidence),
+            };
+            if flips && toggles >> (i % 64) & 1 == 1 {
+                checksums = !checksums;
+                wal = wal.with_checksums(checksums);
+            }
+            wal.append(&e).unwrap();
+            expected.push_str(&match checksums {
+                true => e.to_jsonl_line_checksummed(),
+                false => e.to_jsonl_line(),
+            });
+            expected.push('\n');
+            left -= 1;
+            if left == 0 {
+                let written = !disk.0.lock().unwrap().is_empty();
+                prop_assert!(written || !over_cap, "1 900 records, and the cap never wrote");
+                wal.commit().unwrap();
+                left = sizes.next().unwrap();
+            }
+        }
+        wal.commit().unwrap();
+        prop_assert_eq!(String::from_utf8(disk.0.lock().unwrap().clone()).unwrap(), expected);
     }
 }
 

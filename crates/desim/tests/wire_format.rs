@@ -5,9 +5,11 @@
 //! framing, the second half — the same events at later stamps — in `crc`
 //! framing. A WAL written by one build must stay readable by the next, so
 //! this file is never regenerated: a change that makes this test fail has
-//! changed the wire format or the digest.
+//! changed the wire format or the digest. The WAL writer, at any commit
+//! size, must write the checksummed half as it stands.
 
-use smartred_desim::journal::{EventKind, Journal, Stamped};
+use smartred_desim::journal::{EventKind, Journal, RunEvent, Stamped, WalWriter};
+use smartred_desim::time::SimTime;
 
 const FIXTURE: &str = include_str!("fixtures/wire_v1.jsonl");
 const DIGEST_HEX: &str = "5ceedaf23721a318";
@@ -55,5 +57,74 @@ fn wire_v1_fixture_parses_and_reencodes_byte_for_byte() {
     assert_eq!(prefix.journal, journal);
     for (line, e) in FIXTURE.lines().zip(journal.events()) {
         assert_eq!(&Stamped::from_jsonl_line(line).unwrap(), e);
+    }
+}
+
+/// The writer seals its checksums a group at a time when it writes out;
+/// whatever a commit holds — one record, a group and change, a whole
+/// group, or everything — the checksummed half of the fixture is what
+/// reaches the disk.
+#[test]
+fn the_wal_writer_writes_the_checksummed_half_byte_for_byte() {
+    let journal = Journal::from_jsonl(FIXTURE).unwrap();
+    let (plain, checksummed) = journal.events().split_at(journal.len() / 2);
+    let plain_bytes: usize = FIXTURE.lines().take(plain.len()).map(|l| l.len() + 1).sum();
+    let expected = &FIXTURE[plain_bytes..];
+    let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"))
+        .join(format!("smartred-wire-v1-{}.wal.jsonl", std::process::id()));
+    for batch in [1, 3, 4, 5, checksummed.len()] {
+        let mut wal = WalWriter::create(&path, false)
+            .unwrap()
+            .with_checksums(true);
+        for records in checksummed.chunks(batch) {
+            for e in records {
+                wal.append(e).unwrap();
+            }
+            wal.commit().unwrap();
+        }
+        let written = std::fs::read_to_string(&path).unwrap();
+        assert_eq!(written, expected, "commit every {batch}");
+    }
+    std::fs::remove_file(&path).ok();
+}
+
+/// Integers are written two digits at a time: at every width they are
+/// spelled as `to_string` spells them, and read back.
+#[test]
+fn integers_are_spelled_as_to_string_spells_them_at_every_width() {
+    let mut values = vec![0, 9, 10, 99, 100, u64::from(u32::MAX), u64::MAX];
+    for k in 1..20 {
+        values.extend([10u64.pow(k) - 1, 10u64.pow(k)]);
+    }
+    for v in values {
+        let entry = Stamped {
+            at: SimTime::from_micros(v),
+            seq: v,
+            event: RunEvent::CheckpointTaken {
+                events: v,
+                digest: v,
+            },
+        };
+        let line = entry.to_jsonl_line();
+        let n = v.to_string();
+        assert_eq!(
+            line,
+            format!(
+                r#"{{"at":{n},"seq":{n},"kind":"checkpoint_taken","events":{n},"digest":{n}}}"#
+            )
+        );
+        for line in [line, entry.to_jsonl_line_checksummed()] {
+            assert_eq!(Stamped::from_jsonl_line(&line), Ok(entry), "{line}");
+        }
+        if let Ok(small) = u32::try_from(v) {
+            let entry = Stamped {
+                at: SimTime::ZERO,
+                seq: 0,
+                event: RunEvent::NodeJoined { node: small },
+            };
+            let line = entry.to_jsonl_line();
+            assert!(line.ends_with(&format!(r#""node":{n}}}"#)), "{line}");
+            assert_eq!(Stamped::from_jsonl_line(&line), Ok(entry), "{line}");
+        }
     }
 }

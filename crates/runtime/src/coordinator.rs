@@ -1994,4 +1994,4 @@ impl<S: RedundancyStrategy<bool>, P: Pool> Coordinator<S, P> {
 }
 
 #[cfg(test)]
-mod tests;
+pub(crate) mod tests;

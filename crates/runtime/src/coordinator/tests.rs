@@ -9,12 +9,12 @@ use std::sync::Mutex;
 use rand::Rng;
 use smartred_core::audit::Cartel;
 use smartred_core::parallel::task_rng;
-use smartred_core::params::VoteMargin;
 use smartred_core::strategy::Iterative;
 use smartred_desim::disk::Disk;
 use smartred_desim::journal::EventKind;
 
 use super::*;
+use crate::ledger::tests::ir;
 use crate::report::report_from_journal;
 use crate::shard::{ShardedConfig, ShardedRuntime};
 use crate::worker::{CartelWorker, FaultProfile, FaultyWorker, StragglerWorker};
@@ -69,7 +69,7 @@ impl Disk for RecordingDisk {
 }
 
 fn strategy() -> Iterative {
-    Iterative::new(VoteMargin::new(3).unwrap())
+    ir(3)
 }
 
 fn payload() -> Payload {
@@ -348,8 +348,9 @@ fn at(micros: u64) -> SimTime {
 }
 
 impl Rig {
-    fn new(cfg: RuntimeConfig, wal: Option<WalWriter>, pool: ScriptedPool) -> Self {
-        let ledger = Ledger::new(&cfg, Arc::new(strategy()));
+    /// A rig whose strategy is IR with vote margin `margin`.
+    fn new(cfg: RuntimeConfig, margin: usize, wal: Option<WalWriter>, pool: ScriptedPool) -> Self {
+        let ledger = Ledger::new(&cfg, Arc::new(ir(margin)));
         let journal = match cfg.journal {
             true => Journal::new(),
             false => Journal::disabled(),
@@ -408,6 +409,42 @@ impl Rig {
     }
 }
 
+/// Serves `tasks` zero-work tasks to completion under IR with vote margin
+/// `margin`, with the test as the driver: one turn per millisecond of
+/// scripted time, after which every job dispatched is answered as the
+/// worker `make_worker` builds for its node answers it. Then it drains a
+/// millisecond after the last verdict, so whatever falls due by then — a
+/// short quarantine sentence's release among it — fires before `RunEnded`.
+/// The journal is a function of the arguments alone.
+pub(crate) fn serve_scripted(
+    cfg: RuntimeConfig,
+    margin: usize,
+    tasks: u32,
+    make_worker: impl Fn(u32) -> Box<dyn Worker>,
+) -> Journal {
+    let mut rig = Rig::new(cfg, margin, None, ScriptedPool::default());
+    let mut workers: HashMap<u32, Box<dyn Worker>> = HashMap::new();
+    rig.c.resume(at(0));
+    for _ in 0..tasks {
+        rig.submit(0);
+    }
+    let (mut now, mut decided) = (0, 0);
+    while decided < tasks as usize {
+        now += 1_000;
+        assert!(now < 60_000_000, "the run does not end");
+        assert!(rig.c.turn(at(now)));
+        for (node, job) in std::mem::take(&mut rig.c.pool.sent) {
+            let worker = workers.entry(node).or_insert_with(|| make_worker(node));
+            let (vote, _) = worker.execute(&job).expect("these workers always answer");
+            rig.reply(node, &job, vote, now);
+        }
+        decided += rig.delivered().len();
+    }
+    rig.c.step(Input::Drain, at(now + 1_000));
+    assert!(!rig.c.turn(at(now + 1_000)), "drained and idle");
+    rig.c.journal
+}
+
 /// The benchmark's `crash_recover` gate, inside tier-1: a turn's verdicts
 /// wait for the turn's commit, but the crash hook commits before it dies
 /// and releases what that commit made durable — so of the decisions on the
@@ -430,7 +467,7 @@ fn a_hook_crash_leaves_at_most_one_durable_decision_undelivered() {
         };
         let disk = RecordingDisk::default();
         let wal = wal_on(&cfg, disk.clone());
-        let mut rig = Rig::new(cfg, Some(wal), ScriptedPool::default());
+        let mut rig = Rig::new(cfg, 3, Some(wal), ScriptedPool::default());
         for _ in 0..TASKS {
             rig.submit(0);
         }
@@ -481,7 +518,7 @@ fn the_timer_heap_stays_proportional_to_the_jobs_in_flight() {
         journal: false,
         ..RuntimeConfig::default()
     };
-    let mut rig = Rig::new(cfg, None, ScriptedPool::default());
+    let mut rig = Rig::new(cfg, 3, None, ScriptedPool::default());
     let (mut decided, mut peak_jobs, mut peak_timers) = (0, 0, 0);
     for now in 0.. {
         if decided == TASKS {
@@ -518,7 +555,7 @@ fn nothing_is_due_but_what_was_armed_and_a_submission_is_admitted_as_it_arrives(
         discipline: Some(QuarantinePolicy::default()),
         ..RuntimeConfig::default()
     };
-    let mut rig = Rig::new(cfg.clone(), None, ScriptedPool::default());
+    let mut rig = Rig::new(cfg.clone(), 3, None, ScriptedPool::default());
     rig.c.resume(at(0));
     assert!(rig.c.turn(at(0)));
     assert_eq!(rig.c.next_due(), None, "no periodic wake-up exists");
@@ -706,7 +743,7 @@ fn explore(seed: u64) -> Journal {
         cap: 2,
         ..ScriptedPool::default()
     };
-    let mut rig = Rig::new(cfg.clone(), None, pool);
+    let mut rig = Rig::new(cfg.clone(), 3, None, pool);
     rig.c.resume(at(0));
     let (mut now, mut decided) = (0, Vec::new());
     for step in 0.. {

@@ -602,13 +602,14 @@ pub(crate) mod tests {
     use smartred_desim::journal::{EventKind, Journal};
 
     use super::*;
+    use crate::coordinator::tests::serve_scripted;
     use crate::report::report_from_journal;
     use crate::worker::{CartelWorker, FaultProfile, FaultyWorker, JobAssignment, Worker};
     use crate::Runtime;
 
     const SEED: u64 = 0x5eed_cafe;
 
-    fn ir(margin: usize) -> Iterative {
+    pub(crate) fn ir(margin: usize) -> Iterative {
         Iterative::new(VoteMargin::new(margin).unwrap())
     }
 
@@ -712,8 +713,10 @@ pub(crate) mod tests {
             }),
             ..RuntimeConfig::default()
         };
+        // Under scripted time: on threads, whether any sentence ended
+        // before the last verdict depended on how the scheduler ran them.
         let cartel = Cartel::new(2, 0.4);
-        let journal = capture(&cfg, 2, 60, move |node| {
+        let journal = serve_scripted(cfg.clone(), 2, 60, |node| {
             Box::new(CartelWorker::new(
                 node,
                 SEED,
