@@ -41,7 +41,6 @@ use smartred_desim::journal::{DepartureReason, FaultKind, Journal, RunEvent};
 use smartred_desim::network::NetworkModel;
 use smartred_desim::rng::{backoff_duration, seeded_rng, SimRng};
 use smartred_desim::time::{SimDuration, SimTime};
-use smartred_desim::trace::Trace;
 
 use crate::config::{DcaConfig, FailureConfig, TimeoutPolicy};
 use crate::faults::FaultEvent;
@@ -183,9 +182,6 @@ pub struct World<M> {
     report: DcaReport,
     next_unstarted: usize,
     unfinished: usize,
-    /// Scheduler load trace (`queue_depth`, `idle_nodes`), sampled at every
-    /// dispatch and resolution. Recorded only for journaled runs.
-    trace: Trace,
     /// Online latency-quantile trigger for straggler hedging (`cfg.hedge`).
     hedge: Option<HedgeTrigger>,
     /// Dispatch time of every job ever registered, indexed by job id —
@@ -236,7 +232,6 @@ impl<M: NodeModel> World<M> {
             report: DcaReport::new(),
             next_unstarted: 0,
             unfinished: cfg.tasks,
-            trace: Trace::new(),
             hedge: cfg
                 .hedge
                 .map(|p| HedgeTrigger::new(p).expect("hedge policy validated by the caller")),
@@ -481,8 +476,7 @@ pub fn run(strategy: SharedStrategy, config: &DcaConfig) -> Result<DcaReport, Pa
     run_inner(strategy, config, false).map(|r| r.report)
 }
 
-/// A journaled run: the aggregate report plus the structured event journal
-/// and the scheduler load trace.
+/// A journaled run: the aggregate report plus the structured event journal.
 #[derive(Debug)]
 pub struct JournaledRun {
     /// Aggregate metrics — identical to what [`run`] returns for the same
@@ -490,9 +484,6 @@ pub struct JournaledRun {
     pub report: DcaReport,
     /// Every state transition of the run as typed, timestamped events.
     pub journal: Journal,
-    /// `queue_depth` / `idle_nodes` samples taken at each dispatch and
-    /// resolution.
-    pub trace: Trace,
 }
 
 /// Runs one DCA simulation with event journaling enabled.
@@ -574,7 +565,6 @@ fn run_inner(
     Ok(JournaledRun {
         report: world.report,
         journal: sim.take_journal(),
-        trace: world.trace,
     })
 }
 
@@ -1099,7 +1089,6 @@ fn dispatch_job<M: NodeModel>(
         node: node as u32,
         eta: sim.now() + lead + delay,
     });
-    trace_load(world, sim);
     sim.schedule_in(lead + delay, move |world, sim| {
         resolve_job(world, sim, job, times_out);
     });
@@ -1120,18 +1109,6 @@ fn dispatch_job<M: NodeModel>(
                 );
             }
         }
-    }
-}
-
-/// Samples the scheduler load (journaled runs only).
-fn trace_load<M: NodeModel>(world: &mut World<M>, sim: &Sim<M>) {
-    if sim.journal().is_enabled() {
-        world
-            .trace
-            .record(sim.now(), "queue_depth", world.queue.len() as f64);
-        world
-            .trace
-            .record(sim.now(), "idle_nodes", world.pool.idle_count() as f64);
     }
 }
 
@@ -1367,7 +1344,6 @@ fn resolve_job<M: NodeModel>(world: &mut World<M>, sim: &mut Sim<M>, job: JobId,
         emit_wave_closed(world, sim, t);
         poll_task(world, sim, t, /* priority = */ true);
     }
-    trace_load(world, sim);
     pump(world, sim);
 }
 

@@ -295,26 +295,29 @@ fn golden_journals_round_trip_through_jsonl() {
 }
 
 #[test]
-fn trace_exposes_scheduler_load_series() {
+fn journal_shows_the_scheduler_saturated_then_drained() {
     let run = golden_run(Rc::new(Traditional::new(KVotes::new(3).unwrap())));
-    // With 120 tasks on 20 nodes the run ends in a drain-out: the last
-    // sample must show an empty queue, and the first busy window keeps
-    // every node occupied.
-    assert_eq!(run.trace.last("queue_depth"), Some(0.0));
-    let mid: Vec<f64> = run
-        .trace
-        .between(
-            "idle_nodes",
-            SimTime::from_units(2.0),
-            SimTime::from_units(4.0),
-        )
-        .map(|s| s.value)
-        .collect();
+    // With 120 tasks on 20 nodes the first busy window keeps every node
+    // but one occupied, and the run ends in a drain-out with no job left.
+    let window = SimTime::from_units(2.0)..=SimTime::from_units(4.0);
+    let mut in_flight = 0i64;
+    let mut mid = Vec::new();
+    for e in run.journal.events() {
+        in_flight += match e.event {
+            RunEvent::JobDispatched { .. } => 1,
+            RunEvent::JobReturned { .. } | RunEvent::JobTimedOut { .. } => -1,
+            _ => 0,
+        };
+        if window.contains(&e.at) {
+            mid.push(in_flight);
+        }
+    }
     assert!(!mid.is_empty());
     assert!(
-        mid.iter().all(|&idle| idle <= 1.0),
+        mid.iter().all(|&jobs| jobs >= 19),
         "saturated window should keep nodes busy: {mid:?}"
     );
+    assert_eq!(in_flight, 0);
 }
 
 /// Regenerates the pinned constants. Run with `--ignored --nocapture` and

@@ -843,20 +843,23 @@ impl Stamped {
     /// trailer is verified first, so damage to its content is reported as
     /// a checksum mismatch. Nothing allocates unless the line is refused.
     pub fn from_jsonl_line(line: &str) -> Result<Self, String> {
-        let bytes = line.as_bytes();
-        // The trailer has one length: a line without the tag at that
-        // distance from its end is read as a plain record.
-        let (text, close) = match bytes.len().checked_sub(CRC_TRAILER.len()) {
-            Some(at) if bytes[at..].starts_with(CRC_TAG) => {
-                let mut hash = Fnv::new();
-                hash.eat(&bytes[..at]);
-                hash.eat(b"}");
-                if bytes[at..] != crc_trailer(hash.0) {
-                    return Err(refuse_trailer(&bytes[at..], hash.0));
+        let mut bodies: [&[u8]; LANES] = [&[]; LANES];
+        bodies[0] = crc_body(line.as_bytes()).unwrap_or_default();
+        Self::read_hashed(line, crc_lanes(bodies)[0])
+    }
+
+    /// [`from_jsonl_line`](Self::from_jsonl_line) with the checksum of
+    /// the line's [`crc_body`] already taken; a plain line ignores `crc`.
+    fn read_hashed(line: &str, crc: u64) -> Result<Self, String> {
+        let (text, close) = match crc_body(line.as_bytes()) {
+            Some(body) => {
+                let trailer = &line.as_bytes()[body.len()..];
+                if *trailer != crc_trailer(crc) {
+                    return Err(refuse_trailer(trailer, crc));
                 }
-                (&line[..at], "")
+                (&line[..body.len()], "")
             }
-            _ => (line, "}"),
+            None => (line, "}"),
         };
         let mut cur = Cursor { text, pos: 0 };
         let at = cur.field("{\"at\":")?;
@@ -897,38 +900,55 @@ struct Span {
     trailer: usize,
 }
 
-/// Records [`seal`] hashes in lockstep.
+/// Records [`crc_lanes`] hashes in lockstep.
 const LANES: usize = 4;
 
-/// Writes each span's checksum into its trailer: the FNV-1a hash of the
-/// record's canonical line, the bytes before the trailer plus `}`. One
+/// The checksum of each checksummed record in `bodies`: the FNV-1a hash
+/// of its canonical line, the bytes before the trailer plus `}`. One
 /// FNV-1a chain is a multiply after every byte, each waiting on the last,
 /// so a core that runs one chain idles most of its multiplier. Records
 /// are therefore taken [`LANES`] at a time, and their chains step
 /// together over the length of the shortest; each then finishes its own
 /// tail. A group of fewer than `LANES` has an empty lane, so it is hashed
-/// one record after another, which is how a lone record is sealed.
+/// one record after another, which is how a lone record is hashed. The
+/// writer ([`seal`]), the reader ([`walk`]) and the one-record functions
+/// all hash through here.
+fn crc_lanes(bodies: [&[u8]; LANES]) -> [u64; LANES] {
+    let common = bodies.iter().map(|body| body.len()).min().unwrap_or(0);
+    let heads = bodies.map(|body| &body[..common]);
+    let mut hashes = [Fnv::new(); LANES];
+    for i in 0..common {
+        for (hash, head) in hashes.iter_mut().zip(&heads) {
+            hash.step(head[i]);
+        }
+    }
+    for (hash, body) in hashes.iter_mut().zip(&bodies) {
+        hash.eat(&body[common..]);
+        hash.eat(b"}");
+    }
+    hashes.map(|hash| hash.0)
+}
+
+/// The body a line's checksum covers, the bytes before its trailer, if
+/// the line ends in one. The trailer has one length: a line without the
+/// tag at that distance from its end is a plain record.
+fn crc_body(line: &[u8]) -> Option<&[u8]> {
+    let at = line.len().checked_sub(CRC_TRAILER.len())?;
+    line[at..].starts_with(CRC_TAG).then(|| &line[..at])
+}
+
+/// Writes each span's checksum into its trailer, [`LANES`] spans at a
+/// time.
 fn seal(buf: &mut [u8], spans: &[Span]) {
     for group in spans.chunks(LANES) {
         let mut bodies: [&[u8]; LANES] = [&[]; LANES];
         for (body, span) in bodies.iter_mut().zip(group) {
             *body = &buf[span.start..span.trailer];
         }
-        let common = bodies.iter().map(|body| body.len()).min().unwrap_or(0);
-        let heads = bodies.map(|body| &body[..common]);
-        let mut hashes = [Fnv::new(); LANES];
-        for i in 0..common {
-            for (hash, head) in hashes.iter_mut().zip(&heads) {
-                hash.step(head[i]);
-            }
-        }
-        for (hash, body) in hashes.iter_mut().zip(&bodies) {
-            hash.eat(&body[common..]);
-            hash.eat(b"}");
-        }
+        let hashes = crc_lanes(bodies);
         for (hash, span) in hashes.iter().zip(group) {
             buf[span.trailer..span.trailer + CRC_TRAILER.len()]
-                .copy_from_slice(&crc_trailer(hash.0));
+                .copy_from_slice(&crc_trailer(*hash));
         }
     }
 }
@@ -1194,12 +1214,15 @@ impl Journal {
     /// read every `threads`-th 1 MiB block into a buffer of their own,
     /// verify and decode the lines that start in it, and hand the events
     /// over in block order. A file of one block, or `threads <= 1`, is
-    /// read on the calling thread.
+    /// read on the calling thread. Within a block, four lines' checksums
+    /// are computed at a time, as the writer computes them, and the lines
+    /// are then read one after another, so the first bad line is the one
+    /// refused.
     ///
-    /// Bytes that are not UTF-8 are read as `String::from_utf8_lossy`
-    /// shows them, so a bit flip that breaks an encoding is refused like
-    /// any other — a parse error with line, offset and seq — rather than
-    /// failing the read.
+    /// A block is checked with `str::from_utf8`. Bytes that are not UTF-8
+    /// are read as `String::from_utf8_lossy` shows them, so a bit flip
+    /// that breaks an encoding is refused like any other — a parse error
+    /// with line, offset and seq — rather than failing the read.
     ///
     /// # Errors
     ///
@@ -1320,6 +1343,11 @@ struct Block {
 /// at the start of a line. The readers differ only in what an
 /// unterminated final line means: a torn append to drop
 /// (`drop_torn_tail`), or an ordinary last line.
+///
+/// Lines are taken [`LANES`] at a time and their checksums computed
+/// together by [`crc_lanes`]; then each line of the group is read in
+/// order as if alone. So the first refusal in line order is the one
+/// reported, and a line hashed after it changes nothing.
 fn walk(text: &str, drop_torn_tail: bool) -> Block {
     let mut block = Block {
         // Few records are shorter than 64 bytes: sized once from the
@@ -1332,54 +1360,64 @@ fn walk(text: &str, drop_torn_tail: bool) -> Block {
         first: (0, 0),
         refused: None,
     };
-    let mut offset = 0usize;
-    while offset < text.len() {
-        block.lines += 1;
-        let rest = &text[offset..];
-        let (line, end, terminated) = match rest.find('\n') {
-            Some(nl) => (&rest[..nl], offset + nl + 1, true),
-            None => (rest, text.len(), false),
-        };
-        if !line.trim().is_empty() {
-            if drop_torn_tail && !terminated {
-                // The newline never hit the disk, so the record was
-                // never acknowledged — and may be incomplete even if
-                // it parses (a truncated integer still does). Only
-                // whole lines count.
-                block.torn = true;
-                break;
-            }
-            // A terminated line was fully written in one append, so a
-            // parse or checksum failure is in-place corruption of an
-            // acknowledged record — refuse, never resume past it.
-            let refusal = match Stamped::from_jsonl_line(line) {
-                Err(message) => Some((sniff_seq(line), message)),
-                Ok(next) => {
-                    let prev = block.events.last();
-                    let broken = prev.and_then(|prev| breaks_stream(prev, &next));
-                    if broken.is_none() {
-                        if prev.is_none() {
-                            block.first = (block.lines, offset);
-                        }
-                        block.events.push(next);
-                    }
-                    broken.map(|message| (Some(next.seq), message))
+    // Where the first line not yet in a group starts.
+    let mut ahead = 0usize;
+    while ahead < text.len() {
+        // The next `n` lines, `LANES` but at the end, as (offset, line).
+        let mut group = [(0, ""); LANES];
+        let mut n = 0;
+        while n < LANES && ahead < text.len() {
+            let rest = &text[ahead..];
+            let line = rest.find('\n').map_or(rest, |nl| &rest[..nl]);
+            group[n] = (ahead, line);
+            ahead += line.len() + 1;
+            n += 1;
+        }
+        let crcs = crc_lanes(group.map(|(_, line)| crc_body(line.as_bytes()).unwrap_or_default()));
+        for (&(offset, line), crc) in group[..n].iter().zip(crcs) {
+            block.lines += 1;
+            let end = offset + line.len();
+            let terminated = end < text.len();
+            if !line.trim().is_empty() {
+                if drop_torn_tail && !terminated {
+                    // The newline never hit the disk, so the record was
+                    // never acknowledged — and may be incomplete even if
+                    // it parses (a truncated integer still does). Only
+                    // whole lines count.
+                    block.torn = true;
+                    return block;
                 }
-            };
-            if let Some((seq, message)) = refusal {
-                block.refused = Some(JournalParseError {
-                    line: block.lines,
-                    offset,
-                    seq,
-                    message,
-                });
-                break;
+                // A terminated line was fully written in one append, so a
+                // parse or checksum failure is in-place corruption of an
+                // acknowledged record — refuse, never resume past it.
+                let refusal = match Stamped::read_hashed(line, crc) {
+                    Err(message) => Some((sniff_seq(line), message)),
+                    Ok(next) => {
+                        let prev = block.events.last();
+                        let broken = prev.and_then(|prev| breaks_stream(prev, &next));
+                        if broken.is_none() {
+                            if prev.is_none() {
+                                block.first = (block.lines, offset);
+                            }
+                            block.events.push(next);
+                        }
+                        broken.map(|message| (Some(next.seq), message))
+                    }
+                };
+                if let Some((seq, message)) = refusal {
+                    block.refused = Some(JournalParseError {
+                        line: block.lines,
+                        offset,
+                        seq,
+                        message,
+                    });
+                    return block;
+                }
+            }
+            if terminated {
+                block.valid = end + 1;
             }
         }
-        if terminated {
-            block.valid = end;
-        }
-        offset = end;
     }
     block
 }
@@ -1518,9 +1556,14 @@ impl Blocks for FileBlocks {
     /// shows the whole file: newlines are ASCII, so cutting at them never
     /// splits a sequence. Its first changed line is refused or is the torn
     /// tail, so that the text's offsets then differ from the file's is
-    /// never seen.
+    /// never seen. A block that is UTF-8, which lossy decoding would
+    /// borrow unchanged, is checked by `str::from_utf8`, which is faster.
     fn text(&self, range: Range<usize>) -> Cow<'_, str> {
-        String::from_utf8_lossy(&self.buf[range.start - self.at..range.end - self.at])
+        let bytes = &self.buf[range.start - self.at..range.end - self.at];
+        match std::str::from_utf8(bytes) {
+            Ok(text) => Cow::Borrowed(text),
+            Err(_) => String::from_utf8_lossy(bytes),
+        }
     }
 }
 
@@ -3300,6 +3343,43 @@ mod tests {
             in_memory(&text, text.len().max(1), 1, drop_tail)
         }
 
+        /// The reader's rules one line at a time, with no lanes and no
+        /// blocks: skip a blank line, drop or read an unterminated last
+        /// one, read a line with `Stamped::from_jsonl_line`, check it
+        /// continues the stream.
+        fn serial(bytes: &[u8], drop_tail: bool) -> Outcome {
+            let text = String::from_utf8_lossy(bytes);
+            let (mut events, mut torn, mut valid, mut offset) =
+                (Vec::<Stamped>::new(), false, 0, 0);
+            for (i, raw) in text.split_inclusive('\n').enumerate() {
+                let line = raw.strip_suffix('\n').unwrap_or(raw);
+                let refuse = |seq, message| JournalParseError {
+                    line: i + 1,
+                    offset,
+                    seq,
+                    message,
+                };
+                if !line.trim().is_empty() {
+                    if drop_tail && line == raw {
+                        torn = true;
+                        break;
+                    }
+                    let next =
+                        Stamped::from_jsonl_line(line).map_err(|m| refuse(sniff_seq(line), m))?;
+                    if let Some(m) = events.last().and_then(|prev| breaks_stream(prev, &next)) {
+                        return Err(refuse(Some(next.seq), m));
+                    }
+                    events.push(next);
+                }
+                offset += raw.len();
+                if line != raw {
+                    valid = offset;
+                }
+            }
+            let next_seq = events.last().map_or(0, |e| e.seq.saturating_add(1));
+            Ok((events, next_seq, torn, valid))
+        }
+
         /// A scratch file holding `bytes`, removed when dropped.
         struct Scratch(std::path::PathBuf);
 
@@ -3453,6 +3533,7 @@ mod tests {
                         // A `&str` reader is never handed anything else.
                         let text = String::from_utf8_lossy(&bytes);
                         let expected = whole(&bytes, drop_tail);
+                        prop_assert_eq!(&expected, &serial(&bytes, drop_tail), "kind {} at {}", kind, pos);
                         for threads in THREADS {
                             prop_assert_eq!(
                                 in_memory(&text, block_len, threads, drop_tail),
@@ -3486,6 +3567,7 @@ mod tests {
                         let bytes = damaged(&lines, kind, pos, pick);
                         let file = Scratch::holding("table", &bytes);
                         let expected = whole(&bytes, true);
+                        prop_assert_eq!(&expected, &serial(&bytes, true), "kind {} at {}", kind, pos);
                         for threads in THREADS {
                             prop_assert_eq!(
                                 file.read(block_len, threads),
@@ -3563,6 +3645,79 @@ mod tests {
             assert_eq!(expected.clone().unwrap_err().line, 2);
             for threads in THREADS {
                 assert_eq!(in_memory(&text, seam, threads, true), expected);
+            }
+        }
+
+        /// A group of four lines holding 0–4 checksummed records among
+        /// plain and blank lines, damaged in each lane: a bit flip, a byte
+        /// that is not UTF-8, two flipped lines, a tail torn mid-group.
+        /// The walk in lanes reports what the serial reading reports, and
+        /// a damaged line is named even when a later one is damaged too.
+        #[test]
+        fn damage_in_any_lane_reads_as_the_serial_walk_reads_it() {
+            let entries: Vec<_> = (0..12u32)
+                .map(|i| (5, i as u8, i * 7919, i % 2 == 0))
+                .collect();
+            let framings = [wal_lines(&entries, 0), wal_lines(&entries, 1)];
+            for mask in 0..16usize {
+                // Lane `l` of the middle group is checksummed if bit `l` of
+                // `mask` is set; of the others, lane `mask % 4` is blank.
+                let middle = (0..4).map(|lane| match mask >> lane & 1 {
+                    1 => 'c',
+                    _ if lane == mask % 4 => 'b',
+                    _ => 'p',
+                });
+                let mut records = 0..entries.len();
+                let lines: Vec<String> = "cccc"
+                    .chars()
+                    .chain(middle)
+                    .chain("cccc".chars())
+                    .map(|framing| match framing {
+                        'b' => " \t\n".to_string(),
+                        _ => framings[usize::from(framing == 'c')][records.next().unwrap()].clone(),
+                    })
+                    .collect();
+                let text = lines.concat().into_bytes();
+                let start = |line: usize| lines[..line].iter().map(String::len).sum::<usize>() + 1;
+                let check = |bytes: &[u8], drop_tail: bool, named: Option<usize>, what: &str| {
+                    let expected = serial(bytes, drop_tail);
+                    assert_eq!(whole(bytes, drop_tail), expected, "mask {mask:04b}: {what}");
+                    if let Some(line) = named {
+                        assert_eq!(expected.unwrap_err().line, line, "mask {mask:04b}: {what}");
+                    }
+                };
+                for line in 4..8 {
+                    let mut flipped = text.clone();
+                    flipped[start(line)] ^= 1;
+                    check(
+                        &flipped,
+                        true,
+                        Some(line + 1),
+                        &format!("line {line} flipped"),
+                    );
+                    let mut not_utf8 = text.clone();
+                    not_utf8[start(line)] = 0xff;
+                    check(
+                        &not_utf8,
+                        true,
+                        Some(line + 1),
+                        &format!("line {line} not UTF-8"),
+                    );
+                    for later in line + 1..8 {
+                        let mut twice = flipped.clone();
+                        twice[start(later)] ^= 1;
+                        check(
+                            &twice,
+                            true,
+                            Some(line + 1),
+                            &format!("lines {line} and {later} flipped"),
+                        );
+                    }
+                    let torn = &text[..start(line) + lines[line].len() / 2];
+                    for drop_tail in [true, false] {
+                        check(torn, drop_tail, None, &format!("torn in line {line}"));
+                    }
+                }
             }
         }
     }

@@ -46,11 +46,9 @@ pub mod journal;
 pub mod network;
 pub mod rng;
 pub mod time;
-pub mod trace;
 
 pub use disk::{Disk, DiskFaultPlan, FaultyDisk, RealDisk};
 pub use engine::{RunStats, Simulator};
 pub use journal::{EventKind, Journal, RunEvent};
 pub use network::{LinkSpec, NetworkModel};
 pub use time::{SimDuration, SimTime};
-pub use trace::Trace;
