@@ -6,8 +6,6 @@
 //! of §5.3. Ties are broken deterministically by `Ord` so simulations are
 //! reproducible.
 
-use std::collections::BTreeMap;
-
 /// Counts of results reported for one task.
 ///
 /// # Examples
@@ -25,7 +23,9 @@ use std::collections::BTreeMap;
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct VoteTally<V: Ord> {
-    counts: BTreeMap<V, usize>,
+    /// `(value, count)` per distinct value, sorted by value. A task sees a
+    /// handful of distinct values, so a sorted `Vec` beats a tree.
+    counts: Vec<(V, usize)>,
     total: usize,
 }
 
@@ -33,15 +33,14 @@ impl<V: Ord + Clone> VoteTally<V> {
     /// Creates an empty tally.
     pub fn new() -> Self {
         Self {
-            counts: BTreeMap::new(),
+            counts: Vec::new(),
             total: 0,
         }
     }
 
     /// Records one job result.
     pub fn record(&mut self, value: V) {
-        *self.counts.entry(value).or_insert(0) += 1;
-        self.total += 1;
+        self.record_n(value, 1);
     }
 
     /// Records `n` identical job results at once.
@@ -49,13 +48,26 @@ impl<V: Ord + Clone> VoteTally<V> {
         if n == 0 {
             return;
         }
-        *self.counts.entry(value).or_insert(0) += n;
+        match self.find(&value) {
+            Ok(i) => self.counts[i].1 += n,
+            Err(i) => {
+                // One slot at a time: a binary tally never holds more than
+                // two, and `Vec`'s first growth to four costs memory.
+                self.counts.reserve_exact(1);
+                self.counts.insert(i, (value, n));
+            }
+        }
         self.total += n;
+    }
+
+    /// Where `value` is in `counts`, or where it would go.
+    fn find(&self, value: &V) -> Result<usize, usize> {
+        self.counts.binary_search_by(|(v, _)| v.cmp(value))
     }
 
     /// Returns the number of votes for `value` (zero if never reported).
     pub fn count(&self, value: &V) -> usize {
-        self.counts.get(value).copied().unwrap_or(0)
+        self.find(value).map_or(0, |i| self.counts[i].1)
     }
 
     /// Returns the total number of votes recorded.
@@ -79,7 +91,7 @@ impl<V: Ord + Clone> VoteTally<V> {
     /// executions deterministic. Returns `None` on an empty tally.
     pub fn leader(&self) -> Option<(&V, usize)> {
         let mut best: Option<(&V, usize)> = None;
-        for (value, &count) in &self.counts {
+        for (value, count) in self.iter() {
             match best {
                 Some((_, best_count)) if count <= best_count => {}
                 _ => best = Some((value, count)),
@@ -95,10 +107,9 @@ impl<V: Ord + Clone> VoteTally<V> {
             Some((value, _)) => value.clone(),
             None => return 0,
         };
-        self.counts
-            .iter()
-            .filter(|(value, _)| **value != leader)
-            .map(|(_, &count)| count)
+        self.iter()
+            .filter(|&(value, _)| *value != leader)
+            .map(|(_, count)| count)
             .max()
             .unwrap_or(0)
     }
@@ -127,7 +138,7 @@ impl<V: Ord + Clone> VoteTally<V> {
 
     /// Iterates over `(value, count)` pairs in `Ord` order of the values.
     pub fn iter(&self) -> impl Iterator<Item = (&V, usize)> {
-        self.counts.iter().map(|(v, &c)| (v, c))
+        self.counts.iter().map(|(v, c)| (v, *c))
     }
 }
 

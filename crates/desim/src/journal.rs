@@ -51,9 +51,12 @@ use std::path::Path;
 use crate::time::SimTime;
 
 /// 64-bit FNV-1a state. [`Journal::digest`] folds decoded fields through
-/// it; the WAL checksum ([`fnv1a_64`]) folds serialized line bytes.
+/// it, [`crc_lanes`] folds the WAL's serialized line bytes, and
+/// [`fnv1a_64`] is the byte-serial reference.
 #[derive(Clone, Copy)]
 struct Fnv(u64);
+
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 impl Fnv {
     fn new() -> Self {
@@ -61,8 +64,8 @@ impl Fnv {
     }
 
     #[inline]
-    fn step(&mut self, byte: u8) {
-        self.0 = (self.0 ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+    const fn step(&mut self, byte: u8) {
+        self.0 = (self.0 ^ byte as u64).wrapping_mul(FNV_PRIME);
     }
 
     #[inline]
@@ -71,9 +74,75 @@ impl Fnv {
             self.step(b);
         }
     }
+
+    /// Eats the string `run` was built from, in one step.
+    #[inline]
+    fn take(&mut self, run: &Run) {
+        let low = self.0 as u8 as usize;
+        self.0 = self.0.wrapping_mul(run.mul).wrapping_add(run.add[low]);
+    }
+
+    /// Eats a little-endian integer whose last `zeros` bytes are zero: the
+    /// bytes below them one at a time, the zeros in one step.
+    #[inline]
+    fn eat_le(&mut self, bytes: &[u8], zeros: u32) {
+        let zeros = zeros as usize;
+        self.eat(&bytes[..bytes.len() - zeros]);
+        self.take(&ZERO_RUNS[zeros]);
+    }
 }
 
-/// 64-bit FNV-1a over raw bytes — the per-record WAL checksum.
+/// FNV-1a over one fixed string, as one multiply and one add. For a state
+/// `h` with low byte `l`, `h ^ b = h + ((l ^ b) - l)`, so a step is `h·P`
+/// plus a term of `l` alone; and the low byte of a product depends only on
+/// the low bytes of its factors, so the low byte after every step is a
+/// function of `l` too. Stepping any `h` over a string of `k` bytes
+/// therefore gives `h·Pᵏ + add[l]` (wrapping), where `add[l]` is stepping
+/// `l` itself, less `l·Pᵏ`.
+struct Run {
+    /// `Pᵏ`.
+    mul: u64,
+    add: [u64; 256],
+}
+
+impl Run {
+    const fn of(bytes: &[u8]) -> Run {
+        let mut mul = 1u64;
+        let mut i = 0;
+        while i < bytes.len() {
+            mul = mul.wrapping_mul(FNV_PRIME);
+            i += 1;
+        }
+        let mut add = [0; 256];
+        let mut l = 0;
+        while l < 256 {
+            let mut h = Fnv(l as u64);
+            let mut i = 0;
+            while i < bytes.len() {
+                h.step(bytes[i]);
+                i += 1;
+            }
+            add[l] = h.0.wrapping_sub((l as u64).wrapping_mul(mul));
+            l += 1;
+        }
+        Run { mul, add }
+    }
+}
+
+/// `ZERO_RUNS[z]` eats `z` zero bytes: the high bytes of a small integer.
+static ZERO_RUNS: [Run; 9] = {
+    let mut runs = [const { Run::of(&[]) }; 9];
+    let mut z = 1;
+    while z < runs.len() {
+        runs[z] = Run::of([0; 8].split_at(z).0);
+        z += 1;
+    }
+    runs
+};
+
+/// 64-bit FNV-1a over raw bytes, one byte at a time: the reference every
+/// faster path is tested against, and the snapshot body hash of the
+/// runtime's checkpoints.
 pub fn fnv1a_64(bytes: &[u8]) -> u64 {
     let mut hash = Fnv::new();
     hash.eat(bytes);
@@ -125,7 +194,7 @@ impl Wire for u64 {
         out.extend_from_slice(&digits[at..]);
     }
     fn digest(self, hash: &mut Fnv) {
-        hash.eat(&self.to_le_bytes());
+        hash.eat_le(&self.to_le_bytes(), self.leading_zeros() / 8);
     }
     fn read(cur: &mut Cursor<'_>) -> Result<Self, &'static str> {
         let rest = cur.rest();
@@ -149,7 +218,7 @@ impl Wire for u32 {
         u64::from(self).encode(out);
     }
     fn digest(self, hash: &mut Fnv) {
-        hash.eat(&self.to_le_bytes());
+        hash.eat_le(&self.to_le_bytes(), self.leading_zeros() / 8);
     }
     fn read(cur: &mut Cursor<'_>) -> Result<Self, &'static str> {
         u32::try_from(u64::read(cur)?).map_err(|_| "exceeds u32")
@@ -161,7 +230,7 @@ impl Wire for bool {
         out.extend_from_slice(if self { b"true" } else { b"false" });
     }
     fn digest(self, hash: &mut Fnv) {
-        hash.eat(&[self as u8]);
+        hash.step(self as u8);
     }
     fn read(cur: &mut Cursor<'_>) -> Result<Self, &'static str> {
         cur.one_of(&[("true", true), ("false", false)])
@@ -274,10 +343,19 @@ macro_rules! wire_names {
         }
 
         impl $Enum {
+            #[cfg(test)]
+            const ALL: &[$Enum] = &[$($Enum::$Variant,)*];
+
             fn name(self) -> &'static str {
                 match self {
                     $($Enum::$Variant => $name,)*
                 }
+            }
+
+            /// The step that digests the name.
+            fn run(self) -> &'static Run {
+                static RUNS: &[Run] = &[$(Run::of($name.as_bytes()),)*];
+                &RUNS[self as usize]
             }
         }
 
@@ -288,7 +366,7 @@ macro_rules! wire_names {
                 out.push(b'"');
             }
             fn digest(self, hash: &mut Fnv) {
-                hash.eat(self.name().as_bytes());
+                hash.take(self.run());
             }
             fn read(cur: &mut Cursor<'_>) -> Result<Self, &'static str> {
                 cur.one_of(&[$((concat!("\"", $name, "\""), $Enum::$Variant),)*])
@@ -401,6 +479,12 @@ macro_rules! run_events {
                     $(EventKind::$Variant => $wire,)*
                 }
             }
+
+            /// The step that digests the kind's name.
+            fn run(self) -> &'static Run {
+                static RUNS: &[Run] = &[$(Run::of($wire.as_bytes()),)*];
+                &RUNS[self as usize]
+            }
         }
 
         impl RunEvent {
@@ -445,12 +529,14 @@ macro_rules! run_events {
                 }
             }
 
-            /// Feeds each field's digest bytes, in wire order.
-            fn digest_fields(&self, hash: &mut Fnv) {
+            /// Feeds the kind's name, then each field's digest bytes in
+            /// wire order.
+            fn digest(&self, hash: &mut Fnv) {
                 match *self {
-                    $(RunEvent::$Variant $({ $($field,)* })? => {$($(
-                        $field.digest(hash);
-                    )*)?})*
+                    $(RunEvent::$Variant $({ $($field,)* })? => {
+                        hash.take(EventKind::$Variant.run());
+                        $($($field.digest(hash);)*)?
+                    })*
                 }
             }
 
@@ -1137,13 +1223,20 @@ impl Journal {
     /// every field (floats by their exact bit pattern), so *any* change to
     /// the trajectory — reordering, a shifted timestamp, a different vote —
     /// changes the digest. Golden tests pin a run to one `u64`.
+    ///
+    /// The value is byte-serial FNV-1a over, per entry, `at` (in
+    /// microseconds) and `seq` as little-endian `u64`s, the kind's name,
+    /// then each field in wire order: integers little-endian, floats by
+    /// their bits, bools as one byte, reason and fault names as their
+    /// bytes. Only the stepping is faster: a name, or the zero bytes above
+    /// an integer's highest nonzero byte, is taken in one multiply and one
+    /// table lookup rather than one step a byte.
     pub fn digest(&self) -> u64 {
         let mut hash = Fnv::new();
         for e in &self.events {
             e.at.digest(&mut hash);
             e.seq.digest(&mut hash);
-            hash.eat(e.event.kind().name().as_bytes());
-            e.event.digest_fields(&mut hash);
+            e.event.digest(&mut hash);
         }
         hash.0
     }
@@ -3075,6 +3168,60 @@ mod tests {
         }
         assert_ne!(shifted.digest(), j.digest());
         assert_eq!(j.digest_hex().len(), 16);
+
+        // A zero byte above a number's highest nonzero byte, made nonzero:
+        // the zeros taken in one step are still each digested.
+        let edits: [fn(&mut Stamped); 4] = [
+            |e| e.at = SimTime::from_micros(e.at.as_micros() | 1 << 40),
+            |e| e.seq |= 1 << 56,
+            |e| {
+                if let RunEvent::JobDispatched { node, .. } = &mut e.event {
+                    *node |= 1 << 24;
+                }
+            },
+            |e| {
+                if let RunEvent::JobDispatched { eta, .. } = &mut e.event {
+                    *eta = SimTime::from_micros(eta.as_micros() | 1 << 48);
+                }
+            },
+        ];
+        for edit in edits {
+            let mut k = j.clone();
+            edit(&mut k.events[1]);
+            assert_ne!(k.events[1], j.events[1], "the edit did not apply");
+            assert_ne!(k.digest(), j.digest(), "{:?}", k.events[1]);
+        }
+    }
+
+    /// Each name's and each zero run's [`Run`] against stepping its string
+    /// a byte at a time, from every low byte under several high bits.
+    #[test]
+    fn every_run_is_its_string_stepped_a_byte_at_a_time() {
+        let zeros = [0u8; 8];
+        let names = EventKind::ALL
+            .iter()
+            .map(|k| (k.name(), k.run()))
+            .chain(DepartureReason::ALL.iter().map(|r| (r.name(), r.run())))
+            .chain(FaultKind::ALL.iter().map(|f| (f.name(), f.run())));
+        let runs = names
+            .map(|(name, run)| (name.as_bytes(), run))
+            .chain((0..=8).map(|z| (&zeros[..z], &ZERO_RUNS[z])));
+        for (string, run) in runs {
+            for high in [
+                0,
+                1 << 8,
+                0xcbf2_9ce4_8422_2300,
+                0x8000_0000_0000_0000,
+                u64::MAX << 8,
+            ] {
+                for low in 0..=255 {
+                    let (mut stepped, mut taken) = (Fnv(high | low), Fnv(high | low));
+                    stepped.eat(string);
+                    taken.take(run);
+                    assert_eq!(taken.0, stepped.0, "{string:?} from {:#x}", high | low);
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Property-based tests of the journal's core contracts: recording keeps
 //! time order, JSONL serialization round-trips losslessly, digests are a
 //! pure function of the event stream (and in particular independent of the
-//! `SMARTRED_THREADS` parallelism knob), and windowing agrees with a naive
-//! filter.
+//! `SMARTRED_THREADS` parallelism knob) equal to a byte-at-a-time FNV-1a
+//! fold, and windowing agrees with a naive filter.
 
 use std::sync::{Arc, Mutex};
 
@@ -622,6 +622,78 @@ proptest! {
     }
 }
 
+/// `Journal::digest` one FNV-1a step a byte, computed from the JSONL text
+/// so it shares no code with the digest. Per entry:
+/// `at` and `seq` as little-endian `u64`s, the kind's name, then each
+/// field in wire order: integers little-endian at their width, floats by
+/// their bits, bools as one byte, reason and fault names as their bytes.
+fn serial_digest(journal: &Journal) -> u64 {
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    let mut eat = |bytes: &[u8]| {
+        for &b in bytes {
+            hash = (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    for line in journal.to_jsonl().lines() {
+        for field in line[1..line.len() - 1].split(',') {
+            let (key, value) = field.split_once(':').unwrap();
+            match key.trim_matches('"') {
+                "kind" | "reason" | "fault" => eat(value.trim_matches('"').as_bytes()),
+                "value" | "degraded" => eat(&[u8::from(value == "true")]),
+                "confidence" => eat(&value.parse::<f64>().unwrap().to_bits().to_le_bytes()),
+                "at" | "seq" | "eta" | "bytes" | "events" | "digest" => {
+                    eat(&value.parse::<u64>().unwrap().to_le_bytes())
+                }
+                _ => eat(&value.parse::<u32>().unwrap().to_le_bytes()),
+            }
+        }
+    }
+    hash
+}
+
+/// Integers at which the count of zero bytes above the highest nonzero
+/// byte changes: every run of 0–8 zero bytes ends one of them, and every
+/// run of 0–4 ends one that fits a `u32`.
+const BOUNDARY: [u64; 12] = [
+    0,
+    1,
+    255,
+    256,
+    1 << 16,
+    1 << 24,
+    u32::MAX as u64,
+    1 << 32,
+    1 << 40,
+    1 << 48,
+    1 << 56,
+    u64::MAX,
+];
+
+/// Every kind, with `at`, `seq`, the integers, the times and the
+/// confidence at boundary values (floats at 0.0, −0.0 and NaN), digests to
+/// the serial fold.
+#[test]
+fn digest_is_the_serial_fold_at_boundary_values() {
+    let confidences = [0.0, -0.0, f64::NAN, 1.0];
+    let per_journal = u64::from(ARMS) * BOUNDARY.len() as u64;
+    for (i, &first_seq) in BOUNDARY.iter().enumerate() {
+        let mut journal = Journal::resume_at(first_seq.min(u64::MAX - per_journal));
+        for &wide in &BOUNDARY {
+            let narrow = u32::try_from(wide).unwrap_or(u32::MAX);
+            for sel in 0..ARMS {
+                let event = event_from(sel, narrow, narrow, sel % 2 == 0);
+                let confidence = confidences[(i + usize::from(sel)) % confidences.len()];
+                journal.record(SimTime::from_micros(wide), widen(event, wide, confidence));
+            }
+        }
+        assert_eq!(
+            journal.digest(),
+            serial_digest(&journal),
+            "seq from {first_seq}"
+        );
+    }
+}
+
 /// Records the generated events with non-decreasing timestamps.
 fn build_journal(entries: &[(u64, u8, u32, u32, bool)]) -> Journal {
     let mut journal = Journal::new();
@@ -685,6 +757,18 @@ proptest! {
         std::env::remove_var("SMARTRED_THREADS");
         prop_assert_eq!(digests[0], digests[1]);
         prop_assert_eq!(digests[0], build_journal(&entries).digest());
+    }
+
+    /// The digest is the serial fold, over every kind at any field values.
+    #[test]
+    fn digest_is_the_serial_fold(
+        entries in proptest::collection::vec(
+            (0u64..500, 0..ARMS, any::<u32>(), any::<u32>(), proptest::bool::ANY),
+            0..80,
+        ),
+    ) {
+        let journal = build_journal(&entries);
+        prop_assert_eq!(journal.digest(), serial_digest(&journal));
     }
 
     /// `between` returns exactly the events a naive scan selects.
