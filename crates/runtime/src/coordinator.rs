@@ -79,7 +79,7 @@
 //! replacement replica on a fresh RNG stream.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, HashSet, VecDeque};
+use std::collections::{BinaryHeap, VecDeque};
 use std::ops::Range;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
@@ -99,6 +99,7 @@ use smartred_desim::journal::{DepartureReason, Journal, RunEvent, Stamped, WalWr
 use smartred_desim::time::{SimDuration, SimTime};
 
 use crate::checkpoint::{checkpoint_path, CheckpointState};
+use crate::id_hash::{IdMap, IdSet};
 use crate::ledger::{Delivery, Ledger};
 use crate::recovery::{RecoveryError, RecoveryReport};
 use crate::report::RuntimeReport;
@@ -959,7 +960,7 @@ struct Coordinator<S, P> {
     /// until the commit that holds its decision has returned
     /// ([`Self::commit_wal`], the only place one is sent).
     outbox: Vec<(Sender<TaskVerdict>, TaskVerdict)>,
-    jobs: HashMap<u32, JobInfo>,
+    jobs: IdMap<JobInfo>,
     /// Armed timers as `(due, what, job or node, dispatch epoch)`, due in
     /// journal time. A stale entry is skipped when it falls due, dropped
     /// earlier once stale entries outnumber live ones ([`Self::launch`]).
@@ -995,7 +996,7 @@ struct Coordinator<S, P> {
     /// The one dispatch rotation: one past the node picked last.
     cursor: u32,
     /// Workers with a [`Timer::Hang`] armed.
-    watched: HashSet<u32>,
+    watched: IdSet,
 }
 
 fn micros(d: Duration) -> SimDuration {
@@ -1041,7 +1042,7 @@ impl<S: RedundancyStrategy<bool>, P: Pool> Coordinator<S, P> {
             journal,
             wal,
             outbox: Vec::new(),
-            jobs: HashMap::new(),
+            jobs: IdMap::default(),
             timers: BinaryHeap::new(),
             pending,
             rearm: rearm.into(),
@@ -1056,7 +1057,7 @@ impl<S: RedundancyStrategy<bool>, P: Pool> Coordinator<S, P> {
             // Indexed by *global* node id, like the ledger's node table.
             worker_loads: vec![0; nodes.end as usize],
             cursor: nodes.start,
-            watched: HashSet::new(),
+            watched: IdSet::default(),
             nodes,
             cfg,
         }
@@ -1741,14 +1742,16 @@ impl<S: RedundancyStrategy<bool>, P: Pool> Coordinator<S, P> {
         // queued inbox — died with it. Bump each affected task's epoch
         // (so the detached thread's eventual reply is rejected) and
         // re-dispatch the same jobs under the new epoch, without new
-        // journal records.
+        // journal records. Both walks go in job order, so the epochs are
+        // logged in that order too.
         let mut lost: Vec<(u32, u32, u32)> = self
             .jobs
             .iter()
             .filter(|(_, info)| info.worker == worker)
             .map(|(&job, info)| (job, info.task, info.replica))
             .collect();
-        let mut bumped: HashSet<u32> = HashSet::new();
+        lost.sort_unstable();
+        let mut bumped = IdSet::default();
         for &(_, task, _) in &lost {
             if bumped.insert(task) {
                 let Some(state) = self.ledger.open().get(&task) else {
@@ -1760,7 +1763,6 @@ impl<S: RedundancyStrategy<bool>, P: Pool> Coordinator<S, P> {
                 }
             }
         }
-        lost.sort_unstable();
         for (job, task, replica) in lost {
             if self.jobs.remove(&job).is_none() {
                 continue; // canceled while handling an earlier pair member
@@ -1865,7 +1867,7 @@ impl<S: RedundancyStrategy<bool>, P: Pool> Coordinator<S, P> {
         }
         // Retaliation: the caught liars' other open work can no longer be
         // trusted — re-tally every open task they touched from scratch.
-        let caught: HashSet<u32> = liars.iter().map(|&(_, node)| node).collect();
+        let caught: IdSet = liars.iter().map(|&(_, node)| node).collect();
         let mut touched: Vec<u32> = self
             .ledger
             .open()

@@ -4,6 +4,7 @@
 //! threaded ones that remain are smoke tests of the driver, over a
 //! [`WalWriter`] on a recording [`Disk`].
 
+use std::collections::{HashMap, HashSet};
 use std::sync::Mutex;
 
 use rand::Rng;
@@ -838,8 +839,14 @@ fn explore(seed: u64) -> Journal {
 /// monotone `seq`, the report equal to the reference fold, and every
 /// prefix of the journal replayable — on every seed; and between them the
 /// seeds reach every defence. A failure names the seed that replays it.
+///
+/// Every journal is also pinned, through one fold of the seeds' digests:
+/// a schedule is a function of its seed alone, so a journal that differs
+/// between processes (a record logged in hash-map order, say) or changes
+/// under a refactor fails here on the first run.
 #[test]
 fn seeded_schedules_keep_every_contract() {
+    const JOURNALS: u64 = 0x603f_c18c_fb67_70dd;
     const REACHED: [EventKind; 12] = [
         EventKind::JobTimedOut,
         EventKind::WorkerCrashed,
@@ -855,6 +862,7 @@ fn seeded_schedules_keep_every_contract() {
         EventKind::VerdictVoided,
     ];
     let mut reached = [0; REACHED.len()];
+    let mut journals = 0u64;
     for seed in 0..256 {
         let journal = std::panic::catch_unwind(|| explore(seed)).unwrap_or_else(|cause| {
             eprintln!("seed {seed} breaks a contract: `explore({seed})` replays it");
@@ -863,8 +871,13 @@ fn seeded_schedules_keep_every_contract() {
         for (kind, count) in REACHED.iter().zip(&mut reached) {
             *count += journal.count(*kind);
         }
+        journals = journals.wrapping_mul(0x100_0000_01b3) ^ journal.digest();
     }
     for (kind, count) in REACHED.iter().zip(reached) {
         assert!(count > 0, "no schedule reached {}", kind.name());
     }
+    assert_eq!(
+        journals, JOURNALS,
+        "the seeds' journals changed: {journals:#018x}"
+    );
 }

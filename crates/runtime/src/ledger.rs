@@ -42,7 +42,6 @@
 //! re-arms twins): with [`Ledger::owed`], [`Ledger::twins`] is what the
 //! resumed coordinator settles first.
 
-use std::collections::{HashMap, HashSet};
 use std::sync::mpsc::Sender;
 use std::sync::Arc;
 
@@ -54,6 +53,7 @@ use smartred_desim::time::{SimDuration, SimTime};
 
 use crate::checkpoint::CheckpointState;
 use crate::coordinator::{RuntimeConfig, TaskVerdict};
+use crate::id_hash::{IdMap, IdSet};
 use crate::recovery::RecoveryError;
 use crate::report::RuntimeReport;
 use crate::workload::Payload;
@@ -143,13 +143,13 @@ pub(crate) struct Owed {
 pub(crate) struct Ledger<S> {
     cfg: RuntimeConfig,
     strategy: Arc<S>,
-    open: HashMap<u32, TaskState<S>>,
+    open: IdMap<TaskState<S>>,
     /// The entry the last decision record closed, for the live
     /// coordinator to deliver from.
     closed: Option<TaskState<S>>,
     /// Every task ever decided (verdict, cap, or poison durable) — the
     /// exactly-once set a checkpoint snapshot carries forward.
-    decided: HashSet<u32>,
+    decided: IdSet,
     /// Indexed by *global* node id, `0..node_base + workers`; slots below
     /// the base belong to other shards and stay untouched defaults.
     nodes: Vec<NodeState>,
@@ -173,9 +173,9 @@ impl<S: RedundancyStrategy<bool>> Ledger<S> {
     pub fn new(cfg: &RuntimeConfig, strategy: Arc<S>) -> Self {
         Self {
             strategy,
-            open: HashMap::new(),
+            open: IdMap::default(),
             closed: None,
-            decided: HashSet::new(),
+            decided: IdSet::default(),
             nodes: vec![NodeState::default(); cfg.node_base as usize + cfg.worker_count()],
             next_job: 0,
             last_at: SimTime::ZERO,
@@ -186,11 +186,11 @@ impl<S: RedundancyStrategy<bool>> Ledger<S> {
         }
     }
 
-    pub fn open(&self) -> &HashMap<u32, TaskState<S>> {
+    pub fn open(&self) -> &IdMap<TaskState<S>> {
         &self.open
     }
 
-    pub fn decided(&self) -> &HashSet<u32> {
+    pub fn decided(&self) -> &IdSet {
         &self.decided
     }
 
@@ -644,7 +644,7 @@ pub(crate) mod tests {
     /// reference fold's report.
     pub(crate) fn every_prefix_replays(cfg: &RuntimeConfig, margin: usize, journal: &Journal) {
         let mut ledger = Ledger::new(cfg, Arc::new(ir(margin)));
-        let mut decisions = HashSet::new();
+        let mut decisions = IdSet::default();
         let mut prefix = Journal::new();
         for e in journal.events() {
             let owed = ledger

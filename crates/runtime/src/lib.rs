@@ -112,6 +112,7 @@
 pub mod checkpoint;
 pub mod client;
 pub mod coordinator;
+mod id_hash;
 mod ledger;
 pub mod recovery;
 pub mod report;

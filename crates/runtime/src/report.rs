@@ -12,11 +12,11 @@
 //! **exactly** (`==`), the same contract `dca::replay` enforces for the
 //! simulator. Any drift is a test failure, not a silent skew.
 
-use std::collections::HashMap;
-
 use smartred_desim::journal::{Journal, RunEvent};
 use smartred_desim::time::SimTime;
 use smartred_stats::Summary;
+
+use crate::id_hash::IdMap;
 
 /// Aggregate metrics of one runtime run.
 ///
@@ -117,7 +117,9 @@ struct TaskAcc {
 /// live report exactly.
 pub fn report_from_journal(journal: &Journal) -> RuntimeReport {
     let mut report = RuntimeReport::new();
-    let mut tasks: HashMap<u32, TaskAcc> = HashMap::new();
+    // Open tasks only: a task's entry goes at its decision, since a decided
+    // task never runs again and no later record of it reads one.
+    let mut tasks: IdMap<TaskAcc> = IdMap::default();
     for e in journal.events() {
         match e.event {
             RunEvent::JobDispatched { task, .. } => {
@@ -139,7 +141,7 @@ pub fn report_from_journal(journal: &Journal) -> RuntimeReport {
                 if value {
                     report.tasks_correct += 1;
                 }
-                let acc = tasks.get(&task).copied().unwrap_or_default();
+                let acc = tasks.remove(&task).unwrap_or_default();
                 report.jobs_per_task.record(acc.jobs as f64);
                 report.waves_per_task.record(acc.waves as f64);
                 let response = match acc.first_dispatch {
@@ -148,7 +150,10 @@ pub fn report_from_journal(journal: &Journal) -> RuntimeReport {
                 };
                 report.response_time.record(response);
             }
-            RunEvent::TaskCapped { .. } => report.tasks_capped += 1,
+            RunEvent::TaskCapped { task } => {
+                report.tasks_capped += 1;
+                tasks.remove(&task);
+            }
             RunEvent::AuditScheduled { .. } => report.audits += 1,
             RunEvent::AuditFailed { .. } => report.audit_failures += 1,
             // A void or re-tally restarts the task from wave 1 with a
@@ -169,7 +174,10 @@ pub fn report_from_journal(journal: &Journal) -> RuntimeReport {
             RunEvent::WorkerCrashed { .. } => report.worker_crashes += 1,
             RunEvent::WorkerRestarted { .. } => report.worker_restarts += 1,
             RunEvent::StaleReplyDropped { .. } => report.stale_replies += 1,
-            RunEvent::TaskPoisoned { .. } => report.tasks_poisoned += 1,
+            RunEvent::TaskPoisoned { task, .. } => {
+                report.tasks_poisoned += 1;
+                tasks.remove(&task);
+            }
             RunEvent::HedgeLaunched { .. } => report.hedges_launched += 1,
             RunEvent::HedgeWon { .. } => report.hedges_won += 1,
             RunEvent::HedgeWasted { .. } => report.hedges_wasted += 1,
