@@ -481,45 +481,43 @@ fn twins_orphaned_by_a_crash_settle_wasted_on_recovery() {
         drop(client);
         runtime.finish()
     };
+    /// Folds one record into the twins launched and not yet won or wasted.
+    fn track_twins(live: &mut HashSet<u32>, event: &RunEvent) {
+        match *event {
+            RunEvent::HedgeLaunched { job, .. } => live.insert(job),
+            RunEvent::HedgeWon { job, .. } | RunEvent::HedgeWasted { job, .. } => live.remove(&job),
+            _ => false,
+        };
+    }
     /// Twins launched and not yet won or wasted when the journal ends.
     fn live_twins(journal: &Journal) -> HashSet<u32> {
         let mut live = HashSet::new();
         for e in journal.events() {
-            match e.event {
-                RunEvent::HedgeLaunched { job, .. } => live.insert(job),
-                RunEvent::HedgeWon { job, .. } | RunEvent::HedgeWasted { job, .. } => {
-                    live.remove(&job)
-                }
-                _ => false,
-            };
+            track_twins(&mut live, &e.event);
         }
         live
     }
 
-    let golden = serve(cfg(None));
+    // Hedge timing is wall-clock, so which records have a twin in flight
+    // differs run to run: serve once into a WAL, then cut the file where
+    // the most twins are live (the earliest such prefix) and recover.
+    let wal = wal_path("orphan-twins");
+    let _ = std::fs::remove_file(&wal);
+    let golden = serve(cfg(Some(wal.clone())));
     assert!(!golden.crashed);
     assert!(
         golden.report.hedges_launched > 0,
         "stragglers must be hedged"
     );
-    let events = golden.journal.events().len() as u64;
-
-    // Hedge timing is wall-clock, so which records have a twin in flight
-    // differs run to run: try crash points until one lands inside a pair.
-    let wal = wal_path("orphan-twins");
-    let orphans = (2..10)
-        .map(|tenth| events * tenth / 10)
-        .find_map(|crash_at| {
-            let _ = std::fs::remove_file(&wal);
-            let crashed = serve(RuntimeConfig {
-                crash_after_events: Some(crash_at),
-                ..cfg(Some(wal.clone()))
-            });
-            assert!(crashed.crashed, "crash point {crash_at} must trip");
-            let orphans = live_twins(&crashed.journal);
-            (!orphans.is_empty()).then_some((crash_at as usize, orphans))
-        });
-    let (cut, orphans) = orphans.expect("some crash point leaves a twin in flight");
+    let (mut live, mut cut, mut orphans) = (HashSet::new(), 0, HashSet::new());
+    for (at, e) in golden.journal.events().iter().enumerate() {
+        track_twins(&mut live, &e.event);
+        if live.len() > orphans.len() {
+            (cut, orphans) = (at + 1, live.clone());
+        }
+    }
+    assert!(!orphans.is_empty(), "some prefix leaves a twin in flight");
+    truncate_wal(&wal, cut);
 
     let (runtime, client, rec) =
         Runtime::recover(cfg(Some(wal.clone())), strategy(), make_worker, &tasks)
