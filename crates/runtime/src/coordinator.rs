@@ -113,7 +113,10 @@ pub struct RuntimeConfig {
     /// [`Threads::Auto`] (the `SMARTRED_THREADS` environment variable,
     /// falling back to available parallelism).
     pub workers: Option<usize>,
-    /// Bounded capacity of each worker's inbox.
+    /// Bounded capacity of each worker's inbox (0 acts as 1). A worker
+    /// holds at most `2·inbox_cap + 1` assignments: the one it runs, up to
+    /// `inbox_cap` it has taken off the inbox to serve oldest task first,
+    /// and a full inbox behind them.
     pub inbox_cap: usize,
     /// Capacity of the submission queue — submissions sent and not yet
     /// admitted, recovered roster entries included; submissions beyond it
