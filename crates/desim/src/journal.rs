@@ -1165,6 +1165,17 @@ impl Journal {
         self.events.push(Stamped { at, seq, event });
     }
 
+    /// Keeps the first `len` entries and drops the rest, as a crash at that
+    /// record boundary leaves the stream. [`next_seq`](Self::next_seq)
+    /// follows, so sequence numbers stay dense: a record made next gets
+    /// the seq right after the last one kept. A no-op when the journal
+    /// holds no more than `len` entries.
+    pub fn truncate(&mut self, len: usize) {
+        let cut = self.events.len().saturating_sub(len);
+        self.events.truncate(len);
+        self.next_seq -= cut as u64;
+    }
+
     /// All entries, in recording (= time) order.
     pub fn events(&self) -> &[Stamped] {
         &self.events
@@ -2407,6 +2418,27 @@ mod tests {
         assert_eq!(restored.events(), j.events());
         assert_eq!(restored.digest(), j.digest());
         assert_eq!(restored.to_jsonl(), text);
+    }
+
+    #[test]
+    fn a_truncated_journal_is_a_prefix_with_dense_seqs() {
+        let mut resumed = Journal::resume_at(7);
+        for e in sample_journal().events() {
+            resumed.record(e.at, e.event);
+        }
+        for whole in [sample_journal(), resumed] {
+            let first = whole.events()[0].seq;
+            for len in [0, 1, 4, whole.len(), whole.len() + 3] {
+                let mut cut = whole.clone();
+                cut.truncate(len);
+                let kept = len.min(whole.len());
+                assert_eq!(cut.events(), &whole.events()[..kept]);
+                assert!(whole.to_jsonl().starts_with(&cut.to_jsonl()));
+                assert_eq!(cut.next_seq(), first + kept as u64);
+                cut.record(t(9.0), RunEvent::RunEnded);
+                assert_eq!(cut.events()[kept].seq, first + kept as u64);
+            }
+        }
     }
 
     #[test]

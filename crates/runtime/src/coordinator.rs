@@ -17,16 +17,22 @@
 //! the earliest of which is `next_due()`. No handler reads a clock or a
 //! channel. Clients and worker threads send on one unbounded channel, the
 //! inbox; the thread that owns its receiver and the wall clock is a driver
-//! (`Coordinator::run`): it blocks until an input arrives or a timer
+//! (`Driver::run`): it blocks until an input arrives or a timer
 //! falls due — nothing polls — and stamps each input as it takes it off
 //! the channel, so no record is stamped earlier than its cause.
 //!
 //! A *turn* is: every input that has arrived, each one stepped at its own
 //! stamp; one admission from the backlog; the due timers; the dispatch of
-//! every replica the turn opened, re-armed or found parked; one WAL
-//! commit, which releases the turn's verdicts. Jobs leave for workers
-//! last, so a task decided in a turn was open when the turn began: a turn
-//! decides at most [`RuntimeConfig::max_active`] tasks.
+//! every replica the turn opened, re-armed or found parked. Jobs leave for
+//! workers last, so a task decided in a turn was open when the turn began:
+//! a turn decides at most [`RuntimeConfig::max_active`] tasks.
+//!
+//! A turn cannot fail: its handlers change state, log records and hand
+//! jobs to the pool. What can fail or end the run is the driver's (its
+//! `Driver`, which the unit tests' rig uses too): after each turn it
+//! commits the turn's records, releases the verdicts they decided, takes
+//! a checkpoint when one is due, and — on a WAL failure or at the crash
+//! hook — stops stepping the coordinator, which is all death is.
 //!
 //! Nothing in the design blocks on a send: worker inboxes are bounded and
 //! `try_send` only (a refused job is parked, and every turn retries),
@@ -40,24 +46,25 @@
 //! ## Write-ahead logging
 //!
 //! When [`RuntimeConfig::wal`] is set, every journal record goes to a
-//! write-ahead log, and the log is *committed* — written to the file in
-//! one `write`, and fsync'd under [`RuntimeConfig::wal_sync`] — once per
-//! coordinator turn, at the bottom, just before it blocks on its inbox
-//! (and around a checkpoint, and at shutdown). That commit is the only
-//! release point: a decision's verdict is parked when the decision is
-//! logged and sent, in log order, once the commit that holds it has
-//! returned — so the coordinator pays one `write` per turn instead of one
-//! per decision, and a verdict waits at most for the replies that were
-//! already in flight when it was decided. A decision is in the file
-//! before anyone can observe it; a process kill loses at most the current
-//! turn's tail, none of it observed, which recovery already treats as
-//! "crashed one turn earlier". [`Runtime::recover`] replays
-//! the surviving WAL prefix (tolerating a torn final record) into a fresh
-//! coordinator that resumes exactly where the dead one stopped: decided
-//! tasks are never re-run or re-delivered, in-flight jobs are re-armed
-//! without new journal records, and replica indices — and hence the
-//! deterministic fault draws keyed by `(seed, task, replica)` — are
-//! preserved.
+//! write-ahead log, which the driver *commits* once per turn, just before
+//! it blocks on its inbox (and around a checkpoint): it hands the writer
+//! the turn's records in log order — written to the file in one `write`,
+//! and fsync'd under [`RuntimeConfig::wal_sync`] — and then sends, in log
+//! order, the verdicts whose decisions the commit holds. That commit is
+//! the only release point: a decision's verdict is parked when the
+//! decision is logged, so the coordinator pays one `write` per turn
+//! instead of one per decision, and a verdict waits at most for the
+//! replies that were already in flight when it was decided. A decision is
+//! in the file before anyone can observe it; a process kill loses at most
+//! the current turn's tail, none of it observed, which recovery already
+//! treats as "crashed one turn earlier". A failed append or commit sends
+//! nothing of that commit and ends the run, as a power loss would.
+//! [`Runtime::recover`] replays the surviving WAL prefix (tolerating a
+//! torn final record) into a fresh coordinator that resumes exactly where
+//! the dead one stopped: decided tasks are never re-run or re-delivered,
+//! in-flight jobs are re-armed without new journal records, and replica
+//! indices — and hence the deterministic fault draws keyed by
+//! `(seed, task, replica)` — are preserved.
 //!
 //! ## Supervision and epochs
 //!
@@ -102,7 +109,7 @@ use crate::checkpoint::{checkpoint_path, CheckpointState};
 use crate::id_hash::{IdMap, IdSet};
 use crate::ledger::{Delivery, Ledger};
 use crate::recovery::{RecoveryError, RecoveryReport};
-use crate::report::RuntimeReport;
+use crate::report::{report_from_journal, RuntimeReport};
 use crate::worker::{JobAssignment, JobResult, Pool, Worker, WorkerFactory, WorkerPool};
 use crate::workload::Payload;
 
@@ -160,10 +167,13 @@ pub struct RuntimeConfig {
     /// Seed for the audit-selection counter stream (independent of worker
     /// fault seeds — see [`smartred_core::audit::AUDIT_STREAM`]).
     pub audit_seed: u64,
-    /// Chaos hook: the coordinator "dies" abruptly after this many journal
-    /// appends — no further events or dispatch bookkeeping, and no verdict
-    /// but those the last commit made durable — leaving the WAL holding
-    /// exactly that many records, as a kill right after a commit would.
+    /// Chaos hook: the coordinator dies once it has logged this many
+    /// journal records in this process's life. At the end of that turn its
+    /// driver commits exactly those records, sends the verdicts whose
+    /// decisions are among them, cuts the returned journal to them and
+    /// stops stepping the coordinator: the WAL holds what a kill right
+    /// after that commit would leave, and no durable decision goes
+    /// undelivered. Counts journal records, so it needs the journal on.
     /// Test-only.
     pub crash_after_events: Option<u64>,
     /// First global node id of this coordinator's worker pool. A sharded
@@ -173,15 +183,15 @@ pub struct RuntimeConfig {
     /// standalone runtime leaves it 0.
     pub node_base: u32,
     /// Group-commit batch under [`wal_sync`](Self::wal_sync): how many
-    /// records may accumulate before an append writes and `fdatasync`s on
-    /// its own, without waiting for the coordinator's next barrier. `1` —
-    /// the default — is the classic WAL, one write and one sync per
-    /// record; a larger batch leaves the committing to the barriers (one
-    /// write and one sync per turn, whatever the turn logged and however
-    /// many tasks it decided). A verdict leaves only behind the commit
-    /// that holds its decision, and shutdown commits before it returns, so
-    /// exactly-once delivery is unaffected; only not-yet-committed tail
-    /// events nobody observed can be lost, which recovery handles
+    /// records a commit may hand the writer before an append writes and
+    /// `fdatasync`s on its own, ahead of the commit's barrier. `1` — the
+    /// default — is the classic WAL, one write and one sync per record, all
+    /// at the turn's commit; a larger batch leaves the syncing to the
+    /// barriers (one write and one sync per turn, whatever the turn logged
+    /// and however many tasks it decided). A verdict leaves only behind
+    /// the commit that holds its decision, and shutdown commits before it
+    /// returns, so exactly-once delivery is unaffected; only uncommitted
+    /// tail events nobody observed can be lost, which recovery handles
     /// identically to crashing earlier.
     pub wal_batch: u64,
     /// Straggler hedging: a job that outlives the online latency-quantile
@@ -216,10 +226,11 @@ pub struct RuntimeConfig {
     /// Disk-fault injection under the WAL file handle (seeded,
     /// deterministic): short writes, fsync failures, write-crash points,
     /// read-back bit flips. A WAL I/O error permanently poisons the
-    /// writer and crashes the coordinator — recovery then proceeds from
-    /// the durable prefix exactly as after a real power loss. Applies to
-    /// the writer created by [`Runtime::start`]; [`Runtime::recover`]
-    /// always reopens the real file. Test/bench only. `None` disables.
+    /// writer and kills the coordinator, nothing of the failed commit sent
+    /// — recovery then proceeds from the durable prefix exactly as after a
+    /// real power loss. Applies to the writer created by
+    /// [`Runtime::start`]; [`Runtime::recover`] always reopens the real
+    /// file. Test/bench only. `None` disables.
     pub disk_faults: Option<DiskFaultPlan>,
 }
 
@@ -367,8 +378,8 @@ pub(crate) struct Gate {
     /// Open tasks, which decide between `Accepted` and `Queued`.
     active: AtomicUsize,
     counters: AdmissionCounters,
-    /// Whether the coordinator died at its chaos crash point; stored as
-    /// its thread ends.
+    /// Whether the coordinator died (see [`RuntimeRun::crashed`]); stored
+    /// as its thread ends.
     crashed: AtomicBool,
 }
 
@@ -540,10 +551,12 @@ pub struct RuntimeRun {
     pub admission: AdmissionStats,
     /// The recorded event stream (empty when journaling was disabled).
     pub journal: Journal,
-    /// Whether the coordinator died at the chaos crash point
-    /// ([`RuntimeConfig::crash_after_events`]) instead of finishing. A
-    /// crashed run's report and journal end mid-stream, exactly as a real
-    /// crash would leave the WAL.
+    /// Whether the coordinator died — at the chaos crash point
+    /// ([`RuntimeConfig::crash_after_events`]) or on a WAL I/O error —
+    /// instead of finishing. A dead run's journal is cut to the records its
+    /// driver handed the WAL, ending mid-stream as the crash left the file,
+    /// and its report is that journal's
+    /// [`report_from_journal`] fold.
     pub crashed: bool,
 }
 
@@ -716,50 +729,15 @@ impl Runtime {
             None => None,
         };
 
-        // Snapshot, then the segment through the coordinator's own state
-        // transitions. Checkpoints are only taken at quiescence, so the
-        // snapshot never contributes open tasks or in-flight jobs.
-        let mut ledger = Ledger::new(&cfg, Arc::new(strategy));
-        if let Some(snap) = &base {
-            ledger.restore(snap);
-        }
-        for e in prefix.journal.events() {
-            ledger.replay(e)?;
-        }
-
-        // One walk of the roster, which supplies what the WAL does not
-        // carry: open tasks get their payload back (first entry wins), and
-        // entries the WAL never saw are admitted fresh, under their
-        // original ids, ahead of any new submissions.
-        let mut backlog = VecDeque::new();
-        for &(task, ref payload) in roster {
-            if let Some(state) = ledger.open().get(&task) {
-                if state.delivery.is_none() {
-                    let payload = Arc::new(payload.clone());
-                    ledger.attach(task, Delivery::new(payload, verdict_tx.clone()));
-                }
-            } else if !ledger.decided().contains(&task) {
-                let (payload, verdict_tx) = (Arc::new(payload.clone()), verdict_tx.clone());
-                backlog.push_back(Submission {
-                    task,
-                    payload,
-                    verdict_tx,
-                });
-            }
-        }
-        let unattached = ledger.open().iter().filter(|(_, s)| s.delivery.is_none());
-        if let Some(task) = unattached.map(|(&task, _)| task).min() {
-            return Err(RecoveryError::Corrupt(format!(
-                "open task {task} missing from roster"
-            )));
-        }
-
+        let ledger = Ledger::new(&cfg, Arc::new(strategy));
+        let (ledger, backlog, mut recovery, next_task) =
+            rebuild(ledger, base.as_ref(), &prefix.journal, roster, verdict_tx)?;
+        recovery.torn_tail = prefix.torn;
         let mut wal = WalWriter::resume(&path, prefix.valid_bytes as u64, cfg.wal_sync)?
             .with_batch(cfg.wal_batch)
             .with_checksums(cfg.wal_checksum);
-        let events_replayed = prefix.journal.len();
         let mut journal = prefix.journal;
-        if let (Some(snap), 0) = (&base, events_replayed) {
+        if let (Some(snap), true) = (&base, journal.is_empty()) {
             // A crash between truncation and the seal record: re-seal.
             journal = Journal::resume_at(snap.events);
             journal.record(
@@ -774,22 +752,6 @@ impl Runtime {
             wal.commit()?;
         }
 
-        let recovery = RecoveryReport {
-            torn_tail: prefix.torn,
-            events_replayed,
-            checkpoint_events: base.as_ref().map_or(0, |s| s.events),
-            tasks_resumed: ledger.open().len(),
-            tasks_decided: ledger.decided().len(),
-            tasks_seeded: backlog.len(),
-            jobs_rearmed: ledger.open().values().map(|s| s.in_flight.len()).sum(),
-            // Checkpoints happen only at quiescence, so no open task
-            // straddles one and the ledger's snapshot + suffix fold is
-            // bit-identical to folding the full history.
-            report: ledger.report().clone(),
-        };
-        let max_roster = roster.iter().map(|&(id, _)| id).max();
-        let next_task = ledger.max_task().max(max_roster).map_or(0, |m| m + 1);
-
         let make = Arc::new(make_worker);
         let runtime = spawn_runtime(cfg, ledger, journal, Some(wal), make, backlog, next_task);
         Ok((runtime, recovery))
@@ -800,9 +762,9 @@ impl Runtime {
         Client::new(self.inbox.clone(), mpsc::channel())
     }
 
-    /// Whether the coordinator has hit its chaos crash point. Once true,
-    /// submissions go nowhere and [`Runtime::finish`] returns promptly
-    /// with [`RuntimeRun::crashed`] set.
+    /// Whether the coordinator has died (see [`RuntimeRun::crashed`]).
+    /// Once true, every verdict it released is in its channel, submissions
+    /// go nowhere and [`Runtime::finish`] returns promptly.
     pub fn is_crashed(&self) -> bool {
         self.inbox.gate.crashed.load(Ordering::Acquire)
     }
@@ -825,6 +787,68 @@ impl Runtime {
             crashed,
         }
     }
+}
+
+/// The pure half of recovery: `journal`, a recovered WAL segment (after
+/// `base` when it begins at a checkpoint), folded into `ledger` through the
+/// coordinator's own state transitions, with `roster` supplying the
+/// payloads the WAL does not carry — open tasks get theirs back (first
+/// entry wins), and entries the WAL never saw are admitted fresh, under
+/// their original ids, ahead of any new submissions. Returns the ledger,
+/// that backlog, the [`RecoveryReport`] (`torn_tail` is the reader's to
+/// set) and the next fresh task id.
+pub(crate) fn rebuild<S: RedundancyStrategy<bool>>(
+    mut ledger: Ledger<S>,
+    base: Option<&CheckpointState>,
+    journal: &Journal,
+    roster: &[(u32, Payload)],
+    verdict_tx: &Sender<TaskVerdict>,
+) -> Result<(Ledger<S>, VecDeque<Submission>, RecoveryReport, u32), RecoveryError> {
+    // Checkpoints are only taken at quiescence, so the snapshot never
+    // contributes open tasks or in-flight jobs.
+    if let Some(snap) = base {
+        ledger.restore(snap);
+    }
+    for e in journal.events() {
+        ledger.replay(e)?;
+    }
+    let mut backlog = VecDeque::new();
+    for &(task, ref payload) in roster {
+        if let Some(state) = ledger.open().get(&task) {
+            if state.delivery.is_none() {
+                let payload = Arc::new(payload.clone());
+                ledger.attach(task, Delivery::new(payload, verdict_tx.clone()));
+            }
+        } else if !ledger.decided().contains(&task) {
+            let (payload, verdict_tx) = (Arc::new(payload.clone()), verdict_tx.clone());
+            backlog.push_back(Submission {
+                task,
+                payload,
+                verdict_tx,
+            });
+        }
+    }
+    let unattached = ledger.open().iter().filter(|(_, s)| s.delivery.is_none());
+    if let Some(task) = unattached.map(|(&task, _)| task).min() {
+        return Err(RecoveryError::Corrupt(format!(
+            "open task {task} missing from roster"
+        )));
+    }
+    let recovery = RecoveryReport {
+        torn_tail: false,
+        events_replayed: journal.len(),
+        checkpoint_events: base.map_or(0, |s| s.events),
+        tasks_resumed: ledger.open().len(),
+        tasks_decided: ledger.decided().len(),
+        tasks_seeded: backlog.len(),
+        jobs_rearmed: ledger.open().values().map(|s| s.in_flight.len()).sum(),
+        // No open task straddles a checkpoint, so the ledger's snapshot +
+        // suffix fold is bit-identical to folding the full history.
+        report: ledger.report().clone(),
+    };
+    let max_roster = roster.iter().map(|&(id, _)| id).max();
+    let next_task = ledger.max_task().max(max_roster).map_or(0, |m| m + 1);
+    Ok((ledger, backlog, recovery, next_task))
 }
 
 /// Builds the WAL writer of a fresh run: the real file, or a
@@ -874,10 +898,11 @@ fn spawn_runtime<S: RedundancyStrategy<bool> + Send + Sync + 'static>(
         queue_cap: cfg.queue_cap.max(1) as u64,
         max_active: cfg.max_active.max(1),
     };
-    let coordinator = Coordinator::new(cfg, ledger, journal, wal, pool, gate, backlog);
+    let driver = Driver::new(&cfg, &journal, wal);
+    let coordinator = Coordinator::new(cfg, ledger, journal, pool, gate, backlog);
     Runtime {
         inbox: Arc::new(inbox),
-        handle: coordinator.run(rx),
+        handle: driver.run(coordinator, rx),
     }
 }
 
@@ -958,11 +983,11 @@ struct Coordinator<S, P> {
     /// The pool's global node ids.
     nodes: Range<u32>,
     journal: Journal,
-    wal: Option<WalWriter>,
-    /// Verdicts decided since the last commit, in log order, each parked
-    /// until the commit that holds its decision has returned
-    /// ([`Self::commit_wal`], the only place one is sent).
-    outbox: Vec<(Sender<TaskVerdict>, TaskVerdict)>,
+    /// Verdicts decided since the last commit, in log order, each with the
+    /// journal length its decision record made, parked until the commit
+    /// that holds that record has returned ([`Driver::commit`], the only
+    /// place one is sent).
+    outbox: Vec<(usize, Sender<TaskVerdict>, TaskVerdict)>,
     jobs: IdMap<JobInfo>,
     /// Armed timers as `(due, what, job or node, dispatch epoch)`, due in
     /// journal time. A stale entry is skipped when it falls due, dropped
@@ -982,12 +1007,6 @@ struct Coordinator<S, P> {
     backlog: VecDeque<Submission>,
     gate: Arc<Gate>,
     draining: bool,
-    /// Journal appends so far, for the chaos crash threshold.
-    events_logged: u64,
-    crashed: bool,
-    /// `Journal::next_seq` at the last checkpoint (or recovery), for the
-    /// [`RuntimeConfig::checkpoint_every`] accumulation threshold.
-    last_ckpt_events: u64,
     /// The straggler-hedging trigger (shared decision surface with the
     /// simulators). Estimator state is not journaled: a recovered
     /// coordinator re-warms from scratch, which only delays hedging and
@@ -1017,7 +1036,6 @@ impl<S: RedundancyStrategy<bool>, P: Pool> Coordinator<S, P> {
         cfg: RuntimeConfig,
         ledger: Ledger<S>,
         journal: Journal,
-        wal: Option<WalWriter>,
         pool: P,
         gate: Arc<Gate>,
         backlog: VecDeque<Submission>,
@@ -1039,11 +1057,9 @@ impl<S: RedundancyStrategy<bool>, P: Pool> Coordinator<S, P> {
             .store(backlog.len() as u64, Ordering::Relaxed);
         let nodes = cfg.node_base..cfg.node_base + cfg.worker_count() as u32;
         Coordinator {
-            last_ckpt_events: journal.next_seq(),
             ledger,
             pool,
             journal,
-            wal,
             outbox: Vec::new(),
             jobs: IdMap::default(),
             timers: BinaryHeap::new(),
@@ -1052,8 +1068,6 @@ impl<S: RedundancyStrategy<bool>, P: Pool> Coordinator<S, P> {
             backlog,
             gate,
             draining: false,
-            events_logged: 0,
-            crashed: false,
             hedge: cfg
                 .hedge
                 .map(|p| HedgeTrigger::new(p).expect("invalid hedge policy")),
@@ -1064,50 +1078,6 @@ impl<S: RedundancyStrategy<bool>, P: Pool> Coordinator<S, P> {
             nodes,
             cfg,
         }
-    }
-
-    /// The driver: a thread that owns the inbox's receiver and the wall
-    /// clock, and nothing else. Journal time is micros since this call —
-    /// made on the caller's thread, so the epoch lies inside
-    /// `Runtime::start` — plus the last recovered stamp: 1 unit = 1
-    /// second, monotone across restarts. It is read once for each input
-    /// *as it leaves the channel*, so a record is never stamped earlier
-    /// than what caused it, and once for the rest of the turn
-    /// ([`Self::turn`]). The thread sleeps until an input arrives or the
-    /// earliest armed timer falls due, whichever is first; nothing wakes
-    /// it otherwise.
-    fn run(mut self, inbox: Receiver<Input>) -> JoinHandle<(RuntimeReport, Journal, bool)>
-    where
-        S: Send + Sync + 'static,
-        P: Send + 'static,
-    {
-        let start = std::time::Instant::now();
-        let base = self.ledger.last_at().as_micros();
-        let clock = move || SimTime::from_micros(base + start.elapsed().as_micros() as u64);
-        let drive = move || {
-            self.resume(clock());
-            while self.turn(clock()) {
-                let mut input = match self.next_due() {
-                    // The pool holds a sender: no wait ends disconnected.
-                    None => inbox.recv().ok(),
-                    Some(due) => {
-                        let left = due.as_micros().saturating_sub(clock().as_micros());
-                        inbox.recv_timeout(Duration::from_micros(left)).ok()
-                    }
-                };
-                while let Some(next) = input.filter(|_| !self.crashed) {
-                    self.step(next, clock());
-                    input = inbox.try_recv().ok();
-                }
-            }
-            self.gate.crashed.store(self.crashed, Ordering::Release);
-            self.pool.shutdown();
-            (self.ledger.report().clone(), self.journal, self.crashed)
-        };
-        std::thread::Builder::new()
-            .name("smartred-coordinator".into())
-            .spawn(drive)
-            .expect("spawn coordinator thread")
     }
 
     /// What a recovered ledger still owes, before anything else: a
@@ -1124,7 +1094,7 @@ impl<S: RedundancyStrategy<bool>, P: Pool> Coordinator<S, P> {
         if let Some(task) = owed.poison {
             self.finalize(task, Outcome::Poisoned, now);
         }
-        let _ = self.cancel_jobs(None, &[], now);
+        self.cancel_jobs(None, &[], now);
         for node in self.nodes.clone() {
             if let Some(until) = self.ledger.node(node).quarantined_until {
                 self.timers.push(Reverse((until, Timer::Release, node, 0)));
@@ -1166,13 +1136,11 @@ impl<S: RedundancyStrategy<bool>, P: Pool> Coordinator<S, P> {
     /// The rest of a turn, once its inputs are stepped: one admission from
     /// the backlog, the due timers, then the dispatches — of everything
     /// the turn opened or re-armed, so nothing waits on a wake-up that
-    /// may never come — and the turn boundary, the only release point:
-    /// everything the turn logged reaches the file in one write, then the
-    /// verdicts it decided leave, before the driver sleeps. Returns
-    /// `false` when there is no next turn: the coordinator died, or
-    /// drained (and said `RunEnded`).
+    /// may never come. The driver's commit ends the turn. Returns `false`
+    /// when there is no next turn: the coordinator drained (and said
+    /// `RunEnded`).
     fn turn(&mut self, now: SimTime) -> bool {
-        while self.has_room() && !self.crashed {
+        while self.has_room() {
             let Some(sub) = self.backlog.pop_front() else {
                 break;
             };
@@ -1180,15 +1148,11 @@ impl<S: RedundancyStrategy<bool>, P: Pool> Coordinator<S, P> {
         }
         self.fire_due(now);
         self.drain_pending(now);
-        let idle = self.ledger.open().is_empty() && self.backlog.is_empty();
-        let done = idle && self.draining;
+        let done = self.draining && self.ledger.open().is_empty() && self.backlog.is_empty();
         if done {
             self.log(now, RunEvent::RunEnded);
-        } else if idle {
-            self.maybe_checkpoint(now);
         }
-        self.commit_wal();
-        !(done || self.crashed)
+        !done
     }
 
     /// When the earliest armed timer falls due (it may prove stale).
@@ -1199,7 +1163,7 @@ impl<S: RedundancyStrategy<bool>, P: Pool> Coordinator<S, P> {
     /// Fires every timer due at `now`, in time order.
     fn fire_due(&mut self, now: SimTime) {
         while let Some(&Reverse((due, timer, id, epoch))) = self.timers.peek() {
-            if due > now || self.crashed {
+            if due > now {
                 break;
             }
             self.timers.pop();
@@ -1212,131 +1176,31 @@ impl<S: RedundancyStrategy<bool>, P: Pool> Coordinator<S, P> {
         }
     }
 
-    /// Records one event: in-memory journal, then the WAL's commit buffer,
-    /// then the ledger. The record reaches the file at the next
-    /// [`Self::commit_wal`] — the last thing each turn does before the
-    /// driver sleeps, and the barrier every verdict waits behind — or
-    /// earlier when a sync falls due ([`RuntimeConfig::wal_batch`]). Effects that die
-    /// with the process (a dispatch to an in-process worker) need no
-    /// barrier: losing their records with them is the same as having
-    /// crashed a turn earlier.
-    ///
-    /// Returns `false` when the coordinator is dead: either it already
-    /// crashed, or this very append hit the chaos threshold
-    /// ([`RuntimeConfig::crash_after_events`]). A `false` return means the
-    /// caller must not perform the event's side effects — exactly the
-    /// state a real crash between "append" and "act" leaves. The ledger
-    /// applies the event right after the WAL append (what it earned is
-    /// then [`Ledger::owed`]), never a record the writer refused.
-    fn log(&mut self, at: SimTime, event: RunEvent) -> bool {
-        if self.crashed {
-            return false;
-        }
+    /// Records one event: in the journal, from which the driver's commit
+    /// hands it to the WAL, then in the ledger. Effects that die with the
+    /// process (a dispatch to an in-process worker) need no barrier before
+    /// them: losing their records with them is the same as having crashed
+    /// a turn earlier.
+    fn log(&mut self, at: SimTime, event: RunEvent) {
         let entry = Stamped {
             at,
             seq: self.journal.next_seq(),
             event,
         };
         self.journal.record(at, event);
-        if let Some(wal) = self.wal.as_mut() {
-            if wal.append(&entry).is_err() {
-                // The append wrote a batch out and the disk failed it: the
-                // record may not be durable, so the coordinator must not
-                // act on it. A disk fault is a coordinator crash: the
-                // writer is poisoned (a failed fsync can silently drop
-                // acknowledged pages), and recovery resumes from the
-                // WAL's durable prefix exactly as after a power loss.
-                self.crashed = true;
-                return false;
-            }
-        }
         self.ledger
             .apply(&entry)
             .expect("the coordinator logs only events its own state produced");
-        self.events_logged += 1;
-        if let Some(limit) = self.cfg.crash_after_events {
-            if self.events_logged >= limit {
-                // The hook models death *at* a barrier: the WAL holds
-                // exactly `limit` records, the last of them not acted on,
-                // and the verdicts that commit made durable have left.
-                self.commit_wal();
-                self.crashed = true;
-                return false;
-            }
-        }
-        true
     }
 
-    /// The write-ahead barrier and the only release point: writes every
-    /// buffered record to the WAL file in one `write` (and fsyncs under
-    /// [`RuntimeConfig::wal_sync`]), then sends the parked verdicts in log
-    /// order — a verdict is never delivered before its decision is in the
-    /// file. Called at the bottom of every turn, by the crash hook,
-    /// around a checkpoint and after `RunEnded`; without a WAL it only
-    /// releases. A dead coordinator releases nothing: what a failed append
-    /// or commit left parked is decided, perhaps durable, and never sent.
-    fn commit_wal(&mut self) {
-        if self.crashed {
-            return;
-        }
-        if self.wal.as_mut().is_some_and(|wal| wal.commit().is_err()) {
-            // Same contract as a failed append: the batch may not be
-            // durable, so the verdicts behind it must not leave. Die;
-            // recover from the prefix.
-            self.crashed = true;
-            return;
-        }
-        for (verdict_tx, verdict) in self.outbox.drain(..) {
-            let _ = verdict_tx.send(verdict);
-        }
-    }
-
-    /// Takes a checkpoint when one is due and the coordinator is
-    /// quiescent — no open tasks, no in-flight jobs, nothing parked — so
-    /// the snapshot needs no open-task state and the suffix fold starts
-    /// from a clean slate: commits the WAL, atomically stores the
-    /// snapshot, truncates the segment, and seals the fresh segment with a
-    /// [`RunEvent::CheckpointTaken`] record whose `seq` equals the
-    /// compacted event count. Every crash window inside this sequence is
-    /// recoverable — see the `checkpoint` module docs; an I/O failure
-    /// either leaves the old segment intact (snapshot store) or poisons
-    /// the writer and crashes the coordinator (truncate/seal).
-    fn maybe_checkpoint(&mut self, at: SimTime) {
-        let (Some(every), Some(wal)) = (self.cfg.checkpoint_every, &self.cfg.wal) else {
-            return;
-        };
-        let quiescent = self.ledger.open().is_empty()
+    /// Whether nothing is open, in flight or parked, so a checkpoint needs
+    /// no open-task state and the suffix fold starts from a clean slate.
+    fn quiescent(&self) -> bool {
+        self.ledger.open().is_empty()
             && self.backlog.is_empty()
             && self.pending.is_empty()
             && self.rearm.is_empty()
-            && self.jobs.is_empty();
-        let events = self.journal.next_seq();
-        if !quiescent || events.saturating_sub(self.last_ckpt_events) < every.max(1) {
-            return;
-        }
-        let path = checkpoint_path(wal);
-        self.commit_wal();
-        if self.crashed {
-            return;
-        }
-        let state = self.ledger.checkpoint(events, at);
-        let digest = state.digest();
-        if state.store(&path).is_err() {
-            // The old WAL is fully intact — skip this checkpoint and try
-            // again only after another interval's worth of events.
-            self.last_ckpt_events = events;
-            return;
-        }
-        if let Some(wal) = self.wal.as_mut() {
-            if wal.truncate().is_err() {
-                self.crashed = true;
-                return;
-            }
-        }
-        if self.log(at, RunEvent::CheckpointTaken { events, digest }) {
-            self.commit_wal();
-        }
-        self.last_ckpt_events = self.journal.next_seq();
+            && self.jobs.is_empty()
     }
 
     /// Whether another task may be open.
@@ -1361,8 +1225,7 @@ impl<S: RedundancyStrategy<bool>, P: Pool> Coordinator<S, P> {
         while let Some(step) = self.ledger.step(task) {
             match step {
                 WaveStep::Wave { wave, jobs } => {
-                    // Wave durable before its replicas become dispatchable.
-                    let alive = self.log(
+                    self.log(
                         at,
                         RunEvent::WaveOpened {
                             task,
@@ -1370,9 +1233,6 @@ impl<S: RedundancyStrategy<bool>, P: Pool> Coordinator<S, P> {
                             jobs: jobs as u32,
                         },
                     );
-                    if !alive {
-                        return;
-                    }
                     self.pending.extend(std::iter::repeat_n(task, jobs));
                 }
                 WaveStep::Pending => return,
@@ -1422,8 +1282,7 @@ impl<S: RedundancyStrategy<bool>, P: Pool> Coordinator<S, P> {
     /// unless it is a twin, its hedge check, if the trigger is warm and the
     /// threshold beats the deadline (past it the timeout path abandons the
     /// job anyway). Returns `false` when every inbox refused and the caller
-    /// should park the job; `true` also for a task decided while parked and
-    /// on death.
+    /// should park the job; `true` also for a task decided while parked.
     fn launch(&mut self, task: u32, avoid: Option<u32>, record: Record, at: SimTime) -> bool {
         let Some(state) = self.ledger.open().get(&task) else {
             return true;
@@ -1458,8 +1317,8 @@ impl<S: RedundancyStrategy<bool>, P: Pool> Coordinator<S, P> {
                 epoch,
             }),
         };
-        if event.is_some_and(|event| !self.log(at, event)) {
-            return true;
+        if let Some(event) = event {
+            self.log(at, event);
         }
         self.jobs.insert(
             job,
@@ -1505,13 +1364,13 @@ impl<S: RedundancyStrategy<bool>, P: Pool> Coordinator<S, P> {
     fn drain_pending(&mut self, at: SimTime) {
         while let Some(&(job, task, replica, epoch)) = self.rearm.front() {
             let rearm = Record::Rearm((job, replica, epoch));
-            if self.crashed || !self.launch(task, None, rearm, at) {
+            if !self.launch(task, None, rearm, at) {
                 return;
             }
             self.rearm.pop_front();
         }
         while let Some(&task) = self.pending.front() {
-            if self.crashed || !self.launch(task, None, Record::Dispatch, at) {
+            if !self.launch(task, None, Record::Dispatch, at) {
                 return;
             }
             self.pending.pop_front();
@@ -1560,15 +1419,15 @@ impl<S: RedundancyStrategy<bool>, P: Pool> Coordinator<S, P> {
     /// Dissolves a hedge pair, the only place one ends: the twin's single
     /// terminal record — `won` when its reply supplied the replica's vote,
     /// wasted otherwise — and the pair's loser leaves the job map, so its
-    /// worker's eventual reply drops as stale. Returns `log`'s aliveness.
-    fn dissolve(&mut self, origin: u32, twin: u32, task: u32, won: bool, at: SimTime) -> bool {
+    /// worker's eventual reply drops as stale.
+    fn dissolve(&mut self, origin: u32, twin: u32, task: u32, won: bool, at: SimTime) {
         self.jobs.remove(if won { &origin } else { &twin });
         let event = if won {
             RunEvent::HedgeWon { job: twin, task }
         } else {
             RunEvent::HedgeWasted { job: twin, task }
         };
-        self.log(at, event)
+        self.log(at, event);
     }
 
     /// Ends one job, one lifecycle for all three ends: stale-drop, pair
@@ -1602,9 +1461,7 @@ impl<S: RedundancyStrategy<bool>, P: Pool> Coordinator<S, P> {
             // strikes, charges poison and abandons only on that record.
             // A crash's in-place restart is real, though.
             if let End::Crashed { worker, .. } = end {
-                if !self.log_restart(worker, at) {
-                    return;
-                }
+                self.log_restart(worker, at);
             }
             if is_twin {
                 self.dissolve(origin, job, task, false, at);
@@ -1623,9 +1480,7 @@ impl<S: RedundancyStrategy<bool>, P: Pool> Coordinator<S, P> {
         // reply, or ending solo without a vote.
         let won = is_twin && returned;
         if let Some((_, twin)) = pair.filter(|_| !won) {
-            if !self.dissolve(origin, twin, task, false, at) {
-                return;
-            }
+            self.dissolve(origin, twin, task, false, at);
         }
         // The terminal record — the ledger tallies the vote on it, or
         // abandons the replica and charges timeout, strike and poison.
@@ -1647,8 +1502,9 @@ impl<S: RedundancyStrategy<bool>, P: Pool> Coordinator<S, P> {
                 node: info.worker,
             },
         };
-        if !self.log(at, terminal) || (won && !self.dissolve(origin, job, task, true, at)) {
-            return;
+        self.log(at, terminal);
+        if won {
+            self.dissolve(origin, job, task, true, at);
         }
         // One read of the task as that record left it; the records that
         // follow restate it and change nothing the strategy sees.
@@ -1658,7 +1514,7 @@ impl<S: RedundancyStrategy<bool>, P: Pool> Coordinator<S, P> {
         };
         let tail = state.map(|s| (s.timeouts, s.exec.waves() as u32, s.exec.wave_boundary()));
         let (leader_count, runner_up) = state.map_or((0, 0), |s| s.exec.leader_counts());
-        let alive = match end {
+        match end {
             End::Returned(reply) => self.log(
                 at,
                 RunEvent::VoteTallied {
@@ -1669,17 +1525,11 @@ impl<S: RedundancyStrategy<bool>, P: Pool> Coordinator<S, P> {
                 },
             ),
             End::Crashed { worker, .. } => self.log_restart(worker, at),
-            End::Lapsed => true,
-        };
-        if !alive {
-            return;
+            End::Lapsed => {}
         }
         // A crash's restart record carries what the crash earned across.
         let owed = self.ledger.owed();
         self.enact(owed.discipline, at);
-        if self.crashed {
-            return;
-        }
         if owed.poison.is_some() {
             return self.finalize(task, Outcome::Poisoned, at);
         }
@@ -1689,26 +1539,20 @@ impl<S: RedundancyStrategy<bool>, P: Pool> Coordinator<S, P> {
         // Reissue: a replica that died or lapsed is replaced by a fresh
         // one (a fresh fault draw — the same replica would fail the same
         // way forever) when the strategy reopens the wave below.
-        if matches!(end, End::Lapsed) && !self.log(at, RunEvent::JobRetried { task, attempt }) {
-            return;
+        if matches!(end, End::Lapsed) {
+            self.log(at, RunEvent::JobRetried { task, attempt });
         }
-        if boundary && !self.log(at, RunEvent::WaveClosed { task, wave }) {
-            return;
+        if boundary {
+            self.log(at, RunEvent::WaveClosed { task, wave });
         }
         self.advance(task, at);
     }
 
-    /// Journals `worker`'s next incarnation (a crash rebuild or a hang
+    /// Journals `node`'s next incarnation (a crash rebuild or a hang
     /// respawn).
-    fn log_restart(&mut self, worker: u32, at: SimTime) -> bool {
-        let incarnation = self.ledger.node(worker).incarnation + 1;
-        self.log(
-            at,
-            RunEvent::WorkerRestarted {
-                node: worker,
-                incarnation,
-            },
-        )
+    fn log_restart(&mut self, node: u32, at: SimTime) {
+        let incarnation = self.ledger.node(node).incarnation + 1;
+        self.log(at, RunEvent::WorkerRestarted { node, incarnation });
     }
 
     /// A due hang check: respawns `worker` if it has been inside one
@@ -1737,9 +1581,7 @@ impl<S: RedundancyStrategy<bool>, P: Pool> Coordinator<S, P> {
     /// Replaces `worker`'s thread, bumping the epoch of every task with
     /// jobs lost on it and re-arming them.
     fn respawn_worker(&mut self, worker: u32, at: SimTime) {
-        if !self.log_restart(worker, at) {
-            return;
-        }
+        self.log_restart(worker, at);
         self.pool.respawn(worker);
         // Everything in flight on that worker — the wedged job plus its
         // queued inbox — died with it. Bump each affected task's epoch
@@ -1761,9 +1603,7 @@ impl<S: RedundancyStrategy<bool>, P: Pool> Coordinator<S, P> {
                     continue;
                 };
                 let epoch = state.epoch + 1;
-                if !self.log(at, RunEvent::EpochAdvanced { task, epoch }) {
-                    return;
-                }
+                self.log(at, RunEvent::EpochAdvanced { task, epoch });
             }
         }
         for (job, task, replica) in lost {
@@ -1778,9 +1618,7 @@ impl<S: RedundancyStrategy<bool>, P: Pool> Coordinator<S, P> {
                     // so the live run must not either); a hedged origin is
                     // re-armed below, its twin canceled, and stays the
                     // pair's sole voter.
-                    if !self.dissolve(origin, twin, task, false, at) {
-                        return;
-                    }
+                    self.dissolve(origin, twin, task, false, at);
                     if twin == job {
                         continue;
                     }
@@ -1812,9 +1650,7 @@ impl<S: RedundancyStrategy<bool>, P: Pool> Coordinator<S, P> {
                 reason: DepartureReason::Blacklist,
             },
         };
-        if !self.log(at, event) {
-            return;
-        }
+        self.log(at, event);
         if let Some(until) = self.ledger.node(worker).quarantined_until {
             self.timers
                 .push(Reverse((until, Timer::Release, worker, 0)));
@@ -1835,12 +1671,9 @@ impl<S: RedundancyStrategy<bool>, P: Pool> Coordinator<S, P> {
     /// Runs one audit group on `task` at verdict time: log the schedule,
     /// recompute the payload locally, and compare every recorded return
     /// against the honest value. Returns `true` when the verdict stands;
-    /// `false` when the caller must not finalize — the coordinator died
-    /// mid-group, or the verdict was voided and the task restarted.
+    /// `false` when it was voided and the task restarted.
     fn run_audit(&mut self, task: u32, value: bool, at: SimTime) -> bool {
-        if !self.log(at, RunEvent::AuditScheduled { task }) {
-            return false;
-        }
+        self.log(at, RunEvent::AuditScheduled { task });
         // The local recomputation costs one job-equivalent of coordinator
         // compute (counted in `report.audits`, and in `total_cost()` for
         // matched-cost comparisons). A recorded vote is the server-checked
@@ -1857,16 +1690,12 @@ impl<S: RedundancyStrategy<bool>, P: Pool> Coordinator<S, P> {
             .map(|&(job, node, _)| (job, node))
             .collect();
         if liars.is_empty() {
-            return self.log(at, RunEvent::AuditPassed { task });
+            self.log(at, RunEvent::AuditPassed { task });
+            return true;
         }
         for &(_, node) in &liars {
-            if !self.log(at, RunEvent::AuditFailed { task, node }) {
-                return false;
-            }
+            self.log(at, RunEvent::AuditFailed { task, node });
             self.enact(self.ledger.owed().discipline, at);
-            if self.crashed {
-                return false;
-            }
         }
         // Retaliation: the caught liars' other open work can no longer be
         // trusted — re-tally every open task they touched from scratch.
@@ -1880,13 +1709,8 @@ impl<S: RedundancyStrategy<bool>, P: Pool> Coordinator<S, P> {
             .collect();
         touched.sort_unstable();
         for t in touched {
-            if !self.void_attempt(t, RunEvent::TaskRetallied { task: t }, at) {
-                return false;
-            }
+            self.void_attempt(t, RunEvent::TaskRetallied { task: t }, at);
             self.advance(t, at);
-            if self.crashed {
-                return false;
-            }
         }
         if value {
             // Liars voted, but the tally's winner matches the
@@ -1897,9 +1721,8 @@ impl<S: RedundancyStrategy<bool>, P: Pool> Coordinator<S, P> {
         // The coalition won the tally: the would-be verdict contradicts
         // the recomputation. Void it before acceptance and re-run the
         // task — no `VerdictReached` is ever logged for this attempt.
-        if self.void_attempt(task, RunEvent::VerdictVoided { task }, at) {
-            self.advance(task, at);
-        }
+        self.void_attempt(task, RunEvent::VerdictVoided { task }, at);
+        self.advance(task, at);
         false
     }
 
@@ -1908,12 +1731,10 @@ impl<S: RedundancyStrategy<bool>, P: Pool> Coordinator<S, P> {
     /// resets the strategy to wave 1 with a fresh job budget; here its
     /// jobs are dropped and its parked dispatches forgotten. Replica
     /// ordinals and epochs stay monotone so fault draws never repeat
-    /// across attempts. Returns `log`'s aliveness.
-    fn void_attempt(&mut self, task: u32, event: RunEvent, at: SimTime) -> bool {
+    /// across attempts.
+    fn void_attempt(&mut self, task: u32, event: RunEvent, at: SimTime) {
         let origins = self.ledger.open()[&task].in_flight.clone();
-        if !self.log(at, event) {
-            return false;
-        }
+        self.log(at, event);
         self.pending.retain(|&t| t != task);
         self.rearm.retain(|&(_, t, _, _)| t != task);
         self.cancel_jobs(Some(task), &origins, at)
@@ -1923,13 +1744,14 @@ impl<S: RedundancyStrategy<bool>, P: Pool> Coordinator<S, P> {
     /// replicas, and any hedge twin — so their late replies fail the
     /// job-map freshness check, and settles the twins as wasted, in job
     /// order. With no task: every twin a recovered WAL prefix left
-    /// unsettled. Returns `log`'s aliveness.
-    fn cancel_jobs(&mut self, task: Option<u32>, origins: &[(u32, u32)], at: SimTime) -> bool {
+    /// unsettled.
+    fn cancel_jobs(&mut self, task: Option<u32>, origins: &[(u32, u32)], at: SimTime) {
         for (job, _) in origins {
             self.jobs.remove(job);
         }
-        let mut twins = self.ledger.twins(task).into_iter();
-        twins.all(|(origin, twin, task)| self.dissolve(origin, twin, task, false, at))
+        for (origin, twin, task) in self.ledger.twins(task) {
+            self.dissolve(origin, twin, task, false, at);
+        }
     }
 
     fn finalize(&mut self, task: u32, outcome: Outcome, at: SimTime) {
@@ -1966,14 +1788,10 @@ impl<S: RedundancyStrategy<bool>, P: Pool> Coordinator<S, P> {
                 crashes: self.ledger.open()[&task].poison.crashes(),
             },
         };
-        if !self.log(at, event) {
-            return;
-        }
+        self.log(at, event);
         // The verdict is parked, not sent: it leaves when the commit that
-        // holds its decision has returned (and fsynced, when syncing). A
-        // failed commit kills the coordinator with the verdict unsent.
-        // Parked before the twins settle, so a crash hook tripped by their
-        // records still releases it with the decision it made durable.
+        // holds its decision has returned (and fsynced, when syncing).
+        let decided = self.journal.len();
         let mut state = self.ledger.take_closed().expect("finalizing a live task");
         self.gate
             .active
@@ -1993,8 +1811,184 @@ impl<S: RedundancyStrategy<bool>, P: Pool> Coordinator<S, P> {
                 .map_or(0.0, |started| at.since(started).as_units()),
             jobs: state.exec.jobs_deployed() as u32,
         };
-        self.outbox.push((delivery.verdict_tx, verdict));
-        let _ = self.cancel_jobs(Some(task), &state.in_flight, at);
+        self.outbox.push((decided, delivery.verdict_tx, verdict));
+        self.cancel_jobs(Some(task), &state.in_flight, at);
+    }
+}
+
+/// Everything of a coordinator's run that can fail or end it: the WAL
+/// writer, the per-turn commit that releases verdicts, the checkpoint I/O,
+/// and death. Its thread ([`Driver::run`]) steps the coordinator, and so
+/// does the unit tests' rig; a coordinator is dead once its driver stops
+/// stepping it.
+struct Driver {
+    wal: Option<WalWriter>,
+    /// Journal entries handed to the WAL so far: a prefix of the journal.
+    appended: usize,
+    /// The journal length at which the crash hook fires: the entries this
+    /// life began with plus [`RuntimeConfig::crash_after_events`].
+    dies_at: Option<usize>,
+    /// `Journal::next_seq` at the last checkpoint (or this life's start),
+    /// for the [`RuntimeConfig::checkpoint_every`] threshold.
+    last_ckpt: u64,
+    dead: bool,
+}
+
+impl Driver {
+    /// A driver for a coordinator whose `journal` is already durable (empty
+    /// on a fresh run, the replayed segment on a recovered one).
+    fn new(cfg: &RuntimeConfig, journal: &Journal, wal: Option<WalWriter>) -> Self {
+        let appended = journal.len();
+        Driver {
+            wal,
+            appended,
+            dies_at: cfg.crash_after_events.map(|n| appended + n as usize),
+            last_ckpt: journal.next_seq(),
+            dead: false,
+        }
+    }
+
+    /// The driver's thread, which owns the inbox's receiver, the wall clock
+    /// and `c`. Journal time is micros since this call — made on the
+    /// caller's thread, so the epoch lies inside `Runtime::start` — plus the
+    /// last recovered stamp: 1 unit = 1 second, monotone across restarts.
+    /// It is read once for each input *as it leaves the channel*, so a
+    /// record is never stamped earlier than what caused it, and once for
+    /// the rest of the turn ([`Coordinator::turn`]). The thread sleeps
+    /// until an input arrives or the earliest armed timer falls due,
+    /// whichever is first; nothing wakes it otherwise.
+    fn run<S, P>(
+        mut self,
+        mut c: Coordinator<S, P>,
+        inbox: Receiver<Input>,
+    ) -> JoinHandle<(RuntimeReport, Journal, bool)>
+    where
+        S: RedundancyStrategy<bool> + Send + Sync + 'static,
+        P: Pool + Send + 'static,
+    {
+        let start = std::time::Instant::now();
+        let base = c.ledger.last_at().as_micros();
+        let clock = move || SimTime::from_micros(base + start.elapsed().as_micros() as u64);
+        let drive = move || {
+            c.resume(clock());
+            while self.turn(&mut c, clock()) {
+                let mut input = match c.next_due() {
+                    // The pool holds a sender: no wait ends disconnected.
+                    None => inbox.recv().ok(),
+                    Some(due) => {
+                        let left = due.as_micros().saturating_sub(clock().as_micros());
+                        inbox.recv_timeout(Duration::from_micros(left)).ok()
+                    }
+                };
+                while let Some(next) = input {
+                    c.step(next, clock());
+                    input = inbox.try_recv().ok();
+                }
+            }
+            c.gate.crashed.store(self.dead, Ordering::Release);
+            let report = self.report(&c);
+            c.pool.shutdown();
+            (report, c.journal, self.dead)
+        };
+        std::thread::Builder::new()
+            .name("smartred-coordinator".into())
+            .spawn(drive)
+            .expect("spawn coordinator thread")
+    }
+
+    /// Steps `c`'s turn at `now` and ends it: the commit, then — at a
+    /// quiescent turn's end — a checkpoint if one is due. Returns whether
+    /// there is a next turn: `false` once `c` drained or died.
+    fn turn<S: RedundancyStrategy<bool>, P: Pool>(
+        &mut self,
+        c: &mut Coordinator<S, P>,
+        now: SimTime,
+    ) -> bool {
+        let more = c.turn(now);
+        if self.commit(c) && more && c.quiescent() {
+            self.checkpoint(c, now);
+        }
+        more && !self.dead
+    }
+
+    /// The write-ahead barrier and the only release point: hands the WAL
+    /// the journal's new entries in log order — up to the crash hook's,
+    /// when it falls due — commits them in one `write` (and `fdatasync`
+    /// under [`RuntimeConfig::wal_sync`]), then sends the parked verdicts
+    /// whose decisions are in the file. Without a WAL it only releases.
+    /// Returns `false`, and the coordinator is dead, when the hook's entry
+    /// is committed or the writer failed — which sends nothing of this
+    /// commit, since the batch may not be durable.
+    fn commit<S, P>(&mut self, c: &mut Coordinator<S, P>) -> bool {
+        let (start, logged) = (self.appended, c.journal.len());
+        let end = self.dies_at.map_or(logged, |n| n.min(logged));
+        // `Err` holds how many entries the writer was handed, the one it
+        // failed on included.
+        let written = self.wal.as_mut().map_or(Ok(()), |wal| {
+            let mut fresh = c.journal.events()[start..end].iter().zip(start + 1..);
+            fresh
+                .try_for_each(|(entry, handed)| wal.append(entry).map_err(|_| handed))
+                .and_then(|()| wal.commit().map_err(|_| end))
+        });
+        self.appended = written.err().unwrap_or(end);
+        self.dead = written.is_err();
+        for (decided, verdict_tx, verdict) in c.outbox.drain(..) {
+            if !self.dead && decided <= end {
+                let _ = verdict_tx.send(verdict);
+            }
+        }
+        self.dead |= self.dies_at == Some(end);
+        if self.dead {
+            // The dead run's journal is what its WAL was handed.
+            c.journal.truncate(self.appended);
+        }
+        !self.dead
+    }
+
+    /// Takes a checkpoint once [`RuntimeConfig::checkpoint_every`] records
+    /// have accumulated since the last: behind the turn's commit, atomically
+    /// stores the snapshot beside the WAL, truncates the segment, and seals
+    /// the fresh one with a [`RunEvent::CheckpointTaken`] record whose `seq`
+    /// is the compacted event count. Every crash window inside this sequence is
+    /// recoverable — see the `checkpoint` module docs. A failed store
+    /// leaves the old segment intact and skips this checkpoint; a failed
+    /// truncation kills the coordinator.
+    fn checkpoint<S: RedundancyStrategy<bool>, P: Pool>(
+        &mut self,
+        c: &mut Coordinator<S, P>,
+        at: SimTime,
+    ) {
+        let (Some(every), Some(path)) = (c.cfg.checkpoint_every, &c.cfg.wal) else {
+            return;
+        };
+        let events = c.journal.next_seq();
+        if events.saturating_sub(self.last_ckpt) < every.max(1) {
+            return;
+        }
+        // Tried again only after another interval's worth of events.
+        self.last_ckpt = events;
+        let state = c.ledger.checkpoint(events, at);
+        if state.store(&checkpoint_path(path)).is_err() {
+            return;
+        }
+        if self.wal.as_mut().is_some_and(|wal| wal.truncate().is_err()) {
+            self.dead = true;
+            return c.journal.truncate(self.appended);
+        }
+        let digest = state.digest();
+        c.log(at, RunEvent::CheckpointTaken { events, digest });
+        self.commit(c);
+        self.last_ckpt = c.journal.next_seq();
+    }
+
+    /// The run's report: the ledger's — or, for a dead coordinator, whose
+    /// ledger ran on past the records its WAL was handed, the fold of the
+    /// journal it was cut to.
+    fn report<S: RedundancyStrategy<bool>, P>(&self, c: &Coordinator<S, P>) -> RuntimeReport {
+        match self.dead {
+            true => report_from_journal(&c.journal),
+            false => c.ledger.report().clone(),
+        }
     }
 }
 

@@ -1,10 +1,11 @@
 //! The coordinator's ledger: exactly the state its write-ahead log
 //! determines, and the one [`Ledger::apply`] that mutates it.
 //!
-//! The coordinator journals every event to its WAL *before* acting on it,
-//! so the WAL prefix that survives a crash is a complete record of every
-//! decision the dead coordinator durably made. The live coordinator calls
-//! `apply` from `Coordinator::log` right after the WAL append;
+//! The coordinator journals every event *before* acting on it, and nothing
+//! it does is observed before the WAL commit that holds the record, so the
+//! WAL prefix that survives a crash is a complete record of every decision
+//! the dead coordinator durably made. The live coordinator calls `apply`
+//! from `Coordinator::log` right after it journals the record;
 //! [`crate::Runtime::recover`] feeds the surviving prefix through
 //! [`Ledger::replay`] — the same `apply`, plus a cross-check that each
 //! logged wave is the one the deterministic strategy reopens (a step the

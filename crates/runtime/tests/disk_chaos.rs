@@ -57,10 +57,10 @@ fn decisions(journal: &Journal) -> Vec<u32> {
 /// before the crash are a *prefix* of its decisions, and every one of them
 /// is durable. What is durable but was never delivered is never re-sent
 /// (decisions are exactly-once, delivery at-most-once): that suffix is at
-/// most `bound` long — one decision per coordinator when the crash hook
-/// dies on its own append, the decisions of the one failed commit,
-/// at most `max_active`, when the disk does — and it is exactly what the
-/// two sides together miss of the golden run.
+/// most `bound` long — zero when the crash hook kills, whose commit
+/// releases every decision it made durable, the decisions of the one
+/// failed commit, at most `max_active`, when the disk does — and it is
+/// exactly what the two sides together miss of the golden run.
 fn assert_delivery<'a>(
     ctx: &str,
     crashed: impl IntoIterator<Item = &'a Journal>,
@@ -214,6 +214,7 @@ fn injected_disk_faults_crash_the_coordinator_and_recovery_converges() {
             cfg.disk_faults = Some(plan);
             let (crashed, pre_verdicts) = run_roster(cfg, &tasks);
             assert!(crashed.crashed, "{name}: the injected fault must crash");
+            assert_eq!(crashed.report, report_from_journal(&crashed.journal));
 
             // Recovery reopens the real (now healthy) file; torn iff the
             // fault persisted a partial final record without its newline.
@@ -364,7 +365,7 @@ fn checksummed_wal_round_trips_through_crash_and_recovery() {
         &pre,
         &post,
         &golden,
-        1,
+        0,
     );
     let on_disk = std::fs::read_to_string(&wal).unwrap();
     assert!(on_disk.lines().all(|l| l.contains("\"crc\":\"")));
@@ -539,7 +540,7 @@ mod checkpoint_matrix {
                 &pre_verdicts,
                 &post_verdicts,
                 &golden_votes,
-                1,
+                0,
             );
             cleanup(&wal);
         }
@@ -723,7 +724,7 @@ mod checkpoint_matrix {
                 &pre_verdicts,
                 &post_verdicts,
                 &golden_votes,
-                shards,
+                0,
             );
             let _ = std::fs::remove_dir_all(&dir);
         }
