@@ -14,20 +14,18 @@
 //!
 //! ## Crash windows
 //!
-//! The snapshot is stored atomically (write to a temp file, fsync,
-//! rename), and the three-step sequence — store snapshot, truncate WAL,
-//! log `CheckpointTaken` — is safe to die anywhere inside:
-//!
-//! * crash **before the rename**: the old WAL is intact and starts at
-//!   seq 0 — full replay, the half-written temp file is ignored;
-//! * crash **between rename and truncate**: the WAL still starts at
-//!   seq 0 — full replay, the (valid, but redundant) snapshot is ignored;
-//! * crash **between truncate and the seal record**: the WAL is empty but
-//!   the snapshot exists — recovery restores from the snapshot alone and
-//!   re-seals the segment;
-//! * any later crash: the WAL begins with `CheckpointTaken` whose
-//!   `events`/`digest` must match the snapshot, else the pair is
-//!   reported as corruption rather than silently trusted.
+//! A checkpoint at `E`, the count of events it compacts, stores the
+//! snapshot atomically (temp file, fsync, rename, directory fsync), then
+//! cuts the segment and seals the fresh one at seq `E`. Recovery pairs
+//! segment and snapshot by one rule, `pair`, so a crash anywhere
+//! recovers: before the rename, the old pair holds (the temp file is
+//! ignored); from the rename until the seal is in the file, the segment —
+//! the whole history, the last checkpoint's segment, or nothing — holds no
+//! record at or past `E`, and recovery finishes the checkpoint: it empties
+//! the segment, writes the seal, replays nothing; after the seal, the
+//! replay starts past it. Anything else — a seal that is not the
+//! snapshot's, a segment starting mid-stream with no snapshot, a damaged
+//! snapshot the segment needs — is refused, naming the seqs.
 //!
 //! The snapshot format is deterministic line-based text with a trailing
 //! FNV-1a checksum, so a damaged snapshot is detected at load, never
@@ -37,11 +35,11 @@
 
 use std::collections::BTreeMap;
 use std::fs;
-use std::io::Write;
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
 use smartred_core::resilience::NodeDiscipline;
-use smartred_desim::journal::fnv1a_64;
+use smartred_desim::journal::{fnv1a_64, Journal, RunEvent, WalWriter};
 use smartred_desim::time::SimTime;
 use smartred_stats::Summary;
 
@@ -52,6 +50,59 @@ use crate::report::RuntimeReport;
 /// extension (`wal.jsonl` → `wal.ckpt`).
 pub fn checkpoint_path(wal: &Path) -> PathBuf {
     wal.with_extension("ckpt")
+}
+
+/// Durably removes the snapshot paired with `wal`, if there is one: a
+/// fresh run's segment must not pair with an earlier run's snapshot.
+pub(crate) fn discard(wal: &Path) -> io::Result<()> {
+    match fs::remove_file(checkpoint_path(wal)) {
+        Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(()),
+        removed => removed.and_then(|()| sync_dir(wal)),
+    }
+}
+
+/// Makes a rename or a removal beside `path` durable.
+fn sync_dir(path: &Path) -> io::Result<()> {
+    let dir = path.parent().filter(|d| !d.as_os_str().is_empty());
+    fs::File::open(dir.unwrap_or(Path::new(".")))?.sync_all()
+}
+
+/// The one rule of the module docs' crash windows, pairing a recovered
+/// `segment` with the snapshot beside it (`None`: no file; `Err`: it
+/// would not load). Returns the snapshot the replay starts from, the
+/// segment the recovered coordinator continues (beginning with that
+/// snapshot's seal), and whether to [`finish`] a checkpoint a crash
+/// interrupted, in which case the segment is its seal alone.
+pub(crate) fn pair(
+    snapshot: Option<Result<CheckpointState, String>>,
+    segment: Journal,
+) -> Result<(Option<CheckpointState>, Journal, bool), String> {
+    let end = segment.next_seq();
+    let first = segment.events().first().map_or(end, |e| e.seq);
+    let whole = first == 0 && (!segment.is_empty() || snapshot.is_none());
+    let refuse = |why: String| Err(format!("segment [{first}, {end}) {why}"));
+    Ok(match snapshot {
+        Some(Ok(snap)) if end <= snap.events => {
+            let mut journal = Journal::resume_at(snap.events);
+            journal.record(snap.last_at, snap.seal());
+            (Some(snap), journal, true)
+        }
+        _ if whole => (None, segment, false),
+        None => return refuse("starts mid-stream with no snapshot".into()),
+        Some(Err(msg)) => return refuse(format!("needs its snapshot, which is unusable: {msg}")),
+        Some(Ok(snap)) => match (&segment.events()[0], snap.seal()) {
+            (e, seal) if e.seq == snap.events && e.event == seal => (Some(snap), segment, false),
+            (e, seal) => return refuse(format!("does not begin with {seal:?}: {e:?}")),
+        },
+    })
+}
+
+/// Finishes a checkpoint [`pair`] found interrupted, through `wal`, the
+/// segment's writer: empties the segment and writes `seal`, its new one.
+pub(crate) fn finish(wal: &mut WalWriter, seal: &Journal) -> io::Result<()> {
+    wal.truncate()?;
+    wal.append(&seal.events()[0])?;
+    wal.commit()
 }
 
 /// Everything a suffix replay needs from the compacted WAL prefix.
@@ -190,11 +241,17 @@ impl CheckpointState {
         fnv1a_64(self.body().as_bytes())
     }
 
+    /// The record that seals the segment this snapshot compacted.
+    pub fn seal(&self) -> RunEvent {
+        let (events, digest) = (self.events, self.digest());
+        RunEvent::CheckpointTaken { events, digest }
+    }
+
     /// Atomically writes the snapshot: temp file in the same directory,
-    /// contents + checksum line, fsync, rename over the target. A crash
-    /// at any point leaves either the old snapshot or the new one, never
-    /// a torn mix.
-    pub fn store(&self, path: &Path) -> std::io::Result<()> {
+    /// contents + checksum line, fsync, rename over the target, directory
+    /// fsync. A crash at any point leaves either the old snapshot or the
+    /// new one, never a torn mix; once this returns, the new one is durable.
+    pub fn store(&self, path: &Path) -> io::Result<()> {
         let body = self.body();
         let digest = fnv1a_64(body.as_bytes());
         let tmp = path.with_extension("ckpt.tmp");
@@ -204,7 +261,8 @@ impl CheckpointState {
             f.write_all(format!("crc {digest:016x}\n").as_bytes())?;
             f.sync_data()?;
         }
-        fs::rename(&tmp, path)
+        fs::rename(&tmp, path)?;
+        sync_dir(path)
     }
 
     /// Loads and verifies a snapshot. Any damage — a missing or wrong
@@ -424,6 +482,143 @@ mod tests {
         fs::write(&path, clipped).unwrap();
         assert!(CheckpointState::load(&path).is_err());
         fs::remove_dir_all(&dir).ok();
+    }
+
+    /// `end - first` records from seq `first`, the first of them `seal`
+    /// when given.
+    fn segment(first: u64, end: u64, seal: Option<RunEvent>) -> Journal {
+        let mut journal = Journal::resume_at(first);
+        for seq in first..end {
+            let event = seal.filter(|_| seq == first).unwrap_or(RunEvent::RunEnded);
+            journal.record(SimTime::from_micros(seq), event);
+        }
+        journal
+    }
+
+    /// Every on-disk state a crash can leave recovers by the one rule, and
+    /// every other is refused with the seqs named: seen as which snapshot
+    /// the replay starts from, which seqs it replays, and whether the
+    /// checkpoint is finished.
+    #[test]
+    fn one_rule_pairs_every_segment_with_its_snapshot() {
+        let snap = sample();
+        let (e, seal) = (snap.events, snap.seal());
+        let loaded = || Some(Ok(sample()));
+        let damaged = || Some(Err("snapshot checksum mismatch".to_string()));
+        let earlier = Some(RunEvent::CheckpointTaken {
+            events: 60,
+            digest: 7,
+        });
+        let seqs = |r: std::ops::Range<u64>| r.collect::<Vec<_>>();
+        let recovers = [
+            (
+                "seq 0, no snapshot",
+                None,
+                segment(0, 5, None),
+                (None, seqs(0..5), false),
+            ),
+            (
+                "seq 0 past the snapshot",
+                loaded(),
+                segment(0, 125, None),
+                (None, seqs(0..125), false),
+            ),
+            (
+                "seq 0, damaged snapshot",
+                damaged(),
+                segment(0, 5, None),
+                (None, seqs(0..5), false),
+            ),
+            (
+                "sealed",
+                loaded(),
+                segment(e, 125, Some(seal)),
+                (Some(e), seqs(121..125), false),
+            ),
+            (
+                "first checkpoint cut short",
+                loaded(),
+                segment(0, e, None),
+                (Some(e), vec![], true),
+            ),
+            (
+                "later checkpoint cut short",
+                loaded(),
+                segment(60, e, earlier),
+                (Some(e), vec![], true),
+            ),
+            (
+                "empty segment",
+                loaded(),
+                segment(0, 0, None),
+                (Some(e), vec![], true),
+            ),
+            (
+                "empty, no snapshot",
+                None,
+                segment(0, 0, None),
+                (None, vec![], false),
+            ),
+        ];
+        for (name, snapshot, seg, want) in recovers {
+            let paired = pair(snapshot, seg).unwrap_or_else(|err| panic!("{name}: {err}"));
+            let (base, journal, finish) = paired;
+            let past_seal = usize::from(base.is_some());
+            let replayed = journal.events()[past_seal..]
+                .iter()
+                .map(|r| r.seq)
+                .collect();
+            assert_eq!((base.map(|b| b.events), replayed, finish), want, "{name}");
+            if finish {
+                let sealed = (snap.last_at, e, seal);
+                let only = journal.events().iter().map(|r| (r.at, r.seq, r.event));
+                assert_eq!(only.collect::<Vec<_>>(), [sealed], "{name}: the seal alone");
+            }
+        }
+        let newer = Some(RunEvent::CheckpointTaken {
+            events: 130,
+            digest: snap.digest(),
+        });
+        let forged = Some(RunEvent::CheckpointTaken {
+            events: e,
+            digest: snap.digest() ^ 1,
+        });
+        let refused = [
+            (
+                "seal newer than the snapshot",
+                loaded(),
+                segment(130, 135, newer),
+                "[130, 135) does not begin with CheckpointTaken { events: 120",
+            ),
+            (
+                "seal with another digest",
+                loaded(),
+                segment(e, 125, forged),
+                "[120, 125) does not begin with CheckpointTaken { events: 120",
+            ),
+            (
+                "mid-stream, no snapshot",
+                None,
+                segment(7, 9, None),
+                "[7, 9) starts mid-stream",
+            ),
+            (
+                "damaged snapshot, sealed",
+                damaged(),
+                segment(e, 125, Some(seal)),
+                "[120, 125) needs",
+            ),
+            (
+                "damaged snapshot, empty",
+                damaged(),
+                segment(0, 0, None),
+                "[0, 0) needs",
+            ),
+        ];
+        for (name, snapshot, seg, named) in refused {
+            let err = pair(snapshot, seg).unwrap_err();
+            assert!(err.contains(named), "{name}: {err}");
+        }
     }
 
     #[test]

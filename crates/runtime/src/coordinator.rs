@@ -105,7 +105,7 @@ use smartred_desim::disk::{DiskFaultPlan, FaultyDisk};
 use smartred_desim::journal::{DepartureReason, Journal, RunEvent, Stamped, WalWriter};
 use smartred_desim::time::{SimDuration, SimTime};
 
-use crate::checkpoint::{checkpoint_path, CheckpointState};
+use crate::checkpoint::{checkpoint_path, discard, finish, pair, CheckpointState};
 use crate::id_hash::{IdMap, IdSet};
 use crate::ledger::{Delivery, Ledger};
 use crate::recovery::{RecoveryError, RecoveryReport};
@@ -218,10 +218,10 @@ pub struct RuntimeConfig {
     /// since the last checkpoint, the coordinator — at its next quiescent
     /// point (no open tasks, jobs, or parked work) — snapshots its state
     /// next to the WAL, truncates the log, and seals the fresh segment
-    /// with a [`RunEvent::CheckpointTaken`] record. Recovery then replays
-    /// snapshot + suffix instead of the whole history, so recovery time
-    /// is bounded by the checkpoint interval, not uptime. `None`
-    /// disables.
+    /// with a [`RunEvent::CheckpointTaken`] record. Recovery replays
+    /// snapshot + suffix, bounded by the interval, not uptime, and
+    /// finishes a checkpoint a crash cut short. [`Runtime::start`] removes
+    /// a snapshot an earlier run left beside the WAL. `None` disables.
     pub checkpoint_every: Option<u64>,
     /// Disk-fault injection under the WAL file handle (seeded,
     /// deterministic): short writes, fsync failures, write-crash points,
@@ -625,8 +625,10 @@ impl Runtime {
     /// # Errors
     ///
     /// [`RecoveryError`] when the config has no WAL path, the file cannot
-    /// be read, a non-final record is malformed, or the event stream
-    /// contradicts the deterministic strategy replay.
+    /// be read, a non-final record is malformed, the segment and the
+    /// snapshot beside it do not pair (the message names the seqs; a
+    /// checkpoint a crash cut short is finished, not refused), or the
+    /// event stream contradicts the deterministic strategy replay.
     pub fn recover<S, F>(
         cfg: RuntimeConfig,
         strategy: S,
@@ -678,78 +680,19 @@ impl Runtime {
             }
         };
 
-        // Disambiguate the segment: a WAL beginning with a
-        // `CheckpointTaken` seal replays snapshot + suffix; one beginning
-        // at seq 0 is the full history (any snapshot beside it is a
-        // leftover from a crash before truncation — redundant, ignored);
-        // an *empty* segment next to a valid snapshot is a crash between
-        // truncation and the seal record, healed from the snapshot alone.
         let ckpt = checkpoint_path(&path);
-        let base: Option<CheckpointState> = match prefix.journal.events().first() {
-            Some(first) => match first.event {
-                RunEvent::CheckpointTaken { events, digest } => {
-                    if first.seq != events {
-                        return Err(RecoveryError::Corrupt(format!(
-                            "checkpoint record seq {} does not match its \
-                             event count {events}",
-                            first.seq
-                        )));
-                    }
-                    let snap = CheckpointState::load(&ckpt).map_err(|msg| {
-                        RecoveryError::Corrupt(format!(
-                            "WAL begins at checkpoint {events} but its \
-                             snapshot is unusable: {msg}"
-                        ))
-                    })?;
-                    if snap.events != events || snap.digest() != digest {
-                        return Err(RecoveryError::Corrupt(format!(
-                            "snapshot does not match the WAL's checkpoint \
-                             record (snapshot {}/{:016x}, record \
-                             {events}/{digest:016x})",
-                            snap.events,
-                            snap.digest()
-                        )));
-                    }
-                    Some(snap)
-                }
-                _ if first.seq == 0 => None,
-                _ => {
-                    return Err(RecoveryError::Corrupt(format!(
-                        "WAL segment starts mid-stream at seq {} with no \
-                         checkpoint record",
-                        first.seq
-                    )));
-                }
-            },
-            None if ckpt.exists() => Some(CheckpointState::load(&ckpt).map_err(|msg| {
-                RecoveryError::Corrupt(format!(
-                    "empty WAL segment with an unusable snapshot: {msg}"
-                ))
-            })?),
-            None => None,
-        };
-
+        let snapshot = ckpt.exists().then(|| CheckpointState::load(&ckpt));
+        let (base, journal, interrupted) =
+            pair(snapshot, prefix.journal).map_err(RecoveryError::Corrupt)?;
         let ledger = Ledger::new(&cfg, Arc::new(strategy));
         let (ledger, backlog, mut recovery, next_task) =
-            rebuild(ledger, base.as_ref(), &prefix.journal, roster, verdict_tx)?;
+            rebuild(ledger, base.as_ref(), &journal, roster, verdict_tx)?;
         recovery.torn_tail = prefix.torn;
         let mut wal = WalWriter::resume(&path, prefix.valid_bytes as u64, cfg.wal_sync)?
             .with_batch(cfg.wal_batch)
             .with_checksums(cfg.wal_checksum);
-        let mut journal = prefix.journal;
-        if let (Some(snap), true) = (&base, journal.is_empty()) {
-            // A crash between truncation and the seal record: re-seal.
-            journal = Journal::resume_at(snap.events);
-            journal.record(
-                snap.last_at,
-                RunEvent::CheckpointTaken {
-                    events: snap.events,
-                    digest: snap.digest(),
-                },
-            );
-            let entry = journal.events().last().expect("just recorded");
-            wal.append(entry)?;
-            wal.commit()?;
+        if interrupted {
+            finish(&mut wal, &journal)?;
         }
 
         let make = Arc::new(make_worker);
@@ -789,27 +732,28 @@ impl Runtime {
     }
 }
 
-/// The pure half of recovery: `journal`, a recovered WAL segment (after
-/// `base` when it begins at a checkpoint), folded into `ledger` through the
-/// coordinator's own state transitions, with `roster` supplying the
-/// payloads the WAL does not carry — open tasks get theirs back (first
-/// entry wins), and entries the WAL never saw are admitted fresh, under
-/// their original ids, ahead of any new submissions. Returns the ledger,
-/// that backlog, the [`RecoveryReport`] (`torn_tail` is the reader's to
-/// set) and the next fresh task id.
+/// The pure half of recovery, behind [`pair`]: `segment`'s records —
+/// past the seal of `base`, the snapshot they follow, if any — folded
+/// into `ledger` through the coordinator's own state transitions, with
+/// `roster` supplying the payloads the WAL does not carry — open tasks
+/// get theirs back (first entry wins), and entries the WAL never saw are
+/// admitted fresh, under their original ids, ahead of any new
+/// submissions. Returns the ledger, that backlog, the [`RecoveryReport`]
+/// (`torn_tail` is the reader's to set) and the next fresh task id.
 pub(crate) fn rebuild<S: RedundancyStrategy<bool>>(
     mut ledger: Ledger<S>,
     base: Option<&CheckpointState>,
-    journal: &Journal,
+    segment: &Journal,
     roster: &[(u32, Payload)],
     verdict_tx: &Sender<TaskVerdict>,
 ) -> Result<(Ledger<S>, VecDeque<Submission>, RecoveryReport, u32), RecoveryError> {
     // Checkpoints are only taken at quiescence, so the snapshot never
     // contributes open tasks or in-flight jobs.
+    let records = &segment.events()[usize::from(base.is_some())..];
     if let Some(snap) = base {
         ledger.restore(snap);
     }
-    for e in journal.events() {
+    for e in records {
         ledger.replay(e)?;
     }
     let mut backlog = VecDeque::new();
@@ -836,7 +780,7 @@ pub(crate) fn rebuild<S: RedundancyStrategy<bool>>(
     }
     let recovery = RecoveryReport {
         torn_tail: false,
-        events_replayed: journal.len(),
+        events_replayed: records.len(),
         checkpoint_events: base.map_or(0, |s| s.events),
         tasks_resumed: ledger.open().len(),
         tasks_decided: ledger.decided().len(),
@@ -854,15 +798,14 @@ pub(crate) fn rebuild<S: RedundancyStrategy<bool>>(
 /// Builds the WAL writer of a fresh run: the real file, or a
 /// fault-injecting [`FaultyDisk`] under it when
 /// [`RuntimeConfig::disk_faults`] is set, with the configured group-commit
-/// batch and checksum framing.
+/// batch and checksum framing, after removing any snapshot left beside it.
 fn build_wal(path: &std::path::Path, cfg: &RuntimeConfig) -> std::io::Result<WalWriter> {
+    if let Some(parent) = path.parent() {
+        std::fs::create_dir_all(parent)?;
+    }
+    discard(path)?;
     let writer = match cfg.disk_faults {
-        Some(plan) => {
-            if let Some(parent) = path.parent() {
-                std::fs::create_dir_all(parent)?;
-            }
-            WalWriter::with_disk(Box::new(FaultyDisk::create(path, plan)?), cfg.wal_sync)
-        }
+        Some(plan) => WalWriter::with_disk(Box::new(FaultyDisk::create(path, plan)?), cfg.wal_sync),
         None => WalWriter::create(path, cfg.wal_sync)?,
     };
     Ok(writer
@@ -1975,8 +1918,7 @@ impl Driver {
             self.dead = true;
             return c.journal.truncate(self.appended);
         }
-        let digest = state.digest();
-        c.log(at, RunEvent::CheckpointTaken { events, digest });
+        c.log(at, state.seal());
         self.commit(c);
         self.last_ckpt = c.journal.next_seq();
     }

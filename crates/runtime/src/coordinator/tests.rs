@@ -15,6 +15,7 @@ use smartred_desim::disk::Disk;
 use smartred_desim::journal::EventKind;
 
 use super::*;
+use crate::checkpoint::{finish, pair};
 use crate::ledger::tests::ir;
 use crate::ledger::Owed;
 use crate::report::report_from_journal;
@@ -25,13 +26,38 @@ use crate::TaskClient;
 const SEED: u64 = 0x0b5e_77ed;
 
 /// What the "file" holds: every byte a `write_all` handed over, how many
-/// of them a `sync_data` has covered since, and the call counts.
+/// of them a `sync_data` has covered since, the call counts, and the
+/// failure it has yet to inject.
 #[derive(Debug, Default)]
 struct DiskLog {
     bytes: Vec<u8>,
     synced: usize,
     writes: usize,
     syncs: usize,
+    truncations: usize,
+    fault: Option<Fault>,
+}
+
+/// A failure a [`RecordingDisk`] injects once, counting `set_len` calls
+/// (a checkpoint's truncations) from 1: the `n`-th one fails and leaves
+/// the segment whole, or the first `write_all` after it (the seal) fails
+/// and writes nothing.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Fault {
+    Truncation(usize),
+    Seal(usize),
+}
+
+impl DiskLog {
+    /// Whether the fault of `kind` is due at this truncation count; it
+    /// fires once.
+    fn fails(&mut self, kind: fn(usize) -> Fault) -> bool {
+        let due = self.fault == Some(kind(self.truncations));
+        if due {
+            self.fault = None;
+        }
+        due
+    }
 }
 
 /// A [`Disk`] in memory that other threads can read while the coordinator
@@ -42,6 +68,9 @@ struct RecordingDisk(Arc<Mutex<DiskLog>>);
 impl Disk for RecordingDisk {
     fn write_all(&mut self, buf: &[u8]) -> std::io::Result<()> {
         let mut log = self.0.lock().unwrap();
+        if log.fails(Fault::Seal) {
+            return Err(std::io::Error::other("injected seal write failure"));
+        }
         log.bytes.extend_from_slice(buf);
         log.writes += 1;
         Ok(())
@@ -60,6 +89,10 @@ impl Disk for RecordingDisk {
 
     fn set_len(&mut self, len: u64) -> std::io::Result<()> {
         let mut log = self.0.lock().unwrap();
+        log.truncations += 1;
+        if log.fails(Fault::Truncation) {
+            return Err(std::io::Error::other("injected truncation failure"));
+        }
         log.bytes.truncate(len as usize);
         log.synced = log.synced.min(len as usize);
         Ok(())
@@ -707,9 +740,47 @@ fn explore(seed: u64) -> Journal {
 /// schedule carries on. The contracts then hold across both lives, and
 /// the second life logs what the cut prefix owed before it dispatches.
 fn explore_with(seed: u64, crash: Option<u64>) -> Journal {
+    let deaths = Deaths {
+        crash,
+        ..Deaths::default()
+    };
+    explore_in(seed, deaths).0
+}
+
+/// How the lives of an explored schedule end, and whether they
+/// checkpoint (the snapshot beside a WAL path in the temp directory; the
+/// segment stays on the recording disk). The first life dies once it has
+/// logged `crash` records, or at the disk's `fault`; a second life dies
+/// once it has logged `again` records of its own. The last one drains.
+#[derive(Debug, Clone, Copy, Default)]
+struct Deaths {
+    checkpoint_every: Option<u64>,
+    crash: Option<u64>,
+    fault: Option<Fault>,
+    again: Option<u64>,
+}
+
+/// What a [`revive`] resumed from: the whole history, a sealed segment
+/// past its snapshot, or a checkpoint it finished, `earlier` being how
+/// many checkpoints the history held before that one.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Resumed {
+    Whole,
+    Sealed,
+    Finished { earlier: usize },
+}
+
+/// [`explore`] under `deaths`. Returns the whole history across lives
+/// (the last one's journal begins at its segment) and what each revival
+/// resumed from.
+fn explore_in(seed: u64, deaths: Deaths) -> (Journal, Vec<Resumed>) {
     const TASKS: u32 = 10;
     let mut rng = task_rng(SEED, 0x5c4e_d01e, seed);
     let [quarantine, hang, hedge, cartel] = [0, 1, 2, 3].map(|bit| seed >> bit & 1 == 1);
+    let snapshots = std::env::temp_dir().join(format!(
+        "smartred-explore-{}-{seed}.jsonl",
+        std::process::id()
+    ));
     let cfg = RuntimeConfig {
         workers: Some(4),
         max_active: 3,
@@ -733,6 +804,8 @@ fn explore_with(seed: u64, crash: Option<u64>) -> Journal {
             multiplier: 1.5,
             max_per_task: 2,
         }),
+        wal: deaths.checkpoint_every.map(|_| snapshots),
+        checkpoint_every: deaths.checkpoint_every,
         ..RuntimeConfig::default()
     };
     let liars = FaultProfile {
@@ -750,15 +823,21 @@ fn explore_with(seed: u64, crash: Option<u64>) -> Journal {
         cap: 2,
         ..ScriptedPool::default()
     };
+    if let Some(path) = &cfg.wal {
+        crate::checkpoint::discard(path).unwrap();
+    }
     let disk = RecordingDisk::default();
-    let wal = crash.map(|_| wal_on(&cfg, disk.clone()));
+    disk.0.lock().unwrap().fault = deaths.fault;
+    let logged = deaths.crash.is_some() || cfg.wal.is_some();
+    let wal = logged.then(|| wal_on(&cfg, disk.clone()));
     let hooked = RuntimeConfig {
-        crash_after_events: crash,
+        crash_after_events: deaths.crash,
         ..cfg.clone()
     };
     let mut rig = Rig::new(hooked, 3, wal, fresh_pool());
     rig.c.resume(at(0));
-    let (mut now, mut decided, mut revived) = (0, Vec::new(), None);
+    let (mut now, mut decided, mut history) = (0, Vec::new(), Journal::new());
+    let mut revived = Vec::new();
     for step in 0.. {
         assert!(step < 20_000, "the run does not end");
         now += rng.gen_range(0..120_000);
@@ -811,27 +890,40 @@ fn explore_with(seed: u64, crash: Option<u64>) -> Journal {
         }
         if !rig.turn(now) {
             decided.extend(rig.delivered());
-            revived = Some(revive(&mut rig, &cfg, &disk, fresh_pool(), &decided, now));
+            let hook = deaths.again.filter(|_| revived.is_empty());
+            let life = (&cfg, &disk, hook, now);
+            revived.push(revive(&mut rig, life, fresh_pool(), &mut history, &decided));
         }
         decided.extend(rig.delivered());
         if decided.len() == TASKS as usize {
             break;
         }
     }
-    rig.c.step(Input::Drain, at(now));
-    assert!(!rig.turn(now), "drained and idle: there is no next turn");
-    assert!(!rig.d.dead);
+    loop {
+        rig.c.step(Input::Drain, at(now));
+        assert!(!rig.turn(now), "drained and idle: there is no next turn");
+        if !rig.d.dead {
+            break;
+        }
+        // The drain reached a life's hook: the next life drains.
+        decided.extend(rig.delivered());
+        let hook = deaths.again.filter(|_| revived.is_empty());
+        let life = (&cfg, &disk, hook, now);
+        revived.push(revive(&mut rig, life, fresh_pool(), &mut history, &decided));
+    }
+    assert_eq!(
+        disk.0.lock().unwrap().fault,
+        None,
+        "the injected fault fired"
+    );
 
-    let (journal, report) = (&rig.c.journal, rig.c.ledger.report());
-    for (seq, pair) in journal.events().windows(2).enumerate() {
+    fold_life(&mut history, &rig.c.journal);
+    let report = rig.c.ledger.report();
+    for (seq, pair) in history.events().windows(2).enumerate() {
         assert_eq!((pair[0].seq, pair[1].seq), (seq as u64, seq as u64 + 1));
         assert!(pair[0].at <= pair[1].at, "time runs backwards at seq {seq}");
     }
-    let decisions = journal
-        .events()
-        .iter()
-        .filter_map(|e| decided_task(e.event));
-    let mut decisions: Vec<u32> = decisions.collect();
+    let mut decisions = decisions(&history);
     decisions.sort_unstable();
     decided.sort_unstable();
     let roster: Vec<u32> = (0..TASKS).collect();
@@ -841,55 +933,111 @@ fn explore_with(seed: u64, crash: Option<u64>) -> Journal {
         report.hedges_launched,
         report.hedges_won + report.hedges_wasted
     );
-    assert_eq!(&report_from_journal(journal), report);
-    if let Some((start, owed)) = revived {
+    assert_eq!(&report_from_journal(&history), report);
+    if logged {
         let log = disk.0.lock().unwrap();
         let wal = Journal::from_jsonl(std::str::from_utf8(&log.bytes).unwrap()).unwrap();
-        assert_eq!(wal.events(), journal.events(), "the WAL holds both lives");
-        let resumed = &journal.events()[start..];
+        let first = wal.events().first().map_or(0, |e| e.seq as usize);
+        let tail = &history.events()[first..];
+        assert_eq!(
+            wal.events(),
+            tail,
+            "the WAL holds the history's last segment"
+        );
+    }
+    for (start, owed) in revived.iter().map(|(start, owed, _)| (*start, owed)) {
+        let resumed = &history.events()[start..];
         let dispatched = |e: &Stamped| e.event.kind() == EventKind::JobDispatched;
         let first = resumed.iter().position(dispatched).unwrap_or(resumed.len());
         for event in owed {
-            let logged = resumed[..first].iter().any(|e| e.event == event);
+            let logged = resumed[..first].iter().any(|e| e.event == *event);
             assert!(logged, "{event:?} owed, not logged before a dispatch");
         }
     }
-    crate::ledger::tests::every_prefix_replays(&cfg, 3, journal);
-    rig.c.journal
+    crate::ledger::tests::every_prefix_replays(&cfg, 3, &history);
+    if let Some(path) = &cfg.wal {
+        crate::checkpoint::discard(path).unwrap();
+    }
+    (history, revived.into_iter().map(|(.., r)| r).collect())
 }
 
-/// What a death in [`explore_with`] leaves: the run rebuilt from the dead
-/// coordinator's WAL bytes by the pure half of [`Runtime::recover`],
-/// resumed at `now` on `pool` (the dead pool's jobs are lost) with its WAL
-/// on the same disk. Checks that the dead run's journal is its WAL and
-/// that the first life `delivered` exactly the decisions in it. Returns
-/// where the second life's records begin and the records the cut prefix
-/// owes: a settlement for every twin left racing, a poisoning, and a
-/// quarantine or blacklisting the last-worker guard lets through.
+/// The tasks `journal` decides, in log order.
+fn decisions(journal: &Journal) -> Vec<u32> {
+    let decided = journal
+        .events()
+        .iter()
+        .filter_map(|e| decided_task(e.event));
+    decided.collect()
+}
+
+/// Appends what of `life`'s journal `history` lacks; what they share
+/// must agree.
+fn fold_life(history: &mut Journal, life: &Journal) {
+    for e in life.events() {
+        match history.events().get(e.seq as usize) {
+            Some(kept) => assert_eq!(kept, e, "two lives disagree at seq {}", e.seq),
+            None => {
+                assert_eq!(e.seq, history.next_seq(), "a life skips records");
+                history.record(e.at, e.event);
+            }
+        }
+    }
+}
+
+/// What a death in [`explore_in`] leaves: the dead life's journal folded
+/// into `history`, and the run rebuilt from the WAL bytes and the
+/// snapshot beside them by the pure half of [`Runtime::recover`] — the
+/// [`pair`] rule and [`rebuild`] — and the writes `pair` asks for, then
+/// resumed at `now` on `pool` (the dead pool's jobs are lost) with its
+/// WAL on the same `disk`, dying after `hook` records if set. Checks that
+/// the segment is the history's tail, that the lives so far `delivered`
+/// exactly the history's decisions, and that the rebuilt report is the
+/// history's fold. Returns where the next life's records begin, the
+/// records the cut prefix owes (a settlement for every twin left racing,
+/// a poisoning, and a quarantine or blacklisting the last-worker guard
+/// lets through) and what the rebuild resumed from.
 fn revive(
     rig: &mut Rig,
-    cfg: &RuntimeConfig,
-    disk: &RecordingDisk,
+    (cfg, disk, hook, now): (&RuntimeConfig, &RecordingDisk, Option<u64>, u64),
     pool: ScriptedPool,
+    history: &mut Journal,
     delivered: &[u32],
-    now: u64,
-) -> (usize, Vec<RunEvent>) {
+) -> (usize, Vec<RunEvent>, Resumed) {
+    fold_life(history, &rig.c.journal);
     let bytes = disk.0.lock().unwrap().bytes.clone();
     let prefix = Journal::from_jsonl_prefix(std::str::from_utf8(&bytes).unwrap()).unwrap();
     assert!(!prefix.torn, "the hook dies at a record boundary");
-    let journal = prefix.journal;
-    assert_eq!(journal.events(), rig.c.journal.events());
-    let durable: Vec<u32> = journal
-        .events()
-        .iter()
-        .filter_map(|e| decided_task(e.event))
-        .collect();
-    assert_eq!(delivered, durable, "the first life's verdicts");
+    let segment = prefix.journal;
+    let first = segment.events().first().map_or(0, |e| e.seq as usize);
+    let kept = &history.events()[first..first + segment.len()];
+    assert_eq!(segment.events(), kept, "the segment is the history's");
+    assert_eq!(delivered, decisions(history), "the verdicts so far");
+
+    let ckpt = cfg.wal.as_deref().map(checkpoint_path);
+    let snapshot = ckpt
+        .filter(|p| p.exists())
+        .map(|p| CheckpointState::load(&p));
+    let paired = pair(snapshot, segment).unwrap_or_else(|refused| panic!("{refused}"));
+    let (base, journal, interrupted) = paired;
+    let resumed = match (&base, interrupted) {
+        (None, _) => Resumed::Whole,
+        (Some(_), false) => Resumed::Sealed,
+        (Some(snap), true) => {
+            let seals = history.of_kind(EventKind::CheckpointTaken);
+            let earlier = seals.filter(|e| e.seq < snap.events).count();
+            Resumed::Finished { earlier }
+        }
+    };
     let roster: Vec<(u32, Payload)> = (0..rig.submitted).map(|task| (task, payload())).collect();
     let ledger = Ledger::new(cfg, Arc::new(ir(3)));
-    let rebuilt = rebuild(ledger, None, &journal, &roster, &rig.verdict_tx);
-    let (ledger, backlog, _, next_task) = rebuilt.expect("the prefix replays");
+    let rebuilt = rebuild(ledger, base.as_ref(), &journal, &roster, &rig.verdict_tx);
+    let (ledger, backlog, recovery, next_task) = rebuilt.expect("the prefix replays");
     assert_eq!(next_task, rig.submitted);
+    assert_eq!(
+        recovery.report,
+        report_from_journal(history),
+        "snapshot + suffix"
+    );
 
     let twins = ledger.twins(None).into_iter();
     let mut owed: Vec<RunEvent> = twins
@@ -917,11 +1065,19 @@ fn revive(
             }),
     );
 
-    let start = journal.len();
-    rig.d = Driver::new(cfg, &journal, Some(wal_on(cfg, disk.clone())));
+    let mut wal = wal_on(cfg, disk.clone());
+    if interrupted {
+        finish(&mut wal, &journal).expect("the disk takes the seal");
+    }
+    let start = history.len();
+    let hooked = RuntimeConfig {
+        crash_after_events: hook,
+        ..cfg.clone()
+    };
+    rig.d = Driver::new(&hooked, &journal, Some(wal));
     rig.c = Coordinator::new(cfg.clone(), ledger, journal, pool, Arc::default(), backlog);
     rig.c.resume(at(now));
-    (start, owed)
+    (start, owed, resumed)
 }
 
 /// The contracts, explored rather than sampled by hand: exactly one
@@ -992,4 +1148,62 @@ fn seeded_crashes_keep_every_contract() {
             std::panic::resume_unwind(cause)
         });
     }
+}
+
+/// The contracts across deaths in and around checkpoints, explored: every
+/// seeded schedule checkpoints every 8 records; its first life dies at a
+/// seeded record, at a failed truncation after a seeded checkpoint's
+/// snapshot is stored, or at that checkpoint's failed seal write, and its
+/// second life dies again at a seeded record. Each revival pairs segment
+/// and snapshot by [`pair`], the rule [`Runtime::recover`] runs, so a
+/// refused window fails here. Across all three lives: one decision and
+/// one verdict per task, every rebuilt report the fold of the history so
+/// far, and the last segment on the disk the history's tail
+/// ([`explore_in`]). Between them the seeds resume from a sealed segment
+/// and finish a checkpoint that was not the first. A failure names the
+/// seed and the deaths that replay it.
+#[test]
+fn seeded_checkpoints_keep_every_contract() {
+    const EVERY: Option<u64> = Some(8);
+    let (mut resumed, mut thrice) = (Vec::new(), 0);
+    for seed in 0..256 {
+        let checkpointing = Deaths {
+            checkpoint_every: EVERY,
+            ..Deaths::default()
+        };
+        let (whole, _) = explore_in(seed, checkpointing);
+        let checkpoints = whole.count(EventKind::CheckpointTaken);
+        let mut decisions = whole.events().iter().map(|e| decided_task(e.event));
+        let last = decisions.rposition(|task| task.is_some()).expect("decided") as u64;
+        let mut rng = task_rng(SEED, 0xc4ec_4b07, seed);
+        let nth = rng.gen_range(1..=checkpoints.max(1));
+        let (crash, fault) = match rng.gen_range(0..3) {
+            kind if kind == 0 || checkpoints == 0 => (Some(rng.gen_range(1..=last + 1)), None),
+            1 => (None, Some(Fault::Truncation(nth))),
+            _ => (None, Some(Fault::Seal(nth))),
+        };
+        let deaths = Deaths {
+            crash,
+            fault,
+            again: Some(rng.gen_range(1..=last / 2 + 1)),
+            ..checkpointing
+        };
+        let revivals = std::panic::catch_unwind(|| explore_in(seed, deaths).1);
+        let revivals = revivals.unwrap_or_else(|cause| {
+            eprintln!("seed {seed} breaks a contract: `explore_in({seed}, {deaths:?})`");
+            std::panic::resume_unwind(cause)
+        });
+        thrice += usize::from(revivals.len() > 1);
+        resumed.extend(revivals);
+    }
+    assert!(thrice > 0, "no second life died");
+    let finished_late = |r: &Resumed| matches!(r, Resumed::Finished { earlier } if *earlier > 0);
+    assert!(
+        resumed.contains(&Resumed::Sealed),
+        "no sealed-segment recovery"
+    );
+    assert!(
+        resumed.iter().any(finished_late),
+        "no later checkpoint finished"
+    );
 }

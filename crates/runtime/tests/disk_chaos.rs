@@ -12,7 +12,7 @@ use std::collections::HashMap;
 use std::path::PathBuf;
 
 use smartred_desim::disk::DiskFaultPlan;
-use smartred_desim::journal::{Journal, RunEvent};
+use smartred_desim::journal::{EventKind, Journal, RunEvent};
 use smartred_runtime::{
     checkpoint_path, report_from_journal, Payload, RecoveryError, Runtime, RuntimeConfig,
     TaskVerdict,
@@ -581,9 +581,16 @@ mod checkpoint_matrix {
         cleanup(&wal);
     }
 
-    /// The empty-suffix crash window — died after truncating the WAL but
-    /// before sealing it — heals from the snapshot alone: recovery
-    /// replays nothing, re-seals the segment, and re-delivers nothing.
+    /// The crash windows inside a checkpoint leave a segment with nothing
+    /// at or past the snapshot's event count, and each heals from the
+    /// snapshot alone: recovery replays nothing, re-seals the segment with
+    /// the snapshot's seal, and re-delivers nothing. Three legs beside the
+    /// last snapshot of one run: the empty segment (died after the
+    /// truncation, before the seal); the journal's records from the
+    /// second-to-last seal up to the last one (died between the
+    /// snapshot's rename and the truncation, at a later checkpoint); and
+    /// its records from seq 0 up to the first seal (the same window at the
+    /// first checkpoint).
     #[test]
     fn empty_suffix_window_heals_from_the_snapshot_alone() {
         quiet_injected_panics();
@@ -594,29 +601,86 @@ mod checkpoint_matrix {
         assert_eq!(votes(&verdicts).len(), tasks.len());
         let run = runtime.finish();
         assert!(!run.crashed);
-        let snapshot_decided: usize = {
-            // Count decisions sealed by the last checkpoint: all of them,
-            // since the final drain left a quiescent window.
-            tasks.len()
+        let seals = run.journal.of_kind(EventKind::CheckpointTaken);
+        let seals: Vec<usize> = seals.map(|e| e.seq as usize).collect();
+        let [.., before, last] = seals[..] else {
+            panic!("the bursts must checkpoint at least twice, got {seals:?}")
         };
+        let seal = run.journal.events()[last];
+        // The state the last snapshot holds: every task decided, since
+        // the final drain left a quiescent window.
+        let mut sealed = run.journal.clone();
+        sealed.truncate(last);
 
-        // Simulate the crash window: the truncate landed, the seal never
-        // did.
-        std::fs::write(&wal, b"").unwrap();
-        let (run, post_verdicts, rec) = recover_chaos(ckpt_cfg(Some(wal.clone())), &tasks);
-        assert!(!run.crashed);
-        assert_eq!(rec.events_replayed, 0, "nothing to replay after a heal");
-        assert!(rec.checkpoint_events > 0);
-        assert_eq!(rec.tasks_decided, snapshot_decided);
-        assert_eq!(rec.tasks_resumed, 0);
-        assert_eq!(rec.tasks_seeded, 0, "decided tasks must not re-run");
+        let lines = |range: std::ops::Range<usize>| -> String {
+            let records = run.journal.events()[range].iter();
+            records.map(|e| e.to_jsonl_line() + "\n").collect()
+        };
+        for (leg, segment) in [
+            ("empty", String::new()),
+            ("later checkpoint", lines(before..last)),
+            ("first checkpoint", lines(0..seals[0])),
+        ] {
+            std::fs::write(&wal, segment).unwrap();
+            let (run, post_verdicts, rec) = recover_chaos(ckpt_cfg(Some(wal.clone())), &tasks);
+            assert!(!run.crashed, "{leg}");
+            assert_eq!(
+                rec.events_replayed, 0,
+                "{leg}: nothing to replay after a heal"
+            );
+            assert_eq!(rec.checkpoint_events, seal.seq, "{leg}");
+            assert_eq!(rec.tasks_decided, tasks.len(), "{leg}");
+            assert_eq!(rec.tasks_resumed, 0, "{leg}");
+            assert_eq!(rec.tasks_seeded, 0, "{leg}: decided tasks must not re-run");
+            assert_eq!(rec.report, report_from_journal(&sealed), "{leg}");
+            assert!(
+                post_verdicts.is_empty(),
+                "{leg}: healing must not re-deliver verdicts"
+            );
+            // The heal re-sealed the segment with the snapshot's seal.
+            let text = std::fs::read_to_string(&wal).unwrap();
+            let healed = Journal::from_jsonl(&text).unwrap();
+            assert_eq!(healed.events().first(), Some(&seal), "{leg}");
+        }
+        cleanup(&wal);
+    }
+
+    /// A fresh run never inherits a snapshot: run B starts on the WAL
+    /// path run A checkpointed and dies before it logs anything, and
+    /// recovering B answers B's own tasks — A's snapshot, had it stayed
+    /// beside B's empty segment, would have claimed them decided.
+    #[test]
+    fn a_fresh_run_never_inherits_a_snapshot() {
+        quiet_injected_panics();
+        let tasks = roster(12);
+        let wal = wal_path("fresh-run");
+        let runtime = start_chaos(ckpt_cfg(Some(wal.clone())));
+        assert_eq!(votes(&run_bursts(&runtime, &tasks)).len(), tasks.len());
+        assert!(!runtime.finish().crashed);
+        assert!(checkpoint_path(&wal).exists(), "run A checkpointed");
+
+        let b = &tasks[..4];
+        let mut cfg = ckpt_cfg(Some(wal.clone()));
+        cfg.crash_after_events = Some(0);
+        let runtime = start_chaos(cfg);
+        let client = runtime.client();
+        for (_, payload) in b {
+            // Shed once the coordinator is gone; the roster re-admits.
+            let _ = client.submit(payload.clone());
+        }
+        drop(client);
+        assert!(runtime.finish().crashed);
         assert!(
-            post_verdicts.is_empty(),
-            "healing must not re-deliver verdicts"
+            !checkpoint_path(&wal).exists(),
+            "run B removed A's snapshot"
         );
-        // The heal re-sealed the segment.
-        let text = std::fs::read_to_string(&wal).unwrap();
-        assert!(text.lines().next().unwrap().contains("checkpoint_taken"));
+
+        let (run, post_verdicts, rec) = recover_chaos(ckpt_cfg(Some(wal.clone())), b);
+        assert!(!run.crashed);
+        assert_eq!((rec.checkpoint_events, rec.tasks_decided), (0, 0));
+        assert_eq!(rec.tasks_seeded, b.len());
+        let answered = votes(&post_verdicts);
+        assert!(b.iter().all(|(task, _)| answered.contains_key(task)));
         cleanup(&wal);
     }
 
