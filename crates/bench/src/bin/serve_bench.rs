@@ -34,7 +34,8 @@
 //!
 //! Every serving run is replay-checked: its journal must fold back into
 //! the live report exactly. Coordinator crash recovery, disk faults and
-//! the WAL's costs belong to `runtime/tests` and `benchmark/`, not here.
+//! the WAL's costs belong to the runtime crate's tests and `benchmark/`,
+//! not here.
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;

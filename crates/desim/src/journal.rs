@@ -960,6 +960,25 @@ impl Stamped {
     }
 }
 
+/// Whether `line` begins with a whole record — a plain one through its
+/// closing brace, or a checksummed one through its trailer — and goes on
+/// past it. A torn append is a strict prefix of one line, so it holds a
+/// whole record only as the whole line: an unterminated final line of
+/// this shape is an acknowledged record whose newline rotted.
+fn record_and_more(line: &str) -> bool {
+    let mut cur = Cursor { text: line, pos: 0 };
+    let read = cur.field::<SimTime>("{\"at\":").is_ok()
+        && cur.field::<u64>(",\"seq\":").is_ok()
+        && RunEvent::read(&mut cur).is_ok();
+    let rest = cur.rest();
+    let close = match rest {
+        [b'}', ..] => 1,
+        _ if rest.starts_with(CRC_TAG) => CRC_TRAILER.len(),
+        _ => usize::MAX,
+    };
+    read && close < rest.len()
+}
+
 /// What closes a checksummed record, with its hash's sixteen digits blank.
 const CRC_TRAILER: &[u8; 26] = b",\"crc\":\"0000000000000000\"}";
 const CRC_HEX: std::ops::Range<usize> = 8..24;
@@ -1284,10 +1303,11 @@ impl Journal {
     /// Reads a journal from possibly crash-truncated WAL bytes.
     ///
     /// A writer that dies mid-append leaves a *torn tail*: a final chunk
-    /// with no trailing newline (whether or not the truncated bytes still
-    /// parse). Such a tail is dropped and reported via [`WalPrefix::torn`];
-    /// `valid_bytes` is the length of the longest whole-record prefix, so a
-    /// recovering writer can truncate the file there and resume appending.
+    /// with no trailing newline that is a prefix of one record's line
+    /// (whether or not the truncated bytes still parse). Such a tail is
+    /// dropped and reported via [`WalPrefix::torn`]; `valid_bytes` is the
+    /// length of the longest whole-record prefix, so a recovering writer
+    /// can truncate the file there and resume appending.
     ///
     /// Text longer than one block (1 MiB) is read a block per core at a
     /// time; the result is the same for every block length and thread
@@ -1299,9 +1319,12 @@ impl Journal {
     /// A malformed record on any *newline-terminated* line — including the
     /// final one — is in-place corruption of a fully-written record, not a
     /// torn write (each append writes `record + '\n'` in one call, so a
-    /// partial append can never include the newline). That fails with
-    /// [`JournalParseError`], carrying the line's byte offset and, when it
-    /// can still be sniffed from the damaged bytes, the record's seq.
+    /// partial append can never include the newline). So is a final line
+    /// that holds a whole record and more bytes after it: a partial append
+    /// is a strict prefix of one line, so those bytes are the record's
+    /// newline, rotted. Either fails with [`JournalParseError`], carrying
+    /// the line's number and byte offset and, when it can still be sniffed
+    /// from the damaged bytes, the record's seq.
     ///
     /// So does a record that parses but does not continue the stream: one
     /// stamped earlier than its predecessor, or whose `seq` is not the
@@ -1388,8 +1411,8 @@ impl Journal {
 pub struct WalPrefix {
     /// Events recovered from the intact prefix.
     pub journal: Journal,
-    /// True when a torn (unterminated or unparsable) final record was
-    /// dropped.
+    /// True when a torn final record — an unterminated prefix of one
+    /// record's line — was dropped.
     pub torn: bool,
     /// Byte length of the intact prefix; truncate the file here before
     /// resuming appends.
@@ -1483,7 +1506,7 @@ fn walk(text: &str, drop_torn_tail: bool) -> Block {
             let end = offset + line.len();
             let terminated = end < text.len();
             if !line.trim().is_empty() {
-                if drop_torn_tail && !terminated {
+                if drop_torn_tail && !terminated && !record_and_more(line) {
                     // The newline never hit the disk, so the record was
                     // never acknowledged — and may be incomplete even if
                     // it parses (a truncated integer still does). Only
@@ -1491,9 +1514,10 @@ fn walk(text: &str, drop_torn_tail: bool) -> Block {
                     block.torn = true;
                     return block;
                 }
-                // A terminated line was fully written in one append, so a
-                // parse or checksum failure is in-place corruption of an
-                // acknowledged record — refuse, never resume past it.
+                // A terminated line was fully written in one append, and
+                // so was an unterminated one that holds a whole record and
+                // more: a parse or checksum failure is in-place corruption
+                // of an acknowledged record — refuse, never resume past it.
                 let refusal = match Stamped::read_hashed(line, crc) {
                     Err(message) => Some((sniff_seq(line), message)),
                     Ok(next) => {
@@ -1888,8 +1912,8 @@ impl WalWriter {
     }
 
     /// Creates a writer over an arbitrary [`Disk`](crate::disk::Disk) —
-    /// the seam the fault-injection harness uses to place a
-    /// [`FaultyDisk`](crate::disk::FaultyDisk) under the log.
+    /// the seam through which tests put the log on a
+    /// [`FaultyDisk`](crate::disk::FaultyDisk) in memory.
     pub fn with_disk(disk: Box<dyn crate::disk::Disk>, sync: bool) -> Self {
         Self::over(disk, sync)
     }
@@ -2724,12 +2748,7 @@ mod tests {
     /// Twelve records through a [`FaultyDisk`](crate::disk::FaultyDisk)
     /// under `plan`: four committed cleanly, then an eight-record batch
     /// whose single write the plan fails. Returns what the file holds.
-    fn tear_second_commit(name: &str, plan: crate::disk::DiskFaultPlan) -> (Journal, String) {
-        let path = std::env::temp_dir().join(format!(
-            "smartred-wal-tear-{name}-{}-{}.jsonl",
-            plan.seed,
-            std::process::id()
-        ));
+    fn tear_second_commit(plan: crate::disk::DiskFaultPlan) -> (Journal, String) {
         let mut j = Journal::new();
         for i in 0..12u64 {
             j.record(
@@ -2741,8 +2760,8 @@ mod tests {
                 },
             );
         }
-        let disk = Box::new(crate::disk::FaultyDisk::create(&path, plan).unwrap());
-        let mut w = WalWriter::with_disk(disk, false).with_checksums(true);
+        let disk = crate::disk::FaultyDisk::new(plan);
+        let mut w = WalWriter::with_disk(Box::new(disk.clone()), false).with_checksums(true);
         for e in &j.events()[..4] {
             w.append(e).unwrap();
         }
@@ -2754,13 +2773,12 @@ mod tests {
         assert!(err.to_string().contains("injected disk fault"), "{err}");
 
         // Poisoned: no later call touches the file again.
-        let on_disk = std::fs::read_to_string(&path).unwrap();
+        let on_disk = disk.bytes();
         for result in [w.append(&j.events()[0]), w.commit(), w.truncate()] {
             assert!(result.unwrap_err().to_string().contains("poisoned"));
         }
-        assert_eq!(std::fs::read_to_string(&path).unwrap(), on_disk);
-        std::fs::remove_file(&path).ok();
-        (j, on_disk)
+        assert_eq!(disk.bytes(), on_disk);
+        (j, String::from_utf8(on_disk).unwrap())
     }
 
     #[test]
@@ -2779,7 +2797,7 @@ mod tests {
                 ..DiskFaultPlan::default()
             };
             for (name, plan) in [("short", short), ("power", power)] {
-                let (j, on_disk) = tear_second_commit(name, plan);
+                let (j, on_disk) = tear_second_commit(plan);
                 let prefix = Journal::from_jsonl_prefix(&on_disk).unwrap();
                 // The first commit is intact; the torn one kept some whole
                 // records and at most one partial.
@@ -2997,6 +3015,9 @@ mod tests {
         assert!(shown.contains("seq 2"), "{shown}");
     }
 
+    /// Damage to the final record is refused whenever the record was
+    /// acknowledged — its newline written, or written and rotted — and
+    /// only a strict prefix of its line is a torn tail.
     #[test]
     fn corrupt_final_terminated_record_is_refused_not_torn() {
         let j = sample_journal();
@@ -3021,6 +3042,43 @@ mod tests {
         let prefix = Journal::from_jsonl_prefix(torn_text).unwrap();
         assert!(prefix.torn);
         assert_eq!(prefix.journal.len(), j.len() - 1);
+
+        // A torn append is a strict prefix of one line, so an unterminated
+        // final line that holds a whole record and more is the final
+        // newline rotted: refused, in either framing and whatever bit of
+        // the newline flipped, with the record's line, offset and seq —
+        // never dropped as torn, which would re-deliver the verdict of a
+        // decision record. The record without its newline, or any shorter
+        // prefix of it, is still torn.
+        let encoders: [fn(&Stamped) -> String; 2] =
+            [Stamped::to_jsonl_line, Stamped::to_jsonl_line_checksummed];
+        let seq = j.events().last().unwrap().seq;
+        for encode in encoders {
+            let lines = j.events().iter().map(|e| encode(e) + "\n");
+            let text = lines.collect::<String>().into_bytes();
+            let last_start = text[..text.len() - 1]
+                .iter()
+                .rposition(|&b| b == b'\n')
+                .unwrap()
+                + 1;
+            for bit in 0..8 {
+                let mut rotted = text.clone();
+                *rotted.last_mut().unwrap() ^= 1 << bit;
+                let rotted = String::from_utf8_lossy(&rotted);
+                let err = Journal::from_jsonl_prefix(&rotted).unwrap_err();
+                assert_eq!(
+                    (err.line, err.offset, err.seq),
+                    (j.len(), last_start, Some(seq)),
+                    "bit {bit}: {err}"
+                );
+            }
+            for cut in last_start + 1..text.len() {
+                let torn = std::str::from_utf8(&text[..cut]).unwrap();
+                let prefix = Journal::from_jsonl_prefix(torn).unwrap();
+                assert!(prefix.torn, "cut at {cut}");
+                assert_eq!(prefix.valid_bytes, last_start, "cut at {cut}");
+            }
+        }
     }
 
     /// The sample journal as checksummed WAL lines, and the byte offset of
@@ -3076,14 +3134,12 @@ mod tests {
     #[test]
     fn fsync_failure_poisons_the_writer_for_good() {
         use crate::disk::{DiskFaultPlan, FaultyDisk};
-        let path =
-            std::env::temp_dir().join(format!("smartred-wal-poison-{}.jsonl", std::process::id()));
         let plan = DiskFaultPlan {
             seed: 5,
             fail_fsync_at: Some(2),
             ..DiskFaultPlan::default()
         };
-        let disk = Box::new(FaultyDisk::create(&path, plan).unwrap());
+        let disk = Box::new(FaultyDisk::new(plan));
         let mut w = WalWriter::with_disk(disk, true);
         let j = sample_journal();
         w.append(&j.events()[0]).unwrap();
@@ -3099,7 +3155,6 @@ mod tests {
         }
         assert!(w.commit().unwrap_err().to_string().contains("poisoned"));
         assert!(w.truncate().unwrap_err().to_string().contains("poisoned"));
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
@@ -3524,7 +3579,8 @@ mod tests {
 
         /// The reader's rules one line at a time, with no lanes and no
         /// blocks: skip a blank line, drop or read an unterminated last
-        /// one, read a line with `Stamped::from_jsonl_line`, check it
+        /// one (never drop one a strict prefix of which reads as a
+        /// record), read a line with `Stamped::from_jsonl_line`, check it
         /// continues the stream.
         fn serial(bytes: &[u8], drop_tail: bool) -> Outcome {
             let text = String::from_utf8_lossy(bytes);
@@ -3539,7 +3595,10 @@ mod tests {
                     message,
                 };
                 if !line.trim().is_empty() {
-                    if drop_tail && line == raw {
+                    let record_and_more = (1..line.len()).any(|k| {
+                        line.is_char_boundary(k) && Stamped::from_jsonl_line(&line[..k]).is_ok()
+                    });
+                    if drop_tail && line == raw && !record_and_more {
                         torn = true;
                         break;
                     }

@@ -47,7 +47,7 @@ pub mod network;
 pub mod rng;
 pub mod time;
 
-pub use disk::{Disk, DiskFaultPlan, FaultyDisk, RealDisk};
+pub use disk::{Disk, DiskCounts, DiskFaultPlan, FaultyDisk, RealDisk};
 pub use engine::{RunStats, Simulator};
 pub use journal::{EventKind, Journal, RunEvent};
 pub use network::{LinkSpec, NetworkModel};

@@ -101,7 +101,6 @@ use smartred_core::hedge::{HedgePolicy, HedgeTrigger};
 use smartred_core::parallel::Threads;
 use smartred_core::resilience::{DisciplineAction, PoisonPolicy, QuarantinePolicy};
 use smartred_core::strategy::RedundancyStrategy;
-use smartred_desim::disk::{DiskFaultPlan, FaultyDisk};
 use smartred_desim::journal::{DepartureReason, Journal, RunEvent, Stamped, WalWriter};
 use smartred_desim::time::{SimDuration, SimTime};
 
@@ -113,7 +112,10 @@ use crate::report::{report_from_journal, RuntimeReport};
 use crate::worker::{JobAssignment, JobResult, Pool, Worker, WorkerFactory, WorkerPool};
 use crate::workload::Payload;
 
-/// Runtime configuration.
+/// Runtime configuration. A runtime's WAL is a real file: the storage
+/// faults its recovery must survive are injected under a coordinator
+/// driven without threads, on a
+/// [`FaultyDisk`](smartred_desim::disk::FaultyDisk), not configured here.
 #[derive(Debug, Clone)]
 pub struct RuntimeConfig {
     /// Worker-thread count; `None` resolves like the sweep engine's
@@ -223,15 +225,6 @@ pub struct RuntimeConfig {
     /// finishes a checkpoint a crash cut short. [`Runtime::start`] removes
     /// a snapshot an earlier run left beside the WAL. `None` disables.
     pub checkpoint_every: Option<u64>,
-    /// Disk-fault injection under the WAL file handle (seeded,
-    /// deterministic): short writes, fsync failures, write-crash points,
-    /// read-back bit flips. A WAL I/O error permanently poisons the
-    /// writer and kills the coordinator, nothing of the failed commit sent
-    /// — recovery then proceeds from the durable prefix exactly as after a
-    /// real power loss. Applies to the writer created by
-    /// [`Runtime::start`]; [`Runtime::recover`] always reopens the real
-    /// file. Test/bench only. `None` disables.
-    pub disk_faults: Option<DiskFaultPlan>,
 }
 
 impl Default for RuntimeConfig {
@@ -259,7 +252,6 @@ impl Default for RuntimeConfig {
             assignment: Assignment::Random,
             wal_checksum: false,
             checkpoint_every: None,
-            disk_faults: None,
         }
     }
 }
@@ -663,8 +655,8 @@ impl Runtime {
     {
         let path = cfg.wal.clone().ok_or(RecoveryError::NoWal)?;
         // No worker exists until this returns, so every core reads: a
-        // block each, never the whole file. An injected bit flip can break
-        // UTF-8 itself, and that too surfaces as corruption, not as an
+        // block each, never the whole file. A flipped bit can break UTF-8
+        // itself, and that too surfaces as corruption, not as an
         // unreadable file.
         let prefix = match Journal::read_wal(&path, Threads::Auto.get())? {
             Ok(prefix) => prefix,
@@ -795,20 +787,11 @@ pub(crate) fn rebuild<S: RedundancyStrategy<bool>>(
     Ok((ledger, backlog, recovery, next_task))
 }
 
-/// Builds the WAL writer of a fresh run: the real file, or a
-/// fault-injecting [`FaultyDisk`] under it when
-/// [`RuntimeConfig::disk_faults`] is set, with the configured group-commit
+/// Builds the WAL writer of a fresh run, with the configured group-commit
 /// batch and checksum framing, after removing any snapshot left beside it.
 fn build_wal(path: &std::path::Path, cfg: &RuntimeConfig) -> std::io::Result<WalWriter> {
-    if let Some(parent) = path.parent() {
-        std::fs::create_dir_all(parent)?;
-    }
     discard(path)?;
-    let writer = match cfg.disk_faults {
-        Some(plan) => WalWriter::with_disk(Box::new(FaultyDisk::create(path, plan)?), cfg.wal_sync),
-        None => WalWriter::create(path, cfg.wal_sync)?,
-    };
-    Ok(writer
+    Ok(WalWriter::create(path, cfg.wal_sync)?
         .with_batch(cfg.wal_batch)
         .with_checksums(cfg.wal_checksum))
 }

@@ -2,17 +2,18 @@
 //! coordinator itself — `step`, `turn`, `fire_due` — over a scripted pool
 //! and scripted time: no thread, no clock, and a failure is a seed. The
 //! threaded ones that remain are smoke tests of the driver, over a
-//! [`WalWriter`] on a recording [`Disk`].
+//! [`WalWriter`] on a [`FaultyDisk`] in memory.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
+use std::path::PathBuf;
 use std::sync::Mutex;
 
 use rand::Rng;
 use smartred_core::audit::Cartel;
 use smartred_core::parallel::task_rng;
 use smartred_core::strategy::Iterative;
-use smartred_desim::disk::Disk;
-use smartred_desim::journal::EventKind;
+use smartred_desim::disk::{Disk, DiskCounts, DiskFaultPlan, FaultyDisk};
+use smartred_desim::journal::{EventKind, JournalParseError};
 
 use super::*;
 use crate::checkpoint::{finish, pair};
@@ -24,84 +25,6 @@ use crate::worker::{CartelWorker, FaultProfile, FaultyWorker, StragglerWorker};
 use crate::TaskClient;
 
 const SEED: u64 = 0x0b5e_77ed;
-
-/// What the "file" holds: every byte a `write_all` handed over, how many
-/// of them a `sync_data` has covered since, the call counts, and the
-/// failure it has yet to inject.
-#[derive(Debug, Default)]
-struct DiskLog {
-    bytes: Vec<u8>,
-    synced: usize,
-    writes: usize,
-    syncs: usize,
-    truncations: usize,
-    fault: Option<Fault>,
-}
-
-/// A failure a [`RecordingDisk`] injects once, counting `set_len` calls
-/// (a checkpoint's truncations) from 1: the `n`-th one fails and leaves
-/// the segment whole, or the first `write_all` after it (the seal) fails
-/// and writes nothing.
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum Fault {
-    Truncation(usize),
-    Seal(usize),
-}
-
-impl DiskLog {
-    /// Whether the fault of `kind` is due at this truncation count; it
-    /// fires once.
-    fn fails(&mut self, kind: fn(usize) -> Fault) -> bool {
-        let due = self.fault == Some(kind(self.truncations));
-        if due {
-            self.fault = None;
-        }
-        due
-    }
-}
-
-/// A [`Disk`] in memory that other threads can read while the coordinator
-/// writes it.
-#[derive(Debug, Clone, Default)]
-struct RecordingDisk(Arc<Mutex<DiskLog>>);
-
-impl Disk for RecordingDisk {
-    fn write_all(&mut self, buf: &[u8]) -> std::io::Result<()> {
-        let mut log = self.0.lock().unwrap();
-        if log.fails(Fault::Seal) {
-            return Err(std::io::Error::other("injected seal write failure"));
-        }
-        log.bytes.extend_from_slice(buf);
-        log.writes += 1;
-        Ok(())
-    }
-
-    fn flush(&mut self) -> std::io::Result<()> {
-        Ok(())
-    }
-
-    fn sync_data(&mut self) -> std::io::Result<()> {
-        let mut log = self.0.lock().unwrap();
-        log.synced = log.bytes.len();
-        log.syncs += 1;
-        Ok(())
-    }
-
-    fn set_len(&mut self, len: u64) -> std::io::Result<()> {
-        let mut log = self.0.lock().unwrap();
-        log.truncations += 1;
-        if log.fails(Fault::Truncation) {
-            return Err(std::io::Error::other("injected truncation failure"));
-        }
-        log.bytes.truncate(len as usize);
-        log.synced = log.synced.min(len as usize);
-        Ok(())
-    }
-
-    fn seek_end(&mut self) -> std::io::Result<u64> {
-        Ok(self.0.lock().unwrap().bytes.len() as u64)
-    }
-}
 
 fn strategy() -> Iterative {
     ir(3)
@@ -125,7 +48,7 @@ fn decided_task(event: RunEvent) -> Option<u32> {
 }
 
 /// [`Runtime::start`] with the WAL on `disk` instead of a file.
-fn start_on<F>(cfg: RuntimeConfig, disk: RecordingDisk, make_worker: F) -> Runtime
+fn start_on<F>(cfg: RuntimeConfig, disk: &FaultyDisk, make_worker: F) -> Runtime
 where
     F: Fn(u32) -> Box<dyn Worker> + Send + Sync + 'static,
 {
@@ -142,8 +65,8 @@ where
     )
 }
 
-fn wal_on(cfg: &RuntimeConfig, disk: RecordingDisk) -> WalWriter {
-    WalWriter::with_disk(Box::new(disk), cfg.wal_sync)
+fn wal_on(cfg: &RuntimeConfig, disk: &FaultyDisk) -> WalWriter {
+    WalWriter::with_disk(Box::new(disk.clone()), cfg.wal_sync)
         .with_batch(cfg.wal_batch)
         .with_checksums(cfg.wal_checksum)
 }
@@ -217,12 +140,12 @@ fn a_verdict_is_released_only_behind_the_commit_that_holds_its_decision() {
                 }),
                 ..RuntimeConfig::default()
             };
-            let disk = RecordingDisk::default();
+            let disk = FaultyDisk::new(DiskFaultPlan::none(SEED));
             // Guarded, one placement in 25 is slow: the jobs queued behind
             // it outlive the median and get a twin (another worker, same
             // vote).
             let slow = Duration::from_millis(20);
-            let runtime = start_on(cfg, disk.clone(), move |index| match guarded {
+            let runtime = start_on(cfg, &disk, move |index| match guarded {
                 true => Box::new(StragglerWorker::new(index, SEED, chaos, 0.04, slow)),
                 false => Box::new(FaultyWorker::new(SEED, chaos)),
             });
@@ -237,9 +160,12 @@ fn a_verdict_is_released_only_behind_the_commit_that_holds_its_decision() {
                     submitted += 1;
                 }
                 let verdict = client.recv().expect("every task is decided");
-                let log = disk.0.lock().unwrap();
-                let observable = if sync { log.synced } else { log.bytes.len() };
-                let fresh = std::str::from_utf8(&log.bytes[read..observable]).unwrap();
+                // The file only grows: what a sync had covered is still
+                // there when the bytes are read after it.
+                let synced = disk.synced();
+                let bytes = disk.bytes();
+                let observable = if sync { synced } else { bytes.len() };
+                let fresh = std::str::from_utf8(&bytes[read..observable]).unwrap();
                 assert!(
                     fresh.is_empty() || fresh.ends_with('\n'),
                     "{name}: whole records"
@@ -252,7 +178,7 @@ fn a_verdict_is_released_only_behind_the_commit_that_holds_its_decision() {
                     "{name}: task {} delivered ahead of its decision record ({observable} of {} \
                      bytes observable)",
                     verdict.task,
-                    log.bytes.len()
+                    bytes.len()
                 );
             }
             drop(client);
@@ -264,8 +190,7 @@ fn a_verdict_is_released_only_behind_the_commit_that_holds_its_decision() {
                 assert!(run.report.verdicts_voided > 0, "{name}: no voided verdict");
                 assert!(run.report.hedges_launched > 0, "{name}: no hedge");
             }
-            let log = disk.0.lock().unwrap();
-            let on_disk = Journal::from_jsonl(std::str::from_utf8(&log.bytes).unwrap());
+            let on_disk = Journal::from_jsonl(std::str::from_utf8(&disk.bytes()).unwrap());
             assert_eq!(on_disk.unwrap().events(), run.journal.events());
         }
     }
@@ -288,8 +213,8 @@ fn a_turn_is_one_write_and_one_sync_however_many_tasks_it_decides() {
             wal_batch: batch,
             ..RuntimeConfig::default()
         };
-        let disk = RecordingDisk::default();
-        let runtime = start_on(cfg, disk.clone(), |_| {
+        let disk = FaultyDisk::new(DiskFaultPlan::none(SEED));
+        let runtime = start_on(cfg, &disk, |_| {
             Box::new(FaultyWorker::new(SEED, FaultProfile::default()))
         });
         let client = runtime.client();
@@ -302,21 +227,19 @@ fn a_turn_is_one_write_and_one_sync_however_many_tasks_it_decides() {
         drop(client);
         let run = runtime.finish();
         assert_eq!(run.report.tasks_completed, TASKS);
-        let log = disk.0.lock().unwrap();
+        let DiskCounts { writes, syncs, .. } = disk.counts();
         if sync {
             assert!(
-                log.syncs < TASKS,
-                "{durability}: {} syncs for {TASKS} decisions",
-                log.syncs
+                syncs < TASKS as u64,
+                "{durability}: {syncs} syncs for {TASKS} decisions"
             );
-            assert_eq!(log.synced, log.bytes.len());
+            assert_eq!(disk.synced(), disk.bytes().len());
         } else {
             assert!(
-                log.writes < TASKS / 2,
-                "{durability}: {} writes for {TASKS} decisions",
-                log.writes
+                writes < TASKS as u64 / 2,
+                "{durability}: {writes} writes for {TASKS} decisions"
             );
-            assert_eq!(log.syncs, 0);
+            assert_eq!(syncs, 0);
         }
     }
 }
@@ -367,6 +290,16 @@ impl Pool for ScriptedPool {
     }
 
     fn shutdown(self) {}
+}
+
+impl ScriptedPool {
+    /// A pool whose nodes each hold at most `cap` unanswered jobs.
+    fn with_cap(cap: usize) -> Self {
+        ScriptedPool {
+            cap,
+            ..ScriptedPool::default()
+        }
+    }
 }
 
 /// The coordinator under test with the test as its driver: it owns the
@@ -501,8 +434,8 @@ fn a_hook_crash_leaves_no_durable_decision_undelivered() {
             crash_after_events: Some(limit),
             ..RuntimeConfig::default()
         };
-        let disk = RecordingDisk::default();
-        let wal = wal_on(&cfg, disk.clone());
+        let disk = FaultyDisk::new(DiskFaultPlan::none(SEED));
+        let wal = wal_on(&cfg, &disk);
         let mut rig = Rig::new(cfg, 3, Some(wal), ScriptedPool::default());
         for _ in 0..TASKS {
             rig.submit(0);
@@ -518,16 +451,11 @@ fn a_hook_crash_leaves_no_durable_decision_undelivered() {
         delivered.extend(rig.delivered());
         assert!(rig.d.dead);
 
-        let log = disk.0.lock().unwrap();
-        let on_disk = Journal::from_jsonl(std::str::from_utf8(&log.bytes).unwrap()).unwrap();
+        let on_disk = Journal::from_jsonl(std::str::from_utf8(&disk.bytes()).unwrap()).unwrap();
         assert_eq!(on_disk.len() as u64, limit);
         assert_eq!(on_disk.events(), rig.c.journal.events());
         assert_eq!(rig.d.report(&rig.c), report_from_journal(&on_disk));
-        let decisions = on_disk
-            .events()
-            .iter()
-            .filter_map(|e| decided_task(e.event));
-        let logged: Vec<u32> = decisions.collect();
+        let logged = decisions(on_disk.events());
         assert_eq!(
             logged, delivered,
             "{pct} %: the delivered verdicts are not the log's decisions"
@@ -731,38 +659,70 @@ fn a_shed_burns_no_task_id_on_either_runtime() {
 /// respawned worker's detached thread reply late — until every task is
 /// decided. Then the run is held to its contracts. Returns the journal.
 fn explore(seed: u64) -> Journal {
-    explore_with(seed, None)
+    explore_in(seed, Deaths::default()).history
 }
 
-/// [`explore`], and with `crash` the coordinator dies once it has logged
-/// that many records into a WAL on a recording disk: its run is rebuilt
-/// from the bytes and resumed on a fresh pool ([`revive`]), and the same
-/// schedule carries on. The contracts then hold across both lives, and
-/// the second life logs what the cut prefix owed before it dispatches.
-fn explore_with(seed: u64, crash: Option<u64>) -> Journal {
-    let deaths = Deaths {
-        crash,
-        ..Deaths::default()
+/// What a varied run ([`Deaths::varied`]) draws from its seed: the WAL's
+/// framing and durability, the placement policy, and whether the
+/// schedule is calm — no job crashes, lapses or wedges its worker — so
+/// that no death may change a task's decision or job count ([`shape`]).
+#[derive(Debug, Clone, Copy)]
+struct Variant {
+    checksum: bool,
+    sync: bool,
+    batch: u64,
+    assignment: Assignment,
+    calm: bool,
+}
+
+impl Variant {
+    /// What the pinned schedules run on: plain framing, a sync per
+    /// record, random placement and no calm.
+    const PINNED: Variant = Variant {
+        checksum: false,
+        sync: true,
+        batch: 1,
+        assignment: Assignment::Random,
+        calm: false,
     };
-    explore_in(seed, deaths).0
+
+    fn of(seed: u64) -> Variant {
+        let mut rng = task_rng(SEED, 0x7a41_a7ed, seed);
+        let (_, sync, batch) = DURABILITY[rng.gen_range(0..DURABILITY.len())];
+        Variant {
+            checksum: rng.gen_bool(0.5),
+            sync,
+            batch,
+            assignment: Assignment::ALL[rng.gen_range(0..Assignment::ALL.len())],
+            // Never under a cartel: its convictions can leave a liar the
+            // last worker standing, and with no lapse to strike it, its
+            // every verdict is voided for ever.
+            calm: rng.gen_range(0..3) == 0 && seed >> 3 & 1 == 0,
+        }
+    }
 }
 
-/// How the lives of an explored schedule end, and whether they
-/// checkpoint (the snapshot beside a WAL path in the temp directory; the
-/// segment stays on the recording disk). The first life dies once it has
-/// logged `crash` records, or at the disk's `fault`; a second life dies
-/// once it has logged `again` records of its own. The last one drains.
+/// How the lives of an explored schedule end, and what they run on. A
+/// run that can die, checkpoints or is `varied` logs into a WAL on a
+/// [`FaultyDisk`]; a checkpoint's snapshot goes beside a WAL path in the
+/// temp directory. The first life's disk runs the `disk` plan; the life
+/// dies once it has logged `crash` records, at the first fault of the
+/// plan that fails a call, or after the turn in which a bit flip rotted
+/// the file. A second life dies once it has logged `again` records of its
+/// own. The last one drains.
 #[derive(Debug, Clone, Copy, Default)]
 struct Deaths {
+    /// Draws a [`Variant`] from the seed, not [`Variant::PINNED`].
+    varied: bool,
     checkpoint_every: Option<u64>,
     crash: Option<u64>,
-    fault: Option<Fault>,
+    disk: DiskFaultPlan,
     again: Option<u64>,
 }
 
-/// What a [`revive`] resumed from: the whole history, a sealed segment
-/// past its snapshot, or a checkpoint it finished, `earlier` being how
-/// many checkpoints the history held before that one.
+/// What a [`revive`](Explorer::revive) resumed from: the whole history,
+/// a sealed segment past its snapshot, or a checkpoint it finished,
+/// `earlier` being how many checkpoints the history held before that one.
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Resumed {
     Whole,
@@ -770,21 +730,88 @@ enum Resumed {
     Finished { earlier: usize },
 }
 
-/// [`explore`] under `deaths`. Returns the whole history across lives
-/// (the last one's journal begins at its segment) and what each revival
-/// resumed from.
-fn explore_in(seed: u64, deaths: Deaths) -> (Journal, Vec<Resumed>) {
+/// One revival: where the next life's records begin, the records the
+/// cut prefix owed (a settlement for every twin left racing, a
+/// poisoning, and a quarantine or blacklisting the last-worker guard
+/// lets through), what the rebuild resumed from, and whether the WAL
+/// ended in a torn record the revival cut.
+#[derive(Debug)]
+struct Revival {
+    start: usize,
+    owed: Vec<RunEvent>,
+    resumed: Resumed,
+    torn: bool,
+}
+
+/// What [`explore_in`] leaves: the whole history across lives (the last
+/// one's journal begins at its segment), each revival, whether a bit
+/// flip ended the run in a refused WAL (`Some`: whether it rotted the
+/// newline that ends the file), and what the last life asked of its
+/// disk.
+#[derive(Debug)]
+struct Explored {
+    history: Journal,
+    revivals: Vec<Revival>,
+    refused: Option<bool>,
+    counts: DiskCounts,
+}
+
+/// Where a failing run leaves its WAL, beside the snapshot it may have
+/// taken: in the temp directory, named in the failure message.
+fn failed_wal(seed: u64) -> PathBuf {
+    let name = format!("smartred-explore-{}-{seed}.jsonl", std::process::id());
+    std::env::temp_dir().join(name)
+}
+
+/// Writes the bytes on the disk to [`failed_wal`] if the run panics.
+struct Forensics(u64, FaultyDisk);
+
+impl Drop for Forensics {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            let _ = std::fs::write(failed_wal(self.0), self.1.bytes());
+        }
+    }
+}
+
+/// A run in progress: the live coordinator, the disk under its WAL, the
+/// history so far and what became of each decision in it.
+struct Explorer {
+    rig: Rig,
+    cfg: RuntimeConfig,
+    /// Whether the schedule is calm ([`Variant::calm`]).
+    calm: bool,
+    disk: FaultyDisk,
+    history: Journal,
+    /// The tasks whose verdicts were released, in release order.
+    delivered: Vec<u32>,
+    /// The tasks whose decisions a failed commit made durable: never
+    /// released, and never again, since recovery finds them decided.
+    lost: Vec<u32>,
+    /// How many of the history's decisions the deaths so far checked.
+    accounted: usize,
+    /// `next_seq` behind the last commit that returned.
+    committed: u64,
+    /// Whether a fault of a life's disk plan has fired.
+    faulted: bool,
+    again: Option<u64>,
+    revivals: Vec<Revival>,
+    refused: Option<bool>,
+}
+
+/// [`explore`] under `deaths`, held to its contracts across every life.
+fn explore_in(seed: u64, deaths: Deaths) -> Explored {
     const TASKS: u32 = 10;
     let mut rng = task_rng(SEED, 0x5c4e_d01e, seed);
     let [quarantine, hang, hedge, cartel] = [0, 1, 2, 3].map(|bit| seed >> bit & 1 == 1);
-    let snapshots = std::env::temp_dir().join(format!(
-        "smartred-explore-{}-{seed}.jsonl",
-        std::process::id()
-    ));
+    let v = match deaths.varied {
+        true => Variant::of(seed),
+        false => Variant::PINNED,
+    };
     let cfg = RuntimeConfig {
         workers: Some(4),
         max_active: 3,
-        deadline: Duration::from_secs(2),
+        deadline: Duration::from_secs(if v.calm { 600 } else { 2 }),
         job_cap: Some(30),
         poison: Some(PoisonPolicy { crash_limit: 2 }),
         hang_after: hang.then_some(Duration::from_millis(300)),
@@ -804,7 +831,11 @@ fn explore_in(seed: u64, deaths: Deaths) -> (Journal, Vec<Resumed>) {
             multiplier: 1.5,
             max_per_task: 2,
         }),
-        wal: deaths.checkpoint_every.map(|_| snapshots),
+        wal: deaths.checkpoint_every.map(|_| failed_wal(seed)),
+        wal_sync: v.sync,
+        wal_batch: v.batch,
+        wal_checksum: v.checksum,
+        assignment: v.assignment,
         checkpoint_every: deaths.checkpoint_every,
         ..RuntimeConfig::default()
     };
@@ -819,28 +850,38 @@ fn explore_in(seed: u64, deaths: Deaths) -> (Journal, Vec<Resumed>) {
         };
         said.expect("these workers always answer").0
     };
-    let fresh_pool = || ScriptedPool {
-        cap: 2,
-        ..ScriptedPool::default()
-    };
     if let Some(path) = &cfg.wal {
         crate::checkpoint::discard(path).unwrap();
     }
-    let disk = RecordingDisk::default();
-    disk.0.lock().unwrap().fault = deaths.fault;
-    let logged = deaths.crash.is_some() || cfg.wal.is_some();
-    let wal = logged.then(|| wal_on(&cfg, disk.clone()));
+    let disk = FaultyDisk::new(deaths.disk);
+    let _forensics = Forensics(seed, disk.clone());
+    let logged = deaths.varied || deaths.crash.is_some() || cfg.wal.is_some();
+    let wal = logged.then(|| wal_on(&cfg, &disk));
     let hooked = RuntimeConfig {
         crash_after_events: deaths.crash,
         ..cfg.clone()
     };
-    let mut rig = Rig::new(hooked, 3, wal, fresh_pool());
-    rig.c.resume(at(0));
-    let (mut now, mut decided, mut history) = (0, Vec::new(), Journal::new());
-    let mut revived = Vec::new();
+    let mut x = Explorer {
+        rig: Rig::new(hooked, 3, wal, ScriptedPool::with_cap(2)),
+        cfg,
+        calm: v.calm,
+        disk,
+        history: Journal::new(),
+        delivered: Vec::new(),
+        lost: Vec::new(),
+        accounted: 0,
+        committed: 0,
+        faulted: false,
+        again: deaths.again,
+        revivals: Vec::new(),
+        refused: None,
+    };
+    x.rig.c.resume(at(0));
+    let mut now = 0;
     for step in 0.. {
         assert!(step < 20_000, "the run does not end");
         now += rng.gen_range(0..120_000);
+        let rig = &mut x.rig;
         // A wedged worker answers nothing until it is respawned.
         let pool = &mut rig.c.pool;
         let able = |&(node, _): &(u32, JobAssignment)| !pool.wedged.contains_key(&node);
@@ -848,7 +889,13 @@ fn explore_in(seed: u64, deaths: Deaths) -> (Journal, Vec<Resumed>) {
             .filter(|&i| able(&pool.sent[i]))
             .collect();
         let pick = able.get(rng.gen_range(0..able.len().max(1))).copied();
-        match (rng.gen_range(0..10), pick) {
+        // A calm schedule answers what a stormy one crashes, loses or
+        // wedges.
+        let roll = match rng.gen_range(0..10) {
+            6..=8 if v.calm => 5,
+            roll => roll,
+        };
+        match (roll, pick) {
             (0..=1, _) if rig.submitted < TASKS => rig.submit(now),
             (0..=5, Some(i)) => {
                 let (node, job) = pool.sent.remove(i);
@@ -888,86 +935,339 @@ fn explore_in(seed: u64, deaths: Deaths) -> (Journal, Vec<Resumed>) {
             }
             _ => {}
         }
-        if !rig.turn(now) {
-            decided.extend(rig.delivered());
-            let hook = deaths.again.filter(|_| revived.is_empty());
-            let life = (&cfg, &disk, hook, now);
-            revived.push(revive(&mut rig, life, fresh_pool(), &mut history, &decided));
+        let alive = x.rig.turn(now);
+        if !x.end_turn(alive, now) {
+            break;
         }
-        decided.extend(rig.delivered());
-        if decided.len() == TASKS as usize {
+        if x.delivered.len() + x.lost.len() == TASKS as usize {
             break;
         }
     }
-    loop {
-        rig.c.step(Input::Drain, at(now));
-        assert!(!rig.turn(now), "drained and idle: there is no next turn");
-        if !rig.d.dead {
+    while x.refused.is_none() {
+        x.rig.c.step(Input::Drain, at(now));
+        assert!(!x.rig.turn(now), "drained and idle: there is no next turn");
+        // The drain may reach a life's hook or fault: the next life drains.
+        if !x.end_turn(false, now) || !x.rig.d.dead && x.disk.rot().is_none() {
             break;
         }
-        // The drain reached a life's hook: the next life drains.
-        decided.extend(rig.delivered());
-        let hook = deaths.again.filter(|_| revived.is_empty());
-        let life = (&cfg, &disk, hook, now);
-        revived.push(revive(&mut rig, life, fresh_pool(), &mut history, &decided));
     }
-    assert_eq!(
-        disk.0.lock().unwrap().fault,
-        None,
-        "the injected fault fired"
-    );
-
-    fold_life(&mut history, &rig.c.journal);
-    let report = rig.c.ledger.report();
-    for (seq, pair) in history.events().windows(2).enumerate() {
-        assert_eq!((pair[0].seq, pair[1].seq), (seq as u64, seq as u64 + 1));
-        assert!(pair[0].at <= pair[1].at, "time runs backwards at seq {seq}");
-    }
-    let mut decisions = decisions(&history);
-    decisions.sort_unstable();
-    decided.sort_unstable();
-    let roster: Vec<u32> = (0..TASKS).collect();
-    assert_eq!(decisions, roster, "one decision a task");
-    assert_eq!(decided, roster, "one verdict a task");
-    assert_eq!(
-        report.hedges_launched,
-        report.hedges_won + report.hedges_wasted
-    );
-    assert_eq!(&report_from_journal(&history), report);
-    if logged {
-        let log = disk.0.lock().unwrap();
-        let wal = Journal::from_jsonl(std::str::from_utf8(&log.bytes).unwrap()).unwrap();
-        let first = wal.events().first().map_or(0, |e| e.seq as usize);
-        let tail = &history.events()[first..];
-        assert_eq!(
-            wal.events(),
-            tail,
-            "the WAL holds the history's last segment"
-        );
-    }
-    for (start, owed) in revived.iter().map(|(start, owed, _)| (*start, owed)) {
-        let resumed = &history.events()[start..];
-        let dispatched = |e: &Stamped| e.event.kind() == EventKind::JobDispatched;
-        let first = resumed.iter().position(dispatched).unwrap_or(resumed.len());
-        for event in owed {
-            let logged = resumed[..first].iter().any(|e| e.event == *event);
-            assert!(logged, "{event:?} owed, not logged before a dispatch");
-        }
-    }
-    crate::ledger::tests::every_prefix_replays(&cfg, 3, &history);
-    if let Some(path) = &cfg.wal {
-        crate::checkpoint::discard(path).unwrap();
-    }
-    (history, revived.into_iter().map(|(.., r)| r).collect())
+    x.faulted |= x.disk.fired();
+    let named = deaths.disk != DiskFaultPlan::none(deaths.disk.seed);
+    assert_eq!(x.faulted, named, "the injected fault fired");
+    x.finish(TASKS)
 }
 
-/// The tasks `journal` decides, in log order.
-fn decisions(journal: &Journal) -> Vec<u32> {
-    let decided = journal
-        .events()
+impl Explorer {
+    /// Takes a turn that returned `alive` at `now`: the verdicts it
+    /// released, and a death — the driver's, or the rot a bit flip left
+    /// in the file — which [`revive`](Self::revive)s the run. Returns
+    /// `false` once a refused WAL ended it.
+    fn end_turn(&mut self, alive: bool, now: u64) -> bool {
+        if alive {
+            self.committed = self.rig.c.journal.next_seq();
+        }
+        self.delivered.extend(self.rig.delivered());
+        let died = self.rig.d.dead || self.disk.rot().is_some();
+        !died || self.revive(now)
+    }
+
+    /// What a death leaves: the dead life's journal folded into the
+    /// history, and the WAL read back. A WAL refused for rot ends the
+    /// run; any other is cut back to its durable records — the history
+    /// with it — and rebuilt, with the snapshot beside it, by the pure
+    /// half of [`Runtime::recover`] — the [`pair`] rule and [`rebuild`]
+    /// — and the writes `pair` asks for, then resumed at `now` on a fresh
+    /// pool (the dead pool's jobs are lost) with its WAL on the same disk,
+    /// restarted without faults and its torn tail cut as
+    /// [`WalWriter::resume`] cuts it; the first revival's life dies after
+    /// [`Deaths::again`] records, if set. Checks that the segment is the
+    /// history's tail, that the dead life's report is its journal's fold,
+    /// that only an unterminated WAL reads as torn, and a hook's never,
+    /// that the lives so far released exactly the history's decisions
+    /// ([`account`](Self::account)), and that the rebuilt report is the
+    /// history's fold. Returns whether the run goes on.
+    fn revive(&mut self, now: u64) -> bool {
+        let dead = &self.rig.c.journal;
+        assert_eq!(self.rig.d.report(&self.rig.c), report_from_journal(dead));
+        fold_life(&mut self.history, dead);
+        let faulted = self.disk.fired();
+        self.faulted |= faulted;
+        let bytes = self.disk.bytes();
+        let read = Journal::from_jsonl_prefix(&String::from_utf8_lossy(&bytes));
+        let prefix = match (read, self.disk.rot()) {
+            (Ok(prefix), None) => prefix,
+            (Err(refusal), Some(rot)) => {
+                self.refused = Some(self.refusal_names_the_rot(&refusal, rot));
+                self.account(faulted);
+                return false;
+            }
+            (Err(refusal), None) => panic!("an intact WAL is refused: {refusal}"),
+            (Ok(_), Some((at, _))) => panic!("the rot at byte {at} was read back as records"),
+        };
+        let unterminated = bytes.last().is_some_and(|&b| b != b'\n');
+        assert_eq!(prefix.torn, unterminated, "torn iff unterminated");
+        assert!(
+            faulted || !prefix.torn,
+            "the hook dies at a record boundary"
+        );
+        let segment = prefix.journal;
+        let first = segment.events().first().map_or(0, |e| e.seq as usize);
+        let kept = &self.history.events()[first..first + segment.len()];
+        assert_eq!(segment.events(), kept, "the segment is the history's");
+        let ckpt = self.cfg.wal.as_deref().map(checkpoint_path);
+        let snapshot = ckpt
+            .filter(|p| p.exists())
+            .map(|p| CheckpointState::load(&p));
+        let paired = pair(snapshot, segment).unwrap_or_else(|refused| panic!("{refused}"));
+        let (base, journal, interrupted) = paired;
+        // What the failed commit did not make durable never happened.
+        self.history.truncate(journal.next_seq() as usize);
+        self.account(faulted);
+        let resumed = match (&base, interrupted) {
+            (None, _) => Resumed::Whole,
+            (Some(_), false) => Resumed::Sealed,
+            (Some(snap), true) => {
+                // The checkpoint heals from the snapshot alone.
+                assert_eq!(journal.events()[0].seq, snap.events);
+                let seals = self.history.of_kind(EventKind::CheckpointTaken);
+                let earlier = seals.filter(|e| e.seq < snap.events).count();
+                Resumed::Finished { earlier }
+            }
+        };
+        let cfg = &self.cfg;
+        let roster: Vec<(u32, Payload)> = (0..self.rig.submitted)
+            .map(|task| (task, payload()))
+            .collect();
+        let ledger = Ledger::new(cfg, Arc::new(ir(3)));
+        let rebuilt = rebuild(
+            ledger,
+            base.as_ref(),
+            &journal,
+            &roster,
+            &self.rig.verdict_tx,
+        );
+        let (ledger, backlog, recovery, next_task) = rebuilt.expect("the prefix replays");
+        assert_eq!(next_task, self.rig.submitted);
+        assert_eq!(
+            recovery.report,
+            report_from_journal(&self.history),
+            "snapshot + suffix"
+        );
+        // Past the snapshot's seal, if any: nothing, when a checkpoint heals.
+        let past_seal = journal.len() - usize::from(base.is_some());
+        assert_eq!(recovery.events_replayed, past_seal);
+        assert_eq!(
+            recovery.checkpoint_events,
+            base.as_ref().map_or(0, |s| s.events)
+        );
+
+        let twins = ledger.twins(None).into_iter();
+        let mut owed: Vec<RunEvent> = twins
+            .map(|(_, job, task)| RunEvent::HedgeWasted { job, task })
+            .collect();
+        let Owed { discipline, poison } = ledger.owed();
+        if let Some(task) = poison {
+            let crashes = ledger.open()[&task].poison.crashes();
+            owed.push(RunEvent::TaskPoisoned { task, crashes });
+        }
+        let standing = |node: &u32| ledger.dispatchable(*node);
+        let guarded = |&(node, _): &(u32, DisciplineAction)| {
+            standing(&node) && (0..cfg.worker_count() as u32).filter(standing).count() > 1
+        };
+        owed.extend(
+            discipline
+                .filter(guarded)
+                .and_then(|(node, action)| match action {
+                    DisciplineAction::None => None,
+                    DisciplineAction::Quarantine => Some(RunEvent::NodeQuarantined { node }),
+                    DisciplineAction::Blacklist => Some(RunEvent::NodeDeparted {
+                        node,
+                        reason: DepartureReason::Blacklist,
+                    }),
+                }),
+        );
+
+        self.disk.restart(DiskFaultPlan::default());
+        self.disk
+            .set_len(prefix.valid_bytes as u64)
+            .expect("a restarted disk cuts its torn tail");
+        let mut wal = wal_on(cfg, &self.disk);
+        if interrupted {
+            finish(&mut wal, &journal).expect("the disk takes the seal");
+        }
+        let start = self.history.len();
+        let hooked = RuntimeConfig {
+            crash_after_events: self.again.take(),
+            ..cfg.clone()
+        };
+        self.committed = journal.next_seq();
+        self.rig.d = Driver::new(&hooked, &journal, Some(wal));
+        let pool = ScriptedPool::with_cap(2);
+        self.rig.c = Coordinator::new(cfg.clone(), ledger, journal, pool, Arc::default(), backlog);
+        self.rig.c.resume(at(now));
+        self.revivals.push(Revival {
+            start,
+            owed,
+            resumed,
+            torn: prefix.torn,
+        });
+        true
+    }
+
+    /// Checks that the lives so far released exactly the history's
+    /// decisions not yet accounted for, in log order — but for those the
+    /// commit a disk fault failed (`faulted`) made durable, which are lost.
+    fn account(&mut self, faulted: bool) {
+        let events = self.history.events();
+        let logged = decisions(events);
+        let fresh = &logged[self.accounted..];
+        let released = &self.delivered[self.accounted - self.lost.len()..];
+        assert!(
+            fresh.starts_with(released),
+            "released {released:?}, not the log's decisions {fresh:?}"
+        );
+        let unreleased = &fresh[released.len()..];
+        let failed = match faulted {
+            true => decisions(&events[self.committed as usize..]),
+            false => Vec::new(),
+        };
+        assert!(
+            failed.ends_with(unreleased),
+            "durable decisions {unreleased:?} were never released"
+        );
+        self.lost.extend_from_slice(unreleased);
+        self.accounted = logged.len();
+    }
+
+    /// Checks that `refusal` names the record the flip of `mask` at byte
+    /// `at` damaged: its line and offset, and its seq unless the flip hit
+    /// the seq itself. Returns whether the flip rotted the newline that
+    /// ends the file.
+    fn refusal_names_the_rot(&self, refusal: &JournalParseError, (at, mask): (usize, u8)) -> bool {
+        let mut clean = self.disk.bytes();
+        clean[at] ^= mask;
+        let start = clean[..at]
+            .iter()
+            .rposition(|&b| b == b'\n')
+            .map_or(0, |nl| nl + 1);
+        let line = clean[..start].iter().filter(|&&b| b == b'\n').count() + 1;
+        let text = std::str::from_utf8(&clean).unwrap();
+        let segment = Journal::from_jsonl(text).expect("the rot is all that is wrong");
+        let record = segment.events()[line - 1];
+        assert_eq!((refusal.line, refusal.offset), (line, start), "{refusal}");
+        let key = start + text[start..].find("\"seq\":").unwrap();
+        let seq = key..key + "\"seq\":".len() + record.seq.to_string().len();
+        if !seq.contains(&at) {
+            assert_eq!(refusal.seq, Some(record.seq), "{refusal}");
+        }
+        at + 1 == clean.len()
+    }
+
+    /// The contracts over the whole history: dense monotone `seq`, the
+    /// report equal to the reference fold, and what each revival owed
+    /// logged before its life dispatched. Of a run that ended: one
+    /// decision a task, one verdict a task but for the decisions a failed
+    /// commit lost, `launched = won + wasted` and every prefix replayable.
+    /// Of a calm one, no job crashed, lapsed or was respawned. And the WAL
+    /// on the disk, rot undone, is the encoding of the history's last
+    /// segment in the run's framing.
+    fn finish(mut self, tasks: u32) -> Explored {
+        if self.refused.is_none() {
+            fold_life(&mut self.history, &self.rig.c.journal);
+        }
+        let (history, cfg) = (&self.history, &self.cfg);
+        let report = self.rig.c.ledger.report();
+        for (seq, pair) in history.events().windows(2).enumerate() {
+            assert_eq!((pair[0].seq, pair[1].seq), (seq as u64, seq as u64 + 1));
+            assert!(pair[0].at <= pair[1].at, "time runs backwards at seq {seq}");
+        }
+        assert_eq!(&report_from_journal(history), report);
+        let mut decided = decisions(history.events());
+        decided.sort_unstable();
+        let mut verdicts = [&self.delivered[..], &self.lost[..]].concat();
+        verdicts.sort_unstable();
+        assert_eq!(decided, verdicts, "a verdict for every decision not lost");
+        if self.refused.is_none() {
+            let roster: Vec<u32> = (0..tasks).collect();
+            assert_eq!(decided, roster, "one decision a task");
+            assert_eq!(
+                report.hedges_launched,
+                report.hedges_won + report.hedges_wasted
+            );
+            crate::ledger::tests::every_prefix_replays(cfg, 3, history);
+        } else {
+            decided.dedup();
+            assert_eq!(decided.len(), verdicts.len(), "one decision a task");
+        }
+        if self.calm {
+            for kind in [
+                EventKind::WorkerCrashed,
+                EventKind::JobTimedOut,
+                EventKind::EpochAdvanced,
+            ] {
+                assert_eq!(history.count(kind), 0, "a calm schedule logged {kind:?}");
+            }
+        }
+        for revival in &self.revivals {
+            let resumed = &history.events()[revival.start..];
+            let dispatched = |e: &Stamped| e.event.kind() == EventKind::JobDispatched;
+            let first = resumed.iter().position(dispatched).unwrap_or(resumed.len());
+            for event in &revival.owed {
+                let logged = resumed[..first].iter().any(|e| e.event == *event);
+                assert!(logged, "{event:?} owed, not logged before a dispatch");
+            }
+        }
+        let mut wal = self.disk.bytes();
+        if let (Some(_), Some((at, mask))) = (self.refused, self.disk.rot()) {
+            wal[at] ^= mask;
+        }
+        let segment = Journal::from_jsonl(std::str::from_utf8(&wal).unwrap()).unwrap();
+        let first = segment
+            .events()
+            .first()
+            .map_or(history.len(), |e| e.seq as usize);
+        let seals = history.of_kind(EventKind::CheckpointTaken);
+        let sealed = seals.last().map_or(0, |seal| seal.seq as usize);
+        let encode = match cfg.wal_checksum {
+            true => Stamped::to_jsonl_line_checksummed,
+            false => Stamped::to_jsonl_line,
+        };
+        let tail: String = history.events()[first..]
+            .iter()
+            .map(|e| encode(e) + "\n")
+            .collect();
+        if self.rig.d.wal.is_some() {
+            assert_eq!(first, sealed, "the segment begins at the last seal");
+            assert_eq!(
+                String::from_utf8_lossy(&wal),
+                tail,
+                "the WAL holds the history's last segment"
+            );
+        }
+        if let Some(path) = &cfg.wal {
+            crate::checkpoint::discard(path).unwrap();
+        }
+        Explored {
+            counts: self.disk.counts(),
+            history: self.history,
+            revivals: self.revivals,
+            refused: self.refused,
+        }
+    }
+}
+
+/// The tasks `events` decide, in log order.
+fn decisions(events: &[Stamped]) -> Vec<u32> {
+    events
         .iter()
-        .filter_map(|e| decided_task(e.event));
-    decided.collect()
+        .filter_map(|e| decided_task(e.event))
+        .collect()
+}
+
+/// The seq of the last decision in `journal`.
+fn last_decision(journal: &Journal) -> u64 {
+    let mut decisions = journal.events().iter().map(|e| decided_task(e.event));
+    decisions.rposition(|task| task.is_some()).expect("decided") as u64
 }
 
 /// Appends what of `life`'s journal `history` lacks; what they share
@@ -984,100 +1284,48 @@ fn fold_life(history: &mut Journal, life: &Journal) {
     }
 }
 
-/// What a death in [`explore_in`] leaves: the dead life's journal folded
-/// into `history`, and the run rebuilt from the WAL bytes and the
-/// snapshot beside them by the pure half of [`Runtime::recover`] — the
-/// [`pair`] rule and [`rebuild`] — and the writes `pair` asks for, then
-/// resumed at `now` on `pool` (the dead pool's jobs are lost) with its
-/// WAL on the same `disk`, dying after `hook` records if set. Checks that
-/// the segment is the history's tail, that the lives so far `delivered`
-/// exactly the history's decisions, and that the rebuilt report is the
-/// history's fold. Returns where the next life's records begin, the
-/// records the cut prefix owes (a settlement for every twin left racing,
-/// a poisoning, and a quarantine or blacklisting the last-worker guard
-/// lets through) and what the rebuild resumed from.
-fn revive(
-    rig: &mut Rig,
-    (cfg, disk, hook, now): (&RuntimeConfig, &RecordingDisk, Option<u64>, u64),
-    pool: ScriptedPool,
-    history: &mut Journal,
-    delivered: &[u32],
-) -> (usize, Vec<RunEvent>, Resumed) {
-    fold_life(history, &rig.c.journal);
-    let bytes = disk.0.lock().unwrap().bytes.clone();
-    let prefix = Journal::from_jsonl_prefix(std::str::from_utf8(&bytes).unwrap()).unwrap();
-    assert!(!prefix.torn, "the hook dies at a record boundary");
-    let segment = prefix.journal;
-    let first = segment.events().first().map_or(0, |e| e.seq as usize);
-    let kept = &history.events()[first..first + segment.len()];
-    assert_eq!(segment.events(), kept, "the segment is the history's");
-    assert_eq!(delivered, decisions(history), "the verdicts so far");
-
-    let ckpt = cfg.wal.as_deref().map(checkpoint_path);
-    let snapshot = ckpt
-        .filter(|p| p.exists())
-        .map(|p| CheckpointState::load(&p));
-    let paired = pair(snapshot, segment).unwrap_or_else(|refused| panic!("{refused}"));
-    let (base, journal, interrupted) = paired;
-    let resumed = match (&base, interrupted) {
-        (None, _) => Resumed::Whole,
-        (Some(_), false) => Resumed::Sealed,
-        (Some(snap), true) => {
-            let seals = history.of_kind(EventKind::CheckpointTaken);
-            let earlier = seals.filter(|e| e.seq < snap.events).count();
-            Resumed::Finished { earlier }
+/// Each task's decision record, but its stamp and seq, and its job count:
+/// what a death must not change of a calm schedule, whose votes are
+/// functions of `(seed, task, replica)` alone.
+fn shape(journal: &Journal) -> BTreeMap<u32, (Option<RunEvent>, usize)> {
+    let mut shape: BTreeMap<u32, (Option<RunEvent>, usize)> = BTreeMap::new();
+    for e in journal.events() {
+        match (e.event, decided_task(e.event)) {
+            (RunEvent::JobDispatched { task, .. }, _) => shape.entry(task).or_default().1 += 1,
+            (decision, Some(task)) => shape.entry(task).or_default().0 = Some(decision),
+            _ => {}
         }
-    };
-    let roster: Vec<(u32, Payload)> = (0..rig.submitted).map(|task| (task, payload())).collect();
-    let ledger = Ledger::new(cfg, Arc::new(ir(3)));
-    let rebuilt = rebuild(ledger, base.as_ref(), &journal, &roster, &rig.verdict_tx);
-    let (ledger, backlog, recovery, next_task) = rebuilt.expect("the prefix replays");
-    assert_eq!(next_task, rig.submitted);
+    }
+    shape
+}
+
+/// [`explore_in`], a failure naming the seed and the deaths that replay
+/// it and where its WAL was left.
+fn replaying(seed: u64, deaths: Deaths) -> Explored {
+    std::panic::catch_unwind(|| explore_in(seed, deaths)).unwrap_or_else(|cause| {
+        let wal = failed_wal(seed);
+        eprintln!(
+            "seed {seed} breaks a contract: `explore_in({seed}, {deaths:?})` replays it; \
+             its WAL is {}",
+            wal.display()
+        );
+        std::panic::resume_unwind(cause)
+    })
+}
+
+/// Holds a death of `seed`'s varied schedule to that schedule's `golden`
+/// [`shape`], when it is calm and ran to its end; says whether it was
+/// held.
+fn holds_the_golden_shape(seed: u64, golden: &Journal, run: &Explored) -> bool {
+    if !Variant::of(seed).calm || run.refused.is_some() {
+        return false;
+    }
     assert_eq!(
-        recovery.report,
-        report_from_journal(history),
-        "snapshot + suffix"
+        shape(&run.history),
+        shape(golden),
+        "seed {seed}: a death changed what a calm schedule decides"
     );
-
-    let twins = ledger.twins(None).into_iter();
-    let mut owed: Vec<RunEvent> = twins
-        .map(|(_, job, task)| RunEvent::HedgeWasted { job, task })
-        .collect();
-    let Owed { discipline, poison } = ledger.owed();
-    if let Some(task) = poison {
-        let crashes = ledger.open()[&task].poison.crashes();
-        owed.push(RunEvent::TaskPoisoned { task, crashes });
-    }
-    let standing = |node: &u32| ledger.dispatchable(*node);
-    let guarded = |&(node, _): &(u32, DisciplineAction)| {
-        standing(&node) && (0..cfg.worker_count() as u32).filter(standing).count() > 1
-    };
-    owed.extend(
-        discipline
-            .filter(guarded)
-            .and_then(|(node, action)| match action {
-                DisciplineAction::None => None,
-                DisciplineAction::Quarantine => Some(RunEvent::NodeQuarantined { node }),
-                DisciplineAction::Blacklist => Some(RunEvent::NodeDeparted {
-                    node,
-                    reason: DepartureReason::Blacklist,
-                }),
-            }),
-    );
-
-    let mut wal = wal_on(cfg, disk.clone());
-    if interrupted {
-        finish(&mut wal, &journal).expect("the disk takes the seal");
-    }
-    let start = history.len();
-    let hooked = RuntimeConfig {
-        crash_after_events: hook,
-        ..cfg.clone()
-    };
-    rig.d = Driver::new(&hooked, &journal, Some(wal));
-    rig.c = Coordinator::new(cfg.clone(), ledger, journal, pool, Arc::default(), backlog);
-    rig.c.resume(at(now));
-    (start, owed, resumed)
+    true
 }
 
 /// The contracts, explored rather than sampled by hand: exactly one
@@ -1128,75 +1376,159 @@ fn seeded_schedules_keep_every_contract() {
     );
 }
 
-/// The contracts across a death, explored: every seeded schedule is
-/// killed at a seeded record count up to its last decision, rebuilt from
-/// its WAL and carried on ([`explore_with`]) — one decision and one
-/// verdict per task across both lives, the first life's verdicts exactly
-/// its durable decisions, what the cut prefix owed logged before the
-/// second life dispatches, `launched = won + wasted` and the report equal
-/// to the fold over the whole WAL. A failure names the seed and the crash
-/// point that replay it.
+/// The contracts across a death, explored: every seeded schedule, on
+/// the WAL framing, durability and placement its seed draws, is killed
+/// at a seeded record count up to its last decision, rebuilt from its
+/// WAL and carried on ([`explore_in`]) — one decision and one verdict per
+/// task across both lives, the first life's verdicts exactly its durable
+/// decisions, what the cut prefix owed logged before the second life
+/// dispatches, `launched = won + wasted`, the report equal to the fold
+/// over the whole WAL, and the WAL the encoding of the history. A calm
+/// schedule decides what it decides uncrashed, with as many jobs a task.
+/// Between them the seeds run both framings and every placement. A
+/// failure names the seed and the crash point that replay it.
 #[test]
 fn seeded_crashes_keep_every_contract() {
+    let (mut placements, mut framings, mut golden) = (HashSet::new(), HashSet::new(), 0);
     for seed in 0..256 {
-        let whole = explore(seed);
-        let mut decisions = whole.events().iter().map(|e| decided_task(e.event));
-        let last = decisions.rposition(|task| task.is_some()).expect("decided") as u64;
+        let varied = Deaths {
+            varied: true,
+            ..Deaths::default()
+        };
+        let whole = replaying(seed, varied).history;
+        let last = last_decision(&whole);
         let crash = task_rng(SEED, 0xdead, seed).gen_range(1..=last + 1);
-        std::panic::catch_unwind(|| explore_with(seed, Some(crash))).unwrap_or_else(|cause| {
-            eprintln!("seed {seed} breaks a contract: `explore_with({seed}, Some({crash}))`");
-            std::panic::resume_unwind(cause)
-        });
+        let deaths = Deaths {
+            crash: Some(crash),
+            ..varied
+        };
+        let run = replaying(seed, deaths);
+        golden += usize::from(holds_the_golden_shape(seed, &whole, &run));
+        let v = Variant::of(seed);
+        placements.insert(v.assignment.name());
+        framings.insert(v.checksum);
     }
+    assert_eq!(placements.len(), Assignment::ALL.len(), "{placements:?}");
+    assert_eq!(framings.len(), 2, "one WAL framing only");
+    assert!(golden > 0, "no calm schedule was held to its shape");
 }
 
-/// The contracts across deaths in and around checkpoints, explored: every
-/// seeded schedule checkpoints every 8 records; its first life dies at a
-/// seeded record, at a failed truncation after a seeded checkpoint's
-/// snapshot is stored, or at that checkpoint's failed seal write, and its
-/// second life dies again at a seeded record. Each revival pairs segment
-/// and snapshot by [`pair`], the rule [`Runtime::recover`] runs, so a
-/// refused window fails here. Across all three lives: one decision and
-/// one verdict per task, every rebuilt report the fold of the history so
-/// far, and the last segment on the disk the history's tail
-/// ([`explore_in`]). Between them the seeds resume from a sealed segment
-/// and finish a checkpoint that was not the first. A failure names the
-/// seed and the deaths that replay it.
+/// The ways a first life dies in [`seeded_checkpoints_keep_every_contract`].
+const DEATHS: [&str; 7] = [
+    "hook",
+    "failed sync",
+    "short write",
+    "power loss",
+    "bit flip",
+    "failed truncation",
+    "failed seal write",
+];
+
+/// The contracts across deaths at the disk and in and around
+/// checkpoints, explored: every seeded schedule, varied as in
+/// [`seeded_crashes_keep_every_contract`], checkpoints every 8 records;
+/// its first life dies at a seeded record, a failed sync, a short write,
+/// a power loss mid-write, a bit flip, a failed truncation after a
+/// checkpoint's snapshot is stored, or that checkpoint's failed seal
+/// write — each at a seeded call of a count the same schedule makes
+/// unharmed — and its second life dies again at a seeded record. Each
+/// revival pairs segment and snapshot by [`pair`], the rule
+/// [`Runtime::recover`] runs, so a refused window fails here, and cuts a
+/// torn tail as [`WalWriter::resume`] does. Across all three lives: one
+/// decision a task, one verdict a task but for the durable decisions of a
+/// commit the disk failed, every rebuilt report the fold of the history
+/// so far, and the last segment on the disk the history's tail
+/// ([`explore_in`]); a calm schedule decides what it decides unharmed.
+/// A flipped bit in a checksummed WAL ends the run:
+/// the WAL is refused naming the damaged record's line, offset and seq,
+/// and every verdict released was a durable decision. Between them the
+/// seeds die every way, cut a torn tail a power loss left, refuse a
+/// rotted final newline, hold calm schedules to their shape across two
+/// deaths and across a torn tail, resume from a sealed segment, and
+/// finish the first checkpoint and a later one. A failure names the seed
+/// and the deaths that replay it.
 #[test]
 fn seeded_checkpoints_keep_every_contract() {
     const EVERY: Option<u64> = Some(8);
     let (mut resumed, mut thrice) = (Vec::new(), 0);
+    let (mut died, mut torn_by_power_loss, mut rotted_last_newline) = ([0; DEATHS.len()], 0, 0);
+    // Calm schedules held to their shape: at all, across two deaths, and
+    // across a torn tail.
+    let mut golden = [0; 3];
     for seed in 0..256 {
         let checkpointing = Deaths {
+            varied: true,
             checkpoint_every: EVERY,
             ..Deaths::default()
         };
-        let (whole, _) = explore_in(seed, checkpointing);
-        let checkpoints = whole.count(EventKind::CheckpointTaken);
-        let mut decisions = whole.events().iter().map(|e| decided_task(e.event));
-        let last = decisions.rposition(|task| task.is_some()).expect("decided") as u64;
+        let whole = replaying(seed, checkpointing);
+        let last = last_decision(&whole.history);
+        let DiskCounts {
+            writes,
+            syncs,
+            truncations,
+        } = whole.counts;
         let mut rng = task_rng(SEED, 0xc4ec_4b07, seed);
-        let nth = rng.gen_range(1..=checkpoints.max(1));
-        let (crash, fault) = match rng.gen_range(0..3) {
-            kind if kind == 0 || checkpoints == 0 => (Some(rng.gen_range(1..=last + 1)), None),
-            1 => (None, Some(Fault::Truncation(nth))),
-            _ => (None, Some(Fault::Seal(nth))),
+        let mut disk = DiskFaultPlan::none(rng.gen());
+        let kind = match rng.gen_range(0..DEATHS.len()) {
+            1 if syncs > 0 => {
+                disk.fail_fsync_at = Some(rng.gen_range(1..=syncs));
+                1
+            }
+            2 => {
+                disk.short_write_at = Some(rng.gen_range(1..=writes));
+                2
+            }
+            3 => {
+                disk.crash_after_writes = Some(rng.gen_range(0..writes));
+                3
+            }
+            // A flip is refused only where a checksum can tell.
+            4 if Variant::of(seed).checksum => {
+                disk.flip_bit_after = Some(rng.gen_range(1..=writes));
+                4
+            }
+            5 if truncations > 0 => {
+                disk.fail_truncation_at = Some(rng.gen_range(1..=truncations));
+                5
+            }
+            6 if truncations > 0 => {
+                disk.fail_write_after_truncation = Some(rng.gen_range(1..=truncations));
+                6
+            }
+            _ => 0,
         };
         let deaths = Deaths {
-            crash,
-            fault,
+            crash: (kind == 0).then(|| rng.gen_range(1..=last + 1)),
+            disk,
             again: Some(rng.gen_range(1..=last / 2 + 1)),
             ..checkpointing
         };
-        let revivals = std::panic::catch_unwind(|| explore_in(seed, deaths).1);
-        let revivals = revivals.unwrap_or_else(|cause| {
-            eprintln!("seed {seed} breaks a contract: `explore_in({seed}, {deaths:?})`");
-            std::panic::resume_unwind(cause)
-        });
-        thrice += usize::from(revivals.len() > 1);
-        resumed.extend(revivals);
+        let run = replaying(seed, deaths);
+        let first = run.revivals.first();
+        died[kind] += usize::from(first.is_some() || run.refused.is_some());
+        torn_by_power_loss += usize::from(kind == 3 && first.is_some_and(|r| r.torn));
+        rotted_last_newline += usize::from(run.refused == Some(true));
+        thrice += usize::from(run.revivals.len() > 1);
+        if holds_the_golden_shape(seed, &whole.history, &run) {
+            golden[0] += 1;
+            golden[1] += usize::from(run.revivals.len() > 1);
+            golden[2] += usize::from(run.revivals.iter().any(|r| r.torn));
+        }
+        resumed.extend(run.revivals.iter().map(|r| r.resumed));
     }
+    for (death, count) in DEATHS.iter().zip(died) {
+        assert!(count > 0, "no first life died of a {death}");
+    }
+    assert!(torn_by_power_loss > 0, "no power loss left a torn tail");
+    assert!(rotted_last_newline > 0, "no flip rotted the last newline");
     assert!(thrice > 0, "no second life died");
+    assert!(golden[0] > 0, "no calm schedule was held to its shape");
+    assert!(golden[1] > 0, "no calm schedule was held across two deaths");
+    assert!(
+        golden[2] > 0,
+        "no calm schedule was held across a torn tail"
+    );
     let finished_late = |r: &Resumed| matches!(r, Resumed::Finished { earlier } if *earlier > 0);
     assert!(
         resumed.contains(&Resumed::Sealed),
@@ -1206,4 +1538,44 @@ fn seeded_checkpoints_keep_every_contract() {
         resumed.iter().any(finished_late),
         "no later checkpoint finished"
     );
+    assert!(
+        resumed.contains(&Resumed::Finished { earlier: 0 }),
+        "no first checkpoint finished"
+    );
+}
+
+/// Exhaustive where the seeded tests sample: eight fixed schedules, each
+/// killed at every record count it logs and resumed from its WAL, under
+/// [`explore_in`]'s contracts. Between them the cut prefixes owe a
+/// poisoning, a quarantine and a twin's settlement, and each revival
+/// logs what it owes before its life dispatches. A failure names the
+/// schedule and the crash point that replay it.
+#[test]
+fn fixed_schedules_die_at_every_record_they_log() {
+    const SCHEDULES: [u64; 8] = [0, 1, 2, 3, 4, 5, 6, 7];
+    let owes = [
+        EventKind::TaskPoisoned,
+        EventKind::NodeQuarantined,
+        EventKind::HedgeWasted,
+    ];
+    let mut owed = [0; 3];
+    for seed in SCHEDULES {
+        let records = explore(seed).len() as u64;
+        for crash in 1..=records {
+            let deaths = Deaths {
+                crash: Some(crash),
+                ..Deaths::default()
+            };
+            let run = replaying(seed, deaths);
+            let kinds = run.revivals.iter().flat_map(|r| &r.owed).map(|e| e.kind());
+            for kind in kinds {
+                if let Some(i) = owes.iter().position(|&k| k == kind) {
+                    owed[i] += 1;
+                }
+            }
+        }
+    }
+    for (kind, count) in owes.iter().zip(owed) {
+        assert!(count > 0, "no cut prefix owed a {}", kind.name());
+    }
 }

@@ -1,14 +1,16 @@
-//! Chaos tests for the crash-recoverable runtime: coordinator kills at
-//! seeded WAL points, double crashes, torn tails, recovery-from-any-prefix
-//! properties, worker-crash supervision, task poisoning, and hung-worker
-//! respawn with epoch-based stale-reply rejection.
+//! Crash recovery and supervision over real threads and real files:
+//! recovery's refusals, worker-crash supervision, task poisoning,
+//! hung-worker respawn with epoch-based stale-reply rejection, the
+//! write-ahead barrier as seen in the WAL file, audit outcomes across a
+//! crash at any prefix, and the sharded crash matrix. The coordinator's crash contracts themselves — deaths at every
+//! record and at every disk fault, torn tails, what a cut prefix owes —
+//! are explored without threads in `coordinator::tests`.
 //!
-//! The golden-comparison tests rely on the determinism contract: fault
-//! draws (lies *and* injected panics) are a pure function of
-//! `(seed, task, replica)`, so an uninterrupted run and a crash+recover
-//! run face identical adversity and must produce identical verdicts and
-//! per-task job counts — only wall-clock stamps and cross-task
-//! interleaving may differ.
+//! The audit and sharded tests rely on the determinism contract: fault draws (lies
+//! *and* injected panics) are a pure function of `(seed, task, replica)`,
+//! so an uninterrupted run and a crash+recover run face identical
+//! adversity and must produce identical verdicts and per-task job counts
+//! — only wall-clock stamps and cross-task interleaving may differ.
 
 use std::collections::{HashMap, HashSet};
 use std::path::PathBuf;
@@ -44,552 +46,9 @@ fn decisions_per_task(journal: &Journal) -> HashMap<u32, u32> {
     counts
 }
 
-/// One row of the crash sweep: the pool and coordinator configuration
-/// the coordinator is killed and recovered under.
-struct SweepRow {
-    name: String,
-    tasks: usize,
-    cfg: RuntimeConfig,
-    worker: fn(u32) -> Box<dyn Worker>,
-    /// Crash points are strides of a `1/strides` share of the events every
-    /// schedule reaches; `reach_pct` is that share of the golden count for
-    /// a row whose count varies with the wall clock (hedge and re-tally
-    /// records), 100 where only the poisoning replies below vary.
-    strides: u64,
-    reach_pct: u64,
-    /// Whether verdicts and per-task job counts are schedule-independent,
-    /// so the recovered shape must equal the golden one. A cartel's votes
-    /// depend on which worker served the replica, and retaliation
-    /// re-tallies whatever is open at conviction time: there the oracle
-    /// is exactly-once decisions and exact replay.
-    golden_shape: bool,
-    /// The row's adversary left its mark on the golden run.
-    fired: fn(&smartred_runtime::RuntimeReport) -> bool,
-}
-
-fn sweep_rows() -> Vec<SweepRow> {
-    use smartred_core::audit::{AuditPolicy, Cartel};
-    use smartred_core::execution::Assignment;
-    use smartred_core::hedge::HedgePolicy;
-    use smartred_core::resilience::QuarantinePolicy;
-    use smartred_runtime::CartelWorker;
-
-    let mut rows = vec![SweepRow {
-        name: "plain".into(),
-        tasks: 10,
-        cfg: chaos_cfg(None),
-        worker: chaos_worker,
-        strides: 6,
-        reach_pct: 100,
-        golden_shape: true,
-        fired: |_| true,
-    }];
-    // Hedge pairs live at every crash point, under each placement policy.
-    rows.extend(Assignment::ALL.map(|assignment| SweepRow {
-        name: format!("hedged-{}", assignment.name()),
-        tasks: 40,
-        cfg: RuntimeConfig {
-            workers: Some(8),
-            max_active: 32,
-            hedge: Some(HedgePolicy {
-                quantile: 0.9,
-                min_samples: 10,
-                multiplier: 3.0,
-                max_per_task: 4,
-            }),
-            assignment,
-            ..chaos_cfg(None)
-        },
-        worker: straggling_liar,
-        strides: 2,
-        reach_pct: 80,
-        golden_shape: true,
-        fired: |report| report.hedges_launched > 0,
-    }));
-    // Live audit state at every crash point: a cartel of three lying in
-    // concert against spot checks, weighted strikes and verdict voiding.
-    // Everyone else is honest, so a conviction is the cartel's.
-    rows.push(SweepRow {
-        name: "cartel".into(),
-        tasks: 150,
-        cfg: RuntimeConfig {
-            workers: Some(8),
-            max_active: 64,
-            discipline: Some(QuarantinePolicy::default()),
-            audit: AuditPolicy::spot(0.2),
-            audit_seed: SEED,
-            ..chaos_cfg(None)
-        },
-        worker: |index| {
-            let cartel = Cartel::new(3, 0.5);
-            Box::new(CartelWorker::new(
-                index,
-                SEED,
-                cartel,
-                FaultProfile::default(),
-            ))
-        },
-        strides: 2,
-        reach_pct: 50,
-        golden_shape: false,
-        fired: |report| report.audit_failures > 0,
-    });
-    rows
-}
-
-/// The tentpole acceptance test: kill the coordinator at a sweep of
-/// seeded WAL points; recovery must converge to a final journal whose
-/// verdicts and per-task job counts are identical to the uninterrupted
-/// golden run, every task must be decided exactly once across the
-/// combined log, no verdict may be delivered twice, and the on-disk WAL
-/// must equal the final journal byte for byte. Swept under every
-/// [`SweepRow`].
-#[test]
-fn coordinator_killed_at_seeded_points_recovers_to_the_golden_run() {
-    quiet_injected_panics();
-    for row in sweep_rows() {
-        let name = &row.name;
-        let tasks = roster(row.tasks);
-        let serve = |cfg: RuntimeConfig| {
-            let runtime = Runtime::start(cfg, strategy(), row.worker);
-            let client = runtime.client();
-            submit_all(&client, &tasks);
-            let verdicts = drain_verdicts(&client);
-            // Read while the client is still held: a crash point must trip
-            // mid-run, not on the shutdown record.
-            let tripped = runtime.is_crashed();
-            drop(client);
-            (runtime.finish(), verdicts, tripped)
-        };
-        let (golden, golden_verdicts, _) = serve(row.cfg.clone());
-        assert!(!golden.crashed);
-        assert_eq!(golden_verdicts.len(), tasks.len());
-        assert_eq!(report_from_journal(&golden.journal), golden.report);
-        assert!(
-            (row.fired)(&golden.report),
-            "{name}: the adversary never fired"
-        );
-        let golden_shape = shape(&golden.journal);
-
-        // The event count is not the same on every schedule: a reply to a
-        // task that ends up poisoned logs two events (`JobReturned`,
-        // `VoteTallied`) if it lands before the poisoning and one
-        // (`StaleReplyDropped`) if it lands after. Every other event of
-        // the plain row is a function of the seeded fault draws. So sweep
-        // only up to a count every schedule reaches — this run's, less one
-        // per such reply — or a shorter crashing run would never trip the
-        // last points.
-        let returned_then_poisoned = golden
-            .journal
-            .events()
-            .iter()
-            .filter(|e| match e.event {
-                RunEvent::JobReturned { task, .. } => golden_shape
-                    .iter()
-                    .any(|&(t, kind, ..)| t == task && kind == 2),
-                _ => false,
-            })
-            .count() as u64;
-        let events =
-            (golden.journal.events().len() as u64 - returned_then_poisoned) * row.reach_pct / 100;
-
-        let stride = (events / row.strides).max(1);
-        let mut points: Vec<u64> = (1..events).step_by(stride as usize).collect();
-        points.push(events - 1);
-        for (round, crash_at) in points.into_iter().enumerate() {
-            let wal = wal_path(&format!("sweep-{name}-{round}"));
-            let durable = |crash_after_events| RuntimeConfig {
-                wal: Some(wal.clone()),
-                crash_after_events,
-                ..row.cfg.clone()
-            };
-            let (crashed, pre_crash_verdicts, tripped) = serve(durable(Some(crash_at)));
-            assert!(tripped, "{name}: crash point {crash_at} must trip");
-            assert!(crashed.crashed);
-
-            let (runtime, client, rec) =
-                Runtime::recover(durable(None), strategy(), row.worker, &tasks)
-                    .expect("WAL recovery");
-            let post_verdicts = drain_verdicts(&client);
-            drop(client);
-            let run = runtime.finish();
-            assert!(!run.crashed);
-            assert!(!rec.torn_tail, "event-boundary crashes leave no torn tail");
-            assert_eq!(rec.events_replayed as u64, crash_at);
-            assert_eq!(
-                report_from_journal(&run.journal),
-                run.report,
-                "{name}: crash point {crash_at}: replayed report must equal the live one"
-            );
-            if row.golden_shape {
-                assert_eq!(
-                    shape(&run.journal),
-                    golden_shape,
-                    "{name}: crash point {crash_at}: recovered run diverged from golden"
-                );
-            }
-            let decisions = decisions_per_task(&run.journal);
-            assert_eq!(
-                decisions.len(),
-                tasks.len(),
-                "{name}: every task is decided"
-            );
-            for (task, count) in decisions {
-                assert_eq!(count, 1, "{name}: task {task} must be decided exactly once");
-            }
-            assert_eq!(
-                run.report.hedges_launched,
-                run.report.hedges_won + run.report.hedges_wasted,
-                "{name}: every launched twin settles exactly once, across the crash"
-            );
-            // Exactly-once delivery across the crash: no task's verdict
-            // reaches a client twice. (A verdict logged right at the crash
-            // boundary may reach *no* client — decisions are exactly-once,
-            // delivery is at-most-once.)
-            let before: HashSet<u32> = pre_crash_verdicts.iter().map(|v| v.task).collect();
-            let after: HashSet<u32> = post_verdicts.iter().map(|v| v.task).collect();
-            assert!(
-                before.is_disjoint(&after),
-                "{name}: crash point {crash_at}: tasks {:?} were delivered twice",
-                before.intersection(&after).collect::<Vec<_>>()
-            );
-            // Durable WAL == final journal, byte for byte.
-            let on_disk = std::fs::read_to_string(&wal).unwrap();
-            assert_eq!(on_disk, run.journal.to_jsonl());
-            let _ = std::fs::remove_file(&wal);
-        }
-    }
-}
-
-/// A coordinator that crashes *again* during the recovered run is
-/// recovered again, and the twice-interrupted run still converges to the
-/// golden shape.
-#[test]
-fn double_crash_still_converges() {
-    quiet_injected_panics();
-    let tasks = roster(10);
-    let (golden, _) = run_roster(chaos_cfg(None), &tasks);
-    let golden_shape = shape(&golden.journal);
-    let events = golden.journal.events().len() as u64;
-
-    let wal = wal_path("double");
-    let mut cfg = chaos_cfg(Some(wal.clone()));
-    cfg.crash_after_events = Some(events / 4);
-    let (first, _) = run_roster(cfg, &tasks);
-    assert!(first.crashed);
-
-    // Second incarnation: dies again after a quarter of fresh appends.
-    let mut cfg = chaos_cfg(Some(wal.clone()));
-    cfg.crash_after_events = Some(events / 4);
-    let (second, _, _) = recover_chaos(cfg, &tasks);
-    assert!(second.crashed, "the second chaos point must trip too");
-
-    let (run, _, rec) = recover_chaos(chaos_cfg(Some(wal.clone())), &tasks);
-    assert!(!run.crashed);
-    assert!(rec.events_replayed as u64 >= 2 * (events / 4));
-    assert_eq!(shape(&run.journal), golden_shape);
-    for (task, count) in decisions_per_task(&run.journal) {
-        assert_eq!(count, 1, "task {task} must be decided exactly once");
-    }
-    assert_eq!(report_from_journal(&run.journal), run.report);
-    let _ = std::fs::remove_file(&wal);
-}
-
-/// Cuts a WAL file down to its first `events` records — a coordinator
-/// kill at exactly that point, independent of thread scheduling.
-fn truncate_wal(wal: &std::path::Path, events: usize) {
-    let text = std::fs::read_to_string(wal).unwrap();
-    let keep: usize = text.split_inclusive('\n').take(events).map(str::len).sum();
-    std::fs::write(wal, &text[..keep]).unwrap();
-}
-
-/// The poison window: a coordinator killed after the crash that reaches
-/// `crash_limit` (and the restart logged with it) but before its
-/// `TaskPoisoned` still owes that poisoning. Recovery must carry it out —
-/// not reopen a wave for a replica the live run would never have sent.
-#[test]
-fn poisoning_cut_off_by_a_crash_is_carried_out_on_recovery() {
-    quiet_injected_panics();
-    let tasks = roster(10);
-    let wal = wal_path("poison-window");
-    let (full, _) = run_roster(chaos_cfg(Some(wal.clone())), &tasks);
-    assert!(!full.crashed);
-    let events = full.journal.events();
-    let poisoned = events
-        .iter()
-        .find_map(|e| match e.event {
-            RunEvent::TaskPoisoned { task, .. } => Some(task),
-            _ => None,
-        })
-        .expect("a 15% crash rate poisons some task at crash_limit 2");
-    let limit = chaos_cfg(None).poison.unwrap().crash_limit;
-    let last_crash = events
-        .iter()
-        .enumerate()
-        .filter(
-            |(_, e)| matches!(e.event, RunEvent::WorkerCrashed { task, .. } if task == poisoned),
-        )
-        .nth(limit as usize - 1)
-        .map(|(i, _)| i)
-        .expect("poisoning follows crash_limit crashes");
-    assert!(matches!(
-        events[last_crash + 1].event,
-        RunEvent::WorkerRestarted { .. }
-    ));
-    let cut = last_crash + 2;
-    truncate_wal(&wal, cut);
-
-    let (run, _, rec) = recover_chaos(chaos_cfg(Some(wal.clone())), &tasks);
-    assert_eq!(rec.events_replayed, cut);
-    let after = &run.journal.events()[cut..];
-    assert!(
-        after.iter().any(|e| matches!(
-            e.event,
-            RunEvent::TaskPoisoned { task, crashes } if task == poisoned && crashes == limit
-        )),
-        "task {poisoned} must be poisoned after the cut"
-    );
-    for e in after {
-        assert!(
-            !matches!(
-                e.event,
-                RunEvent::WaveOpened { task, .. } | RunEvent::JobDispatched { task, .. }
-                    if task == poisoned
-            ),
-            "task {poisoned} got new work after its last crash: {:?}",
-            e.event
-        );
-    }
-    assert_eq!(shape(&run.journal), shape(&full.journal));
-    assert_eq!(report_from_journal(&run.journal), run.report);
-    let _ = std::fs::remove_file(&wal);
-}
-
-/// The discipline window, same mechanism: a coordinator killed right
-/// after the timeout whose strike crosses the quarantine threshold still
-/// owes the quarantine, and pays it before the node gets new work.
-#[test]
-fn quarantine_cut_off_by_a_crash_is_carried_out_on_recovery() {
-    use smartred_core::resilience::QuarantinePolicy;
-    let tasks = roster(12);
-    let cfg = |wal: PathBuf| RuntimeConfig {
-        workers: Some(4),
-        deadline: Duration::from_millis(40),
-        // Two timeouts quarantine, for longer than the test runs.
-        discipline: Some(QuarantinePolicy {
-            strike_limit: 2,
-            quarantine_units: 60.0,
-            blacklist_after: u32::MAX,
-        }),
-        strike_window: Duration::from_secs(60),
-        ..chaos_cfg(Some(wal))
-    };
-    let make_worker = |_| {
-        let hangs = FaultProfile {
-            hang_rate: 0.3,
-            ..FaultProfile::default()
-        };
-        Box::new(FaultyWorker::new(SEED, hangs)) as Box<dyn Worker>
-    };
-    let strategy = || Traditional::new(KVotes::new(3).unwrap());
-
-    let wal = wal_path("discipline-window");
-    let runtime = Runtime::start(cfg(wal.clone()), strategy(), make_worker);
-    let client = runtime.client();
-    submit_all(&client, &tasks);
-    drain_verdicts(&client);
-    drop(client);
-    let full = runtime.finish();
-    // With all four workers enabled the livelock guard cannot waive the
-    // first quarantine, so its record directly follows the crossing strike.
-    let events = full.journal.events();
-    let quarantine = events
-        .iter()
-        .position(|e| matches!(e.event, RunEvent::NodeQuarantined { .. }))
-        .expect("a 30% hang rate earns some worker two timeouts");
-    let RunEvent::NodeQuarantined { node } = events[quarantine].event else {
-        unreachable!()
-    };
-    assert!(matches!(
-        events[quarantine - 1].event,
-        RunEvent::JobTimedOut { node: n, .. } if n == node
-    ));
-    truncate_wal(&wal, quarantine);
-
-    let (runtime, client, rec) =
-        Runtime::recover(cfg(wal.clone()), strategy(), make_worker, &tasks).expect("WAL recovery");
-    assert_eq!(rec.events_replayed, quarantine);
-    drain_verdicts(&client);
-    drop(client);
-    let run = runtime.finish();
-    // Paid before anything else — so before any new work reaches the node.
-    assert_eq!(
-        run.journal.events()[quarantine].event,
-        RunEvent::NodeQuarantined { node },
-        "the owed quarantine must be the first record after the cut"
-    );
-    assert_eq!(run.report.tasks_completed, tasks.len());
-    assert_eq!(report_from_journal(&run.journal), run.report);
-    let _ = std::fs::remove_file(&wal);
-}
-
-/// The twin window: a hedge twin still racing when the coordinator dies
-/// is never re-armed, so the WAL prefix owes it a `HedgeWasted`. The
-/// resumed coordinator settles every such orphan before it dispatches
-/// anything, and `launched = won + wasted` holds across the crash.
-#[test]
-fn twins_orphaned_by_a_crash_settle_wasted_on_recovery() {
-    use smartred_core::hedge::HedgePolicy;
-
-    /// Votes like [`FaultyWorker`]; a fifth of the replicas straggle on
-    /// *whichever* worker runs them, so a twin launched for one keeps
-    /// racing its origin for tens of milliseconds.
-    struct Straggler(FaultyWorker);
-    impl Worker for Straggler {
-        fn execute(&mut self, job: &JobAssignment) -> Option<(bool, bool)> {
-            let slow = (job.task + job.replica).is_multiple_of(5);
-            std::thread::sleep(Duration::from_millis(if slow { 40 } else { 1 }));
-            self.0.execute(job)
-        }
-    }
-    let cfg = |wal: Option<PathBuf>| RuntimeConfig {
-        workers: Some(8),
-        max_active: 32,
-        // The median is the fast mode: a straggler is hedged a few
-        // milliseconds in, long before it returns.
-        hedge: Some(HedgePolicy {
-            quantile: 0.5,
-            min_samples: 10,
-            multiplier: 3.0,
-            max_per_task: 2,
-        }),
-        ..chaos_cfg(wal)
-    };
-    let make_worker = |_| {
-        let liars = FaultProfile {
-            wrong_rate: 0.25,
-            ..FaultProfile::default()
-        };
-        Box::new(Straggler(FaultyWorker::new(SEED, liars))) as Box<dyn Worker>
-    };
-    let tasks = roster(40);
-    let serve = |cfg: RuntimeConfig| {
-        let runtime = Runtime::start(cfg, strategy(), make_worker);
-        let client = runtime.client();
-        submit_all(&client, &tasks);
-        drain_verdicts(&client);
-        drop(client);
-        runtime.finish()
-    };
-    /// Folds one record into the twins launched and not yet won or wasted.
-    fn track_twins(live: &mut HashSet<u32>, event: &RunEvent) {
-        match *event {
-            RunEvent::HedgeLaunched { job, .. } => live.insert(job),
-            RunEvent::HedgeWon { job, .. } | RunEvent::HedgeWasted { job, .. } => live.remove(&job),
-            _ => false,
-        };
-    }
-    /// Twins launched and not yet won or wasted when the journal ends.
-    fn live_twins(journal: &Journal) -> HashSet<u32> {
-        let mut live = HashSet::new();
-        for e in journal.events() {
-            track_twins(&mut live, &e.event);
-        }
-        live
-    }
-
-    // Hedge timing is wall-clock, so which records have a twin in flight
-    // differs run to run: serve once into a WAL, then cut the file where
-    // the most twins are live (the earliest such prefix) and recover.
-    let wal = wal_path("orphan-twins");
-    let _ = std::fs::remove_file(&wal);
-    let golden = serve(cfg(Some(wal.clone())));
-    assert!(!golden.crashed);
-    assert!(
-        golden.report.hedges_launched > 0,
-        "stragglers must be hedged"
-    );
-    let (mut live, mut cut, mut orphans) = (HashSet::new(), 0, HashSet::new());
-    for (at, e) in golden.journal.events().iter().enumerate() {
-        track_twins(&mut live, &e.event);
-        if live.len() > orphans.len() {
-            (cut, orphans) = (at + 1, live.clone());
-        }
-    }
-    assert!(!orphans.is_empty(), "some prefix leaves a twin in flight");
-    truncate_wal(&wal, cut);
-
-    let (runtime, client, rec) =
-        Runtime::recover(cfg(Some(wal.clone())), strategy(), make_worker, &tasks)
-            .expect("WAL recovery");
-    assert_eq!(rec.events_replayed, cut);
-    drain_verdicts(&client);
-    drop(client);
-    let run = runtime.finish();
-    assert!(!run.crashed);
-
-    // Settled first, in job order: the records right after the cut.
-    let mut expected: Vec<u32> = orphans.into_iter().collect();
-    expected.sort_unstable();
-    let settled: Vec<Option<u32>> = run.journal.events()[cut..cut + expected.len()]
-        .iter()
-        .map(|e| match e.event {
-            RunEvent::HedgeWasted { job, .. } => Some(job),
-            _ => None,
-        })
-        .collect();
-    let expected: Vec<Option<u32>> = expected.into_iter().map(Some).collect();
-    assert_eq!(settled, expected, "every orphan settles wasted on resume");
-    assert!(live_twins(&run.journal).is_empty());
-    assert_eq!(
-        run.report.hedges_launched,
-        run.report.hedges_won + run.report.hedges_wasted,
-        "every launched twin settles exactly once, across the crash"
-    );
-    assert_eq!(report_from_journal(&run.journal), run.report);
-    let decisions = decisions_per_task(&run.journal);
-    assert_eq!(decisions.len(), tasks.len());
-    assert!(decisions.values().all(|&count| count == 1));
-    assert_eq!(shape(&run.journal), shape(&golden.journal));
-    let _ = std::fs::remove_file(&wal);
-}
-
-/// A torn final record — the write that was in flight when the process
-/// died — is detected, truncated away, and the run still converges.
-#[test]
-fn torn_wal_tail_is_truncated_and_recovered() {
-    quiet_injected_panics();
-    let tasks = roster(8);
-    let (golden, _) = run_roster(chaos_cfg(None), &tasks);
-    let golden_shape = shape(&golden.journal);
-    let events = golden.journal.events().len() as u64;
-
-    let wal = wal_path("torn");
-    let mut cfg = chaos_cfg(Some(wal.clone()));
-    cfg.crash_after_events = Some(events / 3);
-    let (crashed, _) = run_roster(cfg, &tasks);
-    assert!(crashed.crashed);
-
-    // Simulate the torn in-flight append a real kill would leave.
-    use std::io::Write;
-    let mut file = std::fs::OpenOptions::new().append(true).open(&wal).unwrap();
-    write!(file, "{{\"at\":999999,\"seq\":77,\"kind\":\"job_ret").unwrap();
-    drop(file);
-
-    let (run, _, rec) = recover_chaos(chaos_cfg(Some(wal.clone())), &tasks);
-    assert!(rec.torn_tail, "the partial record must be seen as torn");
-    assert_eq!(rec.events_replayed as u64, events / 3);
-    assert!(!run.crashed);
-    assert_eq!(shape(&run.journal), golden_shape);
-    assert_eq!(report_from_journal(&run.journal), run.report);
-    // The resume truncated the torn bytes: the healed file is valid JSONL.
-    let on_disk = std::fs::read_to_string(&wal).unwrap();
-    assert_eq!(on_disk, run.journal.to_jsonl());
-    let _ = std::fs::remove_file(&wal);
-}
-
 /// Recovery error paths: no WAL configured, a roster missing an open
-/// task's payload, and interior (non-tail) corruption are all reported,
+/// task's payload, a segment that starts mid-stream with no snapshot to
+/// vouch for it, and interior (non-tail) corruption are all reported,
 /// never silently patched.
 #[test]
 fn recovery_rejects_missing_wal_roster_gaps_and_interior_corruption() {
@@ -615,8 +74,17 @@ fn recovery_rejects_missing_wal_roster_gaps_and_interior_corruption() {
     let err = recover_err(chaos_cfg(Some(wal.clone())), &[]);
     assert!(matches!(err, RecoveryError::Corrupt(_)), "got {err:?}");
 
-    // Interior corruption (not the final record) is a hard parse error.
+    // Without its first record the segment starts at seq 1, and no
+    // snapshot lies beside it.
     let text = std::fs::read_to_string(&wal).unwrap();
+    std::fs::write(&wal, &text[text.find('\n').unwrap() + 1..]).unwrap();
+    let err = recover_err(chaos_cfg(Some(wal.clone())), &tasks);
+    assert!(
+        matches!(&err, RecoveryError::Corrupt(msg) if msg.contains("mid-stream")),
+        "got {err:?}"
+    );
+
+    // Interior corruption (not the final record) is a hard parse error.
     let second_line_start = text.find('\n').unwrap() + 1;
     let mut corrupted = text.clone();
     corrupted.replace_range(second_line_start..second_line_start + 1, "garbage ");
@@ -1106,63 +574,6 @@ mod audit_prefix_property {
             prop_assert_eq!(report_from_journal(&run.journal), run.report.clone());
             let on_disk = std::fs::read_to_string(&wal).unwrap();
             prop_assert_eq!(on_disk, run.journal.to_jsonl());
-            let _ = std::fs::remove_file(&wal);
-        }
-    }
-}
-
-mod prefix_property {
-    //! Property test: recovery from *any* event-stream prefix — not just
-    //! the swept points — yields a coordinator whose continued run matches
-    //! the golden shape and decides every task exactly once.
-
-    use super::*;
-    use proptest::prelude::*;
-    use std::sync::OnceLock;
-
-    struct GoldenFixture {
-        tasks: Vec<(u32, Payload)>,
-        shape: Vec<(u32, u8, Option<bool>, u64)>,
-        events: u64,
-    }
-
-    fn golden() -> &'static GoldenFixture {
-        static GOLDEN: OnceLock<GoldenFixture> = OnceLock::new();
-        GOLDEN.get_or_init(|| {
-            quiet_injected_panics();
-            let tasks = roster(8);
-            let (run, _) = run_roster(chaos_cfg(None), &tasks);
-            assert!(!run.crashed);
-            GoldenFixture {
-                tasks,
-                shape: shape(&run.journal),
-                events: run.journal.events().len() as u64,
-            }
-        })
-    }
-
-    proptest! {
-        // 12 cases: each is a full crash + recovery run, so this is the
-        // most expensive property in the workspace.
-        #![proptest_config(ProptestConfig::with_cases(12))]
-
-        #[test]
-        fn recovery_from_any_prefix_converges_to_golden(crash_seed in 1u64..10_000) {
-            let fixture = golden();
-            let crash_at = 1 + crash_seed % (fixture.events - 1);
-            let wal = wal_path(&format!("prefix-{crash_at}"));
-            let mut cfg = chaos_cfg(Some(wal.clone()));
-            cfg.crash_after_events = Some(crash_at);
-            let (crashed, _) = run_roster(cfg, &fixture.tasks);
-            prop_assert!(crashed.crashed);
-
-            let (run, _, _) = recover_chaos(chaos_cfg(Some(wal.clone())), &fixture.tasks);
-            prop_assert!(!run.crashed);
-            prop_assert_eq!(shape(&run.journal), fixture.shape.clone());
-            for (task, count) in decisions_per_task(&run.journal) {
-                prop_assert_eq!(count, 1, "task {} decided more than once", task);
-            }
-            prop_assert_eq!(report_from_journal(&run.journal), run.report.clone());
             let _ = std::fs::remove_file(&wal);
         }
     }
