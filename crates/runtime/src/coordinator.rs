@@ -28,20 +28,23 @@
 //! a turn decides at most [`RuntimeConfig::max_active`] tasks.
 //!
 //! A turn cannot fail: its handlers change state, log records and hand
-//! jobs to the pool. What can fail or end the run is the driver's (its
-//! `Driver`, which the unit tests' rig uses too): after each turn it
-//! commits the turn's records, releases the verdicts they decided, takes
-//! a checkpoint when one is due, and — on a WAL failure or at the crash
-//! hook — stops stepping the coordinator, which is all death is.
+//! jobs to the pool, which answers nothing. What can fail or end the run
+//! is the driver's (its `Driver`, which the unit tests' rig uses too):
+//! after each turn it commits the turn's records, releases the verdicts
+//! they decided, takes a checkpoint when one is due, and — on a WAL
+//! failure or at the crash hook — stops stepping the coordinator, which
+//! is all death is.
 //!
-//! Nothing in the design blocks on a send: worker inboxes are bounded and
-//! `try_send` only (a refused job is parked, and every turn retries),
-//! the coordinator's inbox and the verdict channels are unbounded. What
-//! bounds the inbox is who may send: submissions wait behind a gate
-//! (`submitted − admitted ≤ queue_cap`, shed at the client), replies and
-//! crash reports number at most the jobs in flight, and an annotation
-//! answers a verdict its sender already holds. So no cycle of blocking
-//! sends exists and the runtime cannot deadlock on its own queues.
+//! Nothing in the design blocks on a send: every channel is unbounded,
+//! and what bounds each is who may send on it. The coordinator places a
+//! job only on a worker holding fewer than its credit of unresolved jobs
+//! (`2·inbox_cap + 1`; a job with nowhere to go is parked, and every turn
+//! retries), so that credit bounds a worker's live jobs; submissions wait
+//! behind a gate (`submitted − admitted ≤ queue_cap`, shed at the
+//! client), replies and crash reports number at most the jobs in flight,
+//! and an annotation answers a verdict its sender already holds. So no
+//! cycle of blocking sends exists and the runtime cannot deadlock on its
+//! own queues.
 //!
 //! ## Write-ahead logging
 //!
@@ -122,10 +125,13 @@ pub struct RuntimeConfig {
     /// [`Threads::Auto`] (the `SMARTRED_THREADS` environment variable,
     /// falling back to available parallelism).
     pub workers: Option<usize>,
-    /// Bounded capacity of each worker's inbox (0 acts as 1). A worker
-    /// holds at most `2·inbox_cap + 1` assignments: the one it runs, up to
-    /// `inbox_cap` it has taken off the inbox to serve oldest task first,
-    /// and a full inbox behind them.
+    /// Sets each worker's credit: the coordinator hands a worker a job only
+    /// while fewer than `2·inbox_cap + 1` of the jobs it handed that worker
+    /// are unresolved, and parks the job when every worker in good standing
+    /// is at its credit. The credit bounds the live jobs a worker holds —
+    /// the one it runs and those waiting in its inbox or taken off it to
+    /// serve oldest task first — since its inbox itself is unbounded; a job
+    /// that lapsed or was cancelled while queued no longer counts.
     pub inbox_cap: usize,
     /// Capacity of the submission queue — submissions sent and not yet
     /// admitted, recovered roster entries included; submissions beyond it
@@ -159,9 +165,6 @@ pub struct RuntimeConfig {
     /// strikes quarantine the worker, repeated quarantines blacklist it.
     /// `None` disables.
     pub discipline: Option<QuarantinePolicy>,
-    /// Sliding window for strike expiry (see
-    /// [`smartred_core::resilience::NodeDiscipline::strike_at`]).
-    pub strike_window: Duration,
     /// Audit policy: spot-check verdicts against a local recomputation,
     /// charge weighted strikes for caught lies, void tainted verdicts, and
     /// re-tally open tasks the liar touched. Disabled by default.
@@ -204,7 +207,7 @@ pub struct RuntimeConfig {
     /// never what they say. `None` disables.
     pub hedge: Option<HedgePolicy>,
     /// Worker-assignment policy for dispatch: where the scan for a worker
-    /// with inbox room starts. `Random` starts one past the previous pick
+    /// with credit left starts. `Random` starts one past the previous pick
     /// (a live pool's completions do the spreading), the deterministic
     /// alternatives at [`Assignment::pick`]'s choice among the workers in
     /// good standing — for `RoundRobin` the same node.
@@ -242,7 +245,6 @@ impl Default for RuntimeConfig {
             poison: Some(PoisonPolicy::default()),
             hang_after: None,
             discipline: None,
-            strike_window: Duration::from_secs(10),
             audit: AuditPolicy::disabled(),
             audit_seed: 0,
             crash_after_events: None,
@@ -809,13 +811,7 @@ fn spawn_runtime<S: RedundancyStrategy<bool> + Send + Sync + 'static>(
     next_task: u32,
 ) -> Runtime {
     let (tx, rx) = mpsc::channel();
-    let pool = WorkerPool::spawn(
-        cfg.worker_count(),
-        cfg.node_base,
-        cfg.inbox_cap,
-        tx.clone(),
-        make_worker,
-    );
+    let pool = WorkerPool::spawn(cfg.worker_count(), cfg.node_base, tx.clone(), make_worker);
     let gate = Arc::new(Gate::default());
     let inbox = Inbox {
         tx,
@@ -915,13 +911,17 @@ struct Coordinator<S, P> {
     /// place one is sent).
     outbox: Vec<(usize, Sender<TaskVerdict>, TaskVerdict)>,
     jobs: IdMap<JobInfo>,
+    /// Per-worker count of the entries of `jobs` mapped to it, indexed by
+    /// global node id: what a worker holds against its credit
+    /// ([`Self::place`]).
+    holding: Vec<usize>,
     /// Armed timers as `(due, what, job or node, dispatch epoch)`, due in
     /// journal time. A stale entry is skipped when it falls due, dropped
     /// earlier once stale entries outnumber live ones ([`Self::launch`]).
     timers: BinaryHeap<Reverse<(SimTime, Timer, u32, u32)>>,
-    /// One entry per replica opened but not yet handed to a worker (all
-    /// inboxes full): its task. The replica index is the task's dispatch
-    /// cursor in the ledger, as it is on replay.
+    /// One entry per replica opened but not yet handed to a worker (every
+    /// worker in good standing at its credit): its task. The replica index
+    /// is the task's dispatch cursor in the ledger, as it is on replay.
     pending: VecDeque<u32>,
     /// In-flight jobs to re-dispatch without new journal records, as
     /// `(job, task, replica, epoch)` — from hung-worker respawns and WAL
@@ -988,6 +988,7 @@ impl<S: RedundancyStrategy<bool>, P: Pool> Coordinator<S, P> {
             journal,
             outbox: Vec::new(),
             jobs: IdMap::default(),
+            holding: vec![0; nodes.end as usize],
             timers: BinaryHeap::new(),
             pending,
             rearm: rearm.into(),
@@ -1168,16 +1169,19 @@ impl<S: RedundancyStrategy<bool>, P: Pool> Coordinator<S, P> {
         }
     }
 
-    /// Hands an assignment to the first worker with inbox room, offering
-    /// the pool the workers in good standing — neither quarantined nor
-    /// blacklisted in the ledger — cyclically from where the assignment
-    /// policy starts. `avoid` — a hedge twin's origin worker — is not
-    /// offered unless no other worker is in good standing.
-    fn place(
-        &mut self,
-        assignment: JobAssignment,
-        avoid: Option<u32>,
-    ) -> Result<u32, JobAssignment> {
+    /// How many unresolved jobs a worker may hold:
+    /// `2·`[`inbox_cap`](RuntimeConfig::inbox_cap)` + 1`.
+    fn credit(&self) -> usize {
+        self.cfg.inbox_cap.saturating_mul(2).saturating_add(1)
+    }
+
+    /// Chooses a job's worker: the first, cyclically from where the
+    /// assignment policy starts, that is in good standing — neither
+    /// quarantined nor blacklisted in the ledger — and holds fewer than its
+    /// [`credit`](Self::credit) of unresolved jobs. `avoid` — a hedge twin's
+    /// origin worker — is not offered unless no other worker is in good
+    /// standing. `None` when every worker offered is at its credit.
+    fn place(&mut self, avoid: Option<u32>) -> Option<u32> {
         let (nodes, ledger) = (self.nodes.clone(), &self.ledger);
         let avoid = avoid.filter(|&a| nodes.clone().any(|n| n != a && ledger.dispatchable(n)));
         let offered = |n: &u32| Some(*n) != avoid && ledger.dispatchable(*n);
@@ -1186,20 +1190,20 @@ impl<S: RedundancyStrategy<bool>, P: Pool> Coordinator<S, P> {
             policy => {
                 let eligible: Vec<u32> = nodes.clone().filter(offered).collect();
                 if eligible.is_empty() {
-                    return Err(assignment);
+                    return None;
                 }
                 let load = |&n: &u32| self.worker_loads[n as usize];
                 let loads: Vec<u64> = eligible.iter().map(load).collect();
                 eligible[policy.pick(&eligible, &loads, self.cursor, 0)]
             }
         };
-        let count = nodes.len() as u32;
+        let (count, credit) = (nodes.len() as u32, self.credit());
         let first = start.wrapping_sub(nodes.start) % count;
-        let order = (0..count).map(|i| nodes.start + (first + i) % count);
-        let worker = self.pool.send_first(assignment, order.filter(offered))?;
+        let mut order = (0..count).map(|i| nodes.start + (first + i) % count);
+        let worker = order.find(|n| offered(n) && self.holding[*n as usize] < credit)?;
         self.cursor = worker + 1;
         self.worker_loads[worker as usize] += 1;
-        Ok(worker)
+        Some(worker)
     }
 
     /// Puts one job in flight at `at`: hands it to a worker, journals what
@@ -1207,8 +1211,9 @@ impl<S: RedundancyStrategy<bool>, P: Pool> Coordinator<S, P> {
     /// check under [`RuntimeConfig::hang_after`] if none is armed — and,
     /// unless it is a twin, its hedge check, if the trigger is warm and the
     /// threshold beats the deadline (past it the timeout path abandons the
-    /// job anyway). Returns `false` when every inbox refused and the caller
-    /// should park the job; `true` also for a task decided while parked.
+    /// job anyway). Returns `false` when no worker has credit left and the
+    /// caller should park the job; `true` also for a task decided while
+    /// parked.
     fn launch(&mut self, task: u32, avoid: Option<u32>, record: Record, at: SimTime) -> bool {
         let Some(state) = self.ledger.open().get(&task) else {
             return true;
@@ -1217,16 +1222,18 @@ impl<S: RedundancyStrategy<bool>, P: Pool> Coordinator<S, P> {
             Record::Rearm(ids) | Record::Hedge(ids, _) => ids,
             Record::Dispatch => (self.ledger.next_job(), state.dispatched, state.epoch),
         };
+        let payload = state.delivery().payload.clone();
+        let Some(worker) = self.place(avoid) else {
+            return false;
+        };
         let assignment = JobAssignment {
             job,
             task,
             replica,
             epoch,
-            payload: state.delivery().payload.clone(),
+            payload,
         };
-        let Ok(worker) = self.place(assignment, avoid) else {
-            return false;
-        };
+        self.pool.send(worker, assignment);
         let deadline = at + micros(self.cfg.deadline);
         let event = match record {
             Record::Rearm(_) => None,
@@ -1256,6 +1263,7 @@ impl<S: RedundancyStrategy<bool>, P: Pool> Coordinator<S, P> {
                 dispatched_at: at,
             },
         );
+        self.holding[worker as usize] += 1;
         self.timers
             .push(Reverse((deadline, Timer::Deadline, job, epoch)));
         if let Some(limit) = self.cfg.hang_after.filter(|_| self.watched.insert(worker)) {
@@ -1284,9 +1292,10 @@ impl<S: RedundancyStrategy<bool>, P: Pool> Coordinator<S, P> {
         true
     }
 
-    /// Hands parked replicas to workers, stopping at the first refusal
-    /// (every inbox full): every turn retries, and the reply that makes
-    /// room starts one. Re-armed jobs (hung respawns, recovery) go first.
+    /// Hands parked replicas to workers, stopping at the first that finds
+    /// every worker at its credit: every turn retries, and a job's end —
+    /// a reply, a crash, a lapse, a cancellation — returns credit. Re-armed
+    /// jobs (hung respawns, recovery) go first.
     fn drain_pending(&mut self, at: SimTime) {
         while let Some(&(job, task, replica, epoch)) = self.rearm.front() {
             let rearm = Record::Rearm((job, replica, epoch));
@@ -1301,6 +1310,14 @@ impl<S: RedundancyStrategy<bool>, P: Pool> Coordinator<S, P> {
             }
             self.pending.pop_front();
         }
+    }
+
+    /// Takes `job` out of the job map — the one place any job leaves it —
+    /// and returns its worker's credit.
+    fn unmap(&mut self, job: u32) -> Option<JobInfo> {
+        let info = self.jobs.remove(&job)?;
+        self.holding[info.worker as usize] -= 1;
+        Some(info)
     }
 
     /// The staleness rule for replies and timers alike: a resolved job is
@@ -1337,7 +1354,8 @@ impl<S: RedundancyStrategy<bool>, P: Pool> Coordinator<S, P> {
             return;
         }
         let twin = self.ledger.next_job();
-        // Best-effort: when every inbox refuses, the hedge is skipped.
+        // Best-effort: when no other worker has credit left, the hedge is
+        // skipped.
         let record = Record::Hedge((twin, replica, epoch), origin);
         self.launch(task, Some(origin_worker), record, at);
     }
@@ -1347,7 +1365,7 @@ impl<S: RedundancyStrategy<bool>, P: Pool> Coordinator<S, P> {
     /// wasted otherwise — and the pair's loser leaves the job map, so its
     /// worker's eventual reply drops as stale.
     fn dissolve(&mut self, origin: u32, twin: u32, task: u32, won: bool, at: SimTime) {
-        self.jobs.remove(if won { &origin } else { &twin });
+        self.unmap(if won { origin } else { twin });
         let event = if won {
             RunEvent::HedgeWon { job: twin, task }
         } else {
@@ -1371,7 +1389,7 @@ impl<S: RedundancyStrategy<bool>, P: Pool> Coordinator<S, P> {
             }
             return;
         }
-        let info = self.jobs.remove(&job).expect("fresh job is mapped");
+        let info = self.unmap(job).expect("fresh job is mapped");
         let task = info.task;
         let returned = matches!(end, End::Returned(_));
         // A hedge pair is one logical replica: its terminal record carries
@@ -1495,7 +1513,7 @@ impl<S: RedundancyStrategy<bool>, P: Pool> Coordinator<S, P> {
             self.watched.remove(&worker);
             return self.respawn_worker(worker, at);
         }
-        if busy.is_none() && !self.jobs.values().any(|job| job.worker == worker) {
+        if busy.is_none() && self.holding[worker as usize] == 0 {
             self.watched.remove(&worker);
             return;
         }
@@ -1533,7 +1551,7 @@ impl<S: RedundancyStrategy<bool>, P: Pool> Coordinator<S, P> {
             }
         }
         for (job, task, replica) in lost {
-            if self.jobs.remove(&job).is_none() {
+            if self.unmap(job).is_none() {
                 continue; // canceled while handling an earlier pair member
             }
             if let Some((origin, twin)) = self.ledger.pair_of(job) {
@@ -1672,8 +1690,8 @@ impl<S: RedundancyStrategy<bool>, P: Pool> Coordinator<S, P> {
     /// order. With no task: every twin a recovered WAL prefix left
     /// unsettled.
     fn cancel_jobs(&mut self, task: Option<u32>, origins: &[(u32, u32)], at: SimTime) {
-        for (job, _) in origins {
-            self.jobs.remove(job);
+        for &(job, _) in origins {
+            self.unmap(job);
         }
         for (origin, twin, task) in self.ledger.twins(task) {
             self.dissolve(origin, twin, task, false, at);

@@ -248,9 +248,7 @@ fn a_turn_is_one_write_and_one_sync_however_many_tasks_it_decides() {
 /// answers for it.
 #[derive(Default)]
 struct ScriptedPool {
-    /// Unanswered jobs a node's inbox holds before it refuses (0: any).
-    cap: usize,
-    /// Accepted, unanswered jobs as `(node, job)`, oldest first.
+    /// Unanswered jobs as `(node, job)`, oldest first.
     sent: Vec<(u32, JobAssignment)>,
     /// Nodes wedged inside `execute`, and for how long they say so.
     wedged: HashMap<u32, Duration>,
@@ -260,19 +258,8 @@ struct ScriptedPool {
 }
 
 impl Pool for ScriptedPool {
-    fn send_first(
-        &mut self,
-        job: JobAssignment,
-        mut order: impl Iterator<Item = u32>,
-    ) -> Result<u32, JobAssignment> {
-        let held = |node: &u32| self.sent.iter().filter(|(on, _)| on == node).count();
-        match order.find(|node| self.cap == 0 || held(node) < self.cap) {
-            Some(node) => {
-                self.sent.push((node, job));
-                Ok(node)
-            }
-            None => Err(job),
-        }
+    fn send(&mut self, node: u32, job: JobAssignment) {
+        self.sent.push((node, job));
     }
 
     /// A worker with anything in its hands is inside `execute`.
@@ -290,16 +277,6 @@ impl Pool for ScriptedPool {
     }
 
     fn shutdown(self) {}
-}
-
-impl ScriptedPool {
-    /// A pool whose nodes each hold at most `cap` unanswered jobs.
-    fn with_cap(cap: usize) -> Self {
-        ScriptedPool {
-            cap,
-            ..ScriptedPool::default()
-        }
-    }
 }
 
 /// The coordinator under test with the test as its driver: it owns the
@@ -567,6 +544,77 @@ fn nothing_is_due_but_what_was_armed_and_a_submission_is_admitted_as_it_arrives(
     assert_eq!(c.next_due(), None);
 }
 
+/// Placement is the coordinator's: it offers workers in the policy's
+/// order and skips one holding its credit of unresolved jobs (here 1); a
+/// replica parks when every worker is at its credit, and any end of a job
+/// — a reply, a lapse, a hung worker's respawn — returns the credit, which
+/// the next turn spends on what is parked.
+#[test]
+fn credits_place_park_and_return_with_every_end_of_a_job() {
+    /// Takes the unanswered job on `node` and answers it honestly at `now`.
+    fn answer(rig: &mut Rig, node: u32, now: u64) {
+        let i = rig.c.pool.sent.iter().position(|(on, _)| *on == node);
+        let (_, job) = rig.c.pool.sent.remove(i.expect("the node holds a job"));
+        rig.reply(node, &job, true, now);
+    }
+    /// Where the jobs the turn at `now` dispatched went, as `(task, node)`.
+    fn turn(rig: &mut Rig, now: u64) -> Vec<(u32, u32)> {
+        let logged = rig.c.journal.len();
+        assert!(rig.turn(now));
+        let dispatched = rig.c.journal.events()[logged..].iter();
+        let placed = dispatched.filter_map(|e| match e.event {
+            RunEvent::JobDispatched { task, node, .. } => Some((task, node)),
+            _ => None,
+        });
+        placed.collect()
+    }
+    let cfg = RuntimeConfig {
+        workers: Some(3),
+        inbox_cap: 0,
+        deadline: Duration::from_secs(1),
+        hang_after: Some(Duration::from_millis(300)),
+        ..RuntimeConfig::default()
+    };
+    let mut rig = Rig::new(cfg, 3, None, ScriptedPool::default());
+    rig.c.resume(at(0));
+
+    rig.submit(0);
+    assert_eq!(turn(&mut rig, 0), [(0, 0), (0, 1), (0, 2)], "offer order");
+    rig.submit(1_000);
+    assert_eq!(turn(&mut rig, 1_000), [], "every worker is at its credit");
+    assert_eq!(rig.c.pending, [1, 1, 1]);
+    answer(&mut rig, 1, 2_000);
+    assert_eq!(turn(&mut rig, 2_000), [(1, 1)], "a reply un-parks one");
+    answer(&mut rig, 2, 3_000);
+    assert_eq!(turn(&mut rig, 3_000), [(1, 2)], "node 0 is skipped");
+    // Node 0's job lapses: its credit takes task 1's last replica, and the
+    // replacement the lapse opened for task 0 parks.
+    let lapsed = turn(&mut rig, 1_000_000);
+    assert_eq!(lapsed, [(1, 0)], "a lapse returns credit");
+    assert_eq!(rig.c.pending, [0]);
+    answer(&mut rig, 1, 1_001_000);
+    assert_eq!(turn(&mut rig, 1_001_000), [(0, 1)]);
+    answer(&mut rig, 2, 1_001_500);
+    assert_eq!(turn(&mut rig, 1_001_500), []);
+    assert_eq!(rig.c.holding[..3], [1, 1, 0]);
+    // Node 0 wedges; its next hang check respawns it, and the job it held
+    // is re-armed on the next worker with credit.
+    rig.c.pool.wedged.insert(0, Duration::from_secs(10));
+    assert_eq!(turn(&mut rig, 1_300_001), [], "a re-arm logs no dispatch");
+    assert_eq!(rig.c.holding[..3], [0, 1, 1], "a respawn moves the count");
+    // Its ghosts: the job that lapsed on it, and the one re-armed.
+    let ghosts: Vec<_> = rig.c.pool.ghosts.iter().map(|(_, job)| job).collect();
+    assert_eq!(ghosts.iter().map(|job| job.job).collect::<Vec<_>>(), [0, 5]);
+    let (_, rearmed) = rig.c.pool.sent.iter().find(|(on, _)| *on == 2).unwrap();
+    assert_eq!((rearmed.job, rearmed.epoch), (5, ghosts[1].epoch + 1));
+    for node in [1, 2] {
+        answer(&mut rig, node, 1_400_000);
+    }
+    assert_eq!(turn(&mut rig, 1_400_000), []);
+    assert_eq!(rig.delivered(), [0, 1]);
+    assert_eq!(rig.c.holding[..3], [0, 0, 0]);
+}
+
 /// Says when it starts a job, then holds it until told to go.
 struct Held(Sender<()>, Arc<Mutex<Receiver<()>>>);
 
@@ -702,6 +750,16 @@ impl Variant {
     }
 }
 
+/// The audit policy of [`Deaths::audited`]: spot and escalated rates equal,
+/// so whether a task is audited depends on its id alone, however many
+/// lies were caught before a death.
+const AUDITED: AuditPolicy = AuditPolicy {
+    spot_rate: 0.5,
+    escalated_rate: 0.5,
+    probation_audits: 0,
+    strike_weight: 3,
+};
+
 /// How the lives of an explored schedule end, and what they run on. A
 /// run that can die, checkpoints or is `varied` logs into a WAL on a
 /// [`FaultyDisk`]; a checkpoint's snapshot goes beside a WAL path in the
@@ -714,6 +772,10 @@ impl Variant {
 struct Deaths {
     /// Draws a [`Variant`] from the seed, not [`Variant::PINNED`].
     varied: bool,
+    /// Audits on, at [`AUDITED`]'s policy, with no cartel and one task
+    /// open at a time, on a calm schedule: what a task's [`Shape`] says of
+    /// its audits is then a function of the seed alone.
+    audited: bool,
     checkpoint_every: Option<u64>,
     crash: Option<u64>,
     disk: DiskFaultPlan,
@@ -746,14 +808,15 @@ struct Revival {
 /// What [`explore_in`] leaves: the whole history across lives (the last
 /// one's journal begins at its segment), each revival, whether a bit
 /// flip ended the run in a refused WAL (`Some`: whether it rotted the
-/// newline that ends the file), and what the last life asked of its
-/// disk.
+/// newline that ends the file), what the last life asked of its disk,
+/// and how many turns dispatched a replica an earlier turn had parked.
 #[derive(Debug)]
 struct Explored {
     history: Journal,
     revivals: Vec<Revival>,
     refused: Option<bool>,
     counts: DiskCounts,
+    unparked: usize,
 }
 
 /// Where a failing run leaves its WAL, beside the snapshot it may have
@@ -797,6 +860,10 @@ struct Explorer {
     again: Option<u64>,
     revivals: Vec<Revival>,
     refused: Option<bool>,
+    /// The tasks with a replica parked at the last turn's end, and where
+    /// that turn's records ended.
+    parked: (Vec<u32>, usize),
+    unparked: usize,
 }
 
 /// [`explore`] under `deaths`, held to its contracts across every life.
@@ -808,10 +875,12 @@ fn explore_in(seed: u64, deaths: Deaths) -> Explored {
         true => Variant::of(seed),
         false => Variant::PINNED,
     };
+    let (cartel, calm) = (cartel && !deaths.audited, v.calm || deaths.audited);
     let cfg = RuntimeConfig {
         workers: Some(4),
-        max_active: 3,
-        deadline: Duration::from_secs(if v.calm { 600 } else { 2 }),
+        inbox_cap: 1,
+        max_active: if deaths.audited { 1 } else { 3 },
+        deadline: Duration::from_secs(if calm { 600 } else { 2 }),
         job_cap: Some(30),
         poison: Some(PoisonPolicy { crash_limit: 2 }),
         hang_after: hang.then_some(Duration::from_millis(300)),
@@ -820,9 +889,10 @@ fn explore_in(seed: u64, deaths: Deaths) -> Explored {
             quarantine_units: 1.5,
             blacklist_after: 2,
         }),
-        audit: match cartel {
-            true => AuditPolicy::spot(1.0),
-            false => AuditPolicy::disabled(),
+        audit: match (cartel, deaths.audited) {
+            (true, _) => AuditPolicy::spot(1.0),
+            (_, true) => AUDITED,
+            _ => AuditPolicy::disabled(),
         },
         audit_seed: seed,
         hedge: hedge.then_some(HedgePolicy {
@@ -843,10 +913,13 @@ fn explore_in(seed: u64, deaths: Deaths) -> Explored {
         wrong_rate: 0.3,
         ..FaultProfile::default()
     };
+    // Audited schedules draw their lies from the seed too, or every one
+    // would tally the same ten tasks' votes.
+    let draws = if deaths.audited { SEED ^ seed } else { SEED };
     let vote = |node: u32, job: &JobAssignment| {
         let said = match cartel {
             true => CartelWorker::new(node, SEED, Cartel::new(2, 0.4), liars).execute(job),
-            false => FaultyWorker::new(SEED, liars).execute(job),
+            false => FaultyWorker::new(draws, liars).execute(job),
         };
         said.expect("these workers always answer").0
     };
@@ -862,9 +935,9 @@ fn explore_in(seed: u64, deaths: Deaths) -> Explored {
         ..cfg.clone()
     };
     let mut x = Explorer {
-        rig: Rig::new(hooked, 3, wal, ScriptedPool::with_cap(2)),
+        rig: Rig::new(hooked, 3, wal, ScriptedPool::default()),
         cfg,
-        calm: v.calm,
+        calm,
         disk,
         history: Journal::new(),
         delivered: Vec::new(),
@@ -875,6 +948,8 @@ fn explore_in(seed: u64, deaths: Deaths) -> Explored {
         again: deaths.again,
         revivals: Vec::new(),
         refused: None,
+        parked: (Vec::new(), 0),
+        unparked: 0,
     };
     x.rig.c.resume(at(0));
     let mut now = 0;
@@ -892,7 +967,7 @@ fn explore_in(seed: u64, deaths: Deaths) -> Explored {
         // A calm schedule answers what a stormy one crashes, loses or
         // wedges.
         let roll = match rng.gen_range(0..10) {
-            6..=8 if v.calm => 5,
+            6..=8 if calm => 5,
             roll => roll,
         };
         match (roll, pick) {
@@ -963,12 +1038,42 @@ impl Explorer {
     /// in the file — which [`revive`](Self::revive)s the run. Returns
     /// `false` once a refused WAL ended it.
     fn end_turn(&mut self, alive: bool, now: u64) -> bool {
+        self.holds_its_credits();
         if alive {
             self.committed = self.rig.c.journal.next_seq();
         }
         self.delivered.extend(self.rig.delivered());
         let died = self.rig.d.dead || self.disk.rot().is_some();
         !died || self.revive(now)
+    }
+
+    /// Checks placement at a turn's end: each worker's count is the jobs
+    /// mapped to it, and within its credit; a replica is parked only when
+    /// every worker in good standing is at its credit. Counts the turns
+    /// that dispatched a task parked at the last one's end.
+    fn holds_its_credits(&mut self) {
+        let c = &self.rig.c;
+        let credit = c.credit();
+        for node in c.nodes.clone() {
+            let mapped = c.jobs.values().filter(|job| job.worker == node).count();
+            assert_eq!(c.holding[node as usize], mapped, "node {node}'s count");
+            assert!(mapped <= credit, "node {node} holds {mapped} jobs");
+        }
+        if !c.pending.is_empty() {
+            let mut standing = c.nodes.clone().filter(|&n| c.ledger.dispatchable(n));
+            assert!(
+                standing.all(|n| c.holding[n as usize] == credit),
+                "a replica parked beside a worker with credit left"
+            );
+        }
+        let (parked, since) = &self.parked;
+        let records = c.journal.events().get(*since..).unwrap_or_default();
+        let unparked = records.iter().any(|e| match e.event {
+            RunEvent::JobDispatched { task, .. } => parked.contains(&task),
+            _ => false,
+        });
+        self.unparked += usize::from(unparked);
+        self.parked = (c.pending.iter().copied().collect(), c.journal.len());
     }
 
     /// What a death leaves: the dead life's journal folded into the
@@ -1102,7 +1207,7 @@ impl Explorer {
         };
         self.committed = journal.next_seq();
         self.rig.d = Driver::new(&hooked, &journal, Some(wal));
-        let pool = ScriptedPool::with_cap(2);
+        let pool = ScriptedPool::default();
         self.rig.c = Coordinator::new(cfg.clone(), ledger, journal, pool, Arc::default(), backlog);
         self.rig.c.resume(at(now));
         self.revivals.push(Revival {
@@ -1111,6 +1216,7 @@ impl Explorer {
             resumed,
             torn: prefix.torn,
         });
+        self.parked = (Vec::new(), self.rig.c.journal.len());
         true
     }
 
@@ -1249,6 +1355,7 @@ impl Explorer {
         }
         Explored {
             counts: self.disk.counts(),
+            unparked: self.unparked,
             history: self.history,
             revivals: self.revivals,
             refused: self.refused,
@@ -1284,15 +1391,32 @@ fn fold_life(history: &mut Journal, life: &Journal) {
     }
 }
 
-/// Each task's decision record, but its stamp and seq, and its job count:
-/// what a death must not change of a calm schedule, whose votes are
-/// functions of `(seed, task, replica)` alone.
-fn shape(journal: &Journal) -> BTreeMap<u32, (Option<RunEvent>, usize)> {
-    let mut shape: BTreeMap<u32, (Option<RunEvent>, usize)> = BTreeMap::new();
+/// What a death must not change of a task on a calm schedule, whose
+/// votes are functions of `(seed, task, replica)` alone: its decision
+/// record but its stamp and seq, its job count, whether an audit touched
+/// or convicted it, and how often its verdict was voided. (Not how many
+/// audit records it has: a death inside an audit group re-runs the group.)
+#[derive(Debug, Default, PartialEq)]
+struct Shape {
+    decision: Option<RunEvent>,
+    jobs: usize,
+    audited: bool,
+    convicted: bool,
+    voids: u32,
+}
+
+/// Each task's [`Shape`] in `journal`.
+fn shape(journal: &Journal) -> BTreeMap<u32, Shape> {
+    let mut shape: BTreeMap<u32, Shape> = BTreeMap::new();
     for e in journal.events() {
         match (e.event, decided_task(e.event)) {
-            (RunEvent::JobDispatched { task, .. }, _) => shape.entry(task).or_default().1 += 1,
-            (decision, Some(task)) => shape.entry(task).or_default().0 = Some(decision),
+            (RunEvent::JobDispatched { task, .. }, _) => shape.entry(task).or_default().jobs += 1,
+            (RunEvent::AuditScheduled { task }, _) => shape.entry(task).or_default().audited = true,
+            (RunEvent::AuditFailed { task, .. }, _) => {
+                shape.entry(task).or_default().convicted = true
+            }
+            (RunEvent::VerdictVoided { task }, _) => shape.entry(task).or_default().voids += 1,
+            (decision, Some(task)) => shape.entry(task).or_default().decision = Some(decision),
             _ => {}
         }
     }
@@ -1330,9 +1454,11 @@ fn holds_the_golden_shape(seed: u64, golden: &Journal, run: &Explored) -> bool {
 
 /// The contracts, explored rather than sampled by hand: exactly one
 /// decision and one verdict per task, `launched = won + wasted`, dense
-/// monotone `seq`, the report equal to the reference fold, and every
-/// prefix of the journal replayable — on every seed; and between them the
-/// seeds reach every defence. A failure names the seed that replays it.
+/// monotone `seq`, the report equal to the reference fold, every prefix
+/// of the journal replayable, and at every turn's end placement within
+/// its credits ([`Explorer::holds_its_credits`]) — on every seed; and
+/// between them the seeds reach every defence and dispatch a replica they
+/// had parked. A failure names the seed that replays it.
 ///
 /// Every journal is also pinned, through one fold of the seeds' digests:
 /// a schedule is a function of its seed alone, so a journal that differs
@@ -1340,7 +1466,7 @@ fn holds_the_golden_shape(seed: u64, golden: &Journal, run: &Explored) -> bool {
 /// under a refactor fails here on the first run.
 #[test]
 fn seeded_schedules_keep_every_contract() {
-    const JOURNALS: u64 = 0x603f_c18c_fb67_70dd;
+    const JOURNALS: u64 = 0x6e51_6677_0215_f1e1;
     const REACHED: [EventKind; 12] = [
         EventKind::JobTimedOut,
         EventKind::WorkerCrashed,
@@ -1355,13 +1481,16 @@ fn seeded_schedules_keep_every_contract() {
         EventKind::AuditFailed,
         EventKind::VerdictVoided,
     ];
-    let mut reached = [0; REACHED.len()];
+    let (mut reached, mut unparked) = ([0; REACHED.len()], 0);
     let mut journals = 0u64;
     for seed in 0..256 {
-        let journal = std::panic::catch_unwind(|| explore(seed)).unwrap_or_else(|cause| {
+        let run = std::panic::catch_unwind(|| explore_in(seed, Deaths::default()));
+        let run = run.unwrap_or_else(|cause| {
             eprintln!("seed {seed} breaks a contract: `explore({seed})` replays it");
             std::panic::resume_unwind(cause)
         });
+        let journal = run.history;
+        unparked += run.unparked;
         for (kind, count) in REACHED.iter().zip(&mut reached) {
             *count += journal.count(*kind);
         }
@@ -1370,6 +1499,7 @@ fn seeded_schedules_keep_every_contract() {
     for (kind, count) in REACHED.iter().zip(reached) {
         assert!(count > 0, "no schedule reached {}", kind.name());
     }
+    assert!(unparked > 0, "no parked replica was dispatched");
     assert_eq!(
         journals, JOURNALS,
         "the seeds' journals changed: {journals:#018x}"
@@ -1411,6 +1541,55 @@ fn seeded_crashes_keep_every_contract() {
     assert_eq!(placements.len(), Assignment::ALL.len(), "{placements:?}");
     assert_eq!(framings.len(), 2, "one WAL framing only");
     assert!(golden > 0, "no calm schedule was held to its shape");
+}
+
+/// Audit outcomes across deaths, explored: every seeded schedule with
+/// audits on ([`Deaths::audited`]) is killed at a seeded record and again
+/// in its second life, and each task's [`Shape`] — its decision and vote,
+/// its job count, whether it was audited or convicted and how often its
+/// verdict was voided — is the uncrashed run's; with one task open, no
+/// conviction re-tallies another. Between them the seeds audit, convict
+/// and void. A failure names the seed and the deaths that replay it.
+#[test]
+fn seeded_audits_keep_their_shape_across_deaths() {
+    let mut reached = [0; 3];
+    for seed in 0..256 {
+        let audited = Deaths {
+            audited: true,
+            ..Deaths::default()
+        };
+        let whole = replaying(seed, audited).history;
+        let last = last_decision(&whole);
+        let mut rng = task_rng(SEED, 0x0a0d_17ed, seed);
+        let deaths = Deaths {
+            crash: Some(rng.gen_range(1..=last + 1)),
+            again: Some(rng.gen_range(1..=last / 2 + 1)),
+            ..audited
+        };
+        let run = replaying(seed, deaths);
+        assert!(
+            !run.revivals.is_empty(),
+            "seed {seed}: the hook never fired"
+        );
+        assert_eq!(
+            shape(&run.history),
+            shape(&whole),
+            "seed {seed}: a death changed an audit's outcome"
+        );
+        assert_eq!(whole.count(EventKind::TaskRetallied), 0);
+        let kinds = [
+            EventKind::AuditScheduled,
+            EventKind::AuditFailed,
+            EventKind::VerdictVoided,
+        ];
+        for (kind, count) in kinds.iter().zip(&mut reached) {
+            *count += whole.count(*kind);
+        }
+    }
+    assert!(
+        reached.iter().all(|&n| n > 0),
+        "audited, convicted, voided: {reached:?}"
+    );
 }
 
 /// The ways a first life dies in [`seeded_checkpoints_keep_every_contract`].

@@ -306,15 +306,18 @@ impl<S: RedundancyStrategy<bool>> Ledger<S> {
 
     /// Charges `weight` strikes to `node` under `cfg.discipline`.
     fn strike(&mut self, node: u32, weight: u32, at: SimTime) -> Option<(u32, DisciplineAction)> {
+        /// The sliding window a strike counts in (see
+        /// [`NodeDiscipline::strike_at`]), in micros: ten seconds of
+        /// journal time.
+        const WINDOW: u64 = 10_000_000;
         let policy = self.cfg.discipline?;
-        let window = self.cfg.strike_window.as_micros() as u64;
         let state = self.nodes.get_mut(node as usize)?;
         if state.blacklisted {
             return None;
         }
         let action = state
             .discipline
-            .strike_weighted_at(weight, at.as_micros(), window, &policy);
+            .strike_weighted_at(weight, at.as_micros(), WINDOW, &policy);
         (action != DisciplineAction::None).then_some((node, action))
     }
 

@@ -8,16 +8,17 @@
 //!
 //! ## Architecture
 //!
-//! * [`worker`] — the pool: per-worker bounded inboxes, a pluggable
+//! * [`worker`] — the pool: per-worker inboxes, a pluggable
 //!   [`Worker`] trait, and [`FaultyWorker`], whose lies and hangs are a
 //!   pure function of `(seed, task, replica)` via the counter-based RNG
 //!   streams of `core::parallel`;
 //! * [`coordinator`] — a single coordinator owning all redundancy
 //!   state: it admits submissions (bounded queue, load shedding,
 //!   [`SubmitOutcome`]), sizes waves with the shared
-//!   `core::execution::step_wave` surface, tallies votes, enforces
-//!   wall-clock deadlines with timeout→reissue semantics, and delivers
-//!   [`TaskVerdict`]s. It is `step(input, now)` over one inbox that
+//!   `core::execution::step_wave` surface, places each replica on a
+//!   worker with credit left (which bounds its inbox), tallies votes,
+//!   enforces wall-clock deadlines with timeout→reissue semantics, and
+//!   delivers [`TaskVerdict`]s. It is `step(input, now)` over one inbox that
 //!   clients and workers both send on, plus the timers it arms; its
 //!   thread is a driver that owns the channel and the clock and sleeps
 //!   until an input arrives or a timer falls due;

@@ -1,5 +1,5 @@
-//! The worker pool: OS threads with per-worker bounded inboxes and a
-//! pluggable, deliberately unreliable [`Worker`] implementation.
+//! The worker pool: OS threads with per-worker inboxes and a pluggable,
+//! deliberately unreliable [`Worker`] implementation.
 //!
 //! Workers are the live analogue of the DCA node pool: each one actually
 //! executes the payload, then may lie about the result, hang, or crash,
@@ -25,16 +25,17 @@
 //! reply is rejected by epoch.
 //!
 //! What the coordinator asks of its workers is the `Pool` trait — four
-//! methods, the one outward seam a test has to fake. Which worker *may* be
-//! handed a job is not the pool's to know: the coordinator's ledger holds
-//! the quarantine and blacklist state and offers the pool only nodes in
-//! good standing.
+//! methods, the one outward seam a test has to fake, and none of them
+//! answers a dispatch. Which worker is handed a job is not the pool's to
+//! know: the coordinator places it, from its ledger's quarantine and
+//! blacklist state and its own count of each worker's unresolved jobs,
+//! which is also what bounds an inbox.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, Sender, SyncSender, TrySendError};
+use std::sync::mpsc::Sender;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -281,15 +282,12 @@ pub(crate) type WorkerFactory = Arc<dyn Fn(u32) -> Box<dyn Worker> + Send + Sync
 /// What the coordinator asks of its workers. [`WorkerPool`] answers with
 /// threads; a test answers with a script.
 pub(crate) trait Pool {
-    /// Hands `job` to the first node of `order` (global ids) whose inbox
-    /// has room, returning that node. Never blocks: the assignment comes
-    /// back on `Err` when every offered inbox is full, so the caller can
-    /// park it until a reply makes room.
-    fn send_first(
-        &mut self,
-        job: JobAssignment,
-        order: impl Iterator<Item = u32>,
-    ) -> Result<u32, JobAssignment>;
+    /// Hands `job` to `node` (a global id), whom the coordinator chose.
+    /// Never blocks and never refuses: the coordinator's per-worker credit
+    /// bounds what an inbox holds. A send to a closed inbox — which only a
+    /// thread that died outside `catch_unwind` leaves — drops the job, and
+    /// its deadline reissues it.
+    fn send(&mut self, node: u32, job: JobAssignment);
 
     /// How long `node` has been inside one `execute` call, or `None` when
     /// idle — what the hang supervisor holds against its threshold.
@@ -300,9 +298,9 @@ pub(crate) trait Pool {
     /// its own when it escapes `execute` and finds its inbox closed, and
     /// any late reply it manages to send carries a pre-respawn epoch the
     /// coordinator rejects. Jobs queued in the old inbox are lost, and so
-    /// are those its old thread had taken off it to sort — up to
-    /// `2·inbox_cap + 1` assignments in all, the wedged one included; the
-    /// caller must re-dispatch everything in flight on this worker.
+    /// are those its old thread had taken off it to sort, the wedged one
+    /// included; the caller must re-dispatch everything in flight on this
+    /// worker.
     fn respawn(&mut self, node: u32);
 
     /// Closes every inbox and joins the threads. Threads caught mid-job
@@ -317,7 +315,7 @@ pub(crate) trait Pool {
 /// between zero-work job starts (on `serve_mem`, 96 % come under 2 µs
 /// apart) and a twentieth of `serve_open`'s 1 ms job. Sorting at every
 /// start instead ends each sort with a failing `try_recv`, a probe across
-/// cores into the channel the coordinator's `try_send` writes —
+/// cores into the channel the coordinator's sends write —
 /// `serve_mem` lost 15–31 % of its throughput to it.
 const REORDER_GAP_US: u64 = 50;
 
@@ -349,7 +347,7 @@ impl Eq for Held {}
 
 /// One pool slot: the live thread plus its supervision state.
 struct WorkerSlot {
-    inbox: SyncSender<JobAssignment>,
+    inbox: Sender<JobAssignment>,
     handle: Option<JoinHandle<()>>,
     /// Micros (+1, so 0 means idle) since pool start at which the current
     /// job began executing. Written by the worker thread, read by the
@@ -357,8 +355,8 @@ struct WorkerSlot {
     busy_since: Arc<AtomicU64>,
 }
 
-/// The pool: per-worker bounded inboxes plus joinable threads. Internal to
-/// the coordinator, which owns dispatch.
+/// The pool: per-worker inboxes plus joinable threads. Internal to the
+/// coordinator, which owns dispatch and bounds what each inbox holds.
 ///
 /// Every worker carries a *global* node id `base + slot`: a sharded
 /// runtime gives each shard's sub-pool a disjoint id span (see
@@ -372,27 +370,19 @@ pub(crate) struct WorkerPool {
     /// submissions there.
     events: Sender<Input>,
     make: WorkerFactory,
-    inbox_cap: usize,
     started: Instant,
     base: u32,
 }
 
 impl WorkerPool {
     /// Spawns `count` worker threads with global node ids
-    /// `node_base..node_base + count`, each with a bounded inbox of
-    /// `inbox_cap` jobs, reporting results and crashes on `events`.
-    pub fn spawn(
-        count: usize,
-        node_base: u32,
-        inbox_cap: usize,
-        events: Sender<Input>,
-        make: WorkerFactory,
-    ) -> Self {
+    /// `node_base..node_base + count`, reporting results and crashes on
+    /// `events`.
+    pub fn spawn(count: usize, node_base: u32, events: Sender<Input>, make: WorkerFactory) -> Self {
         let mut pool = Self {
             slots: Vec::with_capacity(count),
             events,
             make,
-            inbox_cap,
             started: Instant::now(),
             base: node_base,
         };
@@ -414,9 +404,7 @@ impl WorkerPool {
     }
 
     fn build_slot(&self, index: u32) -> WorkerSlot {
-        let inbox_cap = self.inbox_cap.max(1);
-        let (tx, rx): (SyncSender<JobAssignment>, Receiver<JobAssignment>) =
-            std::sync::mpsc::sync_channel(inbox_cap);
+        let (tx, rx) = std::sync::mpsc::channel::<JobAssignment>();
         let events = self.events.clone();
         let make = self.make.clone();
         let busy_since = Arc::new(AtomicU64::new(0));
@@ -435,13 +423,10 @@ impl WorkerPool {
                 {
                     let now = started.elapsed().as_micros() as u64;
                     // The last job took real time, so a backlog may wait:
-                    // take up to `inbox_cap` of it and start the oldest task.
+                    // take all of it and start the oldest task.
                     if now - last_start >= REORDER_GAP_US {
                         held.push(Reverse(Held(job)));
-                        while held.len() <= inbox_cap {
-                            let Ok(next) = rx.try_recv() else { break };
-                            held.push(Reverse(Held(next)));
-                        }
+                        held.extend(rx.try_iter().map(|next| Reverse(Held(next))));
                         let Reverse(Held(oldest)) = held.pop().expect("the job just pushed back");
                         job = oldest;
                     }
@@ -488,18 +473,8 @@ impl WorkerPool {
 }
 
 impl Pool for WorkerPool {
-    fn send_first(
-        &mut self,
-        mut job: JobAssignment,
-        order: impl Iterator<Item = u32>,
-    ) -> Result<u32, JobAssignment> {
-        for node in order {
-            match self.slots[self.slot_of(node)].inbox.try_send(job) {
-                Ok(()) => return Ok(node),
-                Err(TrySendError::Full(back) | TrySendError::Disconnected(back)) => job = back,
-            }
-        }
-        Err(job)
+    fn send(&mut self, node: u32, job: JobAssignment) {
+        let _ = self.slots[self.slot_of(node)].inbox.send(job);
     }
 
     fn busy_for(&self, node: u32) -> Option<Duration> {
@@ -542,6 +517,7 @@ impl Pool for WorkerPool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::mpsc::Receiver;
 
     fn assignment(task: u32, replica: u32) -> JobAssignment {
         JobAssignment {
@@ -596,37 +572,6 @@ mod tests {
         assert_eq!(w.execute(&assignment(0, 0)), Some((false, false)));
     }
 
-    #[test]
-    fn full_inboxes_return_the_job_to_the_caller() {
-        let (tx, _rx) = std::sync::mpsc::channel();
-        // One worker whose single-slot inbox we saturate with a job it
-        // cannot finish quickly.
-        let mut pool = WorkerPool::spawn(
-            1,
-            0,
-            1,
-            tx,
-            factory(
-                0,
-                FaultProfile {
-                    think: Duration::from_millis(50),
-                    ..FaultProfile::default()
-                },
-            ),
-        );
-        // First dispatch is taken by the worker, second sits in the inbox,
-        // third (at the latest) must bounce. Allow a race on the second.
-        let mut bounced = false;
-        for _ in 0..3 {
-            if pool.send_first(assignment(0, 0), 0..1).is_err() {
-                bounced = true;
-                break;
-            }
-        }
-        assert!(bounced, "a saturated pool must refuse, not block");
-        pool.shutdown();
-    }
-
     /// The next report on `rx`, as `Ok(reply)` or `Err((worker, job, task,
     /// epoch))` of a crash.
     fn report(rx: &Receiver<Input>) -> Result<JobResult, (u32, u32, u32, u32)> {
@@ -649,7 +594,6 @@ mod tests {
         let mut pool = WorkerPool::spawn(
             1,
             0,
-            4,
             tx,
             factory(
                 0,
@@ -661,31 +605,11 @@ mod tests {
         );
         let mut job = assignment(0, 0);
         job.epoch = 5;
-        pool.send_first(job, 0..1).unwrap();
+        pool.send(0, job);
         assert_eq!(report(&rx).unwrap_err(), (0, 0, 0, 5));
         // The same slot keeps serving after the rebuild.
-        pool.send_first(assignment(1, 0), 0..1).unwrap();
+        pool.send(0, assignment(1, 0));
         assert_eq!(report(&rx).unwrap_err(), (0, 0, 1, 0));
-        pool.shutdown();
-    }
-
-    #[test]
-    fn only_the_offered_nodes_are_tried_and_in_the_order_given() {
-        let (tx, rx) = std::sync::mpsc::channel();
-        let mut pool = WorkerPool::spawn(3, 0, 4, tx, factory(0, FaultProfile::default()));
-        for _ in 0..4 {
-            let worker = pool.send_first(assignment(0, 0), [2, 1].into_iter());
-            assert_eq!(
-                worker.unwrap(),
-                2,
-                "node 0 was not offered, node 2 came first"
-            );
-        }
-        for _ in 0..4 {
-            assert_eq!(report(&rx).unwrap().worker, 2);
-        }
-        let nobody = pool.send_first(assignment(0, 0), std::iter::empty());
-        assert!(nobody.is_err(), "no node offered, no node takes it");
         pool.shutdown();
     }
 
@@ -702,8 +626,8 @@ mod tests {
             }
         }
         let (tx, rx) = std::sync::mpsc::channel();
-        let mut pool = WorkerPool::spawn(1, 0, 4, tx, Arc::new(|_| Box::new(Stuck)));
-        pool.send_first(assignment(0, 0), 0..1).unwrap();
+        let mut pool = WorkerPool::spawn(1, 0, tx, Arc::new(|_| Box::new(Stuck)));
+        pool.send(0, assignment(0, 0));
         // Wait until the supervisor would see the slot busy.
         let deadline = Instant::now() + Duration::from_secs(5);
         while pool.busy_for(0).is_none() {
@@ -713,7 +637,7 @@ mod tests {
         pool.respawn(0);
         // The fresh incarnation serves jobs while the old thread stays
         // parked (and is detached at shutdown rather than joined).
-        pool.send_first(assignment(1, 0), 0..1).unwrap();
+        pool.send(0, assignment(1, 0));
         assert_eq!(report(&rx).unwrap().task, 1);
         pool.shutdown();
     }
@@ -735,21 +659,19 @@ mod tests {
         let (open, gate) = std::sync::mpsc::channel();
         let gate = Arc::new(std::sync::Mutex::new(gate));
         let (tx, rx) = std::sync::mpsc::channel();
-        let mut pool =
-            WorkerPool::spawn(1, 0, 4, tx, Arc::new(move |_| Box::new(Gate(gate.clone()))));
-        pool.send_first(assignment(0, 0), 0..1).unwrap();
+        let mut pool = WorkerPool::spawn(1, 0, tx, Arc::new(move |_| Box::new(Gate(gate.clone()))));
+        pool.send(0, assignment(0, 0));
         let deadline = Instant::now() + Duration::from_secs(5);
         while pool.busy_for(0).is_none() {
             assert!(Instant::now() < deadline, "worker never started the job");
             std::thread::yield_now();
         }
-        // The inbox holds exactly `inbox_cap` jobs behind the running one.
+        // Four jobs wait in the inbox behind the running one.
         for (job, task) in [(1, 9), (2, 3), (3, 5), (4, 3)] {
             let mut assignment = assignment(task, 0);
             assignment.job = job;
-            pool.send_first(assignment, 0..1).unwrap();
+            pool.send(0, assignment);
         }
-        assert!(pool.send_first(assignment(1, 0), 0..1).is_err());
         open.send(()).unwrap();
         let served: Vec<(u32, u32)> = (0..5)
             .map(|_| report(&rx).map(|r| (r.task, r.job)).unwrap())
@@ -761,11 +683,11 @@ mod tests {
     #[test]
     fn pools_with_a_node_base_speak_global_ids() {
         let (tx, rx) = std::sync::mpsc::channel();
-        let mut pool = WorkerPool::spawn(2, 10, 4, tx, factory(0, FaultProfile::default()));
-        // Dispatch takes and returns global ids, and results carry them.
-        assert_eq!(pool.send_first(assignment(0, 0), 10..12).unwrap(), 10);
+        let mut pool = WorkerPool::spawn(2, 10, tx, factory(0, FaultProfile::default()));
+        // Dispatch takes global ids, and results carry them.
+        pool.send(10, assignment(0, 0));
         assert_eq!(report(&rx).unwrap().worker, 10);
-        assert_eq!(pool.send_first(assignment(1, 0), 11..12).unwrap(), 11);
+        pool.send(11, assignment(1, 0));
         assert_eq!(report(&rx).unwrap().worker, 11);
         // Supervision addresses slots by global id too.
         pool.respawn(11);

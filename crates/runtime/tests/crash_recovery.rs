@@ -1,12 +1,13 @@
 //! Crash recovery and supervision over real threads and real files:
 //! recovery's refusals, worker-crash supervision, task poisoning,
 //! hung-worker respawn with epoch-based stale-reply rejection, the
-//! write-ahead barrier as seen in the WAL file, audit outcomes across a
-//! crash at any prefix, and the sharded crash matrix. The coordinator's crash contracts themselves — deaths at every
-//! record and at every disk fault, torn tails, what a cut prefix owes —
-//! are explored without threads in `coordinator::tests`.
+//! write-ahead barrier as seen in the WAL file, and the sharded crash
+//! matrix. The coordinator's crash contracts themselves — deaths at every
+//! record and at every disk fault, torn tails, what a cut prefix owes,
+//! audit outcomes across a death — are explored without threads in
+//! `coordinator::tests`.
 //!
-//! The audit and sharded tests rely on the determinism contract: fault draws (lies
+//! The sharded tests rely on the determinism contract: fault draws (lies
 //! *and* injected panics) are a pure function of `(seed, task, replica)`,
 //! so an uninterrupted run and a crash+recover run face identical
 //! adversity and must produce identical verdicts and per-task job counts
@@ -407,175 +408,6 @@ fn the_wal_file_is_complete_whenever_the_coordinator_sleeps() {
             "{name}: the idle file was missing records"
         );
         let _ = std::fs::remove_file(&wal);
-    }
-}
-
-mod audit_prefix_property {
-    //! Satellite property: a crash at any WAL prefix with audits in
-    //! flight recovers to the same audit verdicts and voided-verdict set
-    //! as the uncrashed run.
-
-    use super::*;
-    use proptest::prelude::*;
-    use smartred_core::audit::AuditPolicy;
-    use std::sync::OnceLock;
-
-    /// Audit chaos keeps the comparison schedule-independent: one task in
-    /// flight at a time (retaliation re-tallies whatever else is open at
-    /// conviction time, which is a scheduling artifact), a single worker,
-    /// and equal spot/escalated rates (selection stays a pure function of
-    /// `(audit_seed, task)` even when the crash lands between the first
-    /// caught lie and the next selection draw).
-    fn audit_cfg(wal: Option<PathBuf>) -> RuntimeConfig {
-        let mut cfg = chaos_cfg(wal);
-        cfg.workers = Some(1);
-        cfg.max_active = 1;
-        cfg.audit = AuditPolicy {
-            spot_rate: 0.5,
-            escalated_rate: 0.5,
-            probation_audits: 0,
-            strike_weight: 3,
-        };
-        cfg.audit_seed = SEED;
-        cfg
-    }
-
-    /// Liars often enough that some verdicts are swung and voided.
-    fn liar_profile() -> FaultProfile {
-        FaultProfile {
-            wrong_rate: 0.4,
-            hang_rate: 0.0,
-            crash_rate: 0.1,
-            think: Duration::ZERO,
-        }
-    }
-
-    fn start_audit_chaos(cfg: RuntimeConfig) -> Runtime {
-        Runtime::start(cfg, strategy(), |_| {
-            Box::new(FaultyWorker::new(SEED, liar_profile()))
-        })
-    }
-
-    /// Schedule- and crash-independent audit structure: per decided task,
-    /// the decision kind and vote, whether any audit touched/convicted it,
-    /// and how many of its verdicts were voided. Raw audit *event counts*
-    /// are excluded on purpose: a crash inside an audit group makes
-    /// recovery re-run the whole group (same outcome, extra
-    /// `AuditScheduled`/`AuditFailed` records), and worker ids are
-    /// scheduling artifacts.
-    fn audit_shape(journal: &Journal) -> Vec<(u32, u8, Option<bool>, bool, bool, u32)> {
-        let mut audited: HashSet<u32> = HashSet::new();
-        let mut convicted: HashSet<u32> = HashSet::new();
-        let mut voids: HashMap<u32, u32> = HashMap::new();
-        let mut out = Vec::new();
-        for e in journal.events() {
-            match e.event {
-                RunEvent::AuditScheduled { task } => {
-                    audited.insert(task);
-                }
-                RunEvent::AuditFailed { task, .. } => {
-                    convicted.insert(task);
-                }
-                RunEvent::VerdictVoided { task } => *voids.entry(task).or_default() += 1,
-                RunEvent::VerdictReached { task, value, .. } => out.push((task, 0u8, Some(value))),
-                RunEvent::TaskCapped { task } => out.push((task, 1, None)),
-                RunEvent::TaskPoisoned { task, .. } => out.push((task, 2, None)),
-                _ => {}
-            }
-        }
-        out.sort_unstable();
-        out.into_iter()
-            .map(|(task, kind, vote)| {
-                (
-                    task,
-                    kind,
-                    vote,
-                    audited.contains(&task),
-                    convicted.contains(&task),
-                    voids.get(&task).copied().unwrap_or(0),
-                )
-            })
-            .collect()
-    }
-
-    struct GoldenFixture {
-        tasks: Vec<(u32, Payload)>,
-        shape: Vec<(u32, u8, Option<bool>, bool, bool, u32)>,
-        events: u64,
-    }
-
-    fn golden() -> &'static GoldenFixture {
-        static GOLDEN: OnceLock<GoldenFixture> = OnceLock::new();
-        GOLDEN.get_or_init(|| {
-            quiet_injected_panics();
-            let tasks = roster(12);
-            let runtime = start_audit_chaos(audit_cfg(None));
-            let client = runtime.client();
-            submit_all(&client, &tasks);
-            let verdicts = drain_verdicts(&client);
-            drop(client);
-            let run = runtime.finish();
-            assert!(!run.crashed);
-            assert_eq!(verdicts.len(), tasks.len());
-            // The fixture only proves the property if audits actually
-            // fired and voided something.
-            assert!(run.report.audits > 0, "no audits in the golden run");
-            assert!(
-                run.report.verdicts_voided > 0,
-                "no voided verdicts in the golden run"
-            );
-            // One task in flight at a time leaves retaliation nothing to
-            // re-tally (cross-task re-tallies are covered by the DCA and
-            // volunteer audit tests).
-            assert_eq!(run.report.tasks_retallied, 0);
-            assert_eq!(report_from_journal(&run.journal), run.report);
-            GoldenFixture {
-                tasks,
-                shape: audit_shape(&run.journal),
-                events: run.journal.events().len() as u64,
-            }
-        })
-    }
-
-    proptest! {
-        // Each case is a full crash + recovery run; keep the count modest.
-        #![proptest_config(ProptestConfig::with_cases(10))]
-
-        #[test]
-        fn crash_at_any_prefix_preserves_audit_verdicts(crash_seed in 1u64..10_000) {
-            let fixture = golden();
-            let crash_at = 1 + crash_seed % (fixture.events - 1);
-            let wal = wal_path(&format!("audit-prefix-{crash_at}"));
-            let mut cfg = audit_cfg(Some(wal.clone()));
-            cfg.crash_after_events = Some(crash_at);
-            let runtime = start_audit_chaos(cfg);
-            let client = runtime.client();
-            submit_all(&client, &fixture.tasks);
-            drain_verdicts(&client);
-            drop(client);
-            let crashed = runtime.finish();
-            prop_assert!(crashed.crashed);
-
-            let (runtime, client, _) = Runtime::recover(
-                audit_cfg(Some(wal.clone())),
-                strategy(),
-                |_| Box::new(FaultyWorker::new(SEED, liar_profile())),
-                &fixture.tasks,
-            )
-            .expect("WAL recovery");
-            drain_verdicts(&client);
-            drop(client);
-            let run = runtime.finish();
-            prop_assert!(!run.crashed);
-            prop_assert_eq!(audit_shape(&run.journal), fixture.shape.clone());
-            for (task, count) in decisions_per_task(&run.journal) {
-                prop_assert_eq!(count, 1, "task {} decided more than once", task);
-            }
-            prop_assert_eq!(report_from_journal(&run.journal), run.report.clone());
-            let on_disk = std::fs::read_to_string(&wal).unwrap();
-            prop_assert_eq!(on_disk, run.journal.to_jsonl());
-            let _ = std::fs::remove_file(&wal);
-        }
     }
 }
 
