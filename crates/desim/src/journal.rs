@@ -51,8 +51,9 @@ use std::path::Path;
 use crate::time::SimTime;
 
 /// 64-bit FNV-1a state. [`Journal::digest`] folds decoded fields through
-/// it, [`crc_lanes`] folds the WAL's serialized line bytes, and
-/// [`fnv1a_64`] is the byte-serial reference.
+/// it, [`crc_lanes`] folds the lines the WAL writer seals, the reader
+/// folds each checksummed line as it reads it, and [`fnv1a_64`] is the
+/// byte-serial reference.
 #[derive(Clone, Copy)]
 struct Fnv(u64);
 
@@ -129,6 +130,69 @@ impl Run {
     }
 }
 
+/// A fixed string a record holds at a known position — a key with its
+/// punctuation, a kind, a quoted name — and the [`Run`] that folds it
+/// into a checksum in one step.
+struct Token {
+    text: &'static str,
+    run: Run,
+}
+
+impl Token {
+    const fn of(text: &'static str) -> Token {
+        Token {
+            text,
+            run: Run::of(text.as_bytes()),
+        }
+    }
+}
+
+/// The `&'static` [`Token`] of a constant string, built at compile time.
+macro_rules! token {
+    ($text:expr) => {{
+        static TOKEN: Token = Token::of($text);
+        &TOKEN
+    }};
+}
+
+/// What a [`Cursor`] does with the bytes it accepts: fold them into the
+/// record's checksum ([`Fnv`]) or nothing (`()`: a plain record, or one
+/// whose trailer was checked before it was read).
+trait Fold {
+    fn step(&mut self, byte: u8);
+    fn take(&mut self, run: &Run);
+    /// The length of what closes a record read in one pass at `rest`, if
+    /// `rest` begins with it: the checksum trailer that states the hash
+    /// folded so far, or, for a plain record, `}`.
+    fn close(&mut self, rest: &[u8]) -> Option<usize>;
+}
+
+impl Fold for Fnv {
+    #[inline]
+    fn step(&mut self, byte: u8) {
+        Fnv::step(self, byte);
+    }
+    #[inline]
+    fn take(&mut self, run: &Run) {
+        Fnv::take(self, run);
+    }
+    fn close(&mut self, rest: &[u8]) -> Option<usize> {
+        Fnv::step(self, b'}');
+        let trailer = rest.get(..CRC_TRAILER.len())?;
+        (*trailer == crc_trailer(self.0)).then_some(CRC_TRAILER.len())
+    }
+}
+
+impl Fold for () {
+    #[inline]
+    fn step(&mut self, _: u8) {}
+    #[inline]
+    fn take(&mut self, _: &Run) {}
+    fn close(&mut self, rest: &[u8]) -> Option<usize> {
+        (rest.first() == Some(&b'}')).then_some(1)
+    }
+}
+
 /// `ZERO_RUNS[z]` eats `z` zero bytes: the high bytes of a small integer.
 static ZERO_RUNS: [Run; 9] = {
     let mut runs = [const { Run::of(&[]) }; 9];
@@ -159,8 +223,13 @@ trait Wire: Copy {
     /// Feeds the value's digest bytes.
     fn digest(self, hash: &mut Fnv);
     /// Consumes exactly what [`encode`](Wire::encode) writes for some
-    /// value and returns it; the error completes "field 'key' …".
-    fn read(cur: &mut Cursor<'_>) -> Result<Self, &'static str>;
+    /// value, folding each byte it accepts, and returns the value; the
+    /// error completes "field 'key' …".
+    fn read<F: Fold>(cur: &mut Cursor<'_, F>) -> Result<Self, &'static str>;
+    /// A value drawn from `draw`, for tests that need every variant at
+    /// the values where the reader takes a different path.
+    #[cfg(test)]
+    fn sample(draw: u64) -> Self;
 }
 
 /// `"00"`, `"01"`, …, `"99"`: an integer is written two digits at a time.
@@ -196,13 +265,26 @@ impl Wire for u64 {
     fn digest(self, hash: &mut Fnv) {
         hash.eat_le(&self.to_le_bytes(), self.leading_zeros() / 8);
     }
-    fn read(cur: &mut Cursor<'_>) -> Result<Self, &'static str> {
+    /// Each digit is stepped into the value and the fold in one pass.
+    /// Fewer than 19 digits cannot overflow, so only a longer run is
+    /// read again with checked steps. Inlined into each field that calls
+    /// it, as [`Cursor::field`] is.
+    #[inline(always)]
+    fn read<F: Fold>(cur: &mut Cursor<'_, F>) -> Result<Self, &'static str> {
         let rest = cur.rest();
-        let len = rest.iter().take_while(|b| b.is_ascii_digit()).count();
+        let (mut n, mut len) = (0u64, 0);
+        while let Some(&digit @ b'0'..=b'9') = rest.get(len) {
+            n = n.wrapping_mul(10).wrapping_add(u64::from(digit - b'0'));
+            cur.fold.step(digit);
+            len += 1;
+        }
         match rest[..len] {
             [] => return Err("is not an integer"),
             [b'0', _, ..] => return Err("has a leading zero"),
             _ => cur.pos += len,
+        }
+        if len < 19 {
+            return Ok(n);
         }
         rest[..len]
             .iter()
@@ -210,6 +292,10 @@ impl Wire for u64 {
                 n.checked_mul(10)?.checked_add(u64::from(b - b'0'))
             })
             .ok_or("exceeds u64")
+    }
+    #[cfg(test)]
+    fn sample(draw: u64) -> Self {
+        draw
     }
 }
 
@@ -220,8 +306,12 @@ impl Wire for u32 {
     fn digest(self, hash: &mut Fnv) {
         hash.eat_le(&self.to_le_bytes(), self.leading_zeros() / 8);
     }
-    fn read(cur: &mut Cursor<'_>) -> Result<Self, &'static str> {
+    fn read<F: Fold>(cur: &mut Cursor<'_, F>) -> Result<Self, &'static str> {
         u32::try_from(u64::read(cur)?).map_err(|_| "exceeds u32")
+    }
+    #[cfg(test)]
+    fn sample(draw: u64) -> Self {
+        draw as u32
     }
 }
 
@@ -232,9 +322,18 @@ impl Wire for bool {
     fn digest(self, hash: &mut Fnv) {
         hash.step(self as u8);
     }
-    fn read(cur: &mut Cursor<'_>) -> Result<Self, &'static str> {
-        cur.one_of(&[("true", true), ("false", false)])
-            .ok_or("is not a bool")
+    fn read<F: Fold>(cur: &mut Cursor<'_, F>) -> Result<Self, &'static str> {
+        if cur.eat(token!("true")) {
+            Ok(true)
+        } else if cur.eat(token!("false")) {
+            Ok(false)
+        } else {
+            Err("is not a bool")
+        }
+    }
+    #[cfg(test)]
+    fn sample(draw: u64) -> Self {
+        draw % 2 == 1
     }
 }
 
@@ -250,7 +349,13 @@ impl Wire for f64 {
     /// `str::parse` admits many spellings of one value (`1`, `1.00`,
     /// `1e0`). Only the encoder's is accepted: the parsed value is written
     /// back through the cursor, which consumes what it is told to write.
-    fn read(cur: &mut Cursor<'_>) -> Result<Self, &'static str> {
+    /// A firm verdict's `1.0`, whole up to the `,` or `}` that ends it, is
+    /// read as a token instead.
+    fn read<F: Fold>(cur: &mut Cursor<'_, F>) -> Result<Self, &'static str> {
+        if let [b'1', b'.', b'0'] | [b'1', b'.', b'0', b',' | b'}', ..] = cur.rest() {
+            cur.skip(token!("1.0"));
+            return Ok(1.0);
+        }
         let text = &cur.text[cur.pos..];
         let token = text.split([',', '}']).next().unwrap_or(text);
         let x: f64 = token.parse().map_err(|_| "is not a number")?;
@@ -259,6 +364,14 @@ impl Wire for f64 {
             return Err("is not in shortest round-trip form");
         }
         Ok(x)
+    }
+    /// Half the time an edge: the firm `1.0` and a value that starts
+    /// like it, signed zeros, a subnormal, the ends of the range.
+    #[cfg(test)]
+    fn sample(draw: u64) -> Self {
+        const EDGES: [f64; 8] = [1.0, 1.05, 0.1, -0.0, 0.0, 5e-324, f64::MAX, f64::INFINITY];
+        let edge = EDGES.get((draw % 16) as usize).copied();
+        edge.unwrap_or((draw % 1001) as f64 / 1000.0)
     }
 }
 
@@ -270,8 +383,12 @@ impl Wire for SimTime {
     fn digest(self, hash: &mut Fnv) {
         self.as_micros().digest(hash);
     }
-    fn read(cur: &mut Cursor<'_>) -> Result<Self, &'static str> {
+    fn read<F: Fold>(cur: &mut Cursor<'_, F>) -> Result<Self, &'static str> {
         u64::read(cur).map(SimTime::from_micros)
+    }
+    #[cfg(test)]
+    fn sample(draw: u64) -> Self {
+        SimTime::from_micros(draw)
     }
 }
 
@@ -279,50 +396,78 @@ impl Wire for SimTime {
 /// consumes exactly the bytes the encoder writes at that position or
 /// refuses the record — nothing is skipped, reordered or normalised — so a
 /// record that reads is, byte for byte, the record its value encodes to.
-struct Cursor<'a> {
+/// Every byte it consumes goes through `fold` once: a digit or a float's
+/// character one step at a time, a [`Token`] in one.
+struct Cursor<'a, F> {
     text: &'a str,
     pos: usize,
+    fold: F,
 }
 
-impl<'a> Cursor<'a> {
+impl<'a, F: Fold> Cursor<'a, F> {
     fn rest(&self) -> &'a [u8] {
         &self.text.as_bytes()[self.pos..]
     }
 
     /// Consumes `token` if the record continues with it.
-    fn eat(&mut self, token: &str) -> bool {
-        let hit = self.rest().starts_with(token.as_bytes());
-        self.pos += if hit { token.len() } else { 0 };
+    #[inline(always)]
+    fn eat(&mut self, token: &Token) -> bool {
+        let hit = self.rest().starts_with(token.text.as_bytes());
+        if hit {
+            self.skip(token);
+        }
         hit
     }
 
-    /// Consumes the first of `names` the record continues with.
-    fn one_of<T: Copy>(&mut self, names: &[(&str, T)]) -> Option<T> {
-        let &(_, value) = names.iter().find(|(name, _)| self.eat(name))?;
-        Some(value)
+    /// Consumes `token`, which the record is known to continue with.
+    #[inline(always)]
+    fn skip(&mut self, token: &Token) {
+        self.pos += token.text.len();
+        self.fold.take(&token.run);
     }
 
+    #[cold]
     fn not_canonical(&self, expected: &str) -> String {
         let at = self.pos;
         format!("not in canonical form: expected {expected} at byte {at}")
     }
 
     /// One field at its wire position: `token` (`,"key":`), then the value.
-    fn field<T: Wire>(&mut self, token: &'static str) -> Result<T, String> {
+    /// Inlined where it is called, so that the token is a constant there
+    /// and its comparison a few loads, not a call.
+    #[inline(always)]
+    fn field<T: Wire>(&mut self, token: &Token) -> Result<T, String> {
         if !self.eat(token) {
-            return Err(self.not_canonical(token));
+            return Err(self.not_canonical(token.text));
         }
-        T::read(self).map_err(|why| {
-            let key = token.trim_matches(|c: char| !c.is_ascii_alphanumeric() && c != '_');
-            format!("field '{key}' {why} (at byte {})", self.pos)
-        })
+        T::read(self).map_err(|why| self.bad_value(token, why))
+    }
+
+    #[cold]
+    fn bad_value(&self, token: &Token, why: &str) -> String {
+        let key = token
+            .text
+            .trim_matches(|c: char| !c.is_ascii_alphanumeric() && c != '_');
+        format!("field '{key}' {why} (at byte {})", self.pos)
+    }
+
+    /// The name in `,"kind":"<name>"` if the record continues with that;
+    /// consumes nothing.
+    fn kind_name(&self) -> Option<&'a str> {
+        let quoted = self.text[self.pos..].strip_prefix(",\"kind\":\"")?;
+        quoted.split_once('"').map(|(name, _)| name)
     }
 }
 
 /// Writing to a cursor consumes the bytes written, or fails.
-impl fmt::Write for Cursor<'_> {
+impl<F: Fold> fmt::Write for Cursor<'_, F> {
     fn write_str(&mut self, s: &str) -> fmt::Result {
-        self.eat(s).then_some(()).ok_or(fmt::Error)
+        if !self.rest().starts_with(s.as_bytes()) {
+            return Err(fmt::Error);
+        }
+        self.pos += s.len();
+        s.bytes().for_each(|b| self.fold.step(b));
+        Ok(())
     }
 }
 
@@ -368,9 +513,18 @@ macro_rules! wire_names {
             fn digest(self, hash: &mut Fnv) {
                 hash.take(self.run());
             }
-            fn read(cur: &mut Cursor<'_>) -> Result<Self, &'static str> {
-                cur.one_of(&[$((concat!("\"", $name, "\""), $Enum::$Variant),)*])
+            fn read<F: Fold>(cur: &mut Cursor<'_, F>) -> Result<Self, &'static str> {
+                static QUOTED: &[(Token, $Enum)] =
+                    &[$((Token::of(concat!("\"", $name, "\"")), $Enum::$Variant),)*];
+                QUOTED
+                    .iter()
+                    .find(|(name, _)| cur.eat(name))
+                    .map(|&(_, value)| value)
                     .ok_or(concat!("is not a ", stringify!($Enum)))
+            }
+            #[cfg(test)]
+            fn sample(draw: u64) -> Self {
+                Self::ALL[(draw % Self::ALL.len() as u64) as usize]
             }
         }
     };
@@ -529,6 +683,17 @@ macro_rules! run_events {
                 }
             }
 
+            /// A `kind` event whose fields are drawn, in wire order, from
+            /// `draw`.
+            #[cfg(test)]
+            fn sample(kind: EventKind, draw: &mut dyn FnMut() -> u64) -> Self {
+                match kind {
+                    $(EventKind::$Variant => RunEvent::$Variant $({
+                        $($field: <$ty as Wire>::sample(draw()),)*
+                    })?,)*
+                }
+            }
+
             /// Feeds the kind's name, then each field's digest bytes in
             /// wire order.
             fn digest(&self, hash: &mut Fnv) {
@@ -540,15 +705,23 @@ macro_rules! run_events {
                 }
             }
 
-            /// Reads `,"kind":"name"`, then each of that variant's fields
-            /// at its wire position.
-            fn read(cur: &mut Cursor<'_>) -> Result<Self, String> {
-                $(if cur.eat(concat!(",\"kind\":\"", $wire, "\"")) {
-                    return Ok(RunEvent::$Variant $({
-                        $($field: cur.field(concat!(",\"", json_key!($field $($key)?), "\":"))?,)*
-                    })?);
-                })*
-                Err(cur.not_canonical("the kind of a known event"))
+            /// Reads `,"kind":"name"` — the name up to its closing quote,
+            /// matched once — then each of that variant's fields at its
+            /// wire position.
+            fn read<F: Fold>(cur: &mut Cursor<'_, F>) -> Result<Self, String> {
+                let unknown = |cur: &Cursor<'_, F>| cur.not_canonical("the kind of a known event");
+                let Some(name) = cur.kind_name() else {
+                    return Err(unknown(cur));
+                };
+                Ok(match name {
+                    $($wire => {
+                        cur.skip(token!(concat!(",\"kind\":\"", $wire, "\"")));
+                        RunEvent::$Variant $({
+                            $($field: cur.field(token!(concat!(",\"", json_key!($field $($key)?), "\":")))?,)*
+                        })?
+                    })*
+                    _ => return Err(unknown(cur)),
+                })
             }
         }
     };
@@ -925,38 +1098,81 @@ impl Stamped {
     /// digits, no whitespace, nothing after the closing brace — so a record
     /// that reads re-encodes to the line it came from, and a mutation that
     /// leaves valid JSON behind (a damaged key, a re-ordered field) is
-    /// never accepted as a different valid event. A checksummed record's
-    /// trailer is verified first, so damage to its content is reported as
-    /// a checksum mismatch. Nothing allocates unless the line is refused.
+    /// never accepted as a different valid event. Nothing allocates unless
+    /// the line is refused.
+    ///
+    /// A checksummed line is read in one pass: each byte the reader
+    /// accepts is folded into the line's FNV-1a hash as it is parsed, and
+    /// the trailer is compared with the hash at the end. A plain line is
+    /// not hashed. A line that pass refuses, for any reason, is read again
+    /// the two-pass way, which checks in this order: the trailer against
+    /// the hash of the bytes before it, then the fields one by one. So
+    /// every refusal is the two-pass reading's, byte for byte: it names
+    /// the first thing wrong in that order, and damage to a checksummed
+    /// line's content is a checksum mismatch, never a parse error.
     pub fn from_jsonl_line(line: &str) -> Result<Self, String> {
-        let mut bodies: [&[u8]; LANES] = [&[]; LANES];
-        bodies[0] = crc_body(line.as_bytes()).unwrap_or_default();
-        Self::read_hashed(line, crc_lanes(bodies)[0])
+        let one_pass = crc_body(line.as_bytes()).and_then(|_| Self::read_record(line, Fnv::new()));
+        match one_pass {
+            Some((entry, len)) if len == line.len() => Ok(entry),
+            _ => Self::read_two_pass(line),
+        }
     }
 
-    /// [`from_jsonl_line`](Self::from_jsonl_line) with the checksum of
-    /// the line's [`crc_body`] already taken; a plain line ignores `crc`.
-    fn read_hashed(line: &str, crc: u64) -> Result<Self, String> {
+    /// The record `text` begins with, read in one pass, and the length of
+    /// its text through what closes it (see [`Fold::close`]: `fold`
+    /// decides the framing); `None` if anything is amiss.
+    fn read_record<F: Fold>(text: &str, fold: F) -> Option<(Self, usize)> {
+        let mut cur = Cursor { text, pos: 0, fold };
+        let entry = Self::read_fields(&mut cur).ok()?;
+        let close = cur.fold.close(cur.rest())?;
+        Some((entry, cur.pos + close))
+    }
+
+    /// [`from_jsonl_line`](Self::from_jsonl_line) in two passes: a
+    /// checksummed line's trailer is checked against the hash of the bytes
+    /// before it, and then the line is read with nothing folded. The
+    /// reading of a plain line, and of every line the one-pass reading
+    /// refuses: its message is this function's.
+    fn read_two_pass(line: &str) -> Result<Self, String> {
         let (text, close) = match crc_body(line.as_bytes()) {
             Some(body) => {
+                let mut hash = Fnv::new();
+                hash.eat(body);
+                hash.step(b'}');
                 let trailer = &line.as_bytes()[body.len()..];
-                if *trailer != crc_trailer(crc) {
-                    return Err(refuse_trailer(trailer, crc));
+                if *trailer != crc_trailer(hash.0) {
+                    return Err(refuse_trailer(trailer, hash.0));
                 }
                 (&line[..body.len()], "")
             }
             None => (line, "}"),
         };
-        let mut cur = Cursor { text, pos: 0 };
-        let at = cur.field("{\"at\":")?;
-        let seq = cur.field(",\"seq\":")?;
-        let event = RunEvent::read(&mut cur)?;
+        let mut cur = Cursor {
+            text,
+            pos: 0,
+            fold: (),
+        };
+        Self::read(&mut cur, close)
+    }
+
+    /// Reads an entry from `cur`, which must then hold `close` alone: `}`
+    /// for a plain line, nothing for the bytes before a trailer.
+    fn read<F: Fold>(cur: &mut Cursor<'_, F>, close: &str) -> Result<Self, String> {
+        let entry = Self::read_fields(cur)?;
         match cur.rest() {
-            rest if rest == close.as_bytes() => Ok(Stamped { at, seq, event }),
+            rest if rest == close.as_bytes() => Ok(entry),
             // A trailer whose length put it out of place.
             rest if rest.starts_with(CRC_TAG) => Err(MALFORMED_TRAILER.into()),
             _ => Err(cur.not_canonical("the record to close")),
         }
+    }
+
+    /// Reads `{"at":…,"seq":…` and the event, and stops there.
+    fn read_fields<F: Fold>(cur: &mut Cursor<'_, F>) -> Result<Self, String> {
+        let at = cur.field(token!("{\"at\":"))?;
+        let seq = cur.field(token!(",\"seq\":"))?;
+        let event = RunEvent::read(cur)?;
+        Ok(Stamped { at, seq, event })
     }
 }
 
@@ -966,10 +1182,12 @@ impl Stamped {
 /// whole record only as the whole line: an unterminated final line of
 /// this shape is an acknowledged record whose newline rotted.
 fn record_and_more(line: &str) -> bool {
-    let mut cur = Cursor { text: line, pos: 0 };
-    let read = cur.field::<SimTime>("{\"at\":").is_ok()
-        && cur.field::<u64>(",\"seq\":").is_ok()
-        && RunEvent::read(&mut cur).is_ok();
+    let mut cur = Cursor {
+        text: line,
+        pos: 0,
+        fold: (),
+    };
+    let read = Stamped::read_fields(&mut cur).is_ok();
     let rest = cur.rest();
     let close = match rest {
         [b'}', ..] => 1,
@@ -1016,8 +1234,10 @@ const LANES: usize = 4;
 /// together over the length of the shortest; each then finishes its own
 /// tail. A group of fewer than `LANES` has an empty lane, so it is hashed
 /// one record after another, which is how a lone record is hashed. The
-/// writer ([`seal`]), the reader ([`walk`]) and the one-record functions
-/// all hash through here.
+/// writer ([`seal`]) and [`Stamped::to_jsonl_line_checksummed`] hash
+/// through here. The reader does not: it folds a line's hash while it
+/// parses the line, so the hash chain runs beside the parse instead of
+/// in a pass of its own (see [`Stamped::from_jsonl_line`]).
 fn crc_lanes(bodies: [&[u8]; LANES]) -> [u64; LANES] {
     let common = bodies.iter().map(|body| body.len()).min().unwrap_or(0);
     let heads = bodies.map(|body| &body[..common]);
@@ -1080,7 +1300,12 @@ fn refuse_trailer(found: &[u8], actual: u64) -> String {
 /// when it no longer parses as a whole.
 fn sniff_seq(line: &str) -> Option<u64> {
     let text = &line[line.find("\"seq\":")? + 6..];
-    u64::read(&mut Cursor { text, pos: 0 }).ok()
+    u64::read(&mut Cursor {
+        text,
+        pos: 0,
+        fold: (),
+    })
+    .ok()
 }
 
 /// Error returned by [`Journal::from_jsonl`].
@@ -1341,10 +1566,11 @@ impl Journal {
     /// read every `threads`-th 1 MiB block into a buffer of their own,
     /// verify and decode the lines that start in it, and hand the events
     /// over in block order. A file of one block, or `threads <= 1`, is
-    /// read on the calling thread. Within a block, four lines' checksums
-    /// are computed at a time, as the writer computes them, and the lines
-    /// are then read one after another, so the first bad line is the one
-    /// refused.
+    /// read on the calling thread. Within a block the lines are read one
+    /// after another by [`Stamped::from_jsonl_line`], which checks a
+    /// checksummed line's hash in the same pass as it parses it, and the
+    /// first bad line is the one refused. Each thread's buffer is
+    /// zero-filled once, when it is first grown, not before every block.
     ///
     /// A block is checked with `str::from_utf8`. Bytes that are not UTF-8
     /// are read as `String::from_utf8_lossy` shows them, so a bit flip
@@ -1471,10 +1697,13 @@ struct Block {
 /// unterminated final line means: a torn append to drop
 /// (`drop_torn_tail`), or an ordinary last line.
 ///
-/// Lines are taken [`LANES`] at a time and their checksums computed
-/// together by [`crc_lanes`]; then each line of the group is read in
-/// order as if alone. So the first refusal in line order is the one
-/// reported, and a line hashed after it changes nothing.
+/// A line is first read where it stands, as a record in the framing of
+/// the line before it, parsed and checksummed in one pass by
+/// [`read_line`], which finds its end as it goes. A line that reading does
+/// not take — blank, damaged, torn, or framed the other way — is cut at
+/// its newline and read by [`Stamped::from_jsonl_line`]. Both read a line
+/// alike, and the walk stops at the first line refused, so the first
+/// refusal in line order is the one reported.
 fn walk(text: &str, drop_torn_tail: bool) -> Block {
     let mut block = Block {
         // Few records are shorter than 64 bytes: sized once from the
@@ -1487,67 +1716,87 @@ fn walk(text: &str, drop_torn_tail: bool) -> Block {
         first: (0, 0),
         refused: None,
     };
-    // Where the first line not yet in a group starts.
-    let mut ahead = 0usize;
-    while ahead < text.len() {
-        // The next `n` lines, `LANES` but at the end, as (offset, line).
-        let mut group = [(0, ""); LANES];
-        let mut n = 0;
-        while n < LANES && ahead < text.len() {
-            let rest = &text[ahead..];
-            let line = rest.find('\n').map_or(rest, |nl| &rest[..nl]);
-            group[n] = (ahead, line);
-            ahead += line.len() + 1;
-            n += 1;
-        }
-        let crcs = crc_lanes(group.map(|(_, line)| crc_body(line.as_bytes()).unwrap_or_default()));
-        for (&(offset, line), crc) in group[..n].iter().zip(crcs) {
-            block.lines += 1;
-            let end = offset + line.len();
-            let terminated = end < text.len();
-            if !line.trim().is_empty() {
-                if drop_torn_tail && !terminated && !record_and_more(line) {
+    // Whether the last line cut at its newline was checksummed: a log is
+    // framed one way throughout unless `wal_checksum` changed between
+    // runs, so the lines after it are read in one pass in that framing.
+    let mut checksummed = false;
+    let mut offset = 0usize;
+    while offset < text.len() {
+        let rest = &text[offset..];
+        block.lines += 1;
+        let (len, read) = match read_line(rest, checksummed) {
+            Some((entry, len)) => (len, Some(Ok(entry))),
+            None => {
+                let line = rest.find('\n').map_or(rest, |nl| &rest[..nl]);
+                let terminated = offset + line.len() < text.len();
+                if line.trim().is_empty() {
+                    (line.len(), None)
+                } else if drop_torn_tail && !terminated && !record_and_more(line) {
                     // The newline never hit the disk, so the record was
                     // never acknowledged — and may be incomplete even if
                     // it parses (a truncated integer still does). Only
                     // whole lines count.
                     block.torn = true;
                     return block;
+                } else {
+                    // A terminated line was fully written in one append,
+                    // and so was an unterminated one that holds a whole
+                    // record and more: a parse or checksum failure is
+                    // in-place corruption of an acknowledged record —
+                    // refuse, never resume past it.
+                    checksummed = crc_body(line.as_bytes()).is_some();
+                    let read = Stamped::from_jsonl_line(line);
+                    (line.len(), Some(read.map_err(|m| (sniff_seq(line), m))))
                 }
-                // A terminated line was fully written in one append, and
-                // so was an unterminated one that holds a whole record and
-                // more: a parse or checksum failure is in-place corruption
-                // of an acknowledged record — refuse, never resume past it.
-                let refusal = match Stamped::read_hashed(line, crc) {
-                    Err(message) => Some((sniff_seq(line), message)),
-                    Ok(next) => {
-                        let prev = block.events.last();
-                        let broken = prev.and_then(|prev| breaks_stream(prev, &next));
-                        if broken.is_none() {
-                            if prev.is_none() {
-                                block.first = (block.lines, offset);
-                            }
-                            block.events.push(next);
-                        }
-                        broken.map(|message| (Some(next.seq), message))
+            }
+        };
+        let refusal = match read {
+            None => None,
+            Some(Err(refusal)) => Some(refusal),
+            Some(Ok(next)) => {
+                let prev = block.events.last();
+                let broken = prev.and_then(|prev| breaks_stream(prev, &next));
+                if broken.is_none() {
+                    if prev.is_none() {
+                        block.first = (block.lines, offset);
                     }
-                };
-                if let Some((seq, message)) = refusal {
-                    block.refused = Some(JournalParseError {
-                        line: block.lines,
-                        offset,
-                        seq,
-                        message,
-                    });
-                    return block;
+                    block.events.push(next);
                 }
+                broken.map(|message| (Some(next.seq), message))
             }
-            if terminated {
-                block.valid = end + 1;
-            }
+        };
+        if let Some((seq, message)) = refusal {
+            block.refused = Some(JournalParseError {
+                line: block.lines,
+                offset,
+                seq,
+                message,
+            });
+            return block;
         }
+        let end = offset + len;
+        if end < text.len() {
+            block.valid = end + 1;
+        }
+        offset = end + 1;
     }
     block
+}
+
+/// The line `text` begins with, read in one pass, with its length, if it
+/// is a whole record framed as `checksummed` says and its newline
+/// follows: what [`Stamped::from_jsonl_line`] gives for that line, found
+/// without first searching for its end.
+fn read_line(text: &str, checksummed: bool) -> Option<(Stamped, usize)> {
+    // Not a record: spares the message a refusal would format.
+    if !text.starts_with('{') {
+        return None;
+    }
+    let (entry, len) = match checksummed {
+        true => Stamped::read_record(text, Fnv::new()),
+        false => Stamped::read_record(text, ()),
+    }?;
+    (text.as_bytes().get(len) == Some(&b'\n')).then_some((entry, len))
 }
 
 /// Joins walked blocks, in input order, into the one result a walk of
@@ -1651,10 +1900,16 @@ impl Blocks for &str {
 }
 
 /// One reader's handle on a WAL file and the buffer it reads blocks into.
+///
+/// The buffer keeps its length from block to block, and a block is read
+/// over the bytes of the one before: it is zero-filled only where it
+/// grows, never again before a `read_exact`.
 struct FileBlocks {
     file: std::fs::File,
-    /// The bytes at file offsets `at..at + buf.len()`.
+    /// `buf[..held]` are the bytes at file offsets `at..at + held`; the
+    /// rest is room.
     buf: Vec<u8>,
+    held: usize,
     at: usize,
 }
 
@@ -1663,6 +1918,7 @@ impl FileBlocks {
         Ok(FileBlocks {
             file: std::fs::File::open(path)?,
             buf: Vec::new(),
+            held: 0,
             at: 0,
         })
     }
@@ -1670,15 +1926,18 @@ impl FileBlocks {
 
 impl Blocks for FileBlocks {
     fn bytes(&mut self, range: Range<usize>) -> io::Result<&[u8]> {
-        if range.start != self.at + self.buf.len() {
-            self.buf.clear();
+        if range.start != self.at + self.held {
+            self.held = 0;
             self.at = range.start;
             self.file.seek(SeekFrom::Start(range.start as u64))?;
         }
-        let held = self.buf.len();
-        self.buf.resize(held + range.len(), 0);
-        self.file.read_exact(&mut self.buf[held..])?;
-        Ok(&self.buf[held..])
+        let fetched = self.held..self.held + range.len();
+        if self.buf.len() < fetched.end {
+            self.buf.resize(fetched.end, 0);
+        }
+        self.file.read_exact(&mut self.buf[fetched.clone()])?;
+        self.held = fetched.end;
+        Ok(&self.buf[fetched])
     }
     /// A block that is not UTF-8 is shown as `String::from_utf8_lossy`
     /// shows the whole file: newlines are ASCII, so cutting at them never
@@ -3546,6 +3805,69 @@ mod tests {
         }
     }
 
+    /// The one-pass reading of a line against the two-pass reading it
+    /// falls back to.
+    mod one_pass {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// A field value of class `class` from a raw draw: small (the
+        /// float and name edges among them), the ends of `u32` and `u64`,
+        /// 19 digits, 20 digits, or anything.
+        fn value((class, raw): (u8, u64)) -> u64 {
+            let e18 = 10u64.pow(18);
+            match class {
+                0 => raw % 16,
+                1 => u64::from(u32::MAX),
+                2 => u64::MAX,
+                3 => e18 + raw % (9 * e18),
+                4 => 10 * e18 + raw % (u64::MAX - 10 * e18),
+                _ => raw,
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(128))]
+
+            /// Every variant at random and extreme values, in both
+            /// framings, intact and with one byte changed at each offset:
+            /// `from_jsonl_line` reads the intact line — a checksummed one
+            /// in one pass, never falling back — and gives what
+            /// `read_two_pass` gives for the changed one, the same entry
+            /// or the same refusal byte for byte.
+            #[test]
+            fn the_one_pass_reading_is_the_two_pass_reading(
+                draws in proptest::collection::vec((0u8..6, any::<u64>()), 8),
+                masks in proptest::collection::vec(1u8..=255, 64),
+            ) {
+                for (i, &kind) in EventKind::ALL.iter().enumerate() {
+                    // Each kind takes the draws from a place of its own.
+                    let mut draws = draws.iter().copied().map(value).cycle().skip(i);
+                    let mut next = || draws.next().expect("the draws cycle");
+                    let (at, seq) = (SimTime::from_micros(next()), next());
+                    let event = RunEvent::sample(kind, &mut next);
+                    let entry = Stamped { at, seq, event };
+                    let sealed = entry.to_jsonl_line_checksummed();
+                    let one_pass = Stamped::read_record(&sealed, Fnv::new());
+                    prop_assert_eq!(one_pass, Some((entry, sealed.len())));
+                    for line in [entry.to_jsonl_line(), sealed] {
+                        prop_assert_eq!(Stamped::from_jsonl_line(&line), Ok(entry));
+                        for at in 0..line.len() {
+                            let mut bytes = line.clone().into_bytes();
+                            bytes[at] ^= masks[at % masks.len()];
+                            let damaged = String::from_utf8_lossy(&bytes);
+                            prop_assert_eq!(
+                                Stamped::from_jsonl_line(&damaged),
+                                Stamped::read_two_pass(&damaged),
+                                "byte {} of {}", at, line
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
     /// The block reader's contract: for every input, block length and
     /// thread count, from memory and from a file, what the one-block walk
     /// of the whole input returns.
@@ -3577,11 +3899,11 @@ mod tests {
             in_memory(&text, text.len().max(1), 1, drop_tail)
         }
 
-        /// The reader's rules one line at a time, with no lanes and no
-        /// blocks: skip a blank line, drop or read an unterminated last
-        /// one (never drop one a strict prefix of which reads as a
-        /// record), read a line with `Stamped::from_jsonl_line`, check it
-        /// continues the stream.
+        /// The reader's rules one line at a time, with no blocks and in
+        /// two passes: skip a blank line, drop or read an unterminated
+        /// last one (never drop one a strict prefix of which reads as a
+        /// record), read a line with `Stamped::read_two_pass` (trailer
+        /// first, then the fields), check it continues the stream.
         fn serial(bytes: &[u8], drop_tail: bool) -> Outcome {
             let text = String::from_utf8_lossy(bytes);
             let (mut events, mut torn, mut valid, mut offset) =
@@ -3596,14 +3918,14 @@ mod tests {
                 };
                 if !line.trim().is_empty() {
                     let record_and_more = (1..line.len()).any(|k| {
-                        line.is_char_boundary(k) && Stamped::from_jsonl_line(&line[..k]).is_ok()
+                        line.is_char_boundary(k) && Stamped::read_two_pass(&line[..k]).is_ok()
                     });
                     if drop_tail && line == raw && !record_and_more {
                         torn = true;
                         break;
                     }
                     let next =
-                        Stamped::from_jsonl_line(line).map_err(|m| refuse(sniff_seq(line), m))?;
+                        Stamped::read_two_pass(line).map_err(|m| refuse(sniff_seq(line), m))?;
                     if let Some(m) = events.last().and_then(|prev| breaks_stream(prev, &next)) {
                         return Err(refuse(Some(next.seq), m));
                     }
@@ -3851,6 +4173,32 @@ mod tests {
             }
         }
 
+        /// One byte changed at each offset of a log in each framing and in
+        /// the two interleaved: the walk, which reads a line where it
+        /// stands when it can, reports what the serial two-pass reading
+        /// of the cut lines reports.
+        #[test]
+        fn a_byte_changed_anywhere_reads_as_the_serial_walk_reads_it() {
+            let entries: Vec<_> = (0..6u32)
+                .map(|i| (3, i as u8, i * 7919, i % 3 == 0))
+                .collect();
+            for framing in 0..3 {
+                let text = wal_lines(&entries, framing).concat().into_bytes();
+                for at in 0..text.len() {
+                    // `}` to `|` and to `]`, `\n` to `\v` and to `*`.
+                    for mask in [0x01, 0x20] {
+                        let mut damaged = text.clone();
+                        damaged[at] ^= mask;
+                        assert_eq!(
+                            whole(&damaged, true),
+                            serial(&damaged, true),
+                            "framing {framing}, byte {at} ^ {mask:#x}"
+                        );
+                    }
+                }
+            }
+        }
+
         /// A record that breaks the stream across a seam and garbage later
         /// in the same block: the seam, first in the file, is what is named.
         /// Garbage in the block before it wins over both.
@@ -3886,11 +4234,12 @@ mod tests {
             }
         }
 
-        /// A group of four lines holding 0–4 checksummed records among
-        /// plain and blank lines, damaged in each lane: a bit flip, a byte
-        /// that is not UTF-8, two flipped lines, a tail torn mid-group.
-        /// The walk in lanes reports what the serial reading reports, and
-        /// a damaged line is named even when a later one is damaged too.
+        /// Four lines holding 0–4 checksummed records among plain and
+        /// blank lines, each of them damaged in turn: a bit flip, a byte
+        /// that is not UTF-8, two flipped lines, a tail torn mid-line. The
+        /// one-pass walk reports what the serial two-pass reading reports,
+        /// and a damaged line is named even when a later one is damaged
+        /// too.
         #[test]
         fn damage_in_any_lane_reads_as_the_serial_walk_reads_it() {
             let entries: Vec<_> = (0..12u32)
@@ -3898,11 +4247,11 @@ mod tests {
                 .collect();
             let framings = [wal_lines(&entries, 0), wal_lines(&entries, 1)];
             for mask in 0..16usize {
-                // Lane `l` of the middle group is checksummed if bit `l` of
-                // `mask` is set; of the others, lane `mask % 4` is blank.
-                let middle = (0..4).map(|lane| match mask >> lane & 1 {
+                // Line `l` of the middle four is checksummed if bit `l` of
+                // `mask` is set; of the others, line `mask % 4` is blank.
+                let middle = (0..4).map(|line| match mask >> line & 1 {
                     1 => 'c',
-                    _ if lane == mask % 4 => 'b',
+                    _ if line == mask % 4 => 'b',
                     _ => 'p',
                 });
                 let mut records = 0..entries.len();

@@ -9,7 +9,8 @@ use std::sync::{Arc, Mutex};
 use proptest::prelude::*;
 use smartred_desim::disk::Disk;
 use smartred_desim::journal::{
-    assert as jassert, DepartureReason, EventKind, FaultKind, Journal, RunEvent, Stamped, WalWriter,
+    assert as jassert, fnv1a_64, DepartureReason, EventKind, FaultKind, Journal, RunEvent, Stamped,
+    WalWriter,
 };
 use smartred_desim::time::SimTime;
 
@@ -248,6 +249,27 @@ fn non_canonical_spellings_are_refused_by_name() {
             plain.replace(r#""at":5"#, r#""at":18446744073709551616"#),
             "field 'at' exceeds u64",
         ),
+        // The integer reader's fast path ends at 18 digits.
+        (
+            "19-digit u32",
+            plain.replace(r#""task":7"#, r#""task":1000000000000000007"#),
+            "field 'task' exceeds u32",
+        ),
+        (
+            "20-digit at past u64",
+            plain.replace(r#""at":5"#, r#""at":99999999999999999999"#),
+            "field 'at' exceeds u64",
+        ),
+        (
+            "zero then zero",
+            plain.replace(r#""at":5"#, r#""at":00"#),
+            "field 'at' has a leading zero",
+        ),
+        (
+            "19 digits with a leading zero",
+            plain.replace(r#""at":5"#, r#""at":0000000000000000005"#),
+            "field 'at' has a leading zero",
+        ),
         (
             "reordered keys",
             plain.replace(r#""task":7,"wave":1"#, r#""wave":1,"task":7"#),
@@ -358,6 +380,7 @@ fn non_canonical_spellings_are_refused_by_name() {
             Ok(entry) => panic!("{what}: {line} was read as {entry:?}"),
             Err(msg) => assert!(msg.contains(expected), "{what}: {line}: {msg}"),
         }
+        refused_alike_when_sealed(what, line);
     }
 
     // Per-type spellings on the variants that carry them.
@@ -407,6 +430,18 @@ fn non_canonical_spellings_are_refused_by_name() {
             verdict.replace("1.0}", "one}"),
             "field 'confidence' is not a number",
         ),
+        // The firm confidence is read as a token only when `1.0` is the
+        // whole number.
+        (
+            "1.0 then an exponent",
+            verdict.replace("1.0}", "1.0e0}"),
+            "field 'confidence' is not in shortest round-trip form",
+        ),
+        (
+            "1.0 then a letter",
+            verdict.replace("1.0}", "1.0x}"),
+            "field 'confidence' is not a number",
+        ),
         (
             "integer for a bool",
             verdict.replace(r#""value":true"#, r#""value":1"#),
@@ -432,7 +467,54 @@ fn non_canonical_spellings_are_refused_by_name() {
             Ok(entry) => panic!("{what}: {line} was read as {entry:?}"),
             Err(msg) => assert!(msg.contains(expected), "{what}: {line}: {msg}"),
         }
+        refused_alike_when_sealed(what, &line);
     }
+
+    // And what lies just past the fast paths' edges reads, in both
+    // framings: 19 and 20 digits, and a confidence that starts as the
+    // firm 1.0 does.
+    let long = verdict.replace(r#""at":9"#, r#""at":1000000000000000009"#);
+    let longer = verdict.replace(r#""at":9"#, r#""at":18446744073709551615"#);
+    let near = verdict.replace("1.0}", "1.05}");
+    for (line, at, confidence) in [
+        (long, 10u64.pow(18) + 9, 1.0),
+        (longer, u64::MAX, 1.0),
+        (near, 9, 1.05),
+    ] {
+        let entry = Stamped {
+            at: SimTime::from_micros(at),
+            seq: 2,
+            event: RunEvent::VerdictReached {
+                task: 7,
+                value: true,
+                degraded: false,
+                confidence,
+            },
+        };
+        assert_eq!(entry.to_jsonl_line(), line);
+        let sealed = entry.to_jsonl_line_checksummed();
+        for line in [line, sealed] {
+            assert_eq!(Stamped::from_jsonl_line(&line), Ok(entry), "{line}");
+        }
+    }
+}
+
+/// `line`, a plain record however damaged, with a checksum trailer that
+/// states its hash: the checksum holds, so the checksummed line is
+/// refused, after both passes, with the plain line's message.
+fn refused_alike_when_sealed(what: &str, line: &str) {
+    let Some(body) = line.strip_suffix('}') else {
+        return;
+    };
+    if line.contains(r#""crc""#) {
+        return;
+    }
+    let sealed = format!(r#"{body},"crc":"{:016x}"}}"#, fnv1a_64(line.as_bytes()));
+    assert_eq!(
+        Stamped::from_jsonl_line(&sealed),
+        Stamped::from_jsonl_line(line),
+        "{what}: {sealed}"
+    );
 }
 
 /// The commit buffer encodes in place rather than through

@@ -620,11 +620,13 @@ impl Runtime {
     ///
     /// The file is read by [`Journal::read_wal`] on [`Threads::Auto`]
     /// threads (`SMARTRED_THREADS`, else every core — nothing else runs
-    /// until this returns): each reads, verifies and decodes a 1 MiB block
-    /// at a time, so the file is never in memory whole, and the threads
-    /// are gone before the replay starts. What is read, and what is
-    /// refused at which line, offset and seq, does not depend on their
-    /// number.
+    /// until this returns): each reads and decodes a 1 MiB block at a
+    /// time, verifying a checksummed record in the same pass that parses
+    /// it, so the file is never in memory whole, and the threads are gone
+    /// before the replay starts. The read is most of what this call costs
+    /// on a long WAL; the ledger rebuild is the rest. What is read, and
+    /// what is refused at which line, offset and seq, does not depend on
+    /// their number.
     ///
     /// Returns the runtime, a [`Client`] that will receive the verdicts of
     /// resumed and re-admitted tasks, and a [`RecoveryReport`].

@@ -13,7 +13,7 @@ use rand::SeedableRng;
 use smartred_core::execution::Assignment;
 use smartred_core::hedge::HedgePolicy;
 use smartred_core::params::VoteMargin;
-use smartred_core::strategy::{Iterative, RedundancyStrategy};
+use smartred_core::strategy::Iterative;
 use smartred_desim::journal::{EventKind, Journal};
 use smartred_runtime::{
     report_from_journal, FaultProfile, Payload, Runtime, RuntimeConfig, RuntimeRun,
@@ -42,7 +42,7 @@ fn test_policy() -> HedgePolicy {
 
 /// Runs `num_tasks` 3-SAT block tasks through a fresh runtime on a
 /// straggler-prone pool, under an optional hedge policy and an
-/// assignment policy.
+/// assignment policy, with a 2 s job deadline.
 fn run_hedged(
     workers: usize,
     seed: u64,
@@ -50,21 +50,20 @@ fn run_hedged(
     hedge: Option<HedgePolicy>,
     assignment: Assignment,
 ) -> (RuntimeRun, Vec<TaskVerdict>) {
-    let strategy = Iterative::new(VoteMargin::new(4).unwrap());
-    run_with(workers, seed, num_tasks, hedge, assignment, strategy)
+    let deadline = Duration::from_secs(2);
+    run_with(workers, seed, num_tasks, hedge, assignment, deadline)
 }
 
-fn run_with<S>(
+/// [`run_hedged`] with the job deadline given.
+fn run_with(
     workers: usize,
     seed: u64,
     num_tasks: usize,
     hedge: Option<HedgePolicy>,
     assignment: Assignment,
-    strategy: S,
-) -> (RuntimeRun, Vec<TaskVerdict>)
-where
-    S: RedundancyStrategy<bool> + Send + Sync + 'static,
-{
+    deadline: Duration,
+) -> (RuntimeRun, Vec<TaskVerdict>) {
+    let strategy = Iterative::new(VoteMargin::new(4).unwrap());
     let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed ^ 0x5eed);
     let formula = Arc::new(random_3sat(
         ThreeSatConfig {
@@ -78,7 +77,7 @@ where
         workers: Some(workers),
         queue_cap: num_tasks + 8,
         max_active: 32,
-        deadline: Duration::from_secs(2),
+        deadline,
         hedge,
         assignment,
         ..RuntimeConfig::default()
@@ -226,11 +225,21 @@ fn assignment_policies_preserve_the_verdict_stream() {
 /// `SMARTRED_THREADS` ∈ {1, 8} axis): hedge *counts* are wall-clock
 /// noise, but every vote-derived quantity is schedule-independent, and
 /// the twin-settlement invariant holds at both extremes.
+///
+/// That rests on no job lapsing: a lapsed job's reissued replica draws a
+/// fresh vote. One worker serves the 80 tasks through a single inbox, so
+/// a job may wait behind a queue eight workers would share; the deadline
+/// is 16 s over the worker count, and each run shows it lapsed nothing.
 #[test]
 fn hedging_is_worker_count_invariant_on_votes() {
-    let (one, v1) = run_hedged(1, 99, 80, Some(test_policy()), Assignment::LeastLoaded);
-    let (eight, v8) = run_hedged(8, 99, 80, Some(test_policy()), Assignment::LeastLoaded);
+    let run = |workers: usize| {
+        let deadline = Duration::from_secs(16) / workers as u32;
+        let hedge = Some(test_policy());
+        run_with(workers, 99, 80, hedge, Assignment::LeastLoaded, deadline)
+    };
+    let ((one, v1), (eight, v8)) = (run(1), run(8));
     for run in [&one, &eight] {
+        assert_eq!(run.report.timeouts, 0, "the premise of the comparison");
         assert_eq!(run.report.tasks_completed, 80);
         assert_eq!(
             run.report.hedges_launched,
